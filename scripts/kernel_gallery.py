@@ -8,10 +8,9 @@ conditions are reported and skipped.
 import argparse
 from pathlib import Path
 
-from hillgreen import ResonanceError, build_green, classify_sign, load_builtin
+from hillgreen import (BC_ALL, ResonanceError, build_green, classify_sign,
+                       load_builtin)
 from hillgreen.potential import Potential
-
-CONDITIONS = ("P", "A", "N", "D", "M1", "M2")
 
 
 def main() -> int:
@@ -26,7 +25,7 @@ def main() -> int:
     p = Potential.from_file(path) if path.exists() else load_builtin(args.potential)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    for bc in CONDITIONS:
+    for bc in BC_ALL:
         try:
             G = build_green(p, args.lam, bc, n=args.n)
         except ResonanceError as exc:

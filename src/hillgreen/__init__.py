@@ -14,7 +14,7 @@ from .comparison import (COMPARISON_THEOREMS, DOMINANCE_RELATIONS, SignReport,
                          zero_set_check)
 from .errors import (DomainError, HillgreenError, HypothesisNotMet,
                      IntegrationError, PoleError, ResonanceError)
-from .greens import (BoundaryCondition, BvpSolution, GreensFunction,
+from .greens import (BC_ALL, BoundaryCondition, BvpSolution, GreensFunction,
                      boundary_residual, build_green, closed_form_constant,
                      estimate_diagonal_jump, kernel_value, solve_bvp,
                      table_slice)
@@ -88,5 +88,3 @@ __all__ = [
     "verify_spectral_decomposition",
     "zero_set_check",
 ]
-
-BC_ALL = ("P", "A", "N", "D", "M1", "M2")

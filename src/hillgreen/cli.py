@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,47 +18,18 @@ import numpy as np
 from .comparison import (DOMINANCE_RELATIONS, classify_sign, verify_dominance)
 from .errors import (DomainError, HypothesisNotMet, IntegrationError,
                      PoleError, ResonanceError)
-from .greens import BoundaryCondition, build_green
+from .greens import BC_ALL, build_green
 from .identities import (DEFAULT_IDENTITY_TOL, IDENTITY_NAMES, verify_all,
                          verify_identity)
 from .integrator import DEFAULT_TOL
 from .potential import BUILTIN_NAMES, Potential, load_builtin
 from .spectrum import discriminant_samples, find_eigenvalues
 
-__all__ = ["main", "RunConfig"]
-
-BC_CHOICES = ("P", "A", "N", "D", "M1", "M2")
+__all__ = ["main"]
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    potential_file: str | None
-    T: float | None
-    lam: float | None
-    bc: str | None
-    n: int
-    output: Path | None
-    format: str
-    tol: float
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        return RunConfig(
-            command=args.command,
-            potential_file=getattr(args, "potential", None),
-            T=getattr(args, "T", None),
-            lam=getattr(args, "lam", None),
-            bc=getattr(args, "bc", None),
-            n=getattr(args, "n", 100),
-            output=getattr(args, "output", None),
-            format=getattr(args, "format", "csv"),
-            tol=getattr(args, "tol", DEFAULT_TOL),
-        )
 
 
 def _load_potential(spec: str) -> Potential:
@@ -75,11 +45,11 @@ def _load_potential(spec: str) -> Potential:
     raise UsageError(f"potential file not found: {spec}")
 
 
-def _base(cfg: RunConfig) -> Potential:
-    p = _load_potential(cfg.potential_file)
-    if cfg.T is not None:
+def _base(args: argparse.Namespace) -> Potential:
+    p = _load_potential(args.potential)
+    if args.T is not None:
         try:
-            p = p.restrict(cfg.T)
+            p = p.restrict(args.T)
         except (DomainError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
     return p
@@ -108,17 +78,17 @@ def _emit_json(obj, output: Path | None) -> None:
 
 # -- spectrum ---------------------------------------------------------------
 
-def _cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = _base(cfg)
-    bcs = BC_CHOICES if args.bc == "all" else (args.bc,)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    p = _base(args)
+    bcs = BC_ALL if args.bc == "all" else (args.bc,)
     rng = tuple(args.range) if args.range else None
     count = args.count if rng is None else args.count_in_range
     spectra = {}
     for bc in bcs:
         spectra[bc] = find_eigenvalues(
             p, bc, search_range=rng, max_count=count, n_scan=args.n_scan,
-            integrator_tol=cfg.tol, method=args.method)
-    if cfg.format == "json":
+            integrator_tol=args.tol, method=args.method)
+    if args.format == "json":
         payload = {
             "potential": p.descriptor_hash(),
             "T": p.domain_length,
@@ -128,22 +98,22 @@ def _cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
                              for e in s.eigenvalues]
                         for bc, s in spectra.items()},
         }
-        _emit_json(payload, cfg.output)
+        _emit_json(payload, args.output)
     else:
         lines = ["bc,k,lambda,multiplicity"]
         for bc in bcs:
             for e in spectra[bc].eigenvalues:
                 lines.append(f"{bc},{e.index},{float(e.value)!r},{e.multiplicity}")
-        _emit("\n".join(lines), cfg.output)
+        _emit("\n".join(lines), args.output)
     return 0
 
 
 # -- green ------------------------------------------------------------------
 
-def _cmd_green(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = _base(cfg)
-    G = build_green(p, cfg.lam, cfg.bc, n=cfg.n, tol=cfg.tol)
-    if cfg.format == "json":
+def _cmd_green(args: argparse.Namespace) -> int:
+    p = _base(args)
+    G = build_green(p, args.lam, args.bc, n=args.n, tol=args.tol)
+    if args.format == "json":
         payload = {
             "bc": G.bc.value,
             "lambda": G.lam,
@@ -154,32 +124,32 @@ def _cmd_green(cfg: RunConfig, args: argparse.Namespace) -> int:
             "symmetry_error": G.symmetry_error(),
             "resonance_margin": G.meta["resonance_margin"],
         }
-        _emit_json(payload, cfg.output)
-    elif cfg.output is not None:
-        G.to_csv(cfg.output)
+        _emit_json(payload, args.output)
+    elif args.output is not None:
+        G.to_csv(args.output)
     else:
         lines = ["t,s,G"]
         C = G.combined()
         for i, t in enumerate(G.grid):
             for j, s in enumerate(G.grid):
                 lines.append(f"{float(t)!r},{float(s)!r},{float(C[i, j])!r}")
-        _emit("\n".join(lines), cfg.output)
+        _emit("\n".join(lines), args.output)
     return 0
 
 
 # -- verify -----------------------------------------------------------------
 
-def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = _base(cfg)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    p = _base(args)
     if args.identity:
-        reports = [verify_identity(name, p, cfg.lam, n=cfg.n,
-                                   tol=args.identity_tol, integrator_tol=cfg.tol)
+        reports = [verify_identity(name, p, args.lam, n=args.n,
+                                   tol=args.identity_tol, integrator_tol=args.tol)
                    for name in args.identity]
     else:
-        reports = verify_all(p, cfg.lam, n=cfg.n, tol=args.identity_tol,
-                             integrator_tol=cfg.tol, threads=args.threads)
+        reports = verify_all(p, args.lam, n=args.n, tol=args.identity_tol,
+                             integrator_tol=args.tol)
     rows = [r.as_dict() for r in reports]
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = ["id,n,residual,lhs_scale,pass,skipped,reason"]
         for r in rows:
             res = "" if r["residual"] is None else repr(float(r["residual"]))
@@ -188,10 +158,10 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             reason = (r["reason"] or "").replace(",", ";")
             lines.append(f"{r['id']},{r['n']},{res},{scale},{ok},"
                          f"{str(r['skipped']).lower()},{reason}")
-        _emit("\n".join(lines), cfg.output)
+        _emit("\n".join(lines), args.output)
     else:
-        _emit_json({"lambda": cfg.lam, "n": cfg.n, "tol": args.identity_tol,
-                    "reports": rows}, cfg.output)
+        _emit_json({"lambda": args.lam, "n": args.n, "tol": args.identity_tol,
+                    "reports": rows}, args.output)
     failed = [r for r in rows if r["pass"] is False]
     if args.strict and failed:
         return 1
@@ -200,12 +170,12 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 # -- compare ----------------------------------------------------------------
 
-def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = _base(cfg)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    p = _base(args)
     classifications = {}
     for bc in ("P", "N", "D", "M1", "M2"):
         try:
-            G = build_green(p, cfg.lam, bc, n=cfg.n, tol=cfg.tol)
+            G = build_green(p, args.lam, bc, n=args.n, tol=args.tol)
             classifications[bc] = classify_sign(G).as_dict()
         except ResonanceError as exc:
             classifications[bc] = {"resonant": True, "reason": str(exc)}
@@ -213,14 +183,14 @@ def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     results = []
     for name in relations:
         try:
-            results.append(verify_dominance(p, cfg.lam, name, n=cfg.n,
-                                            integrator_tol=cfg.tol))
+            results.append(verify_dominance(p, args.lam, name, n=args.n,
+                                            integrator_tol=args.tol))
         except HypothesisNotMet as exc:
             results.append({"relation": name, "skipped": True,
                             "reason": str(exc), "pass": None})
-    payload = {"lambda": cfg.lam, "n": cfg.n,
+    payload = {"lambda": args.lam, "n": args.n,
                "classifications": classifications, "relations": results}
-    _emit_json(payload, cfg.output)
+    _emit_json(payload, args.output)
     failed = [r for r in results if r.get("pass") is False]
     if args.strict and failed:
         return 1
@@ -229,20 +199,20 @@ def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 # -- sweep ------------------------------------------------------------------
 
-def _cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    p = _base(cfg)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    p = _base(args)
     lo, hi = args.range
     lams, deltas = discriminant_samples(p, lo, hi, count=args.points,
                                         extend=True)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json({"potential": p.descriptor_hash(), "T": p.domain_length,
                     "lambda": lams.tolist(), "delta": deltas.tolist()},
-                   cfg.output)
+                   args.output)
     else:
         lines = ["lambda,delta"]
         for lam, d in zip(lams, deltas):
             lines.append(f"{float(lam)!r},{float(d)!r}")
-        _emit("\n".join(lines), cfg.output)
+        _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -318,18 +288,18 @@ def _run_example(which: int, n_scan: int, tol: float, match: float) -> dict:
             "pass": all(c["pass"] for c in checks)}
 
 
-def _cmd_examples(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_examples(args: argparse.Namespace) -> int:
     if args.all:
         which = [1, 2, 3, 4]
     elif args.which:
         which = [args.which]
     else:
         raise UsageError("examples needs --which K or --all")
-    reports = [_run_example(k, args.n_scan, cfg.tol, args.match_tol)
+    reports = [_run_example(k, args.n_scan, args.tol, args.match_tol)
                for k in which]
     overall = all(r["pass"] for r in reports)
-    if cfg.format == "json":
-        _emit_json({"examples": reports, "pass": overall}, cfg.output)
+    if args.format == "json":
+        _emit_json({"examples": reports, "pass": overall}, args.output)
     else:
         lines = []
         for r in reports:
@@ -341,7 +311,7 @@ def _cmd_examples(cfg: RunConfig, args: argparse.Namespace) -> int:
                     f"error {float(c['error']):.3e}  {status}")
             lines.append(f"ex{r['example']}  overall "
                          f"{'ok' if r['pass'] else 'FAIL'}")
-        _emit("\n".join(lines), cfg.output)
+        _emit("\n".join(lines), args.output)
     if args.strict and not overall:
         return 1
     return 0
@@ -369,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one or all problems")
     _add_common(sp)
-    sp.add_argument("--bc", choices=BC_CHOICES + ("all",), default="all")
+    sp.add_argument("--bc", choices=BC_ALL + ("all",), default="all")
     sp.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"))
     sp.add_argument("--count", type=int, default=6,
                     help="how many eigenvalues when no --range is given")
@@ -384,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("green", help="tabulate one Green's function")
     _add_common(gp)
     gp.add_argument("--lambda", dest="lam", type=float, required=True)
-    gp.add_argument("--bc", choices=BC_CHOICES, required=True)
+    gp.add_argument("--bc", choices=BC_ALL, required=True)
     gp.add_argument("--n", type=int, default=100)
     gp.add_argument("--format", choices=("csv", "json"), default="csv")
     gp.set_defaults(func=_cmd_green)
@@ -396,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="repeatable; default is the whole catalog")
     vp.add_argument("--n", type=int, default=100)
     vp.add_argument("--identity-tol", type=float, default=DEFAULT_IDENTITY_TOL)
-    vp.add_argument("--threads", type=int, default=None)
     vp.add_argument("--strict", action="store_true")
     vp.add_argument("--format", choices=("csv", "json"), default="json")
     vp.set_defaults(func=_cmd_verify)
@@ -440,9 +409,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = RunConfig.from_args(args)
     try:
-        return args.func(cfg, args)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisNotMet, ResonanceError
-from .greens import (BoundaryCondition, GreensFunction, build_green, solve_bvp,
-                     table_slice)
+from .greens import (BoundaryCondition, GreensFunction, _as_callable, build_green,
+                     solve_bvp, table_slice)
 from .integrator import DEFAULT_TOL
 from .potential import Potential
 from .spectrum import find_eigenvalues
@@ -237,17 +237,59 @@ def zero_set_check(G: GreensFunction, zero_tol: float = DEFAULT_ZERO_TOL) -> dic
             "pass": not violations}
 
 
-def _hypothesis_kernel(p: Potential, lam: float, which: str, n: int,
-                       integrator_tol: float) -> tuple[SignReport, GreensFunction]:
-    even = p.even_extension()
-    bc = {"P2": "P", "N2": "N", "D2": "D"}[which]
-    G = build_green(even, lam, bc, n=2 * n, tol=integrator_tol)
-    return classify_sign(G), G
+# hypothesis kernel id -> (boundary condition, name in verify_dominance,
+# name in verify_solution_comparison)
+_HYPOTHESIS_KERNELS = {
+    "P2": ("P", "P on the even extension", "periodic"),
+    "N2": ("N", "N on the even extension", "Neumann"),
+    "D2": ("D", "D on the even extension", "Dirichlet"),
+}
+
+# required sign -> (word in the message, test, report field naming the worst point)
+_SIGNS = {
+    "nonneg": ("nonnegative", SignReport.is_nonnegative, "min_value"),
+    "neg": ("strictly negative",
+            lambda rep: rep.classification == "strictly_negative", "max_value"),
+    "nonpos": ("nonpositive", SignReport.is_nonpositive, "max_value"),
+}
+
+_KERNEL_NAMES = {"N": "Neumann", "D": "Dirichlet", "M1": "first mixed",
+                 "M2": "second mixed"}
 
 
 def _require(cond: bool, message: str, point=None) -> None:
     if not cond:
         raise HypothesisNotMet(message, point=point)
+
+
+def _require_sign(report: SignReport, sign: str, message: str) -> None:
+    """Raise HypothesisNotMet unless the kernel has the required sign.
+
+    ``message`` names the kernel and carries ``{}`` where the sign goes.
+    """
+    word, holds, field = _SIGNS[sign]
+    _require(holds(report), message.format(word), point=getattr(report, field))
+
+
+def _hypothesis_kernel(p: Potential, lam: float, which: str, n: int,
+                       integrator_tol: float) -> SignReport:
+    G = build_green(p.even_extension(), lam, _HYPOTHESIS_KERNELS[which][0],
+                    n=2 * n, tol=integrator_tol)
+    return classify_sign(G)
+
+
+def _conclusion(sign: str, v1: np.ndarray, v2: np.ndarray,
+                names: tuple[str, ...]) -> list[tuple[str, float, bool]]:
+    """(name, worst margin, strict) of each inequality a theorem concludes.
+
+    A nonnegative hypothesis concludes |v2| <= v1 (one name); a negative or
+    nonpositive one concludes v2 < v1 and v1 <= 0 (two names).  A margin is
+    nonnegative where its inequality holds.
+    """
+    if sign == "nonneg":
+        return [(names[0], float(np.min(v1 - np.abs(v2))), False)]
+    return [(names[0], float(np.min(v1 - v2)), True),
+            (names[1], float(np.min(-v1)), False)]
 
 
 # relation id -> (hypothesis kernel, required sign, description)
@@ -276,129 +318,6 @@ DOMINANCE_RELATIONS = {
                  "reflected Neumann kernel of the extension"),
 }
 
-
-def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
-                     tol: float = STRICT_SLACK, length: float | None = None,
-                     integrator_tol: float = DEFAULT_TOL) -> dict:
-    """Pointwise kernel inequality under its sign hypothesis.
-
-    Raises HypothesisNotMet when the required sign condition fails, so a
-    caller can distinguish 'hypothesis empty' from 'conclusion false'.
-    """
-    if relation not in DOMINANCE_RELATIONS:
-        raise KeyError(f"unknown relation {relation!r}; "
-                       f"choices: {', '.join(sorted(DOMINANCE_RELATIONS))}")
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
-    even = base.even_extension()
-    hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
-
-    def base_vals(bc: str) -> np.ndarray:
-        return build_green(base, lam, bc, n=n, tol=integrator_tol).combined()
-
-    checks = []
-
-    def add(name: str, margin: float, strict: bool) -> None:
-        # Strict and non-strict checks share the numeric slack; the flag is
-        # kept in the report so readers know which claim was made.
-        checks.append({"check": name, "min_margin": float(margin),
-                       "strict": strict, "pass": bool(margin > -tol)})
-
-    if hyp_kind == "NBASE":
-        GN = build_green(base, lam, "N", n=n, tol=integrator_tol)
-        hyp_report = classify_sign(GN)
-        _require(hyp_report.is_nonnegative(),
-                 "base Neumann kernel is not nonnegative at this lambda",
-                 point=hyp_report.min_value)
-        idx = np.arange(n + 1)
-        if relation == "bound2_p":
-            G2 = build_green(even, lam, "P", n=2 * n, tol=integrator_tol)
-        else:
-            G2 = build_green(even, lam, "N", n=2 * n, tol=integrator_tol)
-        refl = table_slice(G2, 2 * n - idx, idx)
-        vn = GN.combined()
-        add("double reflected kernel above Neumann", float(np.min(2 * refl - vn)),
-            strict=False)
-        other = "D" if relation == "bound2_p" else "M1"
-        vo = base_vals(other)
-        add("companion kernel nonpositive", float(np.min(-vo)), strict=False)
-        add("companion kernel above minus twice the reflected kernel",
-            float(np.min(vo + 2 * refl)), strict=False)
-        add("reflected kernel nonnegative", float(np.min(refl)), strict=False)
-        hyp_desc = {"kernel": "N on the base interval",
-                    "classification": hyp_report.classification}
-    else:
-        hyp_report, _ = _hypothesis_kernel(base, lam, hyp_kind, n, integrator_tol)
-        names = {"P2": "P on the even extension", "N2": "N on the even extension",
-                 "D2": "D on the even extension"}
-        if hyp_sign == "nonneg":
-            _require(hyp_report.is_nonnegative(),
-                     f"{names[hyp_kind]} kernel is not nonnegative at this lambda",
-                     point=hyp_report.min_value)
-        elif hyp_sign == "neg":
-            _require(hyp_report.classification == "strictly_negative",
-                     f"{names[hyp_kind]} kernel is not strictly negative at this "
-                     "lambda", point=hyp_report.max_value)
-        else:
-            _require(hyp_report.is_nonpositive(),
-                     f"{names[hyp_kind]} kernel is not nonpositive at this lambda",
-                     point=hyp_report.max_value)
-        hyp_desc = {"kernel": names[hyp_kind],
-                    "classification": hyp_report.classification}
-
-        if relation == "nd_nonneg":
-            vn, vd = base_vals("N"), base_vals("D")
-            add("Neumann minus |Dirichlet|", float(np.min(vn - np.abs(vd))),
-                strict=False)
-        elif relation == "nd_neg":
-            vn, vd = base_vals("N"), base_vals("D")
-            add("Dirichlet minus Neumann (strict)", float(np.min(vd - vn)),
-                strict=True)
-            add("Dirichlet nonpositive", float(np.min(-vd)), strict=False)
-        elif relation == "nm1_nonneg":
-            vn, vm = base_vals("N"), base_vals("M1")
-            add("Neumann minus |first mixed|", float(np.min(vn - np.abs(vm))),
-                strict=False)
-        elif relation == "nm1_neg":
-            vn, vm = base_vals("N"), base_vals("M1")
-            add("first mixed minus Neumann (strict)", float(np.min(vm - vn)),
-                strict=True)
-            add("first mixed nonpositive", float(np.min(-vm)), strict=False)
-        else:  # m2d
-            vm2, vd = base_vals("M2"), base_vals("D")
-            add("Dirichlet minus second mixed (strict)", float(np.min(vd - vm2)),
-                strict=True)
-            add("Dirichlet nonpositive", float(np.min(-vd)), strict=False)
-
-    return {"relation": relation, "description": description,
-            "lambda": float(lam), "n": n, "tol": tol,
-            "hypothesis": hyp_desc, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
-
-
-def _sigma_values(sigma, ts: np.ndarray) -> np.ndarray:
-    if callable(sigma):
-        out = np.asarray([float(sigma(float(t))) for t in ts])
-    elif np.isscalar(sigma):
-        out = np.full(ts.shape, float(sigma))
-    else:
-        arr = np.asarray(sigma, dtype=float)
-        if arr.shape != ts.shape:
-            raise ValueError("forcing array must match the node grid")
-        out = arr
-    return out
-
-
-def _as_function(sigma, ts: np.ndarray):
-    if callable(sigma):
-        # Accepts scalar-only callables; the solver feeds arrays.
-        return np.vectorize(lambda x: float(sigma(float(x))), otypes=[float])
-    if np.isscalar(sigma):
-        return sigma
-    arr = np.asarray(sigma, dtype=float)
-    return lambda t: np.interp(t, ts, arr)
-
-
 # theorem id -> (hypothesis kernel, required sign, bc for sigma1, bc for sigma2)
 COMPARISON_THEOREMS = {
     "nd_nonneg": ("P2", "nonneg", "N", "D"),
@@ -407,6 +326,71 @@ COMPARISON_THEOREMS = {
     "nm1_neg": ("N2", "neg", "M1", "N"),
     "m2d": ("D2", "nonpos", "D", "M2"),
 }
+
+
+def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
+                     tol: float = STRICT_SLACK, length: float | None = None,
+                     integrator_tol: float = DEFAULT_TOL) -> dict:
+    """Pointwise kernel inequality under its sign hypothesis.
+
+    A check passes when its margin exceeds -tol * max(1, scale), with scale
+    the largest |value| among the kernels the relation compares.  Raises
+    HypothesisNotMet when the required sign condition fails, so a caller
+    can distinguish 'hypothesis empty' from 'conclusion false'.
+    """
+    if relation not in DOMINANCE_RELATIONS:
+        raise KeyError(f"unknown relation {relation!r}; "
+                       f"choices: {', '.join(sorted(DOMINANCE_RELATIONS))}")
+    T = float(p.domain_length if length is None else length)
+    base = p if length is None else p.restrict(T)
+    hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
+
+    def base_vals(bc: str) -> np.ndarray:
+        return build_green(base, lam, bc, n=n, tol=integrator_tol).combined()
+
+    if hyp_kind == "NBASE":
+        GN = build_green(base, lam, "N", n=n, tol=integrator_tol)
+        hyp_report = classify_sign(GN)
+        _require_sign(hyp_report, "nonneg",
+                      "base Neumann kernel is not {} at this lambda")
+        idx = np.arange(n + 1)
+        G2 = build_green(base.even_extension(), lam,
+                         "P" if relation == "bound2_p" else "N", n=2 * n,
+                         tol=integrator_tol)
+        refl = table_slice(G2, 2 * n - idx, idx)
+        vn = GN.combined()
+        vo = base_vals("D" if relation == "bound2_p" else "M1")
+        tables = (vn, vo, refl)
+        results = [
+            ("double reflected kernel above Neumann", float(np.min(2 * refl - vn)), False),
+            ("companion kernel nonpositive", float(np.min(-vo)), False),
+            ("companion kernel above minus twice the reflected kernel",
+             float(np.min(vo + 2 * refl)), False),
+            ("reflected kernel nonnegative", float(np.min(refl)), False),
+        ]
+        hyp_desc = {"kernel": "N on the base interval",
+                    "classification": hyp_report.classification}
+    else:
+        hyp_report = _hypothesis_kernel(base, lam, hyp_kind, n, integrator_tol)
+        kernel = _HYPOTHESIS_KERNELS[hyp_kind][1]
+        _require_sign(hyp_report, hyp_sign, f"{kernel} kernel is not {{}} at this lambda")
+        hyp_desc = {"kernel": kernel, "classification": hyp_report.classification}
+        bc1, bc2 = COMPARISON_THEOREMS[relation][2:]
+        n1, n2 = _KERNEL_NAMES[bc1], _KERNEL_NAMES[bc2]
+        tables = (base_vals(bc1), base_vals(bc2))
+        results = _conclusion(hyp_sign, *tables,
+                              (f"{n1} minus |{n2}|",) if hyp_sign == "nonneg" else
+                              (f"{n1} minus {n2} (strict)", f"{n1} nonpositive"))
+
+    # Strict and non-strict checks share the numeric slack; the flag is kept
+    # in the report so readers know which claim was made.
+    slack = tol * max(1.0, max(float(np.max(np.abs(v))) for v in tables))
+    checks = [{"check": name, "min_margin": margin, "strict": strict,
+               "pass": bool(margin > -slack)} for name, margin, strict in results]
+    return {"relation": relation, "description": description,
+            "lambda": float(lam), "n": n, "tol": tol,
+            "hypothesis": hyp_desc, "checks": checks,
+            "pass": all(c["pass"] for c in checks)}
 
 
 def verify_solution_comparison(p: Potential, lam: float, theorem: str,
@@ -426,68 +410,47 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
     base = p if length is None else p.restrict(T)
     hyp_kind, hyp_sign, bc1, bc2 = COMPARISON_THEOREMS[theorem]
 
-    hyp_report, _ = _hypothesis_kernel(base, lam, hyp_kind, n, integrator_tol)
-    names = {"P2": "periodic", "N2": "Neumann", "D2": "Dirichlet"}
-    if hyp_sign == "nonneg":
-        _require(hyp_report.is_nonnegative(),
-                 f"the extension's {names[hyp_kind]} kernel is not nonnegative")
-    elif hyp_sign == "neg":
-        _require(hyp_report.classification == "strictly_negative",
-                 f"the extension's {names[hyp_kind]} kernel is not strictly "
-                 "negative")
-    else:
-        _require(hyp_report.is_nonpositive(),
-                 f"the extension's {names[hyp_kind]} kernel is not nonpositive")
+    hyp_report = _hypothesis_kernel(base, lam, hyp_kind, n, integrator_tol)
+    kernel = _HYPOTHESIS_KERNELS[hyp_kind][2]
+    _require_sign(hyp_report, hyp_sign, f"the extension's {kernel} kernel is not {{}}")
 
     ts = np.linspace(0.0, T, n + 1)
-    s1 = _sigma_values(sigma1, ts)
-    s2 = _sigma_values(sigma2, ts)
+    f1, f2 = _as_callable(sigma1, ts), _as_callable(sigma2, ts)
+    s1, s2 = f1(ts), f2(ts)
 
-    absolute = hyp_sign == "nonneg"
-    if absolute:
+    if hyp_sign == "nonneg":
         bad = np.nonzero(np.abs(s2) > s1 + 1e-12)[0]
         if bad.size:
             raise HypothesisNotMet(
                 "forcing hypothesis |sigma2| <= sigma1 fails",
                 point=float(ts[bad[0]]))
         case = "absolute"
+    elif np.all(s2 >= -1e-12) and np.all(s1 >= s2 - 1e-12):
+        case = "nonnegative"
+    elif np.all(s2 <= 1e-12) and np.all(s1 <= s2 + 1e-12):
+        case = "nonpositive"
     else:
-        if np.all(s2 >= -1e-12) and np.all(s1 >= s2 - 1e-12):
-            case = "nonnegative"
-        elif np.all(s2 <= 1e-12) and np.all(s1 <= s2 + 1e-12):
-            case = "nonpositive"
-        else:
-            bad = int(np.nonzero(~((s2 >= -1e-12) & (s1 >= s2 - 1e-12)))[0][0])
-            raise HypothesisNotMet(
-                "forcings are not ordered as 0 <= sigma2 <= sigma1 nor "
-                "0 >= sigma2 >= sigma1", point=float(ts[bad]))
+        bad = int(np.nonzero(~((s2 >= -1e-12) & (s1 >= s2 - 1e-12)))[0][0])
+        raise HypothesisNotMet(
+            "forcings are not ordered as 0 <= sigma2 <= sigma1 nor "
+            "0 >= sigma2 >= sigma1", point=float(ts[bad]))
 
-    u1 = solve_bvp(base, lam, bc1, _as_function(sigma1, ts), n=n,
-                   tol=integrator_tol)
-    u2 = solve_bvp(base, lam, bc2, _as_function(sigma2, ts), n=n,
-                   tol=integrator_tol)
-    v1 = u1.values
-    v2 = u2.values
-
-    checks = []
-
-    def add(name: str, margins: np.ndarray) -> None:
-        worst = float(np.min(margins))
-        checks.append({"check": name, "min_margin": worst,
-                       "pass": bool(worst >= -slack)})
-
-    if absolute:
-        add(f"|u_{bc2}| <= u_{bc1}", v1 - np.abs(v2))
+    v1 = solve_bvp(base, lam, bc1, f1, n=n, tol=integrator_tol).values
+    v2 = solve_bvp(base, lam, bc2, f2, n=n, tol=integrator_tol).values
+    if case == "absolute":
+        names = (f"|u_{bc2}| <= u_{bc1}",)
     elif case == "nonnegative":
-        # sigma1 drives bc1, sigma2 drives bc2; conclusion u_bc2 <= u_bc1 <= 0
-        add(f"u_{bc2} <= u_{bc1}", v1 - v2)
-        add(f"u_{bc1} <= 0", -v1)
+        names = (f"u_{bc2} <= u_{bc1}", f"u_{bc1} <= 0")
     else:
-        add(f"u_{bc1} <= u_{bc2}", v2 - v1)
-        add(f"u_{bc1} >= 0", v1)
+        # the solutions are linear in the forcing: the mirror image of the
+        # nonnegative case, u_bc1 <= u_bc2 and u_bc1 >= 0
+        v1, v2 = -v1, -v2
+        names = (f"u_{bc1} <= u_{bc2}", f"u_{bc1} >= 0")
+    checks = [{"check": name, "min_margin": margin, "pass": bool(margin >= -slack)}
+              for name, margin, _ in _conclusion(hyp_sign, v1, v2, names)]
 
     return {"theorem": theorem, "case": case, "lambda": float(lam),
-            "hypothesis": {"kernel": names[hyp_kind],
+            "hypothesis": {"kernel": kernel,
                            "classification": hyp_report.classification},
             "slack": slack, "checks": checks,
             "pass": all(c["pass"] for c in checks)}

@@ -26,6 +26,7 @@ from .integrator import DEFAULT_TOL, SolutionBasis, fundamental_solutions
 from .potential import Potential
 
 __all__ = [
+    "BC_ALL",
     "BoundaryCondition",
     "KernelBranches",
     "GreensFunction",
@@ -82,6 +83,10 @@ class BoundaryCondition(Enum):
             BoundaryCondition.MIXED1: "u'(0)=0, u(T)=0",
             BoundaryCondition.MIXED2: "u(0)=0, u'(T)=0",
         }[self]
+
+
+# Every condition's short name, in declaration order: P, A, N, D, M1, M2.
+BC_ALL = tuple(bc.value for bc in BoundaryCondition)
 
 
 def _branch_matrices(basis: SolutionBasis, bc: BoundaryCondition):
@@ -158,16 +163,6 @@ class KernelBranches:
         col = np.array([-ys[2], ys[0]])
         return float(row @ K @ col)
 
-    def value_dt(self, t: float, s: float, lower: bool | None = None) -> float:
-        if lower is None:
-            lower = s <= t
-        K = self.k_low if lower else self.k_up
-        yt = self.basis.trajectory(float(t))
-        ys = self.basis.trajectory(float(s))
-        row = np.array([yt[1], yt[3]])
-        col = np.array([-ys[2], ys[0]])
-        return float(row @ K @ col)
-
 
 class _TrigBranches:
     """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2."""
@@ -229,12 +224,6 @@ class _TrigBranches:
         if lower is None:
             lower = s <= t
         f = self._low if lower else self._up
-        return float(f(t, s))
-
-    def value_dt(self, t, s, lower=None):
-        if lower is None:
-            lower = s <= t
-        f = self._dlow if lower else self._dup
         return float(f(t, s))
 
 
@@ -481,7 +470,7 @@ def _as_callable(sigma, squad: np.ndarray):
         return lambda s: np.full(np.shape(s), c)
     vals = np.asarray(sigma, dtype=float)
     if vals.shape != squad.shape:
-        raise ValueError(f"sigma array must match the quadrature grid of {squad.size} nodes")
+        raise ValueError(f"sigma array must match the grid of {squad.size} nodes")
     return lambda s: np.interp(np.asarray(s, dtype=float), squad, vals)
 
 

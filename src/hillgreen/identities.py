@@ -14,9 +14,6 @@ interpolation enters the residual.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +30,6 @@ __all__ = [
     "Identity",
     "IdentityReport",
     "Term",
-    "configured_threads",
     "verify_all",
     "verify_identity",
 ]
@@ -234,17 +230,6 @@ class IdentityReport:
         }
 
 
-def configured_threads(explicit: int | None = None) -> int:
-    """Worker count for kernel prebuilds; HILLGREEN_THREADS wins over 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get("HILLGREEN_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 class _KernelCache:
     """Builds each (family, bc) kernel once for a fixed (p, lambda, n)."""
 
@@ -260,13 +245,11 @@ class _KernelCache:
             "refl": (p.reflect(), length),
         }
         self._store: dict = {}
-        self._lock = threading.Lock()
 
     def get(self, family: str, bc):
         bc = BoundaryCondition.parse(bc)
         key = (family, bc)
-        with self._lock:
-            hit = self._store.get(key)
+        hit = self._store.get(key)
         if hit is None:
             pot, L = self.specs[family]
             try:
@@ -277,8 +260,7 @@ class _KernelCache:
                 msg = (f"{bc.condition} problem on [0, {L:g}] ({_FAMILY_LABEL[family]}) "
                        f"is resonant at lambda = {self.lam:g}")
                 hit = ("resonant", (msg, exc.determinant, bc))
-            with self._lock:
-                self._store[key] = hit
+            self._store[key] = hit
         kind, payload = hit
         if kind == "resonant":
             msg, det, rbc = payload
@@ -335,34 +317,12 @@ def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
     return _verify_with_cache(ident, cache, tol)
 
 
-def _prebuild(cache: _KernelCache, threads: int) -> None:
-    keys: list = []
-    for ident in CATALOG:
-        for term in (*ident.lhs, *ident.rhs):
-            key = (term.family, term.bc)
-            if key not in keys:
-                keys.append(key)
-
-    def attempt(key):
-        try:
-            cache.get(*key)
-        except ResonanceError:
-            pass
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(attempt, keys))
-
-
 def verify_all(p: Potential, lam: float, n: int = 100,
                tol: float = DEFAULT_IDENTITY_TOL, length: float | None = None,
-               integrator_tol: float = DEFAULT_TOL,
-               threads: int | None = None) -> list[IdentityReport]:
+               integrator_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the whole catalog, recording a skip for resonant constituents."""
     L = float(p.domain_length if length is None else length)
     cache = _KernelCache(p, L, n, lam, integrator_tol)
-    workers = configured_threads(threads)
-    if workers > 1:
-        _prebuild(cache, workers)
     reports = []
     for ident in CATALOG:
         try:

@@ -82,20 +82,15 @@ def characteristic_value(p: Potential, lam: float, bc, length: float | None = No
     bc = BoundaryCondition.parse(bc)
     L = float(p.domain_length if length is None else length)
     basis = fundamental_solutions(p, lam, L, tol)
-    if bc is BoundaryCondition.NEUMANN:
-        return basis.y1p_end
-    if bc is BoundaryCondition.DIRICHLET:
-        return basis.y2_end
-    if bc is BoundaryCondition.MIXED1:
-        return basis.y1_end
-    if bc is BoundaryCondition.MIXED2:
-        return basis.y2p_end
-    if bc is BoundaryCondition.PERIODIC:
-        return basis.discriminant - 2.0
-    return basis.discriminant + 2.0
+    return _char_rows(bc, (basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end))
 
 
-def _char_rows(bc: BoundaryCondition, Y: np.ndarray) -> np.ndarray:
+def _char_rows(bc: BoundaryCondition, Y):
+    """Characteristic function from the endpoint state (y1, y1', y2, y2')(L).
+
+    ``Y`` holds one entry per component: floats for one lambda or the rows
+    of an ``endpoint_scan`` for many.
+    """
     if bc is BoundaryCondition.NEUMANN:
         return Y[1]
     if bc is BoundaryCondition.DIRICHLET:
@@ -131,32 +126,53 @@ def _sign_bracket(fine, a: float, b: float, step: float):
     return None
 
 
+def _bracket_and_refine(fine, lams: np.ndarray, f: np.ndarray, step: float,
+                        xtol: float) -> tuple[list[float], np.ndarray, list[float]]:
+    """Roots of ``fine`` at the sign changes and zeros of its scan ``f``.
+
+    Each sign change between lams[i] and lams[i + 1] is bracketed on
+    ``fine`` and refined by Brent to ``xtol``; exact zeros of the scan are
+    roots as they stand.  Returns the roots, a mask of the scan points
+    their cells used, and the left ends of cells whose sign change did not
+    survive the bracket check.
+    """
+    roots: list[float] = []
+    used = np.zeros(len(lams), dtype=bool)
+    unresolved: list[float] = []
+    sign = np.sign(f)
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        bracket = _sign_bracket(fine, lams[i], lams[i + 1], step)
+        if bracket is None:
+            unresolved.append(float(lams[i]))
+            continue
+        a, b = bracket
+        roots.append(a if a == b else brentq(fine, a, b, xtol=xtol))
+        used[i] = used[i + 1] = True
+    for i in np.nonzero(sign == 0)[0]:
+        roots.append(float(lams[i]))
+        used[max(0, i - 1):i + 2] = True
+    return roots, used, unresolved
+
+
 def _scan_roots(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
                 n_scan: int, length: float, tol: float,
-                integrator_tol: float, audit: dict) -> list[float]:
-    """Sign-change scan of the characteristic function plus Brent refinement."""
+                integrator_tol: float, audit: dict):
+    """Sign-change scan of the characteristic function plus Brent refinement.
+
+    Returns the scan grid, the scanned values, the roots (unsorted) and the
+    mask of scan points they used; unresolved cells go into ``audit``.
+    """
     lams = np.linspace(lo, hi, n_scan + 1)
     f = _char_rows(bc, endpoint_scan(p, lams, length))
-    step = (hi - lo) / n_scan
 
     def fine(lam: float) -> float:
         return characteristic_value(p, lam, bc, length, integrator_tol)
 
-    roots: list[float] = []
-    sign = np.sign(f)
-    skipped = []
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        bracket = _sign_bracket(fine, lams[i], lams[i + 1], step)
-        if bracket is None:
-            skipped.append(float(lams[i]))
-            continue
-        a, b = bracket
-        roots.append(a if a == b else brentq(fine, a, b, xtol=max(tol, ROOT_XTOL)))
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(lams[i]))
+    roots, used, skipped = _bracket_and_refine(fine, lams, f, (hi - lo) / n_scan,
+                                               max(tol, ROOT_XTOL))
     if skipped:
         audit.setdefault("unresolved_brackets", []).extend(skipped)
-    return sorted(roots)
+    return lams, f, roots, used
 
 
 # Discriminant noise floor at the refinement tolerance; calibrated against
@@ -237,28 +253,11 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
                     n_scan: int, length: float, tol: float,
                     integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
     """Roots of the discriminant equation, tangencies resolved separately."""
-    lams = np.linspace(lo, hi, n_scan + 1)
-    f = _char_rows(bc, endpoint_scan(p, lams, length))
     step = (hi - lo) / n_scan
-
-    def fine(lam: float) -> float:
-        return characteristic_value(p, lam, bc, length, integrator_tol)
-
     audit: dict = {"method": "direct", "scan_step": step}
-    found: list[tuple[float, int]] = []
-    used = np.zeros(n_scan + 1, dtype=bool)
-    sign = np.sign(f)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        bracket = _sign_bracket(fine, lams[i], lams[i + 1], step)
-        if bracket is None:
-            audit.setdefault("unresolved_brackets", []).append(float(lams[i]))
-            continue
-        a, b = bracket
-        found.append((a if a == b else brentq(fine, a, b, xtol=max(tol, ROOT_XTOL)), 1))
-        used[i] = used[i + 1] = True
-    for i in np.nonzero(sign == 0)[0]:
-        found.append((float(lams[i]), 1))
-        used[max(0, i - 1):i + 2] = True
+    lams, f, roots, used = _scan_roots(p, bc, lo, hi, n_scan, length, tol,
+                                       integrator_tol, audit)
+    found = [(r, 1) for r in roots]
 
     absf = np.abs(f)
     for i in range(1, n_scan):
@@ -304,7 +303,7 @@ def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
     for sub in pair:
         sub_audit: dict = {}
         for v in _scan_roots(half, sub, lo, hi, n_scan, length / 2.0, tol,
-                             integrator_tol, sub_audit):
+                             integrator_tol, sub_audit)[2]:
             tagged.append((v, sub.value))
         if sub_audit:
             audit[f"scan_{sub.value}"] = sub_audit
@@ -364,8 +363,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
         else:
             merged, audit = _coupled_direct(p, bc, lo, hi, n_scan, L, tol, integrator_tol)
     else:
-        values = _scan_roots(p, bc, lo, hi, n_scan, L, tol, integrator_tol, audit)
-        merged = [(v, 1) for v in values]
+        roots = _scan_roots(p, bc, lo, hi, n_scan, L, tol, integrator_tol, audit)[2]
+        merged = [(v, 1) for v in sorted(roots)]
         if bc is BoundaryCondition.DIRICHLET and merged and hi > merged[-1][0]:
             probe = 0.5 * (merged[-1][0] + hi)
             audit["oscillation"] = {
@@ -824,23 +823,13 @@ def stability_intervals(p: Potential, search_range=None, n_scan: int = DEFAULT_S
 
     lams = np.linspace(lo, hi, n_scan + 1)
     Y = endpoint_scan(even, lams, L2)
-    g = np.abs(Y[0] + Y[3]) - 2.0
 
     def fine(lam: float) -> float:
         basis = fundamental_solutions(even, lam, L2, integrator_tol)
         return abs(basis.discriminant) - 2.0
 
-    step = (hi - lo) / n_scan
-    edges: list[float] = []
-    sign = np.sign(g)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        bracket = _sign_bracket(fine, lams[i], lams[i + 1], step)
-        if bracket is None:
-            continue
-        a, b = bracket
-        edges.append(a if a == b else brentq(fine, a, b, xtol=1e-9))
-    for i in np.nonzero(sign == 0)[0]:
-        edges.append(float(lams[i]))
+    edges = _bracket_and_refine(fine, lams, np.abs(Y[0] + Y[3]) - 2.0,
+                                (hi - lo) / n_scan, 1e-9)[0]
 
     # Tangency points (double eigenvalues) never change the sign of |Delta|-2;
     # they pinch a stable band at a point.

@@ -117,11 +117,3 @@ def test_report_as_dict(cos_pi):
     assert d["skipped"] is False
     assert d["residual"] <= 1e-6 * max(1.0, d["lhs_scale"])
 
-
-def test_threads_do_not_change_results(cos2_pi):
-    seq = verify_all(cos2_pi, 0.31, n=50, threads=1)
-    par = verify_all(cos2_pi, 0.31, n=50, threads=4)
-    for a, b in zip(seq, par):
-        assert a.identity_id == b.identity_id
-        assert a.passed == b.passed
-        assert a.residual == pytest.approx(b.residual, rel=1e-9, abs=1e-13)
