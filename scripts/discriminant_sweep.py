@@ -2,7 +2,7 @@
 """Discriminant sweep and stability intervals for one potential.
 
 Produces a plot-ready CSV of (lambda, Delta) over the doubled interval and
-prints the band/gap structure with the touch points marked.
+prints the band/gap structure; a double eigenvalue splits a stable band.
 """
 
 import argparse
@@ -33,9 +33,7 @@ def main() -> int:
     print(f"wrote {args.output} ({len(lams)} samples on [{args.lo}, {args.hi}])")
 
     for (a, b), kind in stability_intervals(p, search_range=(args.lo, args.hi)):
-        width = b - a
-        tag = "  (touch)" if kind == "unstable" and width < 1e-9 else ""
-        print(f"  [{a:12.6f}, {b:12.6f}]  {kind}{tag}")
+        print(f"  [{a:12.6f}, {b:12.6f}]  {kind}")
     return 0
 
 

@@ -21,8 +21,7 @@ from .greens import (BC_ALL, BoundaryCondition, BvpSolution, GreensFunction,
 from .identities import (CATALOG, IDENTITY_NAMES, Identity, IdentityReport,
                          Term, verify_all, verify_identity)
 from .integrator import (DEFAULT_TOL, SolutionBasis, clear_cache, discriminant,
-                         discriminant_derivative, endpoint_scan,
-                         fundamental_solutions)
+                         endpoint_scan, fundamental_solutions)
 from .potential import BUILTIN_NAMES, Potential, load_builtin
 from .spectrum import (Eigenvalue, Spectrum, dirichlet_zero_count,
                        discriminant_samples, find_eigenvalues,
@@ -64,7 +63,6 @@ __all__ = [
     "closed_form_constant",
     "dirichlet_zero_count",
     "discriminant",
-    "discriminant_derivative",
     "discriminant_samples",
     "endpoint_scan",
     "estimate_diagonal_jump",

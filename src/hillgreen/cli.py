@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparison import (DOMINANCE_RELATIONS, classify_sign, verify_dominance)
-from .errors import (DomainError, HypothesisNotMet, IntegrationError,
-                     PoleError, ResonanceError)
+from .errors import HypothesisNotMet, IntegrationError, PoleError, ResonanceError
 from .greens import BC_ALL, build_green
 from .identities import (DEFAULT_IDENTITY_TOL, IDENTITY_NAMES, verify_all,
                          verify_identity)
@@ -30,6 +29,13 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     pass
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_potential(spec: str) -> Potential:
@@ -47,12 +53,7 @@ def _load_potential(spec: str) -> Potential:
 
 def _base(args: argparse.Namespace) -> Potential:
     p = _load_potential(args.potential)
-    if args.T is not None:
-        try:
-            p = p.restrict(args.T)
-        except (DomainError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
-    return p
+    return p if args.T is None else p.restrict(args.T)
 
 
 def _json_default(obj):
@@ -125,15 +126,8 @@ def _cmd_green(args: argparse.Namespace) -> int:
             "resonance_margin": G.meta["resonance_margin"],
         }
         _emit_json(payload, args.output)
-    elif args.output is not None:
-        G.to_csv(args.output)
     else:
-        lines = ["t,s,G"]
-        C = G.combined()
-        for i, t in enumerate(G.grid):
-            for j, s in enumerate(G.grid):
-                lines.append(f"{float(t)!r},{float(s)!r},{float(C[i, j])!r}")
-        _emit("\n".join(lines), args.output)
+        _emit(G.csv_text(), args.output)
     return 0
 
 
@@ -341,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--bc", choices=BC_ALL + ("all",), default="all")
     sp.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"))
-    sp.add_argument("--count", type=int, default=6,
+    sp.add_argument("--count", type=positive_int, default=6,
                     help="how many eigenvalues when no --range is given")
-    sp.add_argument("--count-in-range", type=int, default=None,
+    sp.add_argument("--count-in-range", type=positive_int, default=None,
                     help="optional cap when --range is given")
-    sp.add_argument("--n-scan", type=int, default=2000)
+    sp.add_argument("--n-scan", type=positive_int, default=2000)
     sp.add_argument("--method", choices=("auto", "union", "direct"),
                     default="auto")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -355,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(gp)
     gp.add_argument("--lambda", dest="lam", type=float, required=True)
     gp.add_argument("--bc", choices=BC_ALL, required=True)
-    gp.add_argument("--n", type=int, default=100)
+    gp.add_argument("--n", type=positive_int, default=100)
     gp.add_argument("--format", choices=("csv", "json"), default="csv")
     gp.set_defaults(func=_cmd_green)
 
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--lambda", dest="lam", type=float, required=True)
     vp.add_argument("--identity", action="append", choices=IDENTITY_NAMES,
                     help="repeatable; default is the whole catalog")
-    vp.add_argument("--n", type=int, default=100)
+    vp.add_argument("--n", type=positive_int, default=100)
     vp.add_argument("--identity-tol", type=float, default=DEFAULT_IDENTITY_TOL)
     vp.add_argument("--strict", action="store_true")
     vp.add_argument("--format", choices=("csv", "json"), default="json")
@@ -376,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--relation", action="append",
                     choices=sorted(DOMINANCE_RELATIONS),
                     help="repeatable; default tries every relation")
-    cp.add_argument("--n", type=int, default=60)
+    cp.add_argument("--n", type=positive_int, default=60)
     cp.add_argument("--strict", action="store_true")
     cp.add_argument("--format", choices=("json",), default="json")
     cp.set_defaults(func=_cmd_compare)
@@ -385,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(wp)
     wp.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"),
                     required=True)
-    wp.add_argument("--points", type=int, default=500)
+    wp.add_argument("--points", type=positive_int, default=500)
     wp.add_argument("--format", choices=("csv", "json"), default="csv")
     wp.set_defaults(func=_cmd_sweep)
 
@@ -394,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--which", type=int, choices=(1, 2, 3, 4))
     ep.add_argument("--all", action="store_true")
     ep.add_argument("--strict", action="store_true")
-    ep.add_argument("--n-scan", type=int, default=2000)
+    ep.add_argument("--n-scan", type=positive_int, default=2000)
     ep.add_argument("--match-tol", type=float, default=2e-3)
     ep.add_argument("--format", choices=("text", "json"), default="text")
     ep.set_defaults(func=_cmd_examples)
@@ -411,15 +405,13 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ResonanceError, PoleError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, ValueError) as exc:
+        # DomainError is a ValueError: every bad value is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -260,14 +260,18 @@ class GreensFunction:
         C = self.combined()
         return float(np.max(np.abs(C - C.T)))
 
-    def to_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """The table as ``t,s,G`` rows, one per node pair, exact float reprs."""
         lines = ["t,s,G"]
         C = self.combined()
         for i, t in enumerate(self.grid):
             ti = repr(float(t))
             for j, s in enumerate(self.grid):
                 lines.append(f"{ti},{float(s)!r},{float(C[i, j])!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def to_csv(self, path) -> None:
+        Path(path).write_text(self.csv_text())
 
 
 def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "SolutionBasis",
     "fundamental_solutions",
     "discriminant",
-    "discriminant_derivative",
     "endpoint_scan",
 ]
 
@@ -122,6 +121,8 @@ def fundamental_solutions(p: Potential, lam: float, length: float | None = None,
         raise ValueError(f"integration length {L} not within the potential domain")
     L = min(L, p.domain_length)
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
 
     key = (p, lam, L, tol)
     with _CACHE_LOCK:
@@ -170,58 +171,6 @@ def discriminant(p: Potential, lam: float, length: float | None = None,
     return fundamental_solutions(p, lam, length, tol).discriminant
 
 
-def discriminant_derivative(p: Potential, lam: float, length: float | None = None,
-                            tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Discriminant and its lambda-derivative from one integration.
-
-    v_i = dy_i/dlambda solves the variational equation
-    v'' + (a + lambda) v = -y_i with zero initial data, so
-    Delta'(lambda) = v1(L) + v2'(L) carries integrator accuracy rather
-    than finite-difference noise. Used to pin band edges where Delta -+ 2
-    only touches zero.
-    """
-    tol = _check_tol(tol)
-    L = float(p.domain_length if length is None else length)
-    if not 0.0 < L <= p.domain_length * (1 + 1e-12):
-        raise ValueError(f"integration length {L} not within the potential domain")
-    L = min(L, p.domain_length)
-    lam = float(lam)
-
-    key = ("dDelta", p, lam, L, tol)
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
-            return hit
-
-    edges = _segment_edges(p, L)
-    rtol = max(tol, 1e-13)
-    atol = max(tol * 1e-2, 1e-14)
-    z = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    for t0, t1 in zip(edges, edges[1:]):
-        back = t1 - 1e-12 * (1.0 + L)
-
-        def rhs(t, z, _b=back):
-            q = p.eval(min(t, _b)) + lam
-            return (z[1], -q * z[0], z[3], -q * z[2],
-                    z[5], -q * z[4] - z[0], z[7], -q * z[6] - z[2])
-
-        res = solve_ivp(rhs, (t0, t1), z, method="RK45", rtol=rtol, atol=atol)
-        if not res.success:
-            raise IntegrationError(
-                f"variational integration stalled on [{t0}, {t1}] at "
-                f"lambda={lam}: {res.message}",
-                t=float(res.t[-1]) if res.t.size else t0)
-        z = res.y[:, -1]
-
-    out = (float(z[0] + z[3]), float(z[4] + z[7]))
-    with _CACHE_LOCK:
-        _CACHE[key] = out
-        if len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
-    return out
-
-
 def endpoint_scan(p: Potential, lams, length: float | None = None,
                   accuracy: float = 1e-7) -> np.ndarray:
     """Endpoint states for a whole batch of lambda values in one sweep.
@@ -232,6 +181,8 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
     with ``fundamental_solutions``.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda values must be finite")
     L = float(p.domain_length if length is None else length)
     if not 0.0 < L <= p.domain_length * (1 + 1e-12):
         raise ValueError(f"scan length {L} not within the potential domain")

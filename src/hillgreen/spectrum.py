@@ -2,11 +2,14 @@
 
 The characteristic function of each separated condition is a single entry
 of the endpoint state (y1, y1', y2, y2')(L), so eigenvalues come from a
-bracketing scan plus Brent refinement.  Periodic and anti-periodic spectra
-over an even extension are assembled from the separated spectra of the
-half interval, which resolves double roots of the discriminant exactly;
-direct root-finding on the discriminant is kept as an independent
-cross-check and as the fallback for potentials with no such symmetry.
+bracketing scan plus Brent refinement.  Periodic and anti-periodic
+eigenvalues are the band edges of the discriminant Delta = y1 + y2'.  Over
+an even extension they are assembled from the separated spectra of the
+half interval; for any potential they are found between the Dirichlet and
+Neumann eigenvalues, where the sign of Delta -+ 2 is known exactly.
+Either way a double eigenvalue is two coinciding edges, never a tangency
+judged from samples of Delta.  ``verify_spectral_decomposition`` compares
+the two routes.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from scipy.optimize import brentq
 
 from .errors import ResonanceError
 from .greens import BoundaryCondition, kernel_value
-from .integrator import (DEFAULT_TOL, discriminant, discriminant_derivative,
-                         endpoint_scan, fundamental_solutions)
+from .integrator import DEFAULT_TOL, discriminant, endpoint_scan, fundamental_solutions
 from .potential import Potential
 
 __all__ = [
@@ -39,9 +41,12 @@ __all__ = [
 
 DEFAULT_SCAN = 2000
 ROOT_XTOL = 1e-12
-# Coincident roots from two separated spectra closer than this are one
-# double eigenvalue of the coupled problem.
+# Coincident band edges closer than this (relative) are one double
+# eigenvalue of the coupled problem.
 MERGE_RTOL = 1e-7
+# A scan sample's sign of Delta -+ 2 is trusted when its size exceeds this
+# fraction of the largest endpoint entry: 1e4 times the scan's accuracy.
+SCAN_MARGIN = 1e-3
 
 
 class Eigenvalue(NamedTuple):
@@ -126,163 +131,118 @@ def _sign_bracket(fine, a: float, b: float, step: float):
     return None
 
 
-def _bracket_and_refine(fine, lams: np.ndarray, f: np.ndarray, step: float,
-                        xtol: float) -> tuple[list[float], np.ndarray, list[float]]:
-    """Roots of ``fine`` at the sign changes and zeros of its scan ``f``.
+def _refine_roots(p: Potential, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
+                  length: float, tol: float, integrator_tol: float, audit: dict,
+                  cells: np.ndarray | None = None) -> list[float]:
+    """Roots of ``bc``'s characteristic function from its row of the scan ``Y``.
 
-    Each sign change between lams[i] and lams[i + 1] is bracketed on
-    ``fine`` and refined by Brent to ``xtol``; exact zeros of the scan are
-    roots as they stand.  Returns the roots, a mask of the scan points
-    their cells used, and the left ends of cells whose sign change did not
-    survive the bracket check.
+    Each sign change in a scan cell (of ``cells``, default all) is
+    bracketed on the accurate characteristic function and refined by
+    Brent; exact zeros of the scan are roots as they stand, and cells whose
+    sign change does not survive the bracket check go into ``audit``.
     """
-    roots: list[float] = []
-    used = np.zeros(len(lams), dtype=bool)
-    unresolved: list[float] = []
-    sign = np.sign(f)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        bracket = _sign_bracket(fine, lams[i], lams[i + 1], step)
-        if bracket is None:
-            unresolved.append(float(lams[i]))
-            continue
-        a, b = bracket
-        roots.append(a if a == b else brentq(fine, a, b, xtol=xtol))
-        used[i] = used[i + 1] = True
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(lams[i]))
-        used[max(0, i - 1):i + 2] = True
-    return roots, used, unresolved
-
-
-def _scan_roots(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
-                n_scan: int, length: float, tol: float,
-                integrator_tol: float, audit: dict):
-    """Sign-change scan of the characteristic function plus Brent refinement.
-
-    Returns the scan grid, the scanned values, the roots (unsorted) and the
-    mask of scan points they used; unresolved cells go into ``audit``.
-    """
-    lams = np.linspace(lo, hi, n_scan + 1)
-    f = _char_rows(bc, endpoint_scan(p, lams, length))
-
     def fine(lam: float) -> float:
         return characteristic_value(p, lam, bc, length, integrator_tol)
 
-    roots, used, skipped = _bracket_and_refine(fine, lams, f, (hi - lo) / n_scan,
-                                               max(tol, ROOT_XTOL))
-    if skipped:
-        audit.setdefault("unresolved_brackets", []).extend(skipped)
-    return lams, f, roots, used
+    step = (lams[-1] - lams[0]) / (len(lams) - 1)
+    sign = np.sign(_char_rows(bc, Y))
+    change = sign[:-1] * sign[1:] < 0
+    if cells is not None:
+        change &= cells
+    roots: list[float] = []
+    for i in np.nonzero(change)[0]:
+        bracket = _sign_bracket(fine, lams[i], lams[i + 1], step)
+        if bracket is None:
+            audit.setdefault("unresolved_brackets", []).append(float(lams[i]))
+            continue
+        a, b = bracket
+        roots.append(a if a == b else brentq(fine, a, b, xtol=max(tol, ROOT_XTOL)))
+    roots.extend(float(lams[i]) for i in np.nonzero(sign == 0)[0])
+    return roots
 
 
-# Discriminant noise floor at the refinement tolerance; calibrated against
-# exact double roots of the zero potential.
-TANGENCY_NOISE = 1e-11
-# Pairs closer than this are reported as one double; below the resolution
-# of the discriminant anyway and far inside the 1e-5 pairing tolerance.
-TANGENCY_SPLIT = 5e-6
+def _coupled_result(method: str, step: float, tagged: list[tuple[float, str]],
+                    audit: dict) -> tuple[list[tuple[float, int]], dict]:
+    """Merge tagged band edges closer than MERGE_RTOL into double eigenvalues.
 
-
-def _resolve_tangency(p: Potential, bc: BoundaryCondition, x0: float,
-                      step: float, length: float, tol: float,
-                      integrator_tol: float):
-    """Classify a dip of Delta -+ 2 near zero: touch, narrow gap, or neither.
-
-    A double eigenvalue touches zero without a sign change; a narrow
-    instability gap crosses twice inside one scan cell. The dip's extremum
-    is pinned through the analytic lambda-derivative of the discriminant,
-    so splits far below the scan step are still separated.
+    Returns the (value, multiplicity) list and the audit, which records
+    where each eigenvalue came from.
     """
-    acc = min(integrator_tol, 1e-13)
-    shift = -2.0 if bc is BoundaryCondition.PERIODIC else 2.0
-
-    def f(x: float) -> float:
-        return discriminant(p, x, length, acc) + shift
-
-    def fprime(x: float) -> float:
-        return discriminant_derivative(p, x, length, acc)[1]
-
-    xtol = max(tol, ROOT_XTOL)
-    a, b = x0 - step, x0 + step
-    fa, fb = f(a), f(b)
-    if np.sign(fa) != np.sign(fb):
-        return [(brentq(f, a, b, xtol=xtol), 1)], None
-    flank = np.sign(fa) or 1.0
-
-    x = x0
-    h = 0.25 * step
-    curvature = 0.0
-    for _ in range(3):
-        f0, f1, f2 = f(x - h), f(x), f(x + h)
-        denom = f0 - 2.0 * f1 + f2
-        if denom == 0.0 or not np.isfinite(denom):
-            break
-        curvature = abs(denom) / (2.0 * h * h)
-        dx = float(np.clip(0.5 * h * (f0 - f2) / denom, -step, step))
-        x += dx
-        if abs(dx) < 0.05 * h:
-            break
-    x = min(max(x, a + 1e-6 * step), b - 1e-6 * step)
-    fx = f(x)
-
-    if np.sign(fx) == -flank and abs(fx) > 10.0 * TANGENCY_NOISE:
-        # the dip crosses zero: two simple band edges inside one cell
-        r1 = brentq(f, a, x, xtol=xtol)
-        r2 = brentq(f, x, b, xtol=xtol)
-        return [(r1, 1), (r2, 1)], None
-
-    double_tol = max(20.0 * TANGENCY_NOISE,
-                     curvature * (0.5 * TANGENCY_SPLIT) ** 2)
-    da, db = fprime(a), fprime(b)
-    if np.sign(da) != np.sign(db) and da != 0.0:
-        x_ext = brentq(fprime, a, b, xtol=xtol)
-        f_ext = f(x_ext)
-        if abs(f_ext) <= double_tol:
-            return [(x_ext, 2)], None
-        if np.sign(f_ext) == -flank:
-            r1 = brentq(f, a, x_ext, xtol=xtol)
-            r2 = brentq(f, x_ext, b, xtol=xtol)
-            return [(r1, 1), (r2, 1)], None
-        return [], (x_ext, f_ext)
-    if abs(fx) <= double_tol:
-        return [(x, 2)], None
-    return [], (float(x), float(fx))
+    merged: list[tuple[float, int]] = []
+    sources: list[tuple[str, ...]] = []
+    for value, src in sorted(tagged, key=lambda r: r[0]):
+        if merged and abs(value - merged[-1][0]) <= MERGE_RTOL * max(1.0, abs(value)):
+            prev_v, prev_m = merged[-1]
+            merged[-1] = (0.5 * (prev_v + value), min(2, prev_m + 1))
+            sources[-1] = sources[-1] + (src,)
+        else:
+            merged.append((value, 1))
+            sources.append((src,))
+    return merged, {"method": method, "scan_step": step, **audit,
+                    "sources": [{"value": v, "from": list(s)}
+                                for (v, _), s in zip(merged, sources)]}
 
 
 def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
                     n_scan: int, length: float, tol: float,
                     integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
-    """Roots of the discriminant equation, tangencies resolved separately."""
-    step = (hi - lo) / n_scan
-    audit: dict = {"method": "direct", "scan_step": step}
-    lams, f, roots, used = _scan_roots(p, bc, lo, hi, n_scan, length, tol,
-                                       integrator_tol, audit)
-    found = [(r, 1) for r in roots]
+    """Band edges of the discriminant, bracketed by Dirichlet and Neumann roots.
 
-    absf = np.abs(f)
-    for i in range(1, n_scan):
-        if used[i - 1] or used[i] or used[i + 1]:
-            continue
-        if absf[i] < 0.25 and absf[i] <= absf[i - 1] and absf[i] <= absf[i + 1]:
-            res, miss = _resolve_tangency(p, bc, float(lams[i]), step, length,
-                                          tol, integrator_tol)
-            found.extend(res)
-            if res:
-                audit.setdefault("tangencies", []).append(float(lams[i]))
-            if miss is not None:
-                audit.setdefault("unconfirmed_tangencies", []).append(miss)
-            used[max(0, i - 2):i + 3] = True
+    At a root of y2(L) or of y1'(L) the monodromy matrix is triangular with
+    unit determinant, so Delta = y1 + 1/y1 there and Delta - 2s equals
+    (y1 - s)^2 / y1 exactly (s = 1 for P, -1 for A).  Each closed
+    instability gap holds one Dirichlet and one Neumann eigenvalue (Magnus &
+    Winkler 1966; Eastham 1973), so these roots cut the range into pieces on
+    which Delta - 2s changes sign at most once, and its sign at the cuts
+    needs no cancellation.  A root where (y1 - s)^2 is within the integrator
+    tolerance is a band edge itself; every other edge is refined by Brent
+    between two cuts.  Scan samples whose Delta - 2s is far beyond the
+    scan's error are cuts too: they keep each bracket short, and the roots
+    in cells they settle need no refinement.
+    """
+    s = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
+    lams = np.linspace(lo, hi, n_scan + 1)
+    Y = endpoint_scan(p, lams, length)
+    scanned = Y[0] + Y[3] - 2.0 * s
+    sure = np.abs(scanned) > SCAN_MARGIN * np.maximum(1.0, np.abs(Y).max(axis=0))
+    cuts = dict(zip(lams[sure].tolist(), scanned[sure].tolist()))
+    # t = s Delta - 2 is >= 0 exactly in the gaps of sign s, with one maximum
+    # in each.  A root whose cell has both ends surely inside such a gap, or
+    # both at t < -2, is no band edge unless Delta swings by 2 within one
+    # cell, and the sure samples already cut there.
+    t = s * scanned
+    settled = sure & ((t > 0.0) | (t < -2.0))
+    open_cells = ~(settled[:-1] & settled[1:] & (t[:-1] * t[1:] > 0.0))
 
-    found.sort(key=lambda r: r[0])
-    merged: list[tuple[float, int]] = []
-    for value, mult in found:
-        if merged and abs(value - merged[-1][0]) <= 1e-8 * max(1.0, abs(value)):
-            prev_v, prev_m = merged[-1]
-            merged[-1] = (0.5 * (prev_v + value), min(2, prev_m + mult))
-        else:
-            merged.append((value, mult))
-    merged = [(v, m) for v, m in merged if lo <= v <= hi]
-    return merged, audit
+    def excess(lam: float) -> float:
+        return discriminant(p, lam, length, integrator_tol) - 2.0 * s
+
+    audit: dict = {}
+    tagged: list[tuple[float, str]] = []
+    for src, sub in (("D", BoundaryCondition.DIRICHLET), ("N", BoundaryCondition.NEUMANN)):
+        for r in _refine_roots(p, sub, lams, Y, length, tol, integrator_tol, audit,
+                               open_cells):
+            y1 = fundamental_solutions(p, r, length, integrator_tol).y1_end
+            square = (y1 - s) ** 2
+            # a Dirichlet and a Neumann root at the same point are both kept:
+            # together they are a double eigenvalue
+            if square <= integrator_tol * abs(y1):
+                tagged.append((r, src))
+                cuts[r] = 0.0
+            else:
+                cuts[r] = square / y1
+    for end in (lo, hi):
+        if end not in cuts:
+            cuts[end] = excess(end)
+
+    def f(lam: float) -> float:
+        return cuts[lam] if lam in cuts else excess(lam)
+
+    points = sorted(cuts)
+    for a, b in zip(points, points[1:]):
+        if cuts[a] * cuts[b] < 0.0:
+            tagged.append((brentq(f, a, b, xtol=max(tol, ROOT_XTOL)), "Delta"))
+    return _coupled_result("direct", (hi - lo) / n_scan, tagged, audit)
 
 
 def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
@@ -298,41 +258,27 @@ def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
         pair = (BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET)
     else:
         pair = (BoundaryCondition.MIXED1, BoundaryCondition.MIXED2)
-    audit: dict = {"method": "union", "scan_step": (hi - lo) / n_scan}
-    tagged: list[tuple[float, str]] = []
-    for sub in pair:
-        sub_audit: dict = {}
-        for v in _scan_roots(half, sub, lo, hi, n_scan, length / 2.0, tol,
-                             integrator_tol, sub_audit)[2]:
-            tagged.append((v, sub.value))
-        if sub_audit:
-            audit[f"scan_{sub.value}"] = sub_audit
-    tagged.sort(key=lambda r: r[0])
-    merged: list[tuple[float, int]] = []
-    sources: list[tuple[str, ...]] = []
-    for value, src in tagged:
-        if merged and abs(value - merged[-1][0]) <= MERGE_RTOL * max(1.0, abs(value)):
-            prev_v, prev_m = merged[-1]
-            merged[-1] = (0.5 * (prev_v + value), min(2, prev_m + 1))
-            sources[-1] = sources[-1] + (src,)
-        else:
-            merged.append((value, 1))
-            sources.append((src,))
-    audit["sources"] = [{"value": v, "from": list(s)}
-                        for (v, _), s in zip(merged, sources)]
-    return merged, audit
+    lams = np.linspace(lo, hi, n_scan + 1)
+    Y = endpoint_scan(half, lams, length / 2.0)
+    audit: dict = {}
+    tagged = [(v, sub.value) for sub in pair
+              for v in _refine_roots(half, sub, lams, Y, length / 2.0, tol, integrator_tol,
+                                     audit)]
+    return _coupled_result("union", (hi - lo) / n_scan, tagged, audit)
 
 
 def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None = None,
                      n_scan: int = DEFAULT_SCAN, tol: float = ROOT_XTOL,
                      length: float | None = None, integrator_tol: float = DEFAULT_TOL,
-                     method: str = "auto", crosscheck: bool = True) -> Spectrum:
+                     method: str = "auto") -> Spectrum:
     """All eigenvalues of ``bc`` in the range (or the first ``max_count``).
 
-    method: "union" assembles periodic/anti-periodic spectra from the
-    half-interval separated problems (requires a potential even about its
-    midpoint), "direct" root-finds the discriminant equation, "auto" picks
-    union when the symmetry holds.
+    For the coupled conditions, method "union" assembles the spectrum from
+    the half-interval separated problems (the potential must be even about
+    its midpoint), "direct" finds the band edges of the discriminant
+    between the Dirichlet and Neumann eigenvalues (any potential), and
+    "auto" picks union when the symmetry holds.  Both give multiplicity 2
+    exactly where two edges coincide.
     """
     bc = BoundaryCondition.parse(bc)
     L = float(p.domain_length if length is None else length)
@@ -351,19 +297,12 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
             method = "union" if p.is_even_about_midpoint() else "direct"
         elif method == "union" and not p.is_even_about_midpoint():
             raise ValueError("union method needs a potential even about its midpoint")
-        if method == "union":
-            merged, audit = _coupled_union(p, bc, lo, hi, n_scan, L, tol, integrator_tol)
-            if crosscheck:
-                direct, d_audit = _coupled_direct(p, bc, lo, hi, n_scan, L, tol,
-                                                  integrator_tol)
-                audit["delta_crosscheck"] = _match_sets(
-                    [v for v, m in merged for _ in range(m)],
-                    [v for v, m in direct for _ in range(m)], 1e-5)
-                audit["delta_crosscheck"]["audit"] = d_audit
-        else:
-            merged, audit = _coupled_direct(p, bc, lo, hi, n_scan, L, tol, integrator_tol)
+        coupled = _coupled_union if method == "union" else _coupled_direct
+        merged, audit = coupled(p, bc, lo, hi, n_scan, L, tol, integrator_tol)
     else:
-        roots = _scan_roots(p, bc, lo, hi, n_scan, L, tol, integrator_tol, audit)[2]
+        lams = np.linspace(lo, hi, n_scan + 1)
+        Y = endpoint_scan(p, lams, L)
+        roots = _refine_roots(p, bc, lams, Y, L, tol, integrator_tol, audit)
         merged = [(v, 1) for v in sorted(roots)]
         if bc is BoundaryCondition.DIRICHLET and merged and hi > merged[-1][0]:
             probe = 0.5 * (merged[-1][0] + hi)
@@ -713,11 +652,9 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
 
     even = base.even_extension()
     spec_p = find_eigenvalues(even, "P", max_count=2 * need, n_scan=n_scan,
-                              integrator_tol=integrator_tol, method="union",
-                              crosscheck=False)
+                              integrator_tol=integrator_tol, method="union")
     spec_a = find_eigenvalues(even, "A", max_count=2 * need, n_scan=n_scan,
-                              integrator_tol=integrator_tol, method="union",
-                              crosscheck=False)
+                              integrator_tol=integrator_tol, method="union")
     pexp = spec_p.expanded()
     aexp = spec_a.expanded()
 
@@ -808,48 +745,31 @@ def stability_intervals(p: Potential, search_range=None, n_scan: int = DEFAULT_S
                         integrator_tol: float = DEFAULT_TOL) -> list[tuple[tuple[float, float], str]]:
     """Stable/unstable bands of the even extension's discriminant.
 
-    Band edges are the lambda where |Delta| crosses 2, refined by Brent to
-    1e-9; eigenvalues where Delta touches +-2 without crossing split a
-    stable band at a point and are injected from the union spectra.
+    The band edges are the periodic and anti-periodic eigenvalues of the
+    extension.  Each simple eigenvalue switches between stable (|Delta| < 2)
+    and unstable; a double one pinches a stable band at a point and splits
+    it there.  Only the first piece is classified by |Delta| itself, so a
+    gap too shallow for the computed |Delta| to show is still reported.
     """
     T = float(p.domain_length if length is None else length)
     base = p if length is None else p.restrict(T)
     even = base.even_extension()
-    L2 = 2.0 * T
     if search_range is None:
         lo, hi = _auto_range(base, T, 8)
     else:
         lo, hi = (float(search_range[0]), float(search_range[1]))
 
-    lams = np.linspace(lo, hi, n_scan + 1)
-    Y = endpoint_scan(even, lams, L2)
-
-    def fine(lam: float) -> float:
-        basis = fundamental_solutions(even, lam, L2, integrator_tol)
-        return abs(basis.discriminant) - 2.0
-
-    edges = _bracket_and_refine(fine, lams, np.abs(Y[0] + Y[3]) - 2.0,
-                                (hi - lo) / n_scan, 1e-9)[0]
-
-    # Tangency points (double eigenvalues) never change the sign of |Delta|-2;
-    # they pinch a stable band at a point.
-    for bc in ("P", "A"):
-        spec = find_eigenvalues(even, bc, search_range=(lo, hi), n_scan=n_scan,
-                                integrator_tol=integrator_tol, method="union",
-                                crosscheck=False)
-        for e in spec.eigenvalues:
-            if e.multiplicity == 2 and lo < e.value < hi \
-                    and all(abs(e.value - x) > 1e-7 * max(1.0, abs(e.value))
-                            for x in edges):
-                edges.append(e.value)
-
-    edges = sorted(edges)
-    cuts = [lo] + edges + [hi]
+    edges = sorted((e for bc in ("P", "A")
+                    for e in find_eigenvalues(even, bc, search_range=(lo, hi), n_scan=n_scan,
+                                              integrator_tol=integrator_tol).eigenvalues),
+                   key=lambda e: e.value)
+    cuts = [lo] + [e.value for e in edges] + [hi]
+    mid = 0.5 * (cuts[0] + cuts[1])
+    stable = abs(discriminant(even, mid, 2.0 * T, integrator_tol)) < 2.0
     out: list[tuple[tuple[float, float], str]] = []
-    for a, b in zip(cuts, cuts[1:]):
-        if b - a <= 1e-12:
-            continue
-        mid = 0.5 * (a + b)
-        cls = "stable" if fine(mid) < 0.0 else "unstable"
-        out.append(((a, b), cls))
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if k and edges[k - 1].multiplicity == 1:
+            stable = not stable
+        if b - a > 1e-12:
+            out.append(((a, b), "stable" if stable else "unstable"))
     return out

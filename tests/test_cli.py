@@ -54,6 +54,15 @@ def test_green_csv_deterministic(capsys):
     assert len(lines) == 1 + 5 * 5
 
 
+def test_green_csv_stdout_matches_output_file(capsys, tmp_path):
+    path = tmp_path / "g.csv"
+    args = ("green", "--potential", "ex3", "--lambda", "0.2", "--bc", "M1", "--n", "5")
+    rc1, out = run(capsys, *args)
+    rc2, _ = run(capsys, *args, "--output", str(path))
+    assert rc1 == rc2 == 0
+    assert path.read_bytes() == out.encode()
+
+
 def test_green_json_fields(capsys):
     rc, out = run(capsys, "green", "--potential", "ex3", "--lambda", "0.2",
                   "--bc", "D", "--n", "6", "--format", "json")
@@ -173,6 +182,26 @@ def test_usage_errors(capsys):
     assert main(["green", "--potential", "ex1", "--lambda", "0.5",
                  "--bc", "Q"]) == 2
     assert main(["nonsense"]) == 2
+    # bad values: non-finite lambdas, tolerances, sizes and ranges
+    for argv in (["verify", "--potential", "ex1", "--lambda", "nan"],
+                 ["green", "--potential", "ex1", "--lambda", "inf", "--bc", "D"],
+                 ["sweep", "--potential", "ex1", "--range", "0", "nan"],
+                 ["green", "--potential", "ex1", "--lambda", "0.5", "--bc", "D",
+                  "--tol", "1"],
+                 ["green", "--potential", "ex1", "--lambda", "0.5", "--bc", "D",
+                  "--n", "-4"],
+                 ["spectrum", "--potential", "ex1", "--range", "3", "1"],
+                 ["spectrum", "--potential", "ex3", "--bc", "P", "--method", "union"],
+                 ["spectrum", "--potential", "ex1", "--count", "0"],
+                 ["spectrum", "--potential", "ex1", "--range", "0", "5",
+                  "--count-in-range", "0"],
+                 ["spectrum", "--potential", "ex1", "--n-scan", "0"],
+                 ["sweep", "--potential", "ex1", "--range", "0", "5", "--points", "0"],
+                 ["verify", "--potential", "ex1", "--lambda", "0.5", "--n", "0"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "error" in captured.err, argv
 
 
 def test_potential_from_file(capsys, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hillgreen import (
     Potential,
     discriminant,
-    discriminant_derivative,
     endpoint_scan,
     fundamental_solutions,
 )
@@ -104,24 +103,6 @@ def test_discriminant_zero_potential(zero1):
     for lam in (0.5, 2.0, 9.0):
         want = 2.0 * math.cos(math.sqrt(lam))
         assert discriminant(zero1, lam) == pytest.approx(want, abs=1e-10)
-
-
-def test_discriminant_derivative_matches_finite_difference(cos_pi):
-    for lam in (-0.5, 0.4, 3.1):
-        d, dp = discriminant_derivative(cos_pi, lam, tol=1e-12)
-        assert d == pytest.approx(discriminant(cos_pi, lam, tol=1e-12), abs=1e-10)
-        h = 1e-6
-        fd = (discriminant(cos_pi, lam + h, tol=1e-13)
-              - discriminant(cos_pi, lam - h, tol=1e-13)) / (2.0 * h)
-        assert dp == pytest.approx(fd, abs=5e-7)
-
-
-def test_discriminant_derivative_closed_form(zero1):
-    # Delta(lam) = 2 cos(sqrt(lam)), so Delta'(lam) = -sin(sqrt(lam))/sqrt(lam)
-    for lam in (0.7, 3.0, 11.0):
-        m = math.sqrt(lam)
-        _, dp = discriminant_derivative(zero1, lam, tol=1e-12)
-        assert dp == pytest.approx(-math.sin(m) / m, abs=1e-9)
 
 
 def test_endpoint_scan_agrees_with_accurate(pw2):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from hillgreen import (
+    Potential,
     dirichlet_zero_count,
     discriminant_samples,
     find_eigenvalues,
@@ -108,6 +111,57 @@ def test_union_and_direct_agree(cos_pi):
     assert np.allclose(a.expanded()[:5], b.expanded()[:5], atol=1e-6)
 
 
+def _pw2_monodromy(lam):
+    """Closed-form monodromy matrix of pw2 (0 on [0, 1], 1/10 on [1, 2]), lam > 0."""
+    def piece(q):
+        m = math.sqrt(q)
+        return np.array([[math.cos(m), math.sin(m) / m],
+                         [-m * math.sin(m), math.cos(m)]])
+    return piece(lam + 0.1) @ piece(lam)
+
+
+def _pw2_gap_edges(k):
+    """Edges of pw2's periodic gap near (k pi)^2, from the closed form.
+
+    With unit determinant, Delta^2 - 4 = (y1 - y2')^2 + 4 y2 y1', which has
+    no cancellation near Delta = 2: it resolves gaps whose height Delta - 2
+    is far below the rounding of Delta itself.  The gap holds one root of
+    y2 and one of y1', so their midpoint is inside it.
+    """
+    def excess(lam):
+        (y1, y2), (y1p, y2p) = _pw2_monodromy(lam)
+        return (y1 - y2p) ** 2 + 4.0 * y2 * y1p
+
+    c = (k * PI) ** 2
+    mid = 0.5 * (brentq(lambda x: _pw2_monodromy(x)[0, 1], c - 1.0, c + 1.0)
+                 + brentq(lambda x: _pw2_monodromy(x)[1, 0], c - 1.0, c + 1.0))
+    return (brentq(excess, mid - 0.05, mid, xtol=1e-15),
+            brentq(excess, mid, mid + 0.05, xtol=1e-15))
+
+
+def test_pw2_narrow_periodic_gaps_are_simple(pw2):
+    # the gaps near pi^2, (2 pi)^2 and (3 pi)^2 are open, with Delta - 2 of
+    # only 1.6e-9, 2.5e-11 and 2.2e-12 at their midpoints: six simple edges
+    spec = find_eigenvalues(pw2, "P", search_range=(5.0, 95.0))
+    want = [edge for k in (1, 2, 3) for edge in _pw2_gap_edges(k)]
+    assert [e.multiplicity for e in spec.eigenvalues] == [1] * 6
+    assert np.allclose(spec.values(), want, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+       st.floats(0.5, 2.0))
+def test_direct_matches_union_on_even_potentials(values, half):
+    breaks = list(np.linspace(0.0, half, len(values) + 1))
+    p = Potential.piecewise_constant(breaks, values).even_extension()
+    for bc in ("P", "A"):
+        union = find_eigenvalues(p, bc, max_count=3, method="union")
+        direct = find_eigenvalues(p, bc, max_count=3, method="direct")
+        assert ([e.multiplicity for e in direct.eigenvalues]
+                == [e.multiplicity for e in union.eigenvalues])
+        assert np.allclose(direct.values(), union.values(), rtol=0, atol=1e-9)
+
+
 def test_union_requires_symmetry(cos_pi):
     with pytest.raises(ValueError):
         find_eigenvalues(cos_pi, "P", max_count=2, method="union")
@@ -200,6 +254,14 @@ def test_stability_intervals_ex4(cos2_pi):
     assert wide[0][1] == pytest.approx(1.4668, abs=2e-3)
     assert wide[1][0] == pytest.approx(3.9792, abs=2e-3)
     assert wide[1][1] == pytest.approx(4.1009, abs=2e-3)
+
+
+def test_stability_intervals_pw2_narrow_gap(pw2):
+    # Delta - 2 is only 4e-7 at the middle of the extension's gap here
+    bands = stability_intervals(pw2)
+    gaps = [iv for iv, kind in bands if kind == "unstable"]
+    assert any(iv == pytest.approx((2.41715, 2.41816), abs=1e-5) for iv in gaps)
+    assert all(b > a for a, b in gaps)
 
 
 def test_dirichlet_zero_count(zero1):
