@@ -19,7 +19,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import PoleError, ResonanceError
 from .integrator import DEFAULT_TOL, SolutionBasis, fundamental_solutions
@@ -153,16 +152,6 @@ class KernelBranches:
         A, B = self._row_col(tpts, spts, deriv=True)
         return A.T @ self.k_low @ B, A.T @ self.k_up @ B
 
-    def value(self, t: float, s: float, lower: bool | None = None) -> float:
-        if lower is None:
-            lower = s <= t
-        K = self.k_low if lower else self.k_up
-        yt = self.basis.trajectory(float(t))
-        ys = self.basis.trajectory(float(s))
-        row = np.array([yt[0], yt[2]])
-        col = np.array([-ys[2], ys[0]])
-        return float(row @ K @ col)
-
 
 class _TrigBranches:
     """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2."""
@@ -220,11 +209,11 @@ class _TrigBranches:
         S = np.asarray(spts, dtype=float)[None, :]
         return self._dlow(T, S), self._dup(T, S)
 
-    def value(self, t, s, lower=None):
-        if lower is None:
-            lower = s <= t
-        f = self._low if lower else self._up
-        return float(f(t, s))
+
+def _entry(branches, t: float, s: float) -> float:
+    """One kernel value, from the branch that s <= t selects."""
+    lower, upper = branches.tables([float(t)], [float(s)])
+    return float((lower if s <= t else upper)[0, 0])
 
 
 @dataclass(eq=False)
@@ -251,7 +240,7 @@ class GreensFunction:
         return np.where(mask, self.lower, self.upper)
 
     def value(self, t: float, s: float) -> float:
-        return self.branches.value(float(t), float(s))
+        return _entry(self.branches, t, s)
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.lower).copy()
@@ -289,10 +278,16 @@ def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
     return np.where(mask, sub_low, sub_up)
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"grid needs n >= 1 pieces, got {n}")
+
+
 def build_green(p: Potential, lam: float, bc, n: int = 100,
                 length: float | None = None, tol: float = DEFAULT_TOL) -> GreensFunction:
     """Construct the Green's function of u'' + (a + lambda) u under ``bc``."""
     bc = BoundaryCondition.parse(bc)
+    _check_n(n)
     L = float(p.domain_length if length is None else length)
     basis = fundamental_solutions(p, lam, L, tol)
     k_low, k_up, margin = _branch_matrices(basis, bc)
@@ -317,7 +312,7 @@ def kernel_value(p: Potential, lam: float, bc, t: float, s: float,
     L = float(p.domain_length if length is None else length)
     basis = fundamental_solutions(p, lam, L, tol)
     k_low, k_up, _ = _branch_matrices(basis, bc)
-    return KernelBranches(basis, k_low, k_up).value(t, s)
+    return _entry(KernelBranches(basis, k_low, k_up), t, s)
 
 
 def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFunction:
@@ -351,14 +346,11 @@ def estimate_diagonal_jump(G: GreensFunction, npts: int = 20, h: float = 3e-4) -
     """
     L = G.length
     pts = np.linspace(0.05 * L, 0.95 * L, npts)
-    out = np.empty(npts)
-    for k, t in enumerate(pts):
-        dlow = (G.branches.value(t + h, t, lower=True)
-                - G.branches.value(t - h, t, lower=True)) / (2 * h)
-        dup = (G.branches.value(t + h, t, lower=False)
-               - G.branches.value(t - h, t, lower=False)) / (2 * h)
-        out[k] = dlow - dup
-    return out
+    low_p, up_p = G.branches.tables(pts + h, pts)
+    low_m, up_m = G.branches.tables(pts - h, pts)
+    dlow = np.diagonal(low_p - low_m) / (2 * h)
+    dup = np.diagonal(up_p - up_m) / (2 * h)
+    return dlow - dup
 
 
 def boundary_residual(G: GreensFunction) -> float:
@@ -393,23 +385,29 @@ def boundary_residual(G: GreensFunction) -> float:
     return float(max(np.max(np.abs(r0)), np.max(np.abs(r1))))
 
 
-def _simpson_weights(npts: int, h: float) -> np.ndarray:
-    if npts < 3 or npts % 2 == 0:
-        raise ValueError("composite Simpson needs an odd number of nodes, at least 3")
-    w = np.ones(npts)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+# Composite Simpson rule on 257 equally spaced nodes of [0, 1]; scaled by t
+# it integrates over [0, t], so the quadrature error varies smoothly with t.
+_SIMPSON_NODES = np.linspace(0.0, 1.0, 257)
+_SIMPSON_WEIGHTS = np.concatenate([[1.0], np.tile([4.0, 2.0], 127), [4.0, 1.0]]) / (3 * 256)
+# Points per trajectory call: each brings its 257 nodes, so a block's
+# working arrays stay near 15 MB however many points are asked for.
+_EVAL_BLOCK = 256
 
 
 @dataclass(eq=False)
 class BvpSolution:
     """Solution u(t) = integral of G(t, s) sigma(s) ds, callable anywhere on [0, L].
 
-    Node values use the quadrature grid split exactly at s = t; off-node
-    calls integrate the upper branch over the whole interval and add the
-    one-sided correction through the kernel jump, so no interpolation of u
-    is ever involved.
+    Since K_low - K_up = I, with row(t) = (y1, y2)(t) and
+    c(t) = integral over [0, t] of (-y2(s), y1(s)) sigma(s) ds,
+
+        u(t)  = row(t)  . (K_up c(L) + c(t)),
+        u'(t) = row'(t) . (K_up c(L) + c(t)),
+
+    the c' term of u' dropping out because row(t) . (-y2, y1)(t) = 0.
+    ``solve_bvp`` stores the offset K_up c(L) and the node values; calls
+    off the grid integrate c(t) by a Simpson rule on [0, t], so u is never
+    interpolated.
     """
 
     bc: BoundaryCondition
@@ -417,42 +415,35 @@ class BvpSolution:
     length: float
     grid: np.ndarray
     values: np.ndarray
-    _branches: KernelBranches = field(repr=False)
+    _basis: SolutionBasis = field(repr=False)
     _sigma: object = field(repr=False)
-    _squad: np.ndarray = field(repr=False)
-    _sigquad: np.ndarray = field(repr=False)
+    _offset: np.ndarray = field(repr=False)
 
-    def _jump_correction(self, t: float, deriv: bool) -> float:
-        # integral over [0, t] of (y2(t) y1(s) - y1(t) y2(s)) sigma(s) ds
-        if t <= 0.0:
-            return 0.0
-        npts = 257
-        s = np.linspace(0.0, t, npts)
-        traj = self._branches.basis.trajectory(s)
-        sig = np.asarray(self._sigma(s), dtype=float)
-        w = _simpson_weights(npts, t / (npts - 1))
-        i1 = float(w @ (traj[0] * sig))
-        i2 = float(w @ (traj[2] * sig))
-        yt = self._branches.basis.trajectory(float(t))
-        if deriv:
-            return yt[3] * i1 - yt[1] * i2
-        return yt[2] * i1 - yt[0] * i2
+    def _eval(self, t, deriv: bool):
+        tt = np.asarray(t, dtype=float)
+        pts = tt.reshape(-1)
+        out = np.empty(pts.size)
+        for k in range(0, pts.size, _EVAL_BLOCK):
+            out[k:k + _EVAL_BLOCK] = self._eval_block(pts[k:k + _EVAL_BLOCK], deriv)
+        return float(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
 
-    def _full_upper(self, t: float, deriv: bool) -> float:
-        tbl = self._branches.tables_dt if deriv else self._branches.tables
-        row = tbl(np.array([t]), self._squad)[1][0]
-        h = self.length / (len(self._squad) - 1)
-        w = _simpson_weights(len(self._squad), h)
-        return float(w @ (row * self._sigquad))
+    def _eval_block(self, pts: np.ndarray, deriv: bool) -> np.ndarray:
+        m = pts.size
+        s = (pts[:, None] * _SIMPSON_NODES).reshape(-1)
+        y = self._basis.trajectory(np.concatenate([pts, s]))
+        ys = y[:, m:].reshape(4, m, -1)
+        # row sums, not a matrix product, so each point's value does not
+        # depend on how many points share the call
+        ws = self._sigma(s).reshape(m, -1) * _SIMPSON_WEIGHTS
+        c = np.stack([-np.sum(ys[2] * ws, axis=1), np.sum(ys[0] * ws, axis=1)]) * pts
+        row = y[[1, 3], :m] if deriv else y[[0, 2], :m]
+        return np.sum(row * (self._offset[:, None] + c), axis=0)
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return self._full_upper(float(arr), False) + self._jump_correction(float(arr), False)
-        return np.array([self(float(x)) for x in arr])
+        return self._eval(t, deriv=False)
 
-    def derivative(self, t: float) -> float:
-        return self._full_upper(float(t), True) + self._jump_correction(float(t), True)
+    def derivative(self, t):
+        return self._eval(t, deriv=True)
 
 
 def _as_callable(sigma, squad: np.ndarray):
@@ -483,31 +474,27 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100,
     """Solve u'' + (a + lambda) u = sigma under ``bc`` via the Green's kernel.
 
     ``sigma`` may be a callable, a constant, or an array on the 4n+1
-    quadrature grid. Output node values live on the coarser n+1 grid; the
-    returned object is callable everywhere.
+    quadrature grid. One pass over that grid integrates c(t) (see
+    ``BvpSolution``) by cumulative composite Simpson, and the node values
+    u(t_i) = row(t_i) . (K_up c(L) + c(t_i)) live on the coarser n+1 grid;
+    the returned object is callable everywhere.
     """
     bc = BoundaryCondition.parse(bc)
+    _check_n(n)
     L = float(p.domain_length if length is None else length)
     basis = fundamental_solutions(p, lam, L, tol)
-    k_low, k_up, _ = _branch_matrices(basis, bc)
-    branches = KernelBranches(basis, k_low, k_up)
+    _, k_up, _ = _branch_matrices(basis, bc)
 
-    grid = np.linspace(0.0, L, n + 1)
     squad = np.linspace(0.0, L, 4 * n + 1)
     sig_fn = _as_callable(sigma, squad)
-    sigquad = np.asarray(sig_fn(squad), dtype=float)
+    y = basis.trajectory(squad)
+    f = np.stack([-y[2], y[0]]) * sig_fn(squad)
+    # c at the even nodes, by cumulative composite Simpson over two-step panels
+    panels = (f[:, :-2:2] + 4.0 * f[:, 1::2] + f[:, 2::2]) * (L / (4 * n) / 3.0)
+    c = np.concatenate([np.zeros((2, 1)), np.cumsum(panels, axis=1)], axis=1)[:, ::2]
+    offset = k_up @ c[:, -1]
+    values = np.sum(y[[0, 2], ::4] * (offset[:, None] + c), axis=0)
 
-    lower_rows, upper_rows = branches.tables(grid, squad)
-    values = np.empty(n + 1)
-    for i in range(n + 1):
-        k = 4 * i
-        left = 0.0
-        if k >= 2:
-            left = simpson(lower_rows[i, :k + 1] * sigquad[:k + 1], x=squad[:k + 1])
-        right = 0.0
-        if 4 * n - k >= 2:
-            right = simpson(upper_rows[i, k:] * sigquad[k:], x=squad[k:])
-        values[i] = left + right
-
-    return BvpSolution(bc=bc, lam=float(lam), length=L, grid=grid, values=values,
-                       _branches=branches, _sigma=sig_fn, _squad=squad, _sigquad=sigquad)
+    return BvpSolution(bc=bc, lam=float(lam), length=L,
+                       grid=np.linspace(0.0, L, n + 1), values=values,
+                       _basis=basis, _sigma=sig_fn, _offset=offset)

@@ -231,18 +231,23 @@ class IdentityReport:
 
 
 class _KernelCache:
-    """Builds each (family, bc) kernel once for a fixed (p, lambda, n)."""
+    """Builds each (family, bc) kernel once for a fixed (p, lambda, n).
 
-    def __init__(self, p: Potential, length: float, n: int, lam: float, tol: float):
+    Every family derives from p restricted to [0, length].
+    """
+
+    def __init__(self, p: Potential, length: float | None, n: int, lam: float, tol: float):
         self.n = int(n)
         self.lam = float(lam)
         self.tol = float(tol)
-        even = p.even_extension()
+        L = float(p.domain_length if length is None else length)
+        base = p if length is None else p.restrict(L)
+        even = base.even_extension()
         self.specs = {
-            "base": (p, length),
-            "even2": (even, 2.0 * length),
-            "even4": (even.even_extension(), 4.0 * length),
-            "refl": (p.reflect(), length),
+            "base": (base, L),
+            "even2": (even, 2.0 * L),
+            "even4": (even.even_extension(), 4.0 * L),
+            "refl": (base.reflect(), L),
         }
         self._store: dict = {}
 
@@ -312,8 +317,7 @@ def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
     except KeyError:
         raise KeyError(f"unknown identity {identity_id!r}; "
                        f"choices: {', '.join(IDENTITY_NAMES)}") from None
-    L = float(p.domain_length if length is None else length)
-    cache = _KernelCache(p, L, n, lam, integrator_tol)
+    cache = _KernelCache(p, length, n, lam, integrator_tol)
     return _verify_with_cache(ident, cache, tol)
 
 
@@ -321,8 +325,7 @@ def verify_all(p: Potential, lam: float, n: int = 100,
                tol: float = DEFAULT_IDENTITY_TOL, length: float | None = None,
                integrator_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the whole catalog, recording a skip for resonant constituents."""
-    L = float(p.domain_length if length is None else length)
-    cache = _KernelCache(p, L, n, lam, integrator_tol)
+    cache = _KernelCache(p, length, n, lam, integrator_tol)
     reports = []
     for ident in CATALOG:
         try:

@@ -170,6 +170,8 @@ def test_solve_bvp_dirichlet_parabola(zero1):
     want = u.grid * (u.grid - 1.0) / 2.0
     assert np.max(np.abs(u.values - want)) < 1e-10
     assert u(0.37) == pytest.approx(0.37 * (0.37 - 1.0) / 2.0, abs=1e-10)
+    for t in (0.0, 0.37, 0.81, 1.0):
+        assert u.derivative(t) == pytest.approx(t - 0.5, abs=1e-10)
 
 
 def test_solve_bvp_neumann_constant(zero1):
@@ -217,3 +219,34 @@ def test_solve_bvp_array_sigma(zero1):
     u_arr = solve_bvp(zero1, 0.0, "D", np.ones_like(squad), n=n)
     u_const = solve_bvp(zero1, 0.0, "D", 1.0, n=n)
     assert np.allclose(u_arr.values, u_const.values, atol=1e-14)
+
+
+def test_bvp_solution_arrays_match_scalar_calls(cos_pi):
+    u = solve_bvp(cos_pi, 0.5, "M2", lambda t: 1.0 + np.sin(3.0 * t), n=60)
+    ts = np.array([[0.0, 0.4, 1.3], [2.2, 2.9, math.pi]])
+    vals, slopes = u(ts), u.derivative(ts)
+    assert vals.shape == slopes.shape == ts.shape
+    assert np.array_equal(vals, [[u(t) for t in row] for row in ts])
+    assert np.array_equal(slopes, [[u.derivative(t) for t in row] for row in ts])
+    assert isinstance(u(0.4), float) and isinstance(u.derivative(0.4), float)
+    # long arrays are evaluated in blocks; the block edges change nothing
+    long = np.linspace(0.0, math.pi, 600)
+    idx = [0, 255, 256, 599]
+    assert np.array_equal(u(long)[idx], [u(long[i]) for i in idx])
+
+
+@pytest.mark.parametrize("bc", ["A", "D", "M1", "M2"])
+def test_bvp_solution_at_nodes_matches_values(zero1, bc):
+    # a == 0 and lambda = 0 give y1 = 1, y2 = t: with a quadratic forcing
+    # every integrand is a cubic, which both Simpson rules integrate exactly,
+    # so the node values and the off-grid evaluator must agree to rounding
+    u = solve_bvp(zero1, 0.0, bc, lambda t: 1.0 + t - 2.0 * t * t, n=30)
+    tol = 1e-12 * np.maximum(1.0, np.abs(u.values))
+    assert np.all(np.abs(u(u.grid) - u.values) <= tol)
+
+
+def test_grid_size_below_one_raises(zero1):
+    with pytest.raises(ValueError):
+        solve_bvp(zero1, 1.0, "N", 1.0, n=0)
+    with pytest.raises(ValueError):
+        build_green(zero1, 1.0, "N", n=0)

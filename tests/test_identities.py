@@ -91,6 +91,17 @@ def test_reflection_identity_spot_check(cos_pi):
             kernel_value(cos_pi, lam, "D", L - t, L - s), abs=1e-10)
 
 
+def test_length_restricts_before_extending(cos_pi):
+    # the extensions and the reflection must be those of [0, length]
+    L = 0.6 * math.pi
+    short = cos_pi.restrict(L)
+    reports = verify_all(cos_pi, 0.2, n=40, length=L)
+    assert reports == verify_all(short, 0.2, n=40)
+    assert all(r.passed for r in reports)
+    assert verify_identity("MREFL", cos_pi, 0.2, n=40, length=L) == \
+        verify_identity("MREFL", short, 0.2, n=40)
+
+
 def test_skip_at_resonance(zero1):
     # lambda = 0 is a Neumann and periodic eigenvalue of a == 0; identities
     # needing those kernels must skip rather than fail
