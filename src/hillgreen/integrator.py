@@ -1,12 +1,17 @@
 """Fundamental solutions of u'' + (a(t) + lambda) u = 0.
 
-Two solution bases drive everything downstream: an adaptive high-accuracy
-integration (one lambda at a time, cached, with dense output for kernel
-grids) and a vectorized fixed-step sweep over many lambda values at once
-for locating eigenvalue brackets cheaply.
+Two solution bases drive everything downstream: an accurate integration
+(one lambda at a time, cached, with dense output for kernel grids) and a
+vectorized sweep over many lambda values at once for locating eigenvalue
+brackets cheaply.
 
-Both integrate piecewise: every segment between potential breakpoints is
-smooth, so discontinuities never land inside a step.
+Both work piecewise: every segment between potential breakpoints is
+smooth, so discontinuities never land inside a step. A segment inside a
+constant piece (directly or through mirror wrappers) takes one exact
+transfer step, with cos/sin of sqrt(q) h, cosh/sinh for q < 0 and (1, h)
+for q = 0, in both routes. Other segments use adaptive Dormand-Prince
+8(5,3) (``solve_ivp``, method DOP853) for the single-lambda basis and
+fixed-step RK4 for the sweep.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError
-from .potential import Potential
+from .potential import ConstPiece, MirrorPiece, Potential
 
 __all__ = [
     "TOL_MIN",
@@ -36,6 +42,9 @@ TOL_MIN = 1e-14
 TOL_MAX = 1e-4
 DEFAULT_TOL = 1e-10
 
+# RK4 steps per segment beyond which endpoint_scan refuses the batch
+_SCAN_MAX_STEPS = 400_000
+
 
 def _check_tol(tol: float) -> float:
     tol = float(tol)
@@ -44,9 +53,48 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _segment_edges(p: Potential, length: float) -> np.ndarray:
+def _segments(p: Potential, length: float):
+    """Edges of the smooth segments of [0, length], and each segment's constant.
+
+    The constant is a + shift on a segment inside a ``ConstPiece`` (seen
+    through any ``MirrorPiece`` wrappers) and None on any other segment.
+    """
     inner = [b for b in p.breakpoints if 1e-14 < b < length * (1 - 1e-14)]
-    return np.array([0.0, *inner, length])
+    edges = np.array([0.0, *inner, length])
+    consts = []
+    for t0, t1 in zip(edges, edges[1:]):
+        mid = 0.5 * (t0 + t1)
+        piece = next(pc for a, b, pc in p.pieces if a <= mid < b)
+        while isinstance(piece, MirrorPiece):
+            piece = piece.base
+        consts.append(piece.value + p.shift if isinstance(piece, ConstPiece) else None)
+    return edges, consts
+
+
+def _exact_step(y, q, h):
+    """State (y1, y1', y2, y2') carried by h across a constant piece u'' + q u = 0.
+
+    q and h broadcast against the entries of y: a batch of lambdas takes one
+    step of a common h, and dense output takes many h from one state.
+    """
+    q, h = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(h, dtype=float))
+    c = np.ones(q.shape)
+    s = h.copy()
+    # each branch only where it applies: cosh of a large argument overflows
+    pos, neg = q > 0, q < 0
+    w = np.sqrt(q[pos])
+    c[pos] = np.cos(w * h[pos])
+    s[pos] = np.sin(w * h[pos]) / w
+    w = np.sqrt(-q[neg])
+    c[neg] = np.cosh(w * h[neg])
+    s[neg] = np.sinh(w * h[neg]) / w
+    qs = q * s
+    return np.stack([c * y[0] + s * y[1], c * y[1] - qs * y[0],
+                     c * y[2] + s * y[3], c * y[3] - qs * y[2]])
+
+
+def _exact_dense(y0, q, t0, t):
+    return _exact_step(y0, q, np.asarray(t, dtype=float) - t0)
 
 
 @dataclass(eq=False)
@@ -110,10 +158,13 @@ def clear_cache() -> None:
 
 def fundamental_solutions(p: Potential, lam: float, length: float | None = None,
                           tol: float = DEFAULT_TOL) -> SolutionBasis:
-    """Integrate the normalized basis over [0, length] (default: the full domain).
+    """Solve for the normalized basis over [0, length] (default: the full domain).
 
-    Results are cached per (potential, lambda, length, tolerance); the cache
-    is threadsafe and bounded.
+    A segment inside a constant piece takes one exact transfer step, and its
+    dense output is the same closed form. Every other segment is integrated
+    by ``solve_ivp`` with DOP853 at rtol = max(tol/10, 1e-13) and
+    atol = max(tol * 1e-3, 1e-15). Results are cached per (potential,
+    lambda, length, tolerance); the cache is threadsafe and bounded.
     """
     tol = _check_tol(tol)
     L = float(p.domain_length if length is None else length)
@@ -131,12 +182,16 @@ def fundamental_solutions(p: Potential, lam: float, length: float | None = None,
             _CACHE.move_to_end(key)
             return hit
 
-    edges = _segment_edges(p, L)
-    rtol = max(tol, 1e-13)
-    atol = max(tol * 1e-2, 1e-14)
+    edges, consts = _segments(p, L)
+    rtol = max(tol / 10.0, 1e-13)
+    atol = max(tol * 1e-3, 1e-15)
     y = np.array([1.0, 0.0, 0.0, 1.0])
     sols = []
-    for t0, t1 in zip(edges, edges[1:]):
+    for t0, t1, const in zip(edges, edges[1:], consts):
+        if const is not None:
+            sols.append(partial(_exact_dense, y, const + lam, t0))
+            y = _exact_step(y, const + lam, t1 - t0)
+            continue
         # stage times can land exactly on t1; clamp the evaluation onto this
         # segment's piece so a jump's right-hand value never leaks in
         back = t1 - 1e-12 * (1.0 + L)
@@ -145,7 +200,7 @@ def fundamental_solutions(p: Potential, lam: float, length: float | None = None,
             q = p.eval(min(t, _b)) + lam
             return (y[1], -q * y[0], y[3], -q * y[2])
 
-        res = solve_ivp(rhs, (t0, t1), y, method="RK45", dense_output=True,
+        res = solve_ivp(rhs, (t0, t1), y, method="DOP853", dense_output=True,
                         rtol=rtol, atol=atol)
         if not res.success:
             raise IntegrationError(
@@ -176,9 +231,12 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
     """Endpoint states for a whole batch of lambda values in one sweep.
 
     Returns shape (4, K): rows y1(L), y1'(L), y2(L), y2'(L) per lambda.
-    Fixed-step RK4 with the step chosen from the stiffest lambda in the
-    batch, so accuracy is approximate; use it to bracket roots, then refine
-    with ``fundamental_solutions``.
+    A segment inside a constant piece takes one exact step for the whole
+    batch, whatever ``accuracy``. Other segments take fixed-step RK4 with
+    the step chosen from the stiffest lambda in the batch, so accuracy is
+    approximate there; use the scan to bracket roots, then refine with
+    ``fundamental_solutions``. Raises ``IntegrationError``, before any
+    stepping, when a segment would need more than 400,000 RK4 steps.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(np.isfinite(lams)):
@@ -190,20 +248,18 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
     K = lams.size
     lam_mag = float(np.max(np.abs(lams))) if K else 0.0
 
+    edges, consts = _segments(p, L)
+    steps = [None if const is not None else _rk4_steps(p, t0, t1, lam_mag, accuracy)
+             for t0, t1, const in zip(edges, edges[1:], consts)]
+
     Y = np.zeros((4, K))
     Y[0] = 1.0
     Y[3] = 1.0
-
-    edges = _segment_edges(p, L)
-    for t0, t1 in zip(edges, edges[1:]):
-        span = t1 - t0
-        a_probe = p.eval(np.linspace(t0, t1, 33))
-        qmax = float(np.max(np.abs(a_probe))) + lam_mag
-        omega = math.sqrt(max(qmax, 1.0))
-        # global RK4 error ~ span * h^4 * omega^5 / 120
-        h_target = (120.0 * accuracy / (span * omega ** 5)) ** 0.25
-        n = max(8, min(int(math.ceil(span / h_target)), 400_000))
-        h = span / n
+    for t0, t1, const, n in zip(edges, edges[1:], consts, steps):
+        if const is not None:
+            Y = _exact_step(Y, const + lams, t1 - t0)
+            continue
+        h = (t1 - t0) / n
         ts_nodes = t0 + h * np.arange(n + 1)
         # the closing node sits on the breakpoint; evaluate just left of it
         # so the next piece's value never enters this segment's steps
@@ -223,6 +279,22 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
             Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return Y
+
+
+def _rk4_steps(p: Potential, t0: float, t1: float, lam_mag: float, accuracy: float) -> int:
+    """RK4 steps that give ``accuracy`` on one scan segment; refuses more than the cap."""
+    span = t1 - t0
+    qmax = float(np.max(np.abs(p.eval(np.linspace(t0, t1, 33))))) + lam_mag
+    omega = math.sqrt(max(qmax, 1.0))
+    # global RK4 error ~ span * h^4 * omega^5 / 120, solved for span / h
+    # without forming omega^5, which overflows for large lambda
+    n = math.ceil(span * omega ** 1.25 / (120.0 * accuracy / span) ** 0.25)
+    if n > _SCAN_MAX_STEPS:
+        raise IntegrationError(
+            f"scan segment [{t0}, {t1}] needs {n:.3g} RK4 steps at |lambda| up to "
+            f"{lam_mag:g} and accuracy {accuracy:g}, over the cap of {_SCAN_MAX_STEPS}",
+            t=float(t0))
+    return max(8, n)
 
 
 def _rhs_batch(q: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -153,6 +153,14 @@ def test_sweep_csv(capsys, tmp_path):
     assert d0 == pytest.approx(2.0 * math.cosh(2.0), abs=1e-5)
 
 
+def test_sweep_beyond_scan_cap_exit_code(capsys):
+    # the cosine would need billions of RK4 steps at lambda = 1e12
+    assert main(["sweep", "--potential", "ex3", "--range", "0", "1e12", "--points", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RK4 steps" in captured.err
+
+
 def test_examples_single(capsys):
     rc, out = run(capsys, "examples", "--which", "1")
     assert rc == 0

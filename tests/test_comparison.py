@@ -180,9 +180,10 @@ def test_bound2_reflected_value(zero1):
 
 
 def test_dominance_slack_scales_with_kernel():
-    # kernels up to |G_N| ~ 37: bound2_p/bound2_n touch equality at a point
-    # and integrate to margins of about -1.2e-9 there, a rounding-level
-    # shortfall that the slack tol * max(1, max |kernel|) must absorb
+    # kernels up to |G_N| ~ 37: bound2_p/bound2_n touch equality at a point,
+    # so their true margin is 0 and the computed one a rounding-level
+    # shortfall (about -1.4e-13) that the slack tol * max(1, max |kernel|)
+    # must absorb
     p = Potential.piecewise_constant(
         [0, 0.6019185719374425, 0.9736261699230871, 1.5733157079205473,
          2.3854147395831466],
@@ -193,9 +194,10 @@ def test_dominance_slack_scales_with_kernel():
         rep = verify_dominance(p, lam, rel, n=60)
         assert rep["pass"], rep
         assert rep["tol"] == 1e-9
-        # the slack still scales a finite tolerance: at 1e-12 the same
-        # margins are real shortfalls
-        assert not verify_dominance(p, lam, rel, n=60, tol=1e-12)["pass"]
+        assert verify_dominance(p, lam, rel, n=60, tol=1e-12)["pass"]
+        # the slack still scales a finite tolerance: at 1e-16 (slack about
+        # 4e-15) the same margins are real shortfalls
+        assert not verify_dominance(p, lam, rel, n=60, tol=1e-16)["pass"]
 
 
 # -- solution comparisons ------------------------------------------------

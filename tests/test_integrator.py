@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hillgreen.integrator as integrator
 from hillgreen import (
     Potential,
     discriminant,
     endpoint_scan,
     fundamental_solutions,
 )
-from hillgreen.errors import DomainError
+from hillgreen.errors import DomainError, IntegrationError
 
 from helpers import rk4_reference
 
@@ -35,7 +36,7 @@ def test_zero_potential_closed_form(zero1, lam):
     basis = fundamental_solutions(zero1, lam)
     expect = closed_form_state(lam, 1.0)
     got = (basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end)
-    assert np.allclose(got, expect, rtol=0, atol=1e-10)
+    assert np.allclose(got, expect, rtol=0, atol=1e-13)
 
 
 def test_trajectory_matches_closed_form(zero1):
@@ -43,7 +44,103 @@ def test_trajectory_matches_closed_form(zero1):
     ts = np.linspace(0.0, 1.0, 17)
     got = basis.trajectory(ts)
     want = np.array([closed_form_state(4.0, t) for t in ts]).T
-    assert np.allclose(got, want, atol=1e-10)
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+# q = a + lam is 3, 0 and -2 on the three pieces at lam = 2
+STEP3 = Potential.piecewise_constant([0.0, 0.4, 1.1, 1.5], [1.0, -2.0, -4.0])
+
+
+def step_transfer(q, h):
+    """Transfer matrix of u'' + q u = 0 over a step h, from (u, u') to (u, u')."""
+    if q > 0:
+        m = math.sqrt(q)
+        return np.array([[math.cos(m * h), math.sin(m * h) / m],
+                         [-m * math.sin(m * h), math.cos(m * h)]])
+    if q < 0:
+        m = math.sqrt(-q)
+        return np.array([[math.cosh(m * h), math.sinh(m * h) / m],
+                         [m * math.sinh(m * h), math.cosh(m * h)]])
+    return np.array([[1.0, h], [0.0, 1.0]])
+
+
+def step_state(p, lam, t):
+    """(y1, y1', y2, y2') at t for a piecewise-constant p, as a product of transfers."""
+    M = np.eye(2)
+    for a, b, piece in p.pieces:
+        if a >= t:
+            break
+        M = step_transfer(piece.value + lam, min(b, t) - a) @ M
+    return np.array([M[0, 0], M[1, 0], M[0, 1], M[1, 1]])
+
+
+def test_step_potential_closed_form():
+    lam = 2.0
+    basis = fundamental_solutions(STEP3, lam)
+    want = step_state(STEP3, lam, 1.5)
+    got = np.array([basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    ts = np.linspace(0.0, 1.5, 31)
+    got = basis.trajectory(ts)
+    want = np.array([step_state(STEP3, lam, t) for t in ts]).T
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # q = 0 exactly on the whole interval: y2(t) = t
+    flat = fundamental_solutions(Potential.constant(-2.0, 1.0), 2.0)
+    assert np.array_equal(flat.trajectory(ts[:11]),
+                          np.array([np.ones(11), np.zeros(11), ts[:11], np.ones(11)]))
+
+
+def test_trajectory_at_breakpoint_is_left_endpoint_state():
+    lam = 0.6
+    basis = fundamental_solutions(STEP3, lam)
+    for b in (0.4, 1.1):
+        left = fundamental_solutions(STEP3, lam, length=b)
+        want = [left.y1_end, left.y1p_end, left.y2_end, left.y2p_end]
+        assert np.array_equal(basis.trajectory(b), want)
+
+
+def test_endpoint_scan_exact_on_steps():
+    lams = np.linspace(-3.0, 40.0, 12)
+    scan = endpoint_scan(STEP3, lams, accuracy=1e-9)
+    for j, lam in enumerate(lams):
+        basis = fundamental_solutions(STEP3, float(lam))
+        exact = np.array([basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end])
+        assert np.max(np.abs(scan[:, j] - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
+    assert np.array_equal(endpoint_scan(STEP3, lams, accuracy=1e-4), scan)
+
+
+def test_mixed_pieces_against_fixed_step_reference(monkeypatch):
+    # a constant piece, a cosine piece and a mirrored constant piece: only
+    # the cosine goes through the adaptive integrator
+    p = Potential.from_descriptor({"T": 2.0, "pieces": [
+        {"from": 0.0, "to": 0.7, "kind": "const", "value": -0.8},
+        {"from": 0.7, "to": 1.6, "kind": "cos", "c0": 0.2, "c1": 1.3, "omega": 2.0, "phi": 0.4},
+        {"from": 1.6, "to": 2.0, "kind": "mirror", "center": 1.0,
+         "of": {"kind": "const", "value": 1.7}},
+    ]})
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    solve_ivp = integrator.solve_ivp
+    monkeypatch.setattr(integrator, "solve_ivp", counting)
+    for lam in (-1.5, 0.9, 6.0):
+        basis = fundamental_solutions(p, lam, tol=1e-12)
+        got = np.array([basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end])
+        assert np.max(np.abs(got - rk4_reference(p, lam, 2.0))) < 1e-8
+    assert calls == [(0.7, 1.6)] * 3
+
+
+def test_endpoint_scan_refuses_too_many_steps():
+    with pytest.raises(IntegrationError, match="RK4 steps"):
+        endpoint_scan(Potential.cosine(math.pi), [1e12], accuracy=1e-9)
+    with pytest.raises(IntegrationError, match="RK4 steps"):
+        endpoint_scan(Potential.cosine(math.pi), [1e300])
+    # constant pieces are exact at any lambda
+    out = endpoint_scan(STEP3, [1e12], accuracy=1e-9)
+    assert np.all(np.isfinite(out))
 
 
 def test_trajectory_rejects_outside_domain(zero1):

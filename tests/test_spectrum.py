@@ -148,6 +148,35 @@ def test_pw2_narrow_periodic_gaps_are_simple(pw2):
     assert np.allclose(spec.values(), want, rtol=0, atol=1e-8)
 
 
+def _step_discriminant(breaks, values, lam):
+    """Closed-form Delta of a piecewise-constant potential where every a + lam > 0."""
+    M = np.eye(2)
+    for a, b, v in zip(breaks, breaks[1:], values):
+        m, h = math.sqrt(v + lam), b - a
+        M = np.array([[math.cos(m * h), math.sin(m * h) / m],
+                      [-m * math.sin(m * h), math.cos(m * h)]]) @ M
+    return M[0, 0] + M[1, 1]
+
+
+def test_direct_band_edges_of_step_potential():
+    # not even about the midpoint, so "direct" refines these edges on Delta
+    # itself; they are as exact as the computed Delta
+    breaks = [0.0, 0.6584420476515395, 1.3889613659407485]
+    values = [-2.2174632234891436, 2.4956688703858863]
+    spec = find_eigenvalues(Potential.piecewise_constant(breaks, values), "P",
+                            search_range=(70.0, 90.0), method="direct")
+
+    def excess(lam):
+        return _step_discriminant(breaks, values, lam) - 2.0
+
+    grid = np.linspace(70.0, 90.0, 2001)
+    signs = np.sign([excess(x) for x in grid])
+    want = [brentq(excess, a, b, xtol=1e-14)
+            for a, b, sa, sb in zip(grid, grid[1:], signs, signs[1:]) if sa != sb]
+    assert len(want) == 2
+    assert np.allclose(spec.values(), want, rtol=0, atol=1e-10)
+
+
 @settings(max_examples=6, deadline=None)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
        st.floats(0.5, 2.0))
