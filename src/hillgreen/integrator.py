@@ -5,13 +5,20 @@ Two solution bases drive everything downstream: an accurate integration
 vectorized sweep over many lambda values at once for locating eigenvalue
 brackets cheaply.
 
-Both work piecewise: every segment between potential breakpoints is
-smooth, so discontinuities never land inside a step. A segment inside a
-constant piece (directly or through mirror wrappers) takes one exact
-transfer step, with cos/sin of sqrt(q) h, cosh/sinh for q < 0 and (1, h)
-for q = 0, in both routes. Other segments use adaptive Dormand-Prince
-8(5,3) (``solve_ivp``, method DOP853) for the single-lambda basis and
-fixed-step RK4 for the sweep.
+Both work piecewise: segments end at the potential's breakpoints and at
+the nodes of its table pieces, so no step straddles a jump of a or of a'.
+A segment inside a constant piece (directly or through mirror wrappers)
+takes one exact transfer step, with cos/sin of sqrt(q) h, cosh/sinh for
+q < 0 and (1, h) for q = 0, in both routes. Other segments use adaptive
+Dormand-Prince 8(5,3) (``solve_ivp``, method DOP853) for the single-lambda
+basis. The sweep takes equal 4th-order Magnus steps there (two-point
+Gauss; Iserles & Norsett 1999, Blanes, Casas, Oteo & Ros 2009): with a1,
+a2 the potential at a step's Gauss nodes, the step is exp(Omega) with
+Omega = [[d, h], [-h qbar, -d]], qbar = (a1 + a2)/2 + lambda and
+d = sqrt(3) h^2 (a2 - a1)/12, and the exact step is the same formula with
+d = 0. The step count per segment comes from a Richardson estimate (n
+against 2n steps at a few probe lambdas), and the steps of a block of
+lambdas are multiplied out pairwise as a tree.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError
-from .potential import ConstPiece, MirrorPiece, Potential
+from .potential import ConstPiece, MirrorPiece, Potential, TablePiece
 
 __all__ = [
     "TOL_MIN",
@@ -42,8 +49,16 @@ TOL_MIN = 1e-14
 TOL_MAX = 1e-4
 DEFAULT_TOL = 1e-10
 
-# RK4 steps per segment beyond which endpoint_scan refuses the batch
-_SCAN_MAX_STEPS = 400_000
+# Magnus steps per segment beyond which endpoint_scan refuses the batch
+_MAX_STEPS = 1 << 16
+# cells (steps x lambdas) per block of Magnus steps, and lambdas per block:
+# smaller blocks pay more numpy calls, larger ones fall out of cache
+_BLOCK = 16384
+_LAMBDA_BLOCK = 4096
+# probe lambdas spread over the batch for the step-count estimate
+_PROBES = 7
+# the two Gauss nodes of a step sit at its midpoint -+ h * _GAUSS
+_GAUSS = math.sqrt(3.0) / 6.0
 
 
 def _check_tol(tol: float) -> float:
@@ -53,48 +68,168 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _unwrap(piece):
+    """The piece under any ``MirrorPiece`` wrappers, and their centers, outermost first."""
+    centers = []
+    while isinstance(piece, MirrorPiece):
+        centers.append(piece.center)
+        piece = piece.base
+    return piece, centers
+
+
 def _segments(p: Potential, length: float):
     """Edges of the smooth segments of [0, length], and each segment's constant.
 
-    The constant is a + shift on a segment inside a ``ConstPiece`` (seen
-    through any ``MirrorPiece`` wrappers) and None on any other segment.
+    Edges are the breakpoints and the nodes of every table piece (seen
+    through any ``MirrorPiece`` wrappers), where a linear table's first
+    derivative and a PCHIP table's second derivative jump. The constant is
+    a + shift on a segment inside a ``ConstPiece`` and None on any other
+    segment.
     """
-    inner = [b for b in p.breakpoints if 1e-14 < b < length * (1 - 1e-14)]
+    slack = 1e-12 * (1.0 + length)
+    cuts = set(p.breakpoints.tolist())
+    for a, b, piece in p.pieces:
+        base, centers = _unwrap(piece)
+        if isinstance(base, TablePiece):
+            xs = np.asarray(base.xs, dtype=float)
+            for c in reversed(centers):
+                xs = 2.0 * c - xs
+            cuts.update(x for x in xs.tolist() if a + slack < x < b - slack)
+    inner = sorted(b for b in cuts if 1e-14 < b < length * (1 - 1e-14))
     edges = np.array([0.0, *inner, length])
     consts = []
     for t0, t1 in zip(edges, edges[1:]):
         mid = 0.5 * (t0 + t1)
-        piece = next(pc for a, b, pc in p.pieces if a <= mid < b)
-        while isinstance(piece, MirrorPiece):
-            piece = piece.base
-        consts.append(piece.value + p.shift if isinstance(piece, ConstPiece) else None)
+        base, _ = _unwrap(next(pc for a, b, pc in p.pieces if a <= mid < b))
+        consts.append(base.value + p.shift if isinstance(base, ConstPiece) else None)
     return edges, consts
+
+
+def _cos_sinc(w2):
+    """C = cos(w) and S = sin(w) / w for w^2 = w2, elementwise; cosh and sinh for w2 < 0.
+
+    exp(Omega) = C I + S Omega for a traceless 2x2 Omega with Omega^2 = -w2 I.
+    w2 = 0 gives (1, 1). Each branch runs only where it applies: cosh of a
+    large argument overflows.
+    """
+    w2 = np.asarray(w2, dtype=float)
+    osc = w2 > 0
+    if osc.all():
+        return _oscillating(w2)
+    c = np.ones(w2.shape)
+    s = np.ones(w2.shape)
+    grow = w2 < 0
+    c[osc], s[osc] = _oscillating(w2[osc])
+    c[grow], s[grow] = _growing(w2[grow])
+    return c, s
+
+
+def _oscillating(w2):
+    # from t = tan(w / 2): cos w = (1 - t^2) / (1 + t^2), sin w = 2 t / (1 + t^2);
+    # numpy's tan is several times faster than its cos and sin together
+    half = 0.5 * np.sqrt(w2)
+    t = np.tan(half)
+    u = 1.0 / (1.0 + t * t)
+    return (1.0 - t * t) * u, t * u / half
+
+
+def _growing(w2):
+    w = np.sqrt(-w2)
+    return np.cosh(w), np.sinh(w) / w
 
 
 def _exact_step(y, q, h):
     """State (y1, y1', y2, y2') carried by h across a constant piece u'' + q u = 0.
 
     q and h broadcast against the entries of y: a batch of lambdas takes one
-    step of a common h, and dense output takes many h from one state.
+    step of a common h, and dense output takes many h from one state. It is
+    the Magnus step of a constant potential: d = 0 and one step of length h.
     """
     q, h = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(h, dtype=float))
-    c = np.ones(q.shape)
-    s = h.copy()
-    # each branch only where it applies: cosh of a large argument overflows
-    pos, neg = q > 0, q < 0
-    w = np.sqrt(q[pos])
-    c[pos] = np.cos(w * h[pos])
-    s[pos] = np.sin(w * h[pos]) / w
-    w = np.sqrt(-q[neg])
-    c[neg] = np.cosh(w * h[neg])
-    s[neg] = np.sinh(w * h[neg]) / w
-    qs = q * s
-    return np.stack([c * y[0] + s * y[1], c * y[1] - qs * y[0],
-                     c * y[2] + s * y[3], c * y[3] - qs * y[2]])
+    c, s = _cos_sinc(q * h * h)
+    s = s * h
+    return _apply((c, s, -q * s, c), y)
 
 
 def _exact_dense(y0, q, t0, t):
     return _exact_step(y0, q, np.asarray(t, dtype=float) - t0)
+
+
+def _apply(m, y):
+    """Transfer matrices m = (m00, m01, m10, m11) applied to states (y1, y1', y2, y2')."""
+    return np.stack([m[0] * y[0] + m[1] * y[1], m[2] * y[0] + m[3] * y[1],
+                     m[0] * y[2] + m[1] * y[3], m[2] * y[2] + m[3] * y[3]])
+
+
+def _matmul(a, b):
+    """Entrywise 2x2 products a @ b of matrices held as (m00, m01, m10, m11)."""
+    out = []
+    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
+        r = a[i] * b[j]
+        r += a[i + 1] * b[j + 2]
+        out.append(r)
+    return tuple(out)
+
+
+def _magnus_nodes(p: Potential, t0: float, t1: float, n: int):
+    """The lambda-free part of n Magnus-4 steps on [t0, t1]: (abar, d, h).
+
+    With a1, a2 the potential at the two Gauss nodes of a step, abar is
+    (a1 + a2) / 2 and d = sqrt(3) h^2 (a2 - a1) / 12, the diagonal of the
+    commutator term, in which lambda cancels.
+    """
+    h = (t1 - t0) / n
+    mid = t0 + h * (np.arange(n) + 0.5)
+    a = p.eval(np.concatenate([mid - _GAUSS * h, mid + _GAUSS * h]))
+    a1, a2 = a[:n], a[n:]
+    return 0.5 * (a1 + a2), (math.sqrt(3.0) / 12.0) * h * h * (a2 - a1), h
+
+
+def _magnus_steps(abar, d, h, lams):
+    """Step matrices exp(Omega), Omega = [[d, h], [-h qbar, -d]], qbar = abar + lambda.
+
+    Entries have shape (steps, lambdas).
+    """
+    d = d[:, None]
+    q = abar[:, None] + lams
+    w2 = q * (h * h)
+    w2 -= d * d
+    c, s = _cos_sinc(w2)
+    sd = s * d
+    s *= h
+    q *= s
+    np.negative(q, out=q)
+    return (c + sd, s, q, c - sd)
+
+
+def _tree_product(m):
+    """Ordered product m[-1] @ ... @ m[0] along the step axis, by pairwise halving."""
+    while m[0].shape[0] > 1:
+        rows = m[0].shape[0]
+        pairs = _matmul([x[1::2] for x in m], [x[0:rows - 1:2] for x in m])
+        m = pairs if rows % 2 == 0 else tuple(
+            np.concatenate([x, y[-1:]]) for x, y in zip(pairs, m))
+    return tuple(x[0] for x in m)
+
+
+def _magnus_transfer(abar, d, h, lams):
+    """Transfer matrix of all the steps for every lambda, rows (m00, m01, m10, m11).
+
+    Blocks of at most ``_BLOCK`` (step, lambda) cells are built at once and
+    tree-reduced to one matrix per lambda.
+    """
+    n, K = abar.size, lams.size
+    kb = max(1, min(K, _LAMBDA_BLOCK))
+    sb = 1 << max(0, (_BLOCK // kb).bit_length() - 1)
+    out = np.empty((4, K))
+    for k0 in range(0, K, kb):
+        lam = lams[k0:k0 + kb]
+        total = None
+        for s0 in range(0, n, sb):
+            block = _tree_product(_magnus_steps(abar[s0:s0 + sb], d[s0:s0 + sb], h, lam))
+            total = block if total is None else _matmul(block, total)
+        out[:, k0:k0 + kb] = total
+    return out
 
 
 @dataclass(eq=False)
@@ -230,13 +365,22 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
                   accuracy: float = 1e-7) -> np.ndarray:
     """Endpoint states for a whole batch of lambda values in one sweep.
 
-    Returns shape (4, K): rows y1(L), y1'(L), y2(L), y2'(L) per lambda.
-    A segment inside a constant piece takes one exact step for the whole
-    batch, whatever ``accuracy``. Other segments take fixed-step RK4 with
-    the step chosen from the stiffest lambda in the batch, so accuracy is
-    approximate there; use the scan to bracket roots, then refine with
-    ``fundamental_solutions``. Raises ``IntegrationError``, before any
-    stepping, when a segment would need more than 400,000 RK4 steps.
+    Returns shape (4, K): rows y1(L), y1'(L), y2(L), y2'(L) per lambda,
+    each column within ``accuracy`` * max(1, |Y|). A segment inside a
+    constant piece takes one exact step for the whole batch, whatever
+    ``accuracy``. Every other segment takes n equal Magnus-4 steps, the
+    same n for every lambda, chosen from an error estimate: n and 2n steps
+    are compared at a few probe lambdas (the batch's extremes and
+    quantiles, and the turning values -a) until they agree within the
+    segment's share of ``accuracy``, and n is then trimmed by the n^-4 law.
+    The shares split ``accuracy`` over the segments and divide it by
+    omega = sqrt(max(1, max|a| + max|lambda|)): an error in the phase of
+    an oscillation reaches y1'(L) multiplied by omega.
+
+    Raises ``IntegrationError``, before any stepping of the batch, when it
+    cannot certify ``accuracy``: when a segment would need more than 2**16
+    steps, or when float64 rounding of the phase alone,
+    10 eps (n + omega * segment length), exceeds ``accuracy``.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(np.isfinite(lams)):
@@ -245,62 +389,74 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
     if not 0.0 < L <= p.domain_length * (1 + 1e-12):
         raise ValueError(f"scan length {L} not within the potential domain")
     L = min(L, p.domain_length)
-    K = lams.size
-    lam_mag = float(np.max(np.abs(lams))) if K else 0.0
 
     edges, consts = _segments(p, L)
-    steps = [None if const is not None else _rk4_steps(p, t0, t1, lam_mag, accuracy)
-             for t0, t1, const in zip(edges, edges[1:], consts)]
+    smooth = [(t0, t1) for t0, t1, const in zip(edges, edges[1:], consts) if const is None]
+    grids = {}
+    if smooth and lams.size:
+        amin, amax = p.sample_bound()
+        omega = math.sqrt(max(1.0, max(-amin, amax) + float(np.max(np.abs(lams)))))
+        probes = np.unique(np.concatenate([
+            np.quantile(lams, np.linspace(0.0, 1.0, _PROBES)),
+            np.clip([-amax, -0.5 * (amin + amax), -amin], lams.min(), lams.max())]))
+        # half of accuracy, split over the segments: the n-against-2n difference
+        # can miss the true error by about 2 where constant pieces follow
+        share = accuracy / (2.0 * omega * len(smooth))
+        for t0, t1 in smooth:
+            grids[t0] = _magnus_grid(p, t0, t1, probes, share, omega, accuracy)
 
-    Y = np.zeros((4, K))
+    Y = np.zeros((4, lams.size))
     Y[0] = 1.0
     Y[3] = 1.0
-    for t0, t1, const, n in zip(edges, edges[1:], consts, steps):
+    for t0, t1, const in zip(edges, edges[1:], consts):
         if const is not None:
             Y = _exact_step(Y, const + lams, t1 - t0)
-            continue
-        h = (t1 - t0) / n
-        ts_nodes = t0 + h * np.arange(n + 1)
-        # the closing node sits on the breakpoint; evaluate just left of it
-        # so the next piece's value never enters this segment's steps
-        ts_nodes[-1] = t1 - 1e-12 * (1.0 + L)
-        a_nodes = p.eval(ts_nodes)
-        a_half = p.eval(t0 + h * (np.arange(n) + 0.5))
-
-        for i in range(n):
-            q0 = a_nodes[i] + lams
-            qh = a_half[i] + lams
-            q1 = a_nodes[i + 1] + lams
-
-            k1 = _rhs_batch(q0, Y)
-            k2 = _rhs_batch(qh, Y + 0.5 * h * k1)
-            k3 = _rhs_batch(qh, Y + 0.5 * h * k2)
-            k4 = _rhs_batch(q1, Y + h * k3)
-            Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+        else:
+            Y = _apply(_magnus_transfer(*grids[t0], lams), Y)
     return Y
 
 
-def _rk4_steps(p: Potential, t0: float, t1: float, lam_mag: float, accuracy: float) -> int:
-    """RK4 steps that give ``accuracy`` on one scan segment; refuses more than the cap."""
-    span = t1 - t0
-    qmax = float(np.max(np.abs(p.eval(np.linspace(t0, t1, 33))))) + lam_mag
-    omega = math.sqrt(max(qmax, 1.0))
-    # global RK4 error ~ span * h^4 * omega^5 / 120, solved for span / h
-    # without forming omega^5, which overflows for large lambda
-    n = math.ceil(span * omega ** 1.25 / (120.0 * accuracy / span) ** 0.25)
-    if n > _SCAN_MAX_STEPS:
-        raise IntegrationError(
-            f"scan segment [{t0}, {t1}] needs {n:.3g} RK4 steps at |lambda| up to "
-            f"{lam_mag:g} and accuracy {accuracy:g}, over the cap of {_SCAN_MAX_STEPS}",
-            t=float(t0))
-    return max(8, n)
+def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, share: float,
+                 omega: float, accuracy: float):
+    """Magnus steps for [t0, t1] whose estimated error is within ``share``.
 
+    Doubles n from 8 until n and 2n steps agree within ``share`` at every
+    probe, in the energy scaling (u, u'/w) with w = sqrt(max(1, |a + lambda|)),
+    where the error of an oscillation is flat in lambda. A level counts once
+    the error is visibly in its fourth-order regime: the level before it
+    also met ``share``, or missed it by at least 8 times.
+    """
+    a_mid = float(np.mean(p.eval(np.linspace(t0, t1, 9))))
+    w = np.sqrt(np.maximum(1.0, np.abs(probes + a_mid)))
 
-def _rhs_batch(q: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(Y)
-    out[0] = Y[1]
-    out[1] = -q * Y[0]
-    out[2] = Y[3]
-    out[3] = -q * Y[2]
-    return out
+    def scaled(grid):
+        m = _magnus_transfer(*grid, probes)
+        return np.stack([m[0], m[1] * w, m[2] / w, m[3]])
+
+    n = 8
+    coarse = _magnus_nodes(p, t0, t1, n)
+    at_coarse = None
+    before = math.nan
+    while True:
+        floor = 10.0 * np.finfo(float).eps * (n + omega * (t1 - t0))
+        if floor > accuracy:
+            raise IntegrationError(
+                f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g}: "
+                f"float64 rounding of the phase (omega = {omega:.3g}) alone is about "
+                f"{floor:.1e}, beyond any number of Magnus or RK4 steps", t=float(t0))
+        if 2 * n > _MAX_STEPS:
+            raise IntegrationError(
+                f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g} "
+                f"within {_MAX_STEPS} Magnus steps (estimated error {before:.1e} at "
+                f"{n // 2} steps)", t=float(t0))
+        if at_coarse is None:
+            at_coarse = scaled(coarse)
+        fine = _magnus_nodes(p, t0, t1, 2 * n)
+        at_fine = scaled(fine)
+        err = float(np.max(np.max(np.abs(at_coarse - at_fine), axis=0)
+                           / np.maximum(1.0, np.max(np.abs(at_fine), axis=0))))
+        if err <= share and (before <= share or before >= 8.0 * err):
+            # the error falls as n^-4: trim n to what the estimate asks for
+            trimmed = max(n // 2, math.ceil(n * (err / share) ** 0.25))
+            return coarse if trimmed == n else _magnus_nodes(p, t0, t1, trimmed)
+        n, coarse, at_coarse, before = 2 * n, fine, at_fine, err

@@ -10,6 +10,7 @@ from hillgreen import (
     discriminant,
     endpoint_scan,
     fundamental_solutions,
+    load_builtin,
 )
 from hillgreen.errors import DomainError, IntegrationError
 
@@ -134,13 +135,99 @@ def test_mixed_pieces_against_fixed_step_reference(monkeypatch):
 
 
 def test_endpoint_scan_refuses_too_many_steps():
-    with pytest.raises(IntegrationError, match="RK4 steps"):
+    with pytest.raises(IntegrationError, match="cannot certify accuracy"):
         endpoint_scan(Potential.cosine(math.pi), [1e12], accuracy=1e-9)
-    with pytest.raises(IntegrationError, match="RK4 steps"):
+    with pytest.raises(IntegrationError, match="cannot certify accuracy"):
         endpoint_scan(Potential.cosine(math.pi), [1e300])
     # constant pieces are exact at any lambda
     out = endpoint_scan(STEP3, [1e12], accuracy=1e-9)
     assert np.all(np.isfinite(out))
+
+
+# a constant piece, a cosine piece and a mirrored constant piece
+MIXED = Potential.from_descriptor({"T": 2.0, "pieces": [
+    {"from": 0.0, "to": 0.7, "kind": "const", "value": -0.8},
+    {"from": 0.7, "to": 1.6, "kind": "cos", "c0": 0.2, "c1": 1.3, "omega": 2.0, "phi": 0.4},
+    {"from": 1.6, "to": 2.0, "kind": "mirror", "center": 1.0,
+     "of": {"kind": "const", "value": 1.7}},
+]})
+
+
+def table_potential(order):
+    return Potential.from_descriptor({"T": 2.0, "pieces": [
+        {"from": 0.0, "to": 2.0, "kind": "table", "x": np.linspace(0.0, 2.0, 6).tolist(),
+         "y": [0.0, 3.0, -2.0, 4.0, 0.5, 1.0], "order": order}]})
+
+
+def endpoint_states(p, lams, tol):
+    cols = [fundamental_solutions(p, float(lam), tol=tol) for lam in lams]
+    return np.array([[b.y1_end, b.y1p_end, b.y2_end, b.y2p_end] for b in cols]).T
+
+
+def scan_error(p, lams, accuracy, tol):
+    """Worst error of the scan over lambdas, in units of accuracy * max(1, |Y|)."""
+    want = endpoint_states(p, lams, tol)
+    got = endpoint_scan(p, lams, accuracy=accuracy)
+    scale = accuracy * np.maximum(1.0, np.max(np.abs(want), axis=0))
+    return float(np.max(np.max(np.abs(got - want), axis=0) / scale))
+
+
+@pytest.mark.parametrize("accuracy", [1e-6, 1e-9])
+@pytest.mark.parametrize("order", [1, 3])
+def test_endpoint_scan_splits_at_table_nodes(order, accuracy):
+    # the table is not smooth at its nodes: steps must not straddle them
+    p = table_potential(order)
+    ext = p.even_extension()
+    lams = np.array([-2.0, 0.0, 3.0, 17.0, 60.0, 400.0])
+    # one batch, and each lambda alone: a batch's step count follows its
+    # largest lambda
+    for batch in (lams, *lams[:, None]):
+        assert scan_error(p, batch, accuracy, 1e-14) <= 1.0
+        assert scan_error(ext, batch, accuracy, 1e-14) <= 1.0
+    # the mirrored half has its nodes at 4 - x
+    nodes = np.linspace(0.0, 2.0, 6)
+    edges = integrator._segments(ext, 4.0)[0]
+    assert np.allclose(edges, np.union1d(nodes, 4.0 - nodes), rtol=0, atol=1e-12)
+
+
+def neumann_root_near(p, lam):
+    """A root of y1'(L) above lam, interpolated on 400 points over one root spacing."""
+    grid = np.linspace(lam, lam + 2.0 * math.pi * math.sqrt(lam) / p.domain_length, 400)
+    y1p = endpoint_scan(p, grid, accuracy=1e-9)[1]
+    k = int(np.flatnonzero(np.sign(y1p[:-1]) != np.sign(y1p[1:]))[0])
+    return grid[k] + (grid[k + 1] - grid[k]) * y1p[k] / (y1p[k] - y1p[k + 1])
+
+
+@pytest.mark.parametrize("accuracy", [1e-6, 1e-9])
+@pytest.mark.parametrize("name", ["ex3", "ex4", "mixed"])
+def test_endpoint_scan_meets_accuracy(name, accuracy):
+    p = MIXED if name == "mixed" else load_builtin(name).even_extension()
+    lams = np.concatenate([np.linspace(-2.0, 20.0, 12), [100.0, 1e3, 1e4]])
+    # where y1'(L) = 0, |Y| is about 1 while y1' carries omega times the
+    # phase error: the hardest place for the relative bound
+    lams = np.append(lams, neumann_root_near(p, 9e3))
+    assert scan_error(p, lams, accuracy, 1e-13) <= 1.0
+
+
+def test_endpoint_scan_work_flat_in_lambda(monkeypatch):
+    # Magnus-4 error is flat in lambda and n grows only through the omega in
+    # the accuracy share, as omega^(1/4): a scan up to 1e4 evaluates the
+    # potential at most twice as often as one up to 20 (RK4: about 47 times)
+    p = load_builtin("ex3").even_extension()
+    points = []
+    plain = Potential.eval
+
+    def counting(self, t):
+        points.append(np.size(t))
+        return plain(self, t)
+
+    monkeypatch.setattr(Potential, "eval", counting)
+    work = []
+    for hi in (20.0, 1e4):
+        points.clear()
+        endpoint_scan(p, np.linspace(0.0, hi, 201), accuracy=1e-9)
+        work.append(sum(points))
+    assert work[1] <= 2 * work[0]
 
 
 def test_trajectory_rejects_outside_domain(zero1):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from hillgreen import (
@@ -291,6 +292,47 @@ def test_stability_intervals_pw2_narrow_gap(pw2):
     gaps = [iv for iv, kind in bands if kind == "unstable"]
     assert any(iv == pytest.approx((2.41715, 2.41816), abs=1e-5) for iv in gaps)
     assert all(b > a for a, b in gaps)
+
+
+def step_discriminant(pieces, lam):
+    """Trace of the closed-form transfer matrix of constant pieces (value, width)."""
+    M = np.eye(2)
+    for a, h in pieces:
+        w = math.sqrt(a + lam)
+        M = np.array([[math.cos(w * h), math.sin(w * h) / w],
+                      [-w * math.sin(w * h), math.cos(w * h)]]) @ M
+    return M[0, 0] + M[1, 1]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "MERGE_RTOL (1e-7 relative) merges band edges closer than 1e-7 lambda: the "
+    "gap (199.809486, 199.809499) of ex2's extension reads as a double eigenvalue"))
+def test_stability_intervals_ex2_gap_near_200():
+    mid = 199.8094925
+    # the extension is 0 on [0, 1], 0.1 on [1, 3] and 0 on [3, 4]
+    assert step_discriminant([(0.0, 1.0), (0.1, 2.0), (0.0, 1.0)], mid) > 2.0 + 1e-13
+    bands = stability_intervals(load_builtin("ex2"), search_range=(199.5, 200.1))
+    assert any(kind == "unstable" and a < mid < b for (a, b), kind in bands), bands
+
+
+def cosine_excess(lam):
+    """Delta - 2 of 0.3 + 1.7 cos(1.9 t + 0.5) on [0, 2.3], by DOP853 at rtol 1e-13."""
+    def rhs(t, y):
+        q = 0.3 + 1.7 * math.cos(1.9 * t + 0.5) + lam
+        return [y[1], -q * y[0], y[3], -q * y[2]]
+    res = solve_ivp(rhs, (0.0, 2.3), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    return res.y[0, -1] + res.y[3, -1] - 2.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "band edges refined by Brent on the DOP853 discriminant of a smooth piece "
+    "are up to 6e-9 off at lambda near 120"))
+def test_direct_band_edges_on_smooth_piece():
+    p = Potential.cosine(2.3, c0=0.3, c1=1.7, omega=1.9, phi=0.5)
+    spec = find_eigenvalues(p, "P", search_range=(0.0, 120.0), method="direct")
+    for v in (v for v in spec.values() if v > 20.0):
+        assert abs(v - brentq(cosine_excess, v - 1e-4, v + 1e-4, xtol=1e-13)) <= 1e-10
 
 
 def test_dirichlet_zero_count(zero1):
