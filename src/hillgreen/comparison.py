@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisNotMet, ResonanceError
-from .greens import (BoundaryCondition, GreensFunction, _as_callable, build_green,
-                     solve_bvp, table_slice)
-from .integrator import DEFAULT_TOL
+from .greens import (BoundaryCondition, GreensFunction, _as_callable, _branch_matrices,
+                     _node_block, build_green, solve_bvp)
+from .integrator import DEFAULT_TOL, fundamental_solutions
 from .potential import Potential
 from .spectrum import find_eigenvalues
 
@@ -64,7 +64,7 @@ def classify_sign(G: GreensFunction, zero_tol: float = DEFAULT_ZERO_TOL) -> Sign
     mn = float(np.min(vals))
     mx = float(np.max(vals))
     zi, zj = np.nonzero(np.abs(vals) <= zero_tol)
-    zeros = tuple((float(G.grid[i]), float(G.grid[j])) for i, j in zip(zi, zj))
+    zeros = tuple(zip(G.grid[zi].tolist(), G.grid[zj].tolist()))
     if mn >= -zero_tol and mx > zero_tol:
         cls = "nonnegative_with_zeros" if zeros else "strictly_positive"
     elif mx <= zero_tol and mn < -zero_tol:
@@ -353,11 +353,16 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
         hyp_report = classify_sign(GN)
         _require_sign(hyp_report, "nonneg",
                       "base Neumann kernel is not {} at this lambda")
+        # the extension kernel at (2T - t, s), read from its factors on the
+        # 2n-piece grid without building the whole table
+        even = base.even_extension()
+        L2 = float(even.domain_length)
+        basis = fundamental_solutions(even, lam, L2, integrator_tol)
+        k_low, k_up, _ = _branch_matrices(
+            basis, BoundaryCondition.parse("P" if relation == "bound2_p" else "N"))
         idx = np.arange(n + 1)
-        G2 = build_green(base.even_extension(), lam,
-                         "P" if relation == "bound2_p" else "N", n=2 * n,
-                         tol=integrator_tol)
-        refl = table_slice(G2, 2 * n - idx, idx)
+        refl = _node_block(basis.trajectory(np.linspace(0.0, L2, 2 * n + 1)),
+                           k_low, k_up, 2 * n - idx, idx)
         vn = GN.combined()
         vo = base_vals("D" if relation == "bound2_p" else "M1")
         tables = (vn, vo, refl)

@@ -136,8 +136,11 @@ class KernelBranches:
     k_up: np.ndarray
 
     def _row_col(self, tpts, spts, deriv: bool):
-        Rt = self.basis.trajectory(np.atleast_1d(np.asarray(tpts, dtype=float)))
-        Rs = self.basis.trajectory(np.atleast_1d(np.asarray(spts, dtype=float)))
+        t = np.atleast_1d(np.asarray(tpts, dtype=float))
+        s = np.atleast_1d(np.asarray(spts, dtype=float))
+        Rt = self.basis.trajectory(t)
+        # the states at a point do not depend on the other points of the call
+        Rs = Rt if t.shape == s.shape and np.array_equal(t, s) else self.basis.trajectory(s)
         A = np.stack([Rt[1], Rt[3]]) if deriv else np.stack([Rt[0], Rt[2]])
         B = np.stack([-Rs[2], Rs[0]])
         return A, B
@@ -276,6 +279,21 @@ def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
     sub_up = G.upper[np.ix_(t_idx, s_idx)]
     mask = s_idx[None, :] <= t_idx[:, None]
     return np.where(mask, sub_low, sub_up)
+
+
+def _node_block(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray,
+                t_idx: np.ndarray, s_idx: np.ndarray) -> np.ndarray:
+    """Kernel values G(x[t_idx[i]], x[s_idx[j]]) straight from the rank-2 factors.
+
+    ``states`` is ``basis.trajectory(x)`` at the nodes x; only the rows and
+    columns the indices name are formed, and the branch is chosen per entry
+    by comparing node indices, as in ``table_slice``.
+    """
+    A = states[[0, 2]][:, t_idx]
+    B = np.stack([-states[2, s_idx], states[0, s_idx]])
+    out = A.T @ k_up @ B
+    np.copyto(out, A.T @ k_low @ B, where=s_idx[None, :] <= t_idx[:, None])
+    return out
 
 
 def _check_n(n: int) -> None:

@@ -4,12 +4,18 @@ Each identity relates a kernel on [0, T] to kernels of the even extension
 on [0, 2T] (one of them to the doubled extension on [0, 4T]).  Both sides
 are built independently, the left from that boundary condition's own
 construction and the right from extension kernels, so agreement is
-evidence rather than bookkeeping.
+evidence rather than bookkeeping: every kernel's coefficients come from its
+own condition on its own family's solution basis, and no term is folded
+into another.
 
 Evaluation is node exact: the base grid t_i = i T/n embeds into the 2T
 grid (2n pieces) and the 4T grid (4n pieces) with identical spacing, so a
 transformed argument such as 2T - t lands exactly on node 2n - i and no
-interpolation enters the residual.
+interpolation enters the residual.  A term is read straight from the
+kernel's rank-2 factors, G(t, s) = row(t) . K . col(s): the solution states
+at the family's grid nodes (the same ``np.linspace`` nodes as
+``build_green``) give row and col, and only the node block the term reads
+is formed, so no full kernel table is built.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceError
-from .greens import BoundaryCondition, build_green, table_slice
-from .integrator import DEFAULT_TOL
+from .greens import BoundaryCondition, _branch_matrices, _check_n, _node_block
+from .integrator import DEFAULT_TOL, fundamental_solutions
 from .potential import Potential
 
 __all__ = [
@@ -231,9 +237,14 @@ class IdentityReport:
 
 
 class _KernelCache:
-    """Builds each (family, bc) kernel once for a fixed (p, lambda, n).
+    """Rank-2 kernel factors for a fixed (p, lambda, n), shared by every term.
 
-    Every family derives from p restricted to [0, length].
+    Every family derives from p restricted to [0, length].  Per family it
+    holds one solution basis and one ``trajectory`` call at the family's
+    grid nodes 0..min(2n, pieces), the nodes ``build_green`` would use and
+    the only ones an argument map reaches; per (family, bc) the branch
+    matrices (k_low, k_up), or the resonance that rules the kernel out,
+    raised again on every request.
     """
 
     def __init__(self, p: Potential, length: float | None, n: int, lam: float, tol: float):
@@ -249,28 +260,46 @@ class _KernelCache:
             "even4": (even.even_extension(), 4.0 * L),
             "refl": (base.reflect(), L),
         }
-        self._store: dict = {}
+        self._families: dict = {}
+        self._matrices: dict = {}
 
-    def get(self, family: str, bc):
-        bc = BoundaryCondition.parse(bc)
-        key = (family, bc)
-        hit = self._store.get(key)
+    def _family(self, family: str):
+        """(solution basis, its states at the family's nodes 0..min(2n, pieces))."""
+        hit = self._families.get(family)
         if hit is None:
             pot, L = self.specs[family]
+            pieces = _FAMILY_FACTOR[family] * self.n
+            _check_n(pieces)
+            basis = fundamental_solutions(pot, self.lam, L, self.tol)
+            nodes = np.linspace(0.0, L, pieces + 1)[:min(pieces, 2 * self.n) + 1]
+            hit = self._families[family] = (basis, basis.trajectory(nodes))
+        return hit
+
+    def _branches(self, family: str, bc: BoundaryCondition):
+        key = (family, bc)
+        hit = self._matrices.get(key)
+        if hit is None:
             try:
-                hit = ("ok", build_green(pot, self.lam, bc,
-                                         n=_FAMILY_FACTOR[family] * self.n,
-                                         length=L, tol=self.tol))
+                k_low, k_up, _ = _branch_matrices(self._family(family)[0], bc)
+                hit = ("ok", (k_low, k_up))
             except ResonanceError as exc:
+                L = self.specs[family][1]
                 msg = (f"{bc.condition} problem on [0, {L:g}] ({_FAMILY_LABEL[family]}) "
                        f"is resonant at lambda = {self.lam:g}")
                 hit = ("resonant", (msg, exc.determinant, bc))
-            self._store[key] = hit
+            self._matrices[key] = hit
         kind, payload = hit
         if kind == "resonant":
             msg, det, rbc = payload
             raise ResonanceError(msg, determinant=det, bc=rbc, lam=self.lam)
         return payload
+
+    def block(self, term: Term, idx: np.ndarray) -> np.ndarray:
+        """coef * G_bc[family](tmap(t), smap(s)) over the node indices idx."""
+        k_low, k_up = self._branches(term.family, BoundaryCondition.parse(term.bc))
+        return term.coef * _node_block(self._family(term.family)[1], k_low, k_up,
+                                       _mapped(term.tmap, idx, self.n),
+                                       _mapped(term.smap, idx, self.n))
 
 
 def _mapped(name: str, idx: np.ndarray, n: int) -> np.ndarray:
@@ -288,9 +317,7 @@ def _evaluate_side(terms, cache: _KernelCache, domain: str) -> np.ndarray:
     idx = np.arange(2 * n + 1) if domain == "even2" else np.arange(n + 1)
     total = None
     for term in terms:
-        G = cache.get(term.family, term.bc)
-        vals = term.coef * table_slice(G, _mapped(term.tmap, idx, n),
-                                       _mapped(term.smap, idx, n))
+        vals = cache.block(term, idx)
         total = vals if total is None else total + vals
     return total
 

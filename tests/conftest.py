@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from hillgreen import Potential, clear_cache
+from hillgreen.integrator import SolutionBasis
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +35,17 @@ def cos2_pi() -> Potential:
 def _fresh_cache():
     clear_cache()
     yield
+
+
+@pytest.fixture
+def trajectory_calls(monkeypatch):
+    """Point counts of every SolutionBasis.trajectory call made in the test."""
+    calls = []
+    original = SolutionBasis.trajectory
+
+    def counting(self, t):
+        calls.append(int(np.size(t)))
+        return original(self, t)
+
+    monkeypatch.setattr(SolutionBasis, "trajectory", counting)
+    return calls

@@ -10,6 +10,7 @@ from hillgreen import (
     predicted_sign_interval,
     sign_threshold_consistency,
     solve_bvp,
+    table_slice,
 )
 from hillgreen.comparison import (
     COMPARISON_THEOREMS,
@@ -48,6 +49,15 @@ def test_classify_zeros_on_boundary(zero1):
     for t, s in rep.zero_locations[:5]:
         on_edge = min(t, s) < 1e-12 or max(t, s) > 1.0 - 1e-12
         assert on_edge
+
+
+def test_zero_locations_are_python_float_pairs(zero1):
+    G = build_green(zero1, 1.0, "D", n=40)
+    rep = classify_sign(G, zero_tol=1e-12)
+    zi, zj = np.nonzero(np.abs(G.combined()) <= 1e-12)
+    assert rep.zero_locations == tuple((float(G.grid[i]), float(G.grid[j]))
+                                       for i, j in zip(zi, zj))
+    assert all(type(x) is float for pt in rep.zero_locations for x in pt)
 
 
 def test_classify_sign_changing(zero1):
@@ -177,6 +187,24 @@ def test_bound2_reflected_value(zero1):
     names = [c["check"] for c in rep["checks"]]
     assert len(names) == len(set(names))
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("rel,bc2,bc_other", [("bound2_p", "P", "D"),
+                                             ("bound2_n", "N", "M1")])
+def test_bound2_reflected_block_matches_full_table(cos_pi, rel, bc2, bc_other):
+    # the reflected block G2(2T - t, s) is read from the extension kernel's
+    # factors; the margins must be those of the full (2n+1)^2 table
+    n, lam = 30, -0.36
+    rep = verify_dominance(cos_pi, lam, rel, n=n)
+    idx = np.arange(n + 1)
+    refl = table_slice(build_green(cos_pi.even_extension(), lam, bc2, n=2 * n),
+                       2 * n - idx, idx)
+    vn = build_green(cos_pi, lam, "N", n=n).combined()
+    vo = build_green(cos_pi, lam, bc_other, n=n).combined()
+    want = [np.min(2 * refl - vn), np.min(-vo), np.min(vo + 2 * refl), np.min(refl)]
+    bound = 1e-13 * max(1.0, float(np.max(np.abs(refl))))
+    got = [c["min_margin"] for c in rep["checks"]]
+    assert np.all(np.abs(np.subtract(got, want)) <= bound), (got, want)
 
 
 def test_dominance_slack_scales_with_kernel():

@@ -140,6 +140,15 @@ def test_table_slice_node_exact(cos_pi):
     assert np.allclose(rev, G.combined()[::-1, :], atol=0)
 
 
+def test_build_green_one_trajectory(cos_pi, trajectory_calls):
+    G = build_green(cos_pi, 0.3, "P", n=24)
+    assert trajectory_calls == [25]
+    # the shared states give the tables of two separate evaluations
+    lower, upper = G.branches.tables(G.grid, G.grid.copy())
+    assert np.array_equal(G.lower, lower)
+    assert np.array_equal(G.upper, upper)
+
+
 def test_to_csv_format(tmp_path, zero1):
     G = build_green(zero1, 0.25, "D", n=3)
     path = tmp_path / "kernel.csv"

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hillgreen import (
     CATALOG,
     IDENTITY_NAMES,
+    BoundaryCondition,
+    Potential,
     build_green,
     kernel_value,
+    load_builtin,
+    table_slice,
     verify_all,
     verify_identity,
 )
+from hillgreen.errors import ResonanceError
 
 # lambda values kept away from every eigenvalue of the six conditions
 SAFE_LAMS = {
@@ -128,3 +134,119 @@ def test_report_as_dict(cos_pi):
     assert d["skipped"] is False
     assert d["residual"] <= 1e-6 * max(1.0, d["lhs_scale"])
 
+
+
+# -- equivalence with full kernel tables ----------------------------------
+
+def _reference_reports(p, lam, n, length=None, tol=1e-6):
+    """The catalog evaluated from full build_green tables and table_slice gathers.
+
+    Returns (identity_id, residual, lhs_scale, passed, skipped, reason) per
+    identity, the reason worded as verify_all words a resonant constituent.
+    """
+    L = float(p.domain_length if length is None else length)
+    base = p if length is None else p.restrict(L)
+    even = base.even_extension()
+    families = {
+        "base": (base, L, 1, "base interval"),
+        "even2": (even, 2 * L, 2, "even extension"),
+        "even4": (even.even_extension(), 4 * L, 4, "doubled even extension"),
+        "refl": (base.reflect(), L, 1, "reflected potential"),
+    }
+    maps = {"id": lambda i: i, "r2": lambda i: 2 * n - i, "rT": lambda i: n - i}
+    kernels = {}
+
+    def kernel(family, bc):
+        if (family, bc) not in kernels:
+            pot, length_f, factor, label = families[family]
+            try:
+                kernels[family, bc] = build_green(pot, lam, bc, n=factor * n,
+                                                  length=length_f)
+            except ResonanceError:
+                kernels[family, bc] = (
+                    f"{BoundaryCondition.parse(bc).condition} problem on "
+                    f"[0, {length_f:g}] ({label}) is resonant at lambda = {lam:g}")
+        return kernels[family, bc]
+
+    out = []
+    for ident in CATALOG:
+        idx = np.arange(2 * n + 1 if ident.domain == "even2" else n + 1)
+        sides, reason = [], None
+        for terms in (ident.lhs, ident.rhs):
+            total = 0.0
+            for term in terms:
+                G = kernel(term.family, term.bc)
+                if isinstance(G, str):
+                    reason = G
+                    break
+                total = total + term.coef * table_slice(G, maps[term.tmap](idx),
+                                                        maps[term.smap](idx))
+            if reason is not None:
+                break
+            sides.append(total)
+        if reason is not None:
+            out.append((ident.name, None, None, None, True, reason))
+            continue
+        residual = float(np.max(np.abs(sides[0] - sides[1])))
+        scale = float(np.max(np.abs(sides[0])))
+        out.append((ident.name, residual, scale, residual <= tol * max(1.0, scale),
+                    False, None))
+    return out
+
+
+def _assert_matches_reference(p, lam, n, length=None):
+    reports = verify_all(p, lam, n=n, length=length)
+    want = _reference_reports(p, lam, n, length=length)
+    assert len(reports) == len(want)
+    for rep, (name, residual, scale, passed, skipped, reason) in zip(reports, want):
+        assert (rep.identity_id, rep.n, rep.tol, rep.passed, rep.skipped, rep.reason) == \
+            (name, n, 1e-6, passed, skipped, reason)
+        if not skipped:
+            bound = 1e-12 * max(1.0, scale)
+            assert abs(rep.residual - residual) <= bound, name
+            assert abs(rep.lhs_scale - scale) <= bound, name
+    return reports
+
+
+@pytest.mark.parametrize("name,lam", [("ex1", 0.3), ("ex2", -0.7), ("ex3", 2.0),
+                                      ("ex4", 0.3)])
+def test_factored_catalog_matches_full_tables(name, lam):
+    reports = _assert_matches_reference(load_builtin(name), lam, n=30)
+    assert all(r.passed for r in reports)
+
+
+def test_factored_catalog_matches_full_tables_with_length(cos_pi):
+    _assert_matches_reference(cos_pi, 0.2, n=24, length=0.6 * math.pi)
+
+
+def test_factored_catalog_matches_full_tables_at_resonance(zero1):
+    reports = _assert_matches_reference(zero1, 0.0, n=20)
+    assert any(r.skipped for r in reports) and not all(r.skipped for r in reports)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4),
+              st.floats(0.5, 2.0)).map(
+        lambda vl: Potential.piecewise_constant(
+            np.linspace(0.0, vl[1], len(vl[0]) + 1), vl[0])),
+    st.tuples(st.floats(0.5, 3.0), st.floats(-1.0, 1.0), st.floats(0.2, 2.0),
+              st.floats(0.5, 3.0)).map(
+        lambda c: Potential.cosine(c[0], c0=c[1], c1=c[2], omega=c[3]))),
+    st.floats(-1.5, 3.0))
+def test_factored_catalog_matches_full_tables_generated(p, lam):
+    _assert_matches_reference(p, lam, n=16)
+
+
+# -- work counts -----------------------------------------------------------
+
+def test_verify_all_one_trajectory_per_family(cos_pi, trajectory_calls):
+    verify_all(cos_pi, 0.29, n=40)
+    # base, even2, even4, refl; each call covers at most nodes 0..2n
+    assert len(trajectory_calls) <= 4
+    assert max(trajectory_calls) <= 2 * 40 + 1
+
+
+def test_verify_identity_one_trajectory_per_family(cos_pi, trajectory_calls):
+    verify_identity("NP", cos_pi, 0.29, n=40)
+    assert len(trajectory_calls) == 2
