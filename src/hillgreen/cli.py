@@ -22,7 +22,7 @@ from .identities import (DEFAULT_IDENTITY_TOL, IDENTITY_NAMES, verify_all,
                          verify_identity)
 from .integrator import DEFAULT_TOL
 from .potential import BUILTIN_NAMES, Potential, load_builtin
-from .spectrum import discriminant_samples, find_eigenvalues
+from .spectrum import discriminant_samples, find_eigenvalues, stability_intervals
 
 __all__ = ["main"]
 
@@ -196,11 +196,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     p = _base(args)
     lo, hi = args.range
+    head = {"potential": p.descriptor_hash(), "T": p.domain_length}
+    if args.intervals:
+        rows = stability_intervals(p, search_range=(lo, hi), integrator_tol=args.tol)
+        if args.format == "json":
+            _emit_json({**head, "intervals": [{"lo": a, "hi": b, "kind": kind}
+                                              for (a, b), kind in rows]}, args.output)
+        else:
+            lines = ["lo,hi,kind"]
+            lines += [f"{float(a)!r},{float(b)!r},{kind}" for (a, b), kind in rows]
+            _emit("\n".join(lines), args.output)
+        return 0
     lams, deltas = discriminant_samples(p, lo, hi, count=args.points,
                                         extend=True)
     if args.format == "json":
-        _emit_json({"potential": p.descriptor_hash(), "T": p.domain_length,
-                    "lambda": lams.tolist(), "delta": deltas.tolist()},
+        _emit_json({**head, "lambda": lams.tolist(), "delta": deltas.tolist()},
                    args.output)
     else:
         lines = ["lambda,delta"]
@@ -379,7 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(wp)
     wp.add_argument("--range", type=float, nargs=2, metavar=("LO", "HI"),
                     required=True)
-    wp.add_argument("--points", type=positive_int, default=500)
+    wp.add_argument("--points", type=positive_int, default=500,
+                    help="discriminant samples (unused with --intervals)")
+    wp.add_argument("--intervals", action="store_true",
+                    help="write the stable and unstable bands (lo, hi, kind) "
+                         "in place of the samples")
     wp.add_argument("--format", choices=("csv", "json"), default="csv")
     wp.set_defaults(func=_cmd_sweep)
 

@@ -443,7 +443,7 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, share: 
             raise IntegrationError(
                 f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g}: "
                 f"float64 rounding of the phase (omega = {omega:.3g}) alone is about "
-                f"{floor:.1e}, beyond any number of Magnus or RK4 steps", t=float(t0))
+                f"{floor:.1e}, beyond any number of Magnus steps", t=float(t0))
         if 2 * n > _MAX_STEPS:
             raise IntegrationError(
                 f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g} "

@@ -349,15 +349,23 @@ class Potential:
         return Potential(tuple(kept), nl, self.shift)
 
     def is_even_about_midpoint(self, npts: int = 257, rtol: float = 1e-11) -> bool:
-        """Sample test for a(t) == a(L - t), away from breakpoints.
+        """Test for a(t) == a(L - t): mirrored breakpoints, then equal samples.
 
-        At a jump the evaluation takes the right limit, so t and L - t can
-        legitimately disagree at single points for a symmetric piecewise
-        potential; the equation only sees the potential in the L1 sense.
+        The breakpoints must map onto each other under t -> L - t up to
+        rounding, so a piece too narrow for a sample grid still counts.
+        Samples fill a grid of ``npts`` points and the quartiles of every
+        piece, away from breakpoints: at a jump the evaluation takes the
+        right limit, so t and L - t can legitimately disagree at single
+        points for a symmetric piecewise potential; the equation only sees
+        the potential in the L1 sense.
         """
         L = self.domain_length
-        ts = L * (np.arange(npts) + 0.5) / npts
-        cuts = np.concatenate([self.breakpoints, L - self.breakpoints])
+        b = self.breakpoints
+        if np.max(np.abs(b + b[::-1] - L)) > 1e-12 * (1.0 + L):
+            return False
+        ts = np.concatenate([L * (np.arange(npts) + 0.5) / npts]
+                            + [np.linspace(a, c, 5)[1:-1] for a, c, _ in self.pieces])
+        cuts = np.concatenate([b, L - b])
         keep = np.min(np.abs(ts[:, None] - cuts[None, :]), axis=1) > 1e-9 * (1.0 + L)
         ts = ts[keep]
         if ts.size == 0:

@@ -355,12 +355,25 @@ def neumann_extension_residual(p: Potential, lam: float,
 def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400,
                          length: float | None = None, extend: bool = True,
                          accuracy: float = 1e-9):
-    """(lambda, Delta) samples, by default for the even extension."""
-    q = p.even_extension() if extend else p
-    L = float(q.domain_length if length is None else length)
+    """(lambda, Delta) samples, by default for the even extension.
+
+    With ``extend`` the base is ``p`` restricted to [0, ``length``] (all of
+    ``p`` by default), and Delta is the discriminant of its even extension
+    on [0, 2T], read from the half interval alone: by the Wronskian
+    y1 y2' - y2 y1' = 1, Delta(2T) = 2 (y1 y2' + y2 y1')(T) (Magnus and
+    Winkler, Hill's Equation, 1966).  The base is scanned at
+    ``accuracy`` / 2: ``endpoint_scan`` splits its accuracy over the
+    segments, and the extension has twice as many, so each half segment
+    takes the steps it takes inside the full scan, with half the work.
+    Without ``extend``, Delta = y1 + y2' of ``p`` over [0, ``length``].
+    """
     lams = np.linspace(float(lo), float(hi), int(count))
-    Y = endpoint_scan(q, lams, L, accuracy=accuracy)
-    return lams, Y[0] + Y[3]
+    if not extend:
+        Y = endpoint_scan(p, lams, length, accuracy=accuracy)
+        return lams, Y[0] + Y[3]
+    base = p if length is None else p.restrict(length)
+    Y = endpoint_scan(base, lams, accuracy=accuracy / 2.0)
+    return lams, 2.0 * (Y[0] * Y[3] + Y[1] * Y[2])
 
 
 def _match_sets(lhs: list[float], rhs: list[float], pair_tol: float) -> dict:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hillgreen import load_builtin, stability_intervals
 from hillgreen.cli import main
 
 
@@ -153,12 +154,27 @@ def test_sweep_csv(capsys, tmp_path):
     assert d0 == pytest.approx(2.0 * math.cosh(2.0), abs=1e-5)
 
 
+def test_sweep_intervals_match_library(capsys):
+    want = stability_intervals(load_builtin("ex4"), search_range=(-1.0, 5.0))
+    rc, out = run(capsys, "sweep", "--potential", "ex4", "--range", "-1", "5",
+                  "--intervals")
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "lo,hi,kind"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [((float(a), float(b)), kind) for a, b, kind in rows] == want
+    rc, out = run(capsys, "sweep", "--potential", "ex4", "--range", "-1", "5",
+                  "--intervals", "--format", "json")
+    assert rc == 0
+    assert [((r["lo"], r["hi"]), r["kind"]) for r in json.loads(out)["intervals"]] == want
+
+
 def test_sweep_beyond_scan_cap_exit_code(capsys):
-    # the cosine would need billions of RK4 steps at lambda = 1e12
+    # float64 rounding of the cosine's phase at lambda = 1e12 exceeds the accuracy
     assert main(["sweep", "--potential", "ex3", "--range", "0", "1e12", "--points", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "RK4 steps" in captured.err
+    assert "Magnus steps" in captured.err
 
 
 def test_examples_single(capsys):

@@ -20,7 +20,9 @@ from hillgreen import (
     verify_interlacing,
     verify_spectral_decomposition,
 )
+from hillgreen import integrator
 from hillgreen.errors import DomainError
+from hillgreen.integrator import endpoint_scan
 
 PI = math.pi
 
@@ -197,6 +199,20 @@ def test_union_requires_symmetry(cos_pi):
         find_eigenvalues(cos_pi, "P", max_count=2, method="union")
 
 
+def test_narrow_asymmetric_well_is_not_even():
+    # a barrier narrower than any sample grid spacing, off the midpoint:
+    # union would solve the half interval without it
+    p = Potential.piecewise_constant([0.0, 0.5, 0.5007, 1.0], [0.0, -5000.0, 0.0])
+    assert not p.is_even_about_midpoint()
+    for bc in ("P", "A"):
+        auto = find_eigenvalues(p, bc, max_count=3)
+        direct = find_eigenvalues(p, bc, max_count=3, method="direct")
+        assert auto.values() == direct.values()
+        with pytest.raises(ValueError):
+            find_eigenvalues(p, bc, max_count=3, method="union")
+    assert find_eigenvalues(p, "P", max_count=1).first() == pytest.approx(2.6816, abs=1e-4)
+
+
 @pytest.mark.parametrize("name", ["zero1", "pw2", "cos_pi", "cos2_pi"])
 def test_spectral_decomposition(request, name):
     p = request.getfixturevalue(name)
@@ -363,6 +379,58 @@ def test_discriminant_samples_shape(cos_pi):
         b = fundamental_solutions(even, float(lam), tol=1e-10)
         want.append(b.discriminant)
     assert np.allclose(deltas[:5], want, atol=1e-6)
+
+
+HALF_ROUTE_CASES = {
+    "ex3": load_builtin("ex3"),
+    "ex4": load_builtin("ex4"),
+    "step3": Potential.piecewise_constant([0.0, 0.4, 1.1, 1.5], [1.0, -3.0, 2.0]),
+    "cos": Potential.cosine(2.3, c0=0.3, c1=1.7, omega=1.9, phi=0.5),
+}
+
+
+@pytest.mark.parametrize("accuracy", [1e-6, 1e-9])
+@pytest.mark.parametrize("name", sorted(HALF_ROUTE_CASES))
+def test_discriminant_samples_half_route_matches_full_scan(name, accuracy):
+    # Delta(2T) = 2 (y1 y2' + y2 y1')(T) against a scan of the whole extension
+    p = HALF_ROUTE_CASES[name]
+    lams, deltas = discriminant_samples(p, -3.0, 2000.0, count=301, accuracy=accuracy)
+    Y = endpoint_scan(p.even_extension(), lams, accuracy=accuracy)
+    full = Y[0] + Y[3]
+    scale = np.maximum(1.0, np.abs(full))
+    assert np.all(np.abs(deltas - full) <= (1e-12 + accuracy) * scale)
+
+
+@pytest.mark.parametrize("name", ["ex3", "ex4", "cos"])
+def test_discriminant_samples_scans_half_the_cells(monkeypatch, name):
+    # Magnus (step, lambda) cells, probes included: the half interval at
+    # accuracy / 2 takes the steps of each mirrored half of the full scan
+    cells = []
+    original = integrator._magnus_transfer
+
+    def counting(abar, d, h, lams):
+        cells.append(abar.size * lams.size)
+        return original(abar, d, h, lams)
+
+    monkeypatch.setattr(integrator, "_magnus_transfer", counting)
+    p = HALF_ROUTE_CASES[name]
+    lams = np.linspace(-3.0, 2000.0, 500)
+    endpoint_scan(p.even_extension(), lams, accuracy=1e-9)
+    full = sum(cells)
+    cells.clear()
+    discriminant_samples(p, -3.0, 2000.0, count=500, accuracy=1e-9)
+    assert 0 < sum(cells) <= 0.5 * full
+
+
+def test_discriminant_samples_length_restricts_the_base():
+    p = load_builtin("ex3")
+    lams, deltas = discriminant_samples(p, -1.0, 40.0, count=101, length=2.0)
+    lams2, deltas2 = discriminant_samples(p.restrict(2.0), -1.0, 40.0, count=101)
+    assert np.array_equal(lams, lams2)
+    assert np.array_equal(deltas, deltas2)
+    # the extension of the restricted base, not the extension cut at 2.0
+    Y = endpoint_scan(p.restrict(2.0).even_extension(), lams)
+    assert np.allclose(deltas, Y[0] + Y[3], rtol=0, atol=1e-6 * np.max(np.abs(deltas)))
 
 
 def test_search_range_respected(zero1):
