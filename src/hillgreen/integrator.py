@@ -1,9 +1,10 @@
 """Fundamental solutions of u'' + (a(t) + lambda) u = 0.
 
-Two solution bases drive everything downstream: an accurate integration
-(one lambda at a time, cached, with dense output for kernel grids) and a
-vectorized sweep over many lambda values at once for locating eigenvalue
-brackets cheaply.
+Two solution bases drive everything downstream: an integration one lambda
+at a time (cached, with dense output for kernel grids) and a vectorized
+sweep over many lambda values at once, which both scans for eigenvalue
+brackets and, with its steps planned once at the integrator tolerance,
+refines them.
 
 Both work piecewise: segments end at the potential's breakpoints and at
 the nodes of its table pieces, so no step straddles a jump of a or of a'.
@@ -385,6 +386,17 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(np.isfinite(lams)):
         raise ValueError("lambda values must be finite")
+    return _propagate(_scan_plan(p, lams, length, accuracy), lams)
+
+
+def _scan_plan(p: Potential, lams: np.ndarray, length: float | None, accuracy: float):
+    """The steps of ``endpoint_scan`` for any lambda within the range of ``lams``.
+
+    One entry per segment: (constant, length, None) for a constant piece,
+    (None, length, Magnus grid) for any other. The grids are estimated once
+    at probes spread over ``lams``, and ``_propagate`` applies them to any
+    batch inside that range.
+    """
     L = float(p.domain_length if length is None else length)
     if not 0.0 < L <= p.domain_length * (1 + 1e-12):
         raise ValueError(f"scan length {L} not within the potential domain")
@@ -404,15 +416,19 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
         share = accuracy / (2.0 * omega * len(smooth))
         for t0, t1 in smooth:
             grids[t0] = _magnus_grid(p, t0, t1, probes, share, omega, accuracy)
+    return [(const, t1 - t0, grids.get(t0)) for t0, t1, const in zip(edges, edges[1:], consts)]
 
+
+def _propagate(plan, lams: np.ndarray) -> np.ndarray:
+    """Endpoint states (4, K) of the lambdas ``lams`` through the steps of ``plan``."""
     Y = np.zeros((4, lams.size))
     Y[0] = 1.0
     Y[3] = 1.0
-    for t0, t1, const in zip(edges, edges[1:], consts):
+    for const, h, grid in plan:
         if const is not None:
-            Y = _exact_step(Y, const + lams, t1 - t0)
-        else:
-            Y = _apply(_magnus_transfer(*grids[t0], lams), Y)
+            Y = _exact_step(Y, const + lams, h)
+        elif lams.size:
+            Y = _apply(_magnus_transfer(*grid, lams), Y)
     return Y
 
 

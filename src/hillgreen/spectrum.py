@@ -2,7 +2,10 @@
 
 The characteristic function of each separated condition is a single entry
 of the endpoint state (y1, y1', y2, y2')(L), so eigenvalues come from a
-bracketing scan plus Brent refinement.  Periodic and anti-periodic
+bracketing scan plus a batched refinement: every bracket of one
+``find_eigenvalues`` call advances together, by safeguarded regula falsi,
+with one Magnus-4 propagation per iteration at step counts estimated once
+per call for ``integrator_tol``.  Periodic and anti-periodic
 eigenvalues are the band edges of the discriminant Delta = y1 + y2'.  Over
 an even extension they are assembled from the separated spectra of the
 half interval; for any potential they are found between the Dirichlet and
@@ -15,14 +18,16 @@ the two routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ResonanceError
+from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, kernel_value
-from .integrator import DEFAULT_TOL, discriminant, endpoint_scan, fundamental_solutions
+from .integrator import (DEFAULT_TOL, _check_tol, _propagate, _scan_plan, discriminant,
+                         endpoint_scan, fundamental_solutions)
 from .potential import Potential
 
 __all__ = [
@@ -47,6 +52,8 @@ MERGE_RTOL = 1e-7
 # A scan sample's sign of Delta -+ 2 is trusted when its size exceeds this
 # fraction of the largest endpoint entry: 1e4 times the scan's accuracy.
 SCAN_MARGIN = 1e-3
+# brentq's default relative tolerance: a root is closed within xtol + _RTOL |lambda|
+_RTOL = 4.0 * np.finfo(float).eps
 
 
 class Eigenvalue(NamedTuple):
@@ -115,50 +122,120 @@ def _auto_range(p: Potential, length: float, count: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _sign_bracket(fine, a: float, b: float, step: float):
-    """Shrink-proof bracket: widen up to 3 times until fine() changes sign."""
-    fa, fb = fine(a), fine(b)
-    for _ in range(3):
-        if fa == 0.0:
-            return a, a
-        if fb == 0.0:
-            return b, b
-        if np.sign(fa) != np.sign(fb):
-            return a, b
-        a -= 0.5 * step
-        b += 0.5 * step
-        fa, fb = fine(a), fine(b)
-    return None
+def _scan(p: Potential, lo: float, hi: float, n_scan: int, length: float,
+          integrator_tol: float):
+    """Scan of [lo, hi] in ``n_scan`` cells, and the states that refine it.
+
+    Returns the scan lambdas, their ``endpoint_scan`` states and a function
+    giving endpoint states within ``integrator_tol`` for any array of
+    lambdas a refinement can visit. Its Magnus steps are estimated once,
+    over [lo, hi] widened by the 1.5 cells that bracket widening can add
+    on each side. Raises ``IntegrationError`` when they cannot certify
+    ``integrator_tol`` there.
+    """
+    _check_tol(integrator_tol)
+    lams = np.linspace(lo, hi, n_scan + 1)
+    Y = endpoint_scan(p, lams, length)
+    margin = 1.5 * (hi - lo) / n_scan
+    try:
+        plan = _scan_plan(p, np.array([lo - margin, hi + margin]), length, integrator_tol)
+    except IntegrationError as exc:
+        raise IntegrationError(
+            f"eigenvalue refinement over lambda in [{lo:g}, {hi:g}] cannot certify "
+            f"integrator_tol {integrator_tol:g} ({exc}); a larger integrator_tol "
+            f"(--tol on the command line) lifts the limit", t=exc.t) from exc
+    return lams, Y, partial(_propagate, plan)
 
 
-def _refine_roots(p: Potential, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
-                  length: float, tol: float, integrator_tol: float, audit: dict,
-                  cells: np.ndarray | None = None) -> list[float]:
+def _batch_roots(F, a, b, fa, fb, xtol: float) -> np.ndarray:
+    """Roots of ``F`` in the brackets [a, b], all refined together.
+
+    ``F`` maps an array of lambdas to its values there, and fa, fb are its
+    values at the bracket ends, of opposite signs or zero. Every iteration
+    makes one ``F`` call for all open brackets. A bracket closes when an
+    end is an exact zero, which is its root, or when its width is within
+    xtol + 4 eps |lambda| (brentq's rule), and its root is then the
+    midpoint. Each iteration takes the Illinois regula falsi point of each
+    bracket, or its midpoint when the last iteration did not halve the
+    bracket, clamped half a tolerance inside it, and a guard point half a
+    tolerance beyond it toward the farther end. A falsi point next to the
+    root then closes the bracket at once, where falsi alone would leave
+    the far end in place.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    roots = np.empty(a.size)
+    live = np.arange(a.size)
+    kept = np.zeros(a.size)  # the end the last iteration kept: 1 for a, -1 for b
+    halved = np.ones(a.size, dtype=bool)
+    while live.size:
+        tol = xtol + _RTOL * np.maximum(np.abs(a), np.abs(b))
+        done = (b - a <= tol) | (fa == 0.0) | (fb == 0.0)
+        if done.any():
+            roots[live[done]] = np.where(fa[done] == 0.0, a[done], np.where(
+                fb[done] == 0.0, b[done], 0.5 * (a[done] + b[done])))
+            live, a, b, fa, fb, kept, halved, tol = (
+                x[~done] for x in (live, a, b, fa, fb, kept, halved, tol))
+            if not live.size:
+                break
+        half = 0.5 * tol
+        x = a - fa * (b - a) / (fb - fa)
+        # a non-finite falsi point (an overflowed value at an end) bisects:
+        # the ends stay finite, so every bracket closes
+        x = np.where(halved & np.isfinite(x), x, 0.5 * (a + b))
+        x = np.clip(x, a + half, b - half)
+        guard = np.where(b - x > x - a, x + half, x - half)
+        x, guard = np.minimum(x, guard), np.maximum(x, guard)
+        fx, fg = np.split(F(np.concatenate([x, guard])), 2)
+        # the new bracket is the first of [a, x], [x, guard], [guard, b] whose
+        # ends differ in sign
+        left = np.sign(fx) != np.sign(fa)
+        right = ~left & (np.sign(fg) == np.sign(fx))
+        na = np.where(left, a, np.where(right, guard, x))
+        nb = np.where(left, x, np.where(right, b, guard))
+        # Illinois: an end kept twice in a row enters the next falsi point halved
+        fa = np.where(left, np.where(kept == 1.0, 0.5 * fa, fa), np.where(right, fg, fx))
+        fb = np.where(left, fx, np.where(right, np.where(kept == -1.0, 0.5 * fb, fb), fg))
+        kept = np.where(left, 1.0, np.where(right, -1.0, 0.0))
+        halved = nb - na <= 0.5 * (b - a)
+        a, b = na, nb
+    return roots
+
+
+def _refine_roots(state, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
+                  xtol: float, audit: dict, cells: np.ndarray | None = None) -> list[float]:
     """Roots of ``bc``'s characteristic function from its row of the scan ``Y``.
 
-    Each sign change in a scan cell (of ``cells``, default all) is
-    bracketed on the accurate characteristic function and refined by
-    Brent; exact zeros of the scan are roots as they stand, and cells whose
-    sign change does not survive the bracket check go into ``audit``.
+    Each sign change in a scan cell (of ``cells``, default all) is checked
+    on the accurate endpoint states ``state`` and widened by half a cell
+    on each side, up to 3 times, until the sign change holds there; cells
+    where it never does go into ``audit``. ``_batch_roots`` refines the
+    brackets together, and exact zeros of the scan are roots as they stand.
     """
-    def fine(lam: float) -> float:
-        return characteristic_value(p, lam, bc, length, integrator_tol)
+    def F(x):
+        return _char_rows(bc, state(x))
 
     step = (lams[-1] - lams[0]) / (len(lams) - 1)
     sign = np.sign(_char_rows(bc, Y))
     change = sign[:-1] * sign[1:] < 0
     if cells is not None:
         change &= cells
-    roots: list[float] = []
-    for i in np.nonzero(change)[0]:
-        bracket = _sign_bracket(fine, lams[i], lams[i + 1], step)
-        if bracket is None:
-            audit.setdefault("unresolved_brackets", []).append(float(lams[i]))
-            continue
-        a, b = bracket
-        roots.append(a if a == b else brentq(fine, a, b, xtol=max(tol, ROOT_XTOL)))
-    roots.extend(float(lams[i]) for i in np.nonzero(sign == 0)[0])
-    return roots
+    cell = np.nonzero(change)[0]
+    a, b = lams[cell], lams[cell + 1]
+    fa, fb = np.split(F(np.concatenate([a, b])), 2)
+    for _ in range(3):
+        # no sign change, or a non-finite end
+        lost = ~(np.sign(fa) * np.sign(fb) <= 0.0)
+        if not lost.any():
+            break
+        a[lost] -= 0.5 * step
+        b[lost] += 0.5 * step
+        fa[lost], fb[lost] = np.split(F(np.concatenate([a[lost], b[lost]])), 2)
+    lost = ~(np.sign(fa) * np.sign(fb) <= 0.0)
+    if lost.any():
+        audit.setdefault("unresolved_brackets", []).extend(lams[cell[lost]].tolist())
+    ok = ~lost
+    roots = _batch_roots(F, a[ok], b[ok], fa[ok], fb[ok], xtol)
+    return [*roots.tolist(), *lams[sign == 0].tolist()]
 
 
 def _coupled_result(method: str, step: float, tagged: list[tuple[float, str]],
@@ -184,7 +261,7 @@ def _coupled_result(method: str, step: float, tagged: list[tuple[float, str]],
 
 
 def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
-                    n_scan: int, length: float, tol: float,
+                    n_scan: int, length: float, xtol: float,
                     integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
     """Band edges of the discriminant, bracketed by Dirichlet and Neumann roots.
 
@@ -195,14 +272,13 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
     Winkler 1966; Eastham 1973), so these roots cut the range into pieces on
     which Delta - 2s changes sign at most once, and its sign at the cuts
     needs no cancellation.  A root where (y1 - s)^2 is within the integrator
-    tolerance is a band edge itself; every other edge is refined by Brent
-    between two cuts.  Scan samples whose Delta - 2s is far beyond the
+    tolerance is a band edge itself; every other edge is refined between
+    two cuts, all of them together.  Scan samples whose Delta - 2s is far beyond the
     scan's error are cuts too: they keep each bracket short, and the roots
     in cells they settle need no refinement.
     """
     s = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
-    lams = np.linspace(lo, hi, n_scan + 1)
-    Y = endpoint_scan(p, lams, length)
+    lams, Y, state = _scan(p, lo, hi, n_scan, length, integrator_tol)
     scanned = Y[0] + Y[3] - 2.0 * s
     sure = np.abs(scanned) > SCAN_MARGIN * np.maximum(1.0, np.abs(Y).max(axis=0))
     cuts = dict(zip(lams[sure].tolist(), scanned[sure].tolist()))
@@ -214,39 +290,36 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
     settled = sure & ((t > 0.0) | (t < -2.0))
     open_cells = ~(settled[:-1] & settled[1:] & (t[:-1] * t[1:] > 0.0))
 
-    def excess(lam: float) -> float:
-        return discriminant(p, lam, length, integrator_tol) - 2.0 * s
-
     audit: dict = {}
+    found = [(r, src) for src, sub in (("D", BoundaryCondition.DIRICHLET),
+                                       ("N", BoundaryCondition.NEUMANN))
+             for r in _refine_roots(state, sub, lams, Y, xtol, audit, open_cells)]
+    roots = {r for r, _ in found}
+    ends = [end for end in (lo, hi) if end not in cuts and end not in roots]
+    at = state(np.array([r for r, _ in found] + ends))
     tagged: list[tuple[float, str]] = []
-    for src, sub in (("D", BoundaryCondition.DIRICHLET), ("N", BoundaryCondition.NEUMANN)):
-        for r in _refine_roots(p, sub, lams, Y, length, tol, integrator_tol, audit,
-                               open_cells):
-            y1 = fundamental_solutions(p, r, length, integrator_tol).y1_end
-            square = (y1 - s) ** 2
-            # a Dirichlet and a Neumann root at the same point are both kept:
-            # together they are a double eigenvalue
-            if square <= integrator_tol * abs(y1):
-                tagged.append((r, src))
-                cuts[r] = 0.0
-            else:
-                cuts[r] = square / y1
-    for end in (lo, hi):
-        if end not in cuts:
-            cuts[end] = excess(end)
+    for (r, src), y1 in zip(found, at[0].tolist()):
+        square = (y1 - s) ** 2
+        # a Dirichlet and a Neumann root at the same point are both kept:
+        # together they are a double eigenvalue
+        if square <= integrator_tol * abs(y1):
+            tagged.append((r, src))
+            cuts[r] = 0.0
+        else:
+            cuts[r] = square / y1
+    cuts.update(zip(ends, _char_rows(bc, at)[len(found):].tolist()))
 
-    def f(lam: float) -> float:
-        return cuts[lam] if lam in cuts else excess(lam)
-
-    points = sorted(cuts)
-    for a, b in zip(points, points[1:]):
-        if cuts[a] * cuts[b] < 0.0:
-            tagged.append((brentq(f, a, b, xtol=max(tol, ROOT_XTOL)), "Delta"))
+    points = np.array(sorted(cuts))
+    values = np.array([cuts[x] for x in points.tolist()])
+    cross = values[:-1] * values[1:] < 0.0
+    edges = _batch_roots(lambda x: _char_rows(bc, state(x)), points[:-1][cross],
+                         points[1:][cross], values[:-1][cross], values[1:][cross], xtol)
+    tagged.extend((v, "Delta") for v in edges.tolist())
     return _coupled_result("direct", (hi - lo) / n_scan, tagged, audit)
 
 
 def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
-                   n_scan: int, length: float, tol: float,
+                   n_scan: int, length: float, xtol: float,
                    integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
     """Coupled spectrum as the union of two separated half-interval spectra.
 
@@ -258,12 +331,10 @@ def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
         pair = (BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET)
     else:
         pair = (BoundaryCondition.MIXED1, BoundaryCondition.MIXED2)
-    lams = np.linspace(lo, hi, n_scan + 1)
-    Y = endpoint_scan(half, lams, length / 2.0)
+    lams, Y, state = _scan(half, lo, hi, n_scan, length / 2.0, integrator_tol)
     audit: dict = {}
     tagged = [(v, sub.value) for sub in pair
-              for v in _refine_roots(half, sub, lams, Y, length / 2.0, tol, integrator_tol,
-                                     audit)]
+              for v in _refine_roots(state, sub, lams, Y, xtol, audit)]
     return _coupled_result("union", (hi - lo) / n_scan, tagged, audit)
 
 
@@ -279,6 +350,14 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     between the Dirichlet and Neumann eigenvalues (any potential), and
     "auto" picks union when the symmetry holds.  Both give multiplicity 2
     exactly where two edges coincide.
+
+    A scan of ``n_scan`` cells at the scan accuracy of ``endpoint_scan``
+    finds the sign changes; they are refined together on Magnus-4 endpoint
+    states within ``integrator_tol``, to a bracket width of
+    max(``tol``, 1e-12).  Raises ``IntegrationError`` when those states
+    cannot certify ``integrator_tol`` over the range (at large lambda the
+    float64 rounding of the phase alone exceeds it); a larger
+    ``integrator_tol`` lifts the limit.
     """
     bc = BoundaryCondition.parse(bc)
     L = float(p.domain_length if length is None else length)
@@ -290,6 +369,7 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
             raise ValueError("search range must satisfy lo < hi")
 
     audit: dict = {"scan_step": (hi - lo) / n_scan}
+    xtol = max(tol, ROOT_XTOL)
     if bc.is_coupled:
         if method not in ("auto", "union", "direct"):
             raise ValueError(f"unknown method {method!r}")
@@ -298,11 +378,10 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
         elif method == "union" and not p.is_even_about_midpoint():
             raise ValueError("union method needs a potential even about its midpoint")
         coupled = _coupled_union if method == "union" else _coupled_direct
-        merged, audit = coupled(p, bc, lo, hi, n_scan, L, tol, integrator_tol)
+        merged, audit = coupled(p, bc, lo, hi, n_scan, L, xtol, integrator_tol)
     else:
-        lams = np.linspace(lo, hi, n_scan + 1)
-        Y = endpoint_scan(p, lams, L)
-        roots = _refine_roots(p, bc, lams, Y, L, tol, integrator_tol, audit)
+        lams, Y, state = _scan(p, lo, hi, n_scan, L, integrator_tol)
+        roots = _refine_roots(state, bc, lams, Y, xtol, audit)
         merged = [(v, 1) for v in sorted(roots)]
         if bc is BoundaryCondition.DIRICHLET and merged and hi > merged[-1][0]:
             probe = 0.5 * (merged[-1][0] + hi)
@@ -372,7 +451,13 @@ def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400,
         Y = endpoint_scan(p, lams, length, accuracy=accuracy)
         return lams, Y[0] + Y[3]
     base = p if length is None else p.restrict(length)
-    Y = endpoint_scan(base, lams, accuracy=accuracy / 2.0)
+    try:
+        Y = endpoint_scan(base, lams, accuracy=accuracy / 2.0)
+    except IntegrationError as exc:
+        raise IntegrationError(
+            f"discriminant samples over lambda in [{lo:g}, {hi:g}] cannot certify "
+            f"accuracy {accuracy:g} (the half interval is scanned at {accuracy / 2.0:g}: "
+            f"{exc})", t=exc.t) from exc
     return lams, 2.0 * (Y[0] * Y[3] + Y[1] * Y[2])
 
 

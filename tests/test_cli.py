@@ -177,6 +177,23 @@ def test_sweep_beyond_scan_cap_exit_code(capsys):
     assert "Magnus steps" in captured.err
 
 
+def test_sweep_refusal_names_the_requested_accuracy(capsys):
+    # the half interval is scanned at half the accuracy; the message leads with
+    # the accuracy the caller asked for (the default 1e-9 of discriminant_samples)
+    assert main(["sweep", "--potential", "ex3", "--range", "0", "1e12", "--points", "2"]) == 3
+    assert "cannot certify accuracy 1e-09" in capsys.readouterr().err
+
+
+def test_spectrum_refinement_refusal_exit_code(capsys):
+    args = ["spectrum", "--potential", "ex3", "--bc", "N", "--range", "4e6", "4.004e6"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integrator_tol 1e-10" in captured.err and "--tol" in captured.err
+    rc, out = run(capsys, *args, "--tol", "1e-9")
+    assert rc == 0 and len(out.strip().splitlines()) == 2
+
+
 def test_examples_single(capsys):
     rc, out = run(capsys, "examples", "--which", "1")
     assert rc == 0

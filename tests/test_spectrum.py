@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import mathieu_a
 
 from hillgreen import (
     Potential,
@@ -21,8 +22,10 @@ from hillgreen import (
     verify_spectral_decomposition,
 )
 from hillgreen import integrator
-from hillgreen.errors import DomainError
+from hillgreen.errors import DomainError, IntegrationError
+from hillgreen.greens import BoundaryCondition
 from hillgreen.integrator import endpoint_scan
+from hillgreen.spectrum import _batch_roots, _refine_roots
 
 PI = math.pi
 
@@ -341,14 +344,113 @@ def cosine_excess(lam):
     return res.y[0, -1] + res.y[3, -1] - 2.0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "band edges refined by Brent on the DOP853 discriminant of a smooth piece "
-    "are up to 6e-9 off at lambda near 120"))
 def test_direct_band_edges_on_smooth_piece():
     p = Potential.cosine(2.3, c0=0.3, c1=1.7, omega=1.9, phi=0.5)
     spec = find_eigenvalues(p, "P", search_range=(0.0, 120.0), method="direct")
     for v in (v for v in spec.values() if v > 20.0):
         assert abs(v - brentq(cosine_excess, v - 1e-4, v + 1e-4, xtol=1e-13)) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "max_count=k takes the first k sign changes of the scan: the double well's "
+    "lowest Neumann doublet lies inside one scan cell, so both are missed"))
+def test_double_well_lowest_neumann_pair():
+    # a barrier of height 1e4 splits [0, 1] into two wells; the lowest pair,
+    # 104.9377 and 104.9386, was found with n_scan=200000 over (-1, 200)
+    p = Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0])
+    spec = find_eigenvalues(p, "N", max_count=2)
+    assert spec.values() == pytest.approx([104.9377, 104.9386], abs=1e-3)
+
+
+def test_high_neumann_eigenvalue_matches_mathieu(cos_pi):
+    # Neumann on [0, pi] for cos t: a = 4 lambda, q = -2; the Mathieu value a_62
+    spec = find_eigenvalues(cos_pi, "N", search_range=(950.0, 1000.0))
+    assert len(spec.values()) == 1
+    assert abs(spec.values()[0] - mathieu_a(62, -2.0) / 4.0) <= 1e-10
+
+
+@pytest.fixture
+def ivp_calls(monkeypatch):
+    """Number of solve_ivp runs made in the test."""
+    calls = [0]
+    original = integrator.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "solve_ivp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bc, want", [("N", 0), ("D", 1), ("M1", 0), ("M2", 0)])
+def test_separated_refinement_makes_no_ivp_solves(cos_pi, ivp_calls, bc, want):
+    # the one Dirichlet solve is the oscillation audit
+    find_eigenvalues(cos_pi, bc, max_count=2)
+    assert ivp_calls[0] == want
+
+
+@pytest.mark.parametrize("method", ["union", "direct"])
+def test_coupled_refinement_makes_no_ivp_solves(cos_pi, ivp_calls, method):
+    spec = find_eigenvalues(cos_pi.even_extension(), "P", max_count=2, method=method)
+    assert len(spec.expanded()) == 2
+    assert ivp_calls[0] == 0
+
+
+def test_batch_roots_closes_next_to_the_root():
+    # a falsi point within tol of the root must close the bracket, not stall
+    calls = []
+
+    def F(x):
+        calls.append(x.size)
+        return np.cos(x) - 0.3
+
+    a, b = np.array([0.5]), np.array([2.0])
+    roots = _batch_roots(F, a, b, np.cos(a) - 0.3, np.cos(b) - 0.3, 1e-12)
+    assert abs(roots[0] - math.acos(0.3)) <= 1e-12
+    assert len(calls) <= 16
+
+
+def test_batch_roots_bisects_past_non_finite_values():
+    # an overflowed (nan) value at one end must not stall the bracket at nan
+    def F(x):
+        return np.where(x > 1.5, np.nan, np.cos(x) - 0.3)
+
+    roots = _batch_roots(F, [0.5], [2.0], [np.cos(0.5) - 0.3], [np.nan], 1e-12)
+    assert abs(roots[0] - math.acos(0.3)) <= 1e-12
+
+
+def _rows(f):
+    """Endpoint states whose Neumann row y1'(L) is f(lambda)."""
+    def state(x):
+        Y = np.zeros((4, x.size))
+        Y[1] = f(x)
+        return Y
+    return state
+
+
+def test_refine_roots_widens_brackets_and_records_failures():
+    lams = np.linspace(0.0, 4.0, 5)
+    scan = np.zeros((4, 5))
+    scan[1] = [-1.0, -1.0, 1.0, 0.0, 1.0]
+    # the accurate root lies half a cell outside the scan's cell [1, 2]; the
+    # scan's exact zero at 3 is a root as it stands
+    audit = {}
+    neumann = BoundaryCondition.NEUMANN
+    roots = _refine_roots(_rows(lambda x: x - 2.3), neumann, lams, scan, 1e-12, audit)
+    assert roots == pytest.approx([2.3, 3.0], abs=1e-12) and audit == {}
+    # no sign change within 1.5 cells of the scan's: recorded, not refined
+    roots = _refine_roots(_rows(lambda x: 1.0 + 0.0 * x), neumann, lams, scan, 1e-12, audit)
+    assert roots == [3.0] and audit == {"unresolved_brackets": [1.0]}
+
+
+def test_refinement_refuses_beyond_float64_phase(cos_pi):
+    with pytest.raises(IntegrationError, match=r"integrator_tol 1e-10.*larger integrator_tol"):
+        find_eigenvalues(cos_pi, "N", search_range=(4e6, 4.004e6))
+    spec = find_eigenvalues(cos_pi, "N", search_range=(4e6, 4.004e6), integrator_tol=1e-9)
+    (value,) = spec.values()
+    order = round(2.0 * math.sqrt(value))
+    assert abs(value - mathieu_a(order, -2.0) / 4.0) <= 1e-8
 
 
 def test_dirichlet_zero_count(zero1):
