@@ -20,7 +20,7 @@ from .errors import HypothesisNotMet, IntegrationError, PoleError, ResonanceErro
 from .greens import BC_ALL, build_green
 from .identities import (DEFAULT_IDENTITY_TOL, IDENTITY_NAMES, verify_all,
                          verify_identity)
-from .integrator import DEFAULT_TOL
+from .integrator import DEFAULT_TOL, _check_tol
 from .potential import BUILTIN_NAMES, Potential, load_builtin
 from .spectrum import discriminant_samples, find_eigenvalues, stability_intervals
 
@@ -198,7 +198,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = args.range
     head = {"potential": p.descriptor_hash(), "T": p.domain_length}
     if args.intervals:
-        rows = stability_intervals(p, search_range=(lo, hi), integrator_tol=args.tol)
+        rows = stability_intervals(p, search_range=(lo, hi),
+                                   integrator_tol=DEFAULT_TOL if args.tol is None else args.tol)
         if args.format == "json":
             _emit_json({**head, "intervals": [{"lo": a, "hi": b, "kind": kind}
                                               for (a, b), kind in rows]}, args.output)
@@ -207,8 +208,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             lines += [f"{float(a)!r},{float(b)!r},{kind}" for (a, b), kind in rows]
             _emit("\n".join(lines), args.output)
         return 0
+    # the samples keep discriminant_samples' own accuracy unless --tol is given
+    accuracy = {} if args.tol is None else {"accuracy": _check_tol(args.tol)}
     lams, deltas = discriminant_samples(p, lo, hi, count=args.points,
-                                        extend=True)
+                                        extend=True, **accuracy)
     if args.format == "json":
         _emit_json({**head, "lambda": lams.tolist(), "delta": deltas.tolist()},
                    args.output)
@@ -395,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the stable and unstable bands (lo, hi, kind) "
                          "in place of the samples")
     wp.add_argument("--format", choices=("csv", "json"), default="csv")
-    wp.set_defaults(func=_cmd_sweep)
+    # --tol sets the samples' accuracy and the bands' integrator tolerance
+    wp.set_defaults(func=_cmd_sweep, tol=None)
 
     ep = sub.add_parser("examples", help="reproduce the bundled example tables")
     _add_common(ep, potential=False)

@@ -127,6 +127,14 @@ def _branch_matrices(basis: SolutionBasis, bc: BoundaryCondition):
     return k_low, k_up, abs(W) / scale
 
 
+def _factors(Rt: np.ndarray, Rs: np.ndarray, deriv: bool = False):
+    """Rank-2 factors: rows (y1, y2) at the t states, or (y1', y2') with
+    ``deriv``, and columns (-y2, y1) at the s states."""
+    A = np.stack([Rt[1], Rt[3]]) if deriv else np.stack([Rt[0], Rt[2]])
+    B = np.stack([-Rs[2], Rs[0]])
+    return A, B
+
+
 @dataclass(eq=False)
 class KernelBranches:
     """Exact two-branch evaluator backed by a solution basis."""
@@ -138,22 +146,19 @@ class KernelBranches:
     def _row_col(self, tpts, spts, deriv: bool):
         t = np.atleast_1d(np.asarray(tpts, dtype=float))
         s = np.atleast_1d(np.asarray(spts, dtype=float))
-        Rt = self.basis.trajectory(t)
-        # the states at a point do not depend on the other points of the call
-        Rs = Rt if t.shape == s.shape and np.array_equal(t, s) else self.basis.trajectory(s)
-        A = np.stack([Rt[1], Rt[3]]) if deriv else np.stack([Rt[0], Rt[2]])
-        B = np.stack([-Rs[2], Rs[0]])
-        return A, B
+        return _factors(self.basis.trajectory(t), self.basis.trajectory(s), deriv)
+
+    def _products(self, A: np.ndarray, B: np.ndarray):
+        """(lower, upper) branch tables of the rank-2 factors A and B."""
+        return A.T @ self.k_low @ B, A.T @ self.k_up @ B
 
     def tables(self, tpts, spts):
         """(lower, upper) matrices with rows indexed by t and columns by s."""
-        A, B = self._row_col(tpts, spts, deriv=False)
-        return A.T @ self.k_low @ B, A.T @ self.k_up @ B
+        return self._products(*self._row_col(tpts, spts, deriv=False))
 
     def tables_dt(self, tpts, spts):
         """Same layout for dG/dt."""
-        A, B = self._row_col(tpts, spts, deriv=True)
-        return A.T @ self.k_low @ B, A.T @ self.k_up @ B
+        return self._products(*self._row_col(tpts, spts, deriv=True))
 
 
 class _TrigBranches:
@@ -287,13 +292,22 @@ def _node_block(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray,
 
     ``states`` is ``basis.trajectory(x)`` at the nodes x; only the rows and
     columns the indices name are formed, and the branch is chosen per entry
-    by comparing node indices, as in ``table_slice``.
+    by comparing node indices, as in ``table_slice``. When every entry lies
+    on one side of the diagonal, only that branch's product is formed.
     """
-    A = states[[0, 2]][:, t_idx]
-    B = np.stack([-states[2, s_idx], states[0, s_idx]])
+    A, B = _factors(states[:, t_idx], states[:, s_idx])
+    if s_idx.max() <= t_idx.min():
+        return A.T @ k_low @ B
     out = A.T @ k_up @ B
+    if s_idx.min() > t_idx.max():
+        return out
     np.copyto(out, A.T @ k_low @ B, where=s_idx[None, :] <= t_idx[:, None])
     return out
+
+
+def _max_abs(vals: np.ndarray) -> float:
+    """max |vals|, read from the extremes without an abs temporary."""
+    return float(max(abs(np.min(vals)), abs(np.max(vals))))
 
 
 def _check_n(n: int) -> None:
@@ -306,12 +320,13 @@ def build_green(p: Potential, lam: float, bc, n: int = 100,
     """Construct the Green's function of u'' + (a + lambda) u under ``bc``."""
     bc = BoundaryCondition.parse(bc)
     _check_n(n)
-    L = float(p.domain_length if length is None else length)
-    basis = fundamental_solutions(p, lam, L, tol)
+    basis = fundamental_solutions(p, lam, length, tol)
+    # the basis clamps a length that overshoots the domain by rounding
+    L = basis.length
     k_low, k_up, margin = _branch_matrices(basis, bc)
     branches = KernelBranches(basis, k_low, k_up)
-    grid = np.linspace(0.0, L, n + 1)
-    lower, upper = branches.tables(grid, grid)
+    states = basis._node_states(n, n + 1)
+    lower, upper = branches._products(*_factors(states, states))
     meta = {
         "potential": p.descriptor(),
         "tol": tol,
@@ -319,7 +334,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100,
         "wronskian_drift": abs(basis.y1_end * basis.y2p_end
                                - basis.y1p_end * basis.y2_end - 1.0),
     }
-    return GreensFunction(bc=bc, length=L, lam=float(lam), n=int(n), grid=grid,
+    return GreensFunction(bc=bc, length=L, lam=float(lam), n=int(n),
+                          grid=np.linspace(0.0, L, n + 1),
                           lower=lower, upper=upper, branches=branches, meta=meta)
 
 

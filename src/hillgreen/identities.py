@@ -14,8 +14,9 @@ transformed argument such as 2T - t lands exactly on node 2n - i and no
 interpolation enters the residual.  A term is read straight from the
 kernel's rank-2 factors, G(t, s) = row(t) . K . col(s): the solution states
 at the family's grid nodes (the same ``np.linspace`` nodes as
-``build_green``) give row and col, and only the node block the term reads
-is formed, so no full kernel table is built.
+``build_green``, memoized by the basis) give row and col, and only the node
+block the term reads is formed, so no full kernel table is built.  The
+terms of a side are summed in place.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceError
-from .greens import BoundaryCondition, _branch_matrices, _check_n, _node_block
+from .greens import BoundaryCondition, _branch_matrices, _check_n, _max_abs, _node_block
 from .integrator import DEFAULT_TOL, fundamental_solutions
 from .potential import Potential
 
@@ -240,11 +241,11 @@ class _KernelCache:
     """Rank-2 kernel factors for a fixed (p, lambda, n), shared by every term.
 
     Every family derives from p restricted to [0, length].  Per family it
-    holds one solution basis and one ``trajectory`` call at the family's
-    grid nodes 0..min(2n, pieces), the nodes ``build_green`` would use and
-    the only ones an argument map reaches; per (family, bc) the branch
-    matrices (k_low, k_up), or the resonance that rules the kernel out,
-    raised again on every request.
+    holds one solution basis and its states at the family's grid nodes
+    0..min(2n, pieces), the nodes ``build_green`` would use and the only
+    ones an argument map reaches; per (family, bc) the branch matrices
+    (k_low, k_up), or the resonance that rules the kernel out, raised again
+    on every request.
     """
 
     def __init__(self, p: Potential, length: float | None, n: int, lam: float, tol: float):
@@ -271,8 +272,8 @@ class _KernelCache:
             pieces = _FAMILY_FACTOR[family] * self.n
             _check_n(pieces)
             basis = fundamental_solutions(pot, self.lam, L, self.tol)
-            nodes = np.linspace(0.0, L, pieces + 1)[:min(pieces, 2 * self.n) + 1]
-            hit = self._families[family] = (basis, basis.trajectory(nodes))
+            states = basis._node_states(pieces, min(pieces, 2 * self.n) + 1)
+            hit = self._families[family] = (basis, states)
         return hit
 
     def _branches(self, family: str, bc: BoundaryCondition):
@@ -313,20 +314,20 @@ def _mapped(name: str, idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def _evaluate_side(terms, cache: _KernelCache, domain: str) -> np.ndarray:
-    n = cache.n
-    idx = np.arange(2 * n + 1) if domain == "even2" else np.arange(n + 1)
-    total = None
-    for term in terms:
-        vals = cache.block(term, idx)
-        total = vals if total is None else total + vals
+    """Sum of coef * block over the terms, in a fresh array."""
+    idx = np.arange(2 * cache.n + 1 if domain == "even2" else cache.n + 1)
+    total = cache.block(terms[0], idx)
+    for term in terms[1:]:
+        total += cache.block(term, idx)
     return total
 
 
 def _verify_with_cache(ident: Identity, cache: _KernelCache, tol: float) -> IdentityReport:
     lhs = _evaluate_side(ident.lhs, cache, ident.domain)
     rhs = _evaluate_side(ident.rhs, cache, ident.domain)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    scale = float(np.max(np.abs(lhs)))
+    scale = _max_abs(lhs)
+    lhs -= rhs
+    residual = _max_abs(lhs)
     return IdentityReport(ident.name, cache.n, residual, scale, tol,
                           passed=residual <= tol * max(1.0, scale))
 

@@ -240,6 +240,14 @@ class SolutionBasis:
     y1 solves y(0)=1, y'(0)=0; y2 solves y(0)=0, y'(0)=1. The state vector
     is (y1, y1', y2, y2') and ``trajectory`` evaluates it anywhere on
     [0, length] from stored dense output.
+
+    ``_node_states`` memoizes the states at equally spaced nodes, keyed by
+    (pieces, count), so every kernel table on one grid reads one
+    ``trajectory`` call. The memo keeps at most ``_NODE_GRIDS`` grids and
+    ``_NODE_STATES`` nodes in all per basis (128 KB, so 32 MB over the
+    cache's 256 bases), dropping the least recently used; a larger grid is
+    evaluated on every call. It lives and dies with the basis:
+    ``clear_cache`` drops it along with the cached bases.
     """
 
     lam: float
@@ -251,6 +259,7 @@ class SolutionBasis:
     y2p_end: float
     _edges: np.ndarray = field(repr=False)
     _sols: list = field(repr=False)
+    _nodes: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     @property
     def monodromy(self) -> np.ndarray:
@@ -277,6 +286,25 @@ class SolutionBasis:
             out[:, m] = self._sols[k](tt[m])
         return out[:, 0] if scalar else out
 
+    def _node_states(self, pieces: int, count: int) -> np.ndarray:
+        """Read-only states at the first ``count`` of the ``pieces + 1`` nodes
+        of ``np.linspace(0, length, pieces + 1)``, memoized per (pieces, count)."""
+        key = (pieces, count)
+        with _CACHE_LOCK:
+            hit = self._nodes.get(key)
+            if hit is not None:
+                self._nodes.move_to_end(key)
+                return hit
+        states = self.trajectory(np.linspace(0.0, self.length, pieces + 1)[:count])
+        states.flags.writeable = False
+        if states.shape[1] <= _NODE_STATES:
+            with _CACHE_LOCK:
+                self._nodes[key] = states
+                while (len(self._nodes) > _NODE_GRIDS
+                       or sum(v.shape[1] for v in self._nodes.values()) > _NODE_STATES):
+                    self._nodes.popitem(last=False)
+        return states
+
     def wronskian(self, t) -> float:
         y = self.trajectory(t)
         return float(y[0] * y[3] - y[1] * y[2]) if y.ndim == 1 else y[0] * y[3] - y[1] * y[2]
@@ -285,6 +313,10 @@ class SolutionBasis:
 _CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _CACHE_MAX = 256
+# Node-state memo of each basis: a kernel check reads one or two grids of a
+# basis, of 2n + 1 nodes at most (4096 nodes hold n up to 2047).
+_NODE_GRIDS = 4
+_NODE_STATES = 4096
 
 
 def clear_cache() -> None:

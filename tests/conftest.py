@@ -39,7 +39,12 @@ def _fresh_cache():
 
 @pytest.fixture
 def trajectory_calls(monkeypatch):
-    """Point counts of every SolutionBasis.trajectory call made in the test."""
+    """Point counts of every SolutionBasis.trajectory call made in the test.
+
+    Counting starts from an empty cache, so node states that an earlier
+    test memoized on a cached basis cannot satisfy a count.
+    """
+    clear_cache()
     calls = []
     original = SolutionBasis.trajectory
 

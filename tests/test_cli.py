@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hillgreen import load_builtin, stability_intervals
+from hillgreen import discriminant_samples, load_builtin, stability_intervals
 from hillgreen.cli import main
 
 
@@ -167,6 +167,28 @@ def test_sweep_intervals_match_library(capsys):
                   "--intervals", "--format", "json")
     assert rc == 0
     assert [((r["lo"], r["hi"]), r["kind"]) for r in json.loads(out)["intervals"]] == want
+
+
+def _sweep_csv(lams, deltas) -> str:
+    return "\n".join(["lambda,delta"] + [f"{float(a)!r},{float(d)!r}"
+                                         for a, d in zip(lams, deltas)]) + "\n"
+
+
+def test_sweep_tol_sets_sample_accuracy(capsys):
+    args = ("sweep", "--potential", "ex3", "--range", "-1", "3", "--points", "9")
+    p = load_builtin("ex3")
+    outs = {}
+    for tol in ("1e-5", "1e-10"):
+        rc, outs[tol] = run(capsys, *args, "--tol", tol)
+        assert rc == 0
+        assert outs[tol] == _sweep_csv(*discriminant_samples(p, -1.0, 3.0, count=9,
+                                                             accuracy=float(tol)))
+    assert outs["1e-5"] != outs["1e-10"]
+    # without --tol the samples keep the library's default accuracy
+    rc, out = run(capsys, *args)
+    assert rc == 0 and out == _sweep_csv(*discriminant_samples(p, -1.0, 3.0, count=9))
+    assert main([*args, "--tol", "1e-2"]) == 2
+    assert "tolerance" in capsys.readouterr().err
 
 
 def test_sweep_beyond_scan_cap_exit_code(capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hillgreen import (
     Potential,
     build_green,
     classify_sign,
+    load_builtin,
     predicted_sign_interval,
     sign_threshold_consistency,
     solve_bvp,
@@ -15,12 +17,13 @@ from hillgreen import (
 from hillgreen.comparison import (
     COMPARISON_THEOREMS,
     DOMINANCE_RELATIONS,
+    SignReport,
     verify_dominance,
     verify_monotonicity,
     verify_solution_comparison,
     zero_set_check,
 )
-from hillgreen.errors import HypothesisNotMet
+from hillgreen.errors import HypothesisNotMet, ResonanceError
 
 PI = math.pi
 HALF_PI_SQ = (PI / 2) ** 2
@@ -226,6 +229,141 @@ def test_dominance_slack_scales_with_kernel():
         # the slack still scales a finite tolerance: at 1e-16 (slack about
         # 4e-15) the same margins are real shortfalls
         assert not verify_dominance(p, lam, rel, n=60, tol=1e-16)["pass"]
+
+
+# -- dominance reports against whole tables ------------------------------
+
+_SIGN_WORDS = {"nonneg": ("nonnegative", SignReport.is_nonnegative, "min_value"),
+               "neg": ("strictly negative",
+                       lambda rep: rep.classification == "strictly_negative", "max_value"),
+               "nonpos": ("nonpositive", SignReport.is_nonpositive, "max_value")}
+_NAMES = {"N": "Neumann", "D": "Dirichlet", "M1": "first mixed", "M2": "second mixed"}
+
+
+def _reference_dominance(p, lam, relation, n, tol=1e-9):
+    """verify_dominance rebuilt from whole kernel tables: build_green,
+    classify_sign and table arithmetic."""
+    hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
+
+    def require(rep, sign, kernel):
+        word, holds, field = _SIGN_WORDS[sign]
+        if not holds(rep):
+            raise HypothesisNotMet(f"{kernel} kernel is not {word} at this lambda",
+                                   point=getattr(rep, field))
+
+    if hyp_kind == "NBASE":
+        GN = build_green(p, lam, "N", n=n)
+        rep = classify_sign(GN)
+        require(rep, "nonneg", "base Neumann")
+        bc2, other = ("P", "D") if relation == "bound2_p" else ("N", "M1")
+        idx = np.arange(n + 1)
+        refl = table_slice(build_green(p.even_extension(), lam, bc2, n=2 * n),
+                           2 * n - idx, idx)
+        vn = GN.combined()
+        vo = build_green(p, lam, other, n=n).combined()
+        tables = (vn, vo, refl)
+        results = [("double reflected kernel above Neumann", np.min(2 * refl - vn), False),
+                   ("companion kernel nonpositive", np.min(-vo), False),
+                   ("companion kernel above minus twice the reflected kernel",
+                    np.min(vo + 2 * refl), False),
+                   ("reflected kernel nonnegative", np.min(refl), False)]
+        hyp = {"kernel": "N on the base interval", "classification": rep.classification}
+    else:
+        bc = hyp_kind[0]
+        kernel = f"{bc} on the even extension"
+        rep = classify_sign(build_green(p.even_extension(), lam, bc, n=2 * n))
+        require(rep, hyp_sign, kernel)
+        hyp = {"kernel": kernel, "classification": rep.classification}
+        bc1, bc2 = COMPARISON_THEOREMS[relation][2:]
+        v1 = build_green(p, lam, bc1, n=n).combined()
+        v2 = build_green(p, lam, bc2, n=n).combined()
+        tables = (v1, v2)
+        n1, n2 = _NAMES[bc1], _NAMES[bc2]
+        if hyp_sign == "nonneg":
+            results = [(f"{n1} minus |{n2}|", np.min(v1 - np.abs(v2)), False)]
+        else:
+            results = [(f"{n1} minus {n2} (strict)", np.min(v1 - v2), True),
+                       (f"{n1} nonpositive", np.min(-v1), False)]
+    slack = tol * max(1.0, max(float(np.max(np.abs(v))) for v in tables))
+    checks = [{"check": name, "min_margin": float(margin), "strict": strict,
+               "pass": bool(margin > -slack)} for name, margin, strict in results]
+    return {"relation": relation, "description": description, "lambda": float(lam),
+            "n": n, "tol": tol, "hypothesis": hyp, "checks": checks,
+            "pass": all(c["pass"] for c in checks)}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisNotMet as exc:
+        return ("HypothesisNotMet", str(exc), exc.point)
+    except ResonanceError as exc:
+        return ("ResonanceError", exc.bc, exc.lam, exc.determinant)
+
+
+def _assert_dominance_matches_reference(p, lam, n):
+    for relation in DOMINANCE_RELATIONS:
+        got = _outcome(verify_dominance, p, lam, relation, n)
+        want = _outcome(_reference_dominance, p, lam, relation, n)
+        assert got == want, relation
+
+
+@pytest.mark.parametrize("name,lam", [("ex1", 0.3), ("ex1", -0.4), ("ex2", -0.7),
+                                      ("ex2", 0.6), ("ex3", -0.3), ("ex3", 1.2)])
+def test_dominance_matches_whole_tables(name, lam):
+    _assert_dominance_matches_reference(load_builtin(name), lam, n=24)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4),
+              st.floats(0.5, 2.0)).map(
+        lambda vl: Potential.piecewise_constant(
+            np.linspace(0.0, vl[1], len(vl[0]) + 1), vl[0])),
+    st.tuples(st.floats(0.5, 3.0), st.floats(-1.0, 1.0), st.floats(0.2, 2.0),
+              st.floats(0.5, 3.0)).map(
+        lambda c: Potential.cosine(c[0], c0=c[1], c1=c[2], omega=c[3]))),
+    st.floats(-1.5, 3.0))
+def test_dominance_matches_whole_tables_generated(p, lam):
+    _assert_dominance_matches_reference(p, lam, n=12)
+
+
+def test_dominance_reads_node_states_once(cos_pi, trajectory_calls):
+    # cold cache: one trajectory call on the extension's grid, one on the base's
+    assert verify_dominance(cos_pi, -0.36, "nd_nonneg", n=40)["pass"]
+    assert len(trajectory_calls) <= 2
+    # the node states stay with the cached bases
+    trajectory_calls.clear()
+    assert verify_dominance(cos_pi, -0.36, "bound2_p", n=40)["pass"]
+    assert trajectory_calls == []
+
+
+@pytest.mark.parametrize("bc,lam,expected", [
+    ("N", 1.0, "strictly_positive"),
+    ("N", -1.0, "strictly_negative"),
+    ("D", 1.0, "nonpositive_with_zeros"),   # zeros on the square's boundary
+    ("N", 5.0, "sign_changing"),
+])
+def test_classify_sign_matches_brute_force(zero1, bc, lam, expected):
+    G = build_green(zero1, lam, bc, n=30)
+    for zero_tol in (1e-12, 1e-7, 1e-2):
+        values = [(float(t), float(s), float(G.combined()[i, j]))
+                  for i, t in enumerate(G.grid) for j, s in enumerate(G.grid)]
+        mn = min(v for _, _, v in values)
+        mx = max(v for _, _, v in values)
+        zeros = tuple((t, s) for t, s, v in values if abs(v) <= zero_tol)
+        if mn >= -zero_tol and mx > zero_tol:
+            cls = "nonnegative_with_zeros" if zeros else "strictly_positive"
+        elif mx <= zero_tol and mn < -zero_tol:
+            cls = "nonpositive_with_zeros" if zeros else "strictly_negative"
+        elif mn < -zero_tol and mx > zero_tol:
+            cls = "sign_changing"
+        else:
+            cls = "nonnegative_with_zeros"
+        want = SignReport(cls, mn, mx, zeros, zero_tol)
+        assert classify_sign(G, zero_tol) == want
+        if zero_tol == 1e-7:
+            assert cls == expected
 
 
 # -- solution comparisons ------------------------------------------------
