@@ -6,9 +6,11 @@ The solution-level theorems integrate those inequalities against ordered
 forcings.  Hypotheses are always checked before conclusions; a violated
 hypothesis raises instead of silently passing vacuously.
 
-Kernel tables come from the rank-2 factors row(t) . K . col(s), with the
-solution states at the grid nodes that each solution basis memoizes, so the
-relations at one (p, lambda, n) share one ``trajectory`` call per basis.
+The dominance and solution checks read every kernel they compare through
+the identity catalog's factor cache: the rank-2 factors row(t) . K . col(s)
+at the grid nodes of each family (base interval, even extension), with no
+full ``build_green`` table, so the kernels of one (p, lambda, n) share one
+``trajectory`` call per solution basis.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisNotMet, ResonanceError
-from .greens import (BoundaryCondition, GreensFunction, _as_callable, _branch_matrices,
-                     _max_abs, _node_block, build_green, solve_bvp)
-from .integrator import DEFAULT_TOL, fundamental_solutions
+from .greens import (BoundaryCondition, GreensFunction, _as_callable, _max_abs, build_green,
+                     solve_bvp)
+from .identities import Term, _KernelCache
+from .integrator import DEFAULT_TOL
 from .potential import Potential
 from .spectrum import find_eigenvalues
 
@@ -64,14 +67,19 @@ class SignReport:
 
 def classify_sign(G: GreensFunction, zero_tol: float = DEFAULT_ZERO_TOL) -> SignReport:
     """Grid-based sign classification with the near-zero set reported."""
-    vals = G.combined()
+    return _sign_report(G.combined(), G.grid, zero_tol)
+
+
+def _sign_report(vals: np.ndarray, grid: np.ndarray,
+                 zero_tol: float = DEFAULT_ZERO_TOL) -> SignReport:
+    """Sign classification of a kernel table whose rows and columns sit at ``grid``."""
     mn = float(np.min(vals))
     mx = float(np.max(vals))
     if mn > zero_tol or mx < -zero_tol:
         zeros = ()
     else:
         zi, zj = np.nonzero((vals >= -zero_tol) & (vals <= zero_tol))
-        zeros = tuple(zip(G.grid[zi].tolist(), G.grid[zj].tolist()))
+        zeros = tuple(zip(grid[zi].tolist(), grid[zj].tolist()))
     if mn >= -zero_tol and mx > zero_tol:
         cls = "nonnegative_with_zeros" if zeros else "strictly_positive"
     elif mx <= zero_tol and mn < -zero_tol:
@@ -84,11 +92,9 @@ def classify_sign(G: GreensFunction, zero_tol: float = DEFAULT_ZERO_TOL) -> Sign
     return SignReport(cls, mn, mx, zeros, zero_tol)
 
 
-def _first_value(p: Potential, bc: str, n_scan: int, integrator_tol: float,
-                 count: int = 1) -> list[float]:
-    spec = find_eigenvalues(p, bc, max_count=count, n_scan=n_scan,
-                            integrator_tol=integrator_tol)
-    return spec.values()
+def _first_value(p: Potential, bc: str, n_scan: int, integrator_tol: float) -> float:
+    return find_eigenvalues(p, bc, max_count=1, n_scan=n_scan,
+                            integrator_tol=integrator_tol).values()[0]
 
 
 def predicted_sign_interval(p: Potential, bc, length: float | None = None,
@@ -102,24 +108,23 @@ def predicted_sign_interval(p: Potential, bc, length: float | None = None,
     u(0)=u'(T)=0, and the full closed square for Neumann and periodic.
     """
     bc = BoundaryCondition.parse(bc)
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
+    base = p if length is None else p.restrict(length)
 
     if bc is BoundaryCondition.NEUMANN:
         even = base.even_extension()
-        lam1 = _first_value(even, "P", n_scan, integrator_tol)[0]
-        m1 = _first_value(base, "M1", n_scan, integrator_tol)[0]
-        m2 = _first_value(base, "M2", n_scan, integrator_tol)[0]
+        lam1 = _first_value(even, "P", n_scan, integrator_tol)
+        m1 = _first_value(base, "M1", n_scan, integrator_tol)
+        m2 = _first_value(base, "M2", n_scan, integrator_tol)
         lam2 = min(m1, m2)
         thresholds = {"lambda_P_2T": lam1, "lambda_M1": m1, "lambda_M2": m2}
     elif bc is BoundaryCondition.PERIODIC:
-        lam1 = _first_value(base, "P", n_scan, integrator_tol)[0]
-        lam2 = _first_value(base, "A", n_scan, integrator_tol)[0]
+        lam1 = _first_value(base, "P", n_scan, integrator_tol)
+        lam2 = _first_value(base, "A", n_scan, integrator_tol)
         thresholds = {"lambda_P": lam1, "lambda_A": lam2}
     elif bc is BoundaryCondition.ANTIPERIODIC:
         raise ValueError("no sign criterion catalogued for the anti-periodic kernel")
     else:
-        lam1 = _first_value(base, bc, n_scan, integrator_tol)[0]
+        lam1 = _first_value(base, bc, n_scan, integrator_tol)
         lam2 = None
         thresholds = {f"lambda_{bc.value}": lam1}
 
@@ -133,14 +138,13 @@ def predicted_sign_interval(p: Potential, bc, length: float | None = None,
 
 
 def _strict_region(vals: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Subgrid where the sign criteria claim strictness."""
-    if bc is BoundaryCondition.DIRICHLET:
-        return vals[1:-1, 1:-1]
-    if bc is BoundaryCondition.MIXED1:
-        return vals[:-1, :-1]
-    if bc is BoundaryCondition.MIXED2:
-        return vals[1:, 1:]
-    return vals
+    """Subgrid where the sign criteria claim strictness: without the edges
+    t = 0 and s = 0 where u(0) = 0, nor t = T and s = T where u(T) = 0."""
+    if bc.is_coupled:
+        return vals
+    d0, dT = bc.ends
+    keep = slice(1 - d0, len(vals) - 1 + dT)
+    return vals[keep, keep]
 
 
 def sign_threshold_consistency(p: Potential, bc, lams=None, n: int = 60,
@@ -155,8 +159,7 @@ def sign_threshold_consistency(p: Potential, bc, lams=None, n: int = 60,
     carry no pass/fail weight; resonant samples are likewise skipped.
     """
     bc = BoundaryCondition.parse(bc)
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
+    base = p if length is None else p.restrict(length)
     intervals = predicted_sign_interval(base, bc, n_scan=n_scan,
                                         integrator_tol=integrator_tol)
     lam1 = intervals["negative"][1]
@@ -278,11 +281,11 @@ def _require_sign(report: SignReport, sign: str, message: str) -> None:
     _require(holds(report), message.format(word), point=getattr(report, field))
 
 
-def _hypothesis_kernel(p: Potential, lam: float, which: str, n: int,
-                       integrator_tol: float) -> SignReport:
-    G = build_green(p.even_extension(), lam, _HYPOTHESIS_KERNELS[which][0],
-                    n=2 * n, tol=integrator_tol)
-    return classify_sign(G)
+def _cached_kernel(cache: _KernelCache, family: str, bc: str) -> tuple[np.ndarray, SignReport]:
+    """A kernel's table on its family's whole grid, and its sign report."""
+    grid = cache.grid(family)
+    vals = cache.block(Term(1, family, bc), np.arange(grid.size))
+    return vals, _sign_report(vals, grid)
 
 
 def _conclusion(sign: str, v1: np.ndarray, v2: np.ndarray,
@@ -348,29 +351,18 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
     if relation not in DOMINANCE_RELATIONS:
         raise KeyError(f"unknown relation {relation!r}; "
                        f"choices: {', '.join(sorted(DOMINANCE_RELATIONS))}")
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
     hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
-
-    def base_vals(bc: str) -> np.ndarray:
-        return build_green(base, lam, bc, n=n, tol=integrator_tol).combined()
+    cache = _KernelCache(p, length, n, lam, integrator_tol)
+    idx = np.arange(n + 1)
 
     if hyp_kind == "NBASE":
-        GN = build_green(base, lam, "N", n=n, tol=integrator_tol)
-        hyp_report = classify_sign(GN)
+        vn, hyp_report = _cached_kernel(cache, "base", "N")
         _require_sign(hyp_report, "nonneg",
                       "base Neumann kernel is not {} at this lambda")
-        # the extension kernel at (2T - t, s), read from its factors on the
-        # 2n-piece grid without building the whole table
-        even = base.even_extension()
-        basis = fundamental_solutions(even, lam, tol=integrator_tol)
-        k_low, k_up, _ = _branch_matrices(
-            basis, BoundaryCondition.parse("P" if relation == "bound2_p" else "N"))
-        idx = np.arange(n + 1)
-        refl = _node_block(basis._node_states(2 * n, 2 * n + 1),
-                           k_low, k_up, 2 * n - idx, idx)
-        vn = GN.combined()
-        vo = base_vals("D" if relation == "bound2_p" else "M1")
+        # the extension kernel at (2T - t, s) on the 2n-piece grid
+        refl = cache.block(Term(1, "even2", "P" if relation == "bound2_p" else "N",
+                                tmap="r2"), idx)
+        vo = cache.block(Term(1, "base", "D" if relation == "bound2_p" else "M1"), idx)
         tables = (vn, vo, refl)
         results = [
             ("double reflected kernel above Neumann", float(np.min(2 * refl - vn)), False),
@@ -382,13 +374,13 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
         hyp_desc = {"kernel": "N on the base interval",
                     "classification": hyp_report.classification}
     else:
-        hyp_report = _hypothesis_kernel(base, lam, hyp_kind, n, integrator_tol)
-        kernel = _HYPOTHESIS_KERNELS[hyp_kind][1]
+        bc, kernel, _ = _HYPOTHESIS_KERNELS[hyp_kind]
+        hyp_report = _cached_kernel(cache, "even2", bc)[1]
         _require_sign(hyp_report, hyp_sign, f"{kernel} kernel is not {{}} at this lambda")
         hyp_desc = {"kernel": kernel, "classification": hyp_report.classification}
         bc1, bc2 = COMPARISON_THEOREMS[relation][2:]
         n1, n2 = _KERNEL_NAMES[bc1], _KERNEL_NAMES[bc2]
-        tables = (base_vals(bc1), base_vals(bc2))
+        tables = (cache.block(Term(1, "base", bc1), idx), cache.block(Term(1, "base", bc2), idx))
         results = _conclusion(hyp_sign, *tables,
                               (f"{n1} minus |{n2}|",) if hyp_sign == "nonneg" else
                               (f"{n1} minus {n2} (strict)", f"{n1} nonpositive"))
@@ -417,12 +409,12 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
     if theorem not in COMPARISON_THEOREMS:
         raise KeyError(f"unknown theorem {theorem!r}; "
                        f"choices: {', '.join(sorted(COMPARISON_THEOREMS))}")
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
     hyp_kind, hyp_sign, bc1, bc2 = COMPARISON_THEOREMS[theorem]
+    cache = _KernelCache(p, length, n, lam, integrator_tol)
+    base, T = cache.specs["base"]
 
-    hyp_report = _hypothesis_kernel(base, lam, hyp_kind, n, integrator_tol)
-    kernel = _HYPOTHESIS_KERNELS[hyp_kind][2]
+    bc, _, kernel = _HYPOTHESIS_KERNELS[hyp_kind]
+    hyp_report = _cached_kernel(cache, "even2", bc)[1]
     _require_sign(hyp_report, hyp_sign, f"the extension's {kernel} kernel is not {{}}")
 
     ts = np.linspace(0.0, T, n + 1)
@@ -472,8 +464,7 @@ def verify_monotonicity(p: Potential, lam: float, bc, eps: float = 0.1,
                         integrator_tol: float = DEFAULT_TOL) -> dict:
     """A larger potential strictly lowers a constant-sign kernel pointwise."""
     bc = BoundaryCondition.parse(bc)
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
+    base = p if length is None else p.restrict(length)
     G_low = build_green(base, lam, bc, n=n, tol=integrator_tol)
     G_high = build_green(base.shifted(eps), lam, bc, n=n, tol=integrator_tol)
     rep_low = classify_sign(G_low)

@@ -52,37 +52,38 @@ class BoundaryCondition(Enum):
 
     @classmethod
     def parse(cls, text) -> "BoundaryCondition":
+        """A condition from its short name or its member name, in any case,
+        with any '-' and '_' ignored (``"m1"``, ``"Anti-Periodic"``)."""
         if isinstance(text, cls):
             return text
         key = str(text).strip().lower().replace("-", "").replace("_", "")
-        table = {
-            "p": cls.PERIODIC, "periodic": cls.PERIODIC,
-            "a": cls.ANTIPERIODIC, "antiperiodic": cls.ANTIPERIODIC,
-            "n": cls.NEUMANN, "neumann": cls.NEUMANN,
-            "d": cls.DIRICHLET, "dirichlet": cls.DIRICHLET,
-            "m1": cls.MIXED1, "mixed1": cls.MIXED1,
-            "m2": cls.MIXED2, "mixed2": cls.MIXED2,
-        }
-        try:
-            return table[key]
-        except KeyError:
-            raise ValueError(f"unknown boundary condition {text!r}") from None
+        for bc in cls:
+            if key in (bc.value.lower(), bc.name.lower()):
+                return bc
+        raise ValueError(f"unknown boundary condition {text!r}")
 
     @property
     def is_coupled(self) -> bool:
-        return self in (BoundaryCondition.PERIODIC, BoundaryCondition.ANTIPERIODIC)
+        return self.ends is None
+
+    @property
+    def ends(self) -> tuple[int, int] | None:
+        """Which derivative of u vanishes at t = 0 and at t = T (0 for u, 1
+        for u'); None for the coupled conditions."""
+        return _ENDS.get(self)
 
     @property
     def condition(self) -> str:
-        return {
-            BoundaryCondition.PERIODIC: "u(0)=u(T), u'(0)=u'(T)",
-            BoundaryCondition.ANTIPERIODIC: "u(0)=-u(T), u'(0)=-u'(T)",
-            BoundaryCondition.NEUMANN: "u'(0)=0, u'(T)=0",
-            BoundaryCondition.DIRICHLET: "u(0)=0, u(T)=0",
-            BoundaryCondition.MIXED1: "u'(0)=0, u(T)=0",
-            BoundaryCondition.MIXED2: "u(0)=0, u'(T)=0",
-        }[self]
+        if self.is_coupled:
+            s = "" if self is BoundaryCondition.PERIODIC else "-"
+            return f"u(0)={s}u(T), u'(0)={s}u'(T)"
+        u0, uT = (("u", "u'")[d] for d in self.ends)
+        return f"{u0}(0)=0, {uT}(T)=0"
 
+
+# The separated conditions, each described once: which of u, u' vanishes at 0 and at T.
+_ENDS = {BoundaryCondition.NEUMANN: (1, 1), BoundaryCondition.DIRICHLET: (0, 0),
+         BoundaryCondition.MIXED1: (1, 0), BoundaryCondition.MIXED2: (0, 1)}
 
 # Every condition's short name, in declaration order: P, A, N, D, M1, M2.
 BC_ALL = tuple(bc.value for bc in BoundaryCondition)
@@ -110,12 +111,11 @@ def _branch_matrices(basis: SolutionBasis, bc: BoundaryCondition):
         C = np.linalg.solve(A, M)
         return C + eye, C, abs(det) / scale
 
-    l, r = {
-        BoundaryCondition.NEUMANN: ((1.0, 0.0), (basis.y2p_end, -basis.y1p_end)),
-        BoundaryCondition.DIRICHLET: ((0.0, 1.0), (basis.y2_end, -basis.y1_end)),
-        BoundaryCondition.MIXED1: ((1.0, 0.0), (basis.y2_end, -basis.y1_end)),
-        BoundaryCondition.MIXED2: ((0.0, 1.0), (basis.y2p_end, -basis.y1p_end)),
-    }[bc]
+    # l picks the solution meeting the condition at 0 (y1 where u' vanishes,
+    # y2 where u does), r the one meeting it at T
+    d0, dT = bc.ends
+    l = (1.0, 0.0) if d0 else (0.0, 1.0)
+    r = (basis.y2p_end, -basis.y1p_end) if dT else (basis.y2_end, -basis.y1_end)
     W = l[0] * r[1] - l[1] * r[0]
     if abs(W) < RESONANCE_RTOL * scale:
         raise ResonanceError(
@@ -343,8 +343,7 @@ def kernel_value(p: Potential, lam: float, bc, t: float, s: float,
                  length: float | None = None, tol: float = DEFAULT_TOL) -> float:
     """Single kernel value without building a grid."""
     bc = BoundaryCondition.parse(bc)
-    L = float(p.domain_length if length is None else length)
-    basis = fundamental_solutions(p, lam, L, tol)
+    basis = fundamental_solutions(p, lam, length, tol)
     k_low, k_up, _ = _branch_matrices(basis, bc)
     return _entry(KernelBranches(basis, k_low, k_up), t, s)
 
@@ -402,14 +401,9 @@ def boundary_residual(G: GreensFunction) -> float:
     dt_at_L = br.tables_dt(np.array([G.length]), s)[0][0]
 
     bc = G.bc
-    if bc is BoundaryCondition.NEUMANN:
-        r0, r1 = dt_at_0, dt_at_L
-    elif bc is BoundaryCondition.DIRICHLET:
-        r0, r1 = val_at_0, val_at_L
-    elif bc is BoundaryCondition.MIXED1:
-        r0, r1 = dt_at_0, val_at_L
-    elif bc is BoundaryCondition.MIXED2:
-        r0, r1 = val_at_0, dt_at_L
+    if not bc.is_coupled:
+        d0, dT = bc.ends
+        r0, r1 = (val_at_0, dt_at_0)[d0], (val_at_L, dt_at_L)[dT]
     else:
         eps = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
         # interior s only: at s = 0 and s = L the branch assignment is ambiguous

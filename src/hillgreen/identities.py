@@ -238,7 +238,8 @@ class IdentityReport:
 
 
 class _KernelCache:
-    """Rank-2 kernel factors for a fixed (p, lambda, n), shared by every term.
+    """Rank-2 kernel factors for a fixed (p, lambda, n), shared by every term
+    and by the dominance and solution comparison checks.
 
     Every family derives from p restricted to [0, length].  Per family it
     holds one solution basis and its states at the family's grid nodes
@@ -275,6 +276,11 @@ class _KernelCache:
             states = basis._node_states(pieces, min(pieces, 2 * self.n) + 1)
             hit = self._families[family] = (basis, states)
         return hit
+
+    def grid(self, family: str) -> np.ndarray:
+        """The nodes of the family's grid, as ``build_green`` lays them out."""
+        pieces = _FAMILY_FACTOR[family] * self.n
+        return np.linspace(0.0, self._family(family)[0].length, pieces + 1)
 
     def _branches(self, family: str, bc: BoundaryCondition):
         key = (family, bc)

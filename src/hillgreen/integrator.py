@@ -69,6 +69,15 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _check_length(p: Potential, length: float | None, what: str) -> float:
+    """The interval length, ``p``'s whole domain by default, clamped onto it
+    when it overshoots by rounding; ``what`` names it in the error."""
+    L = float(p.domain_length if length is None else length)
+    if not 0.0 < L <= p.domain_length * (1 + 1e-12):
+        raise ValueError(f"{what} length {L} not within the potential domain")
+    return min(L, p.domain_length)
+
+
 def _unwrap(piece):
     """The piece under any ``MirrorPiece`` wrappers, and their centers, outermost first."""
     centers = []
@@ -335,10 +344,7 @@ def fundamental_solutions(p: Potential, lam: float, length: float | None = None,
     lambda, length, tolerance); the cache is threadsafe and bounded.
     """
     tol = _check_tol(tol)
-    L = float(p.domain_length if length is None else length)
-    if not 0.0 < L <= p.domain_length * (1 + 1e-12):
-        raise ValueError(f"integration length {L} not within the potential domain")
-    L = min(L, p.domain_length)
+    L = _check_length(p, length, "integration")
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -429,11 +435,7 @@ def _scan_plan(p: Potential, lams: np.ndarray, length: float | None, accuracy: f
     at probes spread over ``lams``, and ``_propagate`` applies them to any
     batch inside that range.
     """
-    L = float(p.domain_length if length is None else length)
-    if not 0.0 < L <= p.domain_length * (1 + 1e-12):
-        raise ValueError(f"scan length {L} not within the potential domain")
-    L = min(L, p.domain_length)
-
+    L = _check_length(p, length, "scan")
     edges, consts = _segments(p, L)
     smooth = [(t0, t1) for t0, t1, const in zip(edges, edges[1:], consts) if const is None]
     grids = {}

@@ -92,8 +92,7 @@ def characteristic_value(p: Potential, lam: float, bc, length: float | None = No
                          tol: float = DEFAULT_TOL) -> float:
     """Scalar whose zeros in lambda are exactly the eigenvalues of ``bc``."""
     bc = BoundaryCondition.parse(bc)
-    L = float(p.domain_length if length is None else length)
-    basis = fundamental_solutions(p, lam, L, tol)
+    basis = fundamental_solutions(p, lam, length, tol)
     return _char_rows(bc, (basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end))
 
 
@@ -101,16 +100,12 @@ def _char_rows(bc: BoundaryCondition, Y):
     """Characteristic function from the endpoint state (y1, y1', y2, y2')(L).
 
     ``Y`` holds one entry per component: floats for one lambda or the rows
-    of an ``endpoint_scan`` for many.
+    of an ``endpoint_scan`` for many.  A separated condition's function is
+    the solution meeting it at 0 (y1 or y2), or its derivative, at L.
     """
-    if bc is BoundaryCondition.NEUMANN:
-        return Y[1]
-    if bc is BoundaryCondition.DIRICHLET:
-        return Y[2]
-    if bc is BoundaryCondition.MIXED1:
-        return Y[0]
-    if bc is BoundaryCondition.MIXED2:
-        return Y[3]
+    if not bc.is_coupled:
+        d0, dT = bc.ends
+        return Y[2 * (1 - d0) + dT]
     delta = Y[0] + Y[3]
     return delta - 2.0 if bc is BoundaryCondition.PERIODIC else delta + 2.0
 
@@ -327,10 +322,9 @@ def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
     sources also fixes the multiplicity of each discriminant root.
     """
     half = p.restrict(length / 2.0)
-    if bc is BoundaryCondition.PERIODIC:
-        pair = (BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET)
-    else:
-        pair = (BoundaryCondition.MIXED1, BoundaryCondition.MIXED2)
+    pair = ((BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET)
+            if bc is BoundaryCondition.PERIODIC else
+            (BoundaryCondition.MIXED1, BoundaryCondition.MIXED2))
     lams, Y, state = _scan(half, lo, hi, n_scan, length / 2.0, integrator_tol)
     audit: dict = {}
     tagged = [(v, sub.value) for sub in pair
@@ -344,7 +338,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
                      method: str = "auto") -> Spectrum:
     """All eigenvalues of ``bc`` in the range (or the first ``max_count``).
 
-    For the coupled conditions, method "union" assembles the spectrum from
+    With ``length`` the problem is posed for ``p`` restricted to
+    [0, ``length``], before the method and the range are chosen.  For the coupled conditions, method "union" assembles the spectrum from
     the half-interval separated problems (the potential must be even about
     its midpoint), "direct" finds the band edges of the discriminant
     between the Dirichlet and Neumann eigenvalues (any potential), and
@@ -360,7 +355,9 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     ``integrator_tol`` lifts the limit.
     """
     bc = BoundaryCondition.parse(bc)
-    L = float(p.domain_length if length is None else length)
+    if length is not None:
+        p = p.restrict(length)
+    L = p.domain_length
     if search_range is None:
         lo, hi = _auto_range(p, L, max_count if max_count else 8)
     else:
@@ -497,14 +494,8 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
                                 n_scan=n_scan, integrator_tol=integrator_tol)
            for bc in ("N", "D", "M1", "M2")}
 
-    def union_expanded(*bcs: str) -> list[float]:
-        vals: list[float] = []
-        for bc in bcs:
-            vals.extend(sep[bc].expanded())
-        return sorted(vals)
-
-    nd = union_expanded("N", "D")
-    mm = union_expanded("M1", "M2")
+    nd = sorted(sep["N"].expanded() + sep["D"].expanded())
+    mm = sorted(sep["M1"].expanded() + sep["M2"].expanded())
     all4 = sorted(nd + mm)
 
     def window(values: list[float]) -> tuple[float, float, int]:
@@ -555,18 +546,12 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
     }
 
 
-def _corner_function(p: Potential, corner: float, length: float,
-                     integrator_tol: float):
-    def g(lam: float) -> float:
-        return kernel_value(p, lam, "N", corner, corner, length=length,
-                            tol=integrator_tol)
-    return g
-
-
 def _first_corner_root(p: Potential, corner: float, lo: float, hi: float,
                        length: float, integrator_tol: float) -> float | None:
     """First zero of the Neumann kernel corner value between two Neumann poles."""
-    g = _corner_function(p, corner, length, integrator_tol)
+    def g(lam: float) -> float:
+        return kernel_value(p, lam, "N", corner, corner, length=length, tol=integrator_tol)
+
     span = hi - lo
     for frac in (1e-3, 1e-2, 0.05):
         a, b = lo + frac * span, hi - frac * span
@@ -613,34 +598,20 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
     base = p if length is None else p.restrict(T)
     even = base.even_extension()
 
-    lamN = find_eigenvalues(base, "N", max_count=2, n_scan=n_scan,
-                            integrator_tol=integrator_tol)
-    lamD = find_eigenvalues(base, "D", max_count=1, n_scan=n_scan,
-                            integrator_tol=integrator_tol)
-    lamM1 = find_eigenvalues(base, "M1", max_count=1, n_scan=n_scan,
-                             integrator_tol=integrator_tol)
-    lamM2 = find_eigenvalues(base, "M2", max_count=1, n_scan=n_scan,
-                             integrator_tol=integrator_tol)
-    lamN2 = find_eigenvalues(even, "N", max_count=1, n_scan=n_scan,
-                             integrator_tol=integrator_tol)
-    lamD2 = find_eigenvalues(even, "D", max_count=1, n_scan=n_scan,
-                             integrator_tol=integrator_tol)
-    lamP2 = find_eigenvalues(even, "P", max_count=1, n_scan=n_scan,
-                             integrator_tol=integrator_tol, method="direct")
-    lamA2 = find_eigenvalues(even, "A", max_count=1, n_scan=n_scan,
-                             integrator_tol=integrator_tol, method="direct")
-
-    vals = {
-        "lambda_N": lamN.first(), "lambda_D": lamD.first(),
-        "lambda_M1": lamM1.first(), "lambda_M2": lamM2.first(),
-        "lambda_N_2T": lamN2.first(), "lambda_D_2T": lamD2.first(),
-        "lambda_P_2T": lamP2.first(), "lambda_A_2T": lamA2.first(),
-    }
-    if any(v is None for v in vals.values()) or len(lamN.values()) < 2:
+    # key -> (potential, condition, count); "direct" only matters for P and A
+    runs = {"lambda_N": (base, "N", 2), "lambda_D": (base, "D", 1),
+            "lambda_M1": (base, "M1", 1), "lambda_M2": (base, "M2", 1),
+            "lambda_N_2T": (even, "N", 1), "lambda_D_2T": (even, "D", 1),
+            "lambda_P_2T": (even, "P", 1), "lambda_A_2T": (even, "A", 1)}
+    found = {key: find_eigenvalues(pot, bc, max_count=count, n_scan=n_scan,
+                                   integrator_tol=integrator_tol, method="direct").values()
+             for key, (pot, bc, count) in runs.items()}
+    vals = {key: v[0] if v else None for key, v in found.items()}
+    if any(v is None for v in vals.values()) or len(found["lambda_N"]) < 2:
         return {"values": vals, "pass": False,
                 "error": "not enough eigenvalues found in the scan range"}
 
-    lam_n0, lam_n1 = lamN.values()[0], lamN.values()[1]
+    lam_n0, lam_n1 = found["lambda_N"][:2]
 
     def eq(lhs: float, rhs: float) -> dict:
         return {"kind": "equality", "lhs": lhs, "rhs": rhs,
@@ -653,19 +624,23 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
     # Sample points where every kernel involved is nonresonant.
     samples = [lam_n0 - 1.0,
                0.5 * (lam_n0 + min(vals["lambda_M1"], vals["lambda_M2"]))]
-    corner_eqs = {0.0: [], T: []}
-    for corner in (0.0, T):
-        for lam_s in samples:
-            c_base = kernel_value(base, lam_s, "N", corner, corner,
-                                  tol=integrator_tol)
-            c_ext = kernel_value(even, lam_s, "P", corner, corner,
-                                 length=2.0 * T, tol=integrator_tol)
-            entry = eq(c_base, 2.0 * c_ext)
-            entry["lambda"] = lam_s
-            corner_eqs[corner].append(entry)
 
-    root00 = _first_corner_root(base, 0.0, lam_n0, lam_n1, T, integrator_tol)
-    rootTT = _first_corner_root(base, T, lam_n0, lam_n1, T, integrator_tol)
+    def corner_checks(corner: float, mixed: str) -> tuple[list[dict], float | None]:
+        """N(c, c) = 2 P_2T(c, c) at the samples, and the first zero of N(c, c)
+        against the first eigenvalue of ``mixed``; the checks and that zero."""
+        checks = []
+        for lam_s in samples:
+            c_base = kernel_value(base, lam_s, "N", corner, corner, tol=integrator_tol)
+            c_ext = kernel_value(even, lam_s, "P", corner, corner, length=2.0 * T,
+                                 tol=integrator_tol)
+            checks.append({**eq(c_base, 2.0 * c_ext), "lambda": lam_s})
+        root = _first_corner_root(base, corner, lam_n0, lam_n1, T, integrator_tol)
+        checks.append(eq(root, vals[mixed]) if root is not None else
+                      {"kind": "equality", "pass": False, "error": "corner root not bracketed"})
+        return checks, root
+
+    checks00, root00 = corner_checks(0.0, "lambda_M2")
+    checksTT, rootTT = corner_checks(T, "lambda_M1")
 
     items = [
         {"item": 1,
@@ -677,18 +652,12 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
          "description": "Neumann kernel at (0,0) doubles the extension's periodic "
                         "corner value; its first zero is the first eigenvalue of "
                         "u(0)=u'(T)=0",
-         "checks": corner_eqs[0.0] + ([eq(root00, vals["lambda_M2"])]
-                                      if root00 is not None else
-                                      [{"kind": "equality", "pass": False,
-                                        "error": "corner root not bracketed"}])},
+         "checks": checks00},
         {"item": 6,
          "description": "Neumann kernel at (T,T) doubles the extension's periodic "
                         "corner value; its first zero is the first eigenvalue of "
                         "u'(0)=u(T)=0",
-         "checks": corner_eqs[T] + ([eq(rootTT, vals["lambda_M1"])]
-                                    if rootTT is not None else
-                                    [{"kind": "equality", "pass": False,
-                                      "error": "corner root not bracketed"}])},
+         "checks": checksTT},
         {"item": 7,
          "description": "first anti-periodic eigenvalue of the extension is the "
                         "smaller of the two mixed eigenvalues",
@@ -736,8 +705,7 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
     chain.  Mixed-vs-mixed and Neumann-vs-Dirichlet alternation is only
     observed and reported, never asserted.
     """
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
+    base = p if length is None else p.restrict(length)
 
     need = count + 2
     sep = {bc: find_eigenvalues(base, bc, search_range=search_range,
@@ -807,15 +775,10 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
                         "pass": all(l["pass"] for l in group_links)}
 
     # Multiplicity coherence of the union assembly.
-    parity = []
-    for entry in spec_a.audit.get("sources", []):
-        if len(entry["from"]) == 2:
-            parity.append({"value": entry["value"], "from": entry["from"],
-                           "pass": set(entry["from"]) == {"M1", "M2"}})
-    for entry in spec_p.audit.get("sources", []):
-        if len(entry["from"]) == 2:
-            parity.append({"value": entry["value"], "from": entry["from"],
-                           "pass": set(entry["from"]) == {"N", "D"}})
+    parity = [{"value": entry["value"], "from": entry["from"],
+               "pass": set(entry["from"]) == pair}
+              for spec, pair in ((spec_a, {"M1", "M2"}), (spec_p, {"N", "D"}))
+              for entry in spec.audit.get("sources", []) if len(entry["from"]) == 2]
     parity_pass = all(e["pass"] for e in parity) if parity else True
 
     def pattern(first: str, second: str) -> str:

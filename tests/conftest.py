@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hillgreen import Potential, clear_cache
+from hillgreen import Potential, clear_cache, greens
 from hillgreen.integrator import SolutionBasis
 
 
@@ -53,4 +54,21 @@ def trajectory_calls(monkeypatch):
         return original(self, t)
 
     monkeypatch.setattr(SolutionBasis, "trajectory", counting)
+    return calls
+
+
+@pytest.fixture
+def build_green_calls(monkeypatch):
+    """Conditions of every build_green call made in the test, through any
+    module of the package that imported it."""
+    calls = []
+    original = greens.build_green
+
+    def counting(p, lam, bc, *args, **kwargs):
+        calls.append(bc)
+        return original(p, lam, bc, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hillgreen" and getattr(mod, "build_green", None) is original:
+            monkeypatch.setattr(mod, "build_green", counting)
     return calls

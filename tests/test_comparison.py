@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hillgreen import (
+    BoundaryCondition,
     Potential,
     build_green,
     classify_sign,
@@ -336,6 +337,21 @@ def test_dominance_reads_node_states_once(cos_pi, trajectory_calls):
     trajectory_calls.clear()
     assert verify_dominance(cos_pi, -0.36, "bound2_p", n=40)["pass"]
     assert trajectory_calls == []
+
+
+def test_kernel_checks_build_no_tables(cos_pi, build_green_calls):
+    # every kernel the dominance and solution checks compare is read from
+    # rank-2 factors; none goes through a whole build_green table
+    lams = {"nd_nonneg": -0.36, "nd_neg": -0.6, "nm1_nonneg": -0.37, "nm1_neg": -0.7,
+            "m2d": 0.3, "bound2_p": -0.36, "bound2_n": -0.36}
+    for rel in DOMINANCE_RELATIONS:
+        assert verify_dominance(cos_pi, lams[rel], rel, n=30)["pass"], rel
+    for thm in COMPARISON_THEOREMS:
+        assert verify_solution_comparison(cos_pi, lams[thm], thm, 1.0, 1.0, n=30)["pass"], thm
+    assert build_green_calls == []
+    # the fixture does count the library's own calls
+    assert verify_monotonicity(cos_pi, -2.0, "N", n=10)["pass"]
+    assert build_green_calls == [BoundaryCondition.NEUMANN] * 2
 
 
 @pytest.mark.parametrize("bc,lam,expected", [

@@ -268,3 +268,41 @@ def test_grid_size_below_one_raises(zero1):
         solve_bvp(zero1, 1.0, "N", 1.0, n=0)
     with pytest.raises(ValueError):
         build_green(zero1, 1.0, "N", n=0)
+
+
+# -- boundary condition names ------------------------------------------------
+
+
+@pytest.mark.parametrize("bc,spellings", [
+    (BoundaryCondition.PERIODIC, ("P", "p", " P ", "periodic", "PERIODIC", "Periodic")),
+    (BoundaryCondition.ANTIPERIODIC, ("A", "a", "antiperiodic", "ANTIPERIODIC",
+                                      "anti-periodic", "Anti_Periodic", "anti-_periodic")),
+    (BoundaryCondition.NEUMANN, ("N", "n", "neumann", "NEUMANN", "Neu-mann")),
+    (BoundaryCondition.DIRICHLET, ("D", "d", "dirichlet", "DIRICHLET", "Dirich_let")),
+    (BoundaryCondition.MIXED1, ("M1", "m1", "m-1", "M_1", "mixed1", "MIXED1", "mixed-1",
+                                "Mixed_1")),
+    (BoundaryCondition.MIXED2, ("M2", "m2", "m-2", "M_2", "mixed2", "MIXED2", "mixed-2",
+                                "Mixed_2")),
+])
+def test_parse_spellings(bc, spellings):
+    assert BoundaryCondition.parse(bc) is bc
+    for text in spellings:
+        assert BoundaryCondition.parse(text) is bc, text
+
+
+@pytest.mark.parametrize("text", ["", "x", "M3", "mixed", "periodicity", "neumann-dirichlet",
+                                  "PA", 1, None])
+def test_parse_unknown_raises(text):
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        BoundaryCondition.parse(text)
+
+
+def test_condition_strings():
+    assert {bc.value: bc.condition for bc in BoundaryCondition} == {
+        "P": "u(0)=u(T), u'(0)=u'(T)",
+        "A": "u(0)=-u(T), u'(0)=-u'(T)",
+        "N": "u'(0)=0, u'(T)=0",
+        "D": "u(0)=0, u(T)=0",
+        "M1": "u'(0)=0, u(T)=0",
+        "M2": "u(0)=0, u'(T)=0",
+    }

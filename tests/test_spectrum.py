@@ -235,6 +235,21 @@ def test_first_eigenvalue_relations(request, name):
     assert rep["pass"], [(i["item"], i["pass"]) for i in rep["items"]]
 
 
+@pytest.mark.parametrize("bc", ["P", "A", "N", "D", "M1", "M2"])
+def test_length_restricts_before_choosing_method(bc):
+    # the even extension of an uneven step is even as a whole, but its first
+    # half is not: with length=1 the problem is the step's own, so P and A
+    # must take the direct route and the step's range, not the union of the
+    # whole extension
+    base = Potential.piecewise_constant([0, .3, 1], [2, -1])
+    got = find_eigenvalues(base.even_extension(), bc, max_count=4, length=1.0)
+    want = find_eigenvalues(base, bc, max_count=4)
+    assert got.values() == want.values()
+    assert got.audit.get("method") == want.audit.get("method")
+    if bc == "P":
+        assert got.values()[0] == pytest.approx(0.066386, abs=1e-6)
+
+
 def test_relations_values_zero_potential(zero1):
     rep = first_eigenvalue_relations(zero1)
     v = rep["values"]
