@@ -413,13 +413,9 @@ def boundary_residual(G: GreensFunction) -> float:
     return float(max(np.max(np.abs(r0)), np.max(np.abs(r1))))
 
 
-# Composite Simpson rule on 257 equally spaced nodes of [0, 1]; scaled by t
-# it integrates over [0, t], so the quadrature error varies smoothly with t.
-_SIMPSON_NODES = np.linspace(0.0, 1.0, 257)
-_SIMPSON_WEIGHTS = np.concatenate([[1.0], np.tile([4.0, 2.0], 127), [4.0, 1.0]]) / (3 * 256)
-# Points per trajectory call: each brings its 257 nodes, so a block's
-# working arrays stay near 15 MB however many points are asked for.
-_EVAL_BLOCK = 256
+def _integrand(sigma, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f(t) = (-y2(t), y1(t)) sigma(t) from the states y at t."""
+    return np.stack([-y[2], y[0]]) * sigma(t)
 
 
 @dataclass(eq=False)
@@ -427,45 +423,48 @@ class BvpSolution:
     """Solution u(t) = integral of G(t, s) sigma(s) ds, callable anywhere on [0, L].
 
     Since K_low - K_up = I, with row(t) = (y1, y2)(t) and
-    c(t) = integral over [0, t] of (-y2(s), y1(s)) sigma(s) ds,
+    c(t) = integral over [0, t] of f(s) = (-y2(s), y1(s)) sigma(s) ds,
 
         u(t)  = row(t)  . (K_up c(L) + c(t)),
         u'(t) = row'(t) . (K_up c(L) + c(t)),
 
     the c' term of u' dropping out because row(t) . (-y2, y1)(t) = 0.
-    ``solve_bvp`` stores the offset K_up c(L) and the node values; calls
-    off the grid integrate c(t) by a Simpson rule on [0, t], so u is never
-    interpolated.
+    ``solve_bvp`` stores K_up c(L) + c(x) and f(x) at the panel edges x of
+    its cumulative Simpson rule. At any t, c(t) is c at the last edge x <= t
+    plus one Simpson panel over [x, t], so each point costs the states at t
+    and (x + t) / 2, and u is never interpolated. ``values`` is this
+    evaluator at ``grid``, so ``u(u.grid)`` equals ``u.values`` exactly.
     """
 
     bc: BoundaryCondition
     lam: float
     length: float
     grid: np.ndarray
-    values: np.ndarray
+    values: np.ndarray = field(init=False)
     _basis: SolutionBasis = field(repr=False)
     _sigma: object = field(repr=False)
-    _offset: np.ndarray = field(repr=False)
+    _edges: np.ndarray = field(repr=False)
+    _c: np.ndarray = field(repr=False)
+    _f: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.values = self._eval(self.grid, deriv=False)
 
     def _eval(self, t, deriv: bool):
         tt = np.asarray(t, dtype=float)
         pts = tt.reshape(-1)
-        out = np.empty(pts.size)
-        for k in range(0, pts.size, _EVAL_BLOCK):
-            out[k:k + _EVAL_BLOCK] = self._eval_block(pts[k:k + _EVAL_BLOCK], deriv)
-        return float(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
-
-    def _eval_block(self, pts: np.ndarray, deriv: bool) -> np.ndarray:
         m = pts.size
-        s = (pts[:, None] * _SIMPSON_NODES).reshape(-1)
-        y = self._basis.trajectory(np.concatenate([pts, s]))
-        ys = y[:, m:].reshape(4, m, -1)
-        # row sums, not a matrix product, so each point's value does not
-        # depend on how many points share the call
-        ws = self._sigma(s).reshape(m, -1) * _SIMPSON_WEIGHTS
-        c = np.stack([-np.sum(ys[2] * ws, axis=1), np.sum(ys[0] * ws, axis=1)]) * pts
+        k = np.searchsorted(self._edges, pts, side="right") - 1
+        np.clip(k, 0, self._edges.size - 1, out=k)
+        x = self._edges[k]
+        # one call for t and the panel midpoints; it raises DomainError off [0, L]
+        s = np.concatenate([pts, 0.5 * (x + pts)])
+        y = self._basis.trajectory(s)
+        f = _integrand(self._sigma, s, y)
+        c = self._c[:, k] + (self._f[:, k] + 4.0 * f[:, m:] + f[:, :m]) * ((pts - x) / 6.0)
         row = y[[1, 3], :m] if deriv else y[[0, 2], :m]
-        return np.sum(row * (self._offset[:, None] + c), axis=0)
+        out = np.sum(row * c, axis=0)
+        return float(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
 
     def __call__(self, t):
         return self._eval(t, deriv=False)
@@ -503,26 +502,23 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100,
 
     ``sigma`` may be a callable, a constant, or an array on the 4n+1
     quadrature grid. One pass over that grid integrates c(t) (see
-    ``BvpSolution``) by cumulative composite Simpson, and the node values
-    u(t_i) = row(t_i) . (K_up c(L) + c(t_i)) live on the coarser n+1 grid;
-    the returned object is callable everywhere.
+    ``BvpSolution``) by cumulative composite Simpson over its 2n two-step
+    panels; every value of the returned solution, the n+1 node values
+    included, continues that integral by one partial panel.
     """
     bc = BoundaryCondition.parse(bc)
     _check_n(n)
-    L = float(p.domain_length if length is None else length)
-    basis = fundamental_solutions(p, lam, L, tol)
+    basis = fundamental_solutions(p, lam, length, tol)
+    # the basis clamps a length that overshoots the domain by rounding
+    L = basis.length
     _, k_up, _ = _branch_matrices(basis, bc)
 
     squad = np.linspace(0.0, L, 4 * n + 1)
     sig_fn = _as_callable(sigma, squad)
-    y = basis.trajectory(squad)
-    f = np.stack([-y[2], y[0]]) * sig_fn(squad)
-    # c at the even nodes, by cumulative composite Simpson over two-step panels
+    f = _integrand(sig_fn, squad, basis.trajectory(squad))
+    # c at the panel edges, by cumulative composite Simpson over two-step panels
     panels = (f[:, :-2:2] + 4.0 * f[:, 1::2] + f[:, 2::2]) * (L / (4 * n) / 3.0)
-    c = np.concatenate([np.zeros((2, 1)), np.cumsum(panels, axis=1)], axis=1)[:, ::2]
-    offset = k_up @ c[:, -1]
-    values = np.sum(y[[0, 2], ::4] * (offset[:, None] + c), axis=0)
-
-    return BvpSolution(bc=bc, lam=float(lam), length=L,
-                       grid=np.linspace(0.0, L, n + 1), values=values,
-                       _basis=basis, _sigma=sig_fn, _offset=offset)
+    c = np.concatenate([np.zeros((2, 1)), np.cumsum(panels, axis=1)], axis=1)
+    return BvpSolution(bc=bc, lam=float(lam), length=L, grid=np.linspace(0.0, L, n + 1),
+                       _basis=basis, _sigma=sig_fn, _edges=squad[::2],
+                       _c=(k_up @ c[:, -1])[:, None] + c, _f=f[:, ::2])

@@ -292,7 +292,7 @@ class _KernelCache:
             except ResonanceError as exc:
                 L = self.specs[family][1]
                 msg = (f"{bc.condition} problem on [0, {L:g}] ({_FAMILY_LABEL[family]}) "
-                       f"is resonant at lambda = {self.lam:g}")
+                       f"is resonant at lambda = {self.lam!r}")
                 hit = ("resonant", (msg, exc.determinant, bc))
             self._matrices[key] = hit
         kind, payload = hit

@@ -5,6 +5,7 @@ point is to have a second route to the same numbers.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 def rk4_reference(p, lam, length, n_per_segment=6000):
@@ -76,3 +77,46 @@ def shooting_dirichlet(p, lam, sigma, length, n=4000):
         raise ZeroDivisionError("shooting hit a Dirichlet eigenvalue")
     c = -u_part[-1] / u_hom[-1]
     return ts, u_part + c * u_hom
+
+
+# Which of (u, u') vanishes at t = 0 and at t = L under each separated condition.
+_SEPARATED_ENDS = {"N": (1, 1), "D": (0, 0), "M1": (1, 0), "M2": (0, 1)}
+
+
+def step_bvp_reference(breaks, values, lam, bc, sigma, ts):
+    """(u, u') at ts for u'' + (a + lam) u = sigma, a a step function.
+
+    a equals values[i] on [breaks[i], breaks[i+1]]. DOP853 at rtol 1e-13
+    integrates the two homogeneous solutions and the particular one with
+    u(0) = u'(0) = 0 piece by piece, so no step straddles a jump; the
+    condition ``bc`` (P, A, N, D, M1, M2) then fixes the combination.
+    """
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty((6, ts.size))
+    z = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])   # y1, y1', y2, y2', up, up'
+    last = len(values) - 1
+    for i, (t0, t1, a) in enumerate(zip(breaks, breaks[1:], values)):
+        q = a + lam
+
+        def rhs(t, w, q=q):
+            return [w[1], -q * w[0], w[3], -q * w[2], w[5], sigma(t) - q * w[4]]
+
+        sel = np.flatnonzero((ts >= t0) & ((ts < t1) if i < last else (ts <= t1)))
+        sel = sel[np.argsort(ts[sel])]
+        sol = solve_ivp(rhs, (t0, t1), z, method="DOP853", rtol=1e-13, atol=1e-15,
+                        t_eval=np.append(ts[sel], t1))
+        out[:, sel] = sol.y[:, :-1]
+        z = sol.y[:, -1]
+    # (u, u') = up + alpha y1 + beta y2; rows are the state at 0 and at L
+    at0 = (np.eye(2), np.zeros(2))
+    atL = (np.array([[z[0], z[2]], [z[1], z[3]]]), z[4:6])
+    if bc in ("P", "A"):
+        eps = 1.0 if bc == "P" else -1.0
+        A, b = at0[0] - eps * atL[0], at0[1] - eps * atL[1]
+    else:
+        d0, dL = _SEPARATED_ENDS[bc]
+        A = np.array([at0[0][d0], atL[0][dL]])
+        b = np.array([at0[1][d0], atL[1][dL]])
+    alpha, beta = np.linalg.solve(A, -b)
+    return (out[4] + alpha * out[0] + beta * out[2],
+            out[5] + alpha * out[1] + beta * out[3])

@@ -82,6 +82,18 @@ def test_green_resonant_exit_code(capsys):
     assert rc == 3
 
 
+def test_resonance_reason_prints_lambda_exactly(capsys):
+    # pi^2/4 is a Neumann eigenvalue of ex1's even extension; a rounded
+    # lambda in the message could not be told from a nearby one
+    lam = "2.4674011002723395"
+    assert main(["compare", "--potential", "ex1", "--lambda", lam, "--n", "20"]) == 3
+    assert f"is resonant at lambda = {lam}\n" in capsys.readouterr().err
+    rc, out = run(capsys, "verify", "--potential", "ex1", "--lambda", lam, "--n", "20")
+    assert rc == 0
+    reasons = [r["reason"] for r in json.loads(out)["reports"] if r["skipped"]]
+    assert reasons and all(r.endswith(f"is resonant at lambda = {lam}") for r in reasons)
+
+
 def test_verify_json(capsys):
     rc, out = run(capsys, "verify", "--potential", "ex1", "--lambda", "0.37",
                   "--n", "40")

@@ -14,9 +14,9 @@ from hillgreen import (
     solve_bvp,
     table_slice,
 )
-from hillgreen.errors import PoleError, ResonanceError
+from hillgreen.errors import DomainError, PoleError, ResonanceError
 
-from helpers import shooting_dirichlet
+from helpers import shooting_dirichlet, step_bvp_reference
 
 ALL_BC = ("P", "A", "N", "D", "M1", "M2")
 
@@ -238,7 +238,7 @@ def test_bvp_solution_arrays_match_scalar_calls(cos_pi):
     assert np.array_equal(vals, [[u(t) for t in row] for row in ts])
     assert np.array_equal(slopes, [[u.derivative(t) for t in row] for row in ts])
     assert isinstance(u(0.4), float) and isinstance(u.derivative(0.4), float)
-    # long arrays are evaluated in blocks; the block edges change nothing
+    # a point's value does not depend on the points that share its call
     long = np.linspace(0.0, math.pi, 600)
     idx = [0, 255, 256, 599]
     assert np.array_equal(u(long)[idx], [u(long[i]) for i in idx])
@@ -247,20 +247,59 @@ def test_bvp_solution_arrays_match_scalar_calls(cos_pi):
 @pytest.mark.parametrize("bc", ["A", "D", "M1", "M2"])
 def test_bvp_solution_at_nodes_matches_values(zero1, bc):
     # a == 0 and lambda = 0 give y1 = 1, y2 = t: with a quadratic forcing
-    # every integrand is a cubic, which both Simpson rules integrate exactly,
+    # every integrand is a cubic, which Simpson's rule integrates exactly,
     # so the node values and the off-grid evaluator must agree to rounding
     u = solve_bvp(zero1, 0.0, bc, lambda t: 1.0 + t - 2.0 * t * t, n=30)
     tol = 1e-12 * np.maximum(1.0, np.abs(u.values))
     assert np.all(np.abs(u(u.grid) - u.values) <= tol)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "u(grid) integrates c(t) with a 257-node rule on [0, t] and u.values with "
-    "the 4n+1 grid: on a cosine the two differ by up to 2.7e-9"))
-def test_bvp_solution_at_nodes_matches_values_on_cosine(cos_pi):
-    u = solve_bvp(cos_pi, 0.2, "N", np.sin, n=50)
-    tol = 1e-12 * np.maximum(1.0, np.abs(u.values))
-    assert np.all(np.abs(u(u.grid) - u.values) <= tol)
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_bvp_solution_at_nodes_matches_values_on_cosine(cos_pi, bc):
+    u = solve_bvp(cos_pi, 0.2, bc, np.sin, n=50)
+    assert np.array_equal(u(u.grid), u.values)
+
+
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_bvp_solution_off_grid_on_step_potential(bc):
+    # the jumps at 0.25 and 0.6 lie on panel edges (multiples of L/200) at
+    # n = 100, so every Simpson panel, partial ones included, is smooth
+    breaks, values, lam = [0.0, 0.25, 0.6, 1.0], [1.0, -3.0, 4.0], 0.8
+
+    def sigma(t):
+        return 1.0 + np.sin(2.0 * t)
+
+    u = solve_bvp(Potential.piecewise_constant(breaks, values), lam, bc, sigma, n=100)
+    ts = np.random.default_rng(5).uniform(0.0, 1.0, 200)
+    ref_u, ref_du = step_bvp_reference(breaks, values, lam, bc, sigma, ts)
+    assert np.all(np.abs(u(ts) - ref_u) <= 1e-9 * np.maximum(1.0, np.abs(ref_u)))
+    assert np.all(np.abs(u.derivative(ts) - ref_du) <= 1e-9 * np.maximum(1.0, np.abs(ref_du)))
+    assert np.array_equal(u(u.grid), u.values)
+
+
+def test_bvp_solution_outside_domain_raises(cos_pi):
+    u = solve_bvp(cos_pi, 0.5, "D", 1.0, n=20)
+    with pytest.raises(DomainError):
+        u(-0.1)
+    with pytest.raises(DomainError):
+        u.derivative(math.pi + 0.1)
+    with pytest.raises(DomainError):
+        u(np.array([0.5, math.pi + 0.1]))
+
+
+def test_bvp_solution_two_trajectory_points_per_query(cos_pi, trajectory_calls):
+    u = solve_bvp(cos_pi, 0.5, "N", np.cos, n=100)
+    trajectory_calls.clear()
+    u(np.linspace(0.01, 3.1, 40))
+    assert len(trajectory_calls) == 1 and trajectory_calls[0] <= 80
+
+
+def test_solve_bvp_length_from_basis(cos_pi):
+    # a length past the domain by rounding is clamped, as in build_green
+    L = math.pi * (1 + 1e-13)
+    u = solve_bvp(cos_pi, 0.5, "D", 1.0, n=20, length=L)
+    G = build_green(cos_pi, 0.5, "D", n=20, length=L)
+    assert u.length == u.grid[-1] == G.length == G.grid[-1] == cos_pi.domain_length
 
 
 def test_grid_size_below_one_raises(zero1):

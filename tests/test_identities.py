@@ -165,7 +165,7 @@ def _reference_reports(p, lam, n, length=None, tol=1e-6):
             except ResonanceError:
                 kernels[family, bc] = (
                     f"{BoundaryCondition.parse(bc).condition} problem on "
-                    f"[0, {length_f:g}] ({label}) is resonant at lambda = {lam:g}")
+                    f"[0, {length_f:g}] ({label}) is resonant at lambda = {float(lam)!r}")
         return kernels[family, bc]
 
     out = []
