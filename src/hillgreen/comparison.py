@@ -10,7 +10,10 @@ The dominance and solution checks read every kernel they compare through
 the identity catalog's factor cache: the rank-2 factors row(t) . K . col(s)
 at the grid nodes of each family (base interval, even extension), with no
 full ``build_green`` table, so the kernels of one (p, lambda, n) share one
-``trajectory`` call per solution basis.
+``trajectory`` call per solution basis.  A sign hypothesis reads only the
+kernel's minimum and maximum, which fix its classification; they are taken
+in row slices, so no table of the hypothesis kernel is held.  A conclusion's
+tables are formed only once its hypothesis holds.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ __all__ = [
 DEFAULT_ZERO_TOL = 1e-7
 STRICT_SLACK = 1e-9
 
+_NONNEGATIVE = ("strictly_positive", "nonnegative_with_zeros")
+_NONPOSITIVE = ("strictly_negative", "nonpositive_with_zeros")
+
 
 @dataclass(frozen=True)
 class SignReport:
@@ -53,10 +59,10 @@ class SignReport:
     zero_tol: float
 
     def is_nonnegative(self) -> bool:
-        return self.classification in ("strictly_positive", "nonnegative_with_zeros")
+        return self.classification in _NONNEGATIVE
 
     def is_nonpositive(self) -> bool:
-        return self.classification in ("strictly_negative", "nonpositive_with_zeros")
+        return self.classification in _NONPOSITIVE
 
     def as_dict(self) -> dict:
         return {"classification": self.classification,
@@ -67,29 +73,29 @@ class SignReport:
 
 def classify_sign(G: GreensFunction, zero_tol: float = DEFAULT_ZERO_TOL) -> SignReport:
     """Grid-based sign classification with the near-zero set reported."""
-    return _sign_report(G.combined(), G.grid, zero_tol)
-
-
-def _sign_report(vals: np.ndarray, grid: np.ndarray,
-                 zero_tol: float = DEFAULT_ZERO_TOL) -> SignReport:
-    """Sign classification of a kernel table whose rows and columns sit at ``grid``."""
+    vals = G.combined()
     mn = float(np.min(vals))
     mx = float(np.max(vals))
     if mn > zero_tol or mx < -zero_tol:
         zeros = ()
     else:
         zi, zj = np.nonzero((vals >= -zero_tol) & (vals <= zero_tol))
-        zeros = tuple(zip(grid[zi].tolist(), grid[zj].tolist()))
+        zeros = tuple(zip(G.grid[zi].tolist(), G.grid[zj].tolist()))
+    return SignReport(_sign_class(mn, mx, zero_tol), mn, mx, zeros, zero_tol)
+
+
+def _sign_class(mn: float, mx: float, zero_tol: float) -> str:
+    """The classification of a table from its extremes alone: a table whose
+    minimum is >= -zero_tol has an entry in the zero band exactly when that
+    minimum is <= zero_tol, and likewise for the maximum."""
     if mn >= -zero_tol and mx > zero_tol:
-        cls = "nonnegative_with_zeros" if zeros else "strictly_positive"
-    elif mx <= zero_tol and mn < -zero_tol:
-        cls = "nonpositive_with_zeros" if zeros else "strictly_negative"
-    elif mn < -zero_tol and mx > zero_tol:
-        cls = "sign_changing"
-    else:
-        # Everything inside the zero band; degenerate but classify as signed.
-        cls = "nonnegative_with_zeros"
-    return SignReport(cls, mn, mx, zeros, zero_tol)
+        return "nonnegative_with_zeros" if mn <= zero_tol else "strictly_positive"
+    if mx <= zero_tol and mn < -zero_tol:
+        return "nonpositive_with_zeros" if mx >= -zero_tol else "strictly_negative"
+    if mn < -zero_tol and mx > zero_tol:
+        return "sign_changing"
+    # Everything inside the zero band; degenerate but classify as signed.
+    return "nonnegative_with_zeros"
 
 
 def _first_value(p: Potential, bc: str, n_scan: int, integrator_tol: float) -> float:
@@ -255,12 +261,12 @@ _HYPOTHESIS_KERNELS = {
     "D2": ("D", "D on the even extension", "Dirichlet"),
 }
 
-# required sign -> (word in the message, test, report field naming the worst point)
+# required sign -> (word in the message, classifications that have it, index
+# of the extreme naming the worst point in (min, max))
 _SIGNS = {
-    "nonneg": ("nonnegative", SignReport.is_nonnegative, "min_value"),
-    "neg": ("strictly negative",
-            lambda rep: rep.classification == "strictly_negative", "max_value"),
-    "nonpos": ("nonpositive", SignReport.is_nonpositive, "max_value"),
+    "nonneg": ("nonnegative", _NONNEGATIVE, 0),
+    "neg": ("strictly negative", ("strictly_negative",), 1),
+    "nonpos": ("nonpositive", _NONPOSITIVE, 1),
 }
 
 _KERNEL_NAMES = {"N": "Neumann", "D": "Dirichlet", "M1": "first mixed",
@@ -272,20 +278,16 @@ def _require(cond: bool, message: str, point=None) -> None:
         raise HypothesisNotMet(message, point=point)
 
 
-def _require_sign(report: SignReport, sign: str, message: str) -> None:
-    """Raise HypothesisNotMet unless the kernel has the required sign.
-
-    ``message`` names the kernel and carries ``{}`` where the sign goes.
+def _require_sign(cache: _KernelCache, family: str, bc: str, sign: str, message: str) -> str:
+    """The classification of a kernel on its family's whole grid, read from
+    its extremes; raises HypothesisNotMet unless the kernel has the required
+    sign.  ``message`` names the kernel and carries ``{}`` where the sign goes.
     """
-    word, holds, field = _SIGNS[sign]
-    _require(holds(report), message.format(word), point=getattr(report, field))
-
-
-def _cached_kernel(cache: _KernelCache, family: str, bc: str) -> tuple[np.ndarray, SignReport]:
-    """A kernel's table on its family's whole grid, and its sign report."""
-    grid = cache.grid(family)
-    vals = cache.block(Term(1, family, bc), np.arange(grid.size))
-    return vals, _sign_report(vals, grid)
+    extremes = cache.extrema(family, bc)
+    cls = _sign_class(*extremes, DEFAULT_ZERO_TOL)
+    word, classes, worst = _SIGNS[sign]
+    _require(cls in classes, message.format(word), point=extremes[worst])
+    return cls
 
 
 def _conclusion(sign: str, v1: np.ndarray, v2: np.ndarray,
@@ -356,9 +358,9 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
     idx = np.arange(n + 1)
 
     if hyp_kind == "NBASE":
-        vn, hyp_report = _cached_kernel(cache, "base", "N")
-        _require_sign(hyp_report, "nonneg",
-                      "base Neumann kernel is not {} at this lambda")
+        hyp_class = _require_sign(cache, "base", "N", "nonneg",
+                                  "base Neumann kernel is not {} at this lambda")
+        vn = cache.block(Term(1, "base", "N"), idx)
         # the extension kernel at (2T - t, s) on the 2n-piece grid
         refl = cache.block(Term(1, "even2", "P" if relation == "bound2_p" else "N",
                                 tmap="r2"), idx)
@@ -371,13 +373,12 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
              float(np.min(vo + 2 * refl)), False),
             ("reflected kernel nonnegative", float(np.min(refl)), False),
         ]
-        hyp_desc = {"kernel": "N on the base interval",
-                    "classification": hyp_report.classification}
+        hyp_desc = {"kernel": "N on the base interval", "classification": hyp_class}
     else:
         bc, kernel, _ = _HYPOTHESIS_KERNELS[hyp_kind]
-        hyp_report = _cached_kernel(cache, "even2", bc)[1]
-        _require_sign(hyp_report, hyp_sign, f"{kernel} kernel is not {{}} at this lambda")
-        hyp_desc = {"kernel": kernel, "classification": hyp_report.classification}
+        hyp_class = _require_sign(cache, "even2", bc, hyp_sign,
+                                  f"{kernel} kernel is not {{}} at this lambda")
+        hyp_desc = {"kernel": kernel, "classification": hyp_class}
         bc1, bc2 = COMPARISON_THEOREMS[relation][2:]
         n1, n2 = _KERNEL_NAMES[bc1], _KERNEL_NAMES[bc2]
         tables = (cache.block(Term(1, "base", bc1), idx), cache.block(Term(1, "base", bc2), idx))
@@ -414,8 +415,8 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
     base, T = cache.specs["base"]
 
     bc, _, kernel = _HYPOTHESIS_KERNELS[hyp_kind]
-    hyp_report = _cached_kernel(cache, "even2", bc)[1]
-    _require_sign(hyp_report, hyp_sign, f"the extension's {kernel} kernel is not {{}}")
+    hyp_class = _require_sign(cache, "even2", bc, hyp_sign,
+                              f"the extension's {kernel} kernel is not {{}}")
 
     ts = np.linspace(0.0, T, n + 1)
     f1, f2 = _as_callable(sigma1, ts), _as_callable(sigma2, ts)
@@ -453,8 +454,7 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
               for name, margin, _ in _conclusion(hyp_sign, v1, v2, names)]
 
     return {"theorem": theorem, "case": case, "lambda": float(lam),
-            "hypothesis": {"kernel": kernel,
-                           "classification": hyp_report.classification},
+            "hypothesis": {"kernel": kernel, "classification": hyp_class},
             "slack": slack, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 

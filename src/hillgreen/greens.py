@@ -286,23 +286,57 @@ def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
     return np.where(mask, sub_low, sub_up)
 
 
-def _node_block(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray,
-                t_idx: np.ndarray, s_idx: np.ndarray) -> np.ndarray:
-    """Kernel values G(x[t_idx[i]], x[s_idx[j]]) straight from the rank-2 factors.
+def _node_block(rows_low: np.ndarray, rows_up: np.ndarray, B: np.ndarray,
+                t_idx: np.ndarray, s_idx: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values G(x[t_idx[i]], x[s_idx[j]]) straight from the rank-2 factors:
+    ``rows_low`` and ``rows_up`` hold row(t) . K of each branch at the t nodes,
+    ``B`` holds col(s) at the s nodes (see ``_factors``).
 
-    ``states`` is ``basis.trajectory(x)`` at the nodes x; only the rows and
-    columns the indices name are formed, and the branch is chosen per entry
-    by comparing node indices, as in ``table_slice``. When every entry lies
-    on one side of the diagonal, only that branch's product is formed.
+    The branch is chosen per entry by comparing node indices, as in
+    ``table_slice``; ``mask`` is that comparison, if the caller holds it.
+    When every entry lies on one side of the diagonal, only that branch's
+    product is formed.
     """
-    A, B = _factors(states[:, t_idx], states[:, s_idx])
     if s_idx.max() <= t_idx.min():
-        return A.T @ k_low @ B
-    out = A.T @ k_up @ B
+        return rows_low @ B
+    out = rows_up @ B
     if s_idx.min() > t_idx.max():
         return out
-    np.copyto(out, A.T @ k_low @ B, where=s_idx[None, :] <= t_idx[:, None])
+    if mask is None:
+        mask = s_idx[None, :] <= t_idx[:, None]
+    np.copyto(out, rows_low @ B, where=mask)
     return out
+
+
+# Rows per slice of a kernel whose extrema are taken without forming it whole.
+_EXTREMA_ROWS = 64
+
+
+def _node_extrema(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray):
+    """(min, max) of the kernel over every node of ``states`` (the
+    ``basis.trajectory`` of the nodes), in slices of ``_EXTREMA_ROWS`` rows.
+    Each slice is formed left of, on and right of the diagonal, so only the
+    square on it takes both branches and no full table is held. An entry is
+    the same two-term product in any slice, so the extremes are exactly
+    those of the whole table. A one-node tail joins the slice before it:
+    numpy forms a single row or column by a vector product, which may round
+    differently from the matrix product of the whole table."""
+    A, B = _factors(states, states)
+    rows_low, rows_up = A.T @ k_low, A.T @ k_up
+    nodes = np.arange(B.shape[1])
+    cuts = list(range(0, nodes.size, _EXTREMA_ROWS))
+    if len(cuts) > 1 and nodes.size - cuts[-1] == 1:
+        cuts.pop()
+    cuts.append(nodes.size)
+    lo, hi = [], []
+    for i, j in zip(cuts, cuts[1:]):
+        t = slice(i, j)
+        for s in (slice(0, i), t, slice(j, nodes.size)):
+            if s.stop > s.start:
+                block = _node_block(rows_low[t], rows_up[t], B[:, s], nodes[t], nodes[s])
+                lo.append(np.min(block))
+                hi.append(np.max(block))
+    return float(np.min(lo)), float(np.max(hi))
 
 
 def _max_abs(vals: np.ndarray) -> float:

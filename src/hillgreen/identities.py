@@ -15,8 +15,10 @@ interpolation enters the residual.  A term is read straight from the
 kernel's rank-2 factors, G(t, s) = row(t) . K . col(s): the solution states
 at the family's grid nodes (the same ``np.linspace`` nodes as
 ``build_green``, memoized by the basis) give row and col, and only the node
-block the term reads is formed, so no full kernel table is built.  The
-terms of a side are summed in place.
+block the term reads is formed, so no full kernel table is built.  A term's
+coefficient is folded into the kernel's 2x2 branch matrices (exactly: the
+coefficients are +-1, 2 and 4), each block is added into its side's one
+array, and each branch mask is made once per cache.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceError
-from .greens import BoundaryCondition, _branch_matrices, _check_n, _max_abs, _node_block
+from .greens import (BoundaryCondition, _branch_matrices, _check_n, _factors, _max_abs,
+                     _node_block, _node_extrema)
 from .integrator import DEFAULT_TOL, fundamental_solutions
 from .potential import Potential
 
@@ -246,7 +249,7 @@ class _KernelCache:
     0..min(2n, pieces), the nodes ``build_green`` would use and the only
     ones an argument map reaches; per (family, bc) the branch matrices
     (k_low, k_up), or the resonance that rules the kernel out, raised again
-    on every request.
+    on every request; per pair of argument maps the branch mask.
     """
 
     def __init__(self, p: Potential, length: float | None, n: int, lam: float, tol: float):
@@ -264,6 +267,7 @@ class _KernelCache:
         }
         self._families: dict = {}
         self._matrices: dict = {}
+        self._masks: dict = {}
 
     def _family(self, family: str):
         """(solution basis, its states at the family's nodes 0..min(2n, pieces))."""
@@ -277,15 +281,11 @@ class _KernelCache:
             hit = self._families[family] = (basis, states)
         return hit
 
-    def grid(self, family: str) -> np.ndarray:
-        """The nodes of the family's grid, as ``build_green`` lays them out."""
-        pieces = _FAMILY_FACTOR[family] * self.n
-        return np.linspace(0.0, self._family(family)[0].length, pieces + 1)
-
-    def _branches(self, family: str, bc: BoundaryCondition):
+    def _branches(self, family: str, bc: str):
         key = (family, bc)
         hit = self._matrices.get(key)
         if hit is None:
+            bc = BoundaryCondition.parse(bc)
             try:
                 k_low, k_up, _ = _branch_matrices(self._family(family)[0], bc)
                 hit = ("ok", (k_low, k_up))
@@ -303,10 +303,22 @@ class _KernelCache:
 
     def block(self, term: Term, idx: np.ndarray) -> np.ndarray:
         """coef * G_bc[family](tmap(t), smap(s)) over the node indices idx."""
-        k_low, k_up = self._branches(term.family, BoundaryCondition.parse(term.bc))
-        return term.coef * _node_block(self._family(term.family)[1], k_low, k_up,
-                                       _mapped(term.tmap, idx, self.n),
-                                       _mapped(term.smap, idx, self.n))
+        k_low, k_up = self._branches(term.family, term.bc)
+        t_idx, s_idx = _mapped(term.tmap, idx, self.n), _mapped(term.smap, idx, self.n)
+        key = (term.tmap, term.smap, idx.size)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = s_idx[None, :] <= t_idx[:, None]
+        states = self._family(term.family)[1]
+        A, B = _factors(states[:, t_idx], states[:, s_idx])
+        # the catalog's coefficients are +-1, 2 and 4: scaling K by one is exact
+        return _node_block(A.T @ (term.coef * k_low), A.T @ (term.coef * k_up), B,
+                           t_idx, s_idx, mask)
+
+    def extrema(self, family: str, bc: str) -> tuple[float, float]:
+        """(min, max) of G_bc[family] over the family's nodes 0..min(2n, pieces)."""
+        k_low, k_up = self._branches(family, bc)
+        return _node_extrema(self._family(family)[1], k_low, k_up)
 
 
 def _mapped(name: str, idx: np.ndarray, n: int) -> np.ndarray:

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hillgreen import (
     BoundaryCondition,
     Potential,
     build_green,
     classify_sign,
+    clear_cache,
     load_builtin,
     predicted_sign_interval,
     sign_threshold_consistency,
@@ -19,6 +22,7 @@ from hillgreen.comparison import (
     COMPARISON_THEOREMS,
     DOMINANCE_RELATIONS,
     SignReport,
+    _sign_class,
     verify_dominance,
     verify_monotonicity,
     verify_solution_comparison,
@@ -93,6 +97,43 @@ def test_sign_report_dict(zero1):
     d = classify_sign(build_green(zero1, 1.0, "N")).as_dict()
     assert d["classification"] == "strictly_positive"
     assert d["min_value"] > 0
+
+
+def _zero_band_class(values, zero_tol: float) -> str:
+    """The classification read entry by entry, zero band included."""
+    mn, mx = min(values), max(values)
+    zeros = any(-zero_tol <= v <= zero_tol for v in values)
+    if mn >= -zero_tol and mx > zero_tol:
+        return "nonnegative_with_zeros" if zeros else "strictly_positive"
+    if mx <= zero_tol and mn < -zero_tol:
+        return "nonpositive_with_zeros" if zeros else "strictly_negative"
+    if mn < -zero_tol and mx > zero_tol:
+        return "sign_changing"
+    return "nonnegative_with_zeros"
+
+
+_BAND_TOL = 1e-7
+# entries in units of the zero tolerance: on its edges, inside it, just
+# outside it, and far away
+_IN_TOL_UNITS = st.one_of(st.sampled_from([-1.0, 1.0, 0.0, -0.5, 0.5, -2.0, 2.0]),
+                          st.floats(-1.0, 1.0), st.floats(-1e8, 1e8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+              elements=_IN_TOL_UNITS))
+@example(np.array([[1.0]]))
+@example(np.array([[-1.0]]))
+@example(np.array([[0.0]]))
+@example(np.array([[3.0]]))
+@example(np.array([[-3.0]]))
+@example(np.array([[1.0, -1.0], [0.0, 0.5]]))
+@example(np.array([[1.0, 5.0], [2.0, 3.0]]))
+@example(np.array([[-1.0, -5.0], [-2.0, -3.0]]))
+def test_sign_class_matches_zero_band(units):
+    vals = units * _BAND_TOL
+    got = _sign_class(float(np.min(vals)), float(np.max(vals)), _BAND_TOL)
+    assert got == _zero_band_class(vals.ravel().tolist(), _BAND_TOL)
 
 
 # -- predicted intervals and consistency --------------------------------
@@ -309,10 +350,45 @@ def _assert_dominance_matches_reference(p, lam, n):
         assert got == want, relation
 
 
-@pytest.mark.parametrize("name,lam", [("ex1", 0.3), ("ex1", -0.4), ("ex2", -0.7),
-                                      ("ex2", 0.6), ("ex3", -0.3), ("ex3", 1.2)])
-def test_dominance_matches_whole_tables(name, lam):
-    _assert_dominance_matches_reference(load_builtin(name), lam, n=24)
+# n = 100 gives 201 extension rows: the extremes are read over three full
+# 64-row slices and a partial one.  n = 32 (65 extension rows) and n = 64
+# (65 base rows) leave a one-node tail, which joins the slice before it.
+@pytest.mark.parametrize("name,lam,n", [
+    pytest.param(name, lam, n, id=f"{name}-{lam}" + ("" if n == 24 else f"-n{n}"))
+    for n in (24, 100, 32, 64)
+    for name, lam in [("ex1", 0.3), ("ex1", -0.4), ("ex2", -0.7), ("ex2", 0.6),
+                      ("ex3", -0.3), ("ex3", 1.2)]])
+def test_dominance_matches_whole_tables(name, lam, n):
+    _assert_dominance_matches_reference(load_builtin(name), lam, n=n)
+
+
+@pytest.mark.parametrize("theorem,lam", [("nd_nonneg", 2.0), ("nd_neg", 0.5),
+                                         ("nm1_nonneg", -0.5), ("nm1_neg", 2.0),
+                                         ("m2d", 2.0)])
+def test_solution_comparison_hypothesis_matches_whole_table(cos_pi, theorem, lam):
+    hyp_kind, sign = COMPARISON_THEOREMS[theorem][:2]
+    bc = hyp_kind[0]
+    rep = classify_sign(build_green(cos_pi.even_extension(), lam, bc, n=200))
+    word, holds, field = _SIGN_WORDS[sign]
+    assert not holds(rep)
+    kernel = {"P": "periodic", "N": "Neumann", "D": "Dirichlet"}[bc]
+    want = ("HypothesisNotMet", f"the extension's {kernel} kernel is not {word}",
+            getattr(rep, field))
+    assert _outcome(verify_solution_comparison, cos_pi, lam, theorem, 1.0, 0.5, 100) == want
+
+
+def test_failed_dominance_hypothesis_forms_no_whole_table(cos_pi):
+    # the extension's Neumann kernel is not strictly negative at lambda = 2,
+    # so only its extremes are read: the peak stays below one 601^2 table
+    clear_cache()
+    tracemalloc.start()
+    try:
+        with pytest.raises(HypothesisNotMet):
+            verify_dominance(cos_pi, 2.0, "nm1_neg", n=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 601 * 601 * 8
 
 
 @settings(max_examples=6, deadline=None)
@@ -368,14 +444,7 @@ def test_classify_sign_matches_brute_force(zero1, bc, lam, expected):
         mn = min(v for _, _, v in values)
         mx = max(v for _, _, v in values)
         zeros = tuple((t, s) for t, s, v in values if abs(v) <= zero_tol)
-        if mn >= -zero_tol and mx > zero_tol:
-            cls = "nonnegative_with_zeros" if zeros else "strictly_positive"
-        elif mx <= zero_tol and mn < -zero_tol:
-            cls = "nonpositive_with_zeros" if zeros else "strictly_negative"
-        elif mn < -zero_tol and mx > zero_tol:
-            cls = "sign_changing"
-        else:
-            cls = "nonnegative_with_zeros"
+        cls = _zero_band_class([v for _, _, v in values], zero_tol)
         want = SignReport(cls, mn, mx, zeros, zero_tol)
         assert classify_sign(G, zero_tol) == want
         if zero_tol == 1e-7:

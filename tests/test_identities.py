@@ -208,10 +208,13 @@ def _assert_matches_reference(p, lam, n, length=None):
     return reports
 
 
-@pytest.mark.parametrize("name,lam", [("ex1", 0.3), ("ex2", -0.7), ("ex3", 2.0),
-                                      ("ex4", 0.3)])
-def test_factored_catalog_matches_full_tables(name, lam):
-    reports = _assert_matches_reference(load_builtin(name), lam, n=30)
+# n = 100 gives 201 rows on the extension's grid, more than three 64-row slices
+@pytest.mark.parametrize("name,lam,n", [
+    pytest.param(name, lam, n, id=f"{name}-{lam}" + ("" if n == 30 else f"-n{n}"))
+    for n in (30, 100)
+    for name, lam in [("ex1", 0.3), ("ex2", -0.7), ("ex3", 2.0), ("ex4", 0.3)]])
+def test_factored_catalog_matches_full_tables(name, lam, n):
+    reports = _assert_matches_reference(load_builtin(name), lam, n=n)
     assert all(r.passed for r in reports)
 
 
