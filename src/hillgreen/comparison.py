@@ -11,9 +11,9 @@ the identity catalog's factor cache: the rank-2 factors row(t) . K . col(s)
 at the grid nodes of each family (base interval, even extension), with no
 full ``build_green`` table, so the kernels of one (p, lambda, n) share one
 ``trajectory`` call per solution basis.  A sign hypothesis reads only the
-kernel's minimum and maximum, which fix its classification; they are taken
-in row slices, so no table of the hypothesis kernel is held.  A conclusion's
-tables are formed only once its hypothesis holds.
+kernel's minimum and maximum, which fix its classification, taken in row
+slices (no table is held) and memoized on the solution basis.  A
+conclusion's tables are formed only once its hypothesis holds.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisNotMet, ResonanceError
-from .greens import (BoundaryCondition, GreensFunction, _as_callable, _max_abs, build_green,
-                     solve_bvp)
-from .identities import Term, _KernelCache
+from .greens import (BoundaryCondition, GreensFunction, _as_callable, _max_abs, _node_block,
+                     build_green, solve_bvp)
+from .identities import _KernelCache
 from .integrator import DEFAULT_TOL
 from .potential import Potential
 from .spectrum import find_eigenvalues
@@ -360,11 +360,11 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
     if hyp_kind == "NBASE":
         hyp_class = _require_sign(cache, "base", "N", "nonneg",
                                   "base Neumann kernel is not {} at this lambda")
-        vn = cache.block(Term(1, "base", "N"), idx)
+        vn = _node_block(*cache.factors(idx, "base", "N"))
         # the extension kernel at (2T - t, s) on the 2n-piece grid
-        refl = cache.block(Term(1, "even2", "P" if relation == "bound2_p" else "N",
-                                tmap="r2"), idx)
-        vo = cache.block(Term(1, "base", "D" if relation == "bound2_p" else "M1"), idx)
+        refl = _node_block(*cache.factors(idx, "even2", "P" if relation == "bound2_p" else "N",
+                                          tmap="r2"))
+        vo = _node_block(*cache.factors(idx, "base", "D" if relation == "bound2_p" else "M1"))
         tables = (vn, vo, refl)
         results = [
             ("double reflected kernel above Neumann", float(np.min(2 * refl - vn)), False),
@@ -381,7 +381,7 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
         hyp_desc = {"kernel": kernel, "classification": hyp_class}
         bc1, bc2 = COMPARISON_THEOREMS[relation][2:]
         n1, n2 = _KERNEL_NAMES[bc1], _KERNEL_NAMES[bc2]
-        tables = (cache.block(Term(1, "base", bc1), idx), cache.block(Term(1, "base", bc2), idx))
+        tables = tuple(_node_block(*cache.factors(idx, "base", bc)) for bc in (bc1, bc2))
         results = _conclusion(hyp_sign, *tables,
                               (f"{n1} minus |{n2}|",) if hyp_sign == "nonneg" else
                               (f"{n1} minus {n2} (strict)", f"{n1} nonpositive"))

@@ -164,11 +164,7 @@ class KernelBranches:
 class _TrigBranches:
     """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2."""
 
-    def __init__(self, m: float, length: float, bc: BoundaryCondition):
-        self.m = m
-        self.length = length
-        self.bc = bc
-        L = length
+    def __init__(self, m: float, L: float, bc: BoundaryCondition):
         if bc is BoundaryCondition.PERIODIC:
             den = 2.0 * m * math.sin(m * L / 2)
             self._low = lambda t, s: np.cos(m * (s - t + L / 2)) / den
@@ -244,8 +240,8 @@ class GreensFunction:
     meta: dict = field(default_factory=dict, repr=False)
 
     def combined(self) -> np.ndarray:
-        mask = self.grid[None, :] <= self.grid[:, None]
-        return np.where(mask, self.lower, self.upper)
+        idx = np.arange(self.grid.size)  # n >= 1: both branches enter a fresh array
+        return _branch_select(idx, idx, lambda: self.lower, self.upper.copy)
 
     def value(self, t: float, s: float) -> float:
         return _entry(self.branches, t, s)
@@ -271,67 +267,62 @@ class GreensFunction:
         Path(path).write_text(self.csv_text())
 
 
-def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
-    """Node-exact subtable G(grid[t_idx[i]], grid[s_idx[j]]).
+def _branch_select(t_idx: np.ndarray, s_idx: np.ndarray, low, up, mask=None) -> np.ndarray:
+    """Kernel values at node pairs (t_idx[i], s_idx[j]), each from the branch
+    that s <= t (``mask``, if given) selects by node index, so mapped
+    arguments on compatible grids stay exact.  ``up()`` gives the upper branch
+    as a fresh array and ``low()`` the lower; a one-sided block needs one."""
+    if not (t_idx.size and s_idx.size) or s_idx.max() <= t_idx.min():
+        return low()
+    out = up()
+    if s_idx.min() > t_idx.max():
+        return out
+    np.copyto(out, low(), where=s_idx[None, :] <= t_idx[:, None] if mask is None else mask)
+    return out
 
-    Index arrays refer to nodes of ``G.grid``; the branch is chosen per
-    entry by comparing node indices, so transformed arguments evaluated on
-    compatible grids stay exact (no interpolation anywhere).
-    """
-    t_idx = np.asarray(t_idx, dtype=int)
-    s_idx = np.asarray(s_idx, dtype=int)
-    sub_low = G.lower[np.ix_(t_idx, s_idx)]
-    sub_up = G.upper[np.ix_(t_idx, s_idx)]
-    mask = s_idx[None, :] <= t_idx[:, None]
-    return np.where(mask, sub_low, sub_up)
+
+def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
+    """Node-exact subtable G(grid[t_idx[i]], grid[s_idx[j]]); index arrays
+    refer to nodes of ``G.grid`` and no interpolation enters anywhere."""
+    t_idx, s_idx = np.asarray(t_idx, dtype=int), np.asarray(s_idx, dtype=int)
+    ix = np.ix_(t_idx, s_idx)
+    return _branch_select(t_idx, s_idx, lambda: G.lower[ix], lambda: G.upper[ix])
 
 
 def _node_block(rows_low: np.ndarray, rows_up: np.ndarray, B: np.ndarray,
                 t_idx: np.ndarray, s_idx: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Kernel values G(x[t_idx[i]], x[s_idx[j]]) straight from the rank-2 factors:
     ``rows_low`` and ``rows_up`` hold row(t) . K of each branch at the t nodes,
-    ``B`` holds col(s) at the s nodes (see ``_factors``).
-
-    The branch is chosen per entry by comparing node indices, as in
-    ``table_slice``; ``mask`` is that comparison, if the caller holds it.
-    When every entry lies on one side of the diagonal, only that branch's
-    product is formed.
-    """
-    if s_idx.max() <= t_idx.min():
-        return rows_low @ B
-    out = rows_up @ B
-    if s_idx.min() > t_idx.max():
-        return out
-    if mask is None:
-        mask = s_idx[None, :] <= t_idx[:, None]
-    np.copyto(out, rows_low @ B, where=mask)
-    return out
+    ``B`` holds col(s) at the s nodes (see ``_factors``)."""
+    return _branch_select(t_idx, s_idx, lambda: rows_low @ B, lambda: rows_up @ B, mask)
 
 
-# Rows per slice of a kernel whose extrema are taken without forming it whole.
-_EXTREMA_ROWS = 64
+_SLICE_ROWS = 64
+
+
+def _row_slices(size: int) -> list[slice]:
+    """Slices of ``_SLICE_ROWS`` rows over ``size`` nodes, for kernels taken
+    without forming them whole.  A one-node tail joins the slice before it:
+    numpy forms a single row by a vector product, which may round otherwise
+    than a matrix product, so every entry is the same product in any slice."""
+    cuts = list(range(0, size, _SLICE_ROWS))
+    if len(cuts) > 1 and size - cuts[-1] == 1:
+        cuts.pop()
+    cuts.append(size)
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
 
 
 def _node_extrema(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray):
     """(min, max) of the kernel over every node of ``states`` (the
-    ``basis.trajectory`` of the nodes), in slices of ``_EXTREMA_ROWS`` rows.
-    Each slice is formed left of, on and right of the diagonal, so only the
-    square on it takes both branches and no full table is held. An entry is
-    the same two-term product in any slice, so the extremes are exactly
-    those of the whole table. A one-node tail joins the slice before it:
-    numpy forms a single row or column by a vector product, which may round
-    differently from the matrix product of the whole table."""
+    ``basis.trajectory`` of the nodes), in ``_row_slices`` each formed left
+    of, on and right of the diagonal: only the square on it takes both
+    branches, no full table is held, and the extremes are the whole table's."""
     A, B = _factors(states, states)
     rows_low, rows_up = A.T @ k_low, A.T @ k_up
     nodes = np.arange(B.shape[1])
-    cuts = list(range(0, nodes.size, _EXTREMA_ROWS))
-    if len(cuts) > 1 and nodes.size - cuts[-1] == 1:
-        cuts.pop()
-    cuts.append(nodes.size)
     lo, hi = [], []
-    for i, j in zip(cuts, cuts[1:]):
-        t = slice(i, j)
-        for s in (slice(0, i), t, slice(j, nodes.size)):
+    for t in _row_slices(nodes.size):
+        for s in (slice(0, t.start), t, slice(t.stop, nodes.size)):
             if s.stop > s.start:
                 block = _node_block(rows_low[t], rows_up[t], B[:, s], nodes[t], nodes[s])
                 lo.append(np.min(block))
@@ -393,6 +384,7 @@ def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFun
     L = float(length)
     if m <= 0 or L <= 0:
         raise ValueError("closed form needs m > 0 and a positive length")
+    _check_n(n)
     branches = _TrigBranches(m, L, bc)
     if abs(branches.denominator) < 1e-12 * max(1.0, m):
         raise PoleError(

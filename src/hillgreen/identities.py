@@ -14,22 +14,24 @@ transformed argument such as 2T - t lands exactly on node 2n - i and no
 interpolation enters the residual.  A term is read straight from the
 kernel's rank-2 factors, G(t, s) = row(t) . K . col(s): the solution states
 at the family's grid nodes (the same ``np.linspace`` nodes as
-``build_green``, memoized by the basis) give row and col, and only the node
-block the term reads is formed, so no full kernel table is built.  A term's
-coefficient is folded into the kernel's 2x2 branch matrices (exactly: the
-coefficients are +-1, 2 and 4), each block is added into its side's one
-array, and each branch mask is made once per cache.
+``build_green``, memoized by the basis) give row and col.  The catalog is
+evaluated in one pass over row slices of each comparison grid: per slice
+every distinct term block is formed once, each side sums its blocks with
+their coefficients (+-1, 2 and 4, so every step is exact), and only the
+running extremes of the left side and of the difference are kept, so
+neither a full kernel table nor a whole side is ever held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import ResonanceError
 from .greens import (BoundaryCondition, _branch_matrices, _check_n, _factors, _max_abs,
-                     _node_block, _node_extrema)
+                     _node_block, _node_extrema, _row_slices)
 from .integrator import DEFAULT_TOL, fundamental_solutions
 from .potential import Potential
 
@@ -46,20 +48,14 @@ __all__ = [
 
 DEFAULT_IDENTITY_TOL = 1e-6
 
-# Kernel families used by the catalog.  The grid factor keeps the node
-# spacing T/n shared across intervals.
+# Kernel families used by the catalog: grid factor and label.  The factor
+# keeps the node spacing T/n shared across intervals.
 #   base   a          on [0, T],  n    pieces
 #   even2  a~         on [0, 2T], 2 n  pieces
 #   even4  (a~)~      on [0, 4T], 4 n  pieces
 #   refl   a(T - .)   on [0, T],  n    pieces
-_FAMILY_FACTOR = {"base": 1, "even2": 2, "even4": 4, "refl": 1}
-
-_FAMILY_LABEL = {
-    "base": "base interval",
-    "even2": "even extension",
-    "even4": "doubled even extension",
-    "refl": "reflected potential",
-}
+_FAMILIES = {"base": (1, "base interval"), "even2": (2, "even extension"),
+             "even4": (4, "doubled even extension"), "refl": (1, "reflected potential")}
 
 
 @dataclass(frozen=True)
@@ -248,8 +244,7 @@ class _KernelCache:
     holds one solution basis and its states at the family's grid nodes
     0..min(2n, pieces), the nodes ``build_green`` would use and the only
     ones an argument map reaches; per (family, bc) the branch matrices
-    (k_low, k_up), or the resonance that rules the kernel out, raised again
-    on every request; per pair of argument maps the branch mask.
+    (k_low, k_up).  A resonant kernel raises on every request.
     """
 
     def __init__(self, p: Potential, length: float | None, n: int, lam: float, tol: float):
@@ -267,87 +262,106 @@ class _KernelCache:
         }
         self._families: dict = {}
         self._matrices: dict = {}
-        self._masks: dict = {}
 
     def _family(self, family: str):
         """(solution basis, its states at the family's nodes 0..min(2n, pieces))."""
-        hit = self._families.get(family)
-        if hit is None:
+        if family not in self._families:
             pot, L = self.specs[family]
-            pieces = _FAMILY_FACTOR[family] * self.n
+            pieces = _FAMILIES[family][0] * self.n
             _check_n(pieces)
             basis = fundamental_solutions(pot, self.lam, L, self.tol)
             states = basis._node_states(pieces, min(pieces, 2 * self.n) + 1)
-            hit = self._families[family] = (basis, states)
-        return hit
+            self._families[family] = (basis, states)
+        return self._families[family]
 
     def _branches(self, family: str, bc: str):
         key = (family, bc)
-        hit = self._matrices.get(key)
-        if hit is None:
+        if key not in self._matrices:
             bc = BoundaryCondition.parse(bc)
             try:
-                k_low, k_up, _ = _branch_matrices(self._family(family)[0], bc)
-                hit = ("ok", (k_low, k_up))
+                self._matrices[key] = _branch_matrices(self._family(family)[0], bc)[:2]
             except ResonanceError as exc:
                 L = self.specs[family][1]
-                msg = (f"{bc.condition} problem on [0, {L:g}] ({_FAMILY_LABEL[family]}) "
+                msg = (f"{bc.condition} problem on [0, {L:g}] ({_FAMILIES[family][1]}) "
                        f"is resonant at lambda = {self.lam!r}")
-                hit = ("resonant", (msg, exc.determinant, bc))
-            self._matrices[key] = hit
-        kind, payload = hit
-        if kind == "resonant":
-            msg, det, rbc = payload
-            raise ResonanceError(msg, determinant=det, bc=rbc, lam=self.lam)
-        return payload
+                raise ResonanceError(msg, exc.determinant, bc, self.lam) from None
+        return self._matrices[key]
 
-    def block(self, term: Term, idx: np.ndarray) -> np.ndarray:
-        """coef * G_bc[family](tmap(t), smap(s)) over the node indices idx."""
-        k_low, k_up = self._branches(term.family, term.bc)
-        t_idx, s_idx = _mapped(term.tmap, idx, self.n), _mapped(term.smap, idx, self.n)
-        key = (term.tmap, term.smap, idx.size)
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = self._masks[key] = s_idx[None, :] <= t_idx[:, None]
-        states = self._family(term.family)[1]
+    def factors(self, idx: np.ndarray, family: str, bc: str, tmap="id", smap="id"):
+        """The ``_node_block`` arguments of G_bc[family](tmap(t), smap(s)) over idx."""
+        k_low, k_up = self._branches(family, bc)
+        t_idx, s_idx = _MAPS[tmap](idx, self.n), _MAPS[smap](idx, self.n)
+        states = self._family(family)[1]
         A, B = _factors(states[:, t_idx], states[:, s_idx])
-        # the catalog's coefficients are +-1, 2 and 4: scaling K by one is exact
-        return _node_block(A.T @ (term.coef * k_low), A.T @ (term.coef * k_up), B,
-                           t_idx, s_idx, mask)
+        return A.T @ k_low, A.T @ k_up, B, t_idx, s_idx
 
     def extrema(self, family: str, bc: str) -> tuple[float, float]:
-        """(min, max) of G_bc[family] over the family's nodes 0..min(2n, pieces)."""
+        """(min, max) of G_bc[family] over the family's nodes, memoized on its basis."""
         k_low, k_up = self._branches(family, bc)
-        return _node_extrema(self._family(family)[1], k_low, k_up)
+        basis, states = self._family(family)
+        key = (_FAMILIES[family][0] * self.n, states.shape[1], bc)
+        if key not in basis._extrema:
+            basis._extrema[key] = _node_extrema(states, k_low, k_up)
+        return basis._extrema[key]
 
 
-def _mapped(name: str, idx: np.ndarray, n: int) -> np.ndarray:
-    if name == "id":
-        return idx
-    if name == "r2":
-        return 2 * n - idx
-    if name == "rT":
-        return n - idx
-    raise ValueError(f"unknown argument map {name!r}")
+# Argument maps of the node index i: id, 2T - x on the 2n grid, T - x on the n grid.
+_MAPS = {"id": lambda i, n: i, "r2": lambda i, n: 2 * n - i, "rT": lambda i, n: n - i}
+# A term's kernel, its coefficient left out: the key of its factors and blocks.
+_kernel = attrgetter("family", "bc", "tmap", "smap")
 
 
-def _evaluate_side(terms, cache: _KernelCache, domain: str) -> np.ndarray:
-    """Sum of coef * block over the terms, in a fresh array."""
-    idx = np.arange(2 * cache.n + 1 if domain == "even2" else cache.n + 1)
-    total = cache.block(terms[0], idx)
-    for term in terms[1:]:
-        total += cache.block(term, idx)
+def _side(terms, blocks: dict) -> np.ndarray:
+    """Sum of coef * block over the terms (coefficients +-1, 2, 4: each step exact)."""
+    total = None
+    for term in terms:
+        block = blocks[_kernel(term)]
+        if term.coef == -1 and total is not None:
+            total = total - block
+        else:
+            block = block if term.coef == 1 else term.coef * block
+            total = block if total is None else total + block
     return total
 
 
-def _verify_with_cache(ident: Identity, cache: _KernelCache, tol: float) -> IdentityReport:
-    lhs = _evaluate_side(ident.lhs, cache, ident.domain)
-    rhs = _evaluate_side(ident.rhs, cache, ident.domain)
-    scale = _max_abs(lhs)
-    lhs -= rhs
-    residual = _max_abs(lhs)
-    return IdentityReport(ident.name, cache.n, residual, scale, tol,
-                          passed=residual <= tol * max(1.0, scale))
+def _slice_extrema(group, kernels: dict, t: slice) -> np.ndarray:
+    """(min, max) of each identity's lhs and of its lhs - rhs over the rows
+    ``t``, each distinct kernel block and each argument-map mask made once."""
+    maps = {key[2:]: factors[3:] for key, factors in kernels.items()}
+    masks = {m: s_idx <= t_idx[t, None] for m, (t_idx, s_idx) in maps.items()}
+    blocks = {key: _node_block(rows_low[t], rows_up[t], B, t_idx[t], s_idx, masks[key[2:]])
+              for key, (rows_low, rows_up, B, t_idx, s_idx) in kernels.items()}
+    out = np.empty((len(group), 4))
+    for k, ident in enumerate(group):
+        lhs = _side(ident.lhs, blocks)
+        diff = lhs - _side(ident.rhs, blocks)
+        out[k] = np.min(lhs), np.max(lhs), np.min(diff), np.max(diff)
+    return out
+
+
+def _evaluate(cache: _KernelCache, idents, tol: float) -> list[IdentityReport]:
+    """One report per identity: a skip named by its first resonant term (lhs
+    before rhs), else its residual from one pass over its grid's row slices."""
+    reports = {}
+    for ident in idents:
+        try:
+            for term in ident.lhs + ident.rhs:
+                cache._branches(term.family, term.bc)
+        except ResonanceError as exc:
+            reports[ident.name] = IdentityReport(ident.name, cache.n, float("nan"),
+                                                 float("nan"), tol, passed=None,
+                                                 skipped=True, reason=str(exc))
+    for domain, size in (("base", cache.n + 1), ("even2", 2 * cache.n + 1)):
+        group = [ident for ident in idents if ident.domain == domain and ident.name not in reports]
+        idx = np.arange(size)
+        keys = dict.fromkeys(_kernel(term) for ident in group for term in ident.lhs + ident.rhs)
+        kernels = {key: cache.factors(idx, *key) for key in keys}
+        ext = np.stack([_slice_extrema(group, kernels, t) for t in _row_slices(size)], axis=2)
+        for k, ident in enumerate(group):
+            scale, residual = _max_abs(ext[k, :2]), _max_abs(ext[k, 2:])
+            reports[ident.name] = IdentityReport(ident.name, cache.n, residual, scale, tol,
+                                                 passed=residual <= tol * max(1.0, scale))
+    return [reports[ident.name] for ident in idents]
 
 
 def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
@@ -364,20 +378,13 @@ def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
         raise KeyError(f"unknown identity {identity_id!r}; "
                        f"choices: {', '.join(IDENTITY_NAMES)}") from None
     cache = _KernelCache(p, length, n, lam, integrator_tol)
-    return _verify_with_cache(ident, cache, tol)
+    for term in ident.lhs + ident.rhs:
+        cache._branches(term.family, term.bc)
+    return _evaluate(cache, (ident,), tol)[0]
 
 
 def verify_all(p: Potential, lam: float, n: int = 100,
                tol: float = DEFAULT_IDENTITY_TOL, length: float | None = None,
                integrator_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the whole catalog, recording a skip for resonant constituents."""
-    cache = _KernelCache(p, length, n, lam, integrator_tol)
-    reports = []
-    for ident in CATALOG:
-        try:
-            reports.append(_verify_with_cache(ident, cache, tol))
-        except ResonanceError as exc:
-            reports.append(IdentityReport(ident.name, cache.n, float("nan"),
-                                          float("nan"), tol, passed=None,
-                                          skipped=True, reason=str(exc)))
-    return reports
+    return _evaluate(_KernelCache(p, length, n, lam, integrator_tol), CATALOG, tol)

@@ -252,11 +252,11 @@ class SolutionBasis:
 
     ``_node_states`` memoizes the states at equally spaced nodes, keyed by
     (pieces, count), so every kernel table on one grid reads one
-    ``trajectory`` call. The memo keeps at most ``_NODE_GRIDS`` grids and
-    ``_NODE_STATES`` nodes in all per basis (128 KB, so 32 MB over the
+    ``trajectory`` call; ``_extrema`` holds kernel extremes on such grids,
+    keyed by (pieces, count, bc). The node memo keeps at most ``_NODE_GRIDS``
+    grids and ``_NODE_STATES`` nodes per basis (128 KB, so 32 MB over the
     cache's 256 bases), dropping the least recently used; a larger grid is
-    evaluated on every call. It lives and dies with the basis:
-    ``clear_cache`` drops it along with the cached bases.
+    evaluated on every call. Both die with the basis, which ``clear_cache`` drops.
     """
 
     lam: float
@@ -269,6 +269,7 @@ class SolutionBasis:
     _edges: np.ndarray = field(repr=False)
     _sols: list = field(repr=False)
     _nodes: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    _extrema: dict = field(default_factory=dict, repr=False)
 
     @property
     def monodromy(self) -> np.ndarray:

@@ -18,6 +18,7 @@ from hillgreen import (
     solve_bvp,
     table_slice,
 )
+from hillgreen import identities
 from hillgreen.comparison import (
     COMPARISON_THEOREMS,
     DOMINANCE_RELATIONS,
@@ -413,6 +414,31 @@ def test_dominance_reads_node_states_once(cos_pi, trajectory_calls):
     trajectory_calls.clear()
     assert verify_dominance(cos_pi, -0.36, "bound2_p", n=40)["pass"]
     assert trajectory_calls == []
+
+
+def test_relation_pair_takes_hypothesis_extremes_once(cos_pi, monkeypatch):
+    # nd_nonneg and nd_neg read the same extension kernel; its extremes are
+    # memoized on the solution basis, and clear_cache drops them with it
+    calls = []
+    original = identities._node_extrema
+    monkeypatch.setattr(identities, "_node_extrema",
+                        lambda *args: calls.append(1) or original(*args))
+
+    def both():
+        for rel in ("nd_nonneg", "nd_neg"):
+            try:
+                verify_dominance(cos_pi, -0.36, rel, n=40)
+            except HypothesisNotMet:
+                pass
+
+    clear_cache()
+    both()
+    assert len(calls) == 1
+    both()
+    assert len(calls) == 1
+    clear_cache()
+    both()
+    assert len(calls) == 2
 
 
 def test_kernel_checks_build_no_tables(cos_pi, build_green_calls):

@@ -14,6 +14,7 @@ from hillgreen import (
     solve_bvp,
     table_slice,
 )
+from hillgreen import greens
 from hillgreen.errors import DomainError, PoleError, ResonanceError
 
 from helpers import shooting_dirichlet, step_bvp_reference
@@ -95,6 +96,8 @@ def test_closed_form_pole():
         closed_form_constant(math.pi, 1.0, "D")
     with pytest.raises(ValueError):
         closed_form_constant(-1.0, 1.0, "D")
+    with pytest.raises(ValueError, match="n >= 1"):
+        closed_form_constant(1.0, 1.0, "D", n=0)
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -138,6 +141,28 @@ def test_table_slice_node_exact(cos_pi):
     assert np.array_equal(full, G.combined())
     rev = table_slice(G, idx[::-1], idx)
     assert np.allclose(rev, G.combined()[::-1, :], atol=0)
+
+
+def test_branch_select_matches_mask_select(cos_pi):
+    # combined, table_slice and the factor blocks pick each entry's branch
+    # by node index, forming one branch only where a block lies on one side
+    G = build_green(cos_pi, 0.3, "D", n=24)
+    idx = np.arange(G.n + 1)
+    want = np.where(idx[None, :] <= idx[:, None], G.lower, G.upper)
+    C = G.combined()
+    assert np.array_equal(C, want)
+    C[:] = 0.0
+    assert np.array_equal(G.combined(), want)
+    for t_idx, s_idx in ((idx[10:], idx[:5]), (idx[:5], idx[10:]), (idx[::-3], idx[3:20]),
+                         (idx[:0], idx)):
+        ref = np.where(s_idx[None, :] <= t_idx[:, None],
+                       G.lower[np.ix_(t_idx, s_idx)], G.upper[np.ix_(t_idx, s_idx)])
+        assert np.array_equal(table_slice(G, t_idx, s_idx), ref)
+        states = G.branches.basis._node_states(G.n, G.n + 1)
+        A, B = greens._factors(states[:, t_idx], states[:, s_idx])
+        block = greens._node_block(A.T @ G.branches.k_low, A.T @ G.branches.k_up, B,
+                                   t_idx, s_idx)
+        assert np.allclose(block, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_build_green_one_trajectory(cos_pi, trajectory_calls):

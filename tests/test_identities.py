@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hillgreen import (
     verify_all,
     verify_identity,
 )
+from hillgreen import identities
 from hillgreen.errors import ResonanceError
 
 # lambda values kept away from every eigenvalue of the six conditions
@@ -202,9 +204,8 @@ def _assert_matches_reference(p, lam, n, length=None):
         assert (rep.identity_id, rep.n, rep.tol, rep.passed, rep.skipped, rep.reason) == \
             (name, n, 1e-6, passed, skipped, reason)
         if not skipped:
-            bound = 1e-12 * max(1.0, scale)
-            assert abs(rep.residual - residual) <= bound, name
-            assert abs(rep.lhs_scale - scale) <= bound, name
+            # every step of both evaluations is exact or the same rounding
+            assert (rep.residual, rep.lhs_scale) == (residual, scale), name
     return reports
 
 
@@ -253,3 +254,49 @@ def test_verify_all_one_trajectory_per_family(cos_pi, trajectory_calls):
 def test_verify_identity_one_trajectory_per_family(cos_pi, trajectory_calls):
     verify_identity("NP", cos_pi, 0.29, n=40)
     assert len(trajectory_calls) == 2
+
+
+def test_verify_all_forms_each_distinct_block_once_per_slice(cos_pi, monkeypatch):
+    # 18 distinct (family, bc, tmap, smap) kernels: 16 on the base grid (41
+    # rows, one slice) and 2 on the extension's grid (81 rows, two slices)
+    calls = []
+    original = identities._node_block
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(identities, "_node_block", counting)
+    verify_all(cos_pi, 0.29, n=40)
+    assert len(calls) <= 20
+    assert max(calls) <= 64
+
+
+def test_verify_all_holds_no_whole_side(cos_pi):
+    # with warm bases only row slices are formed; holding every side whole
+    # peaks near 9.7 MB here
+    verify_all(cos_pi, 0.29, n=300)
+    tracemalloc.start()
+    try:
+        verify_all(cos_pi, 0.29, n=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("lam,n", [(0.29, 40), (-0.9, 70), (1.7, 100)])
+def test_verify_identity_matches_verify_all(cos_pi, lam, n):
+    for rep in verify_all(cos_pi, lam, n=n):
+        assert verify_identity(rep.identity_id, cos_pi, lam, n=n) == rep
+
+
+def test_verify_identity_raises_the_skip_reason(zero1):
+    for rep in verify_all(zero1, 0.0, n=20):
+        if rep.skipped:
+            with pytest.raises(ResonanceError) as info:
+                verify_identity(rep.identity_id, zero1, 0.0, n=20)
+            assert str(info.value) == rep.reason
+        else:
+            assert verify_identity(rep.identity_id, zero1, 0.0, n=20) == rep
+
