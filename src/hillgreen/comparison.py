@@ -412,7 +412,7 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
                        f"choices: {', '.join(sorted(COMPARISON_THEOREMS))}")
     hyp_kind, hyp_sign, bc1, bc2 = COMPARISON_THEOREMS[theorem]
     cache = _KernelCache(p, length, n, lam, integrator_tol)
-    base, T = cache.specs["base"]
+    base, T = cache.base, cache.L
 
     bc, _, kernel = _HYPOTHESIS_KERNELS[hyp_kind]
     hyp_class = _require_sign(cache, "even2", bc, hyp_sign,

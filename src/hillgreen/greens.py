@@ -4,7 +4,10 @@ Every kernel is stored as two analytic branches over the full square,
     G(t, s) = row(t) . K . col(s),  row(t) = (y1(t), y2(t)),  col(s) = (-y2(s), y1(s)),
 with one coefficient matrix per branch and the branch picked by s <= t.
 K_low - K_up = I for every condition, which forces continuity on the
-diagonal and a unit jump in dG/dt across it by construction.
+diagonal and a unit jump in dG/dt across it by construction.  One
+evaluator, ``tables(tpts, spts, deriv=False)``, gives both branch tables of
+G, or of dG/dt with ``deriv``, for the numerical and the closed-form kernel
+alike; ``build_green`` forms the same product on memoized node states.
 
 Coupled conditions (periodic, anti-periodic) use K_up = (eps I - M)^{-1} M
 with M the monodromy matrix; separated conditions use the rank-one kernel
@@ -143,22 +146,12 @@ class KernelBranches:
     k_low: np.ndarray
     k_up: np.ndarray
 
-    def _row_col(self, tpts, spts, deriv: bool):
-        t = np.atleast_1d(np.asarray(tpts, dtype=float))
-        s = np.atleast_1d(np.asarray(spts, dtype=float))
-        return _factors(self.basis.trajectory(t), self.basis.trajectory(s), deriv)
-
-    def _products(self, A: np.ndarray, B: np.ndarray):
-        """(lower, upper) branch tables of the rank-2 factors A and B."""
+    def tables(self, tpts, spts, deriv: bool = False):
+        """(lower, upper) matrices with rows indexed by t and columns by s;
+        with ``deriv`` the same layout for dG/dt."""
+        A, B = _factors(self.basis.trajectory(np.atleast_1d(tpts)),
+                        self.basis.trajectory(np.atleast_1d(spts)), deriv)
         return A.T @ self.k_low @ B, A.T @ self.k_up @ B
-
-    def tables(self, tpts, spts):
-        """(lower, upper) matrices with rows indexed by t and columns by s."""
-        return self._products(*self._row_col(tpts, spts, deriv=False))
-
-    def tables_dt(self, tpts, spts):
-        """Same layout for dG/dt."""
-        return self._products(*self._row_col(tpts, spts, deriv=True))
 
 
 class _TrigBranches:
@@ -203,15 +196,11 @@ class _TrigBranches:
             self._dup = lambda t, s: -np.cos(m * t) * np.cos(m * (L - s)) * (m / den)
         self.denominator = den
 
-    def tables(self, tpts, spts):
+    def tables(self, tpts, spts, deriv: bool = False):
         T = np.asarray(tpts, dtype=float)[:, None]
         S = np.asarray(spts, dtype=float)[None, :]
-        return self._low(T, S), self._up(T, S)
-
-    def tables_dt(self, tpts, spts):
-        T = np.asarray(tpts, dtype=float)[:, None]
-        S = np.asarray(spts, dtype=float)[None, :]
-        return self._dlow(T, S), self._dup(T, S)
+        low, up = (self._dlow, self._dup) if deriv else (self._low, self._up)
+        return low(T, S), up(T, S)
 
 
 def _entry(branches, t: float, s: float) -> float:
@@ -349,9 +338,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100,
     # the basis clamps a length that overshoots the domain by rounding
     L = basis.length
     k_low, k_up, margin = _branch_matrices(basis, bc)
-    branches = KernelBranches(basis, k_low, k_up)
     states = basis._node_states(n, n + 1)
-    lower, upper = branches._products(*_factors(states, states))
+    A, B = _factors(states, states)
     meta = {
         "potential": p.descriptor(),
         "tol": tol,
@@ -361,7 +349,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100,
     }
     return GreensFunction(bc=bc, length=L, lam=float(lam), n=int(n),
                           grid=np.linspace(0.0, L, n + 1),
-                          lower=lower, upper=upper, branches=branches, meta=meta)
+                          lower=A.T @ k_low @ B, upper=A.T @ k_up @ B,
+                          branches=KernelBranches(basis, k_low, k_up), meta=meta)
 
 
 def kernel_value(p: Potential, lam: float, bc, t: float, s: float,
@@ -423,8 +412,8 @@ def boundary_residual(G: GreensFunction) -> float:
     zero = np.zeros(1)
     val_at_0 = br.tables(zero, s)[1][0]      # t = 0 lies in the upper branch
     val_at_L = br.tables(np.array([G.length]), s)[0][0]
-    dt_at_0 = br.tables_dt(zero, s)[1][0]
-    dt_at_L = br.tables_dt(np.array([G.length]), s)[0][0]
+    dt_at_0 = br.tables(zero, s, deriv=True)[1][0]
+    dt_at_L = br.tables(np.array([G.length]), s, deriv=True)[0][0]
 
     bc = G.bc
     if not bc.is_coupled:
@@ -526,10 +515,12 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100,
               length: float | None = None, tol: float = DEFAULT_TOL) -> BvpSolution:
     """Solve u'' + (a + lambda) u = sigma under ``bc`` via the Green's kernel.
 
-    ``sigma`` may be a callable, a constant, or an array on the 4n+1
-    quadrature grid. One pass over that grid integrates c(t) (see
-    ``BvpSolution``) by cumulative composite Simpson over its 2n two-step
-    panels; every value of the returned solution, the n+1 node values
+    ``sigma`` may be a callable, a constant, or an array on the uniform
+    4n+1 grid (interpolated linearly between its nodes). One pass integrates
+    c(t) (see ``BvpSolution``) by cumulative Simpson over panels whose edges
+    are the 2n+1 uniform ones plus every segment edge of the basis (jumps of
+    the potential, table nodes) not already on one, so no panel straddles a
+    kink; every value of the returned solution, the n+1 node values
     included, continues that integral by one partial panel.
     """
     bc = BoundaryCondition.parse(bc)
@@ -539,12 +530,17 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100,
     L = basis.length
     _, k_up, _ = _branch_matrices(basis, bc)
 
-    squad = np.linspace(0.0, L, 4 * n + 1)
-    sig_fn = _as_callable(sigma, squad)
-    f = _integrand(sig_fn, squad, basis.trajectory(squad))
-    # c at the panel edges, by cumulative composite Simpson over two-step panels
-    panels = (f[:, :-2:2] + 4.0 * f[:, 1::2] + f[:, 2::2]) * (L / (4 * n) / 3.0)
+    sig_fn = _as_callable(sigma, np.linspace(0.0, L, 4 * n + 1))
+    # a segment edge within rounding of its nearest uniform edge adds no sliver panel
+    edges, seg = np.linspace(0.0, L, 2 * n + 1), basis._edges
+    near = edges[np.rint(seg * (2 * n / L)).astype(int)]
+    edges = np.union1d(edges, seg[np.abs(seg - near) > 1e-12 * (1.0 + L)])
+    pts = np.empty(2 * edges.size - 1)
+    pts[::2], pts[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    f = _integrand(sig_fn, pts, basis.trajectory(pts))
+    # c at the panel edges, by cumulative Simpson with each panel's own width
+    panels = (f[:, :-2:2] + 4.0 * f[:, 1::2] + f[:, 2::2]) * (np.diff(edges) / 6.0)
     c = np.concatenate([np.zeros((2, 1)), np.cumsum(panels, axis=1)], axis=1)
     return BvpSolution(bc=bc, lam=float(lam), length=L, grid=np.linspace(0.0, L, n + 1),
-                       _basis=basis, _sigma=sig_fn, _edges=squad[::2],
+                       _basis=basis, _sigma=sig_fn, _edges=edges,
                        _c=(k_up @ c[:, -1])[:, None] + c, _f=f[:, ::2])

@@ -48,14 +48,17 @@ __all__ = [
 
 DEFAULT_IDENTITY_TOL = 1e-6
 
-# Kernel families used by the catalog: grid factor and label.  The factor
-# keeps the node spacing T/n shared across intervals.
+# Kernel families used by the catalog: grid factor, label and the family's
+# potential made from the base a on [0, T].  The factor is also the family's
+# length in units of T, and keeps the node spacing T/n shared across intervals.
 #   base   a          on [0, T],  n    pieces
 #   even2  a~         on [0, 2T], 2 n  pieces
 #   even4  (a~)~      on [0, 4T], 4 n  pieces
 #   refl   a(T - .)   on [0, T],  n    pieces
-_FAMILIES = {"base": (1, "base interval"), "even2": (2, "even extension"),
-             "even4": (4, "doubled even extension"), "refl": (1, "reflected potential")}
+_FAMILIES = {"base": (1, "base interval", lambda a: a),
+             "even2": (2, "even extension", Potential.even_extension),
+             "even4": (4, "doubled even extension", lambda a: a.even_extension().even_extension()),
+             "refl": (1, "reflected potential", Potential.reflect)}
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ class _KernelCache:
     """Rank-2 kernel factors for a fixed (p, lambda, n), shared by every term
     and by the dominance and solution comparison checks.
 
-    Every family derives from p restricted to [0, length].  Per family it
+    Every family derives from ``base``, p restricted to [0, L].  Per family it
     holds one solution basis and its states at the family's grid nodes
     0..min(2n, pieces), the nodes ``build_green`` would use and the only
     ones an argument map reaches; per (family, bc) the branch matrices
@@ -251,25 +254,18 @@ class _KernelCache:
         self.n = int(n)
         self.lam = float(lam)
         self.tol = float(tol)
-        L = float(p.domain_length if length is None else length)
-        base = p if length is None else p.restrict(L)
-        even = base.even_extension()
-        self.specs = {
-            "base": (base, L),
-            "even2": (even, 2.0 * L),
-            "even4": (even.even_extension(), 4.0 * L),
-            "refl": (base.reflect(), L),
-        }
+        self.L = float(p.domain_length if length is None else length)
+        self.base = p if length is None else p.restrict(self.L)
         self._families: dict = {}
         self._matrices: dict = {}
 
     def _family(self, family: str):
         """(solution basis, its states at the family's nodes 0..min(2n, pieces))."""
         if family not in self._families:
-            pot, L = self.specs[family]
-            pieces = _FAMILIES[family][0] * self.n
+            factor, _, make = _FAMILIES[family]
+            pieces = factor * self.n
             _check_n(pieces)
-            basis = fundamental_solutions(pot, self.lam, L, self.tol)
+            basis = fundamental_solutions(make(self.base), self.lam, factor * self.L, self.tol)
             states = basis._node_states(pieces, min(pieces, 2 * self.n) + 1)
             self._families[family] = (basis, states)
         return self._families[family]
@@ -281,8 +277,8 @@ class _KernelCache:
             try:
                 self._matrices[key] = _branch_matrices(self._family(family)[0], bc)[:2]
             except ResonanceError as exc:
-                L = self.specs[family][1]
-                msg = (f"{bc.condition} problem on [0, {L:g}] ({_FAMILIES[family][1]}) "
+                factor, label, _ = _FAMILIES[family]
+                msg = (f"{bc.condition} problem on [0, {factor * self.L:g}] ({label}) "
                        f"is resonant at lambda = {self.lam!r}")
                 raise ResonanceError(msg, exc.determinant, bc, self.lam) from None
         return self._matrices[key]

@@ -38,8 +38,15 @@ __all__ = [
 ]
 
 
+class _Piece:
+    """A piece's mirror image about ``center`` evaluates it at 2*center - t."""
+
+    def mirrored(self, center: float):
+        return MirrorPiece(self, center)
+
+
 @dataclass(frozen=True)
-class ConstPiece:
+class ConstPiece(_Piece):
     value: float
 
     def values(self, t: np.ndarray) -> np.ndarray:
@@ -49,14 +56,14 @@ class ConstPiece:
         return self.value
 
     def mirrored(self, center: float):
-        return self
+        return self  # a constant is its own mirror image
 
     def descriptor(self) -> dict:
         return {"kind": "const", "value": self.value}
 
 
 @dataclass(frozen=True)
-class CosPiece:
+class CosPiece(_Piece):
     """c0 + c1 * cos(omega * t + phi), in the global time variable."""
 
     c0: float
@@ -70,15 +77,12 @@ class CosPiece:
     def value_at(self, x: float) -> float:
         return self.c0 + self.c1 * math.cos(self.omega * x + self.phi)
 
-    def mirrored(self, center: float):
-        return MirrorPiece(self, center)
-
     def descriptor(self) -> dict:
         return {"kind": "cos", "c0": self.c0, "c1": self.c1, "omega": self.omega, "phi": self.phi}
 
 
 @dataclass(frozen=True)
-class PolyPiece:
+class PolyPiece(_Piece):
     """Polynomial of degree at most 3 in the global time variable."""
 
     coeffs: tuple  # ascending order (a0, a1, ...)
@@ -92,15 +96,12 @@ class PolyPiece:
             acc = acc * x + c
         return acc
 
-    def mirrored(self, center: float):
-        return MirrorPiece(self, center)
-
     def descriptor(self) -> dict:
         return {"kind": "poly", "coeffs": list(self.coeffs)}
 
 
 @dataclass(frozen=True)
-class TablePiece:
+class TablePiece(_Piece):
     """Tabulated samples, interpolated monotonically (order 3, PCHIP) or linearly (order 1)."""
 
     xs: tuple
@@ -120,15 +121,12 @@ class TablePiece:
     def value_at(self, x: float) -> float:
         return float(self.values(np.asarray(x)))
 
-    def mirrored(self, center: float):
-        return MirrorPiece(self, center)
-
     def descriptor(self) -> dict:
         return {"kind": "table", "x": list(self.xs), "y": list(self.ys), "order": self.order}
 
 
 @dataclass(frozen=True)
-class MirrorPiece:
+class MirrorPiece(_Piece):
     """Evaluates ``base`` at the reflected argument 2*center - t.
 
     Reflections delegate to the base piece rather than rewriting its
@@ -144,9 +142,6 @@ class MirrorPiece:
 
     def value_at(self, x: float) -> float:
         return self.base.value_at(2.0 * self.center - x)
-
-    def mirrored(self, center: float):
-        return MirrorPiece(self, center)
 
     def descriptor(self) -> dict:
         return {"kind": "mirror", "center": self.center, "of": self.base.descriptor()}

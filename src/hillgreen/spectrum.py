@@ -33,7 +33,6 @@ from .potential import Potential
 __all__ = [
     "Eigenvalue",
     "Spectrum",
-    "characteristic_value",
     "dirichlet_zero_count",
     "discriminant_samples",
     "find_eigenvalues",
@@ -86,14 +85,6 @@ class Spectrum:
             fh.write("bc,k,lambda,multiplicity\n")
             for e in self.eigenvalues:
                 fh.write(f"{self.bc.value},{e.index},{repr(float(e.value))},{e.multiplicity}\n")
-
-
-def characteristic_value(p: Potential, lam: float, bc, length: float | None = None,
-                         tol: float = DEFAULT_TOL) -> float:
-    """Scalar whose zeros in lambda are exactly the eigenvalues of ``bc``."""
-    bc = BoundaryCondition.parse(bc)
-    basis = fundamental_solutions(p, lam, length, tol)
-    return _char_rows(bc, (basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end))
 
 
 def _char_rows(bc: BoundaryCondition, Y):

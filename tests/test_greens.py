@@ -10,6 +10,7 @@ from hillgreen import (
     build_green,
     closed_form_constant,
     estimate_diagonal_jump,
+    fundamental_solutions,
     kernel_value,
     solve_bvp,
     table_slice,
@@ -121,6 +122,15 @@ def test_diagonal_jump_is_one(cos_pi, bc):
 def test_boundary_residual(pw2, bc):
     G = build_green(pw2, 0.35, bc, n=40)
     assert boundary_residual(G) < 1e-9
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_closed_form_boundary_residual_and_jump(m, bc):
+    # the residual reads the closed form's dG/dt branches at both ends
+    G = closed_form_constant(m, 1.0, bc, n=40)
+    assert boundary_residual(G) < 1e-12
+    assert np.max(np.abs(estimate_diagonal_jump(G) - 1.0)) < 1e-6
 
 
 def test_combined_picks_branches(zero1):
@@ -300,6 +310,30 @@ def test_bvp_solution_off_grid_on_step_potential(bc):
     assert np.all(np.abs(u(ts) - ref_u) <= 1e-9 * np.maximum(1.0, np.abs(ref_u)))
     assert np.all(np.abs(u.derivative(ts) - ref_du) <= 1e-9 * np.maximum(1.0, np.abs(ref_du)))
     assert np.array_equal(u(u.grid), u.values)
+
+
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_bvp_solution_with_jumps_inside_uniform_panels(bc):
+    # 0.73 and 1.61 fall inside panels of the uniform 2.5/200 edges; as panel
+    # edges of their own they keep Simpson's order (straddled, u is 2.3e-8 off)
+    breaks, values, lam = [0.0, 0.73, 1.61, 2.5], [0.5, -1.2, 2.0], 0.8
+
+    def sigma(t):
+        return 1.0 + np.sin(2.0 * t)
+
+    u = solve_bvp(Potential.piecewise_constant(breaks, values), lam, bc, sigma, n=100)
+    ts = np.random.default_rng(5).uniform(0.0, 2.5, 200)
+    ref_u, ref_du = step_bvp_reference(breaks, values, lam, bc, sigma, ts)
+    assert np.all(np.abs(u(ts) - ref_u) <= 2e-9 * np.maximum(1.0, np.abs(ref_u)))
+    assert np.all(np.abs(u.derivative(ts) - ref_du) <= 2e-9 * np.maximum(1.0, np.abs(ref_du)))
+
+
+def test_bvp_breakpoint_on_uniform_edge_adds_no_panel():
+    # 0.3 is uniform edge 6 of 20 up to rounding: no sliver panel next to it
+    p = Potential.piecewise_constant([0.0, 0.3, 1.0], [1.0, -2.0])
+    u = solve_bvp(p, 0.5, "D", 1.0, n=10)
+    assert 0.3 in fundamental_solutions(p, 0.5)._edges
+    assert u._edges.size == 21
 
 
 def test_bvp_solution_outside_domain_raises(cos_pi):

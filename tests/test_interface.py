@@ -2,7 +2,10 @@
 
 import argparse
 
+import pytest
+
 import hillgreen
+from hillgreen import comparison, greens, identities, integrator, potential, spectrum
 from hillgreen.cli import build_parser
 
 PUBLIC_NAMES = [
@@ -40,6 +43,13 @@ CLI_FLAGS = {
 def test_public_names():
     assert sorted(hillgreen.__all__) == PUBLIC_NAMES
     assert all(hasattr(hillgreen, name) for name in hillgreen.__all__)
+
+
+@pytest.mark.parametrize("module", [potential, integrator, greens, identities, comparison,
+                                    spectrum], ids=lambda m: m.__name__)
+def test_module_exports_exist(module):
+    # a stale entry breaks `from module import *` and hides a name from the bench tracer
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_cli_flags():
