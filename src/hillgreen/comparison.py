@@ -10,9 +10,9 @@ The dominance and solution checks read every kernel they compare through
 the identity catalog's factor cache: the rank-2 factors row(t) . K . col(s)
 at the grid nodes of each family (base interval, even extension), with no
 full ``build_green`` table, so the kernels of one (p, lambda, n) share one
-``trajectory`` call per solution basis.  A sign hypothesis reads only the
+``trajectory`` call, on the base basis.  A sign hypothesis reads only the
 kernel's minimum and maximum, which fix its classification, taken in row
-slices (no table is held) and memoized on the solution basis.  A
+slices (no table is held) and memoized on the base basis.  A
 conclusion's tables are formed only once its hypothesis holds.
 """
 
@@ -412,13 +412,12 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
                        f"choices: {', '.join(sorted(COMPARISON_THEOREMS))}")
     hyp_kind, hyp_sign, bc1, bc2 = COMPARISON_THEOREMS[theorem]
     cache = _KernelCache(p, length, n, lam, integrator_tol)
-    base, T = cache.base, cache.L
 
     bc, _, kernel = _HYPOTHESIS_KERNELS[hyp_kind]
     hyp_class = _require_sign(cache, "even2", bc, hyp_sign,
                               f"the extension's {kernel} kernel is not {{}}")
 
-    ts = np.linspace(0.0, T, n + 1)
+    ts = np.linspace(0.0, cache.L, n + 1)
     f1, f2 = _as_callable(sigma1, ts), _as_callable(sigma2, ts)
     s1, s2 = f1(ts), f2(ts)
 
@@ -439,8 +438,8 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
             "forcings are not ordered as 0 <= sigma2 <= sigma1 nor "
             "0 >= sigma2 >= sigma1", point=float(ts[bad]))
 
-    v1 = solve_bvp(base, lam, bc1, f1, n=n, tol=integrator_tol).values
-    v2 = solve_bvp(base, lam, bc2, f2, n=n, tol=integrator_tol).values
+    v1 = solve_bvp(p, lam, bc1, f1, n=n, length=length, tol=integrator_tol).values
+    v2 = solve_bvp(p, lam, bc2, f2, n=n, length=length, tol=integrator_tol).values
     if case == "absolute":
         names = (f"|u_{bc2}| <= u_{bc1}",)
     elif case == "nonnegative":

@@ -92,13 +92,13 @@ _ENDS = {BoundaryCondition.NEUMANN: (1, 1), BoundaryCondition.DIRICHLET: (0, 0),
 BC_ALL = tuple(bc.value for bc in BoundaryCondition)
 
 
-def _branch_matrices(basis: SolutionBasis, bc: BoundaryCondition):
-    """Coefficient matrices (k_low, k_up) plus the resonance margin.
+def _branch_matrices(M: np.ndarray, lam: float, bc: BoundaryCondition):
+    """Coefficient matrices (k_low, k_up) plus the resonance margin, from the
+    monodromy M = [[y1, y2], [y1', y2']](T) at lambda.
 
     Raises ResonanceError when lambda sits on an eigenvalue of the chosen
     condition, where no Green's function exists.
     """
-    M = basis.monodromy
     scale = max(1.0, float(np.linalg.norm(M)))
     eye = np.eye(2)
 
@@ -108,9 +108,9 @@ def _branch_matrices(basis: SolutionBasis, bc: BoundaryCondition):
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         if abs(det) < RESONANCE_RTOL * scale:
             raise ResonanceError(
-                f"{bc.name.lower()} condition is resonant at lambda={basis.lam}: "
+                f"{bc.name.lower()} condition is resonant at lambda={lam}: "
                 f"det(eps*I - M) = {det:.3e}",
-                determinant=float(det), bc=bc, lam=basis.lam)
+                determinant=float(det), bc=bc, lam=lam)
         C = np.linalg.solve(A, M)
         return C + eye, C, abs(det) / scale
 
@@ -118,13 +118,13 @@ def _branch_matrices(basis: SolutionBasis, bc: BoundaryCondition):
     # y2 where u does), r the one meeting it at T
     d0, dT = bc.ends
     l = (1.0, 0.0) if d0 else (0.0, 1.0)
-    r = (basis.y2p_end, -basis.y1p_end) if dT else (basis.y2_end, -basis.y1_end)
+    r = (M[1, 1], -M[1, 0]) if dT else (M[0, 1], -M[0, 0])
     W = l[0] * r[1] - l[1] * r[0]
     if abs(W) < RESONANCE_RTOL * scale:
         raise ResonanceError(
-            f"{bc.name.lower()} condition is resonant at lambda={basis.lam}: "
+            f"{bc.name.lower()} condition is resonant at lambda={lam}: "
             f"boundary Wronskian = {W:.3e}",
-            determinant=float(W), bc=bc, lam=basis.lam)
+            determinant=float(W), bc=bc, lam=lam)
     k_low = np.outer(r, (-l[1], l[0])) / W
     k_up = np.outer(l, (-r[1], r[0])) / W
     return k_low, k_up, abs(W) / scale
@@ -337,8 +337,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100,
     basis = fundamental_solutions(p, lam, length, tol)
     # the basis clamps a length that overshoots the domain by rounding
     L = basis.length
-    k_low, k_up, margin = _branch_matrices(basis, bc)
-    states = basis._node_states(n, n + 1)
+    k_low, k_up, margin = _branch_matrices(basis.monodromy, basis.lam, bc)
+    states = basis._node_states(n)
     A, B = _factors(states, states)
     meta = {
         "potential": p.descriptor(),
@@ -358,7 +358,7 @@ def kernel_value(p: Potential, lam: float, bc, t: float, s: float,
     """Single kernel value without building a grid."""
     bc = BoundaryCondition.parse(bc)
     basis = fundamental_solutions(p, lam, length, tol)
-    k_low, k_up, _ = _branch_matrices(basis, bc)
+    k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc)
     return _entry(KernelBranches(basis, k_low, k_up), t, s)
 
 
@@ -528,7 +528,7 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100,
     basis = fundamental_solutions(p, lam, length, tol)
     # the basis clamps a length that overshoots the domain by rounding
     L = basis.length
-    _, k_up, _ = _branch_matrices(basis, bc)
+    _, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc)
 
     sig_fn = _as_callable(sigma, np.linspace(0.0, L, 4 * n + 1))
     # a segment edge within rounding of its nearest uniform edge adds no sliver panel

@@ -1,12 +1,12 @@
 """Grid verification of the kernel decomposition identities.
 
 Each identity relates a kernel on [0, T] to kernels of the even extension
-on [0, 2T] (one of them to the doubled extension on [0, 4T]).  Both sides
-are built independently, the left from that boundary condition's own
-construction and the right from extension kernels, so agreement is
-evidence rather than bookkeeping: every kernel's coefficients come from its
-own condition on its own family's solution basis, and no term is folded
-into another.
+on [0, 2T] (one of them to the doubled extension on [0, 4T]).  Every
+kernel's coefficients come from its own condition on its own family's
+monodromy, and no term is folded into another.  The families' solutions are
+the base solutions reflected (``_KernelCache``), so one integration on
+[0, T] serves them all; the test suite checks that rule against integrating
+the extended and reflected potentials directly.
 
 Evaluation is node exact: the base grid t_i = i T/n embeds into the 2T
 grid (2n pieces) and the 4T grid (4n pieces) with identical spacing, so a
@@ -48,17 +48,16 @@ __all__ = [
 
 DEFAULT_IDENTITY_TOL = 1e-6
 
-# Kernel families used by the catalog: grid factor, label and the family's
-# potential made from the base a on [0, T].  The factor is also the family's
-# length in units of T, and keeps the node spacing T/n shared across intervals.
-#   base   a          on [0, T],  n    pieces
-#   even2  a~         on [0, 2T], 2 n  pieces
-#   even4  (a~)~      on [0, 4T], 4 n  pieces
-#   refl   a(T - .)   on [0, T],  n    pieces
-_FAMILIES = {"base": (1, "base interval", lambda a: a),
-             "even2": (2, "even extension", Potential.even_extension),
-             "even4": (4, "doubled even extension", lambda a: a.even_extension().even_extension()),
-             "refl": (1, "reflected potential", Potential.reflect)}
+# Kernel families used by the catalog: grid factor and label.  The factor is
+# the family's length in units of T and keeps the node spacing T/n shared.
+# Each family's fundamental matrix follows from the base one, Phi with
+# M = Phi(T), by symmetry (Magnus & Winkler, Hill's Equation; D = diag(1, -1)):
+#   base   a          on [0, T],  n    pieces  Phi(t)
+#   even2  a~         on [0, 2T], 2 n  pieces  Phi(t), then D Phi(2T - t) M^-1 D M
+#   even4  (a~)~      on [0, 4T], 4 n  pieces  the even2 rule applied to even2
+#   refl   a(T - .)   on [0, T],  n    pieces  D Phi(T - t) M^-1 D
+_FAMILIES = {"base": (1, "base interval"), "even2": (2, "even extension"),
+             "even4": (4, "doubled even extension"), "refl": (1, "reflected potential")}
 
 
 @dataclass(frozen=True)
@@ -243,41 +242,38 @@ class _KernelCache:
     """Rank-2 kernel factors for a fixed (p, lambda, n), shared by every term
     and by the dominance and solution comparison checks.
 
-    Every family derives from ``base``, p restricted to [0, L].  Per family it
-    holds one solution basis and its states at the family's grid nodes
-    0..min(2n, pieces), the nodes ``build_green`` would use and the only
-    ones an argument map reaches; per (family, bc) the branch matrices
-    (k_low, k_up).  A resonant kernel raises on every request.
+    One basis is integrated, p on [0, L]; every family follows from it by
+    the rules of ``_FAMILIES``.  ``families`` holds each family's (monodromy,
+    states at its grid nodes 0..min(2n, pieces)), the nodes ``build_green``
+    would use and the only ones an argument map reaches; per (family, bc)
+    the branch matrices (k_low, k_up).  A resonant kernel raises on every
+    request.
     """
 
     def __init__(self, p: Potential, length: float | None, n: int, lam: float, tol: float):
+        _check_n(n)
         self.n = int(n)
         self.lam = float(lam)
-        self.tol = float(tol)
-        self.L = float(p.domain_length if length is None else length)
-        self.base = p if length is None else p.restrict(self.L)
-        self._families: dict = {}
+        self.basis = fundamental_solutions(p, lam, length, tol)
+        self.L = self.basis.length
+        M, S = self.basis.monodromy, self.basis._node_states(self.n)
+        R = np.linalg.solve(M, _D)
+        C = R @ M
+        even = np.concatenate([S, _mirrored(S[:, -2::-1], C)], axis=1)
+        M2 = _D @ C
+        self.families = {"base": (M, S), "even2": (M2, even),
+                         "even4": (_D @ np.linalg.solve(M2, _D) @ M2, even),
+                         "refl": (_D @ R, _mirrored(S[:, ::-1], R))}
         self._matrices: dict = {}
-
-    def _family(self, family: str):
-        """(solution basis, its states at the family's nodes 0..min(2n, pieces))."""
-        if family not in self._families:
-            factor, _, make = _FAMILIES[family]
-            pieces = factor * self.n
-            _check_n(pieces)
-            basis = fundamental_solutions(make(self.base), self.lam, factor * self.L, self.tol)
-            states = basis._node_states(pieces, min(pieces, 2 * self.n) + 1)
-            self._families[family] = (basis, states)
-        return self._families[family]
 
     def _branches(self, family: str, bc: str):
         key = (family, bc)
         if key not in self._matrices:
             bc = BoundaryCondition.parse(bc)
             try:
-                self._matrices[key] = _branch_matrices(self._family(family)[0], bc)[:2]
+                self._matrices[key] = _branch_matrices(self.families[family][0], self.lam, bc)[:2]
             except ResonanceError as exc:
-                factor, label, _ = _FAMILIES[family]
+                factor, label = _FAMILIES[family]
                 msg = (f"{bc.condition} problem on [0, {factor * self.L:g}] ({label}) "
                        f"is resonant at lambda = {self.lam!r}")
                 raise ResonanceError(msg, exc.determinant, bc, self.lam) from None
@@ -287,24 +283,30 @@ class _KernelCache:
         """The ``_node_block`` arguments of G_bc[family](tmap(t), smap(s)) over idx."""
         k_low, k_up = self._branches(family, bc)
         t_idx, s_idx = _MAPS[tmap](idx, self.n), _MAPS[smap](idx, self.n)
-        states = self._family(family)[1]
+        states = self.families[family][1]
         A, B = _factors(states[:, t_idx], states[:, s_idx])
         return A.T @ k_low, A.T @ k_up, B, t_idx, s_idx
 
     def extrema(self, family: str, bc: str) -> tuple[float, float]:
-        """(min, max) of G_bc[family] over the family's nodes, memoized on its basis."""
+        """(min, max) of G_bc[family] over the family's nodes, memoized on the base basis."""
         k_low, k_up = self._branches(family, bc)
-        basis, states = self._family(family)
-        key = (_FAMILIES[family][0] * self.n, states.shape[1], bc)
-        if key not in basis._extrema:
-            basis._extrema[key] = _node_extrema(states, k_low, k_up)
-        return basis._extrema[key]
+        key = (family, self.n, bc)
+        if key not in self.basis._extrema:
+            self.basis._extrema[key] = _node_extrema(self.families[family][1], k_low, k_up)
+        return self.basis._extrema[key]
 
 
 # Argument maps of the node index i: id, 2T - x on the 2n grid, T - x on the n grid.
 _MAPS = {"id": lambda i, n: i, "r2": lambda i, n: 2 * n - i, "rT": lambda i, n: n - i}
 # A term's kernel, its coefficient left out: the key of its factors and blocks.
 _kernel = attrgetter("family", "bc", "tmap", "smap")
+# D of the family rules: t -> c - t keeps a solution's value and flips its slope.
+_D = np.diag([1.0, -1.0])
+
+
+def _mirrored(states: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Node states of D Phi X, ``states`` holding Phi column by column: (y1, y1', y2, y2')."""
+    return np.kron(X.T, _D) @ states
 
 
 def _side(terms, blocks: dict) -> np.ndarray:

@@ -251,9 +251,10 @@ class SolutionBasis:
     [0, length] from stored dense output.
 
     ``_node_states`` memoizes the states at equally spaced nodes, keyed by
-    (pieces, count), so every kernel table on one grid reads one
-    ``trajectory`` call; ``_extrema`` holds kernel extremes on such grids,
-    keyed by (pieces, count, bc). The node memo keeps at most ``_NODE_GRIDS``
+    their number of pieces, so every kernel table on one grid reads one
+    ``trajectory`` call; ``_extrema`` holds kernel extremes on such grids and
+    on the families derived from them, keyed by (family, n, bc) (see
+    ``identities._KernelCache``). The node memo keeps at most ``_NODE_GRIDS``
     grids and ``_NODE_STATES`` nodes per basis (128 KB, so 32 MB over the
     cache's 256 bases), dropping the least recently used; a larger grid is
     evaluated on every call. Both die with the basis, which ``clear_cache`` drops.
@@ -296,20 +297,19 @@ class SolutionBasis:
             out[:, m] = self._sols[k](tt[m])
         return out[:, 0] if scalar else out
 
-    def _node_states(self, pieces: int, count: int) -> np.ndarray:
-        """Read-only states at the first ``count`` of the ``pieces + 1`` nodes
-        of ``np.linspace(0, length, pieces + 1)``, memoized per (pieces, count)."""
-        key = (pieces, count)
+    def _node_states(self, pieces: int) -> np.ndarray:
+        """Read-only states at the nodes of ``np.linspace(0, length, pieces + 1)``,
+        memoized per ``pieces``."""
         with _CACHE_LOCK:
-            hit = self._nodes.get(key)
+            hit = self._nodes.get(pieces)
             if hit is not None:
-                self._nodes.move_to_end(key)
+                self._nodes.move_to_end(pieces)
                 return hit
-        states = self.trajectory(np.linspace(0.0, self.length, pieces + 1)[:count])
+        states = self.trajectory(np.linspace(0.0, self.length, pieces + 1))
         states.flags.writeable = False
         if states.shape[1] <= _NODE_STATES:
             with _CACHE_LOCK:
-                self._nodes[key] = states
+                self._nodes[pieces] = states
                 while (len(self._nodes) > _NODE_GRIDS
                        or sum(v.shape[1] for v in self._nodes.values()) > _NODE_STATES):
                     self._nodes.popitem(last=False)
@@ -323,8 +323,8 @@ class SolutionBasis:
 _CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _CACHE_MAX = 256
-# Node-state memo of each basis: a kernel check reads one or two grids of a
-# basis, of 2n + 1 nodes at most (4096 nodes hold n up to 2047).
+# Node-state memo of each basis: a kernel check reads one grid of a basis,
+# of n + 1 nodes (4096 nodes hold n up to 4095).
 _NODE_GRIDS = 4
 _NODE_STATES = 4096
 

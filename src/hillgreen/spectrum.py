@@ -407,16 +407,15 @@ def dirichlet_zero_count(p: Potential, lam: float, length: float | None = None,
 
 def neumann_extension_residual(p: Potential, lam: float,
                                tol: float = DEFAULT_TOL) -> float:
-    """|y1'(2T, lam)| for the even extension.
+    """|y1'(2T, lam)| for the even extension, read as |2 y1(T) y1'(T)|.
 
-    This is the extension's Neumann characteristic function; by the
-    doubling identity it factors as 2 y1(T) y1'(T), so it vanishes exactly
-    on the union of the base Neumann spectrum and the base u'(0)=u(T)=0
+    This is the extension's Neumann characteristic function; the doubling
+    identity factors it over the base interval, so it vanishes exactly on
+    the union of the base Neumann spectrum and the base u'(0)=u(T)=0
     spectrum.
     """
-    even = p.even_extension()
-    basis = fundamental_solutions(even, lam, even.domain_length, tol)
-    return abs(basis.y1p_end)
+    basis = fundamental_solutions(p, lam, tol=tol)
+    return abs(2.0 * basis.y1_end * basis.y1p_end)
 
 
 def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400,

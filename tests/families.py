@@ -1,0 +1,33 @@
+"""Whole kernel tables of the identity catalog's kernel families.
+
+``family_green`` forms the table ``build_green`` would form for a family,
+but from the monodromy and node states that ``identities._KernelCache``
+derives from the base basis, so a reference built from it checks the
+catalog's sliced evaluation bit for bit. Whether those derived states are
+right is checked separately, against the family's potential integrated
+directly (``test_identities.test_derived_families_match_direct_integration``).
+"""
+
+import numpy as np
+
+from hillgreen.greens import BoundaryCondition, GreensFunction, _branch_matrices, _factors
+from hillgreen.identities import _FAMILIES, _KernelCache
+from hillgreen.integrator import DEFAULT_TOL
+
+
+def family_green(p, lam, family, bc, n, length=None, tol=DEFAULT_TOL):
+    """The kernel of ``family`` ("even2", "even4", "refl") under ``bc`` on the
+    family's nodes 0..min(2n, pieces), the only ones the catalog reads, as a
+    GreensFunction without branches. Raises ResonanceError as build_green does.
+    """
+    cache = _KernelCache(p, length, n, lam, tol)
+    M, states = cache.families[family]
+    bc = BoundaryCondition.parse(bc)
+    k_low, k_up, _ = _branch_matrices(M, float(lam), bc)
+    A, B = _factors(states, states)
+    factor = _FAMILIES[family][0]
+    nodes = states.shape[1]
+    grid = np.linspace(0.0, factor * cache.L, factor * n + 1)[:nodes]
+    return GreensFunction(bc=bc, length=factor * cache.L, lam=float(lam), n=nodes - 1,
+                          grid=grid, lower=A.T @ k_low @ B, upper=A.T @ k_up @ B,
+                          branches=None)

@@ -12,6 +12,7 @@ from hillgreen import (
     build_green,
     classify_sign,
     clear_cache,
+    find_eigenvalues,
     load_builtin,
     predicted_sign_interval,
     sign_threshold_consistency,
@@ -30,6 +31,8 @@ from hillgreen.comparison import (
     zero_set_check,
 )
 from hillgreen.errors import HypothesisNotMet, ResonanceError
+
+from families import family_green
 
 PI = math.pi
 HALF_PI_SQ = (PI / 2) ** 2
@@ -169,6 +172,18 @@ def test_threshold_consistency(cos_pi, bc):
         assert s["pass"], s
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: classify_sign reads the node table, and just above the first "
+    "Dirichlet eigenvalue the kernel changes sign only in thin triangles at the ends "
+    "of the diagonal, between nodes; at n = 60 the table reads nonnegative_with_zeros"))
+def test_threshold_consistency_just_above_first_dirichlet_eigenvalue():
+    # by Sturm's theorem the kernel changes sign for every lambda above the
+    # first eigenvalue (0.9180581766...); an n = 600 table reads sign_changing here
+    ex3 = load_builtin("ex3")
+    lam1 = find_eigenvalues(ex3, "D", max_count=1).values()[0]
+    assert sign_threshold_consistency(ex3, "D", lams=[lam1 + 5e-3], n=60)["pass"]
+
+
 def test_zero_set_check_modes(zero1):
     ok = zero_set_check(build_green(zero1, HALF_PI_SQ, "N", n=40))
     assert ok["applicable"] and ok["pass"]
@@ -243,8 +258,7 @@ def test_bound2_reflected_block_matches_full_table(cos_pi, rel, bc2, bc_other):
     n, lam = 30, -0.36
     rep = verify_dominance(cos_pi, lam, rel, n=n)
     idx = np.arange(n + 1)
-    refl = table_slice(build_green(cos_pi.even_extension(), lam, bc2, n=2 * n),
-                       2 * n - idx, idx)
+    refl = table_slice(family_green(cos_pi, lam, "even2", bc2, n), 2 * n - idx, idx)
     vn = build_green(cos_pi, lam, "N", n=n).combined()
     vo = build_green(cos_pi, lam, bc_other, n=n).combined()
     want = [np.min(2 * refl - vn), np.min(-vo), np.min(vo + 2 * refl), np.min(refl)]
@@ -256,7 +270,7 @@ def test_bound2_reflected_block_matches_full_table(cos_pi, rel, bc2, bc_other):
 def test_dominance_slack_scales_with_kernel():
     # kernels up to |G_N| ~ 37: bound2_p/bound2_n touch equality at a point,
     # so their true margin is 0 and the computed one a rounding-level
-    # shortfall (about -1.4e-13) that the slack tol * max(1, max |kernel|)
+    # shortfall (about -7.1e-15) that the slack tol * max(1, max |kernel|)
     # must absorb
     p = Potential.piecewise_constant(
         [0, 0.6019185719374425, 0.9736261699230871, 1.5733157079205473,
@@ -284,8 +298,8 @@ _NAMES = {"N": "Neumann", "D": "Dirichlet", "M1": "first mixed", "M2": "second m
 
 
 def _reference_dominance(p, lam, relation, n, tol=1e-9):
-    """verify_dominance rebuilt from whole kernel tables: build_green,
-    classify_sign and table arithmetic."""
+    """verify_dominance rebuilt from whole kernel tables: build_green (the
+    extension's from ``family_green``), classify_sign and table arithmetic."""
     hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
 
     def require(rep, sign, kernel):
@@ -300,8 +314,7 @@ def _reference_dominance(p, lam, relation, n, tol=1e-9):
         require(rep, "nonneg", "base Neumann")
         bc2, other = ("P", "D") if relation == "bound2_p" else ("N", "M1")
         idx = np.arange(n + 1)
-        refl = table_slice(build_green(p.even_extension(), lam, bc2, n=2 * n),
-                           2 * n - idx, idx)
+        refl = table_slice(family_green(p, lam, "even2", bc2, n), 2 * n - idx, idx)
         vn = GN.combined()
         vo = build_green(p, lam, other, n=n).combined()
         tables = (vn, vo, refl)
@@ -314,7 +327,7 @@ def _reference_dominance(p, lam, relation, n, tol=1e-9):
     else:
         bc = hyp_kind[0]
         kernel = f"{bc} on the even extension"
-        rep = classify_sign(build_green(p.even_extension(), lam, bc, n=2 * n))
+        rep = classify_sign(family_green(p, lam, "even2", bc, n))
         require(rep, hyp_sign, kernel)
         hyp = {"kernel": kernel, "classification": rep.classification}
         bc1, bc2 = COMPARISON_THEOREMS[relation][2:]
@@ -369,7 +382,7 @@ def test_dominance_matches_whole_tables(name, lam, n):
 def test_solution_comparison_hypothesis_matches_whole_table(cos_pi, theorem, lam):
     hyp_kind, sign = COMPARISON_THEOREMS[theorem][:2]
     bc = hyp_kind[0]
-    rep = classify_sign(build_green(cos_pi.even_extension(), lam, bc, n=200))
+    rep = classify_sign(family_green(cos_pi, lam, "even2", bc, 100))
     word, holds, field = _SIGN_WORDS[sign]
     assert not holds(rep)
     kernel = {"P": "periodic", "N": "Neumann", "D": "Dirichlet"}[bc]

@@ -168,7 +168,7 @@ def test_branch_select_matches_mask_select(cos_pi):
         ref = np.where(s_idx[None, :] <= t_idx[:, None],
                        G.lower[np.ix_(t_idx, s_idx)], G.upper[np.ix_(t_idx, s_idx)])
         assert np.array_equal(table_slice(G, t_idx, s_idx), ref)
-        states = G.branches.basis._node_states(G.n, G.n + 1)
+        states = G.branches.basis._node_states(G.n)
         A, B = greens._factors(states[:, t_idx], states[:, s_idx])
         block = greens._node_block(A.T @ G.branches.k_low, A.T @ G.branches.k_up, B,
                                    t_idx, s_idx)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hillgreen import (
+    BC_ALL,
     CATALOG,
     IDENTITY_NAMES,
     BoundaryCondition,
@@ -17,8 +18,10 @@ from hillgreen import (
     verify_all,
     verify_identity,
 )
-from hillgreen import identities
+from hillgreen import clear_cache, fundamental_solutions, identities, integrator
 from hillgreen.errors import ResonanceError
+
+from families import family_green
 
 # lambda values kept away from every eigenvalue of the six conditions
 SAFE_LAMS = {
@@ -141,29 +144,26 @@ def test_report_as_dict(cos_pi):
 # -- equivalence with full kernel tables ----------------------------------
 
 def _reference_reports(p, lam, n, length=None, tol=1e-6):
-    """The catalog evaluated from full build_green tables and table_slice gathers.
+    """The catalog evaluated from whole kernel tables and table_slice gathers:
+    build_green for the base family, ``family_green`` for the others.
 
     Returns (identity_id, residual, lhs_scale, passed, skipped, reason) per
     identity, the reason worded as verify_all words a resonant constituent.
     """
     L = float(p.domain_length if length is None else length)
     base = p if length is None else p.restrict(L)
-    even = base.even_extension()
-    families = {
-        "base": (base, L, 1, "base interval"),
-        "even2": (even, 2 * L, 2, "even extension"),
-        "even4": (even.even_extension(), 4 * L, 4, "doubled even extension"),
-        "refl": (base.reflect(), L, 1, "reflected potential"),
-    }
+    labels = {"base": (L, "base interval"), "even2": (2 * L, "even extension"),
+              "even4": (4 * L, "doubled even extension"), "refl": (L, "reflected potential")}
     maps = {"id": lambda i: i, "r2": lambda i: 2 * n - i, "rT": lambda i: n - i}
     kernels = {}
 
     def kernel(family, bc):
         if (family, bc) not in kernels:
-            pot, length_f, factor, label = families[family]
+            length_f, label = labels[family]
             try:
-                kernels[family, bc] = build_green(pot, lam, bc, n=factor * n,
-                                                  length=length_f)
+                kernels[family, bc] = (build_green(base, lam, bc, n=n, length=L)
+                                       if family == "base" else
+                                       family_green(p, lam, family, bc, n, length=length))
             except ResonanceError:
                 kernels[family, bc] = (
                     f"{BoundaryCondition.parse(bc).condition} problem on "
@@ -228,18 +228,65 @@ def test_factored_catalog_matches_full_tables_at_resonance(zero1):
     assert any(r.skipped for r in reports) and not all(r.skipped for r in reports)
 
 
-@settings(max_examples=6, deadline=None)
-@given(st.one_of(
+# generated steps and cosines
+_GENERATED = st.one_of(
     st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4),
               st.floats(0.5, 2.0)).map(
         lambda vl: Potential.piecewise_constant(
             np.linspace(0.0, vl[1], len(vl[0]) + 1), vl[0])),
     st.tuples(st.floats(0.5, 3.0), st.floats(-1.0, 1.0), st.floats(0.2, 2.0),
               st.floats(0.5, 3.0)).map(
-        lambda c: Potential.cosine(c[0], c0=c[1], c1=c[2], omega=c[3]))),
-    st.floats(-1.5, 3.0))
+        lambda c: Potential.cosine(c[0], c0=c[1], c1=c[2], omega=c[3])))
+
+
+@settings(max_examples=6, deadline=None)
+@given(_GENERATED, st.floats(-1.5, 3.0))
 def test_factored_catalog_matches_full_tables_generated(p, lam):
     _assert_matches_reference(p, lam, n=16)
+
+
+# -- derived families against direct integration ---------------------------
+
+_DIRECT = {"even2": Potential.even_extension,
+           "even4": lambda p: p.even_extension().even_extension(),
+           "refl": Potential.reflect}
+
+
+def _assert_derived_matches_direct(p, lam, n):
+    """Every derived family's node table, all six conditions, against
+    build_green on the family's potential integrated directly: within
+    1e-8 max(1, max |G|) times the kernel's two condition factors,
+    max(1, 1e-2 / resonance margin) and max(1, max |M|), which grow near
+    resonance and with growing solutions.  A resonant kernel must be
+    resonant on both routes."""
+    for family, make in _DIRECT.items():
+        pieces = identities._FAMILIES[family][0] * n
+        idx = np.arange(min(pieces, 2 * n) + 1)
+        for bc in BC_ALL:
+            try:
+                direct = build_green(make(p), lam, bc, n=pieces)
+            except ResonanceError:
+                with pytest.raises(ResonanceError):
+                    family_green(p, lam, family, bc, n)
+                continue
+            want = table_slice(direct, idx, idx)
+            got = family_green(p, lam, family, bc, n).combined()
+            err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+            growth = np.max(np.abs(direct.branches.basis.monodromy))
+            bound = 1e-8 * max(1.0, 1e-2 / direct.meta["resonance_margin"]) * max(1.0, growth)
+            assert err <= bound, (family, bc, err, bound)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+@pytest.mark.parametrize("lam", [0.3, -0.9, 2.0])
+def test_derived_families_match_direct_integration(name, lam):
+    _assert_derived_matches_direct(load_builtin(name), lam, n=30)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_GENERATED, st.floats(-1.5, 3.0))
+def test_derived_families_match_direct_integration_generated(p, lam):
+    _assert_derived_matches_direct(p, lam, n=12)
 
 
 # -- work counts -----------------------------------------------------------
@@ -252,8 +299,30 @@ def test_verify_all_one_trajectory_per_family(cos_pi, trajectory_calls):
 
 
 def test_verify_identity_one_trajectory_per_family(cos_pi, trajectory_calls):
+    # every family's node states are derived from the base basis's
     verify_identity("NP", cos_pi, 0.29, n=40)
-    assert len(trajectory_calls) == 2
+    assert trajectory_calls == [41]
+    clear_cache()
+    trajectory_calls.clear()
+    verify_all(cos_pi, 0.29, n=40)
+    assert trajectory_calls == [41]
+
+
+def test_verify_all_integrates_only_the_base(monkeypatch):
+    # the extension, doubled extension and reflected families take no
+    # integration of their own: as many solve_ivp calls as the base basis
+    calls = []
+    original = integrator.solve_ivp
+    monkeypatch.setattr(integrator, "solve_ivp",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    ex3 = load_builtin("ex3")
+    clear_cache()
+    fundamental_solutions(ex3, 0.37)
+    alone = len(calls)
+    clear_cache()
+    calls.clear()
+    verify_all(ex3, 0.37, n=40)
+    assert alone >= 1 and len(calls) == alone
 
 
 def test_verify_all_forms_each_distinct_block_once_per_slice(cos_pi, monkeypatch):

@@ -321,24 +321,21 @@ def test_cache_returns_identical_object(cos_pi):
 
 def test_node_states_memo(cos_pi, trajectory_calls):
     basis = fundamental_solutions(cos_pi, 0.31)
-    states = basis._node_states(40, 41)
+    states = basis._node_states(40)
     assert np.array_equal(states, basis.trajectory(np.linspace(0.0, math.pi, 41)))
     assert not states.flags.writeable
     trajectory_calls.clear()
-    assert basis._node_states(40, 41) is states and trajectory_calls == []
-    # the count is part of the key: a prefix of the grid is its own entry
-    assert np.array_equal(basis._node_states(40, 21), states[:, :21])
-    assert trajectory_calls == [21]
+    assert basis._node_states(40) is states and trajectory_calls == []
     # at most _NODE_GRIDS grids per basis, the least recently used dropped
     for pieces in range(1, integrator._NODE_GRIDS + 1):
-        basis._node_states(pieces, pieces + 1)
+        basis._node_states(pieces)
     trajectory_calls.clear()
-    basis._node_states(40, 41)
+    basis._node_states(40)
     assert trajectory_calls == [41]
     # a grid beyond _NODE_STATES nodes is evaluated on every call
     big = integrator._NODE_STATES
-    basis._node_states(big, big + 1)
-    basis._node_states(big, big + 1)
+    basis._node_states(big)
+    basis._node_states(big)
     assert trajectory_calls[-2:] == [big + 1, big + 1]
     assert sum(v.shape[1] for v in basis._nodes.values()) <= integrator._NODE_STATES
     # the memo goes with the cached basis
