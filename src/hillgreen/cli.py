@@ -210,8 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     # the samples keep discriminant_samples' own accuracy unless --tol is given
     accuracy = {} if args.tol is None else {"accuracy": _check_tol(args.tol)}
-    lams, deltas = discriminant_samples(p, lo, hi, count=args.points,
-                                        extend=True, **accuracy)
+    lams, deltas = discriminant_samples(p, lo, hi, count=args.points, **accuracy)
     if args.format == "json":
         _emit_json({**head, "lambda": lams.tolist(), "delta": deltas.tolist()},
                    args.output)

@@ -103,8 +103,7 @@ def _first_value(p: Potential, bc: str, n_scan: int, integrator_tol: float) -> f
                             integrator_tol=integrator_tol).values()[0]
 
 
-def predicted_sign_interval(p: Potential, bc, length: float | None = None,
-                            n_scan: int = 2000,
+def predicted_sign_interval(p: Potential, bc, *, n_scan: int = 2000,
                             integrator_tol: float = DEFAULT_TOL) -> dict:
     """Lambda ranges where the kernel is negative resp. nonnegative.
 
@@ -114,23 +113,21 @@ def predicted_sign_interval(p: Potential, bc, length: float | None = None,
     u(0)=u'(T)=0, and the full closed square for Neumann and periodic.
     """
     bc = BoundaryCondition.parse(bc)
-    base = p if length is None else p.restrict(length)
-
     if bc is BoundaryCondition.NEUMANN:
-        even = base.even_extension()
+        even = p.even_extension()
         lam1 = _first_value(even, "P", n_scan, integrator_tol)
-        m1 = _first_value(base, "M1", n_scan, integrator_tol)
-        m2 = _first_value(base, "M2", n_scan, integrator_tol)
+        m1 = _first_value(p, "M1", n_scan, integrator_tol)
+        m2 = _first_value(p, "M2", n_scan, integrator_tol)
         lam2 = min(m1, m2)
         thresholds = {"lambda_P_2T": lam1, "lambda_M1": m1, "lambda_M2": m2}
     elif bc is BoundaryCondition.PERIODIC:
-        lam1 = _first_value(base, "P", n_scan, integrator_tol)
-        lam2 = _first_value(base, "A", n_scan, integrator_tol)
+        lam1 = _first_value(p, "P", n_scan, integrator_tol)
+        lam2 = _first_value(p, "A", n_scan, integrator_tol)
         thresholds = {"lambda_P": lam1, "lambda_A": lam2}
     elif bc is BoundaryCondition.ANTIPERIODIC:
         raise ValueError("no sign criterion catalogued for the anti-periodic kernel")
     else:
-        lam1 = _first_value(base, bc, n_scan, integrator_tol)
+        lam1 = _first_value(p, bc, n_scan, integrator_tol)
         lam2 = None
         thresholds = {f"lambda_{bc.value}": lam1}
 
@@ -155,8 +152,7 @@ def _strict_region(vals: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
 
 def sign_threshold_consistency(p: Potential, bc, lams=None, n: int = 60,
                                zero_tol: float = DEFAULT_ZERO_TOL,
-                               boundary_pad: float = 1e-4,
-                               length: float | None = None,
+                               boundary_pad: float = 1e-4, *,
                                n_scan: int = 2000,
                                integrator_tol: float = DEFAULT_TOL) -> dict:
     """Compare classify_sign against the predicted thresholds at many lambda.
@@ -165,13 +161,12 @@ def sign_threshold_consistency(p: Potential, bc, lams=None, n: int = 60,
     carry no pass/fail weight; resonant samples are likewise skipped.
     """
     bc = BoundaryCondition.parse(bc)
-    base = p if length is None else p.restrict(length)
-    intervals = predicted_sign_interval(base, bc, n_scan=n_scan,
+    intervals = predicted_sign_interval(p, bc, n_scan=n_scan,
                                         integrator_tol=integrator_tol)
     lam1 = intervals["negative"][1]
     lam2 = intervals["nonnegative"][1] if intervals["nonnegative"] else None
 
-    own = find_eigenvalues(base, bc, max_count=2, n_scan=n_scan,
+    own = find_eigenvalues(p, bc, max_count=2, n_scan=n_scan,
                            integrator_tol=integrator_tol).values()
     upper_stop = own[1] if len(own) > 1 else (lam2 if lam2 else lam1) + 2.0
 
@@ -199,7 +194,7 @@ def sign_threshold_consistency(p: Potential, bc, lams=None, n: int = 60,
             near = abs(lam - ref) <= boundary_pad
         entry = {"lambda": lam, "expected": expected, "marginal": bool(near)}
         try:
-            G = build_green(base, lam, bc, n=n, tol=integrator_tol)
+            G = build_green(p, lam, bc, n=n, tol=integrator_tol)
         except ResonanceError:
             entry["resonant"] = True
             entry["pass"] = None
@@ -341,7 +336,7 @@ COMPARISON_THEOREMS = {
 
 
 def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
-                     tol: float = STRICT_SLACK, length: float | None = None,
+                     tol: float = STRICT_SLACK, *,
                      integrator_tol: float = DEFAULT_TOL) -> dict:
     """Pointwise kernel inequality under its sign hypothesis.
 
@@ -354,7 +349,7 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
         raise KeyError(f"unknown relation {relation!r}; "
                        f"choices: {', '.join(sorted(DOMINANCE_RELATIONS))}")
     hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
-    cache = _KernelCache(p, length, n, lam, integrator_tol)
+    cache = _KernelCache(p, n, lam, integrator_tol)
     idx = np.arange(n + 1)
 
     if hyp_kind == "NBASE":
@@ -399,7 +394,7 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
 
 def verify_solution_comparison(p: Potential, lam: float, theorem: str,
                                sigma1, sigma2, n: int = 100,
-                               slack: float = 1e-6, length: float | None = None,
+                               slack: float = 1e-6, *,
                                integrator_tol: float = DEFAULT_TOL) -> dict:
     """Solution-level comparison principle for one forcing pair.
 
@@ -411,7 +406,7 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
         raise KeyError(f"unknown theorem {theorem!r}; "
                        f"choices: {', '.join(sorted(COMPARISON_THEOREMS))}")
     hyp_kind, hyp_sign, bc1, bc2 = COMPARISON_THEOREMS[theorem]
-    cache = _KernelCache(p, length, n, lam, integrator_tol)
+    cache = _KernelCache(p, n, lam, integrator_tol)
 
     bc, _, kernel = _HYPOTHESIS_KERNELS[hyp_kind]
     hyp_class = _require_sign(cache, "even2", bc, hyp_sign,
@@ -438,8 +433,8 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
             "forcings are not ordered as 0 <= sigma2 <= sigma1 nor "
             "0 >= sigma2 >= sigma1", point=float(ts[bad]))
 
-    v1 = solve_bvp(p, lam, bc1, f1, n=n, length=length, tol=integrator_tol).values
-    v2 = solve_bvp(p, lam, bc2, f2, n=n, length=length, tol=integrator_tol).values
+    v1 = solve_bvp(p, lam, bc1, f1, n=n, tol=integrator_tol).values
+    v2 = solve_bvp(p, lam, bc2, f2, n=n, tol=integrator_tol).values
     if case == "absolute":
         names = (f"|u_{bc2}| <= u_{bc1}",)
     elif case == "nonnegative":
@@ -459,13 +454,12 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
 
 
 def verify_monotonicity(p: Potential, lam: float, bc, eps: float = 0.1,
-                        n: int = 60, length: float | None = None,
+                        n: int = 60, *,
                         integrator_tol: float = DEFAULT_TOL) -> dict:
     """A larger potential strictly lowers a constant-sign kernel pointwise."""
     bc = BoundaryCondition.parse(bc)
-    base = p if length is None else p.restrict(length)
-    G_low = build_green(base, lam, bc, n=n, tol=integrator_tol)
-    G_high = build_green(base.shifted(eps), lam, bc, n=n, tol=integrator_tol)
+    G_low = build_green(p, lam, bc, n=n, tol=integrator_tol)
+    G_high = build_green(p.shifted(eps), lam, bc, n=n, tol=integrator_tol)
     rep_low = classify_sign(G_low)
     rep_high = classify_sign(G_high)
     same_sign = (rep_low.is_nonnegative() and rep_high.is_nonnegative()) or \

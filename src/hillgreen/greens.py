@@ -329,13 +329,12 @@ def _check_n(n: int) -> None:
         raise ValueError(f"grid needs n >= 1 pieces, got {n}")
 
 
-def build_green(p: Potential, lam: float, bc, n: int = 100,
-                length: float | None = None, tol: float = DEFAULT_TOL) -> GreensFunction:
-    """Construct the Green's function of u'' + (a + lambda) u under ``bc``."""
+def build_green(p: Potential, lam: float, bc, n: int = 100, *,
+                tol: float = DEFAULT_TOL) -> GreensFunction:
+    """Construct the Green's function of u'' + (a + lambda) u on [0, T] under ``bc``."""
     bc = BoundaryCondition.parse(bc)
     _check_n(n)
-    basis = fundamental_solutions(p, lam, length, tol)
-    # the basis clamps a length that overshoots the domain by rounding
+    basis = fundamental_solutions(p, lam, tol=tol)
     L = basis.length
     k_low, k_up, margin = _branch_matrices(basis.monodromy, basis.lam, bc)
     states = basis._node_states(n)
@@ -353,11 +352,11 @@ def build_green(p: Potential, lam: float, bc, n: int = 100,
                           branches=KernelBranches(basis, k_low, k_up), meta=meta)
 
 
-def kernel_value(p: Potential, lam: float, bc, t: float, s: float,
-                 length: float | None = None, tol: float = DEFAULT_TOL) -> float:
+def kernel_value(p: Potential, lam: float, bc, t: float, s: float, *,
+                 tol: float = DEFAULT_TOL) -> float:
     """Single kernel value without building a grid."""
     bc = BoundaryCondition.parse(bc)
-    basis = fundamental_solutions(p, lam, length, tol)
+    basis = fundamental_solutions(p, lam, tol=tol)
     k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc)
     return _entry(KernelBranches(basis, k_low, k_up), t, s)
 
@@ -511,9 +510,9 @@ def _as_callable(sigma, squad: np.ndarray):
     return lambda s: np.interp(np.asarray(s, dtype=float), squad, vals)
 
 
-def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100,
-              length: float | None = None, tol: float = DEFAULT_TOL) -> BvpSolution:
-    """Solve u'' + (a + lambda) u = sigma under ``bc`` via the Green's kernel.
+def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100, *,
+              tol: float = DEFAULT_TOL) -> BvpSolution:
+    """Solve u'' + (a + lambda) u = sigma on [0, T] under ``bc`` via the Green's kernel.
 
     ``sigma`` may be a callable, a constant, or an array on the uniform
     4n+1 grid (interpolated linearly between its nodes). One pass integrates
@@ -525,8 +524,7 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100,
     """
     bc = BoundaryCondition.parse(bc)
     _check_n(n)
-    basis = fundamental_solutions(p, lam, length, tol)
-    # the basis clamps a length that overshoots the domain by rounding
+    basis = fundamental_solutions(p, lam, tol=tol)
     L = basis.length
     _, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc)
 

@@ -250,11 +250,11 @@ class _KernelCache:
     request.
     """
 
-    def __init__(self, p: Potential, length: float | None, n: int, lam: float, tol: float):
+    def __init__(self, p: Potential, n: int, lam: float, tol: float):
         _check_n(n)
         self.n = int(n)
         self.lam = float(lam)
-        self.basis = fundamental_solutions(p, lam, length, tol)
+        self.basis = fundamental_solutions(p, lam, tol=tol)
         self.L = self.basis.length
         M, S = self.basis.monodromy, self.basis._node_states(self.n)
         R = np.linalg.solve(M, _D)
@@ -363,7 +363,7 @@ def _evaluate(cache: _KernelCache, idents, tol: float) -> list[IdentityReport]:
 
 
 def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
-                    tol: float = DEFAULT_IDENTITY_TOL, length: float | None = None,
+                    tol: float = DEFAULT_IDENTITY_TOL, *,
                     integrator_tol: float = DEFAULT_TOL) -> IdentityReport:
     """Evaluate both sides of one catalog identity and report the residual.
 
@@ -375,14 +375,14 @@ def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
     except KeyError:
         raise KeyError(f"unknown identity {identity_id!r}; "
                        f"choices: {', '.join(IDENTITY_NAMES)}") from None
-    cache = _KernelCache(p, length, n, lam, integrator_tol)
+    cache = _KernelCache(p, n, lam, integrator_tol)
     for term in ident.lhs + ident.rhs:
         cache._branches(term.family, term.bc)
     return _evaluate(cache, (ident,), tol)[0]
 
 
 def verify_all(p: Potential, lam: float, n: int = 100,
-               tol: float = DEFAULT_IDENTITY_TOL, length: float | None = None,
+               tol: float = DEFAULT_IDENTITY_TOL, *,
                integrator_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the whole catalog, recording a skip for resonant constituents."""
-    return _evaluate(_KernelCache(p, length, n, lam, integrator_tol), CATALOG, tol)
+    return _evaluate(_KernelCache(p, n, lam, integrator_tol), CATALOG, tol)

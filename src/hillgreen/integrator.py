@@ -69,13 +69,9 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _check_length(p: Potential, length: float | None, what: str) -> float:
-    """The interval length, ``p``'s whole domain by default, clamped onto it
-    when it overshoots by rounding; ``what`` names it in the error."""
-    L = float(p.domain_length if length is None else length)
-    if not 0.0 < L <= p.domain_length * (1 + 1e-12):
-        raise ValueError(f"{what} length {L} not within the potential domain")
-    return min(L, p.domain_length)
+def _check_accuracy(accuracy: float) -> None:
+    if not 0.0 < float(accuracy) <= TOL_MAX:
+        raise ValueError(f"accuracy {accuracy} outside (0, {TOL_MAX}]")
 
 
 def _unwrap(piece):
@@ -87,8 +83,8 @@ def _unwrap(piece):
     return piece, centers
 
 
-def _segments(p: Potential, length: float):
-    """Edges of the smooth segments of [0, length], and each segment's constant.
+def _segments(p: Potential):
+    """Edges of the smooth segments of ``p``'s domain, and each segment's constant.
 
     Edges are the breakpoints and the nodes of every table piece (seen
     through any ``MirrorPiece`` wrappers), where a linear table's first
@@ -96,6 +92,7 @@ def _segments(p: Potential, length: float):
     a + shift on a segment inside a ``ConstPiece`` and None on any other
     segment.
     """
+    length = p.domain_length
     slack = 1e-12 * (1.0 + length)
     cuts = set(p.breakpoints.tolist())
     for a, b, piece in p.pieces:
@@ -334,30 +331,30 @@ def clear_cache() -> None:
         _CACHE.clear()
 
 
-def fundamental_solutions(p: Potential, lam: float, length: float | None = None,
+def fundamental_solutions(p: Potential, lam: float, *,
                           tol: float = DEFAULT_TOL) -> SolutionBasis:
-    """Solve for the normalized basis over [0, length] (default: the full domain).
+    """Solve for the normalized basis over [0, T], the domain of ``p``.
 
     A segment inside a constant piece takes one exact transfer step, and its
     dense output is the same closed form. Every other segment is integrated
     by ``solve_ivp`` with DOP853 at rtol = max(tol/10, 1e-13) and
     atol = max(tol * 1e-3, 1e-15). Results are cached per (potential,
-    lambda, length, tolerance); the cache is threadsafe and bounded.
+    lambda, tolerance); the cache is threadsafe and bounded.
     """
     tol = _check_tol(tol)
-    L = _check_length(p, length, "integration")
+    L = p.domain_length
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
 
-    key = (p, lam, L, tol)
+    key = (p, lam, tol)
     with _CACHE_LOCK:
         hit = _CACHE.get(key)
         if hit is not None:
             _CACHE.move_to_end(key)
             return hit
 
-    edges, consts = _segments(p, L)
+    edges, consts = _segments(p)
     rtol = max(tol / 10.0, 1e-13)
     atol = max(tol * 1e-3, 1e-15)
     y = np.array([1.0, 0.0, 0.0, 1.0])
@@ -395,17 +392,15 @@ def fundamental_solutions(p: Potential, lam: float, length: float | None = None,
     return basis
 
 
-def discriminant(p: Potential, lam: float, length: float | None = None,
-                 tol: float = DEFAULT_TOL) -> float:
-    """Trace of the monodromy matrix, y1(L) + y2'(L)."""
-    return fundamental_solutions(p, lam, length, tol).discriminant
+def discriminant(p: Potential, lam: float, *, tol: float = DEFAULT_TOL) -> float:
+    """Trace of the monodromy matrix, y1(T) + y2'(T)."""
+    return fundamental_solutions(p, lam, tol=tol).discriminant
 
 
-def endpoint_scan(p: Potential, lams, length: float | None = None,
-                  accuracy: float = 1e-7) -> np.ndarray:
+def endpoint_scan(p: Potential, lams, *, accuracy: float = 1e-7) -> np.ndarray:
     """Endpoint states for a whole batch of lambda values in one sweep.
 
-    Returns shape (4, K): rows y1(L), y1'(L), y2(L), y2'(L) per lambda,
+    Returns shape (4, K): rows y1(T), y1'(T), y2(T), y2'(T) per lambda,
     each column within ``accuracy`` * max(1, |Y|). A segment inside a
     constant piece takes one exact step for the whole batch, whatever
     ``accuracy``. Every other segment takes n equal Magnus-4 steps, the
@@ -415,20 +410,22 @@ def endpoint_scan(p: Potential, lams, length: float | None = None,
     segment's share of ``accuracy``, and n is then trimmed by the n^-4 law.
     The shares split ``accuracy`` over the segments and divide it by
     omega = sqrt(max(1, max|a| + max|lambda|)): an error in the phase of
-    an oscillation reaches y1'(L) multiplied by omega.
+    an oscillation reaches y1'(T) multiplied by omega.
 
-    Raises ``IntegrationError``, before any stepping of the batch, when it
-    cannot certify ``accuracy``: when a segment would need more than 2**16
+    Raises ``ValueError`` for an ``accuracy`` outside (0, ``TOL_MAX``], and
+    ``IntegrationError``, before any stepping of the batch, when it cannot
+    certify ``accuracy``: when a segment would need more than 2**16
     steps, or when float64 rounding of the phase alone,
     10 eps (n + omega * segment length), exceeds ``accuracy``.
     """
+    _check_accuracy(accuracy)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(np.isfinite(lams)):
         raise ValueError("lambda values must be finite")
-    return _propagate(_scan_plan(p, lams, length, accuracy), lams)
+    return _propagate(_scan_plan(p, lams, accuracy), lams)
 
 
-def _scan_plan(p: Potential, lams: np.ndarray, length: float | None, accuracy: float):
+def _scan_plan(p: Potential, lams: np.ndarray, accuracy: float):
     """The steps of ``endpoint_scan`` for any lambda within the range of ``lams``.
 
     One entry per segment: (constant, length, None) for a constant piece,
@@ -436,8 +433,7 @@ def _scan_plan(p: Potential, lams: np.ndarray, length: float | None, accuracy: f
     at probes spread over ``lams``, and ``_propagate`` applies them to any
     batch inside that range.
     """
-    L = _check_length(p, length, "scan")
-    edges, consts = _segments(p, L)
+    edges, consts = _segments(p)
     smooth = [(t0, t1) for t0, t1, const in zip(edges, edges[1:], consts) if const is None]
     grids = {}
     if smooth and lams.size:

@@ -26,8 +26,8 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, kernel_value
-from .integrator import (DEFAULT_TOL, _check_tol, _propagate, _scan_plan, discriminant,
-                         endpoint_scan, fundamental_solutions)
+from .integrator import (DEFAULT_TOL, _check_accuracy, _check_tol, _propagate, _scan_plan,
+                         discriminant, endpoint_scan, fundamental_solutions)
 from .potential import Potential
 
 __all__ = [
@@ -101,15 +101,14 @@ def _char_rows(bc: BoundaryCondition, Y):
     return delta - 2.0 if bc is BoundaryCondition.PERIODIC else delta + 2.0
 
 
-def _auto_range(p: Potential, length: float, count: int) -> tuple[float, float]:
+def _auto_range(p: Potential, count: int) -> tuple[float, float]:
     amin, amax = p.sample_bound()
     lo = -amax - 1.0
-    hi = ((count + 1.5) * np.pi / length) ** 2 - min(amin, 0.0) + 2.0
+    hi = ((count + 1.5) * np.pi / p.domain_length) ** 2 - min(amin, 0.0) + 2.0
     return lo, hi
 
 
-def _scan(p: Potential, lo: float, hi: float, n_scan: int, length: float,
-          integrator_tol: float):
+def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float):
     """Scan of [lo, hi] in ``n_scan`` cells, and the states that refine it.
 
     Returns the scan lambdas, their ``endpoint_scan`` states and a function
@@ -121,10 +120,10 @@ def _scan(p: Potential, lo: float, hi: float, n_scan: int, length: float,
     """
     _check_tol(integrator_tol)
     lams = np.linspace(lo, hi, n_scan + 1)
-    Y = endpoint_scan(p, lams, length)
+    Y = endpoint_scan(p, lams)
     margin = 1.5 * (hi - lo) / n_scan
     try:
-        plan = _scan_plan(p, np.array([lo - margin, hi + margin]), length, integrator_tol)
+        plan = _scan_plan(p, np.array([lo - margin, hi + margin]), integrator_tol)
     except IntegrationError as exc:
         raise IntegrationError(
             f"eigenvalue refinement over lambda in [{lo:g}, {hi:g}] cannot certify "
@@ -246,9 +245,8 @@ def _coupled_result(method: str, step: float, tagged: list[tuple[float, str]],
                                 for (v, _), s in zip(merged, sources)]}
 
 
-def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
-                    n_scan: int, length: float, xtol: float,
-                    integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
+def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n_scan: int,
+                    xtol: float, integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
     """Band edges of the discriminant, bracketed by Dirichlet and Neumann roots.
 
     At a root of y2(L) or of y1'(L) the monodromy matrix is triangular with
@@ -264,7 +262,7 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
     in cells they settle need no refinement.
     """
     s = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
-    lams, Y, state = _scan(p, lo, hi, n_scan, length, integrator_tol)
+    lams, Y, state = _scan(p, lo, hi, n_scan, integrator_tol)
     scanned = Y[0] + Y[3] - 2.0 * s
     sure = np.abs(scanned) > SCAN_MARGIN * np.maximum(1.0, np.abs(Y).max(axis=0))
     cuts = dict(zip(lams[sure].tolist(), scanned[sure].tolist()))
@@ -304,19 +302,18 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
     return _coupled_result("direct", (hi - lo) / n_scan, tagged, audit)
 
 
-def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
-                   n_scan: int, length: float, xtol: float,
-                   integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
+def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n_scan: int,
+                   xtol: float, integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
     """Coupled spectrum as the union of two separated half-interval spectra.
 
     Valid when the potential is even about its midpoint; the pairing of
     sources also fixes the multiplicity of each discriminant root.
     """
-    half = p.restrict(length / 2.0)
+    half = p.restrict(p.domain_length / 2.0)
     pair = ((BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET)
             if bc is BoundaryCondition.PERIODIC else
             (BoundaryCondition.MIXED1, BoundaryCondition.MIXED2))
-    lams, Y, state = _scan(half, lo, hi, n_scan, length / 2.0, integrator_tol)
+    lams, Y, state = _scan(half, lo, hi, n_scan, integrator_tol)
     audit: dict = {}
     tagged = [(v, sub.value) for sub in pair
               for v in _refine_roots(state, sub, lams, Y, xtol, audit)]
@@ -324,13 +321,12 @@ def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float,
 
 
 def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None = None,
-                     n_scan: int = DEFAULT_SCAN, tol: float = ROOT_XTOL,
-                     length: float | None = None, integrator_tol: float = DEFAULT_TOL,
+                     n_scan: int = DEFAULT_SCAN, tol: float = ROOT_XTOL, *,
+                     integrator_tol: float = DEFAULT_TOL,
                      method: str = "auto") -> Spectrum:
-    """All eigenvalues of ``bc`` in the range (or the first ``max_count``).
+    """All eigenvalues of ``bc`` on [0, T] in the range (or the first ``max_count``).
 
-    With ``length`` the problem is posed for ``p`` restricted to
-    [0, ``length``], before the method and the range are chosen.  For the coupled conditions, method "union" assembles the spectrum from
+    For the coupled conditions, method "union" assembles the spectrum from
     the half-interval separated problems (the potential must be even about
     its midpoint), "direct" finds the band edges of the discriminant
     between the Dirichlet and Neumann eigenvalues (any potential), and
@@ -346,11 +342,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     ``integrator_tol`` lifts the limit.
     """
     bc = BoundaryCondition.parse(bc)
-    if length is not None:
-        p = p.restrict(length)
-    L = p.domain_length
     if search_range is None:
-        lo, hi = _auto_range(p, L, max_count if max_count else 8)
+        lo, hi = _auto_range(p, max_count if max_count else 8)
     else:
         lo, hi = (float(search_range[0]), float(search_range[1]))
         if not lo < hi:
@@ -366,16 +359,16 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
         elif method == "union" and not p.is_even_about_midpoint():
             raise ValueError("union method needs a potential even about its midpoint")
         coupled = _coupled_union if method == "union" else _coupled_direct
-        merged, audit = coupled(p, bc, lo, hi, n_scan, L, xtol, integrator_tol)
+        merged, audit = coupled(p, bc, lo, hi, n_scan, xtol, integrator_tol)
     else:
-        lams, Y, state = _scan(p, lo, hi, n_scan, L, integrator_tol)
+        lams, Y, state = _scan(p, lo, hi, n_scan, integrator_tol)
         roots = _refine_roots(state, bc, lams, Y, xtol, audit)
         merged = [(v, 1) for v in sorted(roots)]
         if bc is BoundaryCondition.DIRICHLET and merged and hi > merged[-1][0]:
             probe = 0.5 * (merged[-1][0] + hi)
             audit["oscillation"] = {
                 "probe_lambda": probe,
-                "interior_zeros": dirichlet_zero_count(p, probe, L, integrator_tol),
+                "interior_zeros": dirichlet_zero_count(p, probe, tol=integrator_tol),
                 "eigenvalues_below": sum(1 for v, _ in merged if v < probe),
             }
 
@@ -389,16 +382,15 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
             total += m
         merged = kept
     eigenvalues = tuple(Eigenvalue(k, v, m) for k, (v, m) in enumerate(merged))
-    return Spectrum(bc=bc, length=L, eigenvalues=eigenvalues,
+    return Spectrum(bc=bc, length=p.domain_length, eigenvalues=eigenvalues,
                     search_range=(lo, hi), tol=tol, scan_points=n_scan, audit=audit)
 
 
-def dirichlet_zero_count(p: Potential, lam: float, length: float | None = None,
-                         tol: float = DEFAULT_TOL, npts: int = 2001) -> int:
+def dirichlet_zero_count(p: Potential, lam: float, *, tol: float = DEFAULT_TOL,
+                         npts: int = 2001) -> int:
     """Interior sign changes of y2(., lam); equals #{Dirichlet eigenvalues < lam}."""
-    L = float(p.domain_length if length is None else length)
-    basis = fundamental_solutions(p, lam, L, tol)
-    ts = np.linspace(0.0, L, npts)[1:-1]
+    basis = fundamental_solutions(p, lam, tol=tol)
+    ts = np.linspace(0.0, p.domain_length, npts)[1:-1]
     vals = basis.trajectory(ts)[2]
     sign = np.sign(vals)
     sign = sign[sign != 0]
@@ -418,28 +410,22 @@ def neumann_extension_residual(p: Potential, lam: float,
     return abs(2.0 * basis.y1_end * basis.y1p_end)
 
 
-def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400,
-                         length: float | None = None, extend: bool = True,
+def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *,
                          accuracy: float = 1e-9):
-    """(lambda, Delta) samples, by default for the even extension.
+    """(lambda, Delta) samples of the even extension of ``p`` on [0, 2T].
 
-    With ``extend`` the base is ``p`` restricted to [0, ``length``] (all of
-    ``p`` by default), and Delta is the discriminant of its even extension
-    on [0, 2T], read from the half interval alone: by the Wronskian
+    Delta is read from ``p`` on [0, T] alone: by the Wronskian
     y1 y2' - y2 y1' = 1, Delta(2T) = 2 (y1 y2' + y2 y1')(T) (Magnus and
     Winkler, Hill's Equation, 1966).  The base is scanned at
     ``accuracy`` / 2: ``endpoint_scan`` splits its accuracy over the
     segments, and the extension has twice as many, so each half segment
     takes the steps it takes inside the full scan, with half the work.
-    Without ``extend``, Delta = y1 + y2' of ``p`` over [0, ``length``].
+    Raises ``ValueError`` when ``accuracy`` is not in (0, ``TOL_MAX``].
     """
+    _check_accuracy(accuracy)
     lams = np.linspace(float(lo), float(hi), int(count))
-    if not extend:
-        Y = endpoint_scan(p, lams, length, accuracy=accuracy)
-        return lams, Y[0] + Y[3]
-    base = p if length is None else p.restrict(length)
     try:
-        Y = endpoint_scan(base, lams, accuracy=accuracy / 2.0)
+        Y = endpoint_scan(p, lams, accuracy=accuracy / 2.0)
     except IntegrationError as exc:
         raise IntegrationError(
             f"discriminant samples over lambda in [{lo:g}, {hi:g}] cannot certify "
@@ -465,8 +451,7 @@ def _match_sets(lhs: list[float], rhs: list[float], pair_tol: float) -> dict:
 
 
 def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 6,
-                                  pair_tol: float = 1e-5, n_scan: int = DEFAULT_SCAN,
-                                  length: float | None = None,
+                                  pair_tol: float = 1e-5, n_scan: int = DEFAULT_SCAN, *,
                                   integrator_tol: float = DEFAULT_TOL) -> dict:
     """Check the three spectral-set equalities with multiplicity.
 
@@ -474,12 +459,10 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
     the extension (method="direct"), never assembled from the same
     separated spectra as the left side, so the comparison has content.
     """
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
-    even = base.even_extension()
+    even = p.even_extension()
     even2 = even.even_extension()
 
-    sep = {bc: find_eigenvalues(base, bc, search_range=search_range,
+    sep = {bc: find_eigenvalues(p, bc, search_range=search_range,
                                 max_count=None if search_range else count + 2,
                                 n_scan=n_scan, integrator_tol=integrator_tol)
            for bc in ("N", "D", "M1", "M2")}
@@ -498,7 +481,7 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
         that gap is compared.
         """
         if not values:
-            lo, hi = _auto_range(base, T, count)
+            lo, hi = _auto_range(p, count)
             return lo, hi, count
         lo = values[0] - 1.0
         for j in range(count, len(values)):
@@ -507,10 +490,8 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
         return lo, values[-1] + 1.0, len(values)
 
     reports = []
-    for name, lhs_vals, pot, L2 in (
-            ("N+D = P(2T)", nd, even, 2.0 * T),
-            ("M1+M2 = A(2T)", mm, even, 2.0 * T),
-            ("P(2T)+A(2T) = P(4T)", all4, even2, 4.0 * T)):
+    for name, lhs_vals, pot in (("N+D = P(2T)", nd, even), ("M1+M2 = A(2T)", mm, even),
+                                ("P(2T)+A(2T) = P(4T)", all4, even2)):
         bc = "A" if name.startswith("M1") else "P"
         if search_range:
             rng, take = search_range, None
@@ -518,8 +499,7 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
             lo, hi, take = window(lhs_vals)
             rng = (lo, hi)
         direct = find_eigenvalues(pot, bc, search_range=rng, n_scan=n_scan,
-                                  length=L2, integrator_tol=integrator_tol,
-                                  method="direct")
+                                  integrator_tol=integrator_tol, method="direct")
         lhs = [v for v in lhs_vals if rng[0] <= v <= rng[1]][:take]
         rhs = direct.expanded()[:take]
         entry = _match_sets(lhs, rhs, pair_tol)
@@ -528,7 +508,7 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
         reports.append(entry)
 
     return {
-        "potential": base.descriptor_hash(),
+        "potential": p.descriptor_hash(),
         "count": count,
         "pair_tol": pair_tol,
         "equalities": reports,
@@ -537,44 +517,31 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
 
 
 def _first_corner_root(p: Potential, corner: float, lo: float, hi: float,
-                       length: float, integrator_tol: float) -> float | None:
-    """First zero of the Neumann kernel corner value between two Neumann poles."""
+                       integrator_tol: float) -> float | None:
+    """First zero of the Neumann kernel corner value between two Neumann poles.
+
+    The mixed eigenvalues interlace with the Neumann ones, N0 < M1_0, M2_0 < N1,
+    so the corner value has one zero and no pole in (lo, hi): one bracket 1e-3
+    of the span inside each pole holds it. A resonant end returns None.
+    """
     def g(lam: float) -> float:
-        return kernel_value(p, lam, "N", corner, corner, length=length, tol=integrator_tol)
+        return kernel_value(p, lam, "N", corner, corner, tol=integrator_tol)
 
     span = hi - lo
-    for frac in (1e-3, 1e-2, 0.05):
-        a, b = lo + frac * span, hi - frac * span
-        if not a < b:
-            continue
-        try:
-            ga, gb = g(a), g(b)
-        except ResonanceError:
-            continue
-        if ga == 0.0:
-            return a
-        if gb == 0.0:
-            return b
-        if np.sign(ga) != np.sign(gb):
-            return brentq(g, a, b, xtol=1e-10)
-    lams = np.linspace(lo + 1e-3 * span, hi - 1e-3 * span, 201)
-    vals = []
-    for lam in lams:
-        try:
-            vals.append(g(lam))
-        except ResonanceError:
-            vals.append(np.nan)
-    vals = np.asarray(vals)
-    ok = np.isfinite(vals)
-    for j in range(len(lams) - 1):
-        if ok[j] and ok[j + 1] and np.sign(vals[j]) != np.sign(vals[j + 1]):
-            return brentq(g, lams[j], lams[j + 1], xtol=1e-10)
-    return None
+    a, b = lo + 1e-3 * span, hi - 1e-3 * span
+    try:
+        ga, gb = g(a), g(b)
+    except ResonanceError:
+        return None
+    if ga == 0.0:
+        return a
+    if gb == 0.0:
+        return b
+    return brentq(g, a, b, xtol=1e-10) if np.sign(ga) != np.sign(gb) else None
 
 
 def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
-                               margin: float = 1e-6, length: float | None = None,
-                               n_scan: int = DEFAULT_SCAN,
+                               margin: float = 1e-6, *, n_scan: int = DEFAULT_SCAN,
                                integrator_tol: float = DEFAULT_TOL) -> dict:
     """First-eigenvalue equalities, orderings and corner characterizations.
 
@@ -584,13 +551,11 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
     u'(0)=u(T)=0.  (The kernel corner values are -y2'(T)/y1'(T) and
     -y1(T)/y1'(T), so their zero sets are those two spectra exactly.)
     """
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
-    even = base.even_extension()
+    even = p.even_extension()
 
     # key -> (potential, condition, count); "direct" only matters for P and A
-    runs = {"lambda_N": (base, "N", 2), "lambda_D": (base, "D", 1),
-            "lambda_M1": (base, "M1", 1), "lambda_M2": (base, "M2", 1),
+    runs = {"lambda_N": (p, "N", 2), "lambda_D": (p, "D", 1),
+            "lambda_M1": (p, "M1", 1), "lambda_M2": (p, "M2", 1),
             "lambda_N_2T": (even, "N", 1), "lambda_D_2T": (even, "D", 1),
             "lambda_P_2T": (even, "P", 1), "lambda_A_2T": (even, "A", 1)}
     found = {key: find_eigenvalues(pot, bc, max_count=count, n_scan=n_scan,
@@ -620,17 +585,16 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
         against the first eigenvalue of ``mixed``; the checks and that zero."""
         checks = []
         for lam_s in samples:
-            c_base = kernel_value(base, lam_s, "N", corner, corner, tol=integrator_tol)
-            c_ext = kernel_value(even, lam_s, "P", corner, corner, length=2.0 * T,
-                                 tol=integrator_tol)
+            c_base = kernel_value(p, lam_s, "N", corner, corner, tol=integrator_tol)
+            c_ext = kernel_value(even, lam_s, "P", corner, corner, tol=integrator_tol)
             checks.append({**eq(c_base, 2.0 * c_ext), "lambda": lam_s})
-        root = _first_corner_root(base, corner, lam_n0, lam_n1, T, integrator_tol)
+        root = _first_corner_root(p, corner, lam_n0, lam_n1, integrator_tol)
         checks.append(eq(root, vals[mixed]) if root is not None else
                       {"kind": "equality", "pass": False, "error": "corner root not bracketed"})
         return checks, root
 
     checks00, root00 = corner_checks(0.0, "lambda_M2")
-    checksTT, rootTT = corner_checks(T, "lambda_M1")
+    checksTT, rootTT = corner_checks(p.domain_length, "lambda_M1")
 
     items = [
         {"item": 1,
@@ -684,8 +648,7 @@ def _chain_links(sequence: list[tuple[str, float]], relations: list[str],
 
 
 def verify_interlacing(p: Potential, count: int = 3, search_range=None,
-                       n_scan: int = DEFAULT_SCAN, length: float | None = None,
-                       margin: float = 1e-6,
+                       n_scan: int = DEFAULT_SCAN, *, margin: float = 1e-6,
                        integrator_tol: float = DEFAULT_TOL) -> dict:
     """Ordering chains tying the four separated spectra to the extension's.
 
@@ -695,10 +658,8 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
     chain.  Mixed-vs-mixed and Neumann-vs-Dirichlet alternation is only
     observed and reported, never asserted.
     """
-    base = p if length is None else p.restrict(length)
-
     need = count + 2
-    sep = {bc: find_eigenvalues(base, bc, search_range=search_range,
+    sep = {bc: find_eigenvalues(p, bc, search_range=search_range,
                                 max_count=need, n_scan=n_scan,
                                 integrator_tol=integrator_tol).values()
            for bc in ("N", "D", "M1", "M2")}
@@ -706,7 +667,7 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
         return {"pass": False, "error": "not enough eigenvalues per problem",
                 "found": {k: len(v) for k, v in sep.items()}}
 
-    even = base.even_extension()
+    even = p.even_extension()
     spec_p = find_eigenvalues(even, "P", max_count=2 * need, n_scan=n_scan,
                               integrator_tol=integrator_tol, method="union")
     spec_a = find_eigenvalues(even, "A", max_count=2 * need, n_scan=n_scan,
@@ -785,14 +746,13 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
     }
 
     ok_all = all(c["pass"] for c in chains.values()) and parity_pass
-    return {"potential": base.descriptor_hash(), "count": count,
+    return {"potential": p.descriptor_hash(), "count": count,
             "chains": chains, "pair_parity": parity,
             "pair_parity_pass": parity_pass,
             "observations": observations, "pass": bool(ok_all)}
 
 
-def stability_intervals(p: Potential, search_range=None, n_scan: int = DEFAULT_SCAN,
-                        length: float | None = None,
+def stability_intervals(p: Potential, search_range=None, n_scan: int = DEFAULT_SCAN, *,
                         integrator_tol: float = DEFAULT_TOL) -> list[tuple[tuple[float, float], str]]:
     """Stable/unstable bands of the even extension's discriminant.
 
@@ -802,11 +762,9 @@ def stability_intervals(p: Potential, search_range=None, n_scan: int = DEFAULT_S
     it there.  Only the first piece is classified by |Delta| itself, so a
     gap too shallow for the computed |Delta| to show is still reported.
     """
-    T = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(T)
-    even = base.even_extension()
+    even = p.even_extension()
     if search_range is None:
-        lo, hi = _auto_range(base, T, 8)
+        lo, hi = _auto_range(p, 8)
     else:
         lo, hi = (float(search_range[0]), float(search_range[1]))
 
@@ -816,7 +774,7 @@ def stability_intervals(p: Potential, search_range=None, n_scan: int = DEFAULT_S
                    key=lambda e: e.value)
     cuts = [lo] + [e.value for e in edges] + [hi]
     mid = 0.5 * (cuts[0] + cuts[1])
-    stable = abs(discriminant(even, mid, 2.0 * T, integrator_tol)) < 2.0
+    stable = abs(discriminant(even, mid, tol=integrator_tol)) < 2.0
     out: list[tuple[tuple[float, float], str]] = []
     for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
         if k and edges[k - 1].multiplicity == 1:

@@ -15,12 +15,12 @@ from hillgreen.identities import _FAMILIES, _KernelCache
 from hillgreen.integrator import DEFAULT_TOL
 
 
-def family_green(p, lam, family, bc, n, length=None, tol=DEFAULT_TOL):
+def family_green(p, lam, family, bc, n, tol=DEFAULT_TOL):
     """The kernel of ``family`` ("even2", "even4", "refl") under ``bc`` on the
     family's nodes 0..min(2n, pieces), the only ones the catalog reads, as a
     GreensFunction without branches. Raises ResonanceError as build_green does.
     """
-    cache = _KernelCache(p, length, n, lam, tol)
+    cache = _KernelCache(p, n, lam, tol)
     M, states = cache.families[family]
     bc = BoundaryCondition.parse(bc)
     k_low, k_up, _ = _branch_matrices(M, float(lam), bc)

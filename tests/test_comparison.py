@@ -420,9 +420,10 @@ def test_dominance_matches_whole_tables_generated(p, lam):
 
 
 def test_dominance_reads_node_states_once(cos_pi, trajectory_calls):
-    # cold cache: one trajectory call on the extension's grid, one on the base's
+    # cold cache: one trajectory call of n + 1 nodes on the base basis, whose
+    # states give the extension's as well
     assert verify_dominance(cos_pi, -0.36, "nd_nonneg", n=40)["pass"]
-    assert len(trajectory_calls) <= 2
+    assert trajectory_calls == [41]
     # the node states stay with the cached bases
     trajectory_calls.clear()
     assert verify_dominance(cos_pi, -0.36, "bound2_p", n=40)["pass"]

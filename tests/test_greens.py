@@ -354,10 +354,11 @@ def test_bvp_solution_two_trajectory_points_per_query(cos_pi, trajectory_calls):
 
 
 def test_solve_bvp_length_from_basis(cos_pi):
-    # a length past the domain by rounding is clamped, as in build_green
-    L = math.pi * (1 + 1e-13)
-    u = solve_bvp(cos_pi, 0.5, "D", 1.0, n=20, length=L)
-    G = build_green(cos_pi, 0.5, "D", n=20, length=L)
+    # a restriction past the domain by rounding is clamped onto it, and both
+    # read their length from the basis
+    short = cos_pi.restrict(math.pi * (1 + 1e-13))
+    u = solve_bvp(short, 0.5, "D", 1.0, n=20)
+    G = build_green(short, 0.5, "D", n=20)
     assert u.length == u.grid[-1] == G.length == G.grid[-1] == cos_pi.domain_length
 
 

@@ -102,17 +102,6 @@ def test_reflection_identity_spot_check(cos_pi):
             kernel_value(cos_pi, lam, "D", L - t, L - s), abs=1e-10)
 
 
-def test_length_restricts_before_extending(cos_pi):
-    # the extensions and the reflection must be those of [0, length]
-    L = 0.6 * math.pi
-    short = cos_pi.restrict(L)
-    reports = verify_all(cos_pi, 0.2, n=40, length=L)
-    assert reports == verify_all(short, 0.2, n=40)
-    assert all(r.passed for r in reports)
-    assert verify_identity("MREFL", cos_pi, 0.2, n=40, length=L) == \
-        verify_identity("MREFL", short, 0.2, n=40)
-
-
 def test_skip_at_resonance(zero1):
     # lambda = 0 is a Neumann and periodic eigenvalue of a == 0; identities
     # needing those kernels must skip rather than fail
@@ -143,15 +132,14 @@ def test_report_as_dict(cos_pi):
 
 # -- equivalence with full kernel tables ----------------------------------
 
-def _reference_reports(p, lam, n, length=None, tol=1e-6):
+def _reference_reports(p, lam, n, tol=1e-6):
     """The catalog evaluated from whole kernel tables and table_slice gathers:
     build_green for the base family, ``family_green`` for the others.
 
     Returns (identity_id, residual, lhs_scale, passed, skipped, reason) per
     identity, the reason worded as verify_all words a resonant constituent.
     """
-    L = float(p.domain_length if length is None else length)
-    base = p if length is None else p.restrict(L)
+    L = p.domain_length
     labels = {"base": (L, "base interval"), "even2": (2 * L, "even extension"),
               "even4": (4 * L, "doubled even extension"), "refl": (L, "reflected potential")}
     maps = {"id": lambda i: i, "r2": lambda i: 2 * n - i, "rT": lambda i: n - i}
@@ -161,9 +149,8 @@ def _reference_reports(p, lam, n, length=None, tol=1e-6):
         if (family, bc) not in kernels:
             length_f, label = labels[family]
             try:
-                kernels[family, bc] = (build_green(base, lam, bc, n=n, length=L)
-                                       if family == "base" else
-                                       family_green(p, lam, family, bc, n, length=length))
+                kernels[family, bc] = (build_green(p, lam, bc, n=n) if family == "base" else
+                                       family_green(p, lam, family, bc, n))
             except ResonanceError:
                 kernels[family, bc] = (
                     f"{BoundaryCondition.parse(bc).condition} problem on "
@@ -196,9 +183,9 @@ def _reference_reports(p, lam, n, length=None, tol=1e-6):
     return out
 
 
-def _assert_matches_reference(p, lam, n, length=None):
-    reports = verify_all(p, lam, n=n, length=length)
-    want = _reference_reports(p, lam, n, length=length)
+def _assert_matches_reference(p, lam, n):
+    reports = verify_all(p, lam, n=n)
+    want = _reference_reports(p, lam, n)
     assert len(reports) == len(want)
     for rep, (name, residual, scale, passed, skipped, reason) in zip(reports, want):
         assert (rep.identity_id, rep.n, rep.tol, rep.passed, rep.skipped, rep.reason) == \
@@ -220,7 +207,7 @@ def test_factored_catalog_matches_full_tables(name, lam, n):
 
 
 def test_factored_catalog_matches_full_tables_with_length(cos_pi):
-    _assert_matches_reference(cos_pi, 0.2, n=24, length=0.6 * math.pi)
+    _assert_matches_reference(cos_pi.restrict(0.6 * math.pi), 0.2, n=24)
 
 
 def test_factored_catalog_matches_full_tables_at_resonance(zero1):
@@ -291,11 +278,11 @@ def test_derived_families_match_direct_integration_generated(p, lam):
 
 # -- work counts -----------------------------------------------------------
 
-def test_verify_all_one_trajectory_per_family(cos_pi, trajectory_calls):
-    verify_all(cos_pi, 0.29, n=40)
-    # base, even2, even4, refl; each call covers at most nodes 0..2n
-    assert len(trajectory_calls) <= 4
-    assert max(trajectory_calls) <= 2 * 40 + 1
+def test_verify_all_one_trajectory_per_family(trajectory_calls):
+    # one call of n + 1 nodes on the base basis serves all four families,
+    # here through the exact-step dense output of a piecewise constant potential
+    verify_all(load_builtin("ex1"), 0.29, n=40)
+    assert trajectory_calls == [41]
 
 
 def test_verify_identity_one_trajectory_per_family(cos_pi, trajectory_calls):

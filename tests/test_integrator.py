@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_trajectory_at_breakpoint_is_left_endpoint_state():
     lam = 0.6
     basis = fundamental_solutions(STEP3, lam)
     for b in (0.4, 1.1):
-        left = fundamental_solutions(STEP3, lam, length=b)
+        left = fundamental_solutions(STEP3.restrict(b), lam)
         want = [left.y1_end, left.y1p_end, left.y2_end, left.y2p_end]
         assert np.array_equal(basis.trajectory(b), want)
 
@@ -186,7 +187,7 @@ def test_endpoint_scan_splits_at_table_nodes(order, accuracy):
         assert scan_error(ext, batch, accuracy, 1e-14) <= 1.0
     # the mirrored half has its nodes at 4 - x
     nodes = np.linspace(0.0, 2.0, 6)
-    edges = integrator._segments(ext, 4.0)[0]
+    edges = integrator._segments(ext)[0]
     assert np.allclose(edges, np.union1d(nodes, 4.0 - nodes), rtol=0, atol=1e-12)
 
 
@@ -300,10 +301,18 @@ def test_endpoint_scan_agrees_with_accurate(pw2):
 
 def test_endpoint_scan_shape_and_partial_length(cos_pi):
     lams = [0.0, 1.0, 2.0]
-    out = endpoint_scan(cos_pi, lams, length=1.0)
+    out = endpoint_scan(cos_pi.restrict(1.0), lams)
     assert out.shape == (4, 3)
     with pytest.raises(ValueError):
-        endpoint_scan(cos_pi, lams, length=10.0)
+        cos_pi.restrict(10.0)
+
+
+@pytest.mark.parametrize("accuracy", [math.nan, math.inf, 0.0, -1e-9, 10.0])
+def test_endpoint_scan_rejects_bad_accuracy(cos_pi, accuracy):
+    # refused before any stepping: nan would double the step count up to the
+    # cap, and an accuracy above TOL_MAX certifies nothing
+    with pytest.raises(ValueError, match=re.escape(f"accuracy {accuracy} outside")):
+        endpoint_scan(cos_pi, [0.0, 1.0], accuracy=accuracy)
 
 
 def test_tolerance_validation(zero1):

@@ -1,6 +1,7 @@
 """The public surface, pinned: dropping or renaming a name or a flag fails here."""
 
 import argparse
+import inspect
 
 import pytest
 
@@ -58,3 +59,39 @@ def test_cli_flags():
     got = {name: sorted(flag for action in sp._actions for flag in action.option_strings)
            for name, sp in sub.choices.items()}
     assert got == {name: sorted(flags) for name, flags in CLI_FLAGS.items()}
+
+
+# A problem on [0, T] is posed as ``p.restrict(T)``, so no function that takes
+# a potential takes a length. The parameters listed here are keyword-only: a
+# call that still passes a length positionally raises TypeError instead of
+# filling the next slot.
+AFTER_LENGTH = {
+    "fundamental_solutions": ["tol"], "discriminant": ["tol"], "endpoint_scan": ["accuracy"],
+    "build_green": ["tol"], "kernel_value": ["tol"], "solve_bvp": ["tol"],
+    "verify_identity": ["integrator_tol"], "verify_all": ["integrator_tol"],
+    "predicted_sign_interval": ["n_scan", "integrator_tol"],
+    "sign_threshold_consistency": ["n_scan", "integrator_tol"],
+    "verify_dominance": ["integrator_tol"], "verify_solution_comparison": ["integrator_tol"],
+    "verify_monotonicity": ["integrator_tol"],
+    "find_eigenvalues": ["integrator_tol", "method"],
+    "dirichlet_zero_count": ["tol", "npts"], "discriminant_samples": ["accuracy"],
+    "verify_spectral_decomposition": ["integrator_tol"],
+    "first_eigenvalue_relations": ["n_scan", "integrator_tol"],
+    "verify_interlacing": ["margin", "integrator_tol"],
+    "stability_intervals": ["integrator_tol"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFTER_LENGTH))
+def test_no_length_option(name):
+    params = inspect.signature(getattr(hillgreen, name)).parameters
+    assert "length" not in params
+    assert [params[p].kind for p in AFTER_LENGTH[name]] == \
+        [inspect.Parameter.KEYWORD_ONLY] * len(AFTER_LENGTH[name])
+
+
+def test_length_kept_only_without_a_potential(cos_pi):
+    assert "length" in inspect.signature(hillgreen.closed_form_constant).parameters
+    assert "extend" not in inspect.signature(hillgreen.discriminant_samples).parameters
+    with pytest.raises(TypeError):
+        hillgreen.endpoint_scan(cos_pi, [0.0, 1.0], 1.0)

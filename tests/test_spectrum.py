@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,11 +239,11 @@ def test_first_eigenvalue_relations(request, name):
 @pytest.mark.parametrize("bc", ["P", "A", "N", "D", "M1", "M2"])
 def test_length_restricts_before_choosing_method(bc):
     # the even extension of an uneven step is even as a whole, but its first
-    # half is not: with length=1 the problem is the step's own, so P and A
-    # must take the direct route and the step's range, not the union of the
-    # whole extension
+    # half is not: restricted to [0, 1] the problem is the step's own, so P
+    # and A must take the direct route and the step's range, not the union
+    # of the whole extension
     base = Potential.piecewise_constant([0, .3, 1], [2, -1])
-    got = find_eigenvalues(base.even_extension(), bc, max_count=4, length=1.0)
+    got = find_eigenvalues(base.even_extension().restrict(1.0), bc, max_count=4)
     want = find_eigenvalues(base, bc, max_count=4)
     assert got.values() == want.values()
     assert got.audit.get("method") == want.audit.get("method")
@@ -489,7 +490,7 @@ def test_discriminant_samples_shape(cos_pi):
     lams, deltas = discriminant_samples(cos_pi, -1.0, 4.0, count=50)
     assert lams.shape == deltas.shape == (50,)
     assert lams[0] == -1.0 and lams[-1] == 4.0
-    # extend=True evaluates on the even extension over [0, 2T]
+    # the samples are the discriminant of the even extension over [0, 2T]
     want = []
     even = cos_pi.even_extension()
     for lam in lams[:5]:
@@ -541,13 +542,17 @@ def test_discriminant_samples_scans_half_the_cells(monkeypatch, name):
 
 def test_discriminant_samples_length_restricts_the_base():
     p = load_builtin("ex3")
-    lams, deltas = discriminant_samples(p, -1.0, 40.0, count=101, length=2.0)
-    lams2, deltas2 = discriminant_samples(p.restrict(2.0), -1.0, 40.0, count=101)
-    assert np.array_equal(lams, lams2)
-    assert np.array_equal(deltas, deltas2)
+    lams, deltas = discriminant_samples(p.restrict(2.0), -1.0, 40.0, count=101)
     # the extension of the restricted base, not the extension cut at 2.0
     Y = endpoint_scan(p.restrict(2.0).even_extension(), lams)
     assert np.allclose(deltas, Y[0] + Y[3], rtol=0, atol=1e-6 * np.max(np.abs(deltas)))
+
+
+@pytest.mark.parametrize("accuracy", [math.nan, math.inf, 0.0, -1e-9, 10.0])
+def test_discriminant_samples_rejects_bad_accuracy(cos_pi, accuracy):
+    # the error names the caller's accuracy, not the half scanned on [0, T]
+    with pytest.raises(ValueError, match=re.escape(f"accuracy {accuracy} outside")):
+        discriminant_samples(cos_pi, -1.0, 4.0, count=5, accuracy=accuracy)
 
 
 def test_search_range_respected(zero1):
