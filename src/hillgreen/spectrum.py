@@ -4,7 +4,7 @@ The characteristic function of each separated condition is a single entry
 of the endpoint state (y1, y1', y2, y2')(L), so eigenvalues come from a
 bracketing scan plus a batched refinement: every bracket of one
 ``find_eigenvalues`` call advances together, by safeguarded regula falsi,
-with one Magnus-4 propagation per iteration at step counts estimated once
+with one Magnus propagation per iteration at step counts estimated once
 per call for ``integrator_tol``.  Periodic and anti-periodic
 eigenvalues are the band edges of the discriminant Delta = y1 + y2'.  Over
 an even extension they are assembled from the separated spectra of the
@@ -334,7 +334,7 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     exactly where two edges coincide.
 
     A scan of ``n_scan`` cells at the scan accuracy of ``endpoint_scan``
-    finds the sign changes; they are refined together on Magnus-4 endpoint
+    finds the sign changes; they are refined together on Magnus endpoint
     states within ``integrator_tol``, to a bracket width of
     max(``tol``, 1e-12).  Raises ``IntegrationError`` when those states
     cannot certify ``integrator_tol`` over the range (at large lambda the

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,8 +205,11 @@ def test_sweep_tol_sets_sample_accuracy(capsys):
 
 
 def test_sweep_beyond_scan_cap_exit_code(capsys):
-    # float64 rounding of the cosine's phase at lambda = 1e12 exceeds the accuracy
-    assert main(["sweep", "--potential", "ex3", "--range", "0", "1e12", "--points", "2"]) == 3
+    # float64 rounding of the cosine's phase at lambda = 1e12 exceeds the
+    # accuracy; the refusal comes with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--potential", "ex3", "--range", "0", "1e12", "--points", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Magnus steps" in captured.err
@@ -219,12 +223,12 @@ def test_sweep_refusal_names_the_requested_accuracy(capsys):
 
 
 def test_spectrum_refinement_refusal_exit_code(capsys):
-    args = ["spectrum", "--potential", "ex3", "--bc", "N", "--range", "4e6", "4.004e6"]
-    assert main(args) == 3
+    args = ["spectrum", "--potential", "ex3", "--bc", "N", "--range"]
+    assert main([*args, "4e8", "4.0002e8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "integrator_tol 1e-10" in captured.err and "--tol" in captured.err
-    rc, out = run(capsys, *args, "--tol", "1e-9")
+    rc, out = run(capsys, *args, "4e6", "4.004e6", "--tol", "1e-9")
     assert rc == 0 and len(out.strip().splitlines()) == 2
 
 

@@ -211,9 +211,10 @@ def test_endpoint_scan_meets_accuracy(name, accuracy):
 
 
 def test_endpoint_scan_work_flat_in_lambda(monkeypatch):
-    # Magnus-4 error is flat in lambda and n grows only through the omega in
-    # the accuracy share, as omega^(1/4): a scan up to 1e4 evaluates the
-    # potential at most twice as often as one up to 20 (RK4: about 47 times)
+    # n grows only through the omega in the accuracy share and, at large
+    # lambda h^2, through order 6's nested commutators: a scan up to 1e4
+    # evaluates the potential at most 20,071 times and one up to 20 at most
+    # 10,167 times, the counts of the Magnus-4 scan (RK4 grows about 47 times)
     p = load_builtin("ex3").even_extension()
     points = []
     plain = Potential.eval
@@ -228,7 +229,25 @@ def test_endpoint_scan_work_flat_in_lambda(monkeypatch):
         points.clear()
         endpoint_scan(p, np.linspace(0.0, hi, 201), accuracy=1e-9)
         work.append(sum(points))
-    assert work[1] <= 2 * work[0]
+    assert work[0] <= 10167 and work[1] <= 20071
+
+
+def test_scan_step_is_sixth_order():
+    # n equal steps over the even extension, n/2 on each half: against a
+    # 16384-step reference the error falls 64 times per doubling of n
+    # (Magnus-4: 16 times)
+    p = load_builtin("ex4").even_extension()
+    edges = integrator._segments(p)[0]
+    lams = np.array([0.5, 40.0, 400.0])
+
+    def transfer(n):
+        first, second = (integrator._magnus_transfer(*integrator._magnus_nodes(p, t0, t1, n // 2),
+                                                     lams) for t0, t1 in zip(edges, edges[1:]))
+        return np.array(integrator._matmul(second, first))
+
+    ref = transfer(16384)
+    errs = [np.max(np.abs(transfer(n) - ref), axis=0) for n in (50, 100, 200)]
+    assert np.all(errs[0] >= 40.0 * errs[1]) and np.all(errs[1] >= 40.0 * errs[2])
 
 
 def test_trajectory_rejects_outside_domain(zero1):

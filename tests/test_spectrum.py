@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -461,12 +462,27 @@ def test_refine_roots_widens_brackets_and_records_failures():
 
 
 def test_refinement_refuses_beyond_float64_phase(cos_pi):
+    # at lambda = 4e8, 10 eps omega T alone is about 1.4e-10, whatever the steps
     with pytest.raises(IntegrationError, match=r"integrator_tol 1e-10.*larger integrator_tol"):
-        find_eigenvalues(cos_pi, "N", search_range=(4e6, 4.004e6))
+        find_eigenvalues(cos_pi, "N", search_range=(4e8, 4.0002e8))
     spec = find_eigenvalues(cos_pi, "N", search_range=(4e6, 4.004e6), integrator_tol=1e-9)
     (value,) = spec.values()
     order = round(2.0 * math.sqrt(value))
     assert abs(value - mathieu_a(order, -2.0) / 4.0) <= 1e-8
+
+
+def test_refinement_falls_back_to_order_four():
+    # h omega is large at every step count order 6 can afford here, and its
+    # nested commutators grow like (h omega)^2; order 4 certifies. Order 6's
+    # coarse levels overflow cosh, and no warning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = find_eigenvalues(load_builtin("ex3"), "N", search_range=(1e8, 1.001e8),
+                                integrator_tol=1e-9)
+    values = spec.values()
+    assert len(values) == 5
+    for value in values:
+        assert abs(value - mathieu_a(round(2.0 * math.sqrt(value)), -2.0) / 4.0) <= 1e-7
 
 
 def test_dirichlet_zero_count(zero1):
@@ -526,9 +542,9 @@ def test_discriminant_samples_scans_half_the_cells(monkeypatch, name):
     cells = []
     original = integrator._magnus_transfer
 
-    def counting(abar, d, h, lams):
-        cells.append(abar.size * lams.size)
-        return original(abar, d, h, lams)
+    def counting(*grid):
+        cells.append(grid[0].size * grid[-1].size)
+        return original(*grid)
 
     monkeypatch.setattr(integrator, "_magnus_transfer", counting)
     p = HALF_ROUTE_CASES[name]
