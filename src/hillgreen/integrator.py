@@ -12,14 +12,13 @@ A segment inside a constant piece (directly or through mirror wrappers)
 takes one exact transfer step, with cos/sin of sqrt(q) h, cosh/sinh for
 q < 0 and (1, h) for q = 0, in both routes. Other segments use adaptive
 Dormand-Prince 8(5,3) (``solve_ivp``, method DOP853) for the single-lambda
-basis. The sweep takes equal Magnus steps there (Iserles & Norsett 1999;
-Blanes, Casas & Ros 2000; Blanes, Casas, Oteo & Ros 2009): each step is
-exp(Omega) with Omega = [[d, e], [f, -d]] affine in lambda, of order 6
-(three-point Gauss) or 4 (two-point Gauss), and the exact step is the same
-formula with d = 0, e = h, f = -h q. The step count per segment, and the
-order, come from a Richardson estimate (n against 2n steps at a few probe
-lambdas), and the steps of a block of lambdas are multiplied out pairwise
-as a tree.
+basis. The sweep takes equal 6th-order Magnus steps there (three-point
+Gauss; Iserles & Norsett 1999, Blanes, Casas & Ros 2000, Blanes, Casas,
+Oteo & Ros 2009): each step is exp(Omega) with Omega = [[d, e], [f, -d]]
+affine in lambda, and the exact step is the same formula with d = 0,
+e = h, f = -h q. The step count per segment comes from a Richardson
+estimate (n against 2n steps at a few probe lambdas), and the steps of a
+block of lambdas are multiplied out pairwise as a tree.
 """
 
 from __future__ import annotations
@@ -176,29 +175,22 @@ def _matmul(a, b):
     return tuple(out)
 
 
-def _magnus_nodes(p: Potential, t0: float, t1: float, n: int, order: int = 6):
-    """The lambda-free coefficients (d0, d1, e, f0, g) of n Magnus steps on [t0, t1].
+def _magnus_nodes(p: Potential, t0: float, t1: float, n: int):
+    """The lambda-free coefficients (d0, d1, e, f0, g) of n Magnus-6 steps on [t0, t1].
 
     Each step's Omega is [[d, e], [f, -d]], affine in lambda: d = d0 + lambda d1
-    and f = f0 + lambda g. Order 6 (three-point Gauss; Blanes, Casas & Ros
-    2000) has a1, a2, a3 the potential at t_m - h sqrt(15)/10, t_m and
+    and f = f0 + lambda g. With three-point Gauss nodes (Blanes, Casas & Ros
+    2000), a1, a2, a3 the potential at t_m - h sqrt(15)/10, t_m and
     t_m + h sqrt(15)/10, s = a1 - 2 a2 + a3 and D = a1 - a3:
     d1 = -sqrt(15) h^4 D / 540,
     d0 = -sqrt(15) D (h^2/36 + h^4 (a1 + a3)/6480 + h^4 a2/648),
     e = h + h^3 s/54 + h^5 D^2/2160, g = -h + h^3 s/54 - h^5 D^2/2160 and
     f0 = -h (5 a1 + 8 a2 + 5 a3)/18 - h^5 a2 D^2/2160
          + h^3 (22 a1 a3 + 4 a2 (a1 + a3) - 7 (a1^2 + a3^2) - 16 a2^2)/648.
-    Order 4 (two-point Gauss) has a1, a2 at t_m -+ h sqrt(3)/6 and
-    d0 = sqrt(3) h^2 (a2 - a1)/12, d1 = 0, e = h, f0 = -h (a1 + a2)/2, g = -h.
-    A constant potential a gives d = 0, e = h and f = -h (a + lambda) in both.
+    A constant potential a gives d = 0, e = h and f = -h (a + lambda).
     """
     h = (t1 - t0) / n
     mid = t0 + h * (np.arange(n) + 0.5)
-    if order == 4:
-        r = h * math.sqrt(3.0) / 6.0
-        a1, a2 = p.eval(np.concatenate([mid - r, mid + r])).reshape(2, n)
-        return ((math.sqrt(3.0) / 12.0) * h * h * (a2 - a1), np.zeros(n), np.full(n, h),
-                -0.5 * h * (a1 + a2), np.full(n, -h))
     r = h * math.sqrt(15.0) / 10.0
     a1, a2, a3 = p.eval(np.concatenate([mid - r, mid, mid + r])).reshape(3, n)
     h2 = h * h
@@ -427,12 +419,11 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = 1e-7) -> np.ndarray:
     Returns shape (4, K): rows y1(T), y1'(T), y2(T), y2'(T) per lambda,
     each column within ``accuracy`` * max(1, |Y|). A segment inside a
     constant piece takes one exact step for the whole batch, whatever
-    ``accuracy``. Every other segment takes n equal Magnus steps, the same
-    n for every lambda, chosen from an error estimate: n and 2n steps are
-    compared at a few probe lambdas (the batch's extremes and quantiles,
-    and the turning values -a) until they agree within the segment's share
-    of ``accuracy``, at order 6 or, where order 6 does not yet certify, at
-    order 4, and n is then trimmed by the n^-6 or n^-4 law.
+    ``accuracy``. Every other segment takes n equal Magnus-6 steps, the
+    same n for every lambda, chosen from an error estimate: n and 2n steps
+    are compared at a few probe lambdas (the batch's extremes and
+    quantiles, and the turning values -a) until they agree within the
+    segment's share of ``accuracy``, and n is then trimmed by the n^-6 law.
     The shares split ``accuracy`` over the segments and divide it by
     omega = sqrt(max(1, max|a| + max|lambda|)): an error in the phase of
     an oscillation reaches y1'(T) multiplied by omega.
@@ -494,13 +485,10 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, share: 
 
     Doubles n from 8 until n and 2n steps agree within ``share`` at every
     probe, in the energy scaling (u, u'/w) with w = sqrt(max(1, |a + lambda|)),
-    where the error of an oscillation is flat in lambda. Each level tries
-    order 6 first and order 4 after it. An order's level counts once its
-    error is visibly in its asymptotic regime: the level before it also met
-    ``share``, or missed it by at least 2^(order - 1) times. A non-finite
-    estimate counts as a miss. Order 6 usually certifies with far fewer
-    steps; order 4 certifies where h omega is large, since the nested
-    commutators of order 6 grow like (h omega)^2 and those of order 4 do not.
+    where the error of an oscillation is flat in lambda. A level counts once
+    the error is visibly in its sixth-order regime: the level before it also
+    met ``share``, or missed it by at least 32 times. A non-finite estimate
+    (cosh overflows at coarse levels when lambda h^2 is huge) is a miss.
     """
     a_mid = float(np.mean(p.eval(np.linspace(t0, t1, 9))))
     w = np.sqrt(np.maximum(1.0, np.abs(probes + a_mid)))
@@ -510,9 +498,9 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, share: 
         return np.stack([m[0], m[1] * w, m[2] / w, m[3]])
 
     n = 8
-    # per order: the grid of n steps, its scaled transfers and the estimate of
-    # the level before; order 4 joins at the first level that order 6 misses
-    ladder = {}
+    coarse = _magnus_nodes(p, t0, t1, n)
+    at_coarse = None
+    before = math.nan
     while True:
         floor = 10.0 * np.finfo(float).eps * (n + omega * (t1 - t0))
         if floor > accuracy:
@@ -521,26 +509,19 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, share: 
                 f"float64 rounding of the phase (omega = {omega:.3g}) alone is about "
                 f"{floor:.1e}, beyond any number of Magnus steps", t=float(t0))
         if 2 * n > _MAX_STEPS:
-            best = min((r[2] for r in ladder.values() if math.isfinite(r[2])), default=math.nan)
             raise IntegrationError(
                 f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g} "
-                f"within {_MAX_STEPS} Magnus steps (estimated error {best:.1e} at "
+                f"within {_MAX_STEPS} Magnus steps (estimated error {before:.1e} at "
                 f"{n // 2} steps)", t=float(t0))
-        for order in (6, 4):
-            coarse, at_coarse, before = ladder.get(order) or (
-                _magnus_nodes(p, t0, t1, n, order), None, math.nan)
-            fine = _magnus_nodes(p, t0, t1, 2 * n, order)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if at_coarse is None:
-                    at_coarse = scaled(coarse)
-                at_fine = scaled(fine)
-                err = float(np.max(np.max(np.abs(at_coarse - at_fine), axis=0)
-                                   / np.maximum(1.0, np.max(np.abs(at_fine), axis=0))))
-            if not math.isfinite(err):
-                err = math.nan
-            if err <= share and (before <= share or before >= 2.0 ** (order - 1) * err):
-                # the error falls as n^-order: trim n to what the estimate asks for
-                trimmed = max(n // 2, math.ceil(n * (err / share) ** (1.0 / order)))
-                return coarse if trimmed == n else _magnus_nodes(p, t0, t1, trimmed, order)
-            ladder[order] = (fine, at_fine, err)
-        n *= 2
+        fine = _magnus_nodes(p, t0, t1, 2 * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if at_coarse is None:
+                at_coarse = scaled(coarse)
+            at_fine = scaled(fine)
+            err = float(np.max(np.max(np.abs(at_coarse - at_fine), axis=0)
+                               / np.maximum(1.0, np.max(np.abs(at_fine), axis=0))))
+        if err <= share and (before <= share or before >= 32.0 * err):
+            # the error falls as n^-6: trim n to what the estimate asks for
+            trimmed = max(n // 2, math.ceil(n * (err / share) ** (1.0 / 6.0)))
+            return coarse if trimmed == n else _magnus_nodes(p, t0, t1, trimmed)
+        n, coarse, at_coarse, before = 2 * n, fine, at_fine, err

@@ -145,6 +145,18 @@ def test_endpoint_scan_refuses_too_many_steps():
     assert np.all(np.isfinite(out))
 
 
+def test_endpoint_scan_refuses_at_the_step_cap(monkeypatch):
+    # smooth segments that need more steps than the cap allows: the message
+    # names the cap and the estimate of the last level, a finite number
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 64)
+    with pytest.raises(IntegrationError) as info:
+        endpoint_scan(load_builtin("ex4").even_extension(), np.linspace(0.0, 50.0, 11),
+                      accuracy=1e-12)
+    found = re.search(r"within 64 Magnus steps \(estimated error (\S+) at 32 steps\)",
+                      str(info.value))
+    assert found and 1e-12 < float(found.group(1)) < math.inf
+
+
 # a constant piece, a cosine piece and a mirrored constant piece
 MIXED = Potential.from_descriptor({"T": 2.0, "pieces": [
     {"from": 0.0, "to": 0.7, "kind": "const", "value": -0.8},

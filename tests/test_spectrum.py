@@ -471,18 +471,18 @@ def test_refinement_refuses_beyond_float64_phase(cos_pi):
     assert abs(value - mathieu_a(order, -2.0) / 4.0) <= 1e-8
 
 
-def test_refinement_falls_back_to_order_four():
-    # h omega is large at every step count order 6 can afford here, and its
-    # nested commutators grow like (h omega)^2; order 4 certifies. Order 6's
-    # coarse levels overflow cosh, and no warning may escape
+def test_refinement_warns_nothing_where_coarse_steps_overflow():
+    # at lambda = 1e8 the first levels of the step-count estimate take h omega
+    # of thousands, and cosh overflows in them; those levels are misses, and
+    # no RuntimeWarning escapes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = find_eigenvalues(load_builtin("ex3"), "N", search_range=(1e8, 1.001e8),
-                                integrator_tol=1e-9)
+                                integrator_tol=1e-5)
     values = spec.values()
     assert len(values) == 5
     for value in values:
-        assert abs(value - mathieu_a(round(2.0 * math.sqrt(value)), -2.0) / 4.0) <= 1e-7
+        assert abs(value - mathieu_a(round(2.0 * math.sqrt(value)), -2.0) / 4.0) <= 1e-5
 
 
 def test_dirichlet_zero_count(zero1):
