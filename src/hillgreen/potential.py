@@ -283,13 +283,17 @@ class Potential:
         return np.array([a for a, _, _ in self.pieces] + [self.domain_length])
 
     def eval(self, t):
-        """a(t) + shift; right limit at breakpoints. Scalar in, scalar out."""
+        """a(t) + shift; right limit at breakpoints. Scalar in, scalar out.
+
+        A point more than 1e-12 (1 + L) outside [0, L], or NaN, raises
+        ``DomainError`` naming the first such point.
+        """
         L = self.domain_length
         slack = 1e-12 * (1.0 + L)
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
             x = float(arr)
-            if x < -slack or x > L + slack:
+            if not -slack <= x <= L + slack:
                 raise DomainError(f"t={x} outside [0, {L}]")
             x = min(max(x, 0.0), L)
             k = bisect_right(self._starts_list, x) - 1
@@ -297,8 +301,8 @@ class Potential:
                 k = 0
             return self.pieces[k][2].value_at(x) + self.shift
         tt = arr.ravel()
-        if tt.size and (tt.min() < -slack or tt.max() > L + slack):
-            bad = tt[(tt < -slack) | (tt > L + slack)][0]
+        if tt.size and not (-slack <= tt.min() and tt.max() <= L + slack):
+            bad = tt[~((tt >= -slack) & (tt <= L + slack))][0]
             raise DomainError(f"t={bad} outside [0, {L}]")
         tt = np.clip(tt, 0.0, L)
         idx = np.searchsorted(self._starts, tt, side="right") - 1

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 import hillgreen.integrator as integrator
 from hillgreen import (
@@ -12,6 +13,7 @@ from hillgreen import (
     endpoint_scan,
     fundamental_solutions,
     load_builtin,
+    solve_bvp,
 )
 from hillgreen.errors import DomainError, IntegrationError
 
@@ -391,3 +393,102 @@ def test_wronskian_property(lam, amp):
     basis = fundamental_solutions(p, lam, tol=1e-10)
     ts = np.linspace(0.0, 2.0, 13)
     assert np.max(np.abs(basis.wronskian(ts) - 1.0)) < 1e-8
+
+
+# -- the piece table behind trajectory ------------------------------------------
+
+def dense_reference(p, lam, t, tol=TOL):
+    """States at t from a fresh integration, built without the piece table.
+
+    Each segment is integrated again by scipy's DOP853 with dense output at
+    the basis tolerances, and read through its ``OdeSolution``; a constant
+    segment is read by the exact step from its start. A point is read on
+    the last segment starting at or before it. Also returns the interior
+    DOP853 step ends and the start state of the step after each.
+    """
+    edges, consts = integrator._segments(p)
+    L = p.domain_length
+    rtol, atol = max(tol / 10.0, 1e-13), max(tol * 1e-3, 1e-15)
+    seg = np.minimum(np.searchsorted(edges, t, side="right") - 1, len(consts) - 1)
+    out = np.empty((4, t.size))
+    ends, after = [], []
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    for k, (t0, t1, const) in enumerate(zip(edges, edges[1:], consts)):
+        here = seg == k
+        if const is not None:
+            out[:, here] = integrator._exact_step(y, const + lam, t[here] - t0)
+            y = integrator._exact_step(y, const + lam, t1 - t0)
+            continue
+        back = t1 - 1e-12 * (1.0 + L)
+
+        def rhs(s, z, _b=back):
+            q = p.eval(min(s, _b)) + lam
+            return (z[1], -q * z[0], z[3], -q * z[2])
+
+        res = solve_ivp(rhs, (t0, t1), y, method="DOP853", dense_output=True,
+                        rtol=rtol, atol=atol)
+        if here.any():
+            out[:, here] = res.sol(t[here])
+        ends.extend(res.t[1:-1])
+        after.extend(s.y_old for s in res.sol.interpolants[1:])
+        y = res.y[:, -1]
+    return out, np.array(ends), np.array(after).reshape(-1, 4).T
+
+
+TABLE_CASES = {"ex1": load_builtin("ex1"), "ex2": load_builtin("ex2"),
+               "ex3": load_builtin("ex3"), "ex4": load_builtin("ex4"),
+               "mixed": MIXED, "table3": table_potential(3)}
+
+
+@pytest.mark.parametrize("lam", [-3.0, 0.4, 300.0])
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_piece_table_matches_dense_output_bit_for_bit(name, lam):
+    p = TABLE_CASES[name]
+    L = p.domain_length
+    basis = fundamental_solutions(p, lam, tol=TOL)
+    edges = integrator._segments(p)[0]
+    _, ends, after = dense_reference(p, lam, np.empty(0))
+    ts = np.concatenate([np.linspace(0.0, L, 1001),
+                         np.random.default_rng(19).uniform(0.0, L, 500), edges, ends])
+    want = dense_reference(p, lam, ts)[0]
+    assert np.array_equal(basis.trajectory(ts), want)
+    # at a step end OdeSolution reads the earlier step at x = 1 and the table
+    # the later step at its start; y_old + (y - y_old) rounds back to y, so
+    # both give the state the integration carried there
+    assert np.array_equal(basis.trajectory(ends), after)
+    # within the slack the ends are read; beyond it the point is refused
+    slack = 1e-12 * (1.0 + L)
+    assert np.array_equal(basis.trajectory([-0.5 * slack, L + 0.5 * slack]),
+                          want[:, [1501, 1501 + edges.size - 1]])
+    for bad in (-2.0 * slack, L + 2.0 * slack):
+        with pytest.raises(DomainError):
+            basis.trajectory(bad)
+
+
+@pytest.mark.parametrize("p", [STEP3, table_potential(1), MIXED], ids=["const", "dop853", "mixed"])
+def test_trajectory_keeps_the_shape_of_t(p):
+    basis = fundamental_solutions(p, 0.7)
+    L = p.domain_length
+    ts = np.linspace(0.0, L, 12).reshape(3, 4)
+    got = basis.trajectory(ts)
+    assert got.shape == (4, 3, 4)
+    assert np.array_equal(got, basis.trajectory(ts.ravel()).reshape(4, 3, 4))
+    assert basis.trajectory([]).shape == (4, 0)
+    assert basis.trajectory(0.3 * L).shape == (4,)
+    assert np.array_equal(basis.trajectory(0.3 * L), basis.trajectory([0.3 * L])[:, 0])
+
+
+@pytest.mark.parametrize("name", ["mixed", "ex3"])
+def test_scalar_calls_equal_one_array_call(name):
+    # a scalar takes the same path as an array: no rounding of its own
+    p = MIXED if name == "mixed" else load_builtin("ex3")
+    L = p.domain_length
+    ts = np.concatenate([np.linspace(0.0, L, 7), integrator._segments(p)[0],
+                         np.random.default_rng(3).uniform(0.0, L, 6)])
+    basis = fundamental_solutions(p, 0.4)
+    assert np.array_equal(np.array([basis.trajectory(t) for t in ts]).T, basis.trajectory(ts))
+    for bc in ("P", "A", "N", "D", "M1", "M2"):
+        u = solve_bvp(p, 0.4, bc, lambda t: 1.0 + np.sin(2.0 * t), n=40)
+        assert np.array_equal([u(t) for t in ts], u(ts))
+        assert np.array_equal([u.derivative(t) for t in ts], u.derivative(ts))
+        assert np.array_equal(u(u.grid), u.values)
