@@ -7,13 +7,14 @@ forcings.  Hypotheses are always checked before conclusions; a violated
 hypothesis raises instead of silently passing vacuously.
 
 The dominance and solution checks read every kernel they compare through
-the identity catalog's factor cache: the rank-2 factors row(t) . K . col(s)
-at the grid nodes of each family (base interval, even extension), with no
-full ``build_green`` table, so the kernels of one (p, lambda, n) share one
-``trajectory`` call, on the base basis.  A sign hypothesis reads only the
-kernel's minimum and maximum, which fix its classification, taken in row
-slices (no table is held) and memoized on the base basis.  A
-conclusion's tables are formed only once its hypothesis holds.
+the identity catalog's kernel workspace, one per (p, lambda, n) memoized on
+the base basis: the rank-2 factors row(t) . K . col(s) at the grid nodes of
+each family (base interval, even extension), with no full ``build_green``
+table, so the kernels of one (p, lambda, n) share one ``trajectory`` call,
+on the base basis.  A sign hypothesis reads only the kernel's minimum and
+maximum, which fix its classification, kept in the workspace: recorded by
+the catalog pass if it ran first, else taken in row slices (no table is
+held).  A conclusion's tables are formed only once its hypothesis holds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import HypothesisNotMet, ResonanceError
 from .greens import (BoundaryCondition, GreensFunction, _as_callable, _max_abs, _node_block,
                      build_green, solve_bvp)
-from .identities import _KernelCache
+from .identities import _KernelCache, _kernel_cache
 from .integrator import DEFAULT_TOL
 from .potential import Potential
 from .spectrum import find_eigenvalues
@@ -349,7 +350,7 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
         raise KeyError(f"unknown relation {relation!r}; "
                        f"choices: {', '.join(sorted(DOMINANCE_RELATIONS))}")
     hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
-    cache = _KernelCache(p, n, lam, integrator_tol)
+    cache = _kernel_cache(p, n, lam, integrator_tol)
     idx = np.arange(n + 1)
 
     if hyp_kind == "NBASE":
@@ -406,7 +407,7 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
         raise KeyError(f"unknown theorem {theorem!r}; "
                        f"choices: {', '.join(sorted(COMPARISON_THEOREMS))}")
     hyp_kind, hyp_sign, bc1, bc2 = COMPARISON_THEOREMS[theorem]
-    cache = _KernelCache(p, n, lam, integrator_tol)
+    cache = _kernel_cache(p, n, lam, integrator_tol)
 
     bc, _, kernel = _HYPOTHESIS_KERNELS[hyp_kind]
     hyp_class = _require_sign(cache, "even2", bc, hyp_sign,

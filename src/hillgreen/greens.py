@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PoleError, ResonanceError
-from .integrator import DEFAULT_TOL, SolutionBasis, fundamental_solutions
+from .integrator import DEFAULT_TOL, SolutionBasis, _on_domain, fundamental_solutions
 from .potential import Potential
 
 __all__ = [
@@ -155,9 +155,11 @@ class KernelBranches:
 
 
 class _TrigBranches:
-    """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2."""
+    """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2,
+    on [0, L] with the domain rule of ``SolutionBasis.trajectory``."""
 
     def __init__(self, m: float, L: float, bc: BoundaryCondition):
+        self.length = L
         if bc is BoundaryCondition.PERIODIC:
             den = 2.0 * m * math.sin(m * L / 2)
             self._low = lambda t, s: np.cos(m * (s - t + L / 2)) / den
@@ -197,8 +199,8 @@ class _TrigBranches:
         self.denominator = den
 
     def tables(self, tpts, spts, deriv: bool = False):
-        T = np.asarray(tpts, dtype=float)[:, None]
-        S = np.asarray(spts, dtype=float)[None, :]
+        T = _on_domain(np.asarray(tpts, dtype=float), self.length)[:, None]
+        S = _on_domain(np.asarray(spts, dtype=float), self.length)[None, :]
         low, up = (self._dlow, self._dup) if deriv else (self._low, self._up)
         return low(T, S), up(T, S)
 

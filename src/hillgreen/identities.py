@@ -6,7 +6,9 @@ kernel's coefficients come from its own condition on its own family's
 monodromy, and no term is folded into another.  The families' solutions are
 the base solutions reflected (``_KernelCache``), so one integration on
 [0, T] serves them all; the test suite checks that rule against integrating
-the extended and reflected potentials directly.
+the extended and reflected potentials directly.  One such workspace per
+(solution basis, n), memoized on the basis, serves the catalog and the
+dominance and solution comparison checks alike.
 
 Evaluation is node exact: the base grid t_i = i T/n embeds into the 2T
 grid (2n pieces) and the 4T grid (4n pieces) with identical spacing, so a
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import ResonanceError
 from .greens import (BoundaryCondition, _branch_matrices, _check_n, _factors, _max_abs,
                      _node_block, _node_extrema, _row_slices)
-from .integrator import DEFAULT_TOL, fundamental_solutions
+from .integrator import DEFAULT_TOL, SolutionBasis, fundamental_solutions
 from .potential import Potential
 
 __all__ = [
@@ -239,24 +241,26 @@ class IdentityReport:
 
 
 class _KernelCache:
-    """Rank-2 kernel factors for a fixed (p, lambda, n), shared by every term
-    and by the dominance and solution comparison checks.
+    """The kernel workspace of one solution basis on its grid of n pieces,
+    shared by every term and by the dominance and solution comparison checks:
+    ``_kernel_cache`` keeps one per (basis, n), memoized on the basis.
 
-    One basis is integrated, p on [0, L]; every family follows from it by
-    the rules of ``_FAMILIES``.  ``families`` holds each family's (monodromy,
-    states at its grid nodes 0..min(2n, pieces)), the nodes ``build_green``
-    would use and the only ones an argument map reaches; per (family, bc)
-    the branch matrices (k_low, k_up).  A resonant kernel raises on every
-    request.
+    The basis is p integrated once on [0, L]; every family follows from it
+    by the rules of ``_FAMILIES``.  ``families`` holds each family's
+    (monodromy, states at its grid nodes 0..min(2n, pieces)), the nodes
+    ``build_green`` would use and the only ones an argument map reaches; per
+    (family, bc) ``_matrices`` holds the branch matrices (k_low, k_up) and
+    ``_extrema`` the kernel's (min, max) over the family's nodes, recorded
+    by the catalog pass or formed by ``extrema``.  A resonant kernel raises
+    on every request.  Threads share a workspace; its dicts are filled check
+    then set, so a race forms one value twice, the same value.
     """
 
-    def __init__(self, p: Potential, n: int, lam: float, tol: float):
-        _check_n(n)
-        self.n = int(n)
-        self.lam = float(lam)
-        self.basis = fundamental_solutions(p, lam, tol=tol)
-        self.L = self.basis.length
-        M, S = self.basis.monodromy, self.basis._node_states(self.n)
+    def __init__(self, basis: SolutionBasis, n: int):
+        self.n = n
+        self.lam = basis.lam
+        self.L = basis.length
+        M, S = basis.monodromy, basis._node_states(n)
         R = np.linalg.solve(M, _D)
         C = R @ M
         even = np.concatenate([S, _mirrored(S[:, -2::-1], C)], axis=1)
@@ -265,6 +269,7 @@ class _KernelCache:
                          "even4": (_D @ np.linalg.solve(M2, _D) @ M2, even),
                          "refl": (_D @ R, _mirrored(S[:, ::-1], R))}
         self._matrices: dict = {}
+        self._extrema: dict = {}
 
     def _branches(self, family: str, bc: str):
         key = (family, bc)
@@ -288,12 +293,20 @@ class _KernelCache:
         return A.T @ k_low, A.T @ k_up, B, t_idx, s_idx
 
     def extrema(self, family: str, bc: str) -> tuple[float, float]:
-        """(min, max) of G_bc[family] over the family's nodes, memoized on the base basis."""
+        """(min, max) of G_bc[family] over the family's nodes."""
         k_low, k_up = self._branches(family, bc)
-        key = (family, self.n, bc)
-        if key not in self.basis._extrema:
-            self.basis._extrema[key] = _node_extrema(self.families[family][1], k_low, k_up)
-        return self.basis._extrema[key]
+        key = (family, bc)
+        if key not in self._extrema:
+            self._extrema[key] = _node_extrema(self.families[family][1], k_low, k_up)
+        return self._extrema[key]
+
+
+def _kernel_cache(p: Potential, n: int, lam: float, tol: float) -> _KernelCache:
+    """The workspace of p at lambda on n pieces, memoized on the solution basis."""
+    _check_n(n)
+    basis = fundamental_solutions(p, lam, tol=tol)
+    n = int(n)
+    return basis._memo(basis._kernels, n, lambda: _KernelCache(basis, n))
 
 
 # Argument maps of the node index i: id, 2T - x on the 2n grid, T - x on the n grid.
@@ -359,6 +372,12 @@ def _evaluate(cache: _KernelCache, idents, tol: float) -> list[IdentityReport]:
             scale, residual = _max_abs(ext[k, :2]), _max_abs(ext[k, 2:])
             reports[ident.name] = IdentityReport(ident.name, cache.n, residual, scale, tol,
                                                  passed=residual <= tol * max(1.0, scale))
+            # a left side that is one kernel over all its family's nodes gives its extremes
+            lhs = ident.lhs[0]
+            if ident.lhs == (Term(1, lhs.family, lhs.bc),) and \
+                    cache.families[lhs.family][1].shape[1] == size:
+                cache._extrema.setdefault((lhs.family, lhs.bc),
+                                          (float(np.min(ext[k, 0])), float(np.max(ext[k, 1]))))
     return [reports[ident.name] for ident in idents]
 
 
@@ -375,7 +394,7 @@ def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
     except KeyError:
         raise KeyError(f"unknown identity {identity_id!r}; "
                        f"choices: {', '.join(IDENTITY_NAMES)}") from None
-    cache = _KernelCache(p, n, lam, integrator_tol)
+    cache = _kernel_cache(p, n, lam, integrator_tol)
     for term in ident.lhs + ident.rhs:
         cache._branches(term.family, term.bc)
     return _evaluate(cache, (ident,), tol)[0]
@@ -385,4 +404,4 @@ def verify_all(p: Potential, lam: float, n: int = 100,
                tol: float = DEFAULT_IDENTITY_TOL, *,
                integrator_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the whole catalog, recording a skip for resonant constituents."""
-    return _evaluate(_KernelCache(p, n, lam, integrator_tol), CATALOG, tol)
+    return _evaluate(_kernel_cache(p, n, lam, integrator_tol), CATALOG, tol)

@@ -301,6 +301,15 @@ class _PieceTable(NamedTuple):
         return y.T
 
 
+def _on_domain(t: np.ndarray, length: float) -> np.ndarray:
+    """The points t read on [0, length]: those within 1e-12 (1 + length) of it
+    at the nearest end; any other point, NaN included, raises ``DomainError``."""
+    slack = 1e-12 * (1.0 + length)
+    if t.size and not (-slack <= t.min() and t.max() <= length + slack):
+        raise DomainError(f"evaluation point outside [0, {length}]")
+    return t.clip(0.0, length)
+
+
 @dataclass(eq=False)
 class SolutionBasis:
     """Normalized solution pair for one (potential, lambda).
@@ -312,12 +321,15 @@ class SolutionBasis:
 
     ``_node_states`` memoizes the states at equally spaced nodes, keyed by
     their number of pieces, so every kernel table on one grid reads one
-    ``trajectory`` call; ``_extrema`` holds kernel extremes on such grids and
-    on the families derived from them, keyed by (family, n, bc) (see
-    ``identities._KernelCache``). The node memo keeps at most ``_NODE_GRIDS``
-    grids and ``_NODE_STATES`` nodes per basis (128 KB, so 32 MB over the
-    cache's 256 bases), dropping the least recently used; a larger grid is
-    evaluated on every call. Both die with the basis, which ``clear_cache`` drops.
+    ``trajectory`` call; ``_kernels`` memoizes the kernel workspace on such a
+    grid (``identities._KernelCache``: the derived families' states, branch
+    matrices and kernel extremes), keyed the same way, so the identity
+    catalog and the comparison checks at one (p, lambda, n) share one. Each
+    memo keeps at most ``_NODE_GRIDS`` grids and ``_NODE_STATES`` base nodes
+    per basis (node states 128 KB and workspace states three times that, so
+    128 MB at most over the cache's 256 bases), dropping the least recently
+    used; a larger grid is made on every call.
+    Both die with the basis, which ``clear_cache`` drops.
     """
 
     lam: float
@@ -330,7 +342,7 @@ class SolutionBasis:
     _edges: np.ndarray = field(repr=False)
     _pieces: _PieceTable = field(repr=False)
     _nodes: OrderedDict = field(default_factory=OrderedDict, repr=False)
-    _extrema: dict = field(default_factory=dict, repr=False)
+    _kernels: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     @property
     def monodromy(self) -> np.ndarray:
@@ -349,29 +361,34 @@ class SolutionBasis:
         end) is read from the later piece, at its start state.
         """
         t = np.asarray(t, dtype=float)
-        tt = t.ravel()
-        slack = 1e-12 * (1.0 + self.length)
-        if tt.size and not (-slack <= tt.min() and tt.max() <= self.length + slack):
-            raise DomainError(f"evaluation point outside [0, {self.length}]")
-        return self._pieces.read(tt.clip(0.0, self.length)).reshape((4, *t.shape))
+        return self._pieces.read(_on_domain(t.ravel(), self.length)).reshape((4, *t.shape))
 
     def _node_states(self, pieces: int) -> np.ndarray:
         """Read-only states at the nodes of ``np.linspace(0, length, pieces + 1)``,
         memoized per ``pieces``."""
+        def read():
+            states = self.trajectory(np.linspace(0.0, self.length, pieces + 1))
+            states.flags.writeable = False
+            return states
+        return self._memo(self._nodes, pieces, read)
+
+    def _memo(self, memo: OrderedDict, pieces: int, make):
+        """``make()`` memoized in ``memo`` under the grid's ``pieces``: at most
+        ``_NODE_GRIDS`` grids of ``_NODE_STATES`` nodes in all, least recently
+        used first out. When two threads miss at once, both get the value
+        stored first."""
         with _CACHE_LOCK:
-            hit = self._nodes.get(pieces)
+            hit = memo.get(pieces)
             if hit is not None:
-                self._nodes.move_to_end(pieces)
+                memo.move_to_end(pieces)
                 return hit
-        states = self.trajectory(np.linspace(0.0, self.length, pieces + 1))
-        states.flags.writeable = False
-        if states.shape[1] <= _NODE_STATES:
+        value = make()
+        if pieces + 1 <= _NODE_STATES:
             with _CACHE_LOCK:
-                self._nodes[pieces] = states
-                while (len(self._nodes) > _NODE_GRIDS
-                       or sum(v.shape[1] for v in self._nodes.values()) > _NODE_STATES):
-                    self._nodes.popitem(last=False)
-        return states
+                value = memo.setdefault(pieces, value)
+                while len(memo) > _NODE_GRIDS or sum(k + 1 for k in memo) > _NODE_STATES:
+                    memo.popitem(last=False)
+        return value
 
     def wronskian(self, t) -> float:
         y = self.trajectory(t)
@@ -381,8 +398,8 @@ class SolutionBasis:
 _CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _CACHE_MAX = 256
-# Node-state memo of each basis: a kernel check reads one grid of a basis,
-# of n + 1 nodes (4096 nodes hold n up to 4095).
+# Node-state and workspace memos of each basis: a kernel check reads one grid
+# of a basis, of n + 1 nodes (4096 nodes hold n up to 4095).
 _NODE_GRIDS = 4
 _NODE_STATES = 4096
 

@@ -11,7 +11,7 @@ directly (``test_identities.test_derived_families_match_direct_integration``).
 import numpy as np
 
 from hillgreen.greens import BoundaryCondition, GreensFunction, _branch_matrices, _factors
-from hillgreen.identities import _FAMILIES, _KernelCache
+from hillgreen.identities import _FAMILIES, _kernel_cache
 from hillgreen.integrator import DEFAULT_TOL
 
 
@@ -20,7 +20,7 @@ def family_green(p, lam, family, bc, n, tol=DEFAULT_TOL):
     family's nodes 0..min(2n, pieces), the only ones the catalog reads, as a
     GreensFunction without branches. Raises ResonanceError as build_green does.
     """
-    cache = _KernelCache(p, n, lam, tol)
+    cache = _kernel_cache(p, n, lam, tol)
     M, states = cache.families[family]
     bc = BoundaryCondition.parse(bc)
     k_low, k_up, _ = _branch_matrices(M, float(lam), bc)

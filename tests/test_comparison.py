@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,19 +9,23 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from hillgreen import (
+    DEFAULT_TOL,
     BoundaryCondition,
     Potential,
     build_green,
     classify_sign,
     clear_cache,
     find_eigenvalues,
+    fundamental_solutions,
     load_builtin,
     predicted_sign_interval,
     sign_threshold_consistency,
     solve_bvp,
     table_slice,
+    verify_all,
+    verify_identity,
 )
-from hillgreen import identities
+from hillgreen import identities, integrator
 from hillgreen.comparison import (
     COMPARISON_THEOREMS,
     DOMINANCE_RELATIONS,
@@ -31,8 +37,10 @@ from hillgreen.comparison import (
     zero_set_check,
 )
 from hillgreen.errors import HypothesisNotMet, ResonanceError
+from hillgreen.greens import _node_extrema
 
 from families import family_green
+from test_identities import _GENERATED
 
 PI = math.pi
 HALF_PI_SQ = (PI / 2) ** 2
@@ -468,6 +476,136 @@ def test_kernel_checks_build_no_tables(cos_pi, build_green_calls):
     # the fixture does count the library's own calls
     assert verify_monotonicity(cos_pi, -2.0, "N", n=10)["pass"]
     assert build_green_calls == [BoundaryCondition.NEUMANN] * 2
+
+
+# -- one kernel workspace per (basis, n) -----------------------------------
+
+def _comparison_outcomes(p, lam, n):
+    """Every dominance relation and every solution theorem, with (1, 1/2) as forcings."""
+    return ([_outcome(verify_dominance, p, lam, rel, n) for rel in DOMINANCE_RELATIONS]
+            + [_outcome(verify_solution_comparison, p, lam, thm, 1.0, 0.5, n)
+               for thm in COMPARISON_THEOREMS])
+
+
+def _assert_order_free(p, lam, n):
+    # the comparisons read the same reports whether or not the catalog pass
+    # recorded kernel extremes first, and what it recorded is _node_extrema's
+    clear_cache()
+    alone = _comparison_outcomes(p, lam, n)
+    clear_cache()
+    verify_all(p, lam, n=n)
+    cache = identities._kernel_cache(p, n, lam, DEFAULT_TOL)
+    recorded = dict(cache._extrema)
+    assert _comparison_outcomes(p, lam, n) == alone
+    for (family, bc), extremes in recorded.items():
+        want = _node_extrema(cache.families[family][1], *cache._branches(family, bc))
+        assert [x.hex() for x in extremes] == [x.hex() for x in want], (family, bc)
+    return recorded
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+@pytest.mark.parametrize("lam", [-0.36, 0.3, 2.0])
+def test_comparisons_do_not_depend_on_call_order(name, lam):
+    recorded = _assert_order_free(load_builtin(name), lam, n=30)
+    assert set(recorded) == {("base", bc) for bc in ("N", "D", "M1", "M2")} | {("even2", "P")}
+
+
+@settings(max_examples=5, deadline=None)
+@given(_GENERATED, st.floats(-1.5, 3.0))
+def test_comparisons_do_not_depend_on_call_order_generated(p, lam):
+    _assert_order_free(p, lam, n=12)
+
+
+@pytest.fixture
+def workspace_builds(monkeypatch):
+    """n of every kernel workspace built in the test, from an empty cache."""
+    clear_cache()
+    calls = []
+    original = identities._KernelCache.__init__
+
+    def counting(self, basis, n):
+        calls.append(n)
+        original(self, basis, n)
+
+    monkeypatch.setattr(identities._KernelCache, "__init__", counting)
+    return calls
+
+
+def test_catalog_and_comparisons_share_one_workspace(cos_pi, workspace_builds):
+    verify_all(cos_pi, -0.36, n=40)
+    for rel in DOMINANCE_RELATIONS:
+        _outcome(verify_dominance, cos_pi, -0.36, rel, 40)
+    assert verify_solution_comparison(cos_pi, -0.36, "nd_nonneg", 1.0, 0.5, n=40)["pass"]
+    verify_identity("NP", cos_pi, -0.36, n=40)
+    assert workspace_builds == [40]
+    # another n has its own; clear_cache drops both with the basis
+    verify_identity("NP", cos_pi, -0.36, n=20)
+    verify_all(cos_pi, -0.36, n=40)
+    assert workspace_builds == [40, 20]
+    clear_cache()
+    verify_all(cos_pi, -0.36, n=40)
+    assert workspace_builds == [40, 20, 40]
+
+
+def test_catalog_extremes_serve_the_hypotheses(cos_pi, monkeypatch):
+    # verify_all records the extremes of the base Neumann kernel and of the
+    # extension's periodic one, so after it only the extension's Neumann (nm1)
+    # and Dirichlet (m2d) hypotheses take a pass of their own, on 2n + 1 nodes
+    calls = []
+    original = identities._node_extrema
+    monkeypatch.setattr(identities, "_node_extrema",
+                        lambda states, *k: calls.append(states.shape[1]) or original(states, *k))
+    clear_cache()
+    verify_all(cos_pi, -0.36, n=40)
+    assert calls == []
+    for rel in DOMINANCE_RELATIONS:
+        _outcome(verify_dominance, cos_pi, -0.36, rel, 40)
+    assert calls == [81, 81]
+
+
+def test_workspace_memo_is_bounded(cos_pi):
+    clear_cache()
+    basis = fundamental_solutions(cos_pi, 0.29)
+    grids = integrator._NODE_GRIDS
+    for n in range(1, grids + 3):
+        identities._kernel_cache(cos_pi, n, 0.29, DEFAULT_TOL)
+    assert list(basis._kernels) == list(range(3, grids + 3))
+    # a hit becomes the most recently used
+    identities._kernel_cache(cos_pi, 3, 0.29, DEFAULT_TOL)
+    kept = [*range(4, grids + 3), 3]
+    assert list(basis._kernels) == kept
+    # the node total is bounded as well: this grid fills it with kept[2:] alone
+    big = integrator._NODE_STATES - 1 - sum(n + 1 for n in kept[2:])
+    identities._kernel_cache(cos_pi, big, 0.29, DEFAULT_TOL)
+    assert list(basis._kernels) == [*kept[2:], big]
+    # a grid beyond the node total is built on every call and kept by none
+    assert (identities._kernel_cache(cos_pi, integrator._NODE_STATES, 0.29, DEFAULT_TOL)
+            is not identities._kernel_cache(cos_pi, integrator._NODE_STATES, 0.29, DEFAULT_TOL))
+    assert list(basis._kernels) == [*kept[2:], big]
+
+
+def test_threads_on_one_basis_read_one_workspace(cos_pi):
+    clear_cache()
+    want = _comparison_outcomes(cos_pi, -0.36, 40)
+    clear_cache()
+    results = {}
+
+    def work(k):
+        results[k] = _comparison_outcomes(cos_pi, -0.36, 40)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(k) for k in range(4)] == [want] * 4
+    assert list(fundamental_solutions(cos_pi, -0.36)._kernels) == [40]
 
 
 @pytest.mark.parametrize("bc,lam,expected", [

@@ -346,6 +346,17 @@ def test_bvp_solution_outside_domain_raises(cos_pi):
         u(np.array([0.5, math.pi + 0.1]))
 
 
+def test_closed_form_kernel_checks_its_domain():
+    # the domain rule of an integrated kernel: off [0, 1], NaN included, is
+    # refused; within rounding of an end the end is read
+    G = closed_form_constant(1.3, 1.0, "N", n=10)
+    for t, s in ((5.0, 0.2), (-3.0, 0.5), (math.nan, 0.2)):
+        with pytest.raises(DomainError, match="outside"):
+            G.value(t, s)
+    assert G.value(1.0 + 1e-13, 0.2) == G.value(1.0, 0.2)
+    assert G.value(0.3, -1e-13) == G.value(0.3, 0.0)
+
+
 NAN_CALLS = {
     "potential_scalar": lambda p: p.eval(math.nan),
     "potential_array": lambda p: p.eval([0.1, math.nan]),

@@ -324,7 +324,7 @@ def test_verify_all_forms_each_distinct_block_once_per_slice(cos_pi, monkeypatch
 
     monkeypatch.setattr(identities, "_node_block", counting)
     verify_all(cos_pi, 0.29, n=40)
-    assert len(calls) <= 20
+    assert len(calls) == 20
     assert max(calls) <= 64
 
 
