@@ -106,12 +106,15 @@ def _branch_matrices(M: np.ndarray, lam: float, bc: BoundaryCondition):
         eps = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
         A = eps * eye - M
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if abs(det) < RESONANCE_RTOL * scale:
+        try:
+            C = None if abs(det) < RESONANCE_RTOL * scale else np.linalg.solve(A, M)
+        except np.linalg.LinAlgError:  # singular to working precision: resonant as well
+            C = None
+        if C is None:
             raise ResonanceError(
                 f"{bc.name.lower()} condition is resonant at lambda={lam}: "
                 f"det(eps*I - M) = {det:.3e}",
                 determinant=float(det), bc=bc, lam=lam)
-        C = np.linalg.solve(A, M)
         return C + eye, C, abs(det) / scale
 
     # l picks the solution meeting the condition at 0 (y1 where u' vanishes,
@@ -258,9 +261,9 @@ class GreensFunction:
         Path(path).write_text(self.csv_text())
 
 
-def _branch_select(t_idx: np.ndarray, s_idx: np.ndarray, low, up, mask=None) -> np.ndarray:
+def _branch_select(t_idx: np.ndarray, s_idx: np.ndarray, low, up) -> np.ndarray:
     """Kernel values at node pairs (t_idx[i], s_idx[j]), each from the branch
-    that s <= t (``mask``, if given) selects by node index, so mapped
+    that s <= t selects by node index, so mapped
     arguments on compatible grids stay exact.  ``up()`` gives the upper branch
     as a fresh array and ``low()`` the lower; a one-sided block needs one."""
     if not (t_idx.size and s_idx.size) or s_idx.max() <= t_idx.min():
@@ -268,7 +271,7 @@ def _branch_select(t_idx: np.ndarray, s_idx: np.ndarray, low, up, mask=None) -> 
     out = up()
     if s_idx.min() > t_idx.max():
         return out
-    np.copyto(out, low(), where=s_idx[None, :] <= t_idx[:, None] if mask is None else mask)
+    np.copyto(out, low(), where=s_idx[None, :] <= t_idx[:, None])
     return out
 
 
@@ -281,11 +284,11 @@ def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
 
 
 def _node_block(rows_low: np.ndarray, rows_up: np.ndarray, B: np.ndarray,
-                t_idx: np.ndarray, s_idx: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+                t_idx: np.ndarray, s_idx: np.ndarray) -> np.ndarray:
     """Kernel values G(x[t_idx[i]], x[s_idx[j]]) straight from the rank-2 factors:
     ``rows_low`` and ``rows_up`` hold row(t) . K of each branch at the t nodes,
     ``B`` holds col(s) at the s nodes (see ``_factors``)."""
-    return _branch_select(t_idx, s_idx, lambda: rows_low @ B, lambda: rows_up @ B, mask)
+    return _branch_select(t_idx, s_idx, lambda: rows_low @ B, lambda: rows_up @ B)
 
 
 _SLICE_ROWS = 64
@@ -307,7 +310,9 @@ def _node_extrema(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray):
     """(min, max) of the kernel over every node of ``states`` (the
     ``basis.trajectory`` of the nodes), in ``_row_slices`` each formed left
     of, on and right of the diagonal: only the square on it takes both
-    branches, no full table is held, and the extremes are the whole table's."""
+    branches, no full table is held, and the extremes are the whole table's.
+    Stacks of branch matrices, of shape (m, 2, 2), give m kernels' extremes
+    as two arrays from one pass."""
     A, B = _factors(states, states)
     rows_low, rows_up = A.T @ k_low, A.T @ k_up
     nodes = np.arange(B.shape[1])
@@ -315,10 +320,27 @@ def _node_extrema(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray):
     for t in _row_slices(nodes.size):
         for s in (slice(0, t.start), t, slice(t.stop, nodes.size)):
             if s.stop > s.start:
-                block = _node_block(rows_low[t], rows_up[t], B[:, s], nodes[t], nodes[s])
-                lo.append(np.min(block))
-                hi.append(np.max(block))
-    return float(np.min(lo)), float(np.max(hi))
+                block = _node_block(rows_low[..., t, :], rows_up[..., t, :], B[:, s],
+                                    nodes[t], nodes[s])
+                lo.append(np.min(block, axis=(-2, -1)))
+                hi.append(np.max(block, axis=(-2, -1)))
+    lo, hi = np.min(lo, axis=0), np.max(hi, axis=0)
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
+
+
+def _separated_extrema(states: np.ndarray, k_low: np.ndarray):
+    """(min, max) of a separated kernel over every node of ``states``, in O(n).
+
+    Its lower branch matrix has one nonzero column q (``_branch_matrices``),
+    so G(t_i, s_j) = a_i b_j for s_j <= t_i, with a = row . k_low[:, q] and b
+    the q-th entry of col.  The kernel is symmetric, so the extremes over that
+    triangle, from the prefix extremes of b, are the whole table's.
+    """
+    A, B = _factors(states, states)
+    q = int(np.argmax(np.abs(k_low).sum(axis=0)))
+    a, b = A.T @ k_low[:, q], B[q]
+    ends = np.concatenate([a * np.minimum.accumulate(b), a * np.maximum.accumulate(b)])
+    return float(np.min(ends)), float(np.max(ends))
 
 
 def _max_abs(vals: np.ndarray) -> float:

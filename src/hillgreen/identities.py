@@ -10,22 +10,22 @@ the extended and reflected potentials directly.  One such workspace per
 (solution basis, n), memoized on the basis, serves the catalog and the
 dominance and solution comparison checks alike.
 
-Evaluation is node exact: the base grid t_i = i T/n embeds into the 2T
-grid (2n pieces) and the 4T grid (4n pieces) with identical spacing, so a
-transformed argument such as 2T - t lands exactly on node 2n - i and no
-interpolation enters the residual.  A term is read straight from the
-kernel's rank-2 factors, G(t, s) = row(t) . K . col(s): the solution states
-at the family's grid nodes (the same ``np.linspace`` nodes as
-``build_green``, memoized by the basis) give row and col.  The catalog is
-evaluated in one pass over row slices of each comparison grid: per slice
-every distinct term block is formed once, each side sums its blocks with
-their coefficients (+-1, 2 and 4, so every step is exact), and only the
-running extremes of the left side and of the difference are kept, so
-neither a full kernel table nor a whole side is ever held.
+A term reads row(t) X_t K J X_s^T row(s)^T: row = (y1, y2) of the base
+basis, K the branch the mapped pair selects, J = [[0, -1], [1, 0]] and X
+the 2x2 factor taking a base row to its family's (``_FAMILIES``).  On each
+cell of the grid where every term keeps its branch and factors, an identity
+is one 2x2 matrix Q, zero in exact arithmetic; ``_KernelCache.bound``
+bounds the node residual by |Q| plus a rounding term.  A bound within the
+tolerance passes the identity and is its reported ``residual``.  Otherwise
+(at large negative lambda, where the terms cancel catastrophically) the
+identity is evaluated at every node pair, in 64-row slices, and
+``residual`` is the node residual.  The base grid t_i = i T/n embeds into
+the 2T and 4T grids with identical spacing, so 2T - t lands on node 2n - i.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .greens import (BoundaryCondition, _branch_matrices, _check_n, _factors, _max_abs,
-                     _node_block, _node_extrema, _row_slices)
+                     _node_block, _node_extrema, _row_slices, _separated_extrema)
 from .integrator import DEFAULT_TOL, SolutionBasis, fundamental_solutions
 from .potential import Potential
 
@@ -250,10 +250,10 @@ class _KernelCache:
     (monodromy, states at its grid nodes 0..min(2n, pieces)), the nodes
     ``build_green`` would use and the only ones an argument map reaches; per
     (family, bc) ``_matrices`` holds the branch matrices (k_low, k_up) and
-    ``_extrema`` the kernel's (min, max) over the family's nodes, recorded
-    by the catalog pass or formed by ``extrema``.  A resonant kernel raises
-    on every request.  Threads share a workspace; its dicts are filled check
-    then set, so a race forms one value twice, the same value.
+    ``_extrema`` the kernel's (min, max) over the family's nodes, formed by
+    ``extrema``.  A resonant kernel raises on every request.  Threads share a
+    workspace; its dicts are filled check then set, so a race forms one value
+    twice, the same value.
     """
 
     def __init__(self, basis: SolutionBasis, n: int):
@@ -261,13 +261,22 @@ class _KernelCache:
         self.lam = basis.lam
         self.L = basis.length
         M, S = basis.monodromy, basis._node_states(n)
-        R = np.linalg.solve(M, _D)
+        try:
+            R = np.linalg.solve(M, _D)
+        except np.linalg.LinAlgError:  # singular in floating point; det M = 1 (Liouville)
+            R = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) @ _D
         C = R @ M
         even = np.concatenate([S, _mirrored(S[:, -2::-1], C)], axis=1)
         M2 = _D @ C
-        self.families = {"base": (M, S), "even2": (M2, even),
-                         "even4": (_D @ np.linalg.solve(M2, _D) @ M2, even),
+        # C is an involution, so M2^-1 D = C and the doubled extension needs
+        # no solve with M2, which is singular in floating point at large -lambda
+        self.families = {"base": (M, S), "even2": (M2, even), "even4": (_D @ C @ M2, even),
                          "refl": (_D @ R, _mirrored(S[:, ::-1], R))}
+        # X with row_family(k) = row(base node) X, for nodes k up to T and past T
+        one = np.eye(2)
+        self._row_factors = {"base": (one, one), "even2": (one, C), "even4": (one, C),
+                             "refl": (R, R)}
+        self._row_max = float(np.max(S[0] ** 2 + S[2] ** 2))
         self._matrices: dict = {}
         self._extrema: dict = {}
 
@@ -293,12 +302,53 @@ class _KernelCache:
         return A.T @ k_low, A.T @ k_up, B, t_idx, s_idx
 
     def extrema(self, family: str, bc: str) -> tuple[float, float]:
-        """(min, max) of G_bc[family] over the family's nodes."""
+        """(min, max) of G_bc[family] over the family's nodes: from the rank-1
+        factors of a separated kernel, from one pass over a coupled one."""
         k_low, k_up = self._branches(family, bc)
         key = (family, bc)
         if key not in self._extrema:
-            self._extrema[key] = _node_extrema(self.families[family][1], k_low, k_up)
+            states = self.families[family][1]
+            self._extrema[key] = (_node_extrema(states, k_low, k_up)
+                                  if BoundaryCondition.parse(bc).is_coupled
+                                  else _separated_extrema(states, k_low))
         return self._extrema[key]
+
+    def lhs_scales(self, idents) -> list[float]:
+        """max |lhs| of each identity over its grid.  A one-term left side is
+        one kernel read through a bijection of its family's nodes (id or rT
+        maps); the longer ones sum id-mapped base kernels and share one pass."""
+        summed, extremes = [ident for ident in idents if len(ident.lhs) > 1], {}
+        if summed:
+            k = np.array([[sum(t.coef * self._branches(t.family, t.bc)[b] for t in ident.lhs)
+                           for b in (0, 1)] for ident in summed])
+            extremes = dict(zip(summed, zip(*_node_extrema(self.families["base"][1],
+                                                           k[:, 0], k[:, 1]))))
+        return [_max_abs(extremes[ident] if len(ident.lhs) > 1 else
+                         self.extrema(ident.lhs[0].family, ident.lhs[0].bc)) for ident in idents]
+
+    def bound(self, ident: Identity, memo: dict) -> float:
+        """A bound on the node residual ``_node_report`` would find: max |row|^2
+        times the largest, over the cells of ``_CELLS``, |Q| + 16 eps sum |coef|
+        |X_t| |K| |X_s| (Frobenius norms), the second term for the rounding of
+        terms that cancel to Q.  ``memo`` keeps each term's matrix."""
+        worst = 0.0
+        for x, y in _CELLS[ident.domain]:
+            Q, weight = (0.0,) * 4, 0.0
+            for sign, terms in ((1.0, ident.lhs), (-1.0, ident.rhs)):
+                for term in terms:
+                    t, s = _MAPS[term.tmap](x, 1), _MAPS[term.smap](y, 1)
+                    key = (term.family, term.bc, t > 1, s > 1, s <= t)
+                    if key not in memo:
+                        Xt, Xs = (self._row_factors[term.family][past] for past in key[2:4])
+                        K = self._branches(term.family, term.bc)[0 if key[4] else 1]
+                        memo[key] = (tuple((Xt @ K @ _J @ Xs.T).ravel().tolist()),
+                                     float(np.linalg.norm(Xt) * np.linalg.norm(K)
+                                           * np.linalg.norm(Xs)))
+                    P, norms = memo[key]
+                    Q = tuple(q + sign * term.coef * p for q, p in zip(Q, P))
+                    weight += abs(term.coef) * norms
+            worst = max(worst, math.hypot(*Q) + 16 * math.ulp(1.0) * weight)
+        return worst * self._row_max
 
 
 def _kernel_cache(p: Potential, n: int, lam: float, tol: float) -> _KernelCache:
@@ -315,6 +365,14 @@ _MAPS = {"id": lambda i, n: i, "r2": lambda i, n: 2 * n - i, "rT": lambda i, n: 
 _kernel = attrgetter("family", "bc", "tmap", "smap")
 # D of the family rules: t -> c - t keeps a solution's value and flips its slope.
 _D = np.diag([1.0, -1.0])
+# col(s) = J row(s)^T
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+# A node pair (in units of n) inside each cell of a grid: the triangles below
+# and above the diagonal of [0, n]^2; on [0, 2n]^2, those of the two diagonal
+# quadrants and the two other quadrants (an argument past T takes C).
+_CELLS = {"base": ((2 / 3, 1 / 3), (1 / 3, 2 / 3)),
+          "even2": ((2 / 3, 1 / 3), (1 / 3, 2 / 3), (5 / 3, 4 / 3), (4 / 3, 5 / 3),
+                    (3 / 2, 1 / 2), (1 / 2, 3 / 2))}
 
 
 def _mirrored(states: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -322,62 +380,46 @@ def _mirrored(states: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.kron(X.T, _D) @ states
 
 
-def _side(terms, blocks: dict) -> np.ndarray:
-    """Sum of coef * block over the terms (coefficients +-1, 2, 4: each step exact)."""
-    total = None
-    for term in terms:
-        block = blocks[_kernel(term)]
-        if term.coef == -1 and total is not None:
-            total = total - block
-        else:
-            block = block if term.coef == 1 else term.coef * block
-            total = block if total is None else total + block
-    return total
-
-
-def _slice_extrema(group, kernels: dict, t: slice) -> np.ndarray:
-    """(min, max) of each identity's lhs and of its lhs - rhs over the rows
-    ``t``, each distinct kernel block and each argument-map mask made once."""
-    maps = {key[2:]: factors[3:] for key, factors in kernels.items()}
-    masks = {m: s_idx <= t_idx[t, None] for m, (t_idx, s_idx) in maps.items()}
-    blocks = {key: _node_block(rows_low[t], rows_up[t], B, t_idx[t], s_idx, masks[key[2:]])
-              for key, (rows_low, rows_up, B, t_idx, s_idx) in kernels.items()}
-    out = np.empty((len(group), 4))
-    for k, ident in enumerate(group):
-        lhs = _side(ident.lhs, blocks)
-        diff = lhs - _side(ident.rhs, blocks)
-        out[k] = np.min(lhs), np.max(lhs), np.min(diff), np.max(diff)
-    return out
+def _node_report(cache: _KernelCache, ident: Identity, tol: float) -> IdentityReport:
+    """The identity evaluated at every node pair of its grid, one row slice at
+    a time, each term read from its kernel's rank-2 factors."""
+    idx = np.arange(cache.n + 1 if ident.domain == "base" else 2 * cache.n + 1)
+    kernels = {key: cache.factors(idx, *key)
+               for key in dict.fromkeys(_kernel(term) for term in ident.lhs + ident.rhs)}
+    ext = []
+    for t in _row_slices(idx.size):
+        blocks = {key: _node_block(rows_low[t], rows_up[t], B, t_idx[t], s_idx)
+                  for key, (rows_low, rows_up, B, t_idx, s_idx) in kernels.items()}
+        # coefficients +-1, 2 and 4 make every step of each sum exact
+        lhs = sum(term.coef * blocks[_kernel(term)] for term in ident.lhs)
+        diff = lhs - sum(term.coef * blocks[_kernel(term)] for term in ident.rhs)
+        ext.append((np.min(lhs), np.max(lhs), np.min(diff), np.max(diff)))
+    ext = np.array(ext)
+    scale, residual = _max_abs(ext[:, :2]), _max_abs(ext[:, 2:])
+    return IdentityReport(ident.name, cache.n, residual, scale, tol,
+                          passed=residual <= tol * max(1.0, scale))
 
 
 def _evaluate(cache: _KernelCache, idents, tol: float) -> list[IdentityReport]:
     """One report per identity: a skip named by its first resonant term (lhs
-    before rhs), else its residual from one pass over its grid's row slices."""
-    reports = {}
+    before rhs); a pass with the certified bound as its residual when the
+    bound meets the tolerance; else the node evaluation of ``_node_report``."""
+    reports, live = {}, []
     for ident in idents:
         try:
             for term in ident.lhs + ident.rhs:
                 cache._branches(term.family, term.bc)
+            live.append(ident)
         except ResonanceError as exc:
             reports[ident.name] = IdentityReport(ident.name, cache.n, float("nan"),
                                                  float("nan"), tol, passed=None,
                                                  skipped=True, reason=str(exc))
-    for domain, size in (("base", cache.n + 1), ("even2", 2 * cache.n + 1)):
-        group = [ident for ident in idents if ident.domain == domain and ident.name not in reports]
-        idx = np.arange(size)
-        keys = dict.fromkeys(_kernel(term) for ident in group for term in ident.lhs + ident.rhs)
-        kernels = {key: cache.factors(idx, *key) for key in keys}
-        ext = np.stack([_slice_extrema(group, kernels, t) for t in _row_slices(size)], axis=2)
-        for k, ident in enumerate(group):
-            scale, residual = _max_abs(ext[k, :2]), _max_abs(ext[k, 2:])
-            reports[ident.name] = IdentityReport(ident.name, cache.n, residual, scale, tol,
-                                                 passed=residual <= tol * max(1.0, scale))
-            # a left side that is one kernel over all its family's nodes gives its extremes
-            lhs = ident.lhs[0]
-            if ident.lhs == (Term(1, lhs.family, lhs.bc),) and \
-                    cache.families[lhs.family][1].shape[1] == size:
-                cache._extrema.setdefault((lhs.family, lhs.bc),
-                                          (float(np.min(ext[k, 0])), float(np.max(ext[k, 1]))))
+    memo = {}
+    for ident, scale in zip(live, cache.lhs_scales(live)):
+        bound = cache.bound(ident, memo)
+        reports[ident.name] = (IdentityReport(ident.name, cache.n, bound, scale, tol, passed=True)
+                               if bound <= tol * max(1.0, scale) else
+                               _node_report(cache, ident, tol))
     return [reports[ident.name] for ident in idents]
 
 

@@ -22,7 +22,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 
@@ -110,6 +109,9 @@ class TablePiece(_Piece):
 
     @cached_property
     def _interp(self):
+        # imported on first use: it is slow to import, and only table pieces need it
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(np.asarray(self.xs), np.asarray(self.ys))
 
     def values(self, t: np.ndarray) -> np.ndarray:

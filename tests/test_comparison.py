@@ -365,11 +365,33 @@ def _outcome(fn, *args):
         return ("ResonanceError", exc.bc, exc.lam, exc.determinant)
 
 
+# hypothesis kernel -> (family, bc) in the kernel workspace
+_HYPOTHESIS_KERNEL = {"P2": ("even2", "P"), "N2": ("even2", "N"), "D2": ("even2", "D"),
+                      "NBASE": ("base", "N")}
+
+
+def _rank1_slack(cache, family, bc):
+    """How far a separated kernel's extremes from its rank-1 factors and from
+    its table may part: both round products of size max |row|^2 |K|, which
+    cancel where the kernel is small (parted by up to 0.18 eps times that)."""
+    states = cache.families[family][1]
+    rows = float(np.max(states[0] ** 2 + states[2] ** 2))
+    return 16 * math.ulp(1.0) * rows * float(np.linalg.norm(cache._branches(family, bc)[0]))
+
+
 def _assert_dominance_matches_reference(p, lam, n):
     for relation in DOMINANCE_RELATIONS:
         got = _outcome(verify_dominance, p, lam, relation, n)
         want = _outcome(_reference_dominance, p, lam, relation, n)
-        assert got == want, relation
+        family, bc = _HYPOTHESIS_KERNEL[DOMINANCE_RELATIONS[relation][0]]
+        if bc != "P" and isinstance(got, tuple) and got[0] == "HypothesisNotMet":
+            # a separated kernel's extremes come from its rank-1 factors, which
+            # round otherwise than its table
+            cache = identities._kernel_cache(p, n, lam, DEFAULT_TOL)
+            assert got[:2] == want[:2], relation
+            assert abs(got[2] - want[2]) <= _rank1_slack(cache, family, bc), relation
+        else:
+            assert got == want, relation
 
 
 # n = 100 gives 201 extension rows: the extremes are read over three full
@@ -423,6 +445,9 @@ def test_failed_dominance_hypothesis_forms_no_whole_table(cos_pi):
               st.floats(0.5, 3.0)).map(
         lambda c: Potential.cosine(c[0], c0=c[1], c1=c[2], omega=c[3]))),
     st.floats(-1.5, 3.0))
+# the extension's N kernel: its rank-1 and table maxima part by 1.3e-13 relative
+@example(Potential.cosine(2.960832270272661, c1=1.8391118525777364, omega=1.1032198171114473),
+         -0.25)
 def test_dominance_matches_whole_tables_generated(p, lam):
     _assert_dominance_matches_reference(p, lam, n=12)
 
@@ -489,7 +514,9 @@ def _comparison_outcomes(p, lam, n):
 
 def _assert_order_free(p, lam, n):
     # the comparisons read the same reports whether or not the catalog pass
-    # recorded kernel extremes first, and what it recorded is _node_extrema's
+    # recorded kernel extremes first; what it recorded is _node_extrema's, bit
+    # for bit for a coupled kernel, to rounding from a separated one's rank-1
+    # factors
     clear_cache()
     alone = _comparison_outcomes(p, lam, n)
     clear_cache()
@@ -499,7 +526,11 @@ def _assert_order_free(p, lam, n):
     assert _comparison_outcomes(p, lam, n) == alone
     for (family, bc), extremes in recorded.items():
         want = _node_extrema(cache.families[family][1], *cache._branches(family, bc))
-        assert [x.hex() for x in extremes] == [x.hex() for x in want], (family, bc)
+        if BoundaryCondition.parse(bc).is_coupled:
+            assert [x.hex() for x in extremes] == [x.hex() for x in want], (family, bc)
+        else:
+            err = max(abs(x - y) for x, y in zip(extremes, want))
+            assert err <= _rank1_slack(cache, family, bc), (family, bc)
     return recorded
 
 
@@ -548,19 +579,20 @@ def test_catalog_and_comparisons_share_one_workspace(cos_pi, workspace_builds):
 
 
 def test_catalog_extremes_serve_the_hypotheses(cos_pi, monkeypatch):
-    # verify_all records the extremes of the base Neumann kernel and of the
-    # extension's periodic one, so after it only the extension's Neumann (nm1)
-    # and Dirichlet (m2d) hypotheses take a pass of their own, on 2n + 1 nodes
+    # verify_all records the extremes of the extension's periodic kernel, and
+    # the separated hypothesis kernels (the base Neumann kernel and the
+    # extension's Neumann and Dirichlet ones) take theirs from rank-1 factors,
+    # so after it no hypothesis takes a pass over the nodes
     calls = []
     original = identities._node_extrema
     monkeypatch.setattr(identities, "_node_extrema",
                         lambda states, *k: calls.append(states.shape[1]) or original(states, *k))
     clear_cache()
     verify_all(cos_pi, -0.36, n=40)
-    assert calls == []
+    assert calls == [41, 81]
     for rel in DOMINANCE_RELATIONS:
         _outcome(verify_dominance, cos_pi, -0.36, rel, 40)
-    assert calls == [81, 81]
+    assert calls == [41, 81]
 
 
 def test_workspace_memo_is_bounded(cos_pi):

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hillgreen import (
     BC_ALL,
     CATALOG,
+    COMPARISON_THEOREMS,
+    DOMINANCE_RELATIONS,
     IDENTITY_NAMES,
     BoundaryCondition,
     Potential,
@@ -16,10 +20,12 @@ from hillgreen import (
     load_builtin,
     table_slice,
     verify_all,
+    verify_dominance,
     verify_identity,
+    verify_solution_comparison,
 )
 from hillgreen import clear_cache, fundamental_solutions, identities, integrator
-from hillgreen.errors import ResonanceError
+from hillgreen.errors import HypothesisNotMet, ResonanceError
 
 from families import family_green
 
@@ -184,15 +190,25 @@ def _reference_reports(p, lam, n, tol=1e-6):
 
 
 def _assert_matches_reference(p, lam, n):
-    reports = verify_all(p, lam, n=n)
+    """verify_all against the full tables: verdict, skip and reason equal and
+    lhs_scale within 1e-12 relative.  A residual the filter certified bounds
+    the full-table one; one from the node evaluation equals it bit for bit,
+    its lhs_scale too, as every step of both is exact or the same rounding."""
+    with mock.patch.object(identities, "_node_report", wraps=identities._node_report) as node:
+        reports = verify_all(p, lam, n=n)
+    exact = {call.args[1].name for call in node.call_args_list}
     want = _reference_reports(p, lam, n)
     assert len(reports) == len(want)
     for rep, (name, residual, scale, passed, skipped, reason) in zip(reports, want):
         assert (rep.identity_id, rep.n, rep.tol, rep.passed, rep.skipped, rep.reason) == \
             (name, n, 1e-6, passed, skipped, reason)
-        if not skipped:
-            # every step of both evaluations is exact or the same rounding
+        if skipped:
+            continue
+        assert abs(rep.lhs_scale - scale) <= 1e-12 * scale, name
+        if name in exact:
             assert (rep.residual, rep.lhs_scale) == (residual, scale), name
+        else:
+            assert rep.residual >= residual, name
     return reports
 
 
@@ -312,20 +328,20 @@ def test_verify_all_integrates_only_the_base(monkeypatch):
     assert alone >= 1 and len(calls) == alone
 
 
-def test_verify_all_forms_each_distinct_block_once_per_slice(cos_pi, monkeypatch):
-    # 18 distinct (family, bc, tmap, smap) kernels: 16 on the base grid (41
-    # rows, one slice) and 2 on the extension's grid (81 rows, two slices)
-    calls = []
-    original = identities._node_block
-
-    def counting(*args):
-        calls.append(args[0].shape[0])
-        return original(*args)
-
-    monkeypatch.setattr(identities, "_node_block", counting)
-    verify_all(cos_pi, 0.29, n=40)
-    assert len(calls) == 20
-    assert max(calls) <= 64
+def test_certified_catalog_forms_no_node_block(cos_pi, monkeypatch):
+    # every identity is certified by its 2x2 algebra: no node block is formed,
+    # and the only node passes are one for the nine multi-term left sides
+    # together (41 base nodes) and one for the extension's periodic kernel,
+    # REFL's left side (81 nodes); the separated kernels take O(n) extremes
+    blocks, passes = [], []
+    monkeypatch.setattr(identities, "_node_block", lambda *args: blocks.append(1))
+    original = identities._node_extrema
+    monkeypatch.setattr(identities, "_node_extrema", lambda states, k_low, k_up: passes.append(
+        (states.shape[1], k_low.shape)) or original(states, k_low, k_up))
+    reports = verify_all(cos_pi, 0.29, n=40)
+    assert all(r.passed for r in reports)
+    assert blocks == []
+    assert passes == [(41, (9, 2, 2)), (81, (2, 2))]
 
 
 def test_verify_all_holds_no_whole_side(cos_pi):
@@ -356,3 +372,73 @@ def test_verify_identity_raises_the_skip_reason(zero1):
         else:
             assert verify_identity(rep.identity_id, zero1, 0.0, n=20) == rep
 
+
+
+# -- the certificate and its fallback ----------------------------------------
+
+@pytest.mark.parametrize("p,lam,name", [
+    pytest.param(load_builtin("ex3"), -5.0, "MREFL", id="MREFL-ex3"),
+    pytest.param(Potential.cosine(1.3, c0=0.4, c1=0.9, omega=2.1), -20.0, "REFL",
+                 id="REFL-cosine")])
+def test_declined_certificate_gives_the_node_evaluation(p, lam, name):
+    # the bound cannot decide here: the report is the node evaluation's, equal
+    # bit for bit to the full-table reference, residual and lhs_scale included
+    with mock.patch.object(identities, "_node_report", wraps=identities._node_report) as node:
+        rep = verify_identity(name, p, lam, n=60)
+    assert [call.args[1].name for call in node.call_args_list] == [name]
+    want = {r[0]: r for r in _reference_reports(p, lam, 60)}[name]
+    assert (rep.identity_id, rep.residual, rep.lhs_scale, rep.passed, rep.skipped, rep.reason) \
+        == want
+    assert rep.passed
+
+
+def _mutants(ident):
+    """The identity with one term's sign flipped, or one of its r2 maps made id."""
+    for side in ("lhs", "rhs"):
+        terms = getattr(ident, side)
+        for k, term in enumerate(terms):
+            changed = [replace(term, coef=-term.coef)]
+            changed += [replace(term, **{field: "id"}) for field in ("tmap", "smap")
+                        if getattr(term, field) == "r2"]
+            for new in changed:
+                yield replace(ident, **{side: terms[:k] + (new,) + terms[k + 1:]})
+
+
+@pytest.mark.parametrize("ident", CATALOG, ids=IDENTITY_NAMES)
+def test_mutated_identity_fails(cos_pi, ident):
+    cache = identities._kernel_cache(cos_pi, 40, 0.29, integrator.DEFAULT_TOL)
+    assert identities._evaluate(cache, (ident,), 1e-6)[0].passed
+    mutants = list(_mutants(ident))
+    assert len(mutants) >= len(ident.lhs) + len(ident.rhs)
+    for mutant in mutants:
+        rep = identities._evaluate(cache, (mutant,), 1e-6)[0]
+        assert not rep.passed and rep.residual > 1e-2, mutant
+
+
+@pytest.mark.parametrize("p,lam", [
+    # the extension's monodromy is singular in floating point
+    pytest.param(load_builtin("ex3"), -20.0, id="ex3"),
+    # the base monodromy is singular in floating point
+    pytest.param(load_builtin("ex4"), -80.0, id="ex4"),
+    # eps I - M of the doubled extension is singular in floating point
+    pytest.param(Potential.cosine(2.5, c0=0.5, c1=0.25, omega=2.5), -30.0, id="cosine")])
+def test_large_negative_lambda_raises_no_linalg_error(p, lam):
+    # the catalog and the comparison checks read a rounding-limited workspace
+    # here; each entry point reports, skips or raises a typed error
+    clear_cache()
+    assert len(verify_all(p, lam, n=60)) == len(CATALOG)
+    for name in IDENTITY_NAMES:
+        try:
+            verify_identity(name, p, lam, n=60)
+        except ResonanceError:
+            pass
+    for rel in DOMINANCE_RELATIONS:
+        try:
+            verify_dominance(p, lam, rel, n=60)
+        except HypothesisNotMet:
+            pass
+    for thm in COMPARISON_THEOREMS:
+        try:
+            verify_solution_comparison(p, lam, thm, 1.0, 0.5, n=60)
+        except HypothesisNotMet:
+            pass

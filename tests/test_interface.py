@@ -2,6 +2,10 @@
 
 import argparse
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +99,23 @@ def test_length_kept_only_without_a_potential(cos_pi):
     assert "extend" not in inspect.signature(hillgreen.discriminant_samples).parameters
     with pytest.raises(TypeError):
         hillgreen.endpoint_scan(cos_pi, [0.0, 1.0], 1.0)
+
+
+def _python(*args):
+    """A fresh interpreter that imports hillgreen from where this one does."""
+    src = str(Path(hillgreen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_out_scipy_interpolate():
+    # only table pieces interpolate, and scipy.interpolate is slow to import
+    out = _python("-c", "import sys, hillgreen; print('scipy.interpolate' in sys.modules)")
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
+
+def test_python_m_hillgreen_runs_the_cli():
+    out = _python("-m", "hillgreen", "--help")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: hillgreen")
