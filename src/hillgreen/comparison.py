@@ -7,14 +7,13 @@ forcings.  Hypotheses are always checked before conclusions; a violated
 hypothesis raises instead of silently passing vacuously.
 
 The dominance and solution checks read every kernel they compare through
-the identity catalog's kernel workspace, one per (p, lambda, n) memoized on
-the base basis: the rank-2 factors row(t) . K . col(s) at the grid nodes of
-each family (base interval, even extension), with no full ``build_green``
-table, so the kernels of one (p, lambda, n) share one ``trajectory`` call,
-on the base basis.  A sign hypothesis reads only the kernel's minimum and
-maximum, which fix its classification, kept in the workspace: recorded by
-the catalog pass if it ran first, else taken in row slices (no table is
-held).  A conclusion's tables are formed only once its hypothesis holds.
+the kernel workspace (``greens._KernelCache``) of their (p, lambda, tol, n),
+shared with the catalog and ``build_green``: the rank-2 factors
+row(t) . K . col(s) at each family's grid nodes, with no full table, so the
+kernels of one (p, lambda, n) share one ``trajectory`` call.  A sign
+hypothesis reads only the kernel's minimum and maximum, which fix its
+classification, kept in the workspace (recorded by the catalog pass if it
+ran first).  A conclusion's tables are formed only once its hypothesis holds.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisNotMet, ResonanceError
-from .greens import (BoundaryCondition, GreensFunction, _as_callable, _max_abs, _node_block,
-                     build_green, solve_bvp)
-from .identities import _KernelCache, _kernel_cache
+from .greens import (BoundaryCondition, GreensFunction, _as_callable, _KernelCache,
+                     _kernel_cache, _max_abs, _node_block, build_green, solve_bvp)
 from .integrator import DEFAULT_TOL
 from .potential import Potential
 from .spectrum import find_eigenvalues

@@ -7,7 +7,8 @@ K_low - K_up = I for every condition, which forces continuity on the
 diagonal and a unit jump in dG/dt across it by construction.  One
 evaluator, ``tables(tpts, spts, deriv=False)``, gives both branch tables of
 G, or of dG/dt with ``deriv``, for the numerical and the closed-form kernel
-alike; ``build_green`` forms the same product on memoized node states.
+alike; ``build_green`` forms the same product on the kernel workspace's
+node states (``_KernelCache``, shared with the catalog and comparisons).
 
 Coupled conditions (periodic, anti-periodic) use K_up = (eps I - M)^{-1} M
 with M the monodromy matrix; separated conditions use the rank-one kernel
@@ -24,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PoleError, ResonanceError
-from .integrator import DEFAULT_TOL, SolutionBasis, _on_domain, fundamental_solutions
+from .integrator import (_NODE_STATES, _WORKSPACES, DEFAULT_TOL, SolutionBasis, _memo,
+                         _on_domain, fundamental_solutions)
 from .potential import Potential
 
 __all__ = [
@@ -353,6 +355,110 @@ def _check_n(n: int) -> None:
         raise ValueError(f"grid needs n >= 1 pieces, got {n}")
 
 
+# Kernel families of the workspace: grid factor and label.  The factor is
+# the family's length in units of T and keeps the node spacing T/n shared.
+# Each family's fundamental matrix follows from the base one, Phi with
+# M = Phi(T), by symmetry (Magnus & Winkler, Hill's Equation; D = diag(1, -1)):
+#   base   a          on [0, T],  n    pieces  Phi(t)
+#   even2  a~         on [0, 2T], 2 n  pieces  Phi(t), then D Phi(2T - t) M^-1 D M
+#   even4  (a~)~      on [0, 4T], 4 n  pieces  the even2 rule applied to even2
+#   refl   a(T - .)   on [0, T],  n    pieces  D Phi(T - t) M^-1 D
+_FAMILIES = {"base": (1, "base interval"), "even2": (2, "even extension"),
+             "even4": (4, "doubled even extension"), "refl": (1, "reflected potential")}
+# Argument maps of the node index i: id, 2T - x on the 2n grid, T - x on the n grid.
+_MAPS = {"id": lambda i, n: i, "r2": lambda i, n: 2 * n - i, "rT": lambda i, n: n - i}
+# D of the family rules: t -> c - t keeps a solution's value and flips its slope.
+_D = np.diag([1.0, -1.0])
+
+
+class _KernelCache:
+    """The kernel workspace of one solution basis on its grid of n pieces,
+    shared by ``build_green``, the identity catalog and the comparison
+    checks: ``_kernel_cache`` keeps one per (p, lambda, tol, n).
+
+    The basis is p integrated once on [0, L]; every family follows from it
+    by the rules of ``_FAMILIES``.  ``families`` holds each family's
+    (monodromy, read-only states at its grid nodes 0..min(2n, pieces)), the
+    only nodes an argument map reaches; ``row_factors`` and ``row_max``
+    serve the catalog's bound.  Per (family, bc) ``_matrices`` holds the
+    branch matrices (k_low, k_up) and ``_extrema`` the kernel's (min, max)
+    over the family's nodes.  A resonant kernel raises on every request.
+    Threads share a workspace; its dicts are filled check then set, so a
+    race forms one value twice, the same value.
+    """
+
+    def __init__(self, basis: SolutionBasis, n: int):
+        self.n, self.lam, self.L = n, basis.lam, basis.length
+        M, S = basis.monodromy, basis.trajectory(np.linspace(0.0, self.L, n + 1))
+        S.flags.writeable = False
+        try:
+            R = np.linalg.solve(M, _D)
+        except np.linalg.LinAlgError:  # singular in floating point; det M = 1 (Liouville)
+            R = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) @ _D
+        C = R @ M
+        even = np.concatenate([S, _mirrored(S[:, -2::-1], C)], axis=1)
+        M2 = _D @ C
+        # C is an involution, so M2^-1 D = C and the doubled extension needs
+        # no solve with M2, which is singular in floating point at large -lambda
+        self.families = {"base": (M, S), "even2": (M2, even), "even4": (_D @ C @ M2, even),
+                         "refl": (_D @ R, _mirrored(S[:, ::-1], R))}
+        # X with row_family(k) = row(base node) X, for nodes k up to T and past T
+        one = np.eye(2)
+        self.row_factors = {"base": (one, one), "even2": (one, C), "even4": (one, C),
+                            "refl": (R, R)}
+        self.row_max = float(np.max(S[0] ** 2 + S[2] ** 2))
+        self._matrices, self._extrema = {}, {}
+
+    def _branches(self, family: str, bc: str):
+        key = (family, bc)
+        if key not in self._matrices:
+            bc = BoundaryCondition.parse(bc)
+            try:
+                self._matrices[key] = _branch_matrices(self.families[family][0], self.lam, bc)[:2]
+            except ResonanceError as exc:
+                factor, label = _FAMILIES[family]
+                msg = (f"{bc.condition} problem on [0, {factor * self.L:g}] ({label}) "
+                       f"is resonant at lambda = {self.lam!r}")
+                raise ResonanceError(msg, exc.determinant, bc, self.lam) from None
+        return self._matrices[key]
+
+    def factors(self, idx: np.ndarray, family: str, bc: str, tmap="id", smap="id"):
+        """The ``_node_block`` arguments of G_bc[family](tmap(t), smap(s)) over idx."""
+        k_low, k_up = self._branches(family, bc)
+        t_idx, s_idx = _MAPS[tmap](idx, self.n), _MAPS[smap](idx, self.n)
+        states = self.families[family][1]
+        A, B = _factors(states[:, t_idx], states[:, s_idx])
+        return A.T @ k_low, A.T @ k_up, B, t_idx, s_idx
+
+    def extrema(self, family: str, bc: str) -> tuple[float, float]:
+        """(min, max) of G_bc[family] over the family's nodes: from the rank-1
+        factors of a separated kernel, from one pass over a coupled one."""
+        k_low, k_up = self._branches(family, bc)
+        key = (family, bc)
+        if key not in self._extrema:
+            states = self.families[family][1]
+            self._extrema[key] = (_node_extrema(states, k_low, k_up)
+                                  if BoundaryCondition.parse(bc).is_coupled
+                                  else _separated_extrema(states, k_low))
+        return self._extrema[key]
+
+
+def _kernel_cache(p: Potential, n: int, lam: float, tol: float) -> _KernelCache:
+    """The workspace of p at lambda on n pieces, kept in the workspace cache
+    unless its grid has more than ``_NODE_STATES`` nodes."""
+    _check_n(n)
+    basis = fundamental_solutions(p, lam, tol=tol)
+    n = int(n)
+    if n + 1 > _NODE_STATES:
+        return _KernelCache(basis, n)
+    return _memo(_WORKSPACES, (p, basis.lam, basis.tol, n), lambda: _KernelCache(basis, n))
+
+
+def _mirrored(states: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Node states of D Phi X, ``states`` holding Phi column by column: (y1, y1', y2, y2')."""
+    return np.kron(X.T, _D) @ states
+
+
 def build_green(p: Potential, lam: float, bc, n: int = 100, *,
                 tol: float = DEFAULT_TOL) -> GreensFunction:
     """Construct the Green's function of u'' + (a + lambda) u on [0, T] under ``bc``."""
@@ -361,7 +467,7 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
     basis = fundamental_solutions(p, lam, tol=tol)
     L = basis.length
     k_low, k_up, margin = _branch_matrices(basis.monodromy, basis.lam, bc)
-    states = basis._node_states(n)
+    states = _kernel_cache(p, n, lam, tol).families["base"][1]
     A, B = _factors(states, states)
     meta = {
         "potential": p.descriptor(),

@@ -4,18 +4,18 @@ Each identity relates a kernel on [0, T] to kernels of the even extension
 on [0, 2T] (one of them to the doubled extension on [0, 4T]).  Every
 kernel's coefficients come from its own condition on its own family's
 monodromy, and no term is folded into another.  The families' solutions are
-the base solutions reflected (``_KernelCache``), so one integration on
-[0, T] serves them all; the test suite checks that rule against integrating
-the extended and reflected potentials directly.  One such workspace per
-(solution basis, n), memoized on the basis, serves the catalog and the
-dominance and solution comparison checks alike.
+the base solutions reflected (``greens._KernelCache``), so one integration
+on [0, T] serves them all; the test suite checks that rule against
+integrating the extended and reflected potentials directly.  That workspace,
+one per (p, lambda, tol, n) in the workspace cache, also serves
+``build_green`` and the comparison checks; this module holds the algebra.
 
 A term reads row(t) X_t K J X_s^T row(s)^T: row = (y1, y2) of the base
 basis, K the branch the mapped pair selects, J = [[0, -1], [1, 0]] and X
-the 2x2 factor taking a base row to its family's (``_FAMILIES``).  On each
-cell of the grid where every term keeps its branch and factors, an identity
-is one 2x2 matrix Q, zero in exact arithmetic; ``_KernelCache.bound``
-bounds the node residual by |Q| plus a rounding term.  A bound within the
+the 2x2 factor taking a base row to its family's (``greens._FAMILIES``).
+On each cell of the grid where every term keeps its branch and factors, an
+identity is one 2x2 matrix Q, zero in exact arithmetic; ``bound`` bounds
+the node residual by |Q| plus a rounding term.  A bound within the
 tolerance passes the identity and is its reported ``residual``.  Otherwise
 (at large negative lambda, where the terms cancel catastrophically) the
 identity is evaluated at every node pair, in 64-row slices, and
@@ -32,9 +32,9 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ResonanceError
-from .greens import (BoundaryCondition, _branch_matrices, _check_n, _factors, _max_abs,
-                     _node_block, _node_extrema, _row_slices, _separated_extrema)
-from .integrator import DEFAULT_TOL, SolutionBasis, fundamental_solutions
+from .greens import (_MAPS, _KernelCache, _kernel_cache, _max_abs, _node_block, _node_extrema,
+                     _row_slices)
+from .integrator import DEFAULT_TOL
 from .potential import Potential
 
 __all__ = [
@@ -49,17 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_IDENTITY_TOL = 1e-6
-
-# Kernel families used by the catalog: grid factor and label.  The factor is
-# the family's length in units of T and keeps the node spacing T/n shared.
-# Each family's fundamental matrix follows from the base one, Phi with
-# M = Phi(T), by symmetry (Magnus & Winkler, Hill's Equation; D = diag(1, -1)):
-#   base   a          on [0, T],  n    pieces  Phi(t)
-#   even2  a~         on [0, 2T], 2 n  pieces  Phi(t), then D Phi(2T - t) M^-1 D M
-#   even4  (a~)~      on [0, 4T], 4 n  pieces  the even2 rule applied to even2
-#   refl   a(T - .)   on [0, T],  n    pieces  D Phi(T - t) M^-1 D
-_FAMILIES = {"base": (1, "base interval"), "even2": (2, "even extension"),
-             "even4": (4, "doubled even extension"), "refl": (1, "reflected potential")}
 
 
 @dataclass(frozen=True)
@@ -240,131 +229,8 @@ class IdentityReport:
         }
 
 
-class _KernelCache:
-    """The kernel workspace of one solution basis on its grid of n pieces,
-    shared by every term and by the dominance and solution comparison checks:
-    ``_kernel_cache`` keeps one per (basis, n), memoized on the basis.
-
-    The basis is p integrated once on [0, L]; every family follows from it
-    by the rules of ``_FAMILIES``.  ``families`` holds each family's
-    (monodromy, states at its grid nodes 0..min(2n, pieces)), the nodes
-    ``build_green`` would use and the only ones an argument map reaches; per
-    (family, bc) ``_matrices`` holds the branch matrices (k_low, k_up) and
-    ``_extrema`` the kernel's (min, max) over the family's nodes, formed by
-    ``extrema``.  A resonant kernel raises on every request.  Threads share a
-    workspace; its dicts are filled check then set, so a race forms one value
-    twice, the same value.
-    """
-
-    def __init__(self, basis: SolutionBasis, n: int):
-        self.n = n
-        self.lam = basis.lam
-        self.L = basis.length
-        M, S = basis.monodromy, basis._node_states(n)
-        try:
-            R = np.linalg.solve(M, _D)
-        except np.linalg.LinAlgError:  # singular in floating point; det M = 1 (Liouville)
-            R = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) @ _D
-        C = R @ M
-        even = np.concatenate([S, _mirrored(S[:, -2::-1], C)], axis=1)
-        M2 = _D @ C
-        # C is an involution, so M2^-1 D = C and the doubled extension needs
-        # no solve with M2, which is singular in floating point at large -lambda
-        self.families = {"base": (M, S), "even2": (M2, even), "even4": (_D @ C @ M2, even),
-                         "refl": (_D @ R, _mirrored(S[:, ::-1], R))}
-        # X with row_family(k) = row(base node) X, for nodes k up to T and past T
-        one = np.eye(2)
-        self._row_factors = {"base": (one, one), "even2": (one, C), "even4": (one, C),
-                             "refl": (R, R)}
-        self._row_max = float(np.max(S[0] ** 2 + S[2] ** 2))
-        self._matrices: dict = {}
-        self._extrema: dict = {}
-
-    def _branches(self, family: str, bc: str):
-        key = (family, bc)
-        if key not in self._matrices:
-            bc = BoundaryCondition.parse(bc)
-            try:
-                self._matrices[key] = _branch_matrices(self.families[family][0], self.lam, bc)[:2]
-            except ResonanceError as exc:
-                factor, label = _FAMILIES[family]
-                msg = (f"{bc.condition} problem on [0, {factor * self.L:g}] ({label}) "
-                       f"is resonant at lambda = {self.lam!r}")
-                raise ResonanceError(msg, exc.determinant, bc, self.lam) from None
-        return self._matrices[key]
-
-    def factors(self, idx: np.ndarray, family: str, bc: str, tmap="id", smap="id"):
-        """The ``_node_block`` arguments of G_bc[family](tmap(t), smap(s)) over idx."""
-        k_low, k_up = self._branches(family, bc)
-        t_idx, s_idx = _MAPS[tmap](idx, self.n), _MAPS[smap](idx, self.n)
-        states = self.families[family][1]
-        A, B = _factors(states[:, t_idx], states[:, s_idx])
-        return A.T @ k_low, A.T @ k_up, B, t_idx, s_idx
-
-    def extrema(self, family: str, bc: str) -> tuple[float, float]:
-        """(min, max) of G_bc[family] over the family's nodes: from the rank-1
-        factors of a separated kernel, from one pass over a coupled one."""
-        k_low, k_up = self._branches(family, bc)
-        key = (family, bc)
-        if key not in self._extrema:
-            states = self.families[family][1]
-            self._extrema[key] = (_node_extrema(states, k_low, k_up)
-                                  if BoundaryCondition.parse(bc).is_coupled
-                                  else _separated_extrema(states, k_low))
-        return self._extrema[key]
-
-    def lhs_scales(self, idents) -> list[float]:
-        """max |lhs| of each identity over its grid.  A one-term left side is
-        one kernel read through a bijection of its family's nodes (id or rT
-        maps); the longer ones sum id-mapped base kernels and share one pass."""
-        summed, extremes = [ident for ident in idents if len(ident.lhs) > 1], {}
-        if summed:
-            k = np.array([[sum(t.coef * self._branches(t.family, t.bc)[b] for t in ident.lhs)
-                           for b in (0, 1)] for ident in summed])
-            extremes = dict(zip(summed, zip(*_node_extrema(self.families["base"][1],
-                                                           k[:, 0], k[:, 1]))))
-        return [_max_abs(extremes[ident] if len(ident.lhs) > 1 else
-                         self.extrema(ident.lhs[0].family, ident.lhs[0].bc)) for ident in idents]
-
-    def bound(self, ident: Identity, memo: dict) -> float:
-        """A bound on the node residual ``_node_report`` would find: max |row|^2
-        times the largest, over the cells of ``_CELLS``, |Q| + 16 eps sum |coef|
-        |X_t| |K| |X_s| (Frobenius norms), the second term for the rounding of
-        terms that cancel to Q.  ``memo`` keeps each term's matrix."""
-        worst = 0.0
-        for x, y in _CELLS[ident.domain]:
-            Q, weight = (0.0,) * 4, 0.0
-            for sign, terms in ((1.0, ident.lhs), (-1.0, ident.rhs)):
-                for term in terms:
-                    t, s = _MAPS[term.tmap](x, 1), _MAPS[term.smap](y, 1)
-                    key = (term.family, term.bc, t > 1, s > 1, s <= t)
-                    if key not in memo:
-                        Xt, Xs = (self._row_factors[term.family][past] for past in key[2:4])
-                        K = self._branches(term.family, term.bc)[0 if key[4] else 1]
-                        memo[key] = (tuple((Xt @ K @ _J @ Xs.T).ravel().tolist()),
-                                     float(np.linalg.norm(Xt) * np.linalg.norm(K)
-                                           * np.linalg.norm(Xs)))
-                    P, norms = memo[key]
-                    Q = tuple(q + sign * term.coef * p for q, p in zip(Q, P))
-                    weight += abs(term.coef) * norms
-            worst = max(worst, math.hypot(*Q) + 16 * math.ulp(1.0) * weight)
-        return worst * self._row_max
-
-
-def _kernel_cache(p: Potential, n: int, lam: float, tol: float) -> _KernelCache:
-    """The workspace of p at lambda on n pieces, memoized on the solution basis."""
-    _check_n(n)
-    basis = fundamental_solutions(p, lam, tol=tol)
-    n = int(n)
-    return basis._memo(basis._kernels, n, lambda: _KernelCache(basis, n))
-
-
-# Argument maps of the node index i: id, 2T - x on the 2n grid, T - x on the n grid.
-_MAPS = {"id": lambda i, n: i, "r2": lambda i, n: 2 * n - i, "rT": lambda i, n: n - i}
 # A term's kernel, its coefficient left out: the key of its factors and blocks.
 _kernel = attrgetter("family", "bc", "tmap", "smap")
-# D of the family rules: t -> c - t keeps a solution's value and flips its slope.
-_D = np.diag([1.0, -1.0])
 # col(s) = J row(s)^T
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 # A node pair (in units of n) inside each cell of a grid: the triangles below
@@ -375,9 +241,43 @@ _CELLS = {"base": ((2 / 3, 1 / 3), (1 / 3, 2 / 3)),
                     (3 / 2, 1 / 2), (1 / 2, 3 / 2))}
 
 
-def _mirrored(states: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Node states of D Phi X, ``states`` holding Phi column by column: (y1, y1', y2, y2')."""
-    return np.kron(X.T, _D) @ states
+def lhs_scales(cache: _KernelCache, idents) -> list[float]:
+    """max |lhs| of each identity over its grid.  A one-term left side is
+    one kernel read through a bijection of its family's nodes (id or rT
+    maps); the longer ones sum id-mapped base kernels and share one pass."""
+    summed, extremes = [ident for ident in idents if len(ident.lhs) > 1], {}
+    if summed:
+        k = np.array([[sum(t.coef * cache._branches(t.family, t.bc)[b] for t in ident.lhs)
+                       for b in (0, 1)] for ident in summed])
+        extremes = dict(zip(summed, zip(*_node_extrema(cache.families["base"][1],
+                                                       k[:, 0], k[:, 1]))))
+    return [_max_abs(extremes[ident] if len(ident.lhs) > 1 else
+                     cache.extrema(ident.lhs[0].family, ident.lhs[0].bc)) for ident in idents]
+
+
+def bound(cache: _KernelCache, ident: Identity, memo: dict) -> float:
+    """A bound on the node residual ``_node_report`` would find: max |row|^2
+    times the largest, over the cells of ``_CELLS``, |Q| + 16 eps sum |coef|
+    |X_t| |K| |X_s| (Frobenius norms), the second term for the rounding of
+    terms that cancel to Q.  ``memo`` keeps each term's matrix."""
+    worst = 0.0
+    for x, y in _CELLS[ident.domain]:
+        Q, weight = (0.0,) * 4, 0.0
+        for sign, terms in ((1.0, ident.lhs), (-1.0, ident.rhs)):
+            for term in terms:
+                t, s = _MAPS[term.tmap](x, 1), _MAPS[term.smap](y, 1)
+                key = (term.family, term.bc, t > 1, s > 1, s <= t)
+                if key not in memo:
+                    Xt, Xs = (cache.row_factors[term.family][past] for past in key[2:4])
+                    K = cache._branches(term.family, term.bc)[0 if key[4] else 1]
+                    memo[key] = (tuple((Xt @ K @ _J @ Xs.T).ravel().tolist()),
+                                 float(np.linalg.norm(Xt) * np.linalg.norm(K)
+                                       * np.linalg.norm(Xs)))
+                P, norms = memo[key]
+                Q = tuple(q + sign * term.coef * p for q, p in zip(Q, P))
+                weight += abs(term.coef) * norms
+        worst = max(worst, math.hypot(*Q) + 16 * math.ulp(1.0) * weight)
+    return worst * cache.row_max
 
 
 def _node_report(cache: _KernelCache, ident: Identity, tol: float) -> IdentityReport:
@@ -415,12 +315,18 @@ def _evaluate(cache: _KernelCache, idents, tol: float) -> list[IdentityReport]:
                                                  float("nan"), tol, passed=None,
                                                  skipped=True, reason=str(exc))
     memo = {}
-    for ident, scale in zip(live, cache.lhs_scales(live)):
-        bound = cache.bound(ident, memo)
-        reports[ident.name] = (IdentityReport(ident.name, cache.n, bound, scale, tol, passed=True)
-                               if bound <= tol * max(1.0, scale) else
+    for ident, scale in zip(live, lhs_scales(cache, live)):
+        certified = bound(cache, ident, memo)
+        reports[ident.name] = (IdentityReport(ident.name, cache.n, certified, scale, tol,
+                                              passed=True)
+                               if certified <= tol * max(1.0, scale) else
                                _node_report(cache, ident, tol))
     return [reports[ident.name] for ident in idents]
+
+
+def _check_identity_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"identity tolerance must be finite and positive, got {tol}")
 
 
 def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
@@ -429,8 +335,9 @@ def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
     """Evaluate both sides of one catalog identity and report the residual.
 
     Raises ResonanceError naming the constituent problem if any kernel in
-    the identity is singular at this lambda.
+    the identity is singular at this lambda, ValueError for a bad ``tol``.
     """
+    _check_identity_tol(tol)
     try:
         ident = _BY_NAME[identity_id.upper()]
     except KeyError:
@@ -446,4 +353,5 @@ def verify_all(p: Potential, lam: float, n: int = 100,
                tol: float = DEFAULT_IDENTITY_TOL, *,
                integrator_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the whole catalog, recording a skip for resonant constituents."""
+    _check_identity_tol(tol)
     return _evaluate(_kernel_cache(p, n, lam, integrator_tol), CATALOG, tol)

@@ -1,10 +1,11 @@
 """Fundamental solutions of u'' + (a(t) + lambda) u = 0.
 
 Two solution bases drive everything downstream: an integration one lambda
-at a time (cached, and stored as a table of pieces from which any point's
-state is read) and a vectorized sweep over many lambda values at once,
-which both scans for eigenvalue brackets and, with its steps planned once
-at the integrator tolerance, refines them.
+at a time (a table of pieces from which any point's state is read, cached
+by ``_memo`` like the kernel workspaces of ``greens._KernelCache``) and a
+vectorized sweep over many lambdas at once, which both scans for eigenvalue
+brackets and, with its steps planned once at the integrator tolerance,
+refines them.
 
 Both work piecewise: segments end at the potential's breakpoints and at
 the nodes of its table pieces, so no step straddles a jump of a or of a'.
@@ -317,19 +318,8 @@ class SolutionBasis:
     y1 solves y(0)=1, y'(0)=0; y2 solves y(0)=0, y'(0)=1. The state vector
     is (y1, y1', y2, y2') and ``trajectory`` evaluates it anywhere on
     [0, length] from a table of the integration's pieces (``_PieceTable``):
-    the constant segments and the DOP853 steps with their dense output.
-
-    ``_node_states`` memoizes the states at equally spaced nodes, keyed by
-    their number of pieces, so every kernel table on one grid reads one
-    ``trajectory`` call; ``_kernels`` memoizes the kernel workspace on such a
-    grid (``identities._KernelCache``: the derived families' states, branch
-    matrices and kernel extremes), keyed the same way, so the identity
-    catalog and the comparison checks at one (p, lambda, n) share one. Each
-    memo keeps at most ``_NODE_GRIDS`` grids and ``_NODE_STATES`` base nodes
-    per basis (node states 128 KB and workspace states three times that, so
-    128 MB at most over the cache's 256 bases), dropping the least recently
-    used; a larger grid is made on every call.
-    Both die with the basis, which ``clear_cache`` drops.
+    the constant segments and the DOP853 steps with their dense output. Its
+    kernel workspaces (``greens._KernelCache``) live in ``_WORKSPACES``.
     """
 
     lam: float
@@ -341,8 +331,6 @@ class SolutionBasis:
     y2p_end: float
     _edges: np.ndarray = field(repr=False)
     _pieces: _PieceTable = field(repr=False)
-    _nodes: OrderedDict = field(default_factory=OrderedDict, repr=False)
-    _kernels: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     @property
     def monodromy(self) -> np.ndarray:
@@ -363,50 +351,41 @@ class SolutionBasis:
         t = np.asarray(t, dtype=float)
         return self._pieces.read(_on_domain(t.ravel(), self.length)).reshape((4, *t.shape))
 
-    def _node_states(self, pieces: int) -> np.ndarray:
-        """Read-only states at the nodes of ``np.linspace(0, length, pieces + 1)``,
-        memoized per ``pieces``."""
-        def read():
-            states = self.trajectory(np.linspace(0.0, self.length, pieces + 1))
-            states.flags.writeable = False
-            return states
-        return self._memo(self._nodes, pieces, read)
-
-    def _memo(self, memo: OrderedDict, pieces: int, make):
-        """``make()`` memoized in ``memo`` under the grid's ``pieces``: at most
-        ``_NODE_GRIDS`` grids of ``_NODE_STATES`` nodes in all, least recently
-        used first out. When two threads miss at once, both get the value
-        stored first."""
-        with _CACHE_LOCK:
-            hit = memo.get(pieces)
-            if hit is not None:
-                memo.move_to_end(pieces)
-                return hit
-        value = make()
-        if pieces + 1 <= _NODE_STATES:
-            with _CACHE_LOCK:
-                value = memo.setdefault(pieces, value)
-                while len(memo) > _NODE_GRIDS or sum(k + 1 for k in memo) > _NODE_STATES:
-                    memo.popitem(last=False)
-        return value
-
     def wronskian(self, t) -> float:
         y = self.trajectory(t)
         return float(y[0] * y[3] - y[1] * y[2]) if y.ndim == 1 else y[0] * y[3] - y[1] * y[2]
 
 
+# Bases by (p, lambda, tol) and kernel workspaces by (p, lambda, tol, n); a
+# kept workspace has at most _NODE_STATES nodes (512 KB), so 128 MB in all.
 _CACHE: OrderedDict = OrderedDict()
+_WORKSPACES: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _CACHE_MAX = 256
-# Node-state and workspace memos of each basis: a kernel check reads one grid
-# of a basis, of n + 1 nodes (4096 nodes hold n up to 4095).
-_NODE_GRIDS = 4
 _NODE_STATES = 4096
 
 
 def clear_cache() -> None:
     with _CACHE_LOCK:
         _CACHE.clear()
+        _WORKSPACES.clear()
+
+
+def _memo(cache: OrderedDict, key, make):
+    """``make()`` memoized in ``cache`` under ``key``, at most ``_CACHE_MAX``
+    entries, least recently used first out. ``make`` runs outside the lock;
+    when two threads miss at once, both get the value stored first."""
+    with _CACHE_LOCK:
+        hit = cache.get(key)
+        if hit is not None:
+            cache.move_to_end(key)
+            return hit
+    value = make()
+    with _CACHE_LOCK:
+        value = cache.setdefault(key, value)
+        while len(cache) > _CACHE_MAX:
+            cache.popitem(last=False)
+    return value
 
 
 def fundamental_solutions(p: Potential, lam: float, *,
@@ -424,18 +403,15 @@ def fundamental_solutions(p: Potential, lam: float, *,
     tolerance); the cache is threadsafe and bounded.
     """
     tol = _check_tol(tol)
-    L = p.domain_length
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
+    return _memo(_CACHE, (p, lam, tol), lambda: _integrate(p, lam, tol))
 
-    key = (p, lam, tol)
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
-            return hit
 
+def _integrate(p: Potential, lam: float, tol: float) -> SolutionBasis:
+    """The basis of ``fundamental_solutions``, integrated afresh."""
+    L = p.domain_length
     edges, consts = _segments(p)
     rtol = max(tol / 10.0, 1e-13)
     atol = max(tol * 1e-3, 1e-15)
@@ -465,15 +441,10 @@ def fundamental_solutions(p: Potential, lam: float, *,
         y = res.y[:, -1]
 
     pieces = _PieceTable(*(np.array(column) for column in zip(*rows)))
-    basis = SolutionBasis(lam=lam, length=L, tol=tol,
-                          y1_end=float(y[0]), y1p_end=float(y[1]),
-                          y2_end=float(y[2]), y2p_end=float(y[3]),
-                          _edges=edges, _pieces=pieces)
-    with _CACHE_LOCK:
-        _CACHE[key] = basis
-        if len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
-    return basis
+    return SolutionBasis(lam=lam, length=L, tol=tol,
+                         y1_end=float(y[0]), y1p_end=float(y[1]),
+                         y2_end=float(y[2]), y2p_end=float(y[3]),
+                         _edges=edges, _pieces=pieces)
 
 
 def discriminant(p: Potential, lam: float, *, tol: float = DEFAULT_TOL) -> float:

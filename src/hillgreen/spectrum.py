@@ -338,10 +338,14 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     states within ``integrator_tol``, to a bracket width of
     max(``tol``, 1e-12).  Raises ``IntegrationError`` when those states
     cannot certify ``integrator_tol`` over the range (at large lambda the
-    float64 rounding of the phase alone exceeds it); a larger
-    ``integrator_tol`` lifts the limit.
+    float64 rounding of the phase alone exceeds it; a larger ``integrator_tol``
+    lifts it), and ``ValueError`` for ``n_scan`` < 1 or an unknown ``method``.
     """
     bc = BoundaryCondition.parse(bc)
+    if n_scan < 1:
+        raise ValueError(f"n_scan must be at least 1, got {n_scan}")
+    if method not in ("auto", "union", "direct"):
+        raise ValueError(f"unknown method {method!r}")
     if search_range is None:
         lo, hi = _auto_range(p, max_count if max_count else 8)
     else:
@@ -352,8 +356,6 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     audit: dict = {"scan_step": (hi - lo) / n_scan}
     xtol = max(tol, ROOT_XTOL)
     if bc.is_coupled:
-        if method not in ("auto", "union", "direct"):
-            raise ValueError(f"unknown method {method!r}")
         if method == "auto":
             method = "union" if p.is_even_about_midpoint() else "direct"
         elif method == "union" and not p.is_even_about_midpoint():

@@ -1,7 +1,7 @@
 """Whole kernel tables of the identity catalog's kernel families.
 
 ``family_green`` forms the table ``build_green`` would form for a family,
-but from the monodromy and node states that ``identities._KernelCache``
+but from the monodromy and node states that ``greens._KernelCache``
 derives from the base basis, so a reference built from it checks the
 catalog's sliced evaluation bit for bit. Whether those derived states are
 right is checked separately, against the family's potential integrated
@@ -10,8 +10,8 @@ directly (``test_identities.test_derived_families_match_direct_integration``).
 
 import numpy as np
 
-from hillgreen.greens import BoundaryCondition, GreensFunction, _branch_matrices, _factors
-from hillgreen.identities import _FAMILIES, _kernel_cache
+from hillgreen.greens import (_FAMILIES, BoundaryCondition, GreensFunction, _branch_matrices,
+                              _factors, _kernel_cache)
 from hillgreen.integrator import DEFAULT_TOL
 
 

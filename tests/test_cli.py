@@ -276,7 +276,11 @@ def test_usage_errors(capsys):
                   "--count-in-range", "0"],
                  ["spectrum", "--potential", "ex1", "--n-scan", "0"],
                  ["sweep", "--potential", "ex1", "--range", "0", "5", "--points", "0"],
-                 ["verify", "--potential", "ex1", "--lambda", "0.5", "--n", "0"]):
+                 ["verify", "--potential", "ex1", "--lambda", "0.5", "--n", "0"],
+                 ["verify", "--potential", "ex1", "--lambda", "0.3", "--identity-tol", "-1"],
+                 ["verify", "--potential", "ex1", "--lambda", "0.3", "--identity-tol", "nan"],
+                 ["verify", "--potential", "ex1", "--lambda", "0.3", "--identity", "NP",
+                  "--identity-tol", "0"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv

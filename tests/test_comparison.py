@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from hillgreen import (
+    BC_ALL,
     DEFAULT_TOL,
     BoundaryCondition,
     Potential,
@@ -16,7 +17,6 @@ from hillgreen import (
     classify_sign,
     clear_cache,
     find_eigenvalues,
-    fundamental_solutions,
     load_builtin,
     predicted_sign_interval,
     sign_threshold_consistency,
@@ -25,7 +25,7 @@ from hillgreen import (
     verify_all,
     verify_identity,
 )
-from hillgreen import identities, integrator
+from hillgreen import greens, identities, integrator
 from hillgreen.comparison import (
     COMPARISON_THEOREMS,
     DOMINANCE_RELATIONS,
@@ -387,7 +387,7 @@ def _assert_dominance_matches_reference(p, lam, n):
         if bc != "P" and isinstance(got, tuple) and got[0] == "HypothesisNotMet":
             # a separated kernel's extremes come from its rank-1 factors, which
             # round otherwise than its table
-            cache = identities._kernel_cache(p, n, lam, DEFAULT_TOL)
+            cache = greens._kernel_cache(p, n, lam, DEFAULT_TOL)
             assert got[:2] == want[:2], relation
             assert abs(got[2] - want[2]) <= _rank1_slack(cache, family, bc), relation
         else:
@@ -465,10 +465,10 @@ def test_dominance_reads_node_states_once(cos_pi, trajectory_calls):
 
 def test_relation_pair_takes_hypothesis_extremes_once(cos_pi, monkeypatch):
     # nd_nonneg and nd_neg read the same extension kernel; its extremes are
-    # memoized on the solution basis, and clear_cache drops them with it
+    # kept in the kernel workspace, and clear_cache drops them with it
     calls = []
-    original = identities._node_extrema
-    monkeypatch.setattr(identities, "_node_extrema",
+    original = greens._node_extrema
+    monkeypatch.setattr(greens, "_node_extrema",
                         lambda *args: calls.append(1) or original(*args))
 
     def both():
@@ -521,7 +521,7 @@ def _assert_order_free(p, lam, n):
     alone = _comparison_outcomes(p, lam, n)
     clear_cache()
     verify_all(p, lam, n=n)
-    cache = identities._kernel_cache(p, n, lam, DEFAULT_TOL)
+    cache = greens._kernel_cache(p, n, lam, DEFAULT_TOL)
     recorded = dict(cache._extrema)
     assert _comparison_outcomes(p, lam, n) == alone
     for (family, bc), extremes in recorded.items():
@@ -552,24 +552,31 @@ def workspace_builds(monkeypatch):
     """n of every kernel workspace built in the test, from an empty cache."""
     clear_cache()
     calls = []
-    original = identities._KernelCache.__init__
+    original = greens._KernelCache.__init__
 
     def counting(self, basis, n):
         calls.append(n)
         original(self, basis, n)
 
-    monkeypatch.setattr(identities._KernelCache, "__init__", counting)
+    monkeypatch.setattr(greens._KernelCache, "__init__", counting)
     return calls
 
 
-def test_catalog_and_comparisons_share_one_workspace(cos_pi, workspace_builds):
+def test_catalog_and_comparisons_share_one_workspace(cos_pi, trajectory_calls,
+                                                     workspace_builds):
     verify_all(cos_pi, -0.36, n=40)
+    for bc in BC_ALL:
+        build_green(cos_pi, -0.36, bc, n=40)
     for rel in DOMINANCE_RELATIONS:
         _outcome(verify_dominance, cos_pi, -0.36, rel, 40)
+    for thm in COMPARISON_THEOREMS:
+        _outcome(verify_solution_comparison, cos_pi, -0.36, thm, 1.0, 0.5, 40)
     assert verify_solution_comparison(cos_pi, -0.36, "nd_nonneg", 1.0, 0.5, n=40)["pass"]
     verify_identity("NP", cos_pi, -0.36, n=40)
     assert workspace_builds == [40]
-    # another n has its own; clear_cache drops both with the basis
+    # one trajectory call on the 41 nodes of the grid; solve_bvp reads others
+    assert trajectory_calls.count(41) == 1
+    # another n has its own; clear_cache drops both
     verify_identity("NP", cos_pi, -0.36, n=20)
     verify_all(cos_pi, -0.36, n=40)
     assert workspace_builds == [40, 20]
@@ -582,11 +589,13 @@ def test_catalog_extremes_serve_the_hypotheses(cos_pi, monkeypatch):
     # verify_all records the extremes of the extension's periodic kernel, and
     # the separated hypothesis kernels (the base Neumann kernel and the
     # extension's Neumann and Dirichlet ones) take theirs from rank-1 factors,
-    # so after it no hypothesis takes a pass over the nodes
+    # so after it no hypothesis takes a pass over the nodes; the catalog's
+    # summed pass is its own, the periodic kernel's the workspace's
     calls = []
-    original = identities._node_extrema
-    monkeypatch.setattr(identities, "_node_extrema",
-                        lambda states, *k: calls.append(states.shape[1]) or original(states, *k))
+    original = greens._node_extrema
+    for module in (identities, greens):
+        monkeypatch.setattr(module, "_node_extrema",
+                            lambda states, *k: calls.append(states.shape[1]) or original(states, *k))
     clear_cache()
     verify_all(cos_pi, -0.36, n=40)
     assert calls == [41, 81]
@@ -595,25 +604,30 @@ def test_catalog_extremes_serve_the_hypotheses(cos_pi, monkeypatch):
     assert calls == [41, 81]
 
 
-def test_workspace_memo_is_bounded(cos_pi):
+def test_workspace_memo_is_bounded(cos_pi, monkeypatch):
     clear_cache()
-    basis = fundamental_solutions(cos_pi, 0.29)
-    grids = integrator._NODE_GRIDS
+    grids = 4
+    monkeypatch.setattr(integrator, "_CACHE_MAX", grids)
+
+    def cached():
+        return [key[3] for key in integrator._WORKSPACES]
+
     for n in range(1, grids + 3):
-        identities._kernel_cache(cos_pi, n, 0.29, DEFAULT_TOL)
-    assert list(basis._kernels) == list(range(3, grids + 3))
+        greens._kernel_cache(cos_pi, n, 0.29, DEFAULT_TOL)
+    assert cached() == list(range(3, grids + 3))
     # a hit becomes the most recently used
-    identities._kernel_cache(cos_pi, 3, 0.29, DEFAULT_TOL)
+    greens._kernel_cache(cos_pi, 3, 0.29, DEFAULT_TOL)
     kept = [*range(4, grids + 3), 3]
-    assert list(basis._kernels) == kept
-    # the node total is bounded as well: this grid fills it with kept[2:] alone
-    big = integrator._NODE_STATES - 1 - sum(n + 1 for n in kept[2:])
-    identities._kernel_cache(cos_pi, big, 0.29, DEFAULT_TOL)
-    assert list(basis._kernels) == [*kept[2:], big]
-    # a grid beyond the node total is built on every call and kept by none
-    assert (identities._kernel_cache(cos_pi, integrator._NODE_STATES, 0.29, DEFAULT_TOL)
-            is not identities._kernel_cache(cos_pi, integrator._NODE_STATES, 0.29, DEFAULT_TOL))
-    assert list(basis._kernels) == [*kept[2:], big]
+    assert cached() == kept
+    # each kept workspace is bounded as well: the largest grid it keeps has
+    # _NODE_STATES nodes
+    big = integrator._NODE_STATES - 1
+    greens._kernel_cache(cos_pi, big, 0.29, DEFAULT_TOL)
+    assert cached() == [*kept[1:], big]
+    # a grid beyond _NODE_STATES nodes is built on every call and kept by none
+    assert (greens._kernel_cache(cos_pi, big + 1, 0.29, DEFAULT_TOL)
+            is not greens._kernel_cache(cos_pi, big + 1, 0.29, DEFAULT_TOL))
+    assert cached() == [*kept[1:], big]
 
 
 def test_threads_on_one_basis_read_one_workspace(cos_pi):
@@ -637,7 +651,7 @@ def test_threads_on_one_basis_read_one_workspace(cos_pi):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [results.get(k) for k in range(4)] == [want] * 4
-    assert list(fundamental_solutions(cos_pi, -0.36)._kernels) == [40]
+    assert list(integrator._WORKSPACES) == [(cos_pi, -0.36, DEFAULT_TOL, 40)]
 
 
 @pytest.mark.parametrize("bc,lam,expected", [

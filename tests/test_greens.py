@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hillgreen import (
+    DEFAULT_TOL,
     BoundaryCondition,
     Potential,
     boundary_residual,
@@ -168,7 +169,7 @@ def test_branch_select_matches_mask_select(cos_pi):
         ref = np.where(s_idx[None, :] <= t_idx[:, None],
                        G.lower[np.ix_(t_idx, s_idx)], G.upper[np.ix_(t_idx, s_idx)])
         assert np.array_equal(table_slice(G, t_idx, s_idx), ref)
-        states = G.branches.basis._node_states(G.n)
+        states = greens._kernel_cache(cos_pi, G.n, G.lam, DEFAULT_TOL).families["base"][1]
         A, B = greens._factors(states[:, t_idx], states[:, s_idx])
         block = greens._node_block(A.T @ G.branches.k_low, A.T @ G.branches.k_up, B,
                                    t_idx, s_idx)

@@ -24,7 +24,7 @@ from hillgreen import (
     verify_identity,
     verify_solution_comparison,
 )
-from hillgreen import clear_cache, fundamental_solutions, identities, integrator
+from hillgreen import clear_cache, fundamental_solutions, greens, identities, integrator
 from hillgreen.errors import HypothesisNotMet, ResonanceError
 
 from families import family_green
@@ -263,7 +263,7 @@ def _assert_derived_matches_direct(p, lam, n):
     resonance and with growing solutions.  A resonant kernel must be
     resonant on both routes."""
     for family, make in _DIRECT.items():
-        pieces = identities._FAMILIES[family][0] * n
+        pieces = greens._FAMILIES[family][0] * n
         idx = np.arange(min(pieces, 2 * n) + 1)
         for bc in BC_ALL:
             try:
@@ -331,13 +331,15 @@ def test_verify_all_integrates_only_the_base(monkeypatch):
 def test_certified_catalog_forms_no_node_block(cos_pi, monkeypatch):
     # every identity is certified by its 2x2 algebra: no node block is formed,
     # and the only node passes are one for the nine multi-term left sides
-    # together (41 base nodes) and one for the extension's periodic kernel,
-    # REFL's left side (81 nodes); the separated kernels take O(n) extremes
+    # together (41 base nodes, in the catalog) and one for the extension's
+    # periodic kernel, REFL's left side (81 nodes, in the kernel workspace);
+    # the separated kernels take O(n) extremes
     blocks, passes = [], []
     monkeypatch.setattr(identities, "_node_block", lambda *args: blocks.append(1))
-    original = identities._node_extrema
-    monkeypatch.setattr(identities, "_node_extrema", lambda states, k_low, k_up: passes.append(
-        (states.shape[1], k_low.shape)) or original(states, k_low, k_up))
+    original = greens._node_extrema
+    for module in (identities, greens):
+        monkeypatch.setattr(module, "_node_extrema", lambda states, k_low, k_up: passes.append(
+            (states.shape[1], k_low.shape)) or original(states, k_low, k_up))
     reports = verify_all(cos_pi, 0.29, n=40)
     assert all(r.passed for r in reports)
     assert blocks == []
@@ -361,6 +363,15 @@ def test_verify_all_holds_no_whole_side(cos_pi):
 def test_verify_identity_matches_verify_all(cos_pi, lam, n):
     for rep in verify_all(cos_pi, lam, n=n):
         assert verify_identity(rep.identity_id, cos_pi, lam, n=n) == rep
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_identity_tolerance_must_be_finite_and_positive(cos_pi, tol):
+    # a tolerance no residual can meet, or one every residual meets, is refused
+    with pytest.raises(ValueError, match="identity tolerance must be finite and positive"):
+        verify_all(cos_pi, 0.3, n=20, tol=tol)
+    with pytest.raises(ValueError, match="identity tolerance must be finite and positive"):
+        verify_identity("NP", cos_pi, 0.3, n=20, tol=tol)
 
 
 def test_verify_identity_raises_the_skip_reason(zero1):

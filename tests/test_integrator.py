@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 import hillgreen.integrator as integrator
 from hillgreen import (
+    DEFAULT_TOL,
     Potential,
     discriminant,
     endpoint_scan,
@@ -15,6 +17,7 @@ from hillgreen import (
     load_builtin,
     solve_bvp,
 )
+from hillgreen import greens
 from hillgreen.errors import DomainError, IntegrationError
 
 from helpers import rk4_reference
@@ -361,28 +364,60 @@ def test_cache_returns_identical_object(cos_pi):
     assert a is b
 
 
-def test_node_states_memo(cos_pi, trajectory_calls):
+def test_threads_missing_one_basis_get_one_object(cos_pi, monkeypatch):
+    # both threads integrate, and both get the basis stored first
+    integrator.clear_cache()
+    both_in = threading.Barrier(2, timeout=60)
+    original = integrator._segments
+
+    def segments(p):
+        both_in.wait()
+        return original(p)
+
+    monkeypatch.setattr(integrator, "_segments", segments)
+    got = {}
+
+    def work(k):
+        got[k] = fundamental_solutions(cos_pi, 0.77)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert len(got) == 2 and got[0] is got[1]
+    assert fundamental_solutions(cos_pi, 0.77) is got[0]
+
+
+def test_node_states_memo(cos_pi, trajectory_calls, monkeypatch):
+    # node states live in the kernel workspace, one per (p, lambda, tol, n)
+    def node_states(pieces):
+        return greens._kernel_cache(cos_pi, pieces, 0.31, DEFAULT_TOL).families["base"][1]
+
     basis = fundamental_solutions(cos_pi, 0.31)
-    states = basis._node_states(40)
+    states = node_states(40)
     assert np.array_equal(states, basis.trajectory(np.linspace(0.0, math.pi, 41)))
     assert not states.flags.writeable
     trajectory_calls.clear()
-    assert basis._node_states(40) is states and trajectory_calls == []
-    # at most _NODE_GRIDS grids per basis, the least recently used dropped
-    for pieces in range(1, integrator._NODE_GRIDS + 1):
-        basis._node_states(pieces)
+    assert node_states(40) is states and trajectory_calls == []
+    assert list(integrator._WORKSPACES) == [(cos_pi, 0.31, DEFAULT_TOL, 40)]
+    # at most _CACHE_MAX workspaces, the least recently used dropped
+    monkeypatch.setattr(integrator, "_CACHE_MAX", 4)
+    for pieces in range(1, 5):
+        node_states(pieces)
     trajectory_calls.clear()
-    basis._node_states(40)
+    node_states(40)
     assert trajectory_calls == [41]
     # a grid beyond _NODE_STATES nodes is evaluated on every call
     big = integrator._NODE_STATES
-    basis._node_states(big)
-    basis._node_states(big)
+    node_states(big)
+    node_states(big)
     assert trajectory_calls[-2:] == [big + 1, big + 1]
-    assert sum(v.shape[1] for v in basis._nodes.values()) <= integrator._NODE_STATES
-    # the memo goes with the cached basis
+    assert len(integrator._WORKSPACES) == 4
+    assert all(key[3] + 1 <= integrator._NODE_STATES for key in integrator._WORKSPACES)
+    # clear_cache empties the workspace cache with the bases
     integrator.clear_cache()
-    assert fundamental_solutions(cos_pi, 0.31)._nodes == {}
+    assert not integrator._WORKSPACES and not integrator._CACHE
 
 
 @settings(max_examples=15, deadline=None)

@@ -204,6 +204,16 @@ def test_union_requires_symmetry(cos_pi):
         find_eigenvalues(cos_pi, "P", max_count=2, method="union")
 
 
+@pytest.mark.parametrize("bc", ["P", "A", "N", "D", "M1", "M2"])
+def test_scan_arguments_are_checked(cos_pi, bc):
+    # every condition refuses a scan of no cells and an unknown method up front
+    for n_scan in (0, -3):
+        with pytest.raises(ValueError, match=f"n_scan must be at least 1, got {n_scan}"):
+            find_eigenvalues(cos_pi, bc, max_count=2, n_scan=n_scan)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        find_eigenvalues(cos_pi, bc, max_count=2, method="bogus")
+
+
 def test_narrow_asymmetric_well_is_not_even():
     # a barrier narrower than any sample grid spacing, off the midpoint:
     # union would solve the half interval without it
