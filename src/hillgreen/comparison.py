@@ -13,7 +13,7 @@ row(t) . K . col(s) at each family's grid nodes, with no full table, so the
 kernels of one (p, lambda, n) share one ``trajectory`` call.  A sign
 hypothesis reads only the kernel's minimum and maximum, which fix its
 classification, kept in the workspace (recorded by the catalog pass if it
-ran first).  A conclusion's tables are formed only once its hypothesis holds.
+ran first).  A conclusion is read on s <= t once its hypothesis holds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import HypothesisNotMet, ResonanceError
 from .greens import (BoundaryCondition, GreensFunction, _as_callable, _KernelCache,
-                     _kernel_cache, _max_abs, _node_block, build_green, solve_bvp)
+                     _kernel_cache, _lower_pass, _max_abs, build_green, solve_bvp)
 from .integrator import DEFAULT_TOL
 from .potential import Potential
 from .spectrum import find_eigenvalues
@@ -273,8 +273,8 @@ def _require(cond: bool, message: str, point=None) -> None:
 
 
 def _require_sign(cache: _KernelCache, family: str, bc: str, sign: str, message: str) -> str:
-    """The classification of a kernel on its family's whole grid, read from
-    its extremes; raises HypothesisNotMet unless the kernel has the required
+    """The classification of a kernel on its family's grid, read from its
+    extremes; raises HypothesisNotMet unless the kernel has the required
     sign.  ``message`` names the kernel and carries ``{}`` where the sign goes.
     """
     extremes = cache.extrema(family, bc)
@@ -284,18 +284,17 @@ def _require_sign(cache: _KernelCache, family: str, bc: str, sign: str, message:
     return cls
 
 
-def _conclusion(sign: str, v1: np.ndarray, v2: np.ndarray,
-                names: tuple[str, ...]) -> list[tuple[str, float, bool]]:
-    """(name, worst margin, strict) of each inequality a theorem concludes.
+def _conclusion(sign: str, names: tuple[str, ...]) -> list[tuple[str, object, bool]]:
+    """(name, margin of (v1, v2), strict) of each inequality a theorem concludes.
 
     A nonnegative hypothesis concludes |v2| <= v1 (one name); a negative or
     nonpositive one concludes v2 < v1 and v1 <= 0 (two names).  A margin is
     nonnegative where its inequality holds.
     """
     if sign == "nonneg":
-        return [(names[0], float(np.min(v1 - np.abs(v2))), False)]
-    return [(names[0], float(np.min(v1 - v2)), True),
-            (names[1], float(np.min(-v1)), False)]
+        return [(names[0], lambda v1, v2: v1 - np.abs(v2), False)]
+    return [(names[0], lambda v1, v2: v1 - v2, True),
+            (names[1], lambda v1, v2: -v1, False)]
 
 
 # relation id -> (hypothesis kernel, required sign, description)
@@ -349,23 +348,19 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
                        f"choices: {', '.join(sorted(DOMINANCE_RELATIONS))}")
     hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
     cache = _kernel_cache(p, n, lam, integrator_tol)
-    idx = np.arange(n + 1)
 
     if hyp_kind == "NBASE":
         hyp_class = _require_sign(cache, "base", "N", "nonneg",
                                   "base Neumann kernel is not {} at this lambda")
-        vn = _node_block(*cache.factors(idx, "base", "N"))
-        # the extension kernel at (2T - t, s) on the 2n-piece grid
-        refl = _node_block(*cache.factors(idx, "even2", "P" if relation == "bound2_p" else "N",
-                                          tmap="r2"))
-        vo = _node_block(*cache.factors(idx, "base", "D" if relation == "bound2_p" else "M1"))
-        tables = (vn, vo, refl)
+        refl, other = ("P", "D") if relation == "bound2_p" else ("N", "M1")
+        # Neumann, its companion, and the extension kernel at (2T - t, s)
+        kernels = (("base", "N"), ("base", other), ("even2", refl, "r2"))
         results = [
-            ("double reflected kernel above Neumann", float(np.min(2 * refl - vn)), False),
-            ("companion kernel nonpositive", float(np.min(-vo)), False),
+            ("double reflected kernel above Neumann", lambda vn, vo, vr: 2 * vr - vn, False),
+            ("companion kernel nonpositive", lambda vn, vo, vr: -vo, False),
             ("companion kernel above minus twice the reflected kernel",
-             float(np.min(vo + 2 * refl)), False),
-            ("reflected kernel nonnegative", float(np.min(refl)), False),
+             lambda vn, vo, vr: vo + 2 * vr, False),
+            ("reflected kernel nonnegative", lambda vn, vo, vr: vr, False),
         ]
         hyp_desc = {"kernel": "N on the base interval", "classification": hyp_class}
     else:
@@ -375,18 +370,23 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
         hyp_desc = {"kernel": kernel, "classification": hyp_class}
         bc1, bc2 = COMPARISON_THEOREMS[relation][2:]
         n1, n2 = _KERNEL_NAMES[bc1], _KERNEL_NAMES[bc2]
-        tables = tuple(_node_block(*cache.factors(idx, "base", bc)) for bc in (bc1, bc2))
-        results = _conclusion(hyp_sign, *tables,
+        kernels = (("base", bc1), ("base", bc2))
+        results = _conclusion(hyp_sign,
                               (f"{n1} minus |{n2}|",) if hyp_sign == "nonneg" else
                               (f"{n1} minus {n2} (strict)", f"{n1} nonpositive"))
 
+    # margins and scale on s <= t from each (rows_low, B): all symmetric, even at (2T - t, s)
+    factors = [cache.factors(np.arange(cache.n + 1), *kernel)[:3:2] for kernel in kernels]
+    ext = np.array(_lower_pass(factors, lambda *vals: [
+        *(np.min(margin(*vals)) for _, margin, _ in results), max(map(_max_abs, vals))]))
     # Strict and non-strict checks share the numeric slack; the flag is kept
     # in the report so readers know which claim was made.
-    slack = tol * max(1.0, max(_max_abs(v) for v in tables))
-    checks = [{"check": name, "min_margin": margin, "strict": strict,
-               "pass": bool(margin > -slack)} for name, margin, strict in results]
+    slack = tol * max(1.0, float(np.max(ext[:, -1])))
+    checks = [{"check": name, "min_margin": float(margin), "strict": strict,
+               "pass": bool(margin > -slack)}
+              for (name, _, strict), margin in zip(results, np.min(ext[:, :-1], axis=0))]
     return {"relation": relation, "description": description,
-            "lambda": float(lam), "n": n, "tol": tol,
+            "lambda": float(lam), "n": cache.n, "tol": tol,
             "hypothesis": hyp_desc, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
@@ -411,7 +411,7 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
     hyp_class = _require_sign(cache, "even2", bc, hyp_sign,
                               f"the extension's {kernel} kernel is not {{}}")
 
-    ts = np.linspace(0.0, cache.L, n + 1)
+    ts = np.linspace(0.0, cache.L, cache.n + 1)
     f1, f2 = _as_callable(sigma1, ts), _as_callable(sigma2, ts)
     s1, s2 = f1(ts), f2(ts)
 
@@ -443,8 +443,8 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
         # nonnegative case, u_bc1 <= u_bc2 and u_bc1 >= 0
         v1, v2 = -v1, -v2
         names = (f"u_{bc1} <= u_{bc2}", f"u_{bc1} >= 0")
-    checks = [{"check": name, "min_margin": margin, "pass": bool(margin >= -slack)}
-              for name, margin, _ in _conclusion(hyp_sign, v1, v2, names)]
+    checks = [{"check": name, "min_margin": (m := float(np.min(margin(v1, v2)))),
+               "pass": bool(m >= -slack)} for name, margin, _ in _conclusion(hyp_sign, names)]
 
     return {"theorem": theorem, "case": case, "lambda": float(lam),
             "hypothesis": {"kernel": kernel, "classification": hyp_class},

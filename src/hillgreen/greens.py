@@ -285,11 +285,13 @@ def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
     return _branch_select(t_idx, s_idx, lambda: G.lower[ix], lambda: G.upper[ix])
 
 
-def _node_block(rows_low: np.ndarray, rows_up: np.ndarray, B: np.ndarray,
+def _node_block(rows_low: np.ndarray, rows_up, B: np.ndarray,
                 t_idx: np.ndarray, s_idx: np.ndarray) -> np.ndarray:
     """Kernel values G(x[t_idx[i]], x[s_idx[j]]) straight from the rank-2 factors:
     ``rows_low`` and ``rows_up`` hold row(t) . K of each branch at the t nodes,
-    ``B`` holds col(s) at the s nodes (see ``_factors``)."""
+    ``B`` holds col(s) at the s nodes; ``rows_up`` None reads the lower branch."""
+    if rows_up is None:
+        return rows_low @ B
     return _branch_select(t_idx, s_idx, lambda: rows_low @ B, lambda: rows_up @ B)
 
 
@@ -308,41 +310,51 @@ def _row_slices(size: int) -> list[slice]:
     return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
 
 
-def _node_extrema(states: np.ndarray, k_low: np.ndarray, k_up: np.ndarray):
-    """(min, max) of the kernel over every node of ``states`` (the
-    ``basis.trajectory`` of the nodes), in ``_row_slices`` each formed left
-    of, on and right of the diagonal: only the square on it takes both
-    branches, no full table is held, and the extremes are the whole table's.
-    Stacks of branch matrices, of shape (m, 2, 2), give m kernels' extremes
-    as two arrays from one pass."""
+def _lower_pass(factors, reduce) -> list:
+    """``reduce(*blocks)`` per ``_row_slices`` slice t of rows; a block holds one
+    kernel of ``factors`` (row . k_low, col) on its lower branch at columns
+    s < t.stop, each pair s > t repeating its row's diagonal: so a symmetric
+    kernel whole, where pairs s <= t take the lower branch (id map, (2T - t, s)).
+    Each slice's blocks are freed before the next form, which reuse the memory."""
+    def block(rows_low, B, t):
+        rows = np.arange(t.start, t.stop)
+        out = _node_block(rows_low[..., t, :], None, B[:, :t.stop], rows, np.arange(t.stop))
+        square = out[..., t.start:]
+        np.copyto(square, np.diagonal(square, axis1=-2, axis2=-1)[..., None],
+                  where=rows > rows[:, None])
+        return out
+    return [reduce(*(block(rows_low, B, t) for rows_low, B in factors))
+            for t in _row_slices(factors[0][1].shape[1])]
+
+
+def _node_extrema(states: np.ndarray, k_low: np.ndarray):
+    """(min, max) arrays of the kernels row(t) . k_low[i] . col(s), a stack of
+    shape (m, 2, 2), over the node pairs s <= t of ``states`` (the
+    ``basis.trajectory`` of the nodes), in one ``_lower_pass``."""
     A, B = _factors(states, states)
-    rows_low, rows_up = A.T @ k_low, A.T @ k_up
-    nodes = np.arange(B.shape[1])
-    lo, hi = [], []
-    for t in _row_slices(nodes.size):
-        for s in (slice(0, t.start), t, slice(t.stop, nodes.size)):
-            if s.stop > s.start:
-                block = _node_block(rows_low[..., t, :], rows_up[..., t, :], B[:, s],
-                                    nodes[t], nodes[s])
-                lo.append(np.min(block, axis=(-2, -1)))
-                hi.append(np.max(block, axis=(-2, -1)))
-    lo, hi = np.min(lo, axis=0), np.max(hi, axis=0)
-    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
+    ext = np.array(_lower_pass([(A.T @ k_low, B)], lambda block: (
+        np.min(block, axis=(1, 2)), np.max(block, axis=(1, 2)))))
+    return np.min(ext[:, 0], axis=0), np.max(ext[:, 1], axis=0)
 
 
-def _separated_extrema(states: np.ndarray, k_low: np.ndarray):
-    """(min, max) of a separated kernel over every node of ``states``, in O(n).
-
-    Its lower branch matrix has one nonzero column q (``_branch_matrices``),
-    so G(t_i, s_j) = a_i b_j for s_j <= t_i, with a = row . k_low[:, q] and b
-    the q-th entry of col.  The kernel is symmetric, so the extremes over that
-    triangle, from the prefix extremes of b, are the whole table's.
-    """
+def _kernel_extrema(states: np.ndarray, k_low: np.ndarray):
+    """``_node_extrema`` of one kernel (floats) or a stack; in O(n) where the
+    lower branch matrix has a zero column (separated kernels; N +- M1, M2 +- D):
+    there G(t_i, s_j) = a_i b_j for s_j <= t_i, bit for bit, a the other column
+    q of row . k_low and b the q-th entry of col, so b's prefix extremes give
+    the extremes.  The other kernels share one ``_node_extrema`` pass."""
+    k = np.reshape(k_low, (-1, 2, 2))
     A, B = _factors(states, states)
-    q = int(np.argmax(np.abs(k_low).sum(axis=0)))
-    a, b = A.T @ k_low[:, q], B[q]
-    ends = np.concatenate([a * np.minimum.accumulate(b), a * np.maximum.accumulate(b)])
-    return float(np.min(ends)), float(np.max(ends))
+    weight = np.abs(k).sum(axis=1)
+    q = np.argmax(weight, axis=1)
+    a, b = (A.T @ k)[np.arange(len(k)), :, q], B[q]
+    ends = np.concatenate([a * np.minimum.accumulate(b, axis=1),
+                           a * np.maximum.accumulate(b, axis=1)], axis=1)
+    lo, hi = np.min(ends, axis=1), np.max(ends, axis=1)
+    rank2 = weight.all(axis=1)
+    if rank2.any():
+        lo[rank2], hi[rank2] = _node_extrema(states, k[rank2])
+    return (float(lo[0]), float(hi[0])) if np.ndim(k_low) == 2 else (lo, hi)
 
 
 def _max_abs(vals: np.ndarray) -> float:
@@ -350,9 +362,14 @@ def _max_abs(vals: np.ndarray) -> float:
     return float(max(abs(np.min(vals)), abs(np.max(vals))))
 
 
-def _check_n(n: int) -> None:
+def _check_n(n, name: str = "n") -> int:
+    """A grid size as an int, from an integral int, NumPy number or float."""
+    if isinstance(n, bool) or not isinstance(n, (int, float, np.integer, np.floating)) \
+            or not float(n).is_integer():
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 1:
-        raise ValueError(f"grid needs n >= 1 pieces, got {n}")
+        raise ValueError(f"{name} must be at least 1, got {n}")
+    return int(n)
 
 
 # Kernel families of the workspace: grid factor and label.  The factor is
@@ -382,7 +399,7 @@ class _KernelCache:
     only nodes an argument map reaches; ``row_factors`` and ``row_max``
     serve the catalog's bound.  Per (family, bc) ``_matrices`` holds the
     branch matrices (k_low, k_up) and ``_extrema`` the kernel's (min, max)
-    over the family's nodes.  A resonant kernel raises on every request.
+    over the family's node pairs s <= t.  A resonant kernel raises on every request.
     Threads share a workspace; its dicts are filled check then set, so a
     race forms one value twice, the same value.
     """
@@ -431,24 +448,19 @@ class _KernelCache:
         return A.T @ k_low, A.T @ k_up, B, t_idx, s_idx
 
     def extrema(self, family: str, bc: str) -> tuple[float, float]:
-        """(min, max) of G_bc[family] over the family's nodes: from the rank-1
-        factors of a separated kernel, from one pass over a coupled one."""
-        k_low, k_up = self._branches(family, bc)
+        """(min, max) of G_bc[family] over its node pairs s <= t."""
+        k_low = self._branches(family, bc)[0]
         key = (family, bc)
         if key not in self._extrema:
-            states = self.families[family][1]
-            self._extrema[key] = (_node_extrema(states, k_low, k_up)
-                                  if BoundaryCondition.parse(bc).is_coupled
-                                  else _separated_extrema(states, k_low))
+            self._extrema[key] = _kernel_extrema(self.families[family][1], k_low)
         return self._extrema[key]
 
 
 def _kernel_cache(p: Potential, n: int, lam: float, tol: float) -> _KernelCache:
     """The workspace of p at lambda on n pieces, kept in the workspace cache
     unless its grid has more than ``_NODE_STATES`` nodes."""
-    _check_n(n)
+    n = _check_n(n)
     basis = fundamental_solutions(p, lam, tol=tol)
-    n = int(n)
     if n + 1 > _NODE_STATES:
         return _KernelCache(basis, n)
     return _memo(_WORKSPACES, (p, basis.lam, basis.tol, n), lambda: _KernelCache(basis, n))
@@ -463,7 +475,7 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
                 tol: float = DEFAULT_TOL) -> GreensFunction:
     """Construct the Green's function of u'' + (a + lambda) u on [0, T] under ``bc``."""
     bc = BoundaryCondition.parse(bc)
-    _check_n(n)
+    n = _check_n(n)
     basis = fundamental_solutions(p, lam, tol=tol)
     L = basis.length
     k_low, k_up, margin = _branch_matrices(basis.monodromy, basis.lam, bc)
@@ -476,7 +488,7 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
         "wronskian_drift": abs(basis.y1_end * basis.y2p_end
                                - basis.y1p_end * basis.y2_end - 1.0),
     }
-    return GreensFunction(bc=bc, length=L, lam=float(lam), n=int(n),
+    return GreensFunction(bc=bc, length=L, lam=float(lam), n=n,
                           grid=np.linspace(0.0, L, n + 1),
                           lower=A.T @ k_low @ B, upper=A.T @ k_up @ B,
                           branches=KernelBranches(basis, k_low, k_up), meta=meta)
@@ -502,7 +514,7 @@ def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFun
     L = float(length)
     if m <= 0 or L <= 0:
         raise ValueError("closed form needs m > 0 and a positive length")
-    _check_n(n)
+    n = _check_n(n)
     branches = _TrigBranches(m, L, bc)
     if abs(branches.denominator) < 1e-12 * max(1.0, m):
         raise PoleError(
@@ -510,7 +522,7 @@ def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFun
             denominator=branches.denominator)
     grid = np.linspace(0.0, L, n + 1)
     lower, upper = branches.tables(grid, grid)
-    return GreensFunction(bc=bc, length=L, lam=m * m, n=int(n), grid=grid,
+    return GreensFunction(bc=bc, length=L, lam=m * m, n=n, grid=grid,
                           lower=lower, upper=upper, branches=branches,
                           meta={"closed_form": True, "m": m})
 
@@ -653,7 +665,7 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100, *,
     included, continues that integral by one partial panel.
     """
     bc = BoundaryCondition.parse(bc)
-    _check_n(n)
+    n = _check_n(n)
     basis = fundamental_solutions(p, lam, tol=tol)
     L = basis.length
     _, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc)

@@ -32,7 +32,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ResonanceError
-from .greens import (_MAPS, _KernelCache, _kernel_cache, _max_abs, _node_block, _node_extrema,
+from .greens import (_MAPS, _KernelCache, _kernel_cache, _kernel_extrema, _max_abs, _node_block,
                      _row_slices)
 from .integrator import DEFAULT_TOL
 from .potential import Potential
@@ -242,15 +242,14 @@ _CELLS = {"base": ((2 / 3, 1 / 3), (1 / 3, 2 / 3)),
 
 
 def lhs_scales(cache: _KernelCache, idents) -> list[float]:
-    """max |lhs| of each identity over its grid.  A one-term left side is
-    one kernel read through a bijection of its family's nodes (id or rT
-    maps); the longer ones sum id-mapped base kernels and share one pass."""
+    """max |lhs| of each identity over its grid's node pairs s <= t.  A
+    one-term left side is one kernel read through a bijection of its family's
+    nodes (id or rT maps); the longer ones sum id-mapped base kernels."""
     summed, extremes = [ident for ident in idents if len(ident.lhs) > 1], {}
     if summed:
-        k = np.array([[sum(t.coef * cache._branches(t.family, t.bc)[b] for t in ident.lhs)
-                       for b in (0, 1)] for ident in summed])
-        extremes = dict(zip(summed, zip(*_node_extrema(cache.families["base"][1],
-                                                       k[:, 0], k[:, 1]))))
+        k = np.array([sum(t.coef * cache._branches(t.family, t.bc)[0] for t in ident.lhs)
+                      for ident in summed])
+        extremes = dict(zip(summed, zip(*_kernel_extrema(cache.families["base"][1], k))))
     return [_max_abs(extremes[ident] if len(ident.lhs) > 1 else
                      cache.extrema(ident.lhs[0].family, ident.lhs[0].bc)) for ident in idents]
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
-from .greens import BoundaryCondition, kernel_value
+from .greens import BoundaryCondition, _check_n, kernel_value
 from .integrator import (DEFAULT_TOL, _check_accuracy, _check_tol, _propagate, _scan_plan,
                          discriminant, endpoint_scan, fundamental_solutions)
 from .potential import Potential
@@ -339,11 +339,10 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     max(``tol``, 1e-12).  Raises ``IntegrationError`` when those states
     cannot certify ``integrator_tol`` over the range (at large lambda the
     float64 rounding of the phase alone exceeds it; a larger ``integrator_tol``
-    lifts it), and ``ValueError`` for ``n_scan`` < 1 or an unknown ``method``.
+    lifts it), and ``ValueError`` for a bad ``n_scan`` or an unknown ``method``.
     """
     bc = BoundaryCondition.parse(bc)
-    if n_scan < 1:
-        raise ValueError(f"n_scan must be at least 1, got {n_scan}")
+    n_scan = _check_n(n_scan, "n_scan")
     if method not in ("auto", "union", "direct"):
         raise ValueError(f"unknown method {method!r}")
     if search_range is None:

@@ -98,7 +98,7 @@ def test_closed_form_pole():
         closed_form_constant(math.pi, 1.0, "D")
     with pytest.raises(ValueError):
         closed_form_constant(-1.0, 1.0, "D")
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
         closed_form_constant(1.0, 1.0, "D", n=0)
 
 

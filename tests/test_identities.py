@@ -329,21 +329,20 @@ def test_verify_all_integrates_only_the_base(monkeypatch):
 
 
 def test_certified_catalog_forms_no_node_block(cos_pi, monkeypatch):
-    # every identity is certified by its 2x2 algebra: no node block is formed,
-    # and the only node passes are one for the nine multi-term left sides
-    # together (41 base nodes, in the catalog) and one for the extension's
-    # periodic kernel, REFL's left side (81 nodes, in the kernel workspace);
-    # the separated kernels take O(n) extremes
+    # every identity is certified by its 2x2 algebra: no node block is formed
+    # for a residual, and the only node passes are one for the five multi-term
+    # left sides that are not rank 1 (41 base nodes) and one for the
+    # extension's periodic kernel, REFL's left side (81 nodes); the separated
+    # kernels and the sums N +- M1 and M2 +- D take O(n) extremes
     blocks, passes = [], []
     monkeypatch.setattr(identities, "_node_block", lambda *args: blocks.append(1))
     original = greens._node_extrema
-    for module in (identities, greens):
-        monkeypatch.setattr(module, "_node_extrema", lambda states, k_low, k_up: passes.append(
-            (states.shape[1], k_low.shape)) or original(states, k_low, k_up))
+    monkeypatch.setattr(greens, "_node_extrema", lambda states, k_low: passes.append(
+        (states.shape[1], k_low.shape)) or original(states, k_low))
     reports = verify_all(cos_pi, 0.29, n=40)
     assert all(r.passed for r in reports)
     assert blocks == []
-    assert passes == [(41, (9, 2, 2)), (81, (2, 2))]
+    assert passes == [(41, (5, 2, 2)), (81, (1, 2, 2))]
 
 
 def test_verify_all_holds_no_whole_side(cos_pi):

@@ -2,11 +2,13 @@
 
 import argparse
 import inspect
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hillgreen
@@ -119,3 +121,39 @@ def test_python_m_hillgreen_runs_the_cli():
     out = _python("-m", "hillgreen", "--help")
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: hillgreen")
+
+
+# Every grid size, n or n_scan, takes one rule: an int, NumPy integer or
+# integral float of at least 1 is read as that int; anything else raises a
+# ValueError that names the argument.
+_COS_PI = hillgreen.Potential.cosine(math.pi)
+GRID_SIZE_ENTRIES = {
+    "build_green": ("n", lambda n: hillgreen.build_green(_COS_PI, -0.36, "D", n=n)
+                    .combined().tolist()),
+    "closed_form_constant": ("n", lambda n: hillgreen.closed_form_constant(2.0, 1.0, "D", n=n)
+                             .combined().tolist()),
+    "solve_bvp": ("n", lambda n: hillgreen.solve_bvp(_COS_PI, -0.36, "N", 1.0, n=n)
+                  .values.tolist()),
+    "verify_all": ("n", lambda n: [r.as_dict() for r in hillgreen.verify_all(_COS_PI, -0.36,
+                                                                             n=n)]),
+    "verify_identity": ("n", lambda n: hillgreen.verify_identity("NP", _COS_PI, -0.36, n=n)
+                        .as_dict()),
+    "verify_dominance": ("n", lambda n: hillgreen.verify_dominance(_COS_PI, -0.36, "nd_nonneg",
+                                                                   n=n)),
+    "verify_solution_comparison": ("n", lambda n: hillgreen.verify_solution_comparison(
+        _COS_PI, -0.36, "nd_nonneg", 1.0, 0.5, n=n)),
+    "find_eigenvalues": ("n_scan", lambda n: hillgreen.find_eigenvalues(
+        _COS_PI, "D", max_count=2, n_scan=n).values()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GRID_SIZE_ENTRIES))
+def test_grid_sizes_take_one_integer_rule(entry):
+    name, call = GRID_SIZE_ENTRIES[entry]
+    want = call(10)
+    for n in (10.0, np.int64(10), np.float64(10.0)):
+        assert call(n) == want, (entry, n)
+    for bad in (10.5, float("nan"), float("inf"), "10", None, True, np.bool_(True),
+                0, -3, 0.0):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)
