@@ -249,7 +249,7 @@ def lhs_scales(cache: _KernelCache, idents) -> list[float]:
     if summed:
         k = np.array([sum(t.coef * cache._branches(t.family, t.bc)[0] for t in ident.lhs)
                       for ident in summed])
-        extremes = dict(zip(summed, zip(*_kernel_extrema(cache.families["base"][1], k))))
+        extremes = dict(zip(summed, zip(*_kernel_extrema(cache.base[1], k))))
     return [_max_abs(extremes[ident] if len(ident.lhs) > 1 else
                      cache.extrema(ident.lhs[0].family, ident.lhs[0].bc)) for ident in idents]
 

@@ -286,6 +286,23 @@ class _PieceTable(NamedTuple):
         out[:, ~smooth] = self._exact(t[~smooth], k[~smooth])
         return out
 
+    def point(self, t: float) -> list:
+        """The state at one t in [0, L] as four floats, by the arithmetic of
+        ``read`` operation for operation, so equal to it bit for bit."""
+        k = int(self.starts.searchsorted(t, side="right")) - 1
+        t0, y0, q = float(self.starts[k]), self.states[k].tolist(), float(self.q[k])
+        if math.isnan(q):
+            x, y = (t - t0) / float(self.h[k]), [0.0] * 4
+            for i, f in enumerate(reversed(self.coeffs[k].tolist())):  # _dop853's loop
+                y = [(a + b) * (1 - x if i % 2 else x) for a, b in zip(y, f)]
+            return [a + b for a, b in zip(y, y0)]
+        # _exact_step: _cos_sinc's branches on a float, then _apply
+        h = t - t0
+        w2 = q * h * h
+        c, s = _oscillating(w2) if w2 > 0 else _growing(w2) if w2 < 0 else (1.0, 1.0)
+        s = s * h
+        return _apply((c, s, -q * s, c), y0).tolist()
+
     def _exact(self, t, k):
         return _exact_step(self.states[k].T, self.q[k], t - self.starts[k])
 
@@ -302,10 +319,14 @@ class _PieceTable(NamedTuple):
         return y.T
 
 
-def _on_domain(t: np.ndarray, length: float) -> np.ndarray:
-    """The points t read on [0, length]: those within 1e-12 (1 + length) of it
-    at the nearest end; any other point, NaN included, raises ``DomainError``."""
+def _on_domain(t, length: float):
+    """Points t, an array or one float, read on [0, length]: within 1e-12 (1 + length)
+    of it at the nearest end; any other point, NaN included, raises ``DomainError``."""
     slack = 1e-12 * (1.0 + length)
+    if isinstance(t, float):
+        if not -slack <= t <= length + slack:
+            raise DomainError(f"evaluation point outside [0, {length}]")
+        return min(max(t, 0.0), length)  # np.clip's value, -0.0 kept
     if t.size and not (-slack <= t.min() and t.max() <= length + slack):
         raise DomainError(f"evaluation point outside [0, {length}]")
     return t.clip(0.0, length)
@@ -346,9 +367,12 @@ class SolutionBasis:
         Points within 1e-12 (1 + length) of [0, length] are read at the
         nearest end; any other point, NaN included, raises ``DomainError``.
         A point where two pieces meet (a segment edge or a DOP853 step's
-        end) is read from the later piece, at its start state.
+        end) is read from the later piece, at its start state.  A scalar t
+        is read by ``_PieceTable.point``, equal bit for bit to an array read.
         """
         t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return np.array(self._pieces.point(_on_domain(float(t), self.length)))
         return self._pieces.read(_on_domain(t.ravel(), self.length)).reshape((4, *t.shape))
 
     def wronskian(self, t) -> float:

@@ -9,6 +9,7 @@ from hillgreen import (
     Potential,
     boundary_residual,
     build_green,
+    clear_cache,
     closed_form_constant,
     estimate_diagonal_jump,
     fundamental_solutions,
@@ -183,6 +184,22 @@ def test_build_green_one_trajectory(cos_pi, trajectory_calls):
     lower, upper = G.branches.tables(G.grid, G.grid.copy())
     assert np.array_equal(G.lower, lower)
     assert np.array_equal(G.upper, upper)
+
+
+def test_base_readers_derive_no_other_family(cos_pi):
+    # build_green and the base kernels read the base alone; the extension,
+    # doubled extension and reflected families are derived on first use, once
+    clear_cache()
+    build_green(cos_pi, 0.3, "N", n=24)
+    cache = greens._kernel_cache(cos_pi, 24, 0.3, DEFAULT_TOL)
+    cache.extrema("base", "D")
+    cache.factors(np.arange(25), "base", "M1")
+    assert "families" not in vars(cache) and "row_factors" not in vars(cache)
+    families = cache.families
+    assert list(families) == ["base", "even2", "even4", "refl"]
+    assert families["base"] is cache.base
+    cache.extrema("even2", "P")
+    assert cache.families is families and "row_factors" in vars(cache)
 
 
 def test_to_csv_format(tmp_path, zero1):

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import hillgreen.integrator as integrator
@@ -18,7 +18,7 @@ from hillgreen import (
     solve_bvp,
 )
 from hillgreen import greens
-from hillgreen.errors import DomainError, IntegrationError
+from hillgreen.errors import DomainError, IntegrationError, ResonanceError
 
 from helpers import rk4_reference
 
@@ -515,7 +515,8 @@ def test_trajectory_keeps_the_shape_of_t(p):
 
 @pytest.mark.parametrize("name", ["mixed", "ex3"])
 def test_scalar_calls_equal_one_array_call(name):
-    # a scalar takes the same path as an array: no rounding of its own
+    # a scalar is read by a separate reader that repeats the array arithmetic
+    # operation for operation, so it has no rounding of its own
     p = MIXED if name == "mixed" else load_builtin("ex3")
     L = p.domain_length
     ts = np.concatenate([np.linspace(0.0, L, 7), integrator._segments(p)[0],
@@ -527,3 +528,78 @@ def test_scalar_calls_equal_one_array_call(name):
         assert np.array_equal([u(t) for t in ts], u(ts))
         assert np.array_equal([u.derivative(t) for t in ts], u.derivative(ts))
         assert np.array_equal(u(u.grid), u.values)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+_SCALAR_POTENTIALS = st.one_of(
+    st.sampled_from(["ex1", "ex2", "ex3", "ex4"]).map(load_builtin),
+    st.tuples(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4),
+              st.floats(0.5, 2.5)).map(
+        lambda vl: Potential.piecewise_constant(
+            np.linspace(0.0, vl[1], len(vl[0]) + 1), vl[0])),
+    st.tuples(st.floats(0.5, 3.0), st.floats(-1.0, 1.0), st.floats(0.2, 2.0),
+              st.floats(0.5, 3.0)).map(
+        lambda c: Potential.cosine(c[0], c0=c[1], c1=c[2], omega=c[3])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_SCALAR_POTENTIALS, st.floats(-20.0, 60.0),
+       st.sampled_from(["P", "A", "N", "D", "M1", "M2"]), st.integers(0, 2**32 - 1))
+@example(Potential.constant(0.7, 2.0), -0.7, "D", 1)  # a + lambda = 0: the w2 == 0 branch
+@example(Potential.constant(0.7, 2.0), -5.0, "N", 2)  # a + lambda < 0: cosh and sinh
+@example(STEP3, 2.0, "M1", 3)  # q = 3, 0 and -2 on its three pieces
+def test_scalar_reads_equal_array_reads_bit_for_bit(p, lam, bc, seed):
+    basis = fundamental_solutions(p, lam)
+    L = p.domain_length
+    slack = 1e-12 * (1.0 + L)
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate([rng.uniform(0.0, L, 8), basis._pieces.starts, basis._edges,
+                         [0.0, -0.0, L], -slack * rng.uniform(0.0, 1.0, 2),
+                         L + slack * rng.uniform(0.0, 1.0, 2)])
+    assert np.array_equal(_bits([basis.trajectory(t) for t in ts]), _bits(basis.trajectory(ts).T))
+    try:
+        u = solve_bvp(p, lam, bc, lambda t: 1.0 + np.sin(2.0 * t), n=30)
+    except ResonanceError:
+        return
+    assert np.array_equal(_bits([u(t) for t in ts]), _bits(u(ts)))
+    assert np.array_equal(_bits([u.derivative(t) for t in ts]), _bits(u.derivative(ts)))
+
+
+def test_scalar_reads_raise_like_arrays_before_sigma():
+    calls = []
+
+    def sigma(t):
+        calls.append(np.size(t))
+        return 1.0 + np.sin(t)
+
+    u = solve_bvp(MIXED, 0.4, "D", sigma, n=20)
+    calls.clear()
+    slack = 1e-12 * (1.0 + MIXED.domain_length)
+    for bad in (math.nan, math.inf, -math.inf, -2.0 * slack, MIXED.domain_length + 2.0 * slack):
+        for read in (u, u.derivative, fundamental_solutions(MIXED, 0.4).trajectory):
+            with pytest.raises(DomainError) as one:
+                read(bad)
+            with pytest.raises(DomainError) as many:
+                read(np.array([bad]))
+            assert str(one.value) == str(many.value)
+    assert calls == []
+    # a point inside takes one sigma call on t and its panel midpoint, as in an array
+    u.derivative(0.3)
+    assert calls == [2]
+
+
+def test_scalar_reads_take_any_sigma_and_return_floats():
+    p = load_builtin("ex3")
+    L, n = p.domain_length, 20
+    ts = np.concatenate([np.random.default_rng(4).uniform(0.0, L, 9), [0.0, L]])
+    samples = np.cos(np.linspace(0.0, L, 4 * n + 1))
+    for sigma in (math.sin, samples):
+        u = solve_bvp(p, 0.4, "N", sigma, n=n)
+        assert np.array_equal(_bits([u(t) for t in ts]), _bits(u(ts)))
+        assert np.array_equal(_bits([u.derivative(t) for t in ts]), _bits(u.derivative(ts)))
+    for t in (np.float32(0.3), np.float64(0.3), np.array(0.3), 0.3):
+        assert type(u(t)) is float and type(u.derivative(t)) is float
+        assert u(t) == u(np.atleast_1d(np.asarray(t, dtype=float)))[0]
