@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -394,15 +393,15 @@ class _KernelCache:
     shared by ``build_green``, the identity catalog and the comparison
     checks: ``_kernel_cache`` keeps one per (p, lambda, tol, n).
 
-    The basis is p integrated once on [0, L]; every family follows from it by the
-    rules of ``_FAMILIES``, on first use of ``families``.  ``base`` and ``families``
-    hold the base's and every family's (monodromy, read-only states at its grid nodes
-    0..min(2n, pieces)), the only nodes an argument map reaches; ``row_factors`` and
-    ``row_max`` serve the catalog's bound.  Per (family, bc) ``_matrices`` holds the
-    branch matrices (k_low, k_up) and ``_extrema`` the kernel's (min, max) over the
-    family's node pairs s <= t.  A resonant kernel raises on every request.  Threads
-    share a workspace; its dicts and properties are filled check then set, so a race
-    forms one value twice, the same value.
+    The basis is p integrated once on [0, L]; every other family follows from it
+    by the rules of ``_FAMILIES`` on first use.  ``_family`` reads a family's
+    (monodromy, read-only states at its grid nodes 0..min(2n, pieces)), the only
+    nodes an argument map reaches; ``row_factors`` and ``row_max`` serve the
+    catalog's bound.  Per (family, bc) ``_matrices`` holds the branch matrices
+    (k_low, k_up) and ``_extrema`` the kernel's (min, max) over the family's node
+    pairs s <= t.  A resonant kernel raises on every request.  Threads share a
+    workspace; its derived families and dicts are filled check then set, without
+    a lock, so a race forms one value twice, the same value.
     """
 
     def __init__(self, basis: SolutionBasis, n: int):
@@ -411,31 +410,34 @@ class _KernelCache:
         S.flags.writeable = False
         self.base = (basis.monodromy, S)
         self.row_max = float(np.max(S[0] ** 2 + S[2] ** 2))
-        self._matrices, self._extrema = {}, {}
+        self._rest, self._matrices, self._extrema = None, {}, {}
 
-    @cached_property
+    @property
     def row_factors(self) -> dict:
         """X with row_family(k) = row(base node) X, for nodes k up to T and past T."""
-        M = self.base[0]
-        try:
-            R = np.linalg.solve(M, _D)
-        except np.linalg.LinAlgError:  # singular in floating point; det M = 1 (Liouville)
-            R = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) @ _D
-        one, C = np.eye(2), R @ M
-        return {"base": (one, one), "even2": (one, C), "even4": (one, C), "refl": (R, R)}
-
-    @cached_property
-    def families(self) -> dict:
-        S, R, C = self.base[1], self.row_factors["refl"][0], self.row_factors["even2"][1]
-        even = np.concatenate([S, _mirrored(S[:, -2::-1], C)], axis=1)
-        M2 = _D @ C
-        # C is an involution, so M2^-1 D = C and the doubled extension needs
-        # no solve with M2, which is singular in floating point at large -lambda
-        return {"base": self.base, "even2": (M2, even), "even4": (_D @ C @ M2, even),
-                "refl": (_D @ R, _mirrored(S[:, ::-1], R))}
+        return self._derived()[0]
 
     def _family(self, family: str) -> tuple:
-        return self.base if family == "base" else self.families[family]
+        """(monodromy, node states) of one family of ``_FAMILIES``."""
+        return self.base if family == "base" else self._derived()[1][family]
+
+    def _derived(self) -> tuple[dict, dict]:
+        """(row_factors, the other families), derived from the base on first use."""
+        if self._rest is None:
+            M, S = self.base
+            try:
+                R = np.linalg.solve(M, _D)
+            except np.linalg.LinAlgError:  # singular in floating point; det M = 1 (Liouville)
+                R = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) @ _D
+            one, C = np.eye(2), R @ M
+            even, M2 = np.concatenate([S, _mirrored(S[:, -2::-1], C)], axis=1), _D @ C
+            # C is an involution, so M2^-1 D = C and the doubled extension needs
+            # no solve with M2, which is singular in floating point at large -lambda
+            self._rest = ({"base": (one, one), "even2": (one, C), "even4": (one, C),
+                           "refl": (R, R)},
+                          {"even2": (M2, even), "even4": (_D @ C @ M2, even),
+                           "refl": (_D @ R, _mirrored(S[:, ::-1], R))})
+        return self._rest
 
     def _branches(self, family: str, bc: str):
         key = (family, bc)
@@ -602,8 +604,7 @@ class BvpSolution:
     and (x + t) / 2, and u is never interpolated. ``values`` is this
     evaluator at ``grid``, so ``u(u.grid)`` equals ``u.values`` exactly.  A scalar t is
     read by ``_point`` in Python floats, operation for operation as in an array, so
-    bit for bit the same, in 10-30 us a call against 70-140 us as a 1-point array
-    (ex1-ex4, 2-vCPU Xeon).
+    bit for bit the same and without numpy's per-call overhead.
     """
 
     bc: BoundaryCondition

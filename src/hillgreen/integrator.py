@@ -367,12 +367,9 @@ class SolutionBasis:
         Points within 1e-12 (1 + length) of [0, length] are read at the
         nearest end; any other point, NaN included, raises ``DomainError``.
         A point where two pieces meet (a segment edge or a DOP853 step's
-        end) is read from the later piece, at its start state.  A scalar t
-        is read by ``_PieceTable.point``, equal bit for bit to an array read.
+        end) is read from the later piece, at its start state.
         """
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return np.array(self._pieces.point(_on_domain(float(t), self.length)))
         return self._pieces.read(_on_domain(t.ravel(), self.length)).reshape((4, *t.shape))
 
     def wronskian(self, t) -> float:

@@ -21,7 +21,7 @@ def family_green(p, lam, family, bc, n, tol=DEFAULT_TOL):
     GreensFunction without branches. Raises ResonanceError as build_green does.
     """
     cache = _kernel_cache(p, n, lam, tol)
-    M, states = cache.families[family]
+    M, states = cache._family(family)
     bc = BoundaryCondition.parse(bc)
     k_low, k_up, _ = _branch_matrices(M, float(lam), bc)
     A, B = _factors(states, states)

@@ -494,7 +494,7 @@ def _node_tables(p, lam, n):
     side (|coef| each).  A resonant kernel is left out."""
     cache = greens._kernel_cache(p, n, lam, DEFAULT_TOL)
     rows = {family: float(np.max(states[0] ** 2 + states[2] ** 2))
-            for family, (_, states) in cache.families.items()}
+            for family, states in ((f, cache._family(f)[1]) for f in greens._FAMILIES)}
     idx = np.arange(n + 1)
 
     def weight(family, bc):
@@ -548,7 +548,7 @@ def _assert_read_kernels_symmetric(p, lam, n):
     # drift: with det M = 1, K_low J + J K_up^T would vanish; no pass reads
     # them on s <= t
     cache = greens._kernel_cache(p, n, lam, DEFAULT_TOL)
-    rows = float(np.max(cache.families["base"][1][0] ** 2 + cache.families["base"][1][2] ** 2))
+    rows = float(np.max(cache.base[1][0] ** 2 + cache.base[1][2] ** 2))
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     for bc in ("P", "A"):
         try:
@@ -676,7 +676,7 @@ def _assert_order_free(p, lam, n):
     recorded = dict(cache._extrema)
     assert _comparison_outcomes(p, lam, n) == alone
     for (family, bc), extremes in recorded.items():
-        lo, hi = _node_extrema(cache.families[family][1], cache._branches(family, bc)[0][None])
+        lo, hi = _node_extrema(cache._family(family)[1], cache._branches(family, bc)[0][None])
         # equal as numbers: a zero extreme may differ in sign only
         assert extremes == (lo[0], hi[0]), (family, bc)
     return recorded

@@ -170,7 +170,7 @@ def test_branch_select_matches_mask_select(cos_pi):
         ref = np.where(s_idx[None, :] <= t_idx[:, None],
                        G.lower[np.ix_(t_idx, s_idx)], G.upper[np.ix_(t_idx, s_idx)])
         assert np.array_equal(table_slice(G, t_idx, s_idx), ref)
-        states = greens._kernel_cache(cos_pi, G.n, G.lam, DEFAULT_TOL).families["base"][1]
+        states = greens._kernel_cache(cos_pi, G.n, G.lam, DEFAULT_TOL).base[1]
         A, B = greens._factors(states[:, t_idx], states[:, s_idx])
         block = greens._node_block(A.T @ G.branches.k_low, A.T @ G.branches.k_up, B,
                                    t_idx, s_idx)
@@ -194,12 +194,13 @@ def test_base_readers_derive_no_other_family(cos_pi):
     cache = greens._kernel_cache(cos_pi, 24, 0.3, DEFAULT_TOL)
     cache.extrema("base", "D")
     cache.factors(np.arange(25), "base", "M1")
-    assert "families" not in vars(cache) and "row_factors" not in vars(cache)
-    families = cache.families
-    assert list(families) == ["base", "even2", "even4", "refl"]
-    assert families["base"] is cache.base
+    assert cache._rest is None
+    assert cache._family("base") is cache.base
     cache.extrema("even2", "P")
-    assert cache.families is families and "row_factors" in vars(cache)
+    derived = cache._rest
+    assert list(derived[1]) == ["even2", "even4", "refl"]
+    cache.extrema("refl", "D")
+    assert cache.row_factors is derived[0] and cache._rest is derived
 
 
 def test_to_csv_format(tmp_path, zero1):

@@ -392,7 +392,7 @@ def test_threads_missing_one_basis_get_one_object(cos_pi, monkeypatch):
 def test_node_states_memo(cos_pi, trajectory_calls, monkeypatch):
     # node states live in the kernel workspace, one per (p, lambda, tol, n)
     def node_states(pieces):
-        return greens._kernel_cache(cos_pi, pieces, 0.31, DEFAULT_TOL).families["base"][1]
+        return greens._kernel_cache(cos_pi, pieces, 0.31, DEFAULT_TOL).base[1]
 
     basis = fundamental_solutions(cos_pi, 0.31)
     states = node_states(40)
@@ -515,8 +515,8 @@ def test_trajectory_keeps_the_shape_of_t(p):
 
 @pytest.mark.parametrize("name", ["mixed", "ex3"])
 def test_scalar_calls_equal_one_array_call(name):
-    # a scalar is read by a separate reader that repeats the array arithmetic
-    # operation for operation, so it has no rounding of its own
+    # a scalar u(t) or u'(t) is read by a separate reader that repeats the array
+    # arithmetic operation for operation, so it has no rounding of its own
     p = MIXED if name == "mixed" else load_builtin("ex3")
     L = p.domain_length
     ts = np.concatenate([np.linspace(0.0, L, 7), integrator._segments(p)[0],
@@ -559,7 +559,8 @@ def test_scalar_reads_equal_array_reads_bit_for_bit(p, lam, bc, seed):
     ts = np.concatenate([rng.uniform(0.0, L, 8), basis._pieces.starts, basis._edges,
                          [0.0, -0.0, L], -slack * rng.uniform(0.0, 1.0, 2),
                          L + slack * rng.uniform(0.0, 1.0, 2)])
-    assert np.array_equal(_bits([basis.trajectory(t) for t in ts]), _bits(basis.trajectory(ts).T))
+    points = [basis._pieces.point(integrator._on_domain(float(t), L)) for t in ts]
+    assert np.array_equal(_bits(points), _bits(basis.trajectory(ts).T))
     try:
         u = solve_bvp(p, lam, bc, lambda t: 1.0 + np.sin(2.0 * t), n=30)
     except ResonanceError:
