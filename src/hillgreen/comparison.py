@@ -399,7 +399,9 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
 
     The absolute-value principles require |sigma2| <= sigma1; the ordered
     principles accept either 0 <= sigma2 <= sigma1 or 0 >= sigma2 >= sigma1
-    and flip the conclusion accordingly.
+    and flip the conclusion accordingly.  A forcing may be a callable, a
+    constant, or an array of samples on the n + 1 grid nodes, interpolated
+    linearly between them (``solve_bvp`` takes an array on its 4n + 1 grid).
     """
     if theorem not in COMPARISON_THEOREMS:
         raise KeyError(f"unknown theorem {theorem!r}; "

@@ -12,7 +12,9 @@ node states (``_KernelCache``, shared with the catalog and comparisons).
 
 Coupled conditions (periodic, anti-periodic) use K_up = (eps I - M)^{-1} M
 with M the monodromy matrix; separated conditions use the rank-one kernel
-built from the pair of one-sided solutions.
+built from the pair of one-sided solutions.  Each condition's eps and
+characteristic function live on ``BoundaryCondition``, and
+``_branch_matrices`` is the one place that finds a kernel resonant.
 """
 
 from __future__ import annotations
@@ -78,61 +80,73 @@ class BoundaryCondition(Enum):
         return _ENDS.get(self)
 
     @property
+    def sign(self) -> float | None:
+        """eps of a coupled condition u(0) = eps u(T), u'(0) = eps u'(T): 1.0
+        for P, -1.0 for A; None for the separated conditions."""
+        return _SIGNS.get(self)
+
+    @property
     def condition(self) -> str:
         if self.is_coupled:
-            s = "" if self is BoundaryCondition.PERIODIC else "-"
+            s = "" if self.sign > 0 else "-"
             return f"u(0)={s}u(T), u'(0)={s}u'(T)"
         u0, uT = (("u", "u'")[d] for d in self.ends)
         return f"{u0}(0)=0, {uT}(T)=0"
 
+    def characteristic(self, Y):
+        """The characteristic function from the end state (y1, y1', y2, y2')(T)
+        of the basis: it vanishes exactly at the condition's eigenvalues, where
+        no Green's function exists.  Delta - 2 eps for a coupled condition; for
+        a separated one, the solution meeting it at 0 (y1 where u' vanishes, y2
+        where u does), or its derivative, at T.  ``Y`` holds one entry per
+        component: floats for one lambda or the rows of an ``endpoint_scan``."""
+        if self.is_coupled:
+            return Y[0] + Y[3] - 2.0 * self.sign
+        d0, dT = self.ends
+        return Y[2 * (1 - d0) + dT]
 
-# The separated conditions, each described once: which of u, u' vanishes at 0 and at T.
+
+# Each condition's data, stated once: which of u, u' vanishes at 0 and at T
+# for the separated ones, and eps for the coupled ones.
 _ENDS = {BoundaryCondition.NEUMANN: (1, 1), BoundaryCondition.DIRICHLET: (0, 0),
          BoundaryCondition.MIXED1: (1, 0), BoundaryCondition.MIXED2: (0, 1)}
+_SIGNS = {BoundaryCondition.PERIODIC: 1.0, BoundaryCondition.ANTIPERIODIC: -1.0}
 
 # Every condition's short name, in declaration order: P, A, N, D, M1, M2.
 BC_ALL = tuple(bc.value for bc in BoundaryCondition)
 
 
-def _branch_matrices(M: np.ndarray, lam: float, bc: BoundaryCondition):
+def _branch_matrices(M: np.ndarray, lam: float, bc: BoundaryCondition, length: float,
+                     family: str = "base"):
     """Coefficient matrices (k_low, k_up) plus the resonance margin, from the
-    monodromy M = [[y1, y2], [y1', y2']](T) at lambda.
+    monodromy M = [[y1, y2], [y1', y2']](length) at lambda of ``family``.
 
     Raises ResonanceError when lambda sits on an eigenvalue of the chosen
-    condition, where no Green's function exists.
+    condition, where no Green's function exists: where det(eps I - M), or the
+    boundary Wronskian -``bc.characteristic``, is below RESONANCE_RTOL |M|.
     """
     scale = max(1.0, float(np.linalg.norm(M)))
-    eye = np.eye(2)
-
     if bc.is_coupled:
-        eps = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
-        A = eps * eye - M
+        A = bc.sign * np.eye(2) - M
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         try:
             C = None if abs(det) < RESONANCE_RTOL * scale else np.linalg.solve(A, M)
         except np.linalg.LinAlgError:  # singular to working precision: resonant as well
             C = None
-        if C is None:
-            raise ResonanceError(
-                f"{bc.name.lower()} condition is resonant at lambda={lam}: "
-                f"det(eps*I - M) = {det:.3e}",
-                determinant=float(det), bc=bc, lam=lam)
-        return C + eye, C, abs(det) / scale
-
-    # l picks the solution meeting the condition at 0 (y1 where u' vanishes,
-    # y2 where u does), r the one meeting it at T
-    d0, dT = bc.ends
-    l = (1.0, 0.0) if d0 else (0.0, 1.0)
-    r = (M[1, 1], -M[1, 0]) if dT else (M[0, 1], -M[0, 0])
-    W = l[0] * r[1] - l[1] * r[0]
-    if abs(W) < RESONANCE_RTOL * scale:
-        raise ResonanceError(
-            f"{bc.name.lower()} condition is resonant at lambda={lam}: "
-            f"boundary Wronskian = {W:.3e}",
-            determinant=float(W), bc=bc, lam=lam)
-    k_low = np.outer(r, (-l[1], l[0])) / W
-    k_up = np.outer(l, (-r[1], r[0])) / W
-    return k_low, k_up, abs(W) / scale
+        if C is not None:
+            return C + np.eye(2), C, abs(det) / scale
+    else:
+        # l is the solution meeting the condition at 0, r the one meeting it
+        # at T, and det their Wronskian
+        d0, dT = bc.ends
+        l = (1.0, 0.0) if d0 else (0.0, 1.0)
+        r = (M[1, 1], -M[1, 0]) if dT else (M[0, 1], -M[0, 0])
+        det = -bc.characteristic(M.T.ravel())
+        if not abs(det) < RESONANCE_RTOL * scale:
+            return (np.outer(r, (-l[1], l[0])) / det, np.outer(l, (-r[1], r[0])) / det,
+                    abs(det) / scale)
+    raise ResonanceError(f"{bc.condition} problem on [0, {length:g}] ({_FAMILIES[family][1]}) "
+                         f"is resonant at lambda = {lam!r}", float(det), bc, lam)
 
 
 def _factors(Rt: np.ndarray, Rs: np.ndarray, deriv: bool = False):
@@ -236,8 +250,8 @@ class GreensFunction:
     meta: dict = field(default_factory=dict, repr=False)
 
     def combined(self) -> np.ndarray:
-        idx = np.arange(self.grid.size)  # n >= 1: both branches enter a fresh array
-        return _branch_select(idx, idx, lambda: self.lower, self.upper.copy)
+        idx = np.arange(self.grid.size)
+        return np.where(idx[None, :] <= idx[:, None], self.lower, self.upper)
 
     def value(self, t: float, s: float) -> float:
         return _entry(self.branches, t, s)
@@ -263,36 +277,28 @@ class GreensFunction:
         Path(path).write_text(self.csv_text())
 
 
-def _branch_select(t_idx: np.ndarray, s_idx: np.ndarray, low, up) -> np.ndarray:
-    """Kernel values at node pairs (t_idx[i], s_idx[j]), each from the branch
-    that s <= t selects by node index, so mapped
-    arguments on compatible grids stay exact.  ``up()`` gives the upper branch
-    as a fresh array and ``low()`` the lower; a one-sided block needs one."""
-    if not (t_idx.size and s_idx.size) or s_idx.max() <= t_idx.min():
-        return low()
-    out = up()
-    if s_idx.min() > t_idx.max():
-        return out
-    np.copyto(out, low(), where=s_idx[None, :] <= t_idx[:, None])
-    return out
-
-
 def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
     """Node-exact subtable G(grid[t_idx[i]], grid[s_idx[j]]); index arrays
-    refer to nodes of ``G.grid`` and no interpolation enters anywhere."""
+    refer to nodes of ``G.grid``, each entry's branch is picked by node index
+    (s <= t) and no interpolation enters anywhere."""
     t_idx, s_idx = np.asarray(t_idx, dtype=int), np.asarray(s_idx, dtype=int)
     ix = np.ix_(t_idx, s_idx)
-    return _branch_select(t_idx, s_idx, lambda: G.lower[ix], lambda: G.upper[ix])
+    return np.where(s_idx[None, :] <= t_idx[:, None], G.lower[ix], G.upper[ix])
 
 
 def _node_block(rows_low: np.ndarray, rows_up, B: np.ndarray,
                 t_idx: np.ndarray, s_idx: np.ndarray) -> np.ndarray:
     """Kernel values G(x[t_idx[i]], x[s_idx[j]]) straight from the rank-2 factors:
     ``rows_low`` and ``rows_up`` hold row(t) . K of each branch at the t nodes,
-    ``B`` holds col(s) at the s nodes; ``rows_up`` None reads the lower branch."""
-    if rows_up is None:
+    ``B`` holds col(s) at the s nodes; ``rows_up`` None reads the lower branch.
+    Each entry's branch is picked by node index (s <= t), so mapped arguments
+    on compatible grids stay exact; a block on one side forms one product."""
+    if rows_up is None or not (t_idx.size and s_idx.size) or s_idx.max() <= t_idx.min():
         return rows_low @ B
-    return _branch_select(t_idx, s_idx, lambda: rows_low @ B, lambda: rows_up @ B)
+    out = rows_up @ B
+    if s_idx.min() <= t_idx.max():
+        np.copyto(out, rows_low @ B, where=s_idx[None, :] <= t_idx[:, None])
+    return out
 
 
 _SLICE_ROWS = 64
@@ -398,14 +404,15 @@ class _KernelCache:
     (monodromy, read-only states at its grid nodes 0..min(2n, pieces)), the only
     nodes an argument map reaches; ``row_factors`` and ``row_max`` serve the
     catalog's bound.  Per (family, bc) ``_matrices`` holds the branch matrices
-    (k_low, k_up) and ``_extrema`` the kernel's (min, max) over the family's node
-    pairs s <= t.  A resonant kernel raises on every request.  Threads share a
-    workspace; its derived families and dicts are filled check then set, without
-    a lock, so a race forms one value twice, the same value.
+    (k_low, k_up) with the resonance margin and ``_extrema`` the kernel's (min,
+    max) over the family's node pairs s <= t.  A resonant kernel raises on every
+    request.  Threads share a workspace; its derived families and dicts are
+    filled check then set, without a lock, so a race forms one value twice, the
+    same value.
     """
 
     def __init__(self, basis: SolutionBasis, n: int):
-        self.n, self.lam, self.L = n, basis.lam, basis.length
+        self.basis, self.n, self.lam, self.L = basis, n, basis.lam, basis.length
         S = basis.trajectory(np.linspace(0.0, self.L, n + 1))
         S.flags.writeable = False
         self.base = (basis.monodromy, S)
@@ -440,21 +447,17 @@ class _KernelCache:
         return self._rest
 
     def _branches(self, family: str, bc: str):
+        """``_branch_matrices`` of G_bc[family]: (k_low, k_up, margin)."""
         key = (family, bc)
         if key not in self._matrices:
-            bc = BoundaryCondition.parse(bc)
-            try:
-                self._matrices[key] = _branch_matrices(self._family(family)[0], self.lam, bc)[:2]
-            except ResonanceError as exc:
-                factor, label = _FAMILIES[family]
-                msg = (f"{bc.condition} problem on [0, {factor * self.L:g}] ({label}) "
-                       f"is resonant at lambda = {self.lam!r}")
-                raise ResonanceError(msg, exc.determinant, bc, self.lam) from None
+            self._matrices[key] = _branch_matrices(
+                self._family(family)[0], self.lam, BoundaryCondition.parse(bc),
+                _FAMILIES[family][0] * self.L, family)
         return self._matrices[key]
 
     def factors(self, idx: np.ndarray, family: str, bc: str, tmap="id", smap="id"):
         """The ``_node_block`` arguments of G_bc[family](tmap(t), smap(s)) over idx."""
-        k_low, k_up = self._branches(family, bc)
+        k_low, k_up, _ = self._branches(family, bc)
         t_idx, s_idx = _MAPS[tmap](idx, self.n), _MAPS[smap](idx, self.n)
         states = self._family(family)[1]
         A, B = _factors(states[:, t_idx], states[:, s_idx])
@@ -488,11 +491,9 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
                 tol: float = DEFAULT_TOL) -> GreensFunction:
     """Construct the Green's function of u'' + (a + lambda) u on [0, T] under ``bc``."""
     bc = BoundaryCondition.parse(bc)
-    n = _check_n(n)
-    basis = fundamental_solutions(p, lam, tol=tol)
-    L = basis.length
-    k_low, k_up, margin = _branch_matrices(basis.monodromy, basis.lam, bc)
-    states = _kernel_cache(p, n, lam, tol).base[1]
+    cache = _kernel_cache(p, n, lam, tol)
+    k_low, k_up, margin = cache._branches("base", bc.value)
+    basis, states, L = cache.basis, cache.base[1], cache.L
     A, B = _factors(states, states)
     meta = {
         "potential": p.descriptor(),
@@ -501,8 +502,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
         "wronskian_drift": abs(basis.y1_end * basis.y2p_end
                                - basis.y1p_end * basis.y2_end - 1.0),
     }
-    return GreensFunction(bc=bc, length=L, lam=float(lam), n=n,
-                          grid=np.linspace(0.0, L, n + 1),
+    return GreensFunction(bc=bc, length=L, lam=float(lam), n=cache.n,
+                          grid=np.linspace(0.0, L, cache.n + 1),
                           lower=A.T @ k_low @ B, upper=A.T @ k_up @ B,
                           branches=KernelBranches(basis, k_low, k_up), meta=meta)
 
@@ -512,7 +513,7 @@ def kernel_value(p: Potential, lam: float, bc, t: float, s: float, *,
     """Single kernel value without building a grid."""
     bc = BoundaryCondition.parse(bc)
     basis = fundamental_solutions(p, lam, tol=tol)
-    k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc)
+    k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc, basis.length)
     return _entry(KernelBranches(basis, k_low, k_up), t, s)
 
 
@@ -574,11 +575,10 @@ def boundary_residual(G: GreensFunction) -> float:
         d0, dT = bc.ends
         r0, r1 = (val_at_0, dt_at_0)[d0], (val_at_L, dt_at_L)[dT]
     else:
-        eps = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
         # interior s only: at s = 0 and s = L the branch assignment is ambiguous
         keep = slice(1, -1) if len(s) > 2 else slice(None)
-        r0 = (val_at_L - eps * val_at_0)[keep]
-        r1 = (dt_at_L - eps * dt_at_0)[keep]
+        r0 = (val_at_L - bc.sign * val_at_0)[keep]
+        r1 = (dt_at_L - bc.sign * dt_at_0)[keep]
     return float(max(np.max(np.abs(r0)), np.max(np.abs(r1))))
 
 
@@ -695,7 +695,7 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100, *,
     n = _check_n(n)
     basis = fundamental_solutions(p, lam, tol=tol)
     L = basis.length
-    _, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc)
+    _, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc, L)
 
     sig_fn = _as_callable(sigma, np.linspace(0.0, L, 4 * n + 1))
     # a segment edge within rounding of its nearest uniform edge adds no sliver panel

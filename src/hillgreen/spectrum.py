@@ -87,20 +87,6 @@ class Spectrum:
                 fh.write(f"{self.bc.value},{e.index},{repr(float(e.value))},{e.multiplicity}\n")
 
 
-def _char_rows(bc: BoundaryCondition, Y):
-    """Characteristic function from the endpoint state (y1, y1', y2, y2')(L).
-
-    ``Y`` holds one entry per component: floats for one lambda or the rows
-    of an ``endpoint_scan`` for many.  A separated condition's function is
-    the solution meeting it at 0 (y1 or y2), or its derivative, at L.
-    """
-    if not bc.is_coupled:
-        d0, dT = bc.ends
-        return Y[2 * (1 - d0) + dT]
-    delta = Y[0] + Y[3]
-    return delta - 2.0 if bc is BoundaryCondition.PERIODIC else delta + 2.0
-
-
 def _auto_range(p: Potential, count: int) -> tuple[float, float]:
     amin, amax = p.sample_bound()
     lo = -amax - 1.0
@@ -197,10 +183,10 @@ def _refine_roots(state, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
     brackets together, and exact zeros of the scan are roots as they stand.
     """
     def F(x):
-        return _char_rows(bc, state(x))
+        return bc.characteristic(state(x))
 
     step = (lams[-1] - lams[0]) / (len(lams) - 1)
-    sign = np.sign(_char_rows(bc, Y))
+    sign = np.sign(bc.characteristic(Y))
     change = sign[:-1] * sign[1:] < 0
     if cells is not None:
         change &= cells
@@ -261,9 +247,9 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
     scan's error are cuts too: they keep each bracket short, and the roots
     in cells they settle need no refinement.
     """
-    s = 1.0 if bc is BoundaryCondition.PERIODIC else -1.0
+    s = bc.sign
     lams, Y, state = _scan(p, lo, hi, n_scan, integrator_tol)
-    scanned = Y[0] + Y[3] - 2.0 * s
+    scanned = bc.characteristic(Y)
     sure = np.abs(scanned) > SCAN_MARGIN * np.maximum(1.0, np.abs(Y).max(axis=0))
     cuts = dict(zip(lams[sure].tolist(), scanned[sure].tolist()))
     # t = s Delta - 2 is >= 0 exactly in the gaps of sign s, with one maximum
@@ -291,12 +277,12 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
             cuts[r] = 0.0
         else:
             cuts[r] = square / y1
-    cuts.update(zip(ends, _char_rows(bc, at)[len(found):].tolist()))
+    cuts.update(zip(ends, bc.characteristic(at)[len(found):].tolist()))
 
     points = np.array(sorted(cuts))
     values = np.array([cuts[x] for x in points.tolist()])
     cross = values[:-1] * values[1:] < 0.0
-    edges = _batch_roots(lambda x: _char_rows(bc, state(x)), points[:-1][cross],
+    edges = _batch_roots(lambda x: bc.characteristic(state(x)), points[:-1][cross],
                          points[1:][cross], values[:-1][cross], values[1:][cross], xtol)
     tagged.extend((v, "Delta") for v in edges.tolist())
     return _coupled_result("direct", (hi - lo) / n_scan, tagged, audit)

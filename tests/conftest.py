@@ -3,9 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hillgreen import Potential, clear_cache, greens
 from hillgreen.integrator import SolutionBasis
+
+# A failing property test prints its @reproduce_failure line, so one run is
+# enough to replay it; the examples drawn are the default profile's.
+settings.register_profile("hillgreen", print_blob=True)
+settings.load_profile("hillgreen")
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,7 @@ directly (``test_identities.test_derived_families_match_direct_integration``).
 
 import numpy as np
 
-from hillgreen.greens import (_FAMILIES, BoundaryCondition, GreensFunction, _branch_matrices,
-                              _factors, _kernel_cache)
+from hillgreen.greens import _FAMILIES, BoundaryCondition, GreensFunction, _factors, _kernel_cache
 from hillgreen.integrator import DEFAULT_TOL
 
 
@@ -21,9 +20,9 @@ def family_green(p, lam, family, bc, n, tol=DEFAULT_TOL):
     GreensFunction without branches. Raises ResonanceError as build_green does.
     """
     cache = _kernel_cache(p, n, lam, tol)
-    M, states = cache._family(family)
+    states = cache._family(family)[1]
     bc = BoundaryCondition.parse(bc)
-    k_low, k_up, _ = _branch_matrices(M, float(lam), bc)
+    k_low, k_up, _ = cache._branches(family, bc.value)
     A, B = _factors(states, states)
     factor = _FAMILIES[family][0]
     nodes = states.shape[1]

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hillgreen import discriminant_samples, load_builtin, stability_intervals
+from hillgreen import (ResonanceError, build_green, discriminant_samples, kernel_value,
+                       load_builtin, solve_bvp, stability_intervals, verify_dominance,
+                       verify_identity)
 from hillgreen.cli import main
 
 
@@ -84,11 +86,24 @@ def test_green_resonant_exit_code(capsys):
 
 
 def test_resonance_reason_prints_lambda_exactly(capsys):
-    # pi^2/4 is a Neumann eigenvalue of ex1's even extension; a rounded
-    # lambda in the message could not be told from a nearby one
+    # pi^2/4 is an M1 eigenvalue of ex1 and a Neumann one of its even
+    # extension; a rounded lambda in the message could not be told from a
+    # nearby one.  Every entry point words a resonance the same way
     lam = "2.4674011002723395"
+    p, x = load_builtin("ex1"), float(lam)
+    want = f"u'(0)=0, u(T)=0 problem on [0, 1] (base interval) is resonant at lambda = {lam}"
+    for call in (lambda: build_green(p, x, "M1", n=20),
+                 lambda: kernel_value(p, x, "M1", 0.3, 0.6),
+                 lambda: solve_bvp(p, x, "M1", 1.0, n=20),
+                 lambda: verify_identity("M1A", p, x, n=20),
+                 lambda: verify_dominance(p, x, "bound2_n", n=20)):
+        with pytest.raises(ResonanceError) as info:
+            call()
+        assert str(info.value) == want
+    assert main(["green", "--potential", "ex1", "--lambda", lam, "--bc", "M1"]) == 3
+    assert capsys.readouterr().err == f"error: {want}\n"
     assert main(["compare", "--potential", "ex1", "--lambda", lam, "--n", "20"]) == 3
-    assert f"is resonant at lambda = {lam}\n" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {want}\n"
     rc, out = run(capsys, "verify", "--potential", "ex1", "--lambda", lam, "--n", "20")
     assert rc == 0
     reasons = [r["reason"] for r in json.loads(out)["reports"] if r["skipped"]]

@@ -880,6 +880,23 @@ def test_solution_comparison_cosine(cos_pi):
     assert rep["pass"], rep
 
 
+def test_array_forcings_sample_each_entry_points_grid():
+    # verify_solution_comparison takes an array forcing as samples on its n + 1
+    # nodes, interpolated linearly; solve_bvp takes samples on 4n + 1 nodes
+    p, lam, n = load_builtin("ex3"), -2.0, 20
+    L = p.domain_length
+    t, fine = np.linspace(0.0, L, n + 1), np.linspace(0.0, L, 4 * n + 1)
+    s1, s2 = 1.0 + 0.5 * np.sin(t), 0.5 + 0.25 * np.sin(t)
+    rep = verify_solution_comparison(p, lam, "nd_neg", s1, s2, n=n)
+    assert rep == verify_solution_comparison(p, lam, "nd_neg", lambda x: np.interp(x, t, s1),
+                                             lambda x: np.interp(x, t, s2), n=n)
+    with pytest.raises(ValueError, match="sigma array must match the grid of 21 nodes"):
+        verify_solution_comparison(p, lam, "nd_neg", 1.0 + 0.5 * np.sin(fine), 0.5, n=n)
+    assert solve_bvp(p, lam, "N", 1.0 + 0.5 * np.sin(fine), n=n).values.shape == (n + 1,)
+    with pytest.raises(ValueError, match="sigma array must match the grid of 81 nodes"):
+        solve_bvp(p, lam, "N", s1, n=n)
+
+
 # -- monotonicity --------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hillgreen import (
     BC_ALL,
@@ -142,8 +142,10 @@ def _reference_reports(p, lam, n, tol=1e-6):
     """The catalog evaluated from whole kernel tables and table_slice gathers:
     build_green for the base family, ``family_green`` for the others.
 
-    Returns (identity_id, residual, lhs_scale, passed, skipped, reason) per
-    identity, the reason worded as verify_all words a resonant constituent.
+    Returns (identity_id, residual, lhs_scale, passed, skipped, reason, full)
+    per identity, the reason worded as verify_all words a resonant constituent:
+    lhs_scale is max |lhs| over the node pairs s <= t, where verify_all defines
+    it, and full the same over the whole square, which the node evaluation reads.
     """
     L = p.domain_length
     labels = {"base": (L, "base interval"), "even2": (2 * L, "even extension"),
@@ -180,34 +182,36 @@ def _reference_reports(p, lam, n, tol=1e-6):
                 break
             sides.append(total)
         if reason is not None:
-            out.append((ident.name, None, None, None, True, reason))
+            out.append((ident.name, None, None, None, True, reason, None))
             continue
         residual = float(np.max(np.abs(sides[0] - sides[1])))
-        scale = float(np.max(np.abs(sides[0])))
+        lhs = np.abs(sides[0])
+        scale = float(np.max(lhs[np.tril_indices(idx.size)]))
         out.append((ident.name, residual, scale, residual <= tol * max(1.0, scale),
-                    False, None))
+                    False, None, float(np.max(lhs))))
     return out
 
 
 def _assert_matches_reference(p, lam, n):
-    """verify_all against the full tables: verdict, skip and reason equal and
-    lhs_scale within 1e-12 relative.  A residual the filter certified bounds
-    the full-table one; one from the node evaluation equals it bit for bit,
-    its lhs_scale too, as every step of both is exact or the same rounding."""
+    """verify_all against the full tables: verdict, skip and reason equal.  A
+    residual the filter certified bounds the full-table one, and its lhs_scale
+    is within 1e-12 relative of the reference's; one from the node evaluation
+    equals it bit for bit, its whole-square lhs_scale too, as every step of
+    both is exact or the same rounding."""
     with mock.patch.object(identities, "_node_report", wraps=identities._node_report) as node:
         reports = verify_all(p, lam, n=n)
     exact = {call.args[1].name for call in node.call_args_list}
     want = _reference_reports(p, lam, n)
     assert len(reports) == len(want)
-    for rep, (name, residual, scale, passed, skipped, reason) in zip(reports, want):
+    for rep, (name, residual, scale, passed, skipped, reason, full) in zip(reports, want):
         assert (rep.identity_id, rep.n, rep.tol, rep.passed, rep.skipped, rep.reason) == \
             (name, n, 1e-6, passed, skipped, reason)
         if skipped:
             continue
-        assert abs(rep.lhs_scale - scale) <= 1e-12 * scale, name
         if name in exact:
-            assert (rep.residual, rep.lhs_scale) == (residual, scale), name
+            assert (rep.residual, rep.lhs_scale) == (residual, full), name
         else:
+            assert abs(rep.lhs_scale - scale) <= 1e-12 * scale, name
             assert rep.residual >= residual, name
     return reports
 
@@ -244,6 +248,8 @@ _GENERATED = st.one_of(
 
 @settings(max_examples=6, deadline=None)
 @given(_GENERATED, st.floats(-1.5, 3.0))
+# the whole square's max |REFL lhs| is 5.5e-12 relative above the s <= t one here
+@example(Potential.cosine(2.5, c0=-0.75, c1=0.25, omega=0.75), -1.0)
 def test_factored_catalog_matches_full_tables_generated(p, lam):
     _assert_matches_reference(p, lam, n=16)
 
@@ -396,9 +402,10 @@ def test_declined_certificate_gives_the_node_evaluation(p, lam, name):
     with mock.patch.object(identities, "_node_report", wraps=identities._node_report) as node:
         rep = verify_identity(name, p, lam, n=60)
     assert [call.args[1].name for call in node.call_args_list] == [name]
-    want = {r[0]: r for r in _reference_reports(p, lam, 60)}[name]
+    _, residual, _, passed, skipped, reason, full = \
+        {r[0]: r for r in _reference_reports(p, lam, 60)}[name]
     assert (rep.identity_id, rep.residual, rep.lhs_scale, rep.passed, rep.skipped, rep.reason) \
-        == want
+        == (name, residual, full, passed, skipped, reason)
     assert rep.passed
 
 
@@ -452,3 +459,14 @@ def test_large_negative_lambda_raises_no_linalg_error(p, lam):
             verify_solution_comparison(p, lam, thm, 1.0, 0.5, n=60)
         except HypothesisNotMet:
             pass
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "det(I - M) of the doubled extension, formed as A00 A11 - A01 A10 at |M| ~ 1e20, "
+    "cancels to exactly 0.0 where Delta - 2 = 4.07e20, and np.linalg.solve finds eps I - M "
+    "singular; reading K_up = adj(eps I - M) M / characteristic changes the bits of "
+    "every coupled kernel, so it belongs to a correctness change"))
+def test_coupled_resonance_reads_the_characteristic_function():
+    reports = {r.identity_id: r for r in
+               verify_all(Potential.cosine(2.7, c0=0.7, c1=0.2, omega=2.25), -20.0, n=60)}
+    assert not reports["ALL4"].skipped, reports["ALL4"].reason
