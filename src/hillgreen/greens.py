@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import PoleError, ResonanceError
 from .integrator import (_NODE_STATES, _WORKSPACES, DEFAULT_TOL, SolutionBasis, _memo,
-                         _on_domain, fundamental_solutions)
-from .potential import Potential
+                         fundamental_solutions)
+from .potential import Potential, _on_domain
 
 __all__ = [
     "BC_ALL",
@@ -152,8 +152,9 @@ def _branch_matrices(M: np.ndarray, lam: float, bc: BoundaryCondition, length: f
 def _factors(Rt: np.ndarray, Rs: np.ndarray, deriv: bool = False):
     """Rank-2 factors: rows (y1, y2) at the t states, or (y1', y2') with
     ``deriv``, and columns (-y2, y1) at the s states."""
-    A = np.stack([Rt[1], Rt[3]]) if deriv else np.stack([Rt[0], Rt[2]])
-    B = np.stack([-Rs[2], Rs[0]])
+    A = Rt[1::2] if deriv else Rt[::2]
+    B = Rs[2::-2].copy()
+    B[0] = -B[0]
     return A, B
 
 
@@ -175,7 +176,7 @@ class KernelBranches:
 
 class _TrigBranches:
     """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2,
-    on [0, L] with the domain rule of ``SolutionBasis.trajectory``."""
+    on [0, L] with the domain rule of every point reader (``_on_domain``)."""
 
     def __init__(self, m: float, L: float, bc: BoundaryCondition):
         self.length = L
@@ -224,12 +225,6 @@ class _TrigBranches:
         return low(T, S), up(T, S)
 
 
-def _entry(branches, t: float, s: float) -> float:
-    """One kernel value, from the branch that s <= t selects."""
-    lower, upper = branches.tables([float(t)], [float(s)])
-    return float((lower if s <= t else upper)[0, 0])
-
-
 @dataclass(eq=False)
 class GreensFunction:
     """Green's function sampled on a uniform (n+1)^2 grid, with exact branches attached.
@@ -254,7 +249,9 @@ class GreensFunction:
         return np.where(idx[None, :] <= idx[:, None], self.lower, self.upper)
 
     def value(self, t: float, s: float) -> float:
-        return _entry(self.branches, t, s)
+        """One kernel value, from the branch that s <= t selects."""
+        lower, upper = self.branches.tables([float(t)], [float(s)])
+        return float((lower if s <= t else upper)[0, 0])
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.lower).copy()
@@ -510,11 +507,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
 
 def kernel_value(p: Potential, lam: float, bc, t: float, s: float, *,
                  tol: float = DEFAULT_TOL) -> float:
-    """Single kernel value without building a grid."""
-    bc = BoundaryCondition.parse(bc)
-    basis = fundamental_solutions(p, lam, tol=tol)
-    k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc, basis.length)
-    return _entry(KernelBranches(basis, k_low, k_up), t, s)
+    """One kernel value G(t, s), read from the branches of ``build_green`` at n = 1."""
+    return build_green(p, lam, bc, n=1, tol=tol).value(t, s)
 
 
 def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFunction:

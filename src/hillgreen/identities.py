@@ -279,9 +279,10 @@ def bound(cache: _KernelCache, ident: Identity, memo: dict) -> float:
     return worst * cache.row_max
 
 
-def _node_report(cache: _KernelCache, ident: Identity, tol: float) -> IdentityReport:
+def _node_report(cache: _KernelCache, ident: Identity, tol: float, scale: float) -> IdentityReport:
     """The identity evaluated at every node pair of its grid, one row slice at
-    a time, each term read from its kernel's rank-2 factors."""
+    a time, each term read from its kernel's rank-2 factors; ``scale`` is its
+    ``lhs_scales`` entry."""
     idx = np.arange(cache.n + 1 if ident.domain == "base" else 2 * cache.n + 1)
     kernels = {key: cache.factors(idx, *key)
                for key in dict.fromkeys(_kernel(term) for term in ident.lhs + ident.rhs)}
@@ -292,9 +293,8 @@ def _node_report(cache: _KernelCache, ident: Identity, tol: float) -> IdentityRe
         # coefficients +-1, 2 and 4 make every step of each sum exact
         lhs = sum(term.coef * blocks[_kernel(term)] for term in ident.lhs)
         diff = lhs - sum(term.coef * blocks[_kernel(term)] for term in ident.rhs)
-        ext.append((np.min(lhs), np.max(lhs), np.min(diff), np.max(diff)))
-    ext = np.array(ext)
-    scale, residual = _max_abs(ext[:, :2]), _max_abs(ext[:, 2:])
+        ext.append((np.min(diff), np.max(diff)))
+    residual = _max_abs(np.array(ext))
     return IdentityReport(ident.name, cache.n, residual, scale, tol,
                           passed=residual <= tol * max(1.0, scale))
 
@@ -319,7 +319,7 @@ def _evaluate(cache: _KernelCache, idents, tol: float) -> list[IdentityReport]:
         reports[ident.name] = (IdentityReport(ident.name, cache.n, certified, scale, tol,
                                               passed=True)
                                if certified <= tol * max(1.0, scale) else
-                               _node_report(cache, ident, tol))
+                               _node_report(cache, ident, tol, scale))
     return [reports[ident.name] for ident in idents]
 
 

@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, IntegrationError
-from .potential import ConstPiece, MirrorPiece, Potential, TablePiece
+from .errors import IntegrationError
+from .potential import ConstPiece, MirrorPiece, Potential, TablePiece, _on_domain
 
 __all__ = [
     "TOL_MIN",
@@ -319,19 +319,6 @@ class _PieceTable(NamedTuple):
         return y.T
 
 
-def _on_domain(t, length: float):
-    """Points t, an array or one float, read on [0, length]: within 1e-12 (1 + length)
-    of it at the nearest end; any other point, NaN included, raises ``DomainError``."""
-    slack = 1e-12 * (1.0 + length)
-    if isinstance(t, float):
-        if not -slack <= t <= length + slack:
-            raise DomainError(f"evaluation point outside [0, {length}]")
-        return min(max(t, 0.0), length)  # np.clip's value, -0.0 kept
-    if t.size and not (-slack <= t.min() and t.max() <= length + slack):
-        raise DomainError(f"evaluation point outside [0, {length}]")
-    return t.clip(0.0, length)
-
-
 @dataclass(eq=False)
 class SolutionBasis:
     """Normalized solution pair for one (potential, lambda).
@@ -364,10 +351,10 @@ class SolutionBasis:
     def trajectory(self, t):
         """State (y1, y1', y2, y2') at t, of shape (4, *np.shape(t)): (4,) for a scalar.
 
-        Points within 1e-12 (1 + length) of [0, length] are read at the
-        nearest end; any other point, NaN included, raises ``DomainError``.
-        A point where two pieces meet (a segment edge or a DOP853 step's
-        end) is read from the later piece, at its start state.
+        Points off [0, length] follow ``potential._on_domain``, the domain
+        rule of every point reader.  A point where two pieces meet (a segment
+        edge or a DOP853 step's end) is read from the later piece, at its
+        start state.
         """
         t = np.asarray(t, dtype=float)
         return self._pieces.read(_on_domain(t.ravel(), self.length)).reshape((4, *t.shape))

@@ -180,6 +180,21 @@ def _piece_from_descriptor(d: dict):
     raise ValueError(f"unknown piece kind {kind!r}, expected one of {_PIECE_KINDS}")
 
 
+def _on_domain(t, length: float):
+    """The domain rule of every point reader: points t, an array or one float, are
+    read on [0, length], a point within 1e-12 (1 + length) of it at the nearest end;
+    any other point, NaN included, raises ``DomainError`` naming the first one."""
+    slack = 1e-12 * (1.0 + length)
+    if isinstance(t, float):
+        if not -slack <= t <= length + slack:
+            raise DomainError(f"t={t} outside [0, {length}]")
+        return min(max(t, 0.0), length)  # np.clip's value, -0.0 kept
+    if t.size and not (-slack <= t.min() and t.max() <= length + slack):
+        bad = t[~((t >= -slack) & (t <= length + slack))][0]
+        raise DomainError(f"t={bad} outside [0, {length}]")
+    return t.clip(0.0, length)
+
+
 @dataclass(frozen=True)
 class Potential:
     """Piecewise potential a(t) + shift on [0, domain_length].
@@ -287,28 +302,16 @@ class Potential:
     def eval(self, t):
         """a(t) + shift; right limit at breakpoints. Scalar in, scalar out.
 
-        A point more than 1e-12 (1 + L) outside [0, L], or NaN, raises
-        ``DomainError`` naming the first such point.
+        Points off [0, L] follow ``_on_domain``, the domain rule of every point reader.
         """
         L = self.domain_length
-        slack = 1e-12 * (1.0 + L)
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
-            x = float(arr)
-            if not -slack <= x <= L + slack:
-                raise DomainError(f"t={x} outside [0, {L}]")
-            x = min(max(x, 0.0), L)
+            x = _on_domain(float(arr), L)
             k = bisect_right(self._starts_list, x) - 1
-            if k < 0:
-                k = 0
             return self.pieces[k][2].value_at(x) + self.shift
-        tt = arr.ravel()
-        if tt.size and not (-slack <= tt.min() and tt.max() <= L + slack):
-            bad = tt[~((tt >= -slack) & (tt <= L + slack))][0]
-            raise DomainError(f"t={bad} outside [0, {L}]")
-        tt = np.clip(tt, 0.0, L)
+        tt = _on_domain(arr.ravel(), L)
         idx = np.searchsorted(self._starts, tt, side="right") - 1
-        np.clip(idx, 0, len(self.pieces) - 1, out=idx)
         out = np.empty_like(tt)
         for k in np.unique(idx):
             m = idx == k

@@ -392,9 +392,12 @@ NAN_CALLS = {
     "potential_scalar": lambda p: p.eval(math.nan),
     "potential_array": lambda p: p.eval([0.1, math.nan]),
     "trajectory": lambda p: fundamental_solutions(p, 0.5).trajectory(math.nan),
+    "trajectory_array": lambda p: fundamental_solutions(p, 0.5).trajectory([0.1, math.nan]),
     "bvp_value": lambda p: solve_bvp(p, 0.5, "D", 1.0, n=20)(math.nan),
     "bvp_derivative": lambda p: solve_bvp(p, 0.5, "D", 1.0, n=20).derivative([0.1, math.nan]),
     "green_value": lambda p: build_green(p, 0.5, "N", n=20).value(math.nan, 0.2),
+    "closed_form_value": lambda p: closed_form_constant(
+        1.3, p.domain_length, "N", n=20).value(0.2, math.nan),
     "kernel_value": lambda p: kernel_value(p, 0.5, "N", 0.1, math.nan),
 }
 
@@ -402,9 +405,10 @@ NAN_CALLS = {
 @pytest.mark.parametrize("call", sorted(NAN_CALLS))
 def test_nan_evaluation_point_raises(cos_pi, call):
     # NaN fails every comparison: a range check written as two "outside"
-    # tests lets it through and returns NaN
-    with pytest.raises(DomainError, match="nan" if call.startswith("potential") else "outside"):
+    # tests lets it through and returns NaN.  Every reader names the point
+    with pytest.raises(DomainError) as info:
         NAN_CALLS[call](cos_pi)
+    assert str(info.value) == f"t=nan outside [0, {math.pi}]"
 
 
 def test_bvp_solution_two_trajectory_points_per_query(cos_pi, trajectory_calls):

@@ -16,6 +16,7 @@ from hillgreen import (
     BoundaryCondition,
     Potential,
     build_green,
+    find_eigenvalues,
     kernel_value,
     load_builtin,
     table_slice,
@@ -142,10 +143,10 @@ def _reference_reports(p, lam, n, tol=1e-6):
     """The catalog evaluated from whole kernel tables and table_slice gathers:
     build_green for the base family, ``family_green`` for the others.
 
-    Returns (identity_id, residual, lhs_scale, passed, skipped, reason, full)
-    per identity, the reason worded as verify_all words a resonant constituent:
+    Returns (identity_id, residual, lhs_scale, passed, skipped, reason) per
+    identity, the reason worded as verify_all words a resonant constituent:
     lhs_scale is max |lhs| over the node pairs s <= t, where verify_all defines
-    it, and full the same over the whole square, which the node evaluation reads.
+    it, and the residual max |lhs - rhs| over the whole square.
     """
     L = p.domain_length
     labels = {"base": (L, "base interval"), "even2": (2 * L, "even extension"),
@@ -182,36 +183,34 @@ def _reference_reports(p, lam, n, tol=1e-6):
                 break
             sides.append(total)
         if reason is not None:
-            out.append((ident.name, None, None, None, True, reason, None))
+            out.append((ident.name, None, None, None, True, reason))
             continue
         residual = float(np.max(np.abs(sides[0] - sides[1])))
-        lhs = np.abs(sides[0])
-        scale = float(np.max(lhs[np.tril_indices(idx.size)]))
+        scale = float(np.max(np.abs(sides[0])[np.tril_indices(idx.size)]))
         out.append((ident.name, residual, scale, residual <= tol * max(1.0, scale),
-                    False, None, float(np.max(lhs))))
+                    False, None))
     return out
 
 
 def _assert_matches_reference(p, lam, n):
-    """verify_all against the full tables: verdict, skip and reason equal.  A
-    residual the filter certified bounds the full-table one, and its lhs_scale
-    is within 1e-12 relative of the reference's; one from the node evaluation
-    equals it bit for bit, its whole-square lhs_scale too, as every step of
-    both is exact or the same rounding."""
+    """verify_all against the full tables: verdict, skip and reason equal, and
+    lhs_scale within 1e-12 relative of the reference's.  A residual the filter
+    certified bounds the full-table one; one from the node evaluation equals it
+    bit for bit, as every step of both is exact or the same rounding."""
     with mock.patch.object(identities, "_node_report", wraps=identities._node_report) as node:
         reports = verify_all(p, lam, n=n)
     exact = {call.args[1].name for call in node.call_args_list}
     want = _reference_reports(p, lam, n)
     assert len(reports) == len(want)
-    for rep, (name, residual, scale, passed, skipped, reason, full) in zip(reports, want):
+    for rep, (name, residual, scale, passed, skipped, reason) in zip(reports, want):
         assert (rep.identity_id, rep.n, rep.tol, rep.passed, rep.skipped, rep.reason) == \
             (name, n, 1e-6, passed, skipped, reason)
         if skipped:
             continue
+        assert abs(rep.lhs_scale - scale) <= 1e-12 * scale, name
         if name in exact:
-            assert (rep.residual, rep.lhs_scale) == (residual, full), name
+            assert rep.residual == residual, name
         else:
-            assert abs(rep.lhs_scale - scale) <= 1e-12 * scale, name
             assert rep.residual >= residual, name
     return reports
 
@@ -252,6 +251,29 @@ _GENERATED = st.one_of(
 @example(Potential.cosine(2.5, c0=-0.75, c1=0.25, omega=0.75), -1.0)
 def test_factored_catalog_matches_full_tables_generated(p, lam):
     _assert_matches_reference(p, lam, n=16)
+
+
+def _read(call) -> str:
+    """A kernel value's bits as hex, or a ResonanceError's text."""
+    try:
+        return float(call()).hex()
+    except ResonanceError as exc:
+        return f"resonant: {exc}"
+
+
+@settings(max_examples=8, deadline=None)
+@given(_GENERATED, st.floats(-1.5, 3.0), st.sampled_from(BC_ALL),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_kernel_value_reads_build_greens_kernel(p, lam, bc, x, y):
+    # one path to a numerical kernel value: kernel_value is build_green's
+    # kernel read at (t, s), bit for bit, and at an eigenvalue of bc both
+    # raise the same ResonanceError
+    t, s = x * p.domain_length, y * p.domain_length
+    first = find_eigenvalues(p, bc, max_count=1).first()
+    for at in (lam, first):
+        one = _read(lambda: kernel_value(p, at, bc, t, s))
+        assert one == _read(lambda: build_green(p, at, bc, n=7).value(t, s))
+    assert one.startswith("resonant: ")
 
 
 # -- derived families against direct integration ---------------------------
@@ -397,16 +419,35 @@ def test_verify_identity_raises_the_skip_reason(zero1):
     pytest.param(Potential.cosine(1.3, c0=0.4, c1=0.9, omega=2.1), -20.0, "REFL",
                  id="REFL-cosine")])
 def test_declined_certificate_gives_the_node_evaluation(p, lam, name):
-    # the bound cannot decide here: the report is the node evaluation's, equal
-    # bit for bit to the full-table reference, residual and lhs_scale included
+    # the bound cannot decide here: the report is the node evaluation's, its
+    # residual equal bit for bit to the full-table reference's and its
+    # lhs_scale, taken over s <= t, within 1e-12 relative
     with mock.patch.object(identities, "_node_report", wraps=identities._node_report) as node:
         rep = verify_identity(name, p, lam, n=60)
     assert [call.args[1].name for call in node.call_args_list] == [name]
-    _, residual, _, passed, skipped, reason, full = \
+    _, residual, scale, passed, skipped, reason = \
         {r[0]: r for r in _reference_reports(p, lam, 60)}[name]
-    assert (rep.identity_id, rep.residual, rep.lhs_scale, rep.passed, rep.skipped, rep.reason) \
-        == (name, residual, full, passed, skipped, reason)
+    assert (rep.identity_id, rep.residual, rep.passed, rep.skipped, rep.reason) \
+        == (name, residual, passed, skipped, reason)
+    assert abs(rep.lhs_scale - scale) <= 1e-12 * scale
     assert rep.passed
+
+
+@pytest.mark.parametrize("name,scale", [pytest.param("ex3", 1.59e7, id="ex3"),
+                                        pytest.param("ex4", 1.21e7, id="ex4")])
+def test_node_report_takes_lhs_scale_over_s_le_t(name, scale):
+    # at lambda = -20 the bound declines REFL and the node evaluation decides
+    # it; its lhs_scale is the s <= t maximum that certified reports give, not
+    # the whole square's (9.10e7 on ex3, 4.89e7 on ex4)
+    p = load_builtin(name)
+    with mock.patch.object(identities, "_node_report", wraps=identities._node_report) as node:
+        rep = verify_identity("REFL", p, -20.0, n=30)
+    assert node.call_count == 1
+    _, residual, want, passed, _, _ = \
+        {r[0]: r for r in _reference_reports(p, -20.0, 30)}["REFL"]
+    assert abs(rep.lhs_scale - want) <= 1e-12 * want
+    assert rep.lhs_scale == pytest.approx(scale, rel=5e-3)
+    assert (rep.residual, rep.passed) == (residual, passed)
 
 
 def _mutants(ident):

@@ -11,9 +11,12 @@ import hillgreen.integrator as integrator
 from hillgreen import (
     DEFAULT_TOL,
     Potential,
+    build_green,
+    closed_form_constant,
     discriminant,
     endpoint_scan,
     fundamental_solutions,
+    kernel_value,
     load_builtin,
     solve_bvp,
 )
@@ -576,17 +579,42 @@ def test_scalar_reads_raise_like_arrays_before_sigma():
         calls.append(np.size(t))
         return 1.0 + np.sin(t)
 
+    # every point reader takes the one domain rule, potential.eval's included,
+    # and words a refused point the same way; the two-point readers take
+    # scalars, so they get the point as a float, a NumPy float and a 0-d array
     u = solve_bvp(MIXED, 0.4, "D", sigma, n=20)
     calls.clear()
-    slack = 1e-12 * (1.0 + MIXED.domain_length)
-    for bad in (math.nan, math.inf, -math.inf, -2.0 * slack, MIXED.domain_length + 2.0 * slack):
-        for read in (u, u.derivative, fundamental_solutions(MIXED, 0.4).trajectory):
-            with pytest.raises(DomainError) as one:
-                read(bad)
-            with pytest.raises(DomainError) as many:
-                read(np.array([bad]))
-            assert str(one.value) == str(many.value)
+    L = MIXED.domain_length
+    slack = 1e-12 * (1.0 + L)
+    G = build_green(MIXED, 0.4, "D", n=20)
+    closed = closed_form_constant(1.3, L, "D", n=20)
+    reads = (MIXED.eval, u, u.derivative, fundamental_solutions(MIXED, 0.4).trajectory)
+    pair_reads = (G.value, closed.value, lambda t, s: kernel_value(MIXED, 0.4, "D", t, s))
+    for bad in (math.nan, math.inf, -math.inf, -2.0 * slack, L + 2.0 * slack):
+        want = f"t={bad} outside [0, {L}]"
+        for read in reads:
+            for arg in (bad, np.array([bad])):
+                with pytest.raises(DomainError) as info:
+                    read(arg)
+                assert str(info.value) == want
+        for read in pair_reads:
+            for arg in (bad, np.float64(bad), np.array(bad)):
+                for t, s in ((arg, 0.3), (0.3, arg)):
+                    with pytest.raises(DomainError) as info:
+                        read(t, s)
+                    assert str(info.value) == want
     assert calls == []
+    # within the slack the end is read; u and u' read the end's states, and
+    # their sigma integral runs on over the panel up to t, within rounding
+    for near, end in ((-0.5 * slack, 0.0), (L + 0.5 * slack, L)):
+        for read in reads[::3]:
+            assert np.array_equal(read(near), read(end))
+            assert np.array_equal(read(np.array([near])), read(np.array([end])))
+        for read in reads[1:3]:
+            assert read(near) == pytest.approx(read(end), rel=1e-10)
+        for read in pair_reads:
+            assert read(near, 0.3) == read(end, 0.3) and read(0.3, near) == read(0.3, end)
+    calls.clear()
     # a point inside takes one sigma call on t and its panel midpoint, as in an array
     u.derivative(0.3)
     assert calls == [2]
