@@ -152,14 +152,22 @@ def _branch_matrices(M: np.ndarray, lam: float, bc: BoundaryCondition, length: f
 def _factors(Rt: np.ndarray, Rs: np.ndarray, deriv: bool = False):
     """Rank-2 factors: rows (y1, y2) at the t states, or (y1', y2') with
     ``deriv``, and columns (-y2, y1) at the s states."""
-    A = Rt[1::2] if deriv else Rt[::2]
-    B = Rs[2::-2].copy()
-    B[0] = -B[0]
+    A = np.stack([Rt[1], Rt[3]]) if deriv else np.stack([Rt[0], Rt[2]])
+    B = np.stack([-Rs[2], Rs[0]])
     return A, B
 
 
+class _Branches:
+    """A kernel's two analytic branches, tabulated by the subclass's ``tables``."""
+
+    def value(self, t: float, s: float) -> float:
+        """One kernel value, from the branch that s <= t selects."""
+        lower, upper = self.tables([float(t)], [float(s)])
+        return float((lower if s <= t else upper)[0, 0])
+
+
 @dataclass(eq=False)
-class KernelBranches:
+class KernelBranches(_Branches):
     """Exact two-branch evaluator backed by a solution basis."""
 
     basis: SolutionBasis
@@ -174,7 +182,7 @@ class KernelBranches:
         return A.T @ self.k_low @ B, A.T @ self.k_up @ B
 
 
-class _TrigBranches:
+class _TrigBranches(_Branches):
     """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2,
     on [0, L] with the domain rule of every point reader (``_on_domain``)."""
 
@@ -249,9 +257,7 @@ class GreensFunction:
         return np.where(idx[None, :] <= idx[:, None], self.lower, self.upper)
 
     def value(self, t: float, s: float) -> float:
-        """One kernel value, from the branch that s <= t selects."""
-        lower, upper = self.branches.tables([float(t)], [float(s)])
-        return float((lower if s <= t else upper)[0, 0])
+        return self.branches.value(t, s)
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.lower).copy()
@@ -507,8 +513,12 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
 
 def kernel_value(p: Potential, lam: float, bc, t: float, s: float, *,
                  tol: float = DEFAULT_TOL) -> float:
-    """One kernel value G(t, s), read from the branches of ``build_green`` at n = 1."""
-    return build_green(p, lam, bc, n=1, tol=tol).value(t, s)
+    """One kernel value G(t, s) of ``build_green``'s kernel, from the same branch
+    matrices and resonance check, without forming a grid or a workspace."""
+    basis = fundamental_solutions(p, lam, tol=tol)
+    k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, BoundaryCondition.parse(bc),
+                                      basis.length)
+    return KernelBranches(basis, k_low, k_up).value(t, s)
 
 
 def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFunction:

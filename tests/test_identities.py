@@ -267,11 +267,13 @@ def _read(call) -> str:
 def test_kernel_value_reads_build_greens_kernel(p, lam, bc, x, y):
     # one path to a numerical kernel value: kernel_value is build_green's
     # kernel read at (t, s), bit for bit, and at an eigenvalue of bc both
-    # raise the same ResonanceError
+    # raise the same ResonanceError; kernel_value keeps no kernel workspace
     t, s = x * p.domain_length, y * p.domain_length
     first = find_eigenvalues(p, bc, max_count=1).first()
     for at in (lam, first):
+        kept = list(integrator._WORKSPACES)
         one = _read(lambda: kernel_value(p, at, bc, t, s))
+        assert list(integrator._WORKSPACES) == kept
         assert one == _read(lambda: build_green(p, at, bc, n=7).value(t, s))
     assert one.startswith("resonant: ")
 
