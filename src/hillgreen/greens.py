@@ -629,12 +629,11 @@ class BvpSolution:
         tt = np.asarray(t, dtype=float)
         if tt.ndim == 0:
             return self._point(float(tt), deriv)
-        pts = tt.reshape(-1)
+        pts = _on_domain(tt.reshape(-1), self.length)
         m = pts.size
         k = np.searchsorted(self._edges, pts, side="right") - 1
-        np.clip(k, 0, self._edges.size - 1, out=k)
         x = self._edges[k]
-        # one call for t and the panel midpoints; it raises DomainError off [0, L]
+        # one call for t and the panel midpoints
         s = np.concatenate([pts, 0.5 * (x + pts)])
         y = self._basis.trajectory(s)
         f = _integrand(self._sigma, s, y)
@@ -644,10 +643,11 @@ class BvpSolution:
 
     def _point(self, t: float, deriv: bool) -> float:
         """``_eval`` at one point, in Python floats operation for operation."""
-        k = min(max(int(self._edges.searchsorted(t, side="right")) - 1, 0), self._edges.size - 1)
+        t = _on_domain(t, self.length)
+        k = int(self._edges.searchsorted(t, side="right")) - 1
         x = float(self._edges[k])
         mid = 0.5 * (x + t)
-        y, ym = (self._basis._pieces.point(_on_domain(v, self.length)) for v in (t, mid))
+        y, ym = (self._basis._pieces.point(v) for v in (t, mid))
         sig, sig_mid = self._sigma(np.array([t, mid])).tolist()
         c = [ck + (fk + 4.0 * (fm * sig_mid) + ft * sig) * ((t - x) / 6.0) for ck, fk, fm, ft in
              zip(self._c[:, k].tolist(), self._f[:, k].tolist(), (-ym[2], ym[0]), (-y[2], y[0]))]

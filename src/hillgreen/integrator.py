@@ -22,8 +22,9 @@ steps there (three-point Gauss; Iserles & Norsett 1999, Blanes, Casas &
 Ros 2000, Blanes, Casas, Oteo & Ros 2009): each step is exp(Omega) with
 Omega = [[d, e], [f, -d]] affine in lambda, and the exact step is the same
 formula with d = 0, e = h, f = -h q. The step count per segment comes from
-a Richardson estimate (n against 2n steps at a few probe lambdas), and the
-steps of a block of lambdas are multiplied out pairwise as a tree.
+a Richardson estimate (n against 2n steps at a few probe lambdas), one
+ladder for every accuracy asked, and the steps of a block of lambdas, one
+(2, 2, steps, lambdas) array, are multiplied out pairwise as a tree.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +64,8 @@ _BLOCK = 16384
 _LAMBDA_BLOCK = 4096
 # probe lambdas spread over the batch for the step-count estimate
 _PROBES = 7
+# endpoint_scan's default accuracy, at which find_eigenvalues scans for brackets
+_SCAN_ACCURACY = 1e-7
 
 
 def _check_tol(tol: float) -> float:
@@ -167,13 +171,11 @@ def _apply(m, y):
 
 
 def _matmul(a, b):
-    """Entrywise 2x2 products a @ b of matrices held as (m00, m01, m10, m11)."""
-    out = []
-    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
-        r = a[i] * b[j]
-        r += a[i + 1] * b[j + 2]
-        out.append(r)
-    return tuple(out)
+    """2x2 products a @ b of matrices stacked as (2, 2, ...) arrays, entrywise
+    over the trailing axes: out[i, j] = a[i, 0] b[0, j] + a[i, 1] b[1, j]."""
+    out = a[:, :1] * b[:1]
+    out += a[:, 1:] * b[1:]
+    return out
 
 
 def _magnus_nodes(p: Potential, t0: float, t1: float, n: int):
@@ -209,11 +211,12 @@ def _magnus_steps(d0, d1, e, f0, g, lams):
     """Step matrices exp(Omega) = C I + S Omega, Omega = [[d, e], [f, -d]].
 
     d = d0 + lambda d1 and f = f0 + lambda g; Omega^2 = -w2 I with
-    w2 = -d^2 - e f. Entries have shape (steps, lambdas).
+    w2 = -d^2 - e f. Returns one (2, 2, steps, lambdas) array.
     """
-    d = d1[:, None] * lams
+    m = np.empty((2, 2, d0.size, lams.size))
+    d = np.multiply(d1[:, None], lams, out=m[0, 0])
     d += d0[:, None]
-    f = g[:, None] * lams
+    f = np.multiply(g[:, None], lams, out=m[1, 0])
     f += f0[:, None]
     e = e[:, None]
     w2 = e * f
@@ -222,21 +225,23 @@ def _magnus_steps(d0, d1, e, f0, g, lams):
     c, s = _cos_sinc(w2)
     d *= s
     f *= s
-    return (c + d, s * e, f, c - d)
+    np.subtract(c, d, out=m[1, 1])
+    d += c
+    np.multiply(s, e, out=m[0, 1])
+    return m
 
 
 def _tree_product(m):
-    """Ordered product m[-1] @ ... @ m[0] along the step axis, by pairwise halving."""
-    while m[0].shape[0] > 1:
-        rows = m[0].shape[0]
-        pairs = _matmul([x[1::2] for x in m], [x[0:rows - 1:2] for x in m])
-        m = pairs if rows % 2 == 0 else tuple(
-            np.concatenate([x, y[-1:]]) for x, y in zip(pairs, m))
-    return tuple(x[0] for x in m)
+    """Ordered product, last step leftmost, of (2, 2, steps, ...) step matrices, pairwise."""
+    while m.shape[2] > 1:
+        rows = m.shape[2]
+        pairs = _matmul(m[:, :, 1::2], m[:, :, 0:rows - 1:2])
+        m = pairs if rows % 2 == 0 else np.concatenate([pairs, m[:, :, -1:]], axis=2)
+    return m[:, :, 0]
 
 
 def _magnus_transfer(d0, d1, e, f0, g, lams):
-    """Transfer matrix of all the steps for every lambda, rows (m00, m01, m10, m11).
+    """Transfer matrix of all the steps for every lambda, of shape (2, 2, lambdas).
 
     Blocks of at most ``_BLOCK`` (step, lambda) cells are built at once and
     tree-reduced to one matrix per lambda.
@@ -245,14 +250,14 @@ def _magnus_transfer(d0, d1, e, f0, g, lams):
     n, K = d0.size, lams.size
     kb = max(1, min(K, _LAMBDA_BLOCK))
     sb = 1 << max(0, (_BLOCK // kb).bit_length() - 1)
-    out = np.empty((4, K))
+    out = np.empty((2, 2, K))
     for k0 in range(0, K, kb):
         lam = lams[k0:k0 + kb]
         total = None
         for s0 in range(0, n, sb):
             block = _tree_product(_magnus_steps(*(x[s0:s0 + sb] for x in coeffs), lam))
             total = block if total is None else _matmul(block, total)
-        out[:, k0:k0 + kb] = total
+        out[..., k0:k0 + kb] = total
     return out
 
 
@@ -460,7 +465,7 @@ def discriminant(p: Potential, lam: float, *, tol: float = DEFAULT_TOL) -> float
     return fundamental_solutions(p, lam, tol=tol).discriminant
 
 
-def endpoint_scan(p: Potential, lams, *, accuracy: float = 1e-7) -> np.ndarray:
+def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np.ndarray:
     """Endpoint states for a whole batch of lambda values in one sweep.
 
     Returns shape (4, K): rows y1(T), y1'(T), y2(T), y2'(T) per lambda,
@@ -483,19 +488,21 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = 1e-7) -> np.ndarray:
     """
     _check_accuracy(accuracy)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    (plan,) = _scan_plan(p, lams, accuracy)
+    return _propagate(plan, lams)
+
+
+def _scan_plan(p: Potential, lams: np.ndarray, *accuracies: float) -> list:
+    """The steps of ``endpoint_scan`` for any lambda within the range of ``lams``,
+    one plan per accuracy.
+
+    A plan has one entry per segment: (constant, length, None) for a constant
+    piece, (None, length, Magnus grid) for any other. A segment's grids come
+    from one ladder at probes spread over ``lams``, and ``_propagate`` applies
+    a plan to any batch inside that range.
+    """
     if not np.all(np.isfinite(lams)):
         raise ValueError("lambda values must be finite")
-    return _propagate(_scan_plan(p, lams, accuracy), lams)
-
-
-def _scan_plan(p: Potential, lams: np.ndarray, accuracy: float):
-    """The steps of ``endpoint_scan`` for any lambda within the range of ``lams``.
-
-    One entry per segment: (constant, length, None) for a constant piece,
-    (None, length, Magnus grid) for any other. The grids are estimated once
-    at probes spread over ``lams``, and ``_propagate`` applies them to any
-    batch inside that range.
-    """
     edges, consts = _segments(p)
     smooth = [(t0, t1) for t0, t1, const in zip(edges, edges[1:], consts) if const is None]
     grids = {}
@@ -505,12 +512,13 @@ def _scan_plan(p: Potential, lams: np.ndarray, accuracy: float):
         probes = np.unique(np.concatenate([
             np.quantile(lams, np.linspace(0.0, 1.0, _PROBES)),
             np.clip([-amax, -0.5 * (amin + amax), -amin], lams.min(), lams.max())]))
-        # half of accuracy, split over the segments: the n-against-2n difference
-        # can miss the true error by about 2 where constant pieces follow
-        share = accuracy / (2.0 * omega * len(smooth))
+        # half of each accuracy, split over the segments: the n-against-2n
+        # difference can miss the true error by about 2 where constant pieces follow
+        targets = [(accuracy / (2.0 * omega * len(smooth)), accuracy) for accuracy in accuracies]
         for t0, t1 in smooth:
-            grids[t0] = _magnus_grid(p, t0, t1, probes, share, omega, accuracy)
-    return [(const, t1 - t0, grids.get(t0)) for t0, t1, const in zip(edges, edges[1:], consts)]
+            grids[t0] = _magnus_grid(p, t0, t1, probes, omega, targets)
+    return [[(const, t1 - t0, grids[t0][k] if t0 in grids else None)
+             for t0, t1, const in zip(edges, edges[1:], consts)] for k in range(len(accuracies))]
 
 
 def _propagate(plan, lams: np.ndarray) -> np.ndarray:
@@ -522,34 +530,39 @@ def _propagate(plan, lams: np.ndarray) -> np.ndarray:
         if const is not None:
             Y = _exact_step(Y, const + lams, h)
         elif lams.size:
-            Y = _apply(_magnus_transfer(*grid, lams), Y)
+            Y = _apply(_magnus_transfer(*grid, lams).reshape(4, -1), Y)
     return Y
 
 
-def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, share: float,
-                 omega: float, accuracy: float):
-    """Magnus steps for [t0, t1] whose estimated error is within ``share``.
+def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, omega: float,
+                 targets: list) -> list:
+    """Magnus steps for [t0, t1], one grid per (share, accuracy) target, from one ladder.
 
-    Doubles n from 8 until n and 2n steps agree within ``share`` at every
-    probe, in the energy scaling (u, u'/w) with w = sqrt(max(1, |a + lambda|)),
-    where the error of an oscillation is flat in lambda. A level counts once
-    the error is visibly in its sixth-order regime: the level before it also
-    met ``share``, or missed it by at least 32 times. A non-finite estimate
-    (cosh overflows at coarse levels when lambda h^2 is huge) is a miss.
+    Doubles n from 8 until n and 2n steps agree within a target's share at
+    every probe, in the energy scaling (u, u'/w) with w = sqrt(max(1, |a + lambda|)),
+    where the error of an oscillation is flat in lambda. A level counts for
+    a target once the error is visibly in its sixth-order regime: the level
+    before it also met the share, or missed it by at least 32 times. A
+    non-finite estimate (cosh overflows at coarse levels when lambda h^2 is
+    huge) is a miss. Each target takes the grid of the first level that
+    counts for it, as a ladder of its own would; no level is formed twice,
+    and a refusal names the tightest accuracy not yet met.
     """
     a_mid = float(np.mean(p.eval(np.linspace(t0, t1, 9))))
     w = np.sqrt(np.maximum(1.0, np.abs(probes + a_mid)))
+    grid = cache(partial(_magnus_nodes, p, t0, t1))
 
-    def scaled(grid):
-        m = _magnus_transfer(*grid, probes)
+    def scaled(n):
+        m = _magnus_transfer(*grid(n), probes).reshape(4, -1)
         return np.stack([m[0], m[1] * w, m[2] / w, m[3]])
 
+    grids = [None] * len(targets)
     n = 8
-    coarse = _magnus_nodes(p, t0, t1, n)
     at_coarse = None
     before = math.nan
     while True:
         floor = 10.0 * np.finfo(float).eps * (n + omega * (t1 - t0))
+        accuracy = min(acc for (_, acc), found in zip(targets, grids) if found is None)
         if floor > accuracy:
             raise IntegrationError(
                 f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g}: "
@@ -560,15 +573,16 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, share: 
                 f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g} "
                 f"within {_MAX_STEPS} Magnus steps (estimated error {before:.1e} at "
                 f"{n // 2} steps)", t=float(t0))
-        fine = _magnus_nodes(p, t0, t1, 2 * n)
         with np.errstate(over="ignore", invalid="ignore"):
             if at_coarse is None:
-                at_coarse = scaled(coarse)
-            at_fine = scaled(fine)
+                at_coarse = scaled(n)
+            at_fine = scaled(2 * n)
             err = float(np.max(np.max(np.abs(at_coarse - at_fine), axis=0)
                                / np.maximum(1.0, np.max(np.abs(at_fine), axis=0))))
-        if err <= share and (before <= share or before >= 32.0 * err):
-            # the error falls as n^-6: trim n to what the estimate asks for
-            trimmed = max(n // 2, math.ceil(n * (err / share) ** (1.0 / 6.0)))
-            return coarse if trimmed == n else _magnus_nodes(p, t0, t1, trimmed)
-        n, coarse, at_coarse, before = 2 * n, fine, at_fine, err
+        for k, (share, _) in enumerate(targets):
+            if grids[k] is None and err <= share and (before <= share or before >= 32.0 * err):
+                # the error falls as n^-6: trim n to what the estimate asks for
+                grids[k] = grid(max(n // 2, math.ceil(n * (err / share) ** (1.0 / 6.0))))
+        if None not in grids:
+            return grids
+        n, at_coarse, before = 2 * n, at_fine, err

@@ -26,8 +26,8 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, _check_n, kernel_value
-from .integrator import (DEFAULT_TOL, _check_accuracy, _check_tol, _propagate, _scan_plan,
-                         discriminant, endpoint_scan, fundamental_solutions)
+from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, _check_accuracy, _check_tol, _propagate,
+                         _scan_plan, discriminant, endpoint_scan, fundamental_solutions)
 from .potential import Potential
 
 __all__ = [
@@ -97,25 +97,26 @@ def _auto_range(p: Potential, count: int) -> tuple[float, float]:
 def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float):
     """Scan of [lo, hi] in ``n_scan`` cells, and the states that refine it.
 
-    Returns the scan lambdas, their ``endpoint_scan`` states and a function
-    giving endpoint states within ``integrator_tol`` for any array of
-    lambdas a refinement can visit. Its Magnus steps are estimated once,
-    over [lo, hi] widened by the 1.5 cells that bracket widening can add
-    on each side. Raises ``IntegrationError`` when they cannot certify
-    ``integrator_tol`` there.
+    Returns the scan lambdas, their endpoint states at ``endpoint_scan``'s
+    accuracy and a function giving states within ``integrator_tol`` for any
+    lambdas a refinement can visit. Both come from one step-count ladder per
+    segment over [lo, hi] widened by the 1.5 cells that bracket widening can
+    add on each side. Raises ``IntegrationError`` when either cannot certify
+    its accuracy there.
     """
     _check_tol(integrator_tol)
     lams = np.linspace(lo, hi, n_scan + 1)
-    Y = endpoint_scan(p, lams)
     margin = 1.5 * (hi - lo) / n_scan
+    widened = np.array([lo - margin, hi + margin])
     try:
-        plan = _scan_plan(p, np.array([lo - margin, hi + margin]), integrator_tol)
+        scan, plan = _scan_plan(p, widened, _SCAN_ACCURACY, integrator_tol)
     except IntegrationError as exc:
+        _scan_plan(p, widened, _SCAN_ACCURACY)  # a refusal of the scan itself stands bare
         raise IntegrationError(
             f"eigenvalue refinement over lambda in [{lo:g}, {hi:g}] cannot certify "
             f"integrator_tol {integrator_tol:g} ({exc}); a larger integrator_tol "
             f"(--tol on the command line) lifts the limit", t=exc.t) from exc
-    return lams, Y, partial(_propagate, plan)
+    return lams, _propagate(scan, lams), partial(_propagate, plan)
 
 
 def _batch_roots(F, a, b, fa, fb, xtol: float) -> np.ndarray:

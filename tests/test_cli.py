@@ -247,6 +247,22 @@ def test_spectrum_refinement_refusal_exit_code(capsys):
     assert rc == 0 and len(out.strip().splitlines()) == 2
 
 
+def test_spectrum_refusals_keep_the_wording_of_their_level(capsys):
+    # a scan that cannot certify its accuracy is refused bare, a refinement
+    # that cannot certify --tol in its own wrapper; both exit 3
+    scan = ("scan segment [0, 3.14159] cannot certify accuracy 1e-07: float64 rounding of the "
+            "phase (omega = 3.16e+07) alone is about 2.2e-07, beyond any number of Magnus steps")
+    refinement = (
+        "eigenvalue refinement over lambda in [4e+08, 4.0002e+08] cannot certify integrator_tol "
+        "1e-10 (scan segment [0, 3.14159] cannot certify accuracy 1e-10: float64 rounding of the "
+        "phase (omega = 2e+04) alone is about 1.4e-10, beyond any number of Magnus steps); a "
+        "larger integrator_tol (--tol on the command line) lifts the limit")
+    args = ["spectrum", "--potential", "ex3", "--bc", "N", "--range"]
+    for lo, hi, want in (("1e15", "1.0001e15", scan), ("4e8", "4.0002e8", refinement)):
+        assert main([*args, lo, hi]) == 3
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
 def test_examples_single(capsys):
     rc, out = run(capsys, "examples", "--which", "1")
     assert rc == 0

@@ -263,7 +263,7 @@ def test_scan_step_is_sixth_order():
     def transfer(n):
         first, second = (integrator._magnus_transfer(*integrator._magnus_nodes(p, t0, t1, n // 2),
                                                      lams) for t0, t1 in zip(edges, edges[1:]))
-        return np.array(integrator._matmul(second, first))
+        return integrator._matmul(second, first).reshape(4, -1)
 
     ref = transfer(16384)
     errs = [np.max(np.abs(transfer(n) - ref), axis=0) for n in (50, 100, 200)]
@@ -604,14 +604,12 @@ def test_scalar_reads_raise_like_arrays_before_sigma():
                         read(t, s)
                     assert str(info.value) == want
     assert calls == []
-    # within the slack the end is read; u and u' read the end's states, and
-    # their sigma integral runs on over the panel up to t, within rounding
+    # within the slack every reader reads the end, bit for bit: u and u' take
+    # the end's states and run their sigma integral up to the end
     for near, end in ((-0.5 * slack, 0.0), (L + 0.5 * slack, L)):
-        for read in reads[::3]:
+        for read in reads:
             assert np.array_equal(read(near), read(end))
             assert np.array_equal(read(np.array([near])), read(np.array([end])))
-        for read in reads[1:3]:
-            assert read(near) == pytest.approx(read(end), rel=1e-10)
         for read in pair_reads:
             assert read(near, 0.3) == read(end, 0.3) and read(0.3, near) == read(0.3, end)
     calls.clear()

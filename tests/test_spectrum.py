@@ -481,6 +481,56 @@ def test_refinement_refuses_beyond_float64_phase(cos_pi):
     assert abs(value - mathieu_a(order, -2.0) / 4.0) <= 1e-8
 
 
+SCAN_REFUSAL = ("scan segment [0, 3.14159] cannot certify accuracy 1e-07: float64 rounding of "
+                "the phase (omega = 3.16e+07) alone is about 2.2e-07, beyond any number of "
+                "Magnus steps")
+REFINEMENT_REFUSAL = (
+    "eigenvalue refinement over lambda in [4e+08, 4.0002e+08] cannot certify integrator_tol "
+    "1e-10 (scan segment [0, 3.14159] cannot certify accuracy 1e-10: float64 rounding of the "
+    "phase (omega = 2e+04) alone is about 1.4e-10, beyond any number of Magnus steps); a "
+    "larger integrator_tol (--tol on the command line) lifts the limit")
+
+
+def test_refusals_keep_the_wording_of_their_level(cos_pi):
+    # the scan and the refinement read one step-count ladder, and each
+    # refusal is still worded by the level that cannot certify its accuracy
+    with pytest.raises(IntegrationError) as info:
+        find_eigenvalues(cos_pi, "N", search_range=(1e15, 1.0001e15))
+    assert str(info.value) == SCAN_REFUSAL
+    with pytest.raises(IntegrationError) as info:
+        find_eigenvalues(cos_pi, "N", search_range=(4e8, 4.0002e8))
+    assert str(info.value) == REFINEMENT_REFUSAL
+
+
+def test_scan_refusal_stands_bare_where_the_refinement_fails_first(monkeypatch, cos_pi):
+    # the ladder meets the refinement's rounding floor at 8 steps, before the
+    # scan reaches the step cap: the scan's own refusal is the one raised
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 64)
+    with pytest.raises(IntegrationError) as info:
+        find_eigenvalues(cos_pi, "N", search_range=(4e8, 4.0002e8))
+    assert re.fullmatch(r"scan segment \[0, 3\.14159\] cannot certify accuracy 1e-07 within 64 "
+                        r"Magnus steps \(estimated error \S+ at 32 steps\)", str(info.value))
+
+
+@pytest.mark.parametrize("name,bc,method", [
+    ("ex3", "N", "auto"), ("ex3", "D", "auto"), ("cos", "P", "direct"), ("ex4", "A", "union"),
+])
+def test_find_eigenvalues_forms_each_magnus_level_once(monkeypatch, name, bc, method):
+    # the scan and the refinement plans are read off one ladder per segment,
+    # so no segment's steps at one count are formed twice
+    levels = []
+    original = integrator._magnus_nodes
+
+    def counting(p, t0, t1, n):
+        levels.append((t0, t1, n))
+        return original(p, t0, t1, n)
+
+    monkeypatch.setattr(integrator, "_magnus_nodes", counting)
+    spec = find_eigenvalues(HALF_ROUTE_CASES[name], bc, max_count=4, method=method)
+    assert len(spec.expanded()) == 4
+    assert levels and len(set(levels)) == len(levels)
+
+
 def test_refinement_warns_nothing_where_coarse_steps_overflow():
     # at lambda = 1e8 the first levels of the step-count estimate take h omega
     # of thousands, and cosh overflows in them; those levels are misses, and
