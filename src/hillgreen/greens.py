@@ -1,14 +1,14 @@
 """Green's functions for u'' + (a(t) + lambda) u = sigma under six endpoint conditions.
 
-Every kernel is stored as two analytic branches over the full square,
+Every kernel has two analytic branches,
     G(t, s) = row(t) . K . col(s),  row(t) = (y1(t), y2(t)),  col(s) = (-y2(s), y1(s)),
 with one coefficient matrix per branch and the branch picked by s <= t.
 K_low - K_up = I for every condition, which forces continuity on the
-diagonal and a unit jump in dG/dt across it by construction.  One
-evaluator, ``tables(tpts, spts, deriv=False)``, gives both branch tables of
-G, or of dG/dt with ``deriv``, for the numerical and the closed-form kernel
-alike; ``build_green`` forms the same product on the kernel workspace's
-node states (``_KernelCache``, shared with the catalog and comparisons).
+diagonal and a unit jump in dG/dt across it by construction.  ``build_green``
+stores one node table, each entry from its own branch on the kernel
+workspace's node states (``_KernelCache``, shared with the catalog and
+comparisons); ``tables(tpts, spts, deriv=False)`` gives both branches of G, or
+of dG/dt, at any points, for the numerical and the closed-form kernel alike.
 
 Coupled conditions (periodic, anti-periodic) use K_up = (eps I - M)^{-1} M
 with M the monodromy matrix; separated conditions use the rank-one kernel
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -157,17 +158,8 @@ def _factors(Rt: np.ndarray, Rs: np.ndarray, deriv: bool = False):
     return A, B
 
 
-class _Branches:
-    """A kernel's two analytic branches, tabulated by the subclass's ``tables``."""
-
-    def value(self, t: float, s: float) -> float:
-        """One kernel value, from the branch that s <= t selects."""
-        lower, upper = self.tables([float(t)], [float(s)])
-        return float((lower if s <= t else upper)[0, 0])
-
-
 @dataclass(eq=False)
-class KernelBranches(_Branches):
+class KernelBranches:
     """Exact two-branch evaluator backed by a solution basis."""
 
     basis: SolutionBasis
@@ -181,8 +173,16 @@ class KernelBranches(_Branches):
                         self.basis.trajectory(np.atleast_1d(spts)), deriv)
         return A.T @ self.k_low @ B, A.T @ self.k_up @ B
 
+    def value(self, t: float, s: float) -> float:
+        """One kernel value, from the branch that s <= t selects: two states read by
+        ``_PieceTable.point``, then ``tables``'s product in numpy (BLAS fuses its
+        multiply-adds, which Python floats cannot)."""
+        y, z = (self.basis._pieces.point(_on_domain(float(v), self.basis.length)) for v in (t, s))
+        A, B = np.array([[y[0]], [y[2]]]), np.array([[-z[2]], [z[0]]])
+        return float((A.T @ (self.k_low if s <= t else self.k_up) @ B)[0, 0])
 
-class _TrigBranches(_Branches):
+
+class _TrigBranches:
     """Closed-form branch evaluator for the constant potential a == 0, lambda = m^2,
     on [0, L] with the domain rule of every point reader (``_on_domain``)."""
 
@@ -200,30 +200,19 @@ class _TrigBranches(_Branches):
             self._up = lambda t, s: -np.sin(m * (t - s + L / 2)) / den
             self._dlow = lambda t, s: np.cos(m * (s - t + L / 2)) * (m / den)
             self._dup = lambda t, s: -np.cos(m * (t - s + L / 2)) * (m / den)
-        elif bc is BoundaryCondition.NEUMANN:
-            den = m * math.sin(m * L)
-            self._low = lambda t, s: np.cos(m * s) * np.cos(m * (L - t)) / den
-            self._up = lambda t, s: np.cos(m * t) * np.cos(m * (L - s)) / den
-            self._dlow = lambda t, s: np.cos(m * s) * np.sin(m * (L - t)) * (m / den)
-            self._dup = lambda t, s: -np.sin(m * t) * np.cos(m * (L - s)) * (m / den)
-        elif bc is BoundaryCondition.DIRICHLET:
-            den = m * math.sin(m * L)
-            self._low = lambda t, s: np.sin(m * s) * np.sin(m * (t - L)) / den
-            self._up = lambda t, s: np.sin(m * t) * np.sin(m * (s - L)) / den
-            self._dlow = lambda t, s: np.sin(m * s) * np.cos(m * (t - L)) * (m / den)
-            self._dup = lambda t, s: np.cos(m * t) * np.sin(m * (s - L)) * (m / den)
-        elif bc is BoundaryCondition.MIXED1:
-            den = m * math.cos(m * L)
-            self._low = lambda t, s: np.cos(m * s) * np.sin(m * (t - L)) / den
-            self._up = lambda t, s: np.cos(m * t) * np.sin(m * (s - L)) / den
-            self._dlow = lambda t, s: np.cos(m * s) * np.cos(m * (t - L)) * (m / den)
-            self._dup = lambda t, s: -np.sin(m * t) * np.sin(m * (s - L)) * (m / den)
         else:
-            den = m * math.cos(m * L)
-            self._low = lambda t, s: -np.sin(m * s) * np.cos(m * (L - t)) / den
-            self._up = lambda t, s: -np.sin(m * t) * np.cos(m * (L - s)) / den
-            self._dlow = lambda t, s: -np.sin(m * s) * np.sin(m * (L - t)) * (m / den)
-            self._dup = lambda t, s: -np.cos(m * t) * np.cos(m * (L - s)) * (m / den)
+            # G = u0(s) uL(t) / den for s <= t, u0 meeting the condition at 0 and
+            # uL at L, den their Wronskian; du0 and duL are their derivatives over m
+            d0, dT = bc.ends
+            u0, du0 = ((lambda x: np.cos(m * x)), (lambda x: -np.sin(m * x))) if d0 else \
+                ((lambda x: np.sin(m * x)), (lambda x: np.cos(m * x)))
+            uL, duL = ((lambda x: np.cos(m * (L - x))), (lambda x: np.sin(m * (L - x)))) if dT \
+                else ((lambda x: np.sin(m * (x - L))), (lambda x: np.cos(m * (x - L))))
+            den = m * math.sin(m * L) if d0 == dT else (m if d0 else -m) * math.cos(m * L)
+            self._low = lambda t, s: u0(s) * uL(t) / den
+            self._up = lambda t, s: u0(t) * uL(s) / den
+            self._dlow = lambda t, s: u0(s) * duL(t) * (m / den)
+            self._dup = lambda t, s: du0(t) * uL(s) * (m / den)
         self.denominator = den
 
     def tables(self, tpts, spts, deriv: bool = False):
@@ -232,14 +221,19 @@ class _TrigBranches(_Branches):
         low, up = (self._dlow, self._dup) if deriv else (self._low, self._up)
         return low(T, S), up(T, S)
 
+    def value(self, t: float, s: float) -> float:
+        T, S = (_on_domain(float(v), self.length) for v in (t, s))
+        return float((self._low if s <= t else self._up)(T, S))
+
 
 @dataclass(eq=False)
 class GreensFunction:
     """Green's function sampled on a uniform (n+1)^2 grid, with exact branches attached.
 
-    ``lower`` and ``upper`` hold each branch over the whole square (both are
-    analytic, so continuing past the diagonal is harmless); selection by
-    s <= t happens in ``combined`` and ``value``.
+    ``table`` holds the kernel at every node pair, read-only, each entry from
+    the branch s <= t picks; ``combined``, ``diagonal``, ``table_slice`` and the
+    sign checks read it.  ``lower`` and ``upper``, each branch over the whole
+    square, are formed from ``branches`` on first read and then kept.
     """
 
     bc: BoundaryCondition
@@ -247,46 +241,47 @@ class GreensFunction:
     lam: float
     n: int
     grid: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    table: np.ndarray
     branches: object = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        self.table.flags.writeable = False
+
+    @cached_property
+    def _branch_tables(self) -> tuple:
+        return self.branches.tables(self.grid, self.grid)
+
+    lower = property(lambda self: self._branch_tables[0])
+    upper = property(lambda self: self._branch_tables[1])
+
     def combined(self) -> np.ndarray:
-        idx = np.arange(self.grid.size)
-        return np.where(idx[None, :] <= idx[:, None], self.lower, self.upper)
+        """The stored table itself, read-only: a caller that writes copies it first."""
+        return self.table
 
     def value(self, t: float, s: float) -> float:
         return self.branches.value(t, s)
 
     def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.lower).copy()
+        return np.diagonal(self.table).copy()
 
     def symmetry_error(self) -> float:
-        C = self.combined()
-        return float(np.max(np.abs(C - C.T)))
+        return float(np.max(np.abs(self.table - self.table.T)))
 
     def csv_text(self) -> str:
         """The table as ``t,s,G`` rows, one per node pair, exact float reprs."""
-        lines = ["t,s,G"]
-        C = self.combined()
-        for i, t in enumerate(self.grid):
-            ti = repr(float(t))
-            for j, s in enumerate(self.grid):
-                lines.append(f"{ti},{float(s)!r},{float(C[i, j])!r}")
-        return "\n".join(lines) + "\n"
+        grid = self.grid.tolist()
+        return "".join(["t,s,G\n", *(f"{t!r},{s!r},{v!r}\n" for t, row in
+                                      zip(grid, self.table.tolist()) for s, v in zip(grid, row))])
 
     def to_csv(self, path) -> None:
         Path(path).write_text(self.csv_text())
 
 
 def table_slice(G: GreensFunction, t_idx, s_idx) -> np.ndarray:
-    """Node-exact subtable G(grid[t_idx[i]], grid[s_idx[j]]); index arrays
-    refer to nodes of ``G.grid``, each entry's branch is picked by node index
-    (s <= t) and no interpolation enters anywhere."""
-    t_idx, s_idx = np.asarray(t_idx, dtype=int), np.asarray(s_idx, dtype=int)
-    ix = np.ix_(t_idx, s_idx)
-    return np.where(s_idx[None, :] <= t_idx[:, None], G.lower[ix], G.upper[ix])
+    """Node-exact subtable G(grid[t_idx[i]], grid[s_idx[j]]), gathered from ``G.table``:
+    each entry's branch is picked by node index (s <= t), and no interpolation enters."""
+    return G.table[np.ix_(np.asarray(t_idx, dtype=int), np.asarray(s_idx, dtype=int))]
 
 
 def _node_block(rows_low: np.ndarray, rows_up, B: np.ndarray,
@@ -317,6 +312,19 @@ def _row_slices(size: int) -> list[slice]:
         cuts.pop()
     cuts.append(size)
     return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+
+
+def _node_table(rows_low: np.ndarray, rows_up: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The kernel at every node pair, each entry from the branch s <= t picks, in
+    ``_row_slices`` blocks of rows: ``rows_low @ B`` left of a block's diagonal
+    square, ``rows_up @ B`` from it on, and the square masked; bit for bit the
+    product of the whole-square branch tables."""
+    out = np.empty((B.shape[1],) * 2)
+    for t in _row_slices(B.shape[1]):
+        np.matmul(rows_low[t], B[:, :t.start], out=out[t, :t.start])
+        np.matmul(rows_up[t], B[:, t.start:], out=out[t, t.start:])
+        np.copyto(out[t, t], rows_low[t] @ B[:, t], where=np.tri(t.stop - t.start, dtype=bool))
+    return out
 
 
 def _lower_pass(factors, reduce) -> list:
@@ -496,8 +504,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
     bc = BoundaryCondition.parse(bc)
     cache = _kernel_cache(p, n, lam, tol)
     k_low, k_up, margin = cache._branches("base", bc.value)
-    basis, states, L = cache.basis, cache.base[1], cache.L
-    A, B = _factors(states, states)
+    basis, L = cache.basis, cache.L
+    table = _node_table(*cache.factors(np.arange(cache.n + 1), "base", bc.value)[:3])
     meta = {
         "potential": p.descriptor(),
         "tol": tol,
@@ -507,8 +515,7 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
     }
     return GreensFunction(bc=bc, length=L, lam=float(lam), n=cache.n,
                           grid=np.linspace(0.0, L, cache.n + 1),
-                          lower=A.T @ k_low @ B, upper=A.T @ k_up @ B,
-                          branches=KernelBranches(basis, k_low, k_up), meta=meta)
+                          table=table, branches=KernelBranches(basis, k_low, k_up), meta=meta)
 
 
 def kernel_value(p: Potential, lam: float, bc, t: float, s: float, *,
@@ -539,10 +546,9 @@ def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFun
             f"closed-form {bc.name.lower()} kernel has a pole at m={m}, length={L}",
             denominator=branches.denominator)
     grid = np.linspace(0.0, L, n + 1)
-    lower, upper = branches.tables(grid, grid)
-    return GreensFunction(bc=bc, length=L, lam=m * m, n=n, grid=grid,
-                          lower=lower, upper=upper, branches=branches,
-                          meta={"closed_form": True, "m": m})
+    table = np.where(np.tri(n + 1, dtype=bool), *branches.tables(grid, grid))
+    return GreensFunction(bc=bc, length=L, lam=m * m, n=n, grid=grid, table=table,
+                          branches=branches, meta={"closed_form": True, "m": m})
 
 
 def estimate_diagonal_jump(G: GreensFunction, npts: int = 20, h: float = 3e-4) -> np.ndarray:

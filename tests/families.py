@@ -1,6 +1,7 @@
 """Whole kernel tables of the identity catalog's kernel families.
 
 ``family_green`` forms the table ``build_green`` would form for a family,
+each node pair's entry picked from the two whole-square branch products,
 but from the monodromy and node states that ``greens._KernelCache``
 derives from the base basis, so a reference built from it checks the
 catalog's sliced evaluation bit for bit. Whether those derived states are
@@ -27,6 +28,6 @@ def family_green(p, lam, family, bc, n, tol=DEFAULT_TOL):
     factor = _FAMILIES[family][0]
     nodes = states.shape[1]
     grid = np.linspace(0.0, factor * cache.L, factor * n + 1)[:nodes]
+    table = np.where(np.tri(nodes, dtype=bool), A.T @ k_low @ B, A.T @ k_up @ B)
     return GreensFunction(bc=bc, length=factor * cache.L, lam=float(lam), n=nodes - 1,
-                          grid=grid, lower=A.T @ k_low @ B, upper=A.T @ k_up @ B,
-                          branches=None)
+                          grid=grid, table=table, branches=None)

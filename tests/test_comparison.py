@@ -320,7 +320,7 @@ def _lower_read(G):
     takes its mirror's value, so classify_sign sees only pairs s <= t."""
     C = G.combined()
     S = np.tril(C) + np.tril(C, -1).T
-    return replace(G, lower=S, upper=S)
+    return replace(G, table=S)
 
 
 def _reference_dominance(p, lam, relation, n, tol=1e-9, whole=False):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,7 +176,8 @@ def test_branch_select_matches_mask_select(cos_pi):
     want = np.where(idx[None, :] <= idx[:, None], G.lower, G.upper)
     C = G.combined()
     assert np.array_equal(C, want)
-    C[:] = 0.0
+    with pytest.raises(ValueError):
+        C[:] = 0.0
     assert np.array_equal(G.combined(), want)
     for t_idx, s_idx in ((idx[10:], idx[:5]), (idx[:5], idx[10:]), (idx[::-3], idx[3:20]),
                          (idx[:0], idx)):
@@ -196,6 +198,98 @@ def test_build_green_one_trajectory(cos_pi, trajectory_calls):
     lower, upper = G.branches.tables(G.grid, G.grid.copy())
     assert np.array_equal(G.lower, lower)
     assert np.array_equal(G.upper, upper)
+
+
+def test_build_green_forms_one_table(cos_pi):
+    # with the workspace warm, build_green and combined() hold one (n+1)^2
+    # table at their peak; two whole-square branch tables would be two
+    n = 300
+    build_green(cos_pi, 0.3, "N", n=n)
+    tracemalloc.start()
+    try:
+        G = build_green(cos_pi, 0.3, "D", n=n)
+        G.combined()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * G.table.nbytes
+
+
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_branch_tables_formed_on_first_read(cos_pi, bc, trajectory_calls):
+    # lower and upper are formed on first read, then kept: each equals its
+    # branch's product over the workspace's node states, bit for bit
+    G = build_green(cos_pi, 0.3, bc, n=24)
+    assert trajectory_calls == [25]
+    states = greens._kernel_cache(cos_pi, 24, 0.3, DEFAULT_TOL).base[1]
+    A, B = greens._factors(states, states)
+    lower, upper = G.lower, G.upper
+    assert trajectory_calls == [25, 25, 25]
+    for got, k in ((lower, G.branches.k_low), (upper, G.branches.k_up)):
+        assert got.tobytes() == (A.T @ k @ B).tobytes()
+    assert G.lower is lower and G.upper is upper and trajectory_calls == [25, 25, 25]
+    idx = np.arange(G.n + 1)
+    assert G.table.tobytes() == np.where(idx[None, :] <= idx[:, None], lower, upper).tobytes()
+
+
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_closed_form_branch_tables_formed_on_first_read(bc):
+    G = closed_form_constant(1.7, 2.5, bc, n=30)
+    assert "_branch_tables" not in vars(G)
+    T, S = np.meshgrid(G.grid, G.grid, indexing="ij")
+    lower, upper = G.lower, G.upper
+    assert lower.tobytes() == G.branches._low(T, S).tobytes()
+    assert upper.tobytes() == G.branches._up(T, S).tobytes()
+    assert G.lower is lower and G.upper is upper
+    assert G.table.tobytes() == np.where(S <= T, lower, upper).tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda p: build_green(p, 0.3, "M2", n=40),
+                                  lambda p: closed_form_constant(0.9, 2.0, "P", n=40)],
+                         ids=["integrated", "closed_form"])
+def test_combined_is_the_stored_read_only_table(cos_pi, make):
+    G = make(cos_pi)
+    C = G.combined()
+    assert C is G.combined() is G.table
+    with pytest.raises(ValueError):
+        C[3, 4] = 0.0
+    assert np.array_equal(np.diagonal(C), G.diagonal())
+
+
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_table_slice_selects_each_branch_by_node_index(cos_pi, bc):
+    # a gather from the stored table picks each entry's branch as the whole
+    # branch tables do, for random, reversed and repeated node indices
+    G = build_green(cos_pi, 0.3, bc, n=70)
+    rng = np.random.default_rng(28)
+    idx = np.arange(G.n + 1)
+    for t_idx, s_idx in ((rng.integers(0, G.n + 1, 40), rng.integers(0, G.n + 1, 33)),
+                         (idx[::-1], idx), (idx, idx[::-1]),
+                         (np.repeat(idx[::7], 3), np.tile(idx[60:], 2)),
+                         (rng.permutation(idx), rng.permutation(idx))):
+        ix = np.ix_(t_idx, s_idx)
+        ref = np.where(s_idx[None, :] <= t_idx[:, None], G.lower[ix], G.upper[ix])
+        assert table_slice(G, t_idx, s_idx).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ex3", "step"])
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_value_reads_two_points_like_the_tables(name, bc, trajectory_calls):
+    # G.value and kernel_value read two states by the one-point reader, with
+    # no trajectory call, and equal the one-point tables bit for bit
+    p = load_builtin("ex3") if name == "ex3" else \
+        Potential.piecewise_constant([0.0, 0.7, 1.5, 2.0], [1.0, -0.5, 2.0])
+    L, slack = p.domain_length, 1e-12 * (1.0 + p.domain_length)
+    G = build_green(p, 0.3, bc, n=7)
+    trajectory_calls.clear()
+    pts = [0.0, -0.0, 0.3 * L, 0.5 * L, 0.77 * L, L, -0.5 * slack, L + 0.5 * slack]
+    got = [(G.value(t, s), kernel_value(p, 0.3, bc, t, s)) for t in pts for s in pts]
+    assert trajectory_calls == []
+    for (t, s), (value, single) in zip([(t, s) for t in pts for s in pts], got):
+        lower, upper = G.branches.tables([t], [s])
+        want = float((lower if s <= t else upper)[0, 0])
+        assert math.copysign(1.0, value) == math.copysign(1.0, want)
+        assert value == want and single == want
 
 
 def test_base_readers_derive_no_other_family(cos_pi):
