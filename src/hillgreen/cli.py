@@ -20,9 +20,10 @@ from .errors import HypothesisNotMet, IntegrationError, PoleError, ResonanceErro
 from .greens import BC_ALL, build_green
 from .identities import (DEFAULT_IDENTITY_TOL, IDENTITY_NAMES, verify_all,
                          verify_identity)
-from .integrator import DEFAULT_TOL, _check_tol
+from .integrator import DEFAULT_TOL, _check_positive, _check_tol
 from .potential import BUILTIN_NAMES, Potential, load_builtin
-from .spectrum import discriminant_samples, find_eigenvalues, stability_intervals
+from .spectrum import (DEFAULT_SCAN, Spectrum, discriminant_samples, find_eigenvalues,
+                       stability_intervals)
 
 __all__ = ["main"]
 
@@ -101,11 +102,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         }
         _emit_json(payload, args.output)
     else:
-        lines = ["bc,k,lambda,multiplicity"]
-        for bc in bcs:
-            for e in spectra[bc].eigenvalues:
-                lines.append(f"{bc},{e.index},{float(e.value)!r},{e.multiplicity}")
-        _emit("\n".join(lines), args.output)
+        _emit(Spectrum.CSV_HEADER + "".join(s.csv_rows() for s in spectra.values()),
+              args.output)
     return 0
 
 
@@ -292,6 +290,7 @@ def _run_example(which: int, n_scan: int, tol: float, match: float) -> dict:
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
+    _check_positive(args.match_tol, "--match-tol")
     if args.all:
         which = [1, 2, 3, 4]
     elif args.which:
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how many eigenvalues when no --range is given")
     sp.add_argument("--count-in-range", type=positive_int, default=None,
                     help="optional cap when --range is given")
-    sp.add_argument("--n-scan", type=positive_int, default=2000)
+    sp.add_argument("--n-scan", type=positive_int, default=DEFAULT_SCAN)
     sp.add_argument("--method", choices=("auto", "union", "direct"),
                     default="auto")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--which", type=int, choices=(1, 2, 3, 4))
     ep.add_argument("--all", action="store_true")
     ep.add_argument("--strict", action="store_true")
-    ep.add_argument("--n-scan", type=positive_int, default=2000)
+    ep.add_argument("--n-scan", type=positive_int, default=DEFAULT_SCAN)
     ep.add_argument("--match-tol", type=float, default=2e-3)
     ep.add_argument("--format", choices=("text", "json"), default="text")
     ep.set_defaults(func=_cmd_examples)

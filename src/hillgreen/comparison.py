@@ -25,9 +25,9 @@ import numpy as np
 from .errors import HypothesisNotMet, ResonanceError
 from .greens import (BoundaryCondition, GreensFunction, _as_callable, _KernelCache,
                      _kernel_cache, _lower_pass, _max_abs, build_green, solve_bvp)
-from .integrator import DEFAULT_TOL
+from .integrator import DEFAULT_TOL, _check_positive
 from .potential import Potential
-from .spectrum import find_eigenvalues
+from .spectrum import DEFAULT_SCAN, find_eigenvalues
 
 __all__ = [
     "DOMINANCE_RELATIONS",
@@ -72,6 +72,7 @@ class SignReport:
 
 def classify_sign(G: GreensFunction, zero_tol: float = DEFAULT_ZERO_TOL) -> SignReport:
     """Grid-based sign classification with the near-zero set reported."""
+    _check_positive(zero_tol, "zero_tol")
     vals = G.combined()
     mn = float(np.min(vals))
     mx = float(np.max(vals))
@@ -102,7 +103,7 @@ def _first_value(p: Potential, bc: str, n_scan: int, integrator_tol: float) -> f
                             integrator_tol=integrator_tol).values()[0]
 
 
-def predicted_sign_interval(p: Potential, bc, *, n_scan: int = 2000,
+def predicted_sign_interval(p: Potential, bc, *, n_scan: int = DEFAULT_SCAN,
                             integrator_tol: float = DEFAULT_TOL) -> dict:
     """Lambda ranges where the kernel is negative resp. nonnegative.
 
@@ -152,13 +153,14 @@ def _strict_region(vals: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
 def sign_threshold_consistency(p: Potential, bc, lams=None, n: int = 60,
                                zero_tol: float = DEFAULT_ZERO_TOL,
                                boundary_pad: float = 1e-4, *,
-                               n_scan: int = 2000,
+                               n_scan: int = DEFAULT_SCAN,
                                integrator_tol: float = DEFAULT_TOL) -> dict:
     """Compare classify_sign against the predicted thresholds at many lambda.
 
     Samples within ``boundary_pad`` of a threshold are flagged marginal and
     carry no pass/fail weight; resonant samples are likewise skipped.
     """
+    _check_positive(zero_tol, "zero_tol")
     bc = BoundaryCondition.parse(bc)
     intervals = predicted_sign_interval(p, bc, n_scan=n_scan,
                                         integrator_tol=integrator_tol)
@@ -247,14 +249,6 @@ def zero_set_check(G: GreensFunction, zero_tol: float = DEFAULT_ZERO_TOL) -> dic
             "pass": not violations}
 
 
-# hypothesis kernel id -> (boundary condition, name in verify_dominance,
-# name in verify_solution_comparison)
-_HYPOTHESIS_KERNELS = {
-    "P2": ("P", "P on the even extension", "periodic"),
-    "N2": ("N", "N on the even extension", "Neumann"),
-    "D2": ("D", "D on the even extension", "Dirichlet"),
-}
-
 # required sign -> (word in the message, classifications that have it, index
 # of the extreme naming the worst point in (min, max))
 _SIGNS = {
@@ -263,7 +257,7 @@ _SIGNS = {
     "nonpos": ("nonpositive", _NONPOSITIVE, 1),
 }
 
-_KERNEL_NAMES = {"N": "Neumann", "D": "Dirichlet", "M1": "first mixed",
+_KERNEL_NAMES = {"P": "periodic", "N": "Neumann", "D": "Dirichlet", "M1": "first mixed",
                  "M2": "second mixed"}
 
 
@@ -297,7 +291,8 @@ def _conclusion(sign: str, names: tuple[str, ...]) -> list[tuple[str, object, bo
             (names[1], lambda v1, v2: -v1, False)]
 
 
-# relation id -> (hypothesis kernel, required sign, description)
+# relation id -> (hypothesis kernel, required sign, description); a hypothesis
+# kernel id is its condition's first letter, then 2 for the even extension
 DOMINANCE_RELATIONS = {
     "nd_nonneg": ("P2", "nonneg",
                   "Neumann kernel dominates |Dirichlet| when the extension's "
@@ -346,6 +341,7 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
     if relation not in DOMINANCE_RELATIONS:
         raise KeyError(f"unknown relation {relation!r}; "
                        f"choices: {', '.join(sorted(DOMINANCE_RELATIONS))}")
+    _check_positive(tol, "tol")
     hyp_kind, hyp_sign, description = DOMINANCE_RELATIONS[relation]
     cache = _kernel_cache(p, n, lam, integrator_tol)
 
@@ -364,7 +360,8 @@ def verify_dominance(p: Potential, lam: float, relation: str, n: int = 100,
         ]
         hyp_desc = {"kernel": "N on the base interval", "classification": hyp_class}
     else:
-        bc, kernel, _ = _HYPOTHESIS_KERNELS[hyp_kind]
+        bc = hyp_kind[0]
+        kernel = f"{bc} on the even extension"
         hyp_class = _require_sign(cache, "even2", bc, hyp_sign,
                                   f"{kernel} kernel is not {{}} at this lambda")
         hyp_desc = {"kernel": kernel, "classification": hyp_class}
@@ -406,10 +403,12 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
     if theorem not in COMPARISON_THEOREMS:
         raise KeyError(f"unknown theorem {theorem!r}; "
                        f"choices: {', '.join(sorted(COMPARISON_THEOREMS))}")
+    _check_positive(slack, "slack")
     hyp_kind, hyp_sign, bc1, bc2 = COMPARISON_THEOREMS[theorem]
     cache = _kernel_cache(p, n, lam, integrator_tol)
 
-    bc, _, kernel = _HYPOTHESIS_KERNELS[hyp_kind]
+    bc = hyp_kind[0]
+    kernel = _KERNEL_NAMES[bc]
     hyp_class = _require_sign(cache, "even2", bc, hyp_sign,
                               f"the extension's {kernel} kernel is not {{}}")
 

@@ -191,13 +191,11 @@ class _TrigBranches:
         if bc is BoundaryCondition.PERIODIC:
             den = 2.0 * m * math.sin(m * L / 2)
             self._low = lambda t, s: np.cos(m * (s - t + L / 2)) / den
-            self._up = lambda t, s: np.cos(m * (s - t - L / 2)) / den
             self._dlow = lambda t, s: np.sin(m * (s - t + L / 2)) * (m / den)
             self._dup = lambda t, s: np.sin(m * (s - t - L / 2)) * (m / den)
         elif bc is BoundaryCondition.ANTIPERIODIC:
             den = 2.0 * m * math.cos(m * L / 2)
             self._low = lambda t, s: -np.sin(m * (s - t + L / 2)) / den
-            self._up = lambda t, s: -np.sin(m * (t - s + L / 2)) / den
             self._dlow = lambda t, s: np.cos(m * (s - t + L / 2)) * (m / den)
             self._dup = lambda t, s: -np.cos(m * (t - s + L / 2)) * (m / den)
         else:
@@ -210,9 +208,10 @@ class _TrigBranches:
                 else ((lambda x: np.sin(m * (x - L))), (lambda x: np.cos(m * (x - L))))
             den = m * math.sin(m * L) if d0 == dT else (m if d0 else -m) * math.cos(m * L)
             self._low = lambda t, s: u0(s) * uL(t) / den
-            self._up = lambda t, s: u0(t) * uL(s) / den
             self._dlow = lambda t, s: u0(s) * duL(t) * (m / den)
             self._dup = lambda t, s: du0(t) * uL(s) * (m / den)
+        # the kernel is symmetric, G(t, s) = G(s, t): the upper branch is the lower swapped
+        self._up = lambda t, s: self._low(s, t)
         self.denominator = den
 
     def tables(self, tpts, spts, deriv: bool = False):

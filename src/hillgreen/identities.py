@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ResonanceError
 from .greens import (_MAPS, _KernelCache, _kernel_cache, _kernel_extrema, _max_abs, _node_block,
                      _row_slices)
-from .integrator import DEFAULT_TOL
+from .integrator import DEFAULT_TOL, _check_positive
 from .potential import Potential
 
 __all__ = [
@@ -323,11 +323,6 @@ def _evaluate(cache: _KernelCache, idents, tol: float) -> list[IdentityReport]:
     return [reports[ident.name] for ident in idents]
 
 
-def _check_identity_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"identity tolerance must be finite and positive, got {tol}")
-
-
 def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
                     tol: float = DEFAULT_IDENTITY_TOL, *,
                     integrator_tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -336,7 +331,7 @@ def verify_identity(identity_id: str, p: Potential, lam: float, n: int = 100,
     Raises ResonanceError naming the constituent problem if any kernel in
     the identity is singular at this lambda, ValueError for a bad ``tol``.
     """
-    _check_identity_tol(tol)
+    _check_positive(tol, "identity tolerance")
     try:
         ident = _BY_NAME[identity_id.upper()]
     except KeyError:
@@ -352,5 +347,5 @@ def verify_all(p: Potential, lam: float, n: int = 100,
                tol: float = DEFAULT_IDENTITY_TOL, *,
                integrator_tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Run the whole catalog, recording a skip for resonant constituents."""
-    _check_identity_tol(tol)
+    _check_positive(tol, "identity tolerance")
     return _evaluate(_kernel_cache(p, n, lam, integrator_tol), CATALOG, tol)

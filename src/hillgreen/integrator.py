@@ -75,6 +75,12 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _check_positive(value: float, name: str) -> None:
+    """Every verifier's rule for a tolerance, slack or margin: finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _check_accuracy(accuracy: float) -> None:
     if not 0.0 < float(accuracy) <= TOL_MAX:
         raise ValueError(f"accuracy {accuracy} outside (0, {TOL_MAX}]")

@@ -26,8 +26,9 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, _check_n, kernel_value
-from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, _check_accuracy, _check_tol, _propagate,
-                         _scan_plan, discriminant, endpoint_scan, fundamental_solutions)
+from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, _check_accuracy, _check_positive,
+                         _check_tol, _propagate, _scan_plan, discriminant, endpoint_scan,
+                         fundamental_solutions)
 from .potential import Potential
 
 __all__ = [
@@ -80,11 +81,16 @@ class Spectrum:
     def first(self) -> float | None:
         return self.eigenvalues[0].value if self.eigenvalues else None
 
+    CSV_HEADER = "bc,k,lambda,multiplicity\n"
+
+    def csv_rows(self) -> str:
+        """One ``CSV_HEADER`` row per eigenvalue, exact float reprs."""
+        return "".join(f"{self.bc.value},{e.index},{float(e.value)!r},{e.multiplicity}\n"
+                       for e in self.eigenvalues)
+
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bc,k,lambda,multiplicity\n")
-            for e in self.eigenvalues:
-                fh.write(f"{self.bc.value},{e.index},{repr(float(e.value))},{e.multiplicity}\n")
+            fh.write(self.CSV_HEADER + self.csv_rows())
 
 
 def _auto_range(p: Potential, count: int) -> tuple[float, float]:
@@ -447,6 +453,7 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
     the extension (method="direct"), never assembled from the same
     separated spectra as the left side, so the comparison has content.
     """
+    _check_positive(pair_tol, "pair_tol")
     even = p.even_extension()
     even2 = even.even_extension()
 
@@ -539,6 +546,8 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
     u'(0)=u(T)=0.  (The kernel corner values are -y2'(T)/y1'(T) and
     -y1(T)/y1'(T), so their zero sets are those two spectra exactly.)
     """
+    _check_positive(tol, "tol")
+    _check_positive(margin, "margin")
     even = p.even_extension()
 
     # key -> (potential, condition, count); "direct" only matters for P and A
@@ -646,6 +655,7 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
     chain.  Mixed-vs-mixed and Neumann-vs-Dirichlet alternation is only
     observed and reported, never asserted.
     """
+    _check_positive(margin, "margin")
     need = count + 2
     sep = {bc: find_eigenvalues(p, bc, search_range=search_range,
                                 max_count=need, n_scan=n_scan,

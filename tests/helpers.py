@@ -4,8 +4,34 @@ Nothing here touches the library's integrator or kernel assembly; the
 point is to have a second route to the same numbers.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
+
+
+def step_transfer(q, h):
+    """Transfer matrix of u'' + q u = 0 over a step h, from (u, u') to (u, u')."""
+    if q > 0:
+        m = math.sqrt(q)
+        return np.array([[math.cos(m * h), math.sin(m * h) / m],
+                         [-m * math.sin(m * h), math.cos(m * h)]])
+    if q < 0:
+        m = math.sqrt(-q)
+        return np.array([[math.cosh(m * h), math.sinh(m * h) / m],
+                         [m * math.sinh(m * h), math.cosh(m * h)]])
+    return np.array([[1.0, h], [0.0, 1.0]])
+
+
+def step_state(p, lam, t):
+    """(y1, y1', y2, y2') at t for a piecewise-constant p, as a product of transfers;
+    y1 + y2' at t = L is the discriminant Delta."""
+    M = np.eye(2)
+    for a, b, piece in p.pieces:
+        if a >= t:
+            break
+        M = step_transfer(piece.value + lam, min(b, t) - a) @ M
+    return np.array([M[0, 0], M[1, 0], M[0, 1], M[1, 1]])
 
 
 def rk4_reference(p, lam, length, n_per_segment=6000):

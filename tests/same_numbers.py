@@ -4,23 +4,29 @@ Run it from the repository root against any checkout's sources:
 
     PYTHONPATH=src python tests/same_numbers.py
 
-It uses only the public API (``hillgreen.__all__``), so it runs unchanged
-against an older ``src/``; two checkouts that print the same line for a
-section compute every result of that section to the last bit.  Floats are
-hashed by their hex form and arrays by dtype, shape and bytes.  A call that
-raises contributes its exception class, and its message unless it is a
-``DomainError``.  pytest does not collect this file.
+It uses only the public API (``hillgreen.__all__``) and the command line
+(``python -m hillgreen``), so it runs unchanged against an older ``src/``;
+two checkouts that print the same line for a section compute every result
+of that section to the last bit.  Floats are hashed by their hex form and
+arrays by dtype, shape and bytes.  A call that raises contributes its
+exception class, and its message unless it is a ``DomainError``.  pytest
+does not collect this file.
 
 Cases: ex1-ex4, a cosine and a step; lambda from -20 to 7.3; n in
 {7, 60, 300}.  Sections: kernels (tables, ``table_slice``, ``G.value``,
 ``kernel_value``, ``classify_sign``, closed forms); catalog and dominance;
 BVP values and scalar/array u, u'; spectra and sweep samples;
-``Potential.eval`` and ``trajectory`` reads.  The catalog section is also
-printed with ``lhs_scale`` left out.
+``Potential.eval`` and ``trajectory`` reads; the command line (stdout,
+stderr, exit code and any ``--output`` file of a fixed command set).  The
+catalog section is also printed with ``lhs_scale`` left out.
 """
 
 import hashlib
 import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +55,8 @@ def _feed(h, obj) -> None:
         h.update(f"f{float(obj).hex()}".encode())
     elif isinstance(obj, str):
         h.update(f"s{len(obj)}:{obj}".encode())
+    elif isinstance(obj, bytes):
+        h.update(f"y{len(obj)}:".encode() + obj)
     elif obj is None:
         h.update(b"n")
     elif isinstance(obj, dict):
@@ -169,10 +177,41 @@ def reads(h) -> None:
                       _call(basis.trajectory, np.array(pts))])
 
 
+# hillgreen commands; FILE stands for an --output path
+COMMANDS = (
+    "green --potential ex3 --lambda 0.3 --bc N --n 60",
+    "green --potential ex3 --lambda 0.3 --bc A --n 60 --format json",
+    "green --potential ex1 --lambda -0.7 --bc M2 --n 300",
+    "green --potential ex4 --lambda 2 --bc P --n 40 --format json --output FILE",
+    "green --potential ex2 --lambda -20 --bc D --n 33",
+    "green --potential ex3 --lambda 0.0 --bc P --n 20",
+    "compare --potential ex3 --lambda 0.3",
+    "compare --potential ex3 --lambda -50",
+    "compare --potential ex4 --lambda 2 --n 120",
+    "examples --all --strict",
+    "spectrum --potential ex4 --bc all --count 4",
+    "spectrum --potential ex4 --bc all --count 4 --format json",
+    "spectrum --potential ex4 --bc all --count 4 --output FILE",
+    "sweep --potential ex3 --range 0 10 --points 50",
+    "sweep --potential ex3 --range 0 10 --points 50 --intervals",
+)
+
+
+def cli(h) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for command in COMMANDS:
+            argv = [str(out) if word == "FILE" else word for word in command.split()]
+            run = subprocess.run([sys.executable, "-m", "hillgreen", *argv], capture_output=True)
+            _feed(h, [command, run.returncode, run.stdout, run.stderr,
+                      out.read_bytes() if out.exists() else None])
+            out.unlink(missing_ok=True)
+
+
 def main() -> None:
     sections = (("kernels", kernels), ("catalog and dominance", catalog),
                 ("catalog, lhs_scale left out", lambda h: catalog(h, with_scale=False)),
-                ("bvp", bvp), ("spectra and sweep", spectra), ("reads", reads))
+                ("bvp", bvp), ("spectra and sweep", spectra), ("reads", reads), ("cli", cli))
     for label, fill in sections:
         h = hashlib.sha256()
         fill(h)

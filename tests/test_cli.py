@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hillgreen import (ResonanceError, build_green, discriminant_samples, kernel_value,
-                       load_builtin, solve_bvp, stability_intervals, verify_dominance,
-                       verify_identity)
+from hillgreen import (DEFAULT_TOL, ResonanceError, build_green, discriminant_samples,
+                       find_eigenvalues, kernel_value, load_builtin, solve_bvp,
+                       stability_intervals, verify_dominance, verify_identity)
+from hillgreen.spectrum import DEFAULT_SCAN
 from hillgreen.cli import main
 
 
@@ -26,6 +27,15 @@ def test_spectrum_csv(capsys):
     assert [r[0] for r in rows] == ["D", "D", "D"]
     assert float(rows[0][2]) == pytest.approx(math.pi ** 2, abs=1e-8)
     assert all(r[3] == "1" for r in rows)
+
+
+def test_spectrum_csv_is_the_library_writer(capsys, tmp_path):
+    rc, out = run(capsys, "spectrum", "--potential", "ex4", "--bc", "M1", "--count", "4")
+    assert rc == 0
+    path = tmp_path / "m1.csv"
+    find_eigenvalues(load_builtin("ex4"), "M1", max_count=4, n_scan=DEFAULT_SCAN,
+                     integrator_tol=DEFAULT_TOL, method="auto").to_csv(path)
+    assert out.encode() == path.read_bytes()
 
 
 def test_spectrum_all_json(capsys):
@@ -285,6 +295,14 @@ def test_examples_json(capsys):
     assert rep["example"] == 2
     names = [c["name"] for c in rep["checks"]]
     assert "lambda_N" in names
+
+
+@pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
+def test_examples_match_tol_must_be_finite_and_positive(capsys, bad):
+    assert main(["examples", "--all", "--match-tol", bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --match-tol must be finite and positive, got {float(bad)}\n"
 
 
 def test_usage_errors(capsys):

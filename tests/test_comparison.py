@@ -251,6 +251,33 @@ def test_dominance_unknown_relation(zero1):
         verify_dominance(zero1, 0.5, "never_heard_of_it")
 
 
+# every verifier's tolerance, slack and margin must be finite and positive
+BAD_TOLS = [-1.0, 0.0, math.nan, math.inf]
+_EX1 = load_builtin("ex1")
+_TOL_CALLS = {
+    "verify_dominance": ("tol", lambda bad: verify_dominance(_EX1, 1.0, "bound2_p", n=40,
+                                                             tol=bad)),
+    "verify_solution_comparison": ("slack", lambda bad: verify_solution_comparison(
+        _EX1, 1.0, "nd_nonneg", 1.0, 0.5, n=40, slack=bad)),
+    "classify_sign": ("zero_tol", lambda bad: classify_sign(
+        build_green(load_builtin("ex3"), 0.3, "N", n=40), bad)),
+    "zero_set_check": ("zero_tol", lambda bad: zero_set_check(
+        build_green(load_builtin("ex3"), 0.3, "N", n=40), bad)),
+    "sign_threshold_consistency": ("zero_tol", lambda bad: sign_threshold_consistency(
+        _EX1, "D", zero_tol=bad)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TOLS)
+@pytest.mark.parametrize("entry", list(_TOL_CALLS))
+def test_verifier_tolerance_must_be_finite_and_positive(entry, bad):
+    # a NaN tolerance used to flip verdicts silently: bound2_p and nd_nonneg read
+    # pass False, and classify_sign read a sign-changing kernel as signed
+    name, call = _TOL_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
+        call(bad)
+
+
 def test_bound2_reflected_value(zero1):
     # the two-sided bound pins |G_D| and |G_N - G_D| by the reflected
     # extension kernel 2 G_N2(2T - t, s); spot check the reflected factor

@@ -23,28 +23,15 @@ from hillgreen import (
 from hillgreen import greens
 from hillgreen.errors import DomainError, IntegrationError, ResonanceError
 
-from helpers import rk4_reference
+from helpers import rk4_reference, step_state
 
 TOL = 1e-10
-
-
-def closed_form_state(lam, t):
-    """(y1, y1', y2, y2') for a == 0, any sign of lam."""
-    if lam > 0:
-        m = math.sqrt(lam)
-        return (math.cos(m * t), -m * math.sin(m * t),
-                math.sin(m * t) / m, math.cos(m * t))
-    if lam < 0:
-        m = math.sqrt(-lam)
-        return (math.cosh(m * t), m * math.sinh(m * t),
-                math.sinh(m * t) / m, math.cosh(m * t))
-    return (1.0, 0.0, t, 1.0)
 
 
 @pytest.mark.parametrize("lam", [-2.0, -0.5, 0.0, 0.3, 1.0, 7.0])
 def test_zero_potential_closed_form(zero1, lam):
     basis = fundamental_solutions(zero1, lam)
-    expect = closed_form_state(lam, 1.0)
+    expect = step_state(zero1, lam, 1.0)
     got = (basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end)
     assert np.allclose(got, expect, rtol=0, atol=1e-13)
 
@@ -53,35 +40,12 @@ def test_trajectory_matches_closed_form(zero1):
     basis = fundamental_solutions(zero1, 4.0)
     ts = np.linspace(0.0, 1.0, 17)
     got = basis.trajectory(ts)
-    want = np.array([closed_form_state(4.0, t) for t in ts]).T
+    want = np.array([step_state(zero1, 4.0, t) for t in ts]).T
     assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 # q = a + lam is 3, 0 and -2 on the three pieces at lam = 2
 STEP3 = Potential.piecewise_constant([0.0, 0.4, 1.1, 1.5], [1.0, -2.0, -4.0])
-
-
-def step_transfer(q, h):
-    """Transfer matrix of u'' + q u = 0 over a step h, from (u, u') to (u, u')."""
-    if q > 0:
-        m = math.sqrt(q)
-        return np.array([[math.cos(m * h), math.sin(m * h) / m],
-                         [-m * math.sin(m * h), math.cos(m * h)]])
-    if q < 0:
-        m = math.sqrt(-q)
-        return np.array([[math.cosh(m * h), math.sinh(m * h) / m],
-                         [m * math.sinh(m * h), math.cosh(m * h)]])
-    return np.array([[1.0, h], [0.0, 1.0]])
-
-
-def step_state(p, lam, t):
-    """(y1, y1', y2, y2') at t for a piecewise-constant p, as a product of transfers."""
-    M = np.eye(2)
-    for a, b, piece in p.pieces:
-        if a >= t:
-            break
-        M = step_transfer(piece.value + lam, min(b, t) - a) @ M
-    return np.array([M[0, 0], M[1, 0], M[0, 1], M[1, 1]])
 
 
 def test_step_potential_closed_form():

@@ -29,6 +29,8 @@ from hillgreen.greens import BoundaryCondition
 from hillgreen.integrator import endpoint_scan
 from hillgreen.spectrum import _batch_roots, _refine_roots
 
+from helpers import step_state
+
 PI = math.pi
 
 # digits published for the two worked step/cosine examples
@@ -156,26 +158,17 @@ def test_pw2_narrow_periodic_gaps_are_simple(pw2):
     assert np.allclose(spec.values(), want, rtol=0, atol=1e-8)
 
 
-def _step_discriminant(breaks, values, lam):
-    """Closed-form Delta of a piecewise-constant potential where every a + lam > 0."""
-    M = np.eye(2)
-    for a, b, v in zip(breaks, breaks[1:], values):
-        m, h = math.sqrt(v + lam), b - a
-        M = np.array([[math.cos(m * h), math.sin(m * h) / m],
-                      [-m * math.sin(m * h), math.cos(m * h)]]) @ M
-    return M[0, 0] + M[1, 1]
-
-
 def test_direct_band_edges_of_step_potential():
     # not even about the midpoint, so "direct" refines these edges on Delta
     # itself; they are as exact as the computed Delta
     breaks = [0.0, 0.6584420476515395, 1.3889613659407485]
     values = [-2.2174632234891436, 2.4956688703858863]
-    spec = find_eigenvalues(Potential.piecewise_constant(breaks, values), "P",
-                            search_range=(70.0, 90.0), method="direct")
+    p = Potential.piecewise_constant(breaks, values)
+    spec = find_eigenvalues(p, "P", search_range=(70.0, 90.0), method="direct")
 
     def excess(lam):
-        return _step_discriminant(breaks, values, lam) - 2.0
+        y = step_state(p, lam, breaks[-1])
+        return y[0] + y[3] - 2.0
 
     grid = np.linspace(70.0, 90.0, 2001)
     signs = np.sign([excess(x) for x in grid])
@@ -340,23 +333,14 @@ def test_stability_intervals_pw2_narrow_gap(pw2):
     assert all(b > a for a, b in gaps)
 
 
-def step_discriminant(pieces, lam):
-    """Trace of the closed-form transfer matrix of constant pieces (value, width)."""
-    M = np.eye(2)
-    for a, h in pieces:
-        w = math.sqrt(a + lam)
-        M = np.array([[math.cos(w * h), math.sin(w * h) / w],
-                      [-w * math.sin(w * h), math.cos(w * h)]]) @ M
-    return M[0, 0] + M[1, 1]
-
-
 @pytest.mark.xfail(strict=True, reason=(
     "MERGE_RTOL (1e-7 relative) merges band edges closer than 1e-7 lambda: the "
     "gap (199.809486, 199.809499) of ex2's extension reads as a double eigenvalue"))
 def test_stability_intervals_ex2_gap_near_200():
     mid = 199.8094925
     # the extension is 0 on [0, 1], 0.1 on [1, 3] and 0 on [3, 4]
-    assert step_discriminant([(0.0, 1.0), (0.1, 2.0), (0.0, 1.0)], mid) > 2.0 + 1e-13
+    y = step_state(Potential.piecewise_constant([0.0, 1.0, 3.0, 4.0], [0.0, 0.1, 0.0]), mid, 4.0)
+    assert y[0] + y[3] > 2.0 + 1e-13
     bands = stability_intervals(load_builtin("ex2"), search_range=(199.5, 200.1))
     assert any(kind == "unstable" and a < mid < b for (a, b), kind in bands), bands
 
@@ -641,3 +625,16 @@ def test_search_range_respected(zero1):
 def test_eigenvalue_indices_consecutive(cos2_pi):
     spec = find_eigenvalues(cos2_pi, "D", max_count=3)
     assert [e.index for e in spec.eigenvalues] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry,name", [
+    (lambda p, bad: verify_spectral_decomposition(p, pair_tol=bad), "pair_tol"),
+    (lambda p, bad: first_eigenvalue_relations(p, tol=bad), "tol"),
+    (lambda p, bad: first_eigenvalue_relations(p, margin=bad), "margin"),
+    (lambda p, bad: verify_interlacing(p, margin=bad), "margin"),
+], ids=["verify_spectral_decomposition", "first_eigenvalue_relations-tol",
+        "first_eigenvalue_relations-margin", "verify_interlacing"])
+def test_relation_tolerance_must_be_finite_and_positive(entry, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
+        entry(load_builtin("ex1"), bad)
