@@ -18,6 +18,7 @@ ran first).  A conclusion is read on s <= t once its hypothesis holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +159,12 @@ def sign_threshold_consistency(p: Potential, bc, lams=None, n: int = 60,
     """Compare classify_sign against the predicted thresholds at many lambda.
 
     Samples within ``boundary_pad`` of a threshold are flagged marginal and
-    carry no pass/fail weight; resonant samples are likewise skipped.
+    carry no pass/fail weight; resonant samples are likewise skipped. A pad
+    of 0 marks none; a negative or non-finite pad raises ``ValueError``.
     """
     _check_positive(zero_tol, "zero_tol")
+    if not (math.isfinite(boundary_pad) and boundary_pad >= 0):
+        raise ValueError(f"boundary_pad must be finite and nonnegative, got {boundary_pad}")
     bc = BoundaryCondition.parse(bc)
     intervals = predicted_sign_interval(p, bc, n_scan=n_scan,
                                         integrator_tol=integrator_tol)
@@ -456,7 +460,9 @@ def verify_solution_comparison(p: Potential, lam: float, theorem: str,
 def verify_monotonicity(p: Potential, lam: float, bc, eps: float = 0.1,
                         n: int = 60, *,
                         integrator_tol: float = DEFAULT_TOL) -> dict:
-    """A larger potential strictly lowers a constant-sign kernel pointwise."""
+    """A larger potential, p shifted up by ``eps`` > 0, strictly lowers a
+    constant-sign kernel pointwise."""
+    _check_positive(eps, "eps")
     bc = BoundaryCondition.parse(bc)
     G_low = build_green(p, lam, bc, n=n, tol=integrator_tol)
     G_high = build_green(p.shifted(eps), lam, bc, n=n, tol=integrator_tol)

@@ -220,6 +220,17 @@ class _TrigBranches:
         low, up = (self._dlow, self._dup) if deriv else (self._low, self._up)
         return low(T, S), up(T, S)
 
+    def node_table(self, grid) -> np.ndarray:
+        """The kernel at every pair of ``grid`` points, each from the branch s <= t
+        picks. The upper branch is the lower one with its arguments swapped, so
+        the strict upper triangle is the lower branch's table transposed, bit
+        for bit: one branch is evaluated, and no second whole-square table."""
+        g = _on_domain(np.asarray(grid, dtype=float), self.length)
+        table = self._low(g[:, None], g[None, :])
+        for i in range(g.size - 1):
+            table[i, i + 1:] = table[i + 1:, i]
+        return table
+
     def value(self, t: float, s: float) -> float:
         T, S = (_on_domain(float(v), self.length) for v in (t, s))
         return float((self._low if s <= t else self._up)(T, S))
@@ -545,8 +556,8 @@ def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFun
             f"closed-form {bc.name.lower()} kernel has a pole at m={m}, length={L}",
             denominator=branches.denominator)
     grid = np.linspace(0.0, L, n + 1)
-    table = np.where(np.tri(n + 1, dtype=bool), *branches.tables(grid, grid))
-    return GreensFunction(bc=bc, length=L, lam=m * m, n=n, grid=grid, table=table,
+    return GreensFunction(bc=bc, length=L, lam=m * m, n=n, grid=grid,
+                          table=branches.node_table(grid),
                           branches=branches, meta={"closed_form": True, "m": m})
 
 

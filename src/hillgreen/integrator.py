@@ -23,8 +23,9 @@ Ros 2000, Blanes, Casas, Oteo & Ros 2009): each step is exp(Omega) with
 Omega = [[d, e], [f, -d]] affine in lambda, and the exact step is the same
 formula with d = 0, e = h, f = -h q. The step count per segment comes from
 a Richardson estimate (n against 2n steps at a few probe lambdas), one
-ladder for every accuracy asked, and the steps of a block of lambdas, one
-(2, 2, steps, lambdas) array, are multiplied out pairwise as a tree.
+ladder for every accuracy asked, whose levels up to 256 steps are formed
+in one pass, and the steps of a block of lambdas, one (2, 2, steps,
+lambdas) array, are multiplied out pairwise as a tree.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +64,9 @@ _BLOCK = 16384
 _LAMBDA_BLOCK = 4096
 # probe lambdas spread over the batch for the step-count estimate
 _PROBES = 7
+# the ladder's levels up to this many steps are formed in one pass; a wider
+# pass would evaluate the potential at more points than the ladder visits
+_LADDER_PASS = 256
 # endpoint_scan's default accuracy, at which find_eigenvalues scans for brackets
 _SCAN_ACCURACY = 1e-7
 
@@ -184,24 +187,29 @@ def _matmul(a, b):
     return out
 
 
-def _magnus_nodes(p: Potential, t0: float, t1: float, n: int):
-    """The lambda-free coefficients (d0, d1, e, f0, g) of n Magnus-6 steps on [t0, t1].
+def _magnus_nodes(p: Potential, t0: float, t1: float, *counts: int):
+    """The lambda-free coefficients (d0, d1, e, f0, g) of n Magnus-6 steps on [t0, t1],
+    for each n of ``counts``: one block of steps per count, in order, from one
+    evaluation of the potential.
 
     Each step's Omega is [[d, e], [f, -d]], affine in lambda: d = d0 + lambda d1
     and f = f0 + lambda g. With three-point Gauss nodes (Blanes, Casas & Ros
-    2000), a1, a2, a3 the potential at t_m - h sqrt(15)/10, t_m and
-    t_m + h sqrt(15)/10, s = a1 - 2 a2 + a3 and D = a1 - a3:
+    2000), h = (t1 - t0) / n, a1, a2, a3 the potential at t_m - h sqrt(15)/10,
+    t_m and t_m + h sqrt(15)/10, s = a1 - 2 a2 + a3 and D = a1 - a3:
     d1 = -sqrt(15) h^4 D / 540,
     d0 = -sqrt(15) D (h^2/36 + h^4 (a1 + a3)/6480 + h^4 a2/648),
     e = h + h^3 s/54 + h^5 D^2/2160, g = -h + h^3 s/54 - h^5 D^2/2160 and
     f0 = -h (5 a1 + 8 a2 + 5 a3)/18 - h^5 a2 D^2/2160
          + h^3 (22 a1 a3 + 4 a2 (a1 + a3) - 7 (a1^2 + a3^2) - 16 a2^2)/648.
-    A constant potential a gives d = 0, e = h and f = -h (a + lambda).
+    A constant potential a gives d = 0, e = h and f = -h (a + lambda). Each
+    step carries its own h, so a block's values do not depend on the others.
     """
-    h = (t1 - t0) / n
-    mid = t0 + h * (np.arange(n) + 0.5)
+    sizes = np.array(counts)
+    h = np.repeat((t1 - t0) / sizes, sizes)
+    step = np.arange(h.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    mid = t0 + h * (step + 0.5)
     r = h * math.sqrt(15.0) / 10.0
-    a1, a2, a3 = p.eval(np.concatenate([mid - r, mid, mid + r])).reshape(3, n)
+    a1, a2, a3 = p.eval(np.concatenate([mid - r, mid, mid + r])).reshape(3, h.size)
     h2 = h * h
     dd = a1 - a3
     curve = (h * h2 / 54.0) * (a1 - 2.0 * a2 + a3)
@@ -244,6 +252,37 @@ def _tree_product(m):
         pairs = _matmul(m[:, :, 1::2], m[:, :, 0:rows - 1:2])
         m = pairs if rows % 2 == 0 else np.concatenate([pairs, m[:, :, -1:]], axis=2)
     return m[:, :, 0]
+
+
+def _blocks(coeffs, counts) -> list:
+    """``_magnus_nodes(p, t0, t1, *counts)``'s coefficients cut into one tuple per count."""
+    bounds = np.cumsum([0, *counts])
+    return [tuple(x[i:j] for x in coeffs) for i, j in zip(bounds, bounds[1:])]
+
+
+def _magnus_levels(p: Potential, t0: float, t1: float, counts: list, lams: np.ndarray):
+    """Coefficients and transfer matrices (2, 2, lambdas) of ascending power-of-two
+    step counts on [t0, t1], from one node pass and one pass of step matrices.
+
+    The product is ``_tree_product``'s, level-wise over all the steps at
+    once: each round pairs neighbouring steps, which stay inside their block
+    while every block left is even, and a block reduced to one matrix leaves
+    from the front. So each count's matrix equals ``_magnus_transfer`` of its
+    steps bit for bit as long as its steps times ``lams.size`` fit in one
+    ``_BLOCK``.
+    """
+    coeffs = _magnus_nodes(p, t0, t1, *counts)
+    m = _magnus_steps(*coeffs, lams)
+    sizes = list(counts)
+    transfers = []
+    while sizes:
+        m = _matmul(m[:, :, 1::2], m[:, :, 0::2])
+        sizes = [size // 2 for size in sizes]
+        while sizes and sizes[0] == 1:
+            transfers.append(m[:, :, 0])
+            m = m[:, :, 1:]
+            del sizes[0]
+    return _blocks(coeffs, counts), transfers
 
 
 def _magnus_transfer(d0, d1, e, f0, g, lams):
@@ -551,44 +590,64 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, omega: 
     before it also met the share, or missed it by at least 32 times. A
     non-finite estimate (cosh overflows at coarse levels when lambda h^2 is
     huge) is a miss. Each target takes the grid of the first level that
-    counts for it, as a ladder of its own would; no level is formed twice,
-    and a refusal names the tightest accuracy not yet met.
+    counts for it, as a ladder of its own would, and a refusal names the
+    tightest accuracy not yet met. Every level up to ``_LADDER_PASS`` steps
+    that the refusal checks let the ladder reach is formed in one pass
+    (``_magnus_levels``) when the first is needed, each level above it on
+    its own, and the grids of all targets in one node pass at the end; no
+    step count is formed twice.
     """
     a_mid = float(np.mean(p.eval(np.linspace(t0, t1, 9))))
     w = np.sqrt(np.maximum(1.0, np.abs(probes + a_mid)))
-    grid = cache(partial(_magnus_nodes, p, t0, t1))
+    nodes = {}  # step count -> coefficients
+    states = {}  # step count -> endpoint states at the probes, energy scaled
 
-    def scaled(n):
-        m = _magnus_transfer(*grid(n), probes).reshape(4, -1)
-        return np.stack([m[0], m[1] * w, m[2] / w, m[3]])
+    def floor(n):
+        return 10.0 * np.finfo(float).eps * (n + omega * (t1 - t0))
 
-    grids = [None] * len(targets)
+    def keep(counts, level_nodes, transfers):
+        nodes.update(zip(counts, level_nodes))
+        for n, m in zip(counts, transfers):
+            m = m.reshape(4, -1)
+            states[n] = np.stack([m[0], m[1] * w, m[2] / w, m[3]])
+
+    chosen = [None] * len(targets)
     n = 8
-    at_coarse = None
     before = math.nan
     while True:
-        floor = 10.0 * np.finfo(float).eps * (n + omega * (t1 - t0))
-        accuracy = min(acc for (_, acc), found in zip(targets, grids) if found is None)
-        if floor > accuracy:
+        accuracy = min(acc for (_, acc), found in zip(targets, chosen) if found is None)
+        if floor(n) > accuracy:
             raise IntegrationError(
                 f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g}: "
                 f"float64 rounding of the phase (omega = {omega:.3g}) alone is about "
-                f"{floor:.1e}, beyond any number of Magnus steps", t=float(t0))
+                f"{floor(n):.1e}, beyond any number of Magnus steps", t=float(t0))
         if 2 * n > _MAX_STEPS:
             raise IntegrationError(
                 f"scan segment [{t0:g}, {t1:g}] cannot certify accuracy {accuracy:g} "
                 f"within {_MAX_STEPS} Magnus steps (estimated error {before:.1e} at "
                 f"{n // 2} steps)", t=float(t0))
         with np.errstate(over="ignore", invalid="ignore"):
-            if at_coarse is None:
-                at_coarse = scaled(n)
-            at_fine = scaled(2 * n)
+            if not states:
+                # level 2k is reached from level k when k passes both checks
+                counts = [n]
+                while 2 * counts[-1] <= min(_LADDER_PASS, _MAX_STEPS) and \
+                        floor(counts[-1]) <= accuracy:
+                    counts.append(2 * counts[-1])
+                keep(counts, *_magnus_levels(p, t0, t1, counts, probes))
+            if 2 * n not in states:
+                level = _magnus_nodes(p, t0, t1, 2 * n)
+                keep([2 * n], [level], [_magnus_transfer(*level, probes)])
+            at_coarse, at_fine = states[n], states[2 * n]
             err = float(np.max(np.max(np.abs(at_coarse - at_fine), axis=0)
                                / np.maximum(1.0, np.max(np.abs(at_fine), axis=0))))
         for k, (share, _) in enumerate(targets):
-            if grids[k] is None and err <= share and (before <= share or before >= 32.0 * err):
+            if chosen[k] is None and err <= share and (before <= share or before >= 32.0 * err):
                 # the error falls as n^-6: trim n to what the estimate asks for
-                grids[k] = grid(max(n // 2, math.ceil(n * (err / share) ** (1.0 / 6.0))))
-        if None not in grids:
-            return grids
-        n, at_coarse, before = 2 * n, at_fine, err
+                chosen[k] = max(n // 2, math.ceil(n * (err / share) ** (1.0 / 6.0)))
+        if None not in chosen:
+            break
+        n, before = 2 * n, err
+    new = sorted(set(chosen) - nodes.keys())
+    if new:
+        nodes.update(zip(new, _blocks(_magnus_nodes(p, t0, t1, *new), new)))
+    return [nodes[c] for c in chosen]

@@ -26,9 +26,9 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, _check_n, kernel_value
-from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, _check_accuracy, _check_positive,
-                         _check_tol, _propagate, _scan_plan, discriminant, endpoint_scan,
-                         fundamental_solutions)
+from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _check_accuracy,
+                         _check_positive, _check_tol, _propagate, _scan_plan, discriminant,
+                         endpoint_scan, fundamental_solutions)
 from .potential import Potential
 
 __all__ = [
@@ -333,6 +333,11 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     cannot certify ``integrator_tol`` over the range (at large lambda the
     float64 rounding of the phase alone exceeds it; a larger ``integrator_tol``
     lifts it), and ``ValueError`` for a bad ``n_scan`` or an unknown ``method``.
+
+    For the Dirichlet condition the audit's ``oscillation`` entry counts the
+    interior sign changes of y2 at a probe above the last eigenvalue found,
+    which equals the number of eigenvalues below it (a Sturm count). Only
+    the signs are read, so its one DOP853 solve runs at ``TOL_MAX``.
     """
     bc = BoundaryCondition.parse(bc)
     n_scan = _check_n(n_scan, "n_scan")
@@ -362,7 +367,7 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
             probe = 0.5 * (merged[-1][0] + hi)
             audit["oscillation"] = {
                 "probe_lambda": probe,
-                "interior_zeros": dirichlet_zero_count(p, probe, tol=integrator_tol),
+                "interior_zeros": dirichlet_zero_count(p, probe, tol=TOL_MAX),
                 "eigenvalues_below": sum(1 for v, _ in merged if v < probe),
             }
 

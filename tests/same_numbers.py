@@ -18,7 +18,8 @@ Cases: ex1-ex4, a cosine and a step; lambda from -20 to 7.3; n in
 BVP values and scalar/array u, u'; spectra and sweep samples;
 ``Potential.eval`` and ``trajectory`` reads; the command line (stdout,
 stderr, exit code and any ``--output`` file of a fixed command set).  The
-catalog section is also printed with ``lhs_scale`` left out.
+catalog section is also printed with ``lhs_scale`` left out, and the spectra
+section with each spectrum's ``audit`` included.
 """
 
 import hashlib
@@ -155,11 +156,13 @@ def bvp(h) -> None:
                                   _call(u, np.array(_points(L)[-3:]))])
 
 
-def spectra(h) -> None:
+def spectra(h, with_audit: bool = False) -> None:
     for name, p in POTENTIALS.items():
         for bc in BC_ALL:
             spec = find_eigenvalues(p, bc, max_count=4)
             _feed(h, [name, bc, [tuple(e) for e in spec.eigenvalues], spec.search_range])
+            if with_audit:
+                _feed(h, spec.audit)
         for accuracy in (1e-6, 1e-9):
             _feed(h, list(discriminant_samples(p, -2.0, 12.0, count=150, accuracy=accuracy)))
 
@@ -211,7 +214,9 @@ def cli(h) -> None:
 def main() -> None:
     sections = (("kernels", kernels), ("catalog and dominance", catalog),
                 ("catalog, lhs_scale left out", lambda h: catalog(h, with_scale=False)),
-                ("bvp", bvp), ("spectra and sweep", spectra), ("reads", reads), ("cli", cli))
+                ("bvp", bvp), ("spectra and sweep", spectra),
+                ("spectra and sweep, audit included", lambda h: spectra(h, with_audit=True)),
+                ("reads", reads), ("cli", cli))
     for label, fill in sections:
         h = hashlib.sha256()
         fill(h)

@@ -265,6 +265,7 @@ _TOL_CALLS = {
         build_green(load_builtin("ex3"), 0.3, "N", n=40), bad)),
     "sign_threshold_consistency": ("zero_tol", lambda bad: sign_threshold_consistency(
         _EX1, "D", zero_tol=bad)),
+    "verify_monotonicity": ("eps", lambda bad: verify_monotonicity(_EX1, 1.0, "D", eps=bad)),
 }
 
 
@@ -276,6 +277,23 @@ def test_verifier_tolerance_must_be_finite_and_positive(entry, bad):
     name, call = _TOL_CALLS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
         call(bad)
+
+
+@pytest.mark.parametrize("pad", [math.nan, math.inf, -1.0, -1e-9])
+def test_boundary_pad_must_be_finite_and_nonnegative(pad):
+    # a NaN or negative pad used to grade the samples it should mark marginal
+    with pytest.raises(ValueError, match="^boundary_pad must be finite and nonnegative, got "):
+        sign_threshold_consistency(_EX1, "D", lams=[1.0], boundary_pad=pad)
+
+
+def test_boundary_pad_marks_the_samples_next_to_a_threshold():
+    lam1 = find_eigenvalues(_EX1, "D", max_count=1).values()[0]
+    lams = [lam1 - 5e-5, lam1 + 5e-5]
+    padded = sign_threshold_consistency(_EX1, "D", lams=lams)
+    assert [s["marginal"] for s in padded["samples"]] == [True, True] and padded["graded"] == 0
+    # a pad of 0 marks none
+    bare = sign_threshold_consistency(_EX1, "D", lams=lams, boundary_pad=0.0)
+    assert [s["marginal"] for s in bare["samples"]] == [False, False] and bare["graded"] == 2
 
 
 def test_bound2_reflected_value(zero1):

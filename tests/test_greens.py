@@ -244,6 +244,21 @@ def test_closed_form_branch_tables_formed_on_first_read(bc):
     assert G.table.tobytes() == np.where(S <= T, lower, upper).tobytes()
 
 
+@pytest.mark.parametrize("bc", ALL_BC)
+def test_closed_form_table_forms_one_branch(bc):
+    # the lower branch over the square, its transpose above the diagonal: the
+    # periodic cosines peak at two tables, the separated products at one and
+    # a row; both branches over the whole square and a selection were three
+    closed_form_constant(1.7, 2.5, bc, n=300)
+    tracemalloc.start()
+    try:
+        G = closed_form_constant(1.7, 2.5, bc, n=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * G.table.nbytes
+
+
 @pytest.mark.parametrize("make", [lambda p: build_green(p, 0.3, "M2", n=40),
                                   lambda p: closed_form_constant(0.9, 2.0, "P", n=40)],
                          ids=["integrated", "closed_form"])

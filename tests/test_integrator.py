@@ -216,6 +216,72 @@ def test_endpoint_scan_work_flat_in_lambda(monkeypatch):
     assert work[0] <= 10167 and work[1] <= 20071
 
 
+# a constant piece and a cosine piece steep enough that at lambda = 1e8 the
+# coarsest Magnus level's commutator term outgrows h^2 lambda and cosh overflows
+CONST_COS = Potential.from_descriptor({"T": 3.0, "pieces": [
+    {"from": 0.0, "to": 0.5, "kind": "const", "value": 2.0},
+    {"from": 0.5, "to": 3.0, "kind": "cos", "c0": 0.5, "c1": 3.0, "omega": 2.0, "phi": 0.3},
+]})
+
+
+@pytest.mark.parametrize("name,lam", [("ex3", 0.0), ("ex3", 400.0), ("ex4", 50.0),
+                                      ("ex4", 1e8), ("const_cos", 1e8)])
+def test_ladder_levels_in_one_pass_equal_each_level_alone(name, lam):
+    # every level of the one-pass ladder, bit for bit, on each smooth segment,
+    # including the non-finite matrices of overflowing coarse levels
+    p = CONST_COS if name == "const_cos" else load_builtin(name).even_extension()
+    probes = np.unique(np.concatenate([np.linspace(0.9, 1.1, 7) * lam, [-1.0, 0.5, 3.0]]))
+    counts = [8, 16, 32, 64, 128, 256]
+    edges, consts = integrator._segments(p)
+    overflowed = False
+    for t0, t1, const in zip(edges, edges[1:], consts):
+        if const is not None:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes, transfers = integrator._magnus_levels(p, t0, t1, counts, probes)
+            assert len(nodes) == len(transfers) == len(counts)
+            for n, level, got in zip(counts, nodes, transfers):
+                alone = integrator._magnus_nodes(p, t0, t1, n)
+                want = integrator._magnus_transfer(*alone, probes)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(level, alone))
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+                overflowed |= not np.all(np.isfinite(want))
+    assert overflowed == (lam == 1e8)
+
+
+def test_ladder_evaluates_the_potential_at_most_three_times(monkeypatch):
+    # one evaluation for the ladder's scale, one for all its levels up to 256
+    # steps and one for the chosen grids, on every segment whose ladder stops
+    # there; each level on its own would take one per level
+    ladders, evals, formed = [], [0], []
+    plain_eval, plain_nodes, plain_grid = Potential.eval, integrator._magnus_nodes, \
+        integrator._magnus_grid
+
+    def counting_eval(self, t):
+        evals[0] += 1
+        return plain_eval(self, t)
+
+    def counting_nodes(p, t0, t1, *counts):
+        formed.extend(counts)
+        return plain_nodes(p, t0, t1, *counts)
+
+    def counting_grid(*args):
+        evals[0] = 0
+        formed.clear()
+        grids = plain_grid(*args)
+        ladders.append((evals[0], max(formed)))
+        return grids
+
+    monkeypatch.setattr(Potential, "eval", counting_eval)
+    monkeypatch.setattr(integrator, "_magnus_nodes", counting_nodes)
+    monkeypatch.setattr(integrator, "_magnus_grid", counting_grid)
+    for p in (load_builtin("ex3").even_extension(), load_builtin("ex4"), MIXED):
+        for accuracy in (1e-6, 1e-9):
+            endpoint_scan(p, np.linspace(-2.0, 60.0, 40), accuracy=accuracy)
+    low = [calls for calls, top in ladders if top <= 256]
+    assert len(low) >= 6 and max(low) <= 3
+
+
 def test_scan_step_is_sixth_order():
     # n equal steps over the even extension, n/2 on each half: against a
     # 16384-step reference the error falls 64 times per doubling of n

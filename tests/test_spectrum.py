@@ -501,13 +501,14 @@ def test_scan_refusal_stands_bare_where_the_refinement_fails_first(monkeypatch, 
 ])
 def test_find_eigenvalues_forms_each_magnus_level_once(monkeypatch, name, bc, method):
     # the scan and the refinement plans are read off one ladder per segment,
-    # so no segment's steps at one count are formed twice
+    # so no segment's steps at one count are formed twice, in a batched node
+    # pass or alone
     levels = []
     original = integrator._magnus_nodes
 
-    def counting(p, t0, t1, n):
-        levels.append((t0, t1, n))
-        return original(p, t0, t1, n)
+    def counting(p, t0, t1, *counts):
+        levels.extend((t0, t1, n) for n in counts)
+        return original(p, t0, t1, *counts)
 
     monkeypatch.setattr(integrator, "_magnus_nodes", counting)
     spec = find_eigenvalues(HALF_ROUTE_CASES[name], bc, max_count=4, method=method)
@@ -527,6 +528,36 @@ def test_refinement_warns_nothing_where_coarse_steps_overflow():
     assert len(values) == 5
     for value in values:
         assert abs(value - mathieu_a(round(2.0 * math.sqrt(value)), -2.0) / 4.0) <= 1e-5
+
+
+def _audit_cases(seed):
+    """Three cosines and three steps on lengths from 0.8 to 3, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    cases = [Potential.cosine(float(rng.uniform(0.8, 3.0)), c0=float(rng.uniform(-2.0, 2.0)),
+                              c1=float(rng.uniform(0.2, 3.0)), omega=float(rng.uniform(0.5, 4.0)),
+                              phi=float(rng.uniform(0.0, PI))) for _ in range(3)]
+    for pieces in (2, 3, 4):
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 2.5, pieces - 1)), [2.8]])
+        cases.append(Potential.piecewise_constant(breaks, rng.uniform(-6.0, 6.0, pieces)))
+    return cases
+
+
+@pytest.mark.parametrize("max_count", [2, 10, 20])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_oscillation_audit_counts_as_at_the_default_tolerance(seed, max_count):
+    # the audit reads only the signs of y2, so its TOL_MAX solve counts the
+    # zeros that a solve at DEFAULT_TOL counts
+    for p in _audit_cases(seed):
+        audit = find_eigenvalues(p, "D", max_count=max_count).audit["oscillation"]
+        assert audit["interior_zeros"] == dirichlet_zero_count(p, audit["probe_lambda"])
+
+
+def test_oscillation_audit_still_flags_the_double_well():
+    # two eigenvalues sharing scan cells go missing (test_double_well_lowest_neumann_pair);
+    # the Sturm count at the probe sees them
+    p = Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0])
+    audit = find_eigenvalues(p, "D", max_count=2).audit["oscillation"]
+    assert (audit["interior_zeros"], audit["eigenvalues_below"]) == (28, 4)
 
 
 def test_dirichlet_zero_count(zero1):
