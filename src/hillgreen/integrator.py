@@ -1,31 +1,37 @@
 """Fundamental solutions of u'' + (a(t) + lambda) u = 0.
 
-Two solution bases drive everything downstream: an integration one lambda
-at a time (a table of pieces from which any point's state is read, cached
-by ``_memo`` like the kernel workspaces of ``greens._KernelCache``) and a
-vectorized sweep over many lambdas at once, which both scans for eigenvalue
-brackets and, with its steps planned once at the integrator tolerance,
-refines them.
+The normalized pair y1, y2 comes by three routes. ``fundamental_solutions``
+integrates one lambda at a time by DOP853 and serves ``discriminant``, the
+Dirichlet oscillation audit and any caller of its own. ``_kernel_basis``
+takes Magnus-6 steps instead and serves every kernel, ``kernel_value`` and
+``solve_bvp``. Both bases are cached by ``_memo``, like the kernel
+workspaces of ``greens._KernelCache``. A vectorized sweep over many lambdas at once both scans for
+eigenvalue brackets and, with its steps planned once at the integrator
+tolerance, refines them.
 
-Both work piecewise: segments end at the potential's breakpoints and at
-the nodes of its table pieces, so no step straddles a jump of a or of a'.
-A segment inside a constant piece (directly or through mirror wrappers)
-takes one exact transfer step, with cos/sin of sqrt(q) h, cosh/sinh for
-q < 0 and (1, h) for q = 0, in both routes. Other segments use adaptive
-Dormand-Prince 8(5,3) (``solve_ivp``, method DOP853) for the single-lambda
-basis. That basis keeps one flat table of pieces: each constant segment
-and each DOP853 step, with its start state and either q or the step's
-7th-degree dense-output polynomial (Hairer, Norsett & Wanner, Solving ODEs
-I, II.6). Any batch of points is read from it by one search and one
-vectorized pass per kind of piece. The sweep takes equal 6th-order Magnus
-steps there (three-point Gauss; Iserles & Norsett 1999, Blanes, Casas &
-Ros 2000, Blanes, Casas, Oteo & Ros 2009): each step is exp(Omega) with
-Omega = [[d, e], [f, -d]] affine in lambda, and the exact step is the same
-formula with d = 0, e = h, f = -h q. The step count per segment comes from
-a Richardson estimate (n against 2n steps at a few probe lambdas), one
-ladder for every accuracy asked, whose levels up to 256 steps are formed
-in one pass, and the steps of a block of lambdas, one (2, 2, steps,
-lambdas) array, are multiplied out pairwise as a tree.
+All work piecewise: segments end at the potential's breakpoints and at the
+nodes of its table pieces, so no step straddles a jump of a or of a'. A
+segment inside a constant piece (directly or through mirror wrappers) takes
+one exact transfer step, with cos/sin of sqrt(q) h, cosh/sinh for q < 0 and
+(1, h) for q = 0, in every route. Other segments use adaptive Dormand-Prince
+8(5,3) (``solve_ivp``, method DOP853) in ``fundamental_solutions``, and equal
+6th-order Magnus steps elsewhere (three-point Gauss; Iserles & Norsett 1999,
+Blanes, Casas & Ros 2000, Blanes, Casas, Oteo & Ros 2009): each step is
+exp(Omega) with Omega = [[d, e], [f, -d]] affine in lambda, and the exact
+step is the same formula with d = 0, e = h, f = -h q.
+
+A basis keeps one flat table of pieces (``_PieceTable``): each constant
+segment and each DOP853 or Magnus step, with its start state and either q,
+the step's 7th-degree dense-output polynomial (Hairer, Norsett & Wanner,
+Solving ODEs I, II.6), or, for a Magnus step, nothing more: a point inside
+is read by one Magnus step from the start. Any batch of points is read from
+it by one search and one vectorized pass per kind of piece. The kernel
+basis's step count per segment comes from a ladder over the states at every
+step end (``_kernel_steps``). The sweep's comes from a Richardson estimate
+at the segment's end (n against 2n steps at a few probe lambdas), one
+ladder for every accuracy asked, whose levels up to 256 steps are formed in
+one pass, and the steps of a block of lambdas, one (2, 2, steps, lambdas)
+array, are multiplied out pairwise as a tree.
 """
 
 from __future__ import annotations
@@ -190,26 +196,37 @@ def _matmul(a, b):
 def _magnus_nodes(p: Potential, t0: float, t1: float, *counts: int):
     """The lambda-free coefficients (d0, d1, e, f0, g) of n Magnus-6 steps on [t0, t1],
     for each n of ``counts``: one block of steps per count, in order, from one
-    evaluation of the potential.
-
-    Each step's Omega is [[d, e], [f, -d]], affine in lambda: d = d0 + lambda d1
-    and f = f0 + lambda g. With three-point Gauss nodes (Blanes, Casas & Ros
-    2000), h = (t1 - t0) / n, a1, a2, a3 the potential at t_m - h sqrt(15)/10,
-    t_m and t_m + h sqrt(15)/10, s = a1 - 2 a2 + a3 and D = a1 - a3:
-    d1 = -sqrt(15) h^4 D / 540,
-    d0 = -sqrt(15) D (h^2/36 + h^4 (a1 + a3)/6480 + h^4 a2/648),
-    e = h + h^3 s/54 + h^5 D^2/2160, g = -h + h^3 s/54 - h^5 D^2/2160 and
-    f0 = -h (5 a1 + 8 a2 + 5 a3)/18 - h^5 a2 D^2/2160
-         + h^3 (22 a1 a3 + 4 a2 (a1 + a3) - 7 (a1^2 + a3^2) - 16 a2^2)/648.
-    A constant potential a gives d = 0, e = h and f = -h (a + lambda). Each
-    step carries its own h, so a block's values do not depend on the others.
+    evaluation of the potential (``_magnus_coeffs``). Each step carries its own
+    h, so a block's values do not depend on the others.
     """
     sizes = np.array(counts)
     h = np.repeat((t1 - t0) / sizes, sizes)
     step = np.arange(h.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     mid = t0 + h * (step + 0.5)
+    return _magnus_coeffs(h, *p.eval(np.concatenate(_gauss_nodes(mid, h))).reshape(3, h.size))
+
+
+def _gauss_nodes(mid, h):
+    """The three Gauss nodes of Magnus-6 steps of length h centred at mid."""
     r = h * math.sqrt(15.0) / 10.0
-    a1, a2, a3 = p.eval(np.concatenate([mid - r, mid, mid + r])).reshape(3, h.size)
+    return mid - r, mid, mid + r
+
+
+def _magnus_coeffs(h, a1, a2, a3):
+    """The lambda-free coefficients (d0, d1, e, f0, g) of Magnus-6 steps of length h,
+    from the potential a1, a2, a3 at each step's ``_gauss_nodes``. Arithmetic
+    only, so arrays and Python floats give the same bits.
+
+    Each step's Omega is [[d, e], [f, -d]], affine in lambda: d = d0 + lambda d1
+    and f = f0 + lambda g. With three-point Gauss nodes (Blanes, Casas & Ros
+    2000), s = a1 - 2 a2 + a3 and D = a1 - a3:
+    d1 = -sqrt(15) h^4 D / 540,
+    d0 = -sqrt(15) D (h^2/36 + h^4 (a1 + a3)/6480 + h^4 a2/648),
+    e = h + h^3 s/54 + h^5 D^2/2160, g = -h + h^3 s/54 - h^5 D^2/2160 and
+    f0 = -h (5 a1 + 8 a2 + 5 a3)/18 - h^5 a2 D^2/2160
+         + h^3 (22 a1 a3 + 4 a2 (a1 + a3) - 7 (a1^2 + a3^2) - 16 a2^2)/648.
+    A constant potential a gives d = 0, e = h and f = -h (a + lambda).
+    """
     h2 = h * h
     dd = a1 - a3
     curve = (h * h2 / 54.0) * (a1 - 2.0 * a2 + a3)
@@ -307,32 +324,37 @@ def _magnus_transfer(d0, d1, e, f0, g, lams):
 
 
 class _PieceTable(NamedTuple):
-    """The pieces of a solution basis: each constant segment and each DOP853 step.
+    """The pieces of a solution basis: each constant segment, and each DOP853 or
+    Magnus step.
 
     Row j starts at ``starts[j]`` in state ``states[j]``. On a constant
     piece ``q[j]`` = a + lambda and t is read by the exact step from there.
-    On a DOP853 step ``q[j]`` is NaN and t is read by that step's dense
+    On a smooth piece ``q[j]`` is NaN. A DOP853 step is read by its dense
     output, from its length ``h[j]`` and coefficients ``coeffs[j]`` (the
-    ``F`` of scipy's ``Dop853DenseOutput``).
+    ``F`` of scipy's ``Dop853DenseOutput``). A table with ``magnus`` = (p,
+    lambda) has Magnus steps instead, and t is read by one Magnus-6 step of
+    length t - ``starts[j]``; ``h`` and ``coeffs`` are None there.
     """
 
     starts: np.ndarray
     states: np.ndarray
     q: np.ndarray
-    h: np.ndarray
-    coeffs: np.ndarray
+    h: np.ndarray | None
+    coeffs: np.ndarray | None
+    magnus: tuple | None = None
 
     def read(self, t: np.ndarray) -> np.ndarray:
         """States (4, t.size) at t in [0, L], each from the last piece starting
         at or before it."""
         k = np.searchsorted(self.starts, t, side="right") - 1
         smooth = np.isnan(self.q[k])
+        read = self._dop853 if self.magnus is None else self._magnus
         if smooth.all():
-            return self._dop853(t, k)
+            return read(t, k)
         if not smooth.any():
             return self._exact(t, k)
         out = np.empty((4, t.size))
-        out[:, smooth] = self._dop853(t[smooth], k[smooth])
+        out[:, smooth] = read(t[smooth], k[smooth])
         out[:, ~smooth] = self._exact(t[~smooth], k[~smooth])
         return out
 
@@ -341,17 +363,29 @@ class _PieceTable(NamedTuple):
         ``read`` operation for operation, so equal to it bit for bit."""
         k = int(self.starts.searchsorted(t, side="right")) - 1
         t0, y0, q = float(self.starts[k]), self.states[k].tolist(), float(self.q[k])
-        if math.isnan(q):
-            x, y = (t - t0) / float(self.h[k]), [0.0] * 4
+        h = t - t0
+        if not math.isnan(q):
+            # _exact_step: _cos_sinc's branches on a float, then _apply
+            w2 = q * h * h
+            c, s = _oscillating(w2) if w2 > 0 else _growing(w2) if w2 < 0 else (1.0, 1.0)
+            s = s * h
+            return _apply((c, s, -q * s, c), y0).tolist()
+        if self.magnus is None:
+            x, y = h / float(self.h[k]), [0.0] * 4
             for i, f in enumerate(reversed(self.coeffs[k].tolist())):  # _dop853's loop
                 y = [(a + b) * (1 - x if i % 2 else x) for a, b in zip(y, f)]
             return [a + b for a, b in zip(y, y0)]
-        # _exact_step: _cos_sinc's branches on a float, then _apply
-        h = t - t0
-        w2 = q * h * h
+        # _magnus: the potential as its array path forms it (the piece's values on
+        # an array, plus the shift), then _magnus_steps on floats
+        p, lam = self.magnus
+        mid = t0 + 0.5 * h
+        a = [v + p.shift for v in p._piece_at(mid).values(np.array(_gauss_nodes(mid, h))).tolist()]
+        d0, d1, e, f0, g = _magnus_coeffs(h, *a)
+        d, f = d1 * lam + d0, g * lam + f0
+        w2 = -(e * f + d * d)
         c, s = _oscillating(w2) if w2 > 0 else _growing(w2) if w2 < 0 else (1.0, 1.0)
-        s = s * h
-        return _apply((c, s, -q * s, c), y0).tolist()
+        d, f = d * s, f * s
+        return _apply((d + c, s * e, f, c - d), y0).tolist()
 
     def _exact(self, t, k):
         return _exact_step(self.states[k].T, self.q[k], t - self.starts[k])
@@ -368,6 +402,13 @@ class _PieceTable(NamedTuple):
         y += self.states[k]
         return y.T
 
+    def _magnus(self, t, k):
+        p, lam = self.magnus
+        h = t - self.starts[k]
+        a = p.eval(np.concatenate(_gauss_nodes(self.starts[k] + 0.5 * h, h))).reshape(3, h.size)
+        m = _magnus_steps(*_magnus_coeffs(h, *a), np.array([lam]))
+        return _apply(m.reshape(4, -1), self.states[k].T)
+
 
 @dataclass(eq=False)
 class SolutionBasis:
@@ -376,8 +417,9 @@ class SolutionBasis:
     y1 solves y(0)=1, y'(0)=0; y2 solves y(0)=0, y'(0)=1. The state vector
     is (y1, y1', y2, y2') and ``trajectory`` evaluates it anywhere on
     [0, length] from a table of the integration's pieces (``_PieceTable``):
-    the constant segments and the DOP853 steps with their dense output. Its
-    kernel workspaces (``greens._KernelCache``) live in ``_WORKSPACES``.
+    the constant segments and the DOP853 steps with their dense output, or
+    the Magnus steps. Its kernel workspaces (``greens._KernelCache``) live in
+    ``_WORKSPACES``.
     """
 
     lam: float
@@ -403,8 +445,8 @@ class SolutionBasis:
 
         Points off [0, length] follow ``potential._on_domain``, the domain
         rule of every point reader.  A point where two pieces meet (a segment
-        edge or a DOP853 step's end) is read from the later piece, at its
-        start state.
+        edge or a step's end) is read from the later piece, at its start
+        state.
         """
         t = np.asarray(t, dtype=float)
         return self._pieces.read(_on_domain(t.ravel(), self.length)).reshape((4, *t.shape))
@@ -460,11 +502,16 @@ def fundamental_solutions(p: Potential, lam: float, *,
     the basis's piece table. Results are cached per (potential, lambda,
     tolerance); the cache is threadsafe and bounded.
     """
+    lam, tol = _check_lam_tol(lam, tol)
+    return _memo(_CACHE, (p, lam, tol), lambda: _integrate(p, lam, tol))
+
+
+def _check_lam_tol(lam: float, tol: float) -> tuple[float, float]:
     tol = _check_tol(tol)
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    return _memo(_CACHE, (p, lam, tol), lambda: _integrate(p, lam, tol))
+    return lam, tol
 
 
 def _integrate(p: Potential, lam: float, tol: float) -> SolutionBasis:
@@ -503,6 +550,93 @@ def _integrate(p: Potential, lam: float, tol: float) -> SolutionBasis:
                          y1_end=float(y[0]), y1p_end=float(y[1]),
                          y2_end=float(y[2]), y2p_end=float(y[3]),
                          _edges=edges, _pieces=pieces)
+
+
+def _kernel_basis(p: Potential, lam: float, tol: float) -> SolutionBasis:
+    """The basis that every kernel and ``solve_bvp`` read: the pair of
+    ``fundamental_solutions`` on Magnus-6 steps instead of DOP853, cached beside it.
+
+    A constant segment takes its exact step, as there; a smooth segment takes
+    the steps of ``_kernel_steps``. Each is a row of the piece table, read
+    inside by one step of length t - its start. Every step matrix has det 1 to
+    rounding, so this basis's Wronskian drift is rounding by construction.
+    """
+    lam, tol = _check_lam_tol(lam, tol)
+    return _memo(_CACHE, ("magnus", p, lam, tol), lambda: _magnus_basis(p, lam, tol))
+
+
+def _magnus_basis(p: Potential, lam: float, tol: float) -> SolutionBasis:
+    """The basis of ``_kernel_basis``, built afresh."""
+    edges, consts = _segments(p)
+    Y = np.eye(2)
+    starts, states, q = [], [], []
+    for t0, t1, const in zip(edges, edges[1:], consts):
+        if const is None:
+            ends = _kernel_steps(p, t0, t1, lam, tol)
+        else:
+            step = _exact_step(np.array([1.0, 0.0, 0.0, 1.0]), const + lam, t1 - t0)
+            ends = step.reshape(2, 2, 1).transpose(1, 0, 2)
+        n = ends.shape[2]
+        starts.append(t0 + (t1 - t0) / n * np.arange(n))
+        q.append(np.full(n, math.nan if const is None else const + lam))
+        # the state (y1, y1', y2, y2') at each step start: the steps before it applied to Y
+        states.append(np.concatenate([Y[..., None], _matmul(ends[:, :, :-1], Y[:, :, None])],
+                                     axis=2).transpose(2, 1, 0).reshape(-1, 4))
+        Y = ends[:, :, -1] @ Y
+    pieces = _PieceTable(np.concatenate(starts), np.concatenate(states), np.concatenate(q),
+                         None, None, (p, lam))
+    (y1, y2), (y1p, y2p) = Y.tolist()
+    return SolutionBasis(lam=lam, length=p.domain_length, tol=tol, y1_end=y1, y1p_end=y1p,
+                         y2_end=y2, y2p_end=y2p, _edges=edges, _pieces=pieces)
+
+
+def _kernel_steps(p: Potential, t0: float, t1: float, lam: float, tol: float) -> np.ndarray:
+    """Transfers (2, 2, n) from t0 to the end of each of n equal Magnus-6 steps on
+    [t0, t1] at lambda, for the kernel basis: a ladder over the states inside.
+
+    Doubles n from 8 until n and 2n steps agree at every end of the n steps
+    within tol / w, in the energy scaling (u, u'/w) with w = sqrt(max(1,
+    |a + lambda|)) at the segment's mean a, and keeps the 2n steps, whose
+    error is about 2^-6 of that. The states inside count, not the end alone:
+    the error of a large lambda cancels over each period of a, so on ex4 at
+    lambda = 1e4 the end agrees to 3e-13 at 256 steps while the states inside
+    differ by 2e-9. A share below eps (256 + w (t1 - t0)), where rounding
+    alone levels the estimate off, is raised to it. Each level's transfers
+    are one prefix product of its step matrices (Hillis & Steele), and the
+    levels up to ``_LADDER_PASS`` steps are formed in one pass.
+    """
+    lams = np.array([lam])
+    w = math.sqrt(max(1.0, abs(float(np.mean(p.eval(np.linspace(t0, t1, 9)))) + lam)))
+    scale = np.array([[1.0, w], [1.0 / w, 1.0]])[..., None]
+    share = max(tol / w, np.finfo(float).eps * (256.0 + w * (t1 - t0)))
+
+    def transfers(counts):
+        # one node pass and one prefix product over blocks of steps, one block per count
+        ends = _magnus_steps(*_magnus_nodes(p, t0, t1, *counts), lams)[..., 0]
+        inner = np.arange(ends.shape[2]) - np.repeat(np.cumsum(counts) - counts, counts)
+        span = 1
+        while span < max(counts):
+            np.copyto(ends[:, :, span:], _matmul(ends[:, :, span:], ends[:, :, :-span]),
+                      where=inner[span:] >= span)
+            span *= 2
+        return dict(zip(counts, np.split(ends, np.cumsum(counts)[:-1], axis=2)))
+
+    levels = transfers([1 << k for k in range(3, _LADDER_PASS.bit_length())])
+    n = 8
+    while True:
+        if 2 * n > _MAX_STEPS:
+            raise IntegrationError(
+                f"kernel basis on [{t0:g}, {t1:g}] at lambda={lam}: {_MAX_STEPS} Magnus "
+                f"steps do not meet tolerance {tol:g}", t=float(t0))
+        if 2 * n not in levels:
+            levels.update(transfers([2 * n]))
+        coarse, fine = levels[n], levels[2 * n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.max(np.max(np.abs(coarse - fine[:, :, 1::2]) * scale, axis=(0, 1))
+                         / np.maximum(1.0, np.max(np.abs(fine[:, :, 1::2]) * scale, axis=(0, 1))))
+        if err <= share:
+            return fine
+        n *= 2
 
 
 def discriminant(p: Potential, lam: float, *, tol: float = DEFAULT_TOL) -> float:

@@ -299,6 +299,10 @@ class Potential:
         """All piece endpoints, including 0 and L."""
         return np.array([a for a, _, _ in self.pieces] + [self.domain_length])
 
+    def _piece_at(self, x: float):
+        """The piece that ``eval`` reads at a point x of [0, L]."""
+        return self.pieces[bisect_right(self._starts_list, x) - 1][2]
+
     def eval(self, t):
         """a(t) + shift; right limit at breakpoints. Scalar in, scalar out.
 
@@ -308,14 +312,16 @@ class Potential:
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
             x = _on_domain(float(arr), L)
-            k = bisect_right(self._starts_list, x) - 1
-            return self.pieces[k][2].value_at(x) + self.shift
+            return self._piece_at(x).value_at(x) + self.shift
         tt = _on_domain(arr.ravel(), L)
-        idx = np.searchsorted(self._starts, tt, side="right") - 1
-        out = np.empty_like(tt)
-        for k in np.unique(idx):
-            m = idx == k
-            out[m] = self.pieces[k][2].values(tt[m])
+        if len(self.pieces) == 1:
+            out = self.pieces[0][2].values(tt)
+        else:
+            idx = np.searchsorted(self._starts, tt, side="right") - 1
+            out = np.empty_like(tt)
+            for k in np.unique(idx):
+                m = idx == k
+                out[m] = self.pieces[k][2].values(tt[m])
         out += self.shift
         return out.reshape(arr.shape)
 

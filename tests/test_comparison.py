@@ -325,7 +325,7 @@ def test_bound2_reflected_block_matches_full_table(cos_pi, rel, bc2, bc_other):
 def test_dominance_slack_scales_with_kernel():
     # kernels up to |G_N| ~ 37: bound2_p/bound2_n touch equality at a point,
     # so their true margin is 0 and the computed one a rounding-level
-    # shortfall (about -7.1e-15) that the slack tol * max(1, max |kernel|)
+    # shortfall (about -1.4e-14) that the slack tol * max(1, max |kernel|)
     # must absorb
     p = Potential.piecewise_constant(
         [0, 0.6019185719374425, 0.9736261699230871, 1.5733157079205473,
@@ -338,12 +338,19 @@ def test_dominance_slack_scales_with_kernel():
         assert rep["pass"], rep
         assert rep["tol"] == 1e-9
         assert verify_dominance(p, lam, rel, n=60, tol=1e-12)["pass"]
+        # the touching check's true margin is 0: what it reads is rounding
+        assert abs(rep["checks"][0]["min_margin"]) <= 1e-13
     # the slack still scales a finite tolerance: at 1e-16 (slack about 4e-15)
-    # bound2_p's margin is a real shortfall.  bound2_n's whole-table shortfall
-    # lies at pairs s > t only; on s <= t its margin is exactly 0
-    assert not verify_dominance(p, lam, "bound2_p", n=60, tol=1e-16)["pass"]
-    rep = verify_dominance(p, lam, "bound2_n", n=60, tol=1e-16)
-    assert rep["checks"][0]["min_margin"] == 0.0 and rep["pass"]
+    # a check passes exactly when its margin exceeds -1e-16 max |kernel|, the
+    # kernels being the Neumann one, its companion and the reflected one
+    idx = np.arange(61)
+    for rel, refl, other in (("bound2_p", "P", "D"), ("bound2_n", "N", "M1")):
+        tables = [build_green(p, lam, bc, n=60).combined() for bc in ("N", other)]
+        tables.append(table_slice(family_green(p, lam, "even2", refl, 60), 120 - idx, idx))
+        scale = max(float(np.max(np.abs(t))) for t in tables)
+        rep = verify_dominance(p, lam, rel, n=60, tol=1e-16)
+        assert [c["pass"] for c in rep["checks"]] == \
+            [c["min_margin"] > -1e-16 * scale for c in rep["checks"]]
 
 
 # -- dominance reports against whole tables ------------------------------

@@ -137,10 +137,6 @@ def test_closed_form_boundary_residual_and_jump(m, bc):
     assert np.max(np.abs(estimate_diagonal_jump(G) - 1.0)) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "K_up = (eps I - M)^-1 M from the integrated monodromy, whose det differs from 1, "
-    "leaves the base A kernel symmetric only to the Wronskian drift: 8.5e-13, 134 times "
-    "the rounding bound; scaling M to det 1 before the coupled solve would fix it"))
 def test_antiperiodic_kernel_symmetric_to_rounding():
     p = load_builtin("ex3")
     G = build_green(p, 2.0, "A", n=40)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import threading
@@ -427,7 +428,7 @@ def test_node_states_memo(cos_pi, trajectory_calls, monkeypatch):
     def node_states(pieces):
         return greens._kernel_cache(cos_pi, pieces, 0.31, DEFAULT_TOL).base[1]
 
-    basis = fundamental_solutions(cos_pi, 0.31)
+    basis = integrator._kernel_basis(cos_pi, 0.31, DEFAULT_TOL)
     states = node_states(40)
     assert np.array_equal(states, basis.trajectory(np.linspace(0.0, math.pi, 41)))
     assert not states.flags.writeable
@@ -461,6 +462,75 @@ def test_wronskian_property(lam, amp):
     basis = fundamental_solutions(p, lam, tol=1e-10)
     ts = np.linspace(0.0, 2.0, 13)
     assert np.max(np.abs(basis.wronskian(ts) - 1.0)) < 1e-8
+
+
+# -- the Magnus basis of kernels and solve_bvp -----------------------------------
+
+@functools.lru_cache(maxsize=None)
+def ivp_node_states(name, lam, nodes=61):
+    """(y1, y1', y2, y2') of ex3 or ex4 at ``nodes`` equal nodes, by DOP853 at
+    rtol 1e-13 with steps of at most a twentieth over sqrt(|lambda| + 2)."""
+    p = load_builtin(name)
+    L = p.domain_length
+
+    def rhs(t, y):
+        q = p.eval(min(t, L)) + lam
+        return (y[1], -q * y[0], y[3], -q * y[2])
+
+    res = solve_ivp(rhs, (0.0, L), [1.0, 0.0, 0.0, 1.0], method="DOP853", rtol=1e-13,
+                    atol=1e-16, t_eval=np.linspace(0.0, L, nodes),
+                    max_step=0.05 / math.sqrt(abs(lam) + 2.0))
+    return res.y
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, integrator.TOL_MIN])
+@pytest.mark.parametrize("lam", [-3.0, 0.5, 10.0, 300.0, 1e4])
+@pytest.mark.parametrize("name", ["ex3", "ex4"])
+def test_kernel_basis_as_accurate_as_dop853(name, lam, tol):
+    # wherever fundamental_solutions returns, the kernel basis does, and its
+    # node states are within max(tol, the DOP853 basis's own error), each
+    # relative to max(1, |y|); its steps are det 1 to rounding, so its
+    # Wronskian is 1 to rounding of y1 y2' - y1' y2
+    p = load_builtin(name)
+    ts = np.linspace(0.0, p.domain_length, 61)
+    want = ivp_node_states(name, lam)
+
+    def error(basis):
+        return float(np.max(np.abs(basis.trajectory(ts) - want) / np.maximum(1.0, np.abs(want))))
+
+    dop853 = error(fundamental_solutions(p, lam, tol=tol))
+    basis = integrator._kernel_basis(p, lam, tol)
+    assert error(basis) <= max(tol, dop853)
+    y = basis.trajectory(ts)
+    assert np.all(np.abs(basis.wronskian(ts) - 1.0)
+                  <= 1e-13 * (np.abs(y[0] * y[3]) + np.abs(y[1] * y[2])))
+
+
+def test_kernel_basis_refuses_past_the_step_cap(monkeypatch):
+    # a tolerance no step count under the cap meets is refused, naming both
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 64)
+    integrator.clear_cache()
+    with pytest.raises(IntegrationError, match="64 Magnus steps do not meet tolerance 1e-14"):
+        integrator._kernel_basis(load_builtin("ex3"), 0.5, integrator.TOL_MIN)
+
+
+def test_kernel_path_calls_no_solve_ivp(monkeypatch):
+    # kernels, their values, BVP solutions and the checks built on them read
+    # the Magnus basis; fundamental_solutions still integrates by DOP853
+    calls = []
+    original = integrator.solve_ivp
+    monkeypatch.setattr(integrator, "solve_ivp",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    integrator.clear_cache()
+    p = load_builtin("ex3")
+    build_green(p, 0.37, "P", n=30)
+    kernel_value(p, 0.37, "D", 0.4, 1.1)
+    u = solve_bvp(p, 0.37, "N", lambda t: 1.0 + np.sin(t), n=30)
+    u(0.3)
+    u.derivative(np.linspace(0.0, 1.0, 5))
+    assert calls == []
+    fundamental_solutions(p, 0.37)
+    assert calls
 
 
 # -- the piece table behind trajectory ------------------------------------------
@@ -546,16 +616,17 @@ def test_trajectory_keeps_the_shape_of_t(p):
     assert np.array_equal(basis.trajectory(0.3 * L), basis.trajectory([0.3 * L])[:, 0])
 
 
-@pytest.mark.parametrize("name", ["mixed", "ex3"])
+@pytest.mark.parametrize("name", ["mixed", "ex3", "ex4"])
 def test_scalar_calls_equal_one_array_call(name):
     # a scalar u(t) or u'(t) is read by a separate reader that repeats the array
     # arithmetic operation for operation, so it has no rounding of its own
-    p = MIXED if name == "mixed" else load_builtin("ex3")
+    p = MIXED if name == "mixed" else load_builtin(name)
     L = p.domain_length
     ts = np.concatenate([np.linspace(0.0, L, 7), integrator._segments(p)[0],
                          np.random.default_rng(3).uniform(0.0, L, 6)])
-    basis = fundamental_solutions(p, 0.4)
-    assert np.array_equal(np.array([basis.trajectory(t) for t in ts]).T, basis.trajectory(ts))
+    for basis in (fundamental_solutions(p, 0.4), integrator._kernel_basis(p, 0.4, DEFAULT_TOL)):
+        assert np.array_equal(np.array([basis.trajectory(t) for t in ts]).T,
+                              basis.trajectory(ts))
     for bc in ("P", "A", "N", "D", "M1", "M2"):
         u = solve_bvp(p, 0.4, bc, lambda t: 1.0 + np.sin(2.0 * t), n=40)
         assert np.array_equal([u(t) for t in ts], u(ts))
@@ -584,16 +655,20 @@ _SCALAR_POTENTIALS = st.one_of(
 @example(Potential.constant(0.7, 2.0), -0.7, "D", 1)  # a + lambda = 0: the w2 == 0 branch
 @example(Potential.constant(0.7, 2.0), -5.0, "N", 2)  # a + lambda < 0: cosh and sinh
 @example(STEP3, 2.0, "M1", 3)  # q = 3, 0 and -2 on its three pieces
+@example(MIXED, 0.4, "P", 4)  # constant, Magnus and mirrored constant rows
+@example(load_builtin("ex3"), -7.5, "A", 5)
+@example(load_builtin("ex4"), 41.0, "N", 6)
 def test_scalar_reads_equal_array_reads_bit_for_bit(p, lam, bc, seed):
-    basis = fundamental_solutions(p, lam)
+    # the DOP853 basis, and the Magnus basis that kernels and solve_bvp read
     L = p.domain_length
     slack = 1e-12 * (1.0 + L)
     rng = np.random.default_rng(seed)
-    ts = np.concatenate([rng.uniform(0.0, L, 8), basis._pieces.starts, basis._edges,
-                         [0.0, -0.0, L], -slack * rng.uniform(0.0, 1.0, 2),
-                         L + slack * rng.uniform(0.0, 1.0, 2)])
-    points = [basis._pieces.point(integrator._on_domain(float(t), L)) for t in ts]
-    assert np.array_equal(_bits(points), _bits(basis.trajectory(ts).T))
+    for basis in (fundamental_solutions(p, lam), integrator._kernel_basis(p, lam, DEFAULT_TOL)):
+        ts = np.concatenate([rng.uniform(0.0, L, 8), basis._pieces.starts, basis._edges,
+                             [0.0, -0.0, L], -slack * rng.uniform(0.0, 1.0, 2),
+                             L + slack * rng.uniform(0.0, 1.0, 2)])
+        points = [basis._pieces.point(integrator._on_domain(float(t), L)) for t in ts]
+        assert np.array_equal(_bits(points), _bits(basis.trajectory(ts).T))
     try:
         u = solve_bvp(p, lam, bc, lambda t: 1.0 + np.sin(2.0 * t), n=30)
     except ResonanceError:
