@@ -626,8 +626,10 @@ class BvpSolution:
     ``solve_bvp`` stores K_up c(L) + c(x) and f(x) at the panel edges x of
     its cumulative Simpson rule. At any t, c(t) is c at the last edge x <= t
     plus one Simpson panel over [x, t], so each point costs the states at t
-    and (x + t) / 2, and u is never interpolated. ``values`` is this
-    evaluator at ``grid``, so ``u(u.grid)`` equals ``u.values`` exactly.  A scalar t is
+    and (x + t) / 2, and u is never interpolated. Each node of ``grid`` is an
+    edge, where that panel has zero width, so ``solve_bvp`` forms ``values``
+    from the states and c it holds at the nodes, and ``u(u.grid)`` equals
+    ``u.values`` exactly.  A scalar t is
     read by ``_point`` in Python floats, operation for operation as in an array, so
     bit for bit the same and without numpy's per-call overhead.
     """
@@ -636,15 +638,12 @@ class BvpSolution:
     lam: float
     length: float
     grid: np.ndarray
-    values: np.ndarray = field(init=False)
+    values: np.ndarray
     _basis: SolutionBasis = field(repr=False)
     _sigma: object = field(repr=False)
     _edges: np.ndarray = field(repr=False)
     _c: np.ndarray = field(repr=False)
     _f: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = self._eval(self.grid, deriv=False)
 
     def _eval(self, t, deriv: bool):
         tt = np.asarray(t, dtype=float)
@@ -713,8 +712,9 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100, *,
     c(t) (see ``BvpSolution``) by cumulative Simpson over panels whose edges
     are the 2n+1 uniform ones plus every segment edge of the basis (jumps of
     the potential, table nodes) not already on one, so no panel straddles a
-    kink; every value of the returned solution, the n+1 node values
-    included, continues that integral by one partial panel.
+    kink. The n+1 node values are read from that pass, each node being a
+    panel edge; every other value of the returned solution continues the
+    integral by one partial panel.
     """
     bc = BoundaryCondition.parse(bc)
     n = _check_n(n)
@@ -729,10 +729,15 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100, *,
     edges = np.union1d(edges, seg[np.abs(seg - near) > 1e-12 * (1.0 + L)])
     pts = np.empty(2 * edges.size - 1)
     pts[::2], pts[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
-    f = _integrand(sig_fn, pts, basis.trajectory(pts))
+    y = basis.trajectory(pts)
+    f = _integrand(sig_fn, pts, y)
     # c at the panel edges, by cumulative Simpson with each panel's own width
     panels = (f[:, :-2:2] + 4.0 * f[:, 1::2] + f[:, 2::2]) * (np.diff(edges) / 6.0)
     c = np.concatenate([np.zeros((2, 1)), np.cumsum(panels, axis=1)], axis=1)
-    return BvpSolution(bc=bc, lam=float(lam), length=L, grid=np.linspace(0.0, L, n + 1),
-                       _basis=basis, _sigma=sig_fn, _edges=edges,
-                       _c=(k_up @ c[:, -1])[:, None] + c, _f=f[:, ::2])
+    c = (k_up @ c[:, -1])[:, None] + c
+    # every node is a panel edge: u there is row . c, with no partial panel
+    grid = np.linspace(0.0, L, n + 1)
+    at = np.searchsorted(edges, grid)
+    return BvpSolution(bc=bc, lam=float(lam), length=L, grid=grid,
+                       values=np.sum(y[[0, 2]][:, 2 * at] * c[:, at], axis=0),
+                       _basis=basis, _sigma=sig_fn, _edges=edges, _c=c, _f=f[:, ::2])

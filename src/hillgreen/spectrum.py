@@ -5,7 +5,10 @@ of the endpoint state (y1, y1', y2, y2')(L), so eigenvalues come from a
 bracketing scan plus a batched refinement: every bracket of one
 ``find_eigenvalues`` call advances together, by safeguarded regula falsi,
 with one Magnus propagation per iteration at step counts estimated once
-per call for ``integrator_tol``.  Periodic and anti-periodic
+per call for ``integrator_tol``.  A call for the first ``max_count``
+eigenvalues scans only up to a few cells above its ``max_count``-th
+bracket, and the Dirichlet oscillation audit probes between the last
+eigenvalue found and that top.  Periodic and anti-periodic
 eigenvalues are the band edges of the discriminant Delta = y1 + y2'.  Over
 an even extension they are assembled from the separated spectra of the
 half interval; for any potential they are found between the Dirichlet and
@@ -52,6 +55,10 @@ MERGE_RTOL = 1e-7
 # A scan sample's sign of Delta -+ 2 is trusted when its size exceeds this
 # fraction of the largest endpoint entry: 1e4 times the scan's accuracy.
 SCAN_MARGIN = 1e-3
+# a scan for the first eigenvalues propagates this many samples at a time,
+# and stops this many cells above the last bracket it needs (``_scan_roots``)
+_CHUNK = 256
+_SPARE = 4
 # brentq's default relative tolerance: a root is closed within xtol + _RTOL |lambda|
 _RTOL = 4.0 * np.finfo(float).eps
 
@@ -101,14 +108,14 @@ def _auto_range(p: Potential, count: int) -> tuple[float, float]:
 
 
 def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float):
-    """Scan of [lo, hi] in ``n_scan`` cells, and the states that refine it.
+    """Scan of [lo, hi] in ``n_scan`` cells, and the states that scan and refine it.
 
-    Returns the scan lambdas, their endpoint states at ``endpoint_scan``'s
-    accuracy and a function giving states within ``integrator_tol`` for any
-    lambdas a refinement can visit. Both come from one step-count ladder per
-    segment over [lo, hi] widened by the 1.5 cells that bracket widening can
-    add on each side. Raises ``IntegrationError`` when either cannot certify
-    its accuracy there.
+    Returns the scan lambdas, a function giving their endpoint states at
+    ``endpoint_scan``'s accuracy and a function giving states within
+    ``integrator_tol`` for any lambdas a refinement can visit. Both come
+    from one step-count ladder per segment over [lo, hi] widened by the 1.5
+    cells that bracket widening can add on each side. Raises
+    ``IntegrationError`` when either cannot certify its accuracy there.
     """
     _check_tol(integrator_tol)
     lams = np.linspace(lo, hi, n_scan + 1)
@@ -122,7 +129,54 @@ def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float
             f"eigenvalue refinement over lambda in [{lo:g}, {hi:g}] cannot certify "
             f"integrator_tol {integrator_tol:g} ({exc}); a larger integrator_tol "
             f"(--tol on the command line) lifts the limit", t=exc.t) from exc
-    return lams, _propagate(scan, lams), partial(_propagate, plan)
+    return lams, partial(_propagate, scan), partial(_propagate, plan)
+
+
+def _brackets(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the scan cells where ``values`` changes sign and of its exact zeros."""
+    sign = np.sign(values)
+    return sign[:-1] * sign[1:] < 0, sign == 0
+
+
+def _bracket_ends(values: np.ndarray) -> np.ndarray:
+    """The sample that closes each bracket of ``values``: an exact zero, or the
+    upper end of a cell where it changes sign."""
+    change, zero = _brackets(values)
+    return np.flatnonzero(np.append(False, change) | zero)
+
+
+def _scan_roots(p: Potential, conds, lo: float, hi: float, n_scan: int, xtol: float,
+                integrator_tol: float, count: int | None, audit: dict) -> list[list[float]]:
+    """Roots of the characteristic function of each of ``conds``, from one scan.
+
+    Without a ``count`` every sample of the scan is propagated at once. With
+    one, the samples go in ascending chunks of ``_CHUNK``, and the scan stops
+    after the first chunk whose top sample lies ``_SPARE`` cells or more
+    above the ``count``-th bracket of ``conds`` taken together:
+    ``_refine_roots`` widens a bracket by at most 1.5 cells, so no bracket
+    beyond the top holds a root below the ``count``-th, and the partner of
+    a double eigenvalue lies within the next cell. Only the scanned brackets
+    are refined. A bracket the refinement loses ends the shortcut: the whole
+    range is scanned and refined, as without a count. ``audit`` gains the
+    lost brackets and the last lambda scanned, ``scanned_to``.
+    """
+    lams, scan, state = _scan(p, lo, hi, n_scan, integrator_tol)
+    if count is None:
+        Y = scan(lams)
+    else:
+        Y = np.empty((4, 0))
+        for start in range(0, lams.size, _CHUNK):
+            Y = np.concatenate([Y, scan(lams[start:start + _CHUNK])], axis=1)
+            ends = np.sort(np.concatenate([_bracket_ends(bc.characteristic(Y)) for bc in conds]))
+            if ends.size >= count and ends[count - 1] + _SPARE < Y.shape[1]:
+                break
+    found: dict = {}
+    roots = [_refine_roots(state, bc, lams, Y, xtol, found) for bc in conds]
+    if found and Y.shape[1] < lams.size:
+        Y, found = scan(lams), {}
+        roots = [_refine_roots(state, bc, lams, Y, xtol, found) for bc in conds]
+    audit.update(found, scanned_to=float(lams[Y.shape[1] - 1]))
+    return roots
 
 
 def _batch_roots(F, a, b, fa, fb, xtol: float) -> np.ndarray:
@@ -183,21 +237,22 @@ def _refine_roots(state, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
                   xtol: float, audit: dict, cells: np.ndarray | None = None) -> list[float]:
     """Roots of ``bc``'s characteristic function from its row of the scan ``Y``.
 
-    Each sign change in a scan cell (of ``cells``, default all) is checked
-    on the accurate endpoint states ``state`` and widened by half a cell
-    on each side, up to 3 times, until the sign change holds there; cells
-    where it never does go into ``audit``. ``_batch_roots`` refines the
-    brackets together, and exact zeros of the scan are roots as they stand.
+    ``Y`` holds the states of all the scan lambdas ``lams`` or of a prefix
+    of them. Each sign change in a scan cell (of ``cells``, default all) is
+    checked on the accurate endpoint states ``state`` and widened by half a
+    cell of ``lams`` on each side, up to 3 times, until the sign change
+    holds there; cells where it never does go into ``audit``.
+    ``_batch_roots`` refines the brackets together, and exact zeros of the
+    scan are roots as they stand.
     """
     def F(x):
         return bc.characteristic(state(x))
 
     step = (lams[-1] - lams[0]) / (len(lams) - 1)
-    sign = np.sign(bc.characteristic(Y))
-    change = sign[:-1] * sign[1:] < 0
+    change, zero = _brackets(bc.characteristic(Y))
     if cells is not None:
         change &= cells
-    cell = np.nonzero(change)[0]
+    cell = np.flatnonzero(change)
     a, b = lams[cell], lams[cell + 1]
     fa, fb = np.split(F(np.concatenate([a, b])), 2)
     for _ in range(3):
@@ -213,7 +268,7 @@ def _refine_roots(state, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
         audit.setdefault("unresolved_brackets", []).extend(lams[cell[lost]].tolist())
     ok = ~lost
     roots = _batch_roots(F, a[ok], b[ok], fa[ok], fb[ok], xtol)
-    return [*roots.tolist(), *lams[sign == 0].tolist()]
+    return [*roots.tolist(), *lams[np.flatnonzero(zero)].tolist()]
 
 
 def _coupled_result(method: str, step: float, tagged: list[tuple[float, str]],
@@ -255,7 +310,8 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
     in cells they settle need no refinement.
     """
     s = bc.sign
-    lams, Y, state = _scan(p, lo, hi, n_scan, integrator_tol)
+    lams, scan, state = _scan(p, lo, hi, n_scan, integrator_tol)
+    Y = scan(lams)
     scanned = bc.characteristic(Y)
     sure = np.abs(scanned) > SCAN_MARGIN * np.maximum(1.0, np.abs(Y).max(axis=0))
     cuts = dict(zip(lams[sure].tolist(), scanned[sure].tolist()))
@@ -267,7 +323,7 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
     settled = sure & ((t > 0.0) | (t < -2.0))
     open_cells = ~(settled[:-1] & settled[1:] & (t[:-1] * t[1:] > 0.0))
 
-    audit: dict = {}
+    audit: dict = {"scanned_to": hi}
     found = [(r, src) for src, sub in (("D", BoundaryCondition.DIRICHLET),
                                        ("N", BoundaryCondition.NEUMANN))
              for r in _refine_roots(state, sub, lams, Y, xtol, audit, open_cells)]
@@ -296,20 +352,21 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
 
 
 def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n_scan: int,
-                   xtol: float, integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
+                   xtol: float, integrator_tol: float,
+                   count: int | None) -> tuple[list[tuple[float, int]], dict]:
     """Coupled spectrum as the union of two separated half-interval spectra.
 
     Valid when the potential is even about its midpoint; the pairing of
-    sources also fixes the multiplicity of each discriminant root.
+    sources also fixes the multiplicity of each discriminant root. The scan
+    stops once it brackets ``count`` roots of the two (``_scan_roots``).
     """
     half = p.restrict(p.domain_length / 2.0)
     pair = ((BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET)
             if bc is BoundaryCondition.PERIODIC else
             (BoundaryCondition.MIXED1, BoundaryCondition.MIXED2))
-    lams, Y, state = _scan(half, lo, hi, n_scan, integrator_tol)
     audit: dict = {}
-    tagged = [(v, sub.value) for sub in pair
-              for v in _refine_roots(state, sub, lams, Y, xtol, audit)]
+    roots = _scan_roots(half, pair, lo, hi, n_scan, xtol, integrator_tol, count, audit)
+    tagged = [(v, sub.value) for sub, found in zip(pair, roots) for v in found]
     return _coupled_result("union", (hi - lo) / n_scan, tagged, audit)
 
 
@@ -329,22 +386,32 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     A scan of ``n_scan`` cells at the scan accuracy of ``endpoint_scan``
     finds the sign changes; they are refined together on Magnus endpoint
     states within ``integrator_tol``, to a bracket width of
-    max(``tol``, 1e-12).  Raises ``IntegrationError`` when those states
-    cannot certify ``integrator_tol`` over the range (at large lambda the
-    float64 rounding of the phase alone exceeds it; a larger ``integrator_tol``
-    lifts it), and ``ValueError`` for a bad ``n_scan`` or an unknown ``method``.
+    max(``tol``, 1e-12).  With a ``max_count`` the scan stops a few cells
+    above the ``max_count``-th sign change (method "direct" excepted), which
+    leaves every eigenvalue returned as a full scan finds it; the audit's
+    ``scanned_to`` is the last lambda scanned (``hi`` for a full scan).
+    Raises ``IntegrationError`` when those states cannot certify
+    ``integrator_tol`` over the range (at large lambda the float64 rounding
+    of the phase alone exceeds it; a larger ``integrator_tol`` lifts it),
+    and ``ValueError`` for a bad ``n_scan`` or ``max_count``, a ``tol`` that
+    is negative or not finite, or an unknown ``method``.
 
     For the Dirichlet condition the audit's ``oscillation`` entry counts the
-    interior sign changes of y2 at a probe above the last eigenvalue found,
-    which equals the number of eigenvalues below it (a Sturm count). Only
-    the signs are read, so its one DOP853 solve runs at ``TOL_MAX``.
+    interior sign changes of y2 at a probe midway between the last eigenvalue
+    found and ``scanned_to``, which equals the number of eigenvalues below it
+    (a Sturm count). Only the signs are read, so its one DOP853 solve runs at
+    ``TOL_MAX``.
     """
     bc = BoundaryCondition.parse(bc)
     n_scan = _check_n(n_scan, "n_scan")
+    if max_count is not None:
+        max_count = _check_n(max_count, "max_count")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     if method not in ("auto", "union", "direct"):
         raise ValueError(f"unknown method {method!r}")
     if search_range is None:
-        lo, hi = _auto_range(p, max_count if max_count else 8)
+        lo, hi = _auto_range(p, max_count or 8)
     else:
         lo, hi = (float(search_range[0]), float(search_range[1]))
         if not lo < hi:
@@ -357,14 +424,16 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
             method = "union" if p.is_even_about_midpoint() else "direct"
         elif method == "union" and not p.is_even_about_midpoint():
             raise ValueError("union method needs a potential even about its midpoint")
-        coupled = _coupled_union if method == "union" else _coupled_direct
-        merged, audit = coupled(p, bc, lo, hi, n_scan, xtol, integrator_tol)
+        if method == "union":
+            merged, audit = _coupled_union(p, bc, lo, hi, n_scan, xtol, integrator_tol, max_count)
+        else:
+            merged, audit = _coupled_direct(p, bc, lo, hi, n_scan, xtol, integrator_tol)
     else:
-        lams, Y, state = _scan(p, lo, hi, n_scan, integrator_tol)
-        roots = _refine_roots(state, bc, lams, Y, xtol, audit)
+        (roots,) = _scan_roots(p, (bc,), lo, hi, n_scan, xtol, integrator_tol, max_count, audit)
         merged = [(v, 1) for v in sorted(roots)]
-        if bc is BoundaryCondition.DIRICHLET and merged and hi > merged[-1][0]:
-            probe = 0.5 * (merged[-1][0] + hi)
+        top = audit["scanned_to"]
+        if bc is BoundaryCondition.DIRICHLET and merged and top > merged[-1][0]:
+            probe = 0.5 * (merged[-1][0] + top)
             audit["oscillation"] = {
                 "probe_lambda": probe,
                 "interior_zeros": dirichlet_zero_count(p, probe, tol=TOL_MAX),

@@ -523,6 +523,15 @@ def test_bvp_solution_two_trajectory_points_per_query(cos_pi, trajectory_calls):
     assert len(trajectory_calls) == 1 and trajectory_calls[0] <= 80
 
 
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_solve_bvp_reads_the_basis_once(cos_pi, trajectory_calls, n):
+    # the node values come from the states of the Simpson pass, every node
+    # being a panel edge, and equal the evaluator's to the bit
+    u = solve_bvp(cos_pi, 0.5, "N", np.cos, n=n)
+    assert len(trajectory_calls) == 1
+    assert np.array_equal(u(u.grid), u.values)
+
+
 def test_solve_bvp_length_from_basis(cos_pi):
     # a restriction past the domain by rounding is clamped onto it, and both
     # read their length from the basis

@@ -23,11 +23,11 @@ from hillgreen import (
     verify_interlacing,
     verify_spectral_decomposition,
 )
-from hillgreen import integrator
+from hillgreen import integrator, spectrum
 from hillgreen.errors import DomainError, IntegrationError
 from hillgreen.greens import BoundaryCondition
-from hillgreen.integrator import endpoint_scan
-from hillgreen.spectrum import _batch_roots, _refine_roots
+from hillgreen.integrator import DEFAULT_TOL, endpoint_scan
+from hillgreen.spectrum import DEFAULT_SCAN, _batch_roots, _refine_roots
 
 from helpers import step_state
 
@@ -558,6 +558,175 @@ def test_oscillation_audit_still_flags_the_double_well():
     p = Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0])
     audit = find_eigenvalues(p, "D", max_count=2).audit["oscillation"]
     assert (audit["interior_zeros"], audit["eigenvalues_below"]) == (28, 4)
+
+
+def _first_count_cases():
+    """ex1-ex4, the double well, and seeded 2- to 5-piece steps and cosines."""
+    rng = np.random.default_rng(32)
+    cases = {name: load_builtin(name) for name in ("ex1", "ex2", "ex3", "ex4")}
+    cases["well"] = Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0])
+    for pieces in (2, 3, 4, 5):
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 2.0, pieces - 1)), [2.2]])
+        cases[f"step{pieces}"] = Potential.piecewise_constant(breaks,
+                                                              rng.uniform(-6.0, 6.0, pieces))
+    for k in range(3):
+        cases[f"cos{k}"] = Potential.cosine(float(rng.uniform(0.8, 3.0)),
+                                            c0=float(rng.uniform(-2.0, 2.0)),
+                                            c1=float(rng.uniform(0.2, 3.0)),
+                                            omega=float(rng.uniform(0.5, 4.0)))
+    return cases
+
+
+FIRST_COUNT_CASES = _first_count_cases()
+
+
+def _first(spec, count):
+    """The (value, multiplicity) pairs that max_count=count keeps of a full spectrum."""
+    kept, total = [], 0
+    for e in spec.eigenvalues:
+        if total >= count:
+            break
+        kept.append((e.value, e.multiplicity))
+        total += e.multiplicity
+    return kept
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_COUNT_CASES))
+def test_first_eigenvalues_match_the_full_scan(name):
+    # a scan that stops above the max_count-th bracket returns what the
+    # scan of the whole range returns first, multiplicities included
+    base = FIRST_COUNT_CASES[name]
+    for bc in ("N", "D", "M1", "M2", "P", "A"):
+        p = base.even_extension() if bc in ("P", "A") else base
+        rng = spectrum._auto_range(p, 5)
+        full = find_eigenvalues(p, bc, search_range=rng)
+        assert full.audit["scanned_to"] == rng[1]
+        for count in (1, 2, 3, 5):
+            spec = find_eigenvalues(p, bc, search_range=rng, max_count=count)
+            got, want = _first(spec, count), _first(full, count)
+            assert [m for _, m in got] == [m for _, m in want], (bc, count)
+            for (g, _), (w, _) in zip(got, want):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (bc, count)
+            assert spec.audit["scanned_to"] <= rng[1]
+            if "oscillation" in spec.audit:
+                assert spec.audit["oscillation"]["probe_lambda"] < spec.audit["scanned_to"]
+
+
+def _sine(shift):
+    """A function of lambda that changes sign at shift + 10 j."""
+    return lambda lam: np.sin(np.pi * (lam - shift) / 10.0)
+
+
+def _fake_scan(monkeypatch, scanned, accurate):
+    """A 1000-cell scan of [0, 1000] whose Neumann row is ``scanned``; the
+    refinement reads ``accurate``. Returns the size of every batch scanned."""
+    batches = []
+
+    def scan(x):
+        batches.append(x.size)
+        return _rows(scanned)(x)
+
+    lams = np.linspace(0.0, 1000.0, 1001)
+    monkeypatch.setattr(spectrum, "_scan", lambda *args: (lams, scan, _rows(accurate)))
+    return batches
+
+
+def _neumann_roots(count):
+    audit = {}
+    (roots,) = spectrum._scan_roots(None, (BoundaryCondition.NEUMANN,), 0.0, 1000.0, 1000,
+                                    1e-12, DEFAULT_TOL, count, audit)
+    return sorted(roots), audit
+
+
+def test_scan_for_a_count_stops_after_the_chunk_that_brackets_it(monkeypatch):
+    batches = _fake_scan(monkeypatch, _sine(9.5), _sine(9.5))
+    roots, audit = _neumann_roots(2)
+    # the first chunk of 256 samples holds both brackets and 4 cells more,
+    # and every bracket in it is refined
+    assert batches == [256] and audit == {"scanned_to": 255.0}
+    assert roots == pytest.approx([10.0 * j + 9.5 for j in range(25)], abs=1e-9)
+    batches.clear()
+    roots, audit = _neumann_roots(26)
+    # the 26th bracket closes at 260, beyond the first chunk
+    assert batches == [256, 256] and audit == {"scanned_to": 511.0}
+    assert len(roots) == 51
+
+
+def test_scan_for_a_count_keeps_four_cells_above_the_last_bracket(monkeypatch):
+    # the 26th bracket closes at 252, 3 cells below the first chunk's top
+    batches = _fake_scan(monkeypatch, _sine(1.5), _sine(1.5))
+    roots, audit = _neumann_roots(26)
+    assert batches == [256, 256] and audit == {"scanned_to": 511.0}
+    assert roots[25] == pytest.approx(251.5, abs=1e-9)
+
+
+def test_scan_for_a_count_finishes_the_scan_after_a_lost_bracket(monkeypatch):
+    # the accurate function has no root near 9.5: that bracket is lost, so the
+    # whole range is scanned and refined as without a count
+    batches = _fake_scan(monkeypatch, _sine(9.5),
+                         lambda lam: np.where(lam < 14.0, 1.0, _sine(9.5)(lam)))
+    roots, audit = _neumann_roots(2)
+    assert batches == [256, 1001]
+    assert audit == {"unresolved_brackets": [9.0], "scanned_to": 1000.0}
+    assert roots == pytest.approx([10.0 * j + 9.5 for j in range(1, 100)], abs=1e-9)
+
+
+@pytest.fixture
+def propagated(monkeypatch):
+    """Sizes of the lambda batches spectrum._propagate steps through."""
+    sizes = []
+    original = spectrum._propagate
+
+    def counting(plan, lams):
+        sizes.append(lams.size)
+        return original(plan, lams)
+
+    monkeypatch.setattr(spectrum, "_propagate", counting)
+    return sizes
+
+
+def test_scan_for_a_count_propagates_a_fraction_of_the_range(propagated):
+    # a full scan of ex3's N range for two eigenvalues and their refinement
+    # propagate 2045 lambdas
+    p = load_builtin("ex3")
+    spec = find_eigenvalues(p, "N", max_count=2)
+    assert len(spec.values()) == 2 and sum(propagated) <= 2045 // 2
+    assert spec.audit["scanned_to"] < spec.search_range[1]
+    propagated.clear()
+    spec = find_eigenvalues(p, "N")
+    assert DEFAULT_SCAN + 1 in propagated and spec.audit["scanned_to"] == spec.search_range[1]
+
+
+@pytest.mark.parametrize("method", ["union", "direct"])
+def test_coupled_audit_records_the_scanned_top(cos_pi, method):
+    spec = find_eigenvalues(cos_pi.even_extension(), "P", max_count=2, method=method)
+    top = spec.audit["scanned_to"]
+    hi = spec.search_range[1]
+    assert top < hi if method == "union" else top == hi
+
+
+@pytest.mark.parametrize("max_count", [0, -1, 2.5, True, math.nan, "2"])
+def test_find_eigenvalues_rejects_bad_max_count(cos_pi, max_count):
+    with pytest.raises(ValueError, match="^max_count must be "):
+        find_eigenvalues(cos_pi, "N", max_count=max_count)
+
+
+def test_max_count_none_takes_every_eigenvalue_in_range(cos_pi):
+    spec = find_eigenvalues(cos_pi, "N", search_range=(-1.0, 40.0), max_count=None)
+    assert len(spec.values()) == 7
+    assert find_eigenvalues(cos_pi, "N", search_range=(-1.0, 40.0),
+                            max_count=2.0).values() == spec.values()[:2]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+def test_find_eigenvalues_rejects_bad_tol(cos_pi, tol):
+    with pytest.raises(ValueError, match=f"^tol must be finite and non-negative, got {tol}"):
+        find_eigenvalues(cos_pi, "N", max_count=2, tol=tol)
+
+
+def test_zero_tol_means_the_bracket_floor(cos_pi):
+    assert (find_eigenvalues(cos_pi, "N", max_count=2, tol=0.0).values()
+            == find_eigenvalues(cos_pi, "N", max_count=2).values())
 
 
 def test_dirichlet_zero_count(zero1):
