@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import cycle
 from typing import NamedTuple
 
 import numpy as np
@@ -504,18 +505,12 @@ def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *
 
 def _match_sets(lhs: list[float], rhs: list[float], pair_tol: float) -> dict:
     """Positional multiset comparison of two sorted expanded spectra."""
-    lhs = sorted(lhs)
-    rhs = sorted(rhs)
+    lhs, rhs = sorted(lhs), sorted(rhs)
     k = min(len(lhs), len(rhs))
-    diffs = [abs(a - b) for a, b in zip(lhs[:k], rhs[:k])]
-    return {
-        "lhs": lhs, "rhs": rhs,
-        "diffs": diffs,
-        "max_diff": max(diffs) if diffs else 0.0,
-        "unmatched_lhs": lhs[k:], "unmatched_rhs": rhs[k:],
-        "pass": bool(len(lhs) == len(rhs)
-                     and all(d <= pair_tol for d in diffs)),
-    }
+    diffs = [abs(a - b) for a, b in zip(lhs, rhs)]
+    return {"lhs": lhs, "rhs": rhs, "diffs": diffs, "max_diff": max(diffs, default=0.0),
+            "unmatched_lhs": lhs[k:], "unmatched_rhs": rhs[k:],
+            "pass": len(lhs) == len(rhs) and all(d <= pair_tol for d in diffs)}
 
 
 def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 6,
@@ -523,25 +518,26 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
                                   integrator_tol: float = DEFAULT_TOL) -> dict:
     """Check the three spectral-set equalities with multiplicity.
 
-    The right side of each equality is recomputed from the discriminant of
-    the extension (method="direct"), never assembled from the same
-    separated spectra as the left side, so the comparison has content.
+    N+D = P(2T), M1+M2 = A(2T) and P(2T)+A(2T) = P(4T) are compared over
+    ``search_range``, or else over at least the first ``count`` (an integer
+    of at least 1) values of each left side. The right side of each
+    equality is recomputed from the discriminant of the extension
+    (method="direct"), never assembled from the same separated spectra as
+    the left side, so the comparison has content.
     """
+    count = _check_n(count, "count")
     _check_positive(pair_tol, "pair_tol")
     even = p.even_extension()
-    even2 = even.even_extension()
-
     sep = {bc: find_eigenvalues(p, bc, search_range=search_range,
                                 max_count=None if search_range else count + 2,
-                                n_scan=n_scan, integrator_tol=integrator_tol)
+                                n_scan=n_scan, integrator_tol=integrator_tol).expanded()
            for bc in ("N", "D", "M1", "M2")}
+    nd = sorted(sep["N"] + sep["D"])
+    mm = sorted(sep["M1"] + sep["M2"])
 
-    nd = sorted(sep["N"].expanded() + sep["D"].expanded())
-    mm = sorted(sep["M1"].expanded() + sep["M2"].expanded())
-    all4 = sorted(nd + mm)
-
-    def window(values: list[float]) -> tuple[float, float, int]:
-        """Range covering at least ``count`` values, cut inside a wide gap.
+    def window(values: list[float]) -> tuple[tuple[float, float], int]:
+        """Range covering at least ``count`` values, cut inside a wide gap,
+        and the number of values to compare.
 
         Cutting between members of a near-double pair is hopeless (the
         direct method cannot honor a boundary it cannot resolve), so the
@@ -550,39 +546,39 @@ def verify_spectral_decomposition(p: Potential, search_range=None, count: int = 
         that gap is compared.
         """
         if not values:
-            lo, hi = _auto_range(p, count)
-            return lo, hi, count
-        lo = values[0] - 1.0
+            return _auto_range(p, count), count
         for j in range(count, len(values)):
             if values[j] - values[j - 1] > 1e-3:
-                return lo, 0.5 * (values[j - 1] + values[j]), j
-        return lo, values[-1] + 1.0, len(values)
+                return (values[0] - 1.0, 0.5 * (values[j - 1] + values[j])), j
+        return (values[0] - 1.0, values[-1] + 1.0), len(values)
 
     reports = []
-    for name, lhs_vals, pot in (("N+D = P(2T)", nd, even), ("M1+M2 = A(2T)", mm, even),
-                                ("P(2T)+A(2T) = P(4T)", all4, even2)):
-        bc = "A" if name.startswith("M1") else "P"
-        if search_range:
-            rng, take = search_range, None
-        else:
-            lo, hi, take = window(lhs_vals)
-            rng = (lo, hi)
-        direct = find_eigenvalues(pot, bc, search_range=rng, n_scan=n_scan,
-                                  integrator_tol=integrator_tol, method="direct")
-        lhs = [v for v in lhs_vals if rng[0] <= v <= rng[1]][:take]
-        rhs = direct.expanded()[:take]
-        entry = _match_sets(lhs, rhs, pair_tol)
-        entry["name"] = name
-        entry["search_range"] = tuple(rng)
-        reports.append(entry)
+    for name, lhs_vals, pot, bc in (("N+D = P(2T)", nd, even, "P"),
+                                    ("M1+M2 = A(2T)", mm, even, "A"),
+                                    ("P(2T)+A(2T) = P(4T)", sorted(nd + mm),
+                                     even.even_extension(), "P")):
+        rng, take = (search_range, None) if search_range else window(lhs_vals)
+        rhs = find_eigenvalues(pot, bc, search_range=rng, n_scan=n_scan,
+                               integrator_tol=integrator_tol, method="direct").expanded()
+        lhs = [v for v in lhs_vals if rng[0] <= v <= rng[1]]
+        reports.append({**_match_sets(lhs[:take], rhs[:take], pair_tol), "name": name,
+                        "search_range": tuple(rng)})
+    return {"potential": p.descriptor_hash(), "count": count, "pair_tol": pair_tol,
+            "equalities": reports, "pass": all(r["pass"] for r in reports)}
 
-    return {
-        "potential": p.descriptor_hash(),
-        "count": count,
-        "pair_tol": pair_tol,
-        "equalities": reports,
-        "pass": all(r["pass"] for r in reports),
-    }
+
+def _link(lhs: str, lhs_value: float, relation: str, rhs: str, rhs_value: float,
+          bound: float) -> dict:
+    """One graded relation between two named values, with margin rhs - lhs.
+
+    "=" holds when the two are within ``bound``, "<" when the margin exceeds
+    ``bound``, and "<=" when lhs <= rhs + 1e-9.
+    """
+    gap = rhs_value - lhs_value
+    ok = {"=": abs(gap) <= bound, "<": gap > bound,
+          "<=": lhs_value <= rhs_value + 1e-9}[relation]
+    return {"lhs": lhs, "rhs": rhs, "relation": relation, "lhs_value": lhs_value,
+            "rhs_value": rhs_value, "margin": gap, "pass": bool(ok)}
 
 
 def _first_corner_root(p: Potential, corner: float, lo: float, hi: float,
@@ -591,7 +587,8 @@ def _first_corner_root(p: Potential, corner: float, lo: float, hi: float,
 
     The mixed eigenvalues interlace with the Neumann ones, N0 < M1_0, M2_0 < N1,
     so the corner value has one zero and no pole in (lo, hi): one bracket 1e-3
-    of the span inside each pole holds it. A resonant end returns None.
+    of the span inside each pole holds it (an end where it is exactly zero is
+    the root). A resonant end returns None.
     """
     def g(lam: float) -> float:
         return kernel_value(p, lam, "N", corner, corner, tol=integrator_tol)
@@ -602,11 +599,29 @@ def _first_corner_root(p: Potential, corner: float, lo: float, hi: float,
         ga, gb = g(a), g(b)
     except ResonanceError:
         return None
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
     return brentq(g, a, b, xtol=1e-10) if np.sign(ga) != np.sign(gb) else None
+
+
+# Paper item -> (description, links). A link (lhs, relation, rhs) names two
+# first eigenvalues by their ``values`` keys, or lambda_M = min(M1, M2). A
+# corner entry (corner, mixed) checks the Neumann kernel at (corner, corner)
+# against the extension's periodic one, and its first zero against ``mixed``.
+_FIRST_RELATIONS = {
+    1: ("first Neumann eigenvalue survives the even extension and equals the first "
+        "periodic eigenvalue",
+        [("lambda_N", "=", "lambda_N_2T"), ("lambda_N", "=", "lambda_P_2T")]),
+    5: ("Neumann kernel at (0,0) doubles the extension's periodic corner value; its first "
+        "zero is the first eigenvalue of u(0)=u'(T)=0", ("0", "lambda_M2")),
+    6: ("Neumann kernel at (T,T) doubles the extension's periodic corner value; its first "
+        "zero is the first eigenvalue of u'(0)=u(T)=0", ("T", "lambda_M1")),
+    7: ("first anti-periodic eigenvalue of the extension is the smaller of the two mixed "
+        "eigenvalues", [("lambda_A_2T", "=", "lambda_M")]),
+    8: ("first eigenvalue of u(0)=u'(T)=0 equals the extension's first Dirichlet eigenvalue "
+        "and both precede the base Dirichlet eigenvalue",
+        [("lambda_M2", "=", "lambda_D_2T"), ("lambda_D_2T", "<", "lambda_D")]),
+    9: ("first Neumann eigenvalue precedes the first eigenvalue of u'(0)=u(T)=0",
+        [("lambda_N", "<", "lambda_M1")]),
+}
 
 
 def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
@@ -614,11 +629,14 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
                                integrator_tol: float = DEFAULT_TOL) -> dict:
     """First-eigenvalue equalities, orderings and corner characterizations.
 
-    The corner zeros of the Neumann kernel are matched against the mixed
-    eigenvalues: the (0,0) corner vanishes first at the lowest eigenvalue
-    of the problem u(0)=u'(T)=0 and the (T,T) corner at the lowest of
-    u'(0)=u(T)=0.  (The kernel corner values are -y2'(T)/y1'(T) and
-    -y1(T)/y1'(T), so their zero sets are those two spectra exactly.)
+    Each paper item (1 and 5-9) is a list of checks, graded "=" within
+    ``tol`` and "<" by more than ``margin``; a check names its two sides
+    under ``lhs`` and ``rhs`` and reports their values and the margin
+    rhs - lhs. The corner zeros of the Neumann kernel are matched against
+    the mixed eigenvalues: the (0,0) corner vanishes first at the lowest
+    eigenvalue of the problem u(0)=u'(T)=0 and the (T,T) corner at the
+    lowest of u'(0)=u(T)=0.  (The kernel corner values are -y2'(T)/y1'(T)
+    and -y1(T)/y1'(T), so their zero sets are those two spectra exactly.)
     """
     _check_positive(tol, "tol")
     _check_positive(margin, "margin")
@@ -638,101 +656,56 @@ def first_eigenvalue_relations(p: Potential, tol: float = 1e-5,
                 "error": "not enough eigenvalues found in the scan range"}
 
     lam_n0, lam_n1 = found["lambda_N"][:2]
-
-    def eq(lhs: float, rhs: float) -> dict:
-        return {"kind": "equality", "lhs": lhs, "rhs": rhs,
-                "diff": abs(lhs - rhs), "pass": bool(abs(lhs - rhs) <= tol)}
-
-    def lt(lhs: float, rhs: float) -> dict:
-        return {"kind": "strict", "lhs": lhs, "rhs": rhs,
-                "margin": rhs - lhs, "pass": bool(rhs - lhs > margin)}
-
+    operands = {**vals, "lambda_M": min(vals["lambda_M1"], vals["lambda_M2"])}
     # Sample points where every kernel involved is nonresonant.
-    samples = [lam_n0 - 1.0,
-               0.5 * (lam_n0 + min(vals["lambda_M1"], vals["lambda_M2"]))]
+    samples = [lam_n0 - 1.0, 0.5 * (lam_n0 + operands["lambda_M"])]
 
-    def corner_checks(corner: float, mixed: str) -> tuple[list[dict], float | None]:
-        """N(c, c) = 2 P_2T(c, c) at the samples, and the first zero of N(c, c)
-        against the first eigenvalue of ``mixed``; the checks and that zero."""
-        checks = []
-        for lam_s in samples:
-            c_base = kernel_value(p, lam_s, "N", corner, corner, tol=integrator_tol)
-            c_ext = kernel_value(even, lam_s, "P", corner, corner, tol=integrator_tol)
-            checks.append({**eq(c_base, 2.0 * c_ext), "lambda": lam_s})
-        root = _first_corner_root(p, corner, lam_n0, lam_n1, integrator_tol)
-        checks.append(eq(root, vals[mixed]) if root is not None else
-                      {"kind": "equality", "pass": False, "error": "corner root not bracketed"})
-        return checks, root
+    def corner_checks(corner: str, mixed: str) -> list[dict]:
+        """N(c, c) = 2 P_2T(c, c) at the samples, and the first zero of N(c, c),
+        kept in ``vals``, against the first eigenvalue of ``mixed``."""
+        at = 0.0 if corner == "0" else p.domain_length
+        checks = [{**_link(f"N({corner},{corner})",
+                           kernel_value(p, lam_s, "N", at, at, tol=integrator_tol), "=",
+                           f"2 P_2T({corner},{corner})",
+                           2.0 * kernel_value(even, lam_s, "P", at, at, tol=integrator_tol), tol),
+                   "lambda": lam_s} for lam_s in samples]
+        key = f"corner_root_{corner}{corner}"
+        vals[key] = root = _first_corner_root(p, at, lam_n0, lam_n1, integrator_tol)
+        checks.append(_link(key, root, "=", mixed, vals[mixed], tol) if root is not None else
+                      {"lhs": key, "relation": "=", "rhs": mixed, "pass": False,
+                       "error": "corner root not bracketed"})
+        return checks
 
-    checks00, root00 = corner_checks(0.0, "lambda_M2")
-    checksTT, rootTT = corner_checks(p.domain_length, "lambda_M1")
-
-    items = [
-        {"item": 1,
-         "description": "first Neumann eigenvalue survives the even extension "
-                        "and equals the first periodic eigenvalue",
-         "checks": [eq(vals["lambda_N"], vals["lambda_N_2T"]),
-                    eq(vals["lambda_N"], vals["lambda_P_2T"])]},
-        {"item": 5,
-         "description": "Neumann kernel at (0,0) doubles the extension's periodic "
-                        "corner value; its first zero is the first eigenvalue of "
-                        "u(0)=u'(T)=0",
-         "checks": checks00},
-        {"item": 6,
-         "description": "Neumann kernel at (T,T) doubles the extension's periodic "
-                        "corner value; its first zero is the first eigenvalue of "
-                        "u'(0)=u(T)=0",
-         "checks": checksTT},
-        {"item": 7,
-         "description": "first anti-periodic eigenvalue of the extension is the "
-                        "smaller of the two mixed eigenvalues",
-         "checks": [eq(vals["lambda_A_2T"],
-                       min(vals["lambda_M1"], vals["lambda_M2"]))]},
-        {"item": 8,
-         "description": "first eigenvalue of u(0)=u'(T)=0 equals the extension's "
-                        "first Dirichlet eigenvalue and both precede the base "
-                        "Dirichlet eigenvalue",
-         "checks": [eq(vals["lambda_M2"], vals["lambda_D_2T"]),
-                    lt(vals["lambda_D_2T"], vals["lambda_D"])]},
-        {"item": 9,
-         "description": "first Neumann eigenvalue precedes the first eigenvalue "
-                        "of u'(0)=u(T)=0",
-         "checks": [lt(vals["lambda_N"], vals["lambda_M1"])]},
-    ]
-    for item in items:
-        item["pass"] = all(c["pass"] for c in item["checks"])
-    vals["corner_root_00"] = root00
-    vals["corner_root_TT"] = rootTT
+    items = []
+    for item, (description, links) in _FIRST_RELATIONS.items():
+        checks = corner_checks(*links) if isinstance(links, tuple) else [
+            _link(lhs, operands[lhs], rel, rhs, operands[rhs], tol if rel == "=" else margin)
+            for lhs, rel, rhs in links]
+        items.append({"item": item, "description": description, "checks": checks,
+                      "pass": all(c["pass"] for c in checks)})
     return {"values": vals, "items": items, "tol": tol, "margin": margin,
             "pass": all(item["pass"] for item in items)}
 
 
-def _chain_links(sequence: list[tuple[str, float]], relations: list[str],
-                 margin_floor: float = 0.0) -> dict:
-    links = []
-    for (name_a, va), (name_b, vb), rel in zip(sequence, sequence[1:], relations):
-        ok = va < vb - margin_floor if rel == "<" else va <= vb + 1e-9
-        links.append({"lhs": name_a, "rhs": name_b, "relation": rel,
-                      "lhs_value": va, "rhs_value": vb,
-                      "margin": vb - va, "pass": bool(ok)})
-    return {"links": links, "pass": all(l["pass"] for l in links)}
-
-
-def verify_interlacing(p: Potential, count: int = 3, search_range=None,
-                       n_scan: int = DEFAULT_SCAN, *, margin: float = 1e-6,
-                       integrator_tol: float = DEFAULT_TOL) -> dict:
+def verify_interlacing(p: Potential, count: int = 3, n_scan: int = DEFAULT_SCAN, *,
+                       margin: float = 1e-6, integrator_tol: float = DEFAULT_TOL) -> dict:
     """Ordering chains tying the four separated spectra to the extension's.
 
     Covers the classical alternation of periodic and anti-periodic
     eigenvalues of the even extension, the per-index interlacing of each
     mixed spectrum with Neumann and Dirichlet, and the grouped global
-    chain.  Mixed-vs-mixed and Neumann-vs-Dirichlet alternation is only
-    observed and reported, never asserted.
+    chain, over the first ``count`` indices, an integer of at least 1
+    (Magnus & Winkler, Hill's Equation, 1966, ch. 2).  Each link is graded
+    "<" by more than ``margin``, or "<=" within 1e-9; a group link compares
+    the largest of one group with the smallest of the next.  Mixed-vs-mixed
+    and Neumann-vs-Dirichlet alternation is only observed and reported,
+    never asserted.  The chains pair eigenvalues by index from the lowest,
+    so every spectrum is taken from its first eigenvalue on.
     """
+    count = _check_n(count, "count")
     _check_positive(margin, "margin")
     need = count + 2
-    sep = {bc: find_eigenvalues(p, bc, search_range=search_range,
-                                max_count=need, n_scan=n_scan,
+    sep = {bc: find_eigenvalues(p, bc, max_count=need, n_scan=n_scan,
                                 integrator_tol=integrator_tol).values()
            for bc in ("N", "D", "M1", "M2")}
     if any(len(v) < count + 1 for v in sep.values()):
@@ -740,88 +713,53 @@ def verify_interlacing(p: Potential, count: int = 3, search_range=None,
                 "found": {k: len(v) for k, v in sep.items()}}
 
     even = p.even_extension()
-    spec_p = find_eigenvalues(even, "P", max_count=2 * need, n_scan=n_scan,
-                              integrator_tol=integrator_tol, method="union")
-    spec_a = find_eigenvalues(even, "A", max_count=2 * need, n_scan=n_scan,
-                              integrator_tol=integrator_tol, method="union")
-    pexp = spec_p.expanded()
-    aexp = spec_a.expanded()
+    spec_p, spec_a = (find_eigenvalues(even, bc, max_count=2 * need, n_scan=n_scan,
+                                       integrator_tol=integrator_tol, method="union")
+                      for bc in ("P", "A"))
+    pexp, aexp = spec_p.expanded(), spec_a.expanded()
 
-    chains = {}
+    def chain(members: list[tuple[str, tuple[float, ...]]], relations=("<",)) -> dict:
+        """Each member's largest value against the next one's smallest, the
+        relations taken in turn."""
+        links = [_link(a, max(va), rel, b, min(vb), margin)
+                 for (a, va), rel, (b, vb) in zip(members, cycle(relations), members[1:])]
+        return {"links": links, "pass": all(link["pass"] for link in links)}
 
     # lambda_0 < mu_1 <= mu_2 < lambda_1 <= lambda_2 < mu_3 <= mu_4 < ...
-    seq: list[tuple[str, float]] = []
-    rels: list[str] = []
-    groups = min((len(pexp) - 1) // 2, len(aexp) // 2, count)
-    if pexp and aexp:
-        seq.append(("P0", pexp[0]))
-        for g in range(groups):
-            seq.append((f"A{2*g+1}", aexp[2 * g]))
-            seq.append((f"A{2*g+2}", aexp[2 * g + 1]))
-            rels.extend(["<", "<="])
-            if 2 * g + 2 < len(pexp):
-                seq.append((f"P{2*g+1}", pexp[2 * g + 1]))
-                seq.append((f"P{2*g+2}", pexp[2 * g + 2]))
-                rels.extend(["<", "<="])
-    chains["oscillation"] = _chain_links(seq, rels, margin)
-    chains["oscillation"]["sequence"] = [v for _, v in seq]
-
-    def per_index(name: str, low: str, mid: str) -> None:
-        seq2: list[tuple[str, float]] = []
-        rels2: list[str] = []
-        for k in range(count):
-            seq2.append((f"{low}{k}", sep[low][k]))
-            seq2.append((f"{mid}{k}", sep[mid][k]))
-            rels2.extend(["<", "<"])
-        seq2.append((f"{low}{count}", sep[low][count]))
-        chains[name] = _chain_links(seq2, rels2, margin)
-
-    per_index("N_M1", "N", "M1")
-    per_index("M2_D", "M2", "D")
-    per_index("N_M2", "N", "M2")
-    per_index("M1_D", "M1", "D")
-
+    oscillation = [("P0", (pexp[0],))] if pexp and aexp else []
+    for g in range(min((len(pexp) - 1) // 2, len(aexp) // 2, count)):
+        oscillation += [(f"A{2*g+1}", (aexp[2 * g],)), (f"A{2*g+2}", (aexp[2 * g + 1],)),
+                        (f"P{2*g+1}", (pexp[2 * g + 1],)), (f"P{2*g+2}", (pexp[2 * g + 2],))]
+    chains = {"oscillation": {**chain(oscillation, ("<", "<=")),
+                              "sequence": [v for _, (v,) in oscillation]}}
+    # low_0 < mid_0 < low_1 < ... < low_count
+    for name, low, mid in (("N_M1", "N", "M1"), ("M2_D", "M2", "D"),
+                           ("N_M2", "N", "M2"), ("M1_D", "M1", "D")):
+        chains[name] = chain([(f"{bc}{k}", (sep[bc][k],)) for k in range(count)
+                              for bc in (low, mid)] + [(f"{low}{count}", (sep[low][count],))])
     # N0 < {M1_0, M2_0} < {D0, N1} < {M1_1, M2_1} < ...
-    group_links = []
-    prev_name, prev_max = "N0", sep["N"][0]
-    for k in range(count):
-        for names, vals2 in (((f"M1_{k}", f"M2_{k}"),
-                              (sep["M1"][k], sep["M2"][k])),
-                             ((f"D{k}", f"N{k+1}"),
-                              (sep["D"][k], sep["N"][k + 1]))):
-            lo_v = min(vals2)
-            ok = lo_v - prev_max > margin
-            group_links.append({"lhs": prev_name, "rhs": "/".join(names),
-                                "margin": lo_v - prev_max, "pass": bool(ok)})
-            prev_name, prev_max = "/".join(names), max(vals2)
-    chains["groups"] = {"links": group_links,
-                        "pass": all(l["pass"] for l in group_links)}
+    chains["groups"] = chain([("N0", (sep["N"][0],))] + [
+        group for k in range(count)
+        for group in ((f"M1_{k}/M2_{k}", (sep["M1"][k], sep["M2"][k])),
+                      (f"D{k}/N{k+1}", (sep["D"][k], sep["N"][k + 1])))])
 
     # Multiplicity coherence of the union assembly.
-    parity = [{"value": entry["value"], "from": entry["from"],
-               "pass": set(entry["from"]) == pair}
+    parity = [{**entry, "pass": set(entry["from"]) == pair}
               for spec, pair in ((spec_a, {"M1", "M2"}), (spec_p, {"N", "D"}))
               for entry in spec.audit.get("sources", []) if len(entry["from"]) == 2]
-    parity_pass = all(e["pass"] for e in parity) if parity else True
+    parity_pass = all(e["pass"] for e in parity)
 
     def pattern(first: str, second: str) -> str:
-        tags = sorted([(v, first) for v in sep[first][:need]]
-                      + [(v, second) for v in sep[second][:need]])
-        return "".join(t for _, t in tags)
+        return "".join(bc for _, bc in sorted((v, bc) for bc in (first, second) for v in sep[bc]))
 
-    observations = {
-        "mixed_order_pattern": pattern("M1", "M2"),
-        "neumann_dirichlet_pattern": pattern("N", "D"),
-        "mixed_spectra_coincide": bool(
-            max(abs(x - y) for x, y in zip(sep["M1"][:count], sep["M2"][:count]))
-            <= 1e-6),
-    }
-
-    ok_all = all(c["pass"] for c in chains.values()) and parity_pass
-    return {"potential": p.descriptor_hash(), "count": count,
-            "chains": chains, "pair_parity": parity,
-            "pair_parity_pass": parity_pass,
-            "observations": observations, "pass": bool(ok_all)}
+    observations = {"mixed_order_pattern": pattern("M1", "M2"),
+                    "neumann_dirichlet_pattern": pattern("N", "D"),
+                    "mixed_spectra_coincide": bool(max(abs(x - y) for x, y in zip(
+                        sep["M1"][:count], sep["M2"][:count])) <= 1e-6)}
+    return {"potential": p.descriptor_hash(), "count": count, "chains": chains,
+            "pair_parity": parity, "pair_parity_pass": parity_pass,
+            "observations": observations,
+            "pass": all(c["pass"] for c in chains.values()) and parity_pass}
 
 
 def stability_intervals(p: Potential, search_range=None, n_scan: int = DEFAULT_SCAN, *,

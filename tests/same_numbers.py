@@ -16,10 +16,13 @@ Cases: ex1-ex4, a cosine and a step; lambda from -20 to 7.3; n in
 {7, 60, 300}.  Sections: kernels (tables, ``table_slice``, ``G.value``,
 ``kernel_value``, ``classify_sign``, closed forms); catalog and dominance;
 BVP values and scalar/array u, u'; spectra and sweep samples;
-``Potential.eval`` and ``trajectory`` reads; the command line (stdout,
-stderr, exit code and any ``--output`` file of a fixed command set).  The
-catalog section is also printed with ``lhs_scale`` left out, and the spectra
-section with each spectrum's ``audit`` included.
+``Potential.eval`` and ``trajectory`` reads; spectral relations (the
+verdicts and values of ``verify_spectral_decomposition``,
+``first_eigenvalue_relations`` and ``verify_interlacing``, read by field so
+that a record's layout can change under the hash, at two counts); the
+command line (stdout, stderr, exit code and any ``--output`` file of a fixed
+command set).  The catalog section is also printed with ``lhs_scale`` left
+out, and the spectra section with each spectrum's ``audit`` included.
 """
 
 import hashlib
@@ -33,8 +36,9 @@ import numpy as np
 
 from hillgreen import (BC_ALL, DOMINANCE_RELATIONS, DomainError, Potential, build_green,
                        classify_sign, closed_form_constant, discriminant_samples,
-                       find_eigenvalues, fundamental_solutions, kernel_value, load_builtin,
-                       solve_bvp, table_slice, verify_all, verify_dominance)
+                       find_eigenvalues, first_eigenvalue_relations, fundamental_solutions,
+                       kernel_value, load_builtin, solve_bvp, table_slice, verify_all,
+                       verify_dominance, verify_interlacing, verify_spectral_decomposition)
 
 POTENTIALS = {**{name: load_builtin(name) for name in ("ex1", "ex2", "ex3", "ex4")},
               "cosine": Potential.cosine(1.3, c0=0.4, c1=0.9, omega=2.1),
@@ -180,6 +184,21 @@ def reads(h) -> None:
                       _call(basis.trajectory, np.array(pts))])
 
 
+def relations(h) -> None:
+    for name, p in POTENTIALS.items():
+        first = first_eigenvalue_relations(p)
+        _feed(h, [name, first["pass"], first["values"],
+                  [(item["item"], item["pass"]) for item in first.get("items", [])]])
+        for count in (2, 5):
+            split = verify_spectral_decomposition(p, count=count)
+            fields = ("lhs", "rhs", "max_diff", "pass", "search_range")
+            _feed(h, [count, split["pass"],
+                      [[e[key] for key in fields] for e in split["equalities"]]])
+            lace = verify_interlacing(p, count=count)
+            _feed(h, [lace["pass"], {key: c["pass"] for key, c in lace.get("chains", {}).items()},
+                      lace.get("pair_parity_pass"), lace.get("observations")])
+
+
 # hillgreen commands; FILE stands for an --output path
 COMMANDS = (
     "green --potential ex3 --lambda 0.3 --bc N --n 60",
@@ -216,7 +235,7 @@ def main() -> None:
                 ("catalog, lhs_scale left out", lambda h: catalog(h, with_scale=False)),
                 ("bvp", bvp), ("spectra and sweep", spectra),
                 ("spectra and sweep, audit included", lambda h: spectra(h, with_audit=True)),
-                ("reads", reads), ("cli", cli))
+                ("reads", reads), ("spectral relations", relations), ("cli", cli))
     for label, fill in sections:
         h = hashlib.sha256()
         fill(h)

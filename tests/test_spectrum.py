@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import warnings
@@ -27,7 +28,7 @@ from hillgreen import integrator, spectrum
 from hillgreen.errors import DomainError, IntegrationError
 from hillgreen.greens import BoundaryCondition
 from hillgreen.integrator import DEFAULT_TOL, endpoint_scan
-from hillgreen.spectrum import DEFAULT_SCAN, _batch_roots, _refine_roots
+from hillgreen.spectrum import DEFAULT_SCAN, _batch_roots, _link, _refine_roots
 
 from helpers import step_state
 
@@ -253,6 +254,53 @@ def test_length_restricts_before_choosing_method(bc):
     assert got.audit.get("method") == want.audit.get("method")
     if bc == "P":
         assert got.values()[0] == pytest.approx(0.066386, abs=1e-6)
+
+
+def test_first_eigenvalue_relations_follow_the_table(cos_pi):
+    rep = first_eigenvalue_relations(cos_pi)
+    assert [item["item"] for item in rep["items"]] == [1, 5, 6, 7, 8, 9]
+    values = rep["values"]
+    operands = {**values, "lambda_M": min(values["lambda_M1"], values["lambda_M2"])}
+    for item in rep["items"]:
+        # a corner item's kernel checks name kernel values; its last check,
+        # like every check of the other items, names two first eigenvalues
+        named = item["checks"] if item["item"] not in (5, 6) else item["checks"][-1:]
+        for check in named:
+            assert (operands[check["lhs"]], operands[check["rhs"]]) == \
+                (check["lhs_value"], check["rhs_value"]), (item["item"], check)
+        for check in item["checks"]:
+            assert check["margin"] == check["rhs_value"] - check["lhs_value"]
+            assert check["relation"] in ("=", "<")
+
+
+def _above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+def _below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+# (relation, lhs value, rhs value, verdict) with bound 0.25: at the bound, just
+# inside it and just outside it; "<=" ignores the bound and allows 1e-9
+@pytest.mark.parametrize("relation,lhs,rhs,ok", [
+    ("=", 0.0, 0.25, True), ("=", 0.0, _below(0.25), True), ("=", 0.0, _above(0.25), False),
+    ("=", 0.25, 0.0, True), ("=", _above(0.25), 0.0, False),
+    ("<", 0.0, 0.25, False), ("<", 0.0, _above(0.25), True), ("<", 0.0, _below(0.25), False),
+    ("<=", 1e-9, 0.0, True), ("<=", _below(1e-9), 0.0, True), ("<=", _above(1e-9), 0.0, False),
+])
+def test_link_grades_each_relation_at_its_bound(relation, lhs, rhs, ok):
+    assert _link("a", lhs, relation, "b", rhs, 0.25) == {
+        "lhs": "a", "rhs": "b", "relation": relation, "lhs_value": lhs, "rhs_value": rhs,
+        "margin": rhs - lhs, "pass": ok}
+
+
+def test_interlacing_takes_no_search_range(zero1):
+    # its chains pair eigenvalues by index from the lowest one, which a range
+    # above N0 would drop; a stale positional range now fails in n_scan
+    assert "search_range" not in inspect.signature(verify_interlacing).parameters
+    with pytest.raises(ValueError, match="^n_scan must be an integer, got "):
+        verify_interlacing(zero1, 3, (1.0, 200.0))
 
 
 def test_relations_values_zero_potential(zero1):
@@ -838,3 +886,10 @@ def test_eigenvalue_indices_consecutive(cos2_pi):
 def test_relation_tolerance_must_be_finite_and_positive(entry, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
         entry(load_builtin("ex1"), bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5, math.nan, "3"])
+@pytest.mark.parametrize("entry", [verify_spectral_decomposition, verify_interlacing])
+def test_relation_count_must_be_a_positive_integer(entry, bad):
+    with pytest.raises(ValueError, match="^count must be "):
+        entry(load_builtin("ex1"), count=bad)
