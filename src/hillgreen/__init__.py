@@ -15,9 +15,8 @@ from .comparison import (COMPARISON_THEOREMS, DOMINANCE_RELATIONS, SignReport,
 from .errors import (DomainError, HillgreenError, HypothesisNotMet,
                      IntegrationError, PoleError, ResonanceError)
 from .greens import (BC_ALL, BoundaryCondition, BvpSolution, GreensFunction,
-                     boundary_residual, build_green, closed_form_constant,
-                     estimate_diagonal_jump, kernel_value, solve_bvp,
-                     table_slice)
+                     build_green, closed_form_constant, kernel_value,
+                     solve_bvp, table_slice)
 from .identities import (CATALOG, IDENTITY_NAMES, Identity, IdentityReport,
                          Term, verify_all, verify_identity)
 from .integrator import (DEFAULT_TOL, SolutionBasis, clear_cache, discriminant,
@@ -25,9 +24,8 @@ from .integrator import (DEFAULT_TOL, SolutionBasis, clear_cache, discriminant,
 from .potential import BUILTIN_NAMES, Potential, load_builtin
 from .spectrum import (Eigenvalue, Spectrum, dirichlet_zero_count,
                        discriminant_samples, find_eigenvalues,
-                       first_eigenvalue_relations, neumann_extension_residual,
-                       stability_intervals, verify_interlacing,
-                       verify_spectral_decomposition)
+                       first_eigenvalue_relations, stability_intervals,
+                       verify_interlacing, verify_spectral_decomposition)
 
 __version__ = "0.1.0"
 
@@ -56,7 +54,6 @@ __all__ = [
     "SolutionBasis",
     "Spectrum",
     "Term",
-    "boundary_residual",
     "build_green",
     "classify_sign",
     "clear_cache",
@@ -65,13 +62,11 @@ __all__ = [
     "discriminant",
     "discriminant_samples",
     "endpoint_scan",
-    "estimate_diagonal_jump",
     "find_eigenvalues",
     "first_eigenvalue_relations",
     "fundamental_solutions",
     "kernel_value",
     "load_builtin",
-    "neumann_extension_residual",
     "predicted_sign_interval",
     "sign_threshold_consistency",
     "solve_bvp",

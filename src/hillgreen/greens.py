@@ -28,11 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PoleError, ResonanceError
-from .integrator import (_NODE_STATES, _WORKSPACES, DEFAULT_TOL, SolutionBasis, _kernel_basis,
-                         _memo)
-# kept bound though kernels read ``_kernel_basis``: bench/test_bench.py checks
-# that the tracer wraps it in this module too
-from .integrator import fundamental_solutions  # noqa: F401
+from .integrator import (_NODE_STATES, _WORKSPACES, DEFAULT_TOL, SolutionBasis, _memo,
+                         fundamental_solutions)
 from .potential import Potential, _on_domain
 
 __all__ = [
@@ -46,8 +43,6 @@ __all__ = [
     "kernel_value",
     "solve_bvp",
     "table_slice",
-    "estimate_diagonal_jump",
-    "boundary_residual",
 ]
 
 RESONANCE_RTOL = 1e-10
@@ -499,7 +494,7 @@ def _kernel_cache(p: Potential, n: int, lam: float, tol: float) -> _KernelCache:
     """The workspace of p at lambda on n pieces, kept in the workspace cache
     unless its grid has more than ``_NODE_STATES`` nodes."""
     n = _check_n(n)
-    basis = _kernel_basis(p, lam, tol)
+    basis = fundamental_solutions(p, lam, tol=tol)
     if n + 1 > _NODE_STATES:
         return _KernelCache(basis, n)
     return _memo(_WORKSPACES, (p, basis.lam, basis.tol, n), lambda: _KernelCache(basis, n))
@@ -518,8 +513,8 @@ def build_green(p: Potential, lam: float, bc, n: int = 100, *,
     k_low, k_up, margin = cache._branches("base", bc.value)
     basis, L = cache.basis, cache.L
     table = _node_table(*cache.factors(np.arange(cache.n + 1), "base", bc.value)[:3])
-    # the basis is _kernel_basis's, of Magnus steps with det 1 to rounding: its
-    # Wronskian drift |det M - 1| is rounding of det M, not its error
+    # the basis's Magnus steps have det 1 to rounding: its Wronskian drift
+    # |det M - 1| is rounding of det M, not its error
     meta = {
         "potential": p.descriptor(),
         "tol": tol,
@@ -537,7 +532,7 @@ def kernel_value(p: Potential, lam: float, bc, t: float, s: float, *,
                  tol: float = DEFAULT_TOL) -> float:
     """One kernel value G(t, s) of ``build_green``'s kernel, from the same branch
     matrices and resonance check, without forming a grid or a workspace."""
-    basis = _kernel_basis(p, lam, tol)
+    basis = fundamental_solutions(p, lam, tol=tol)
     k_low, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, BoundaryCondition.parse(bc),
                                       basis.length)
     return KernelBranches(basis, k_low, k_up).value(t, s)
@@ -564,47 +559,6 @@ def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFun
     return GreensFunction(bc=bc, length=L, lam=m * m, n=n, grid=grid,
                           table=branches.node_table(grid),
                           branches=branches, meta={"closed_form": True, "m": m})
-
-
-def estimate_diagonal_jump(G: GreensFunction, npts: int = 20, h: float = 3e-4) -> np.ndarray:
-    """Finite-difference estimates of the dG/dt jump across s = t (exact value 1).
-
-    Uses centered differences of each branch separately; both branches are
-    analytic across the diagonal so the stencils may straddle it.
-    """
-    L = G.length
-    pts = np.linspace(0.05 * L, 0.95 * L, npts)
-    low_p, up_p = G.branches.tables(pts + h, pts)
-    low_m, up_m = G.branches.tables(pts - h, pts)
-    dlow = np.diagonal(low_p - low_m) / (2 * h)
-    dup = np.diagonal(up_p - up_m) / (2 * h)
-    return dlow - dup
-
-
-def boundary_residual(G: GreensFunction) -> float:
-    """Worst violation of the defining endpoint conditions over the s grid.
-
-    Several separated conditions come out exactly zero in floating point
-    because the corresponding kernel coefficients cancel algebraically.
-    """
-    s = G.grid
-    br = G.branches
-    zero = np.zeros(1)
-    val_at_0 = br.tables(zero, s)[1][0]      # t = 0 lies in the upper branch
-    val_at_L = br.tables(np.array([G.length]), s)[0][0]
-    dt_at_0 = br.tables(zero, s, deriv=True)[1][0]
-    dt_at_L = br.tables(np.array([G.length]), s, deriv=True)[0][0]
-
-    bc = G.bc
-    if not bc.is_coupled:
-        d0, dT = bc.ends
-        r0, r1 = (val_at_0, dt_at_0)[d0], (val_at_L, dt_at_L)[dT]
-    else:
-        # interior s only: at s = 0 and s = L the branch assignment is ambiguous
-        keep = slice(1, -1) if len(s) > 2 else slice(None)
-        r0 = (val_at_L - bc.sign * val_at_0)[keep]
-        r1 = (dt_at_L - bc.sign * dt_at_0)[keep]
-    return float(max(np.max(np.abs(r0)), np.max(np.abs(r1))))
 
 
 def _integrand(sigma, t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -718,7 +672,7 @@ def solve_bvp(p: Potential, lam: float, bc, sigma, n: int = 100, *,
     """
     bc = BoundaryCondition.parse(bc)
     n = _check_n(n)
-    basis = _kernel_basis(p, lam, tol)
+    basis = fundamental_solutions(p, lam, tol=tol)
     L = basis.length
     _, k_up, _ = _branch_matrices(basis.monodromy, basis.lam, bc, L)
 

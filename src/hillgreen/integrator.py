@@ -1,36 +1,33 @@
 """Fundamental solutions of u'' + (a(t) + lambda) u = 0.
 
-The normalized pair y1, y2 comes by three routes. ``fundamental_solutions``
-integrates one lambda at a time by DOP853 and serves ``discriminant``, the
-Dirichlet oscillation audit and any caller of its own. ``_kernel_basis``
-takes Magnus-6 steps instead and serves every kernel, ``kernel_value`` and
-``solve_bvp``. Both bases are cached by ``_memo``, like the kernel
-workspaces of ``greens._KernelCache``. A vectorized sweep over many lambdas at once both scans for
-eigenvalue brackets and, with its steps planned once at the integrator
-tolerance, refines them.
+The normalized pair y1, y2 has one basis, ``fundamental_solutions``, on
+Magnus-6 steps, cached by ``_memo`` like the kernel workspaces of
+``greens._KernelCache``: every kernel, ``kernel_value``, ``solve_bvp`` and
+``discriminant`` read it. A vectorized sweep over many lambdas at once both
+scans for eigenvalue brackets and, with its steps planned once at the
+integrator tolerance, refines them. The Dirichlet oscillation audit alone
+integrates by adaptive Dormand-Prince 8(5,3) (``solve_ivp``, method DOP853,
+in ``_audit_states``), as its cross-check of the Magnus scan.
 
 All work piecewise: segments end at the potential's breakpoints and at the
 nodes of its table pieces, so no step straddles a jump of a or of a'. A
 segment inside a constant piece (directly or through mirror wrappers) takes
 one exact transfer step, with cos/sin of sqrt(q) h, cosh/sinh for q < 0 and
-(1, h) for q = 0, in every route. Other segments use adaptive Dormand-Prince
-8(5,3) (``solve_ivp``, method DOP853) in ``fundamental_solutions``, and equal
-6th-order Magnus steps elsewhere (three-point Gauss; Iserles & Norsett 1999,
-Blanes, Casas & Ros 2000, Blanes, Casas, Oteo & Ros 2009): each step is
-exp(Omega) with Omega = [[d, e], [f, -d]] affine in lambda, and the exact
-step is the same formula with d = 0, e = h, f = -h q.
+(1, h) for q = 0, in every route. Other segments take equal 6th-order
+Magnus steps (three-point Gauss; Iserles & Norsett 1999, Blanes, Casas &
+Ros 2000, Blanes, Casas, Oteo & Ros 2009): each step is exp(Omega) with
+Omega = [[d, e], [f, -d]] affine in lambda, and the exact step is the same
+formula with d = 0, e = h, f = -h q.
 
 A basis keeps one flat table of pieces (``_PieceTable``): each constant
-segment and each DOP853 or Magnus step, with its start state and either q,
-the step's 7th-degree dense-output polynomial (Hairer, Norsett & Wanner,
-Solving ODEs I, II.6), or, for a Magnus step, nothing more: a point inside
-is read by one Magnus step from the start. Any batch of points is read from
-it by one search and one vectorized pass per kind of piece. The kernel
-basis's step count per segment comes from a ladder over the states at every
-step end (``_kernel_steps``). The sweep's comes from a Richardson estimate
-at the segment's end (n against 2n steps at a few probe lambdas), one
-ladder for every accuracy asked, whose levels up to 256 steps are formed in
-one pass, and the steps of a block of lambdas, one (2, 2, steps, lambdas)
+segment and each Magnus step, with its start state and q; a point inside a
+Magnus step is read by one Magnus step from the start. Any batch of points
+is read from it by one search and one vectorized pass per kind of piece.
+The basis's step count per segment comes from a ladder over the states at
+every step end (``_kernel_steps``). The sweep's comes from a Richardson
+estimate at the segment's end (n against 2n steps at a few probe lambdas),
+one ladder for every accuracy asked, whose levels up to 256 steps are formed
+in one pass, and the steps of a block of lambdas, one (2, 2, steps, lambdas)
 array, are multiplied out pairwise as a tree.
 """
 
@@ -324,37 +321,32 @@ def _magnus_transfer(d0, d1, e, f0, g, lams):
 
 
 class _PieceTable(NamedTuple):
-    """The pieces of a solution basis: each constant segment, and each DOP853 or
-    Magnus step.
+    """The pieces of a solution basis of (p, lambda): each constant segment and
+    each Magnus step.
 
     Row j starts at ``starts[j]`` in state ``states[j]``. On a constant
     piece ``q[j]`` = a + lambda and t is read by the exact step from there.
-    On a smooth piece ``q[j]`` is NaN. A DOP853 step is read by its dense
-    output, from its length ``h[j]`` and coefficients ``coeffs[j]`` (the
-    ``F`` of scipy's ``Dop853DenseOutput``). A table with ``magnus`` = (p,
-    lambda) has Magnus steps instead, and t is read by one Magnus-6 step of
-    length t - ``starts[j]``; ``h`` and ``coeffs`` are None there.
+    On a Magnus step ``q[j]`` is NaN and t is read by one Magnus-6 step of
+    length t - ``starts[j]``.
     """
 
     starts: np.ndarray
     states: np.ndarray
     q: np.ndarray
-    h: np.ndarray | None
-    coeffs: np.ndarray | None
-    magnus: tuple | None = None
+    p: Potential
+    lam: float
 
     def read(self, t: np.ndarray) -> np.ndarray:
         """States (4, t.size) at t in [0, L], each from the last piece starting
         at or before it."""
         k = np.searchsorted(self.starts, t, side="right") - 1
         smooth = np.isnan(self.q[k])
-        read = self._dop853 if self.magnus is None else self._magnus
         if smooth.all():
-            return read(t, k)
+            return self._magnus(t, k)
         if not smooth.any():
             return self._exact(t, k)
         out = np.empty((4, t.size))
-        out[:, smooth] = read(t[smooth], k[smooth])
+        out[:, smooth] = self._magnus(t[smooth], k[smooth])
         out[:, ~smooth] = self._exact(t[~smooth], k[~smooth])
         return out
 
@@ -370,14 +362,9 @@ class _PieceTable(NamedTuple):
             c, s = _oscillating(w2) if w2 > 0 else _growing(w2) if w2 < 0 else (1.0, 1.0)
             s = s * h
             return _apply((c, s, -q * s, c), y0).tolist()
-        if self.magnus is None:
-            x, y = h / float(self.h[k]), [0.0] * 4
-            for i, f in enumerate(reversed(self.coeffs[k].tolist())):  # _dop853's loop
-                y = [(a + b) * (1 - x if i % 2 else x) for a, b in zip(y, f)]
-            return [a + b for a, b in zip(y, y0)]
         # _magnus: the potential as its array path forms it (the piece's values on
         # an array, plus the shift), then _magnus_steps on floats
-        p, lam = self.magnus
+        p, lam = self.p, self.lam
         mid = t0 + 0.5 * h
         a = [v + p.shift for v in p._piece_at(mid).values(np.array(_gauss_nodes(mid, h))).tolist()]
         d0, d1, e, f0, g = _magnus_coeffs(h, *a)
@@ -390,20 +377,8 @@ class _PieceTable(NamedTuple):
     def _exact(self, t, k):
         return _exact_step(self.states[k].T, self.q[k], t - self.starts[k])
 
-    def _dop853(self, t, k):
-        # Dop853DenseOutput._call_impl on the gathered steps, operation for
-        # operation, so every value is scipy's to the last bit
-        x = ((t - self.starts[k]) / self.h[k])[:, None]
-        factors = (x, 1 - x)
-        y = np.zeros((t.size, 4))
-        for i, f in enumerate(self.coeffs[k][:, ::-1].transpose(1, 0, 2)):
-            y += f
-            y *= factors[i % 2]
-        y += self.states[k]
-        return y.T
-
     def _magnus(self, t, k):
-        p, lam = self.magnus
+        p, lam = self.p, self.lam
         h = t - self.starts[k]
         a = p.eval(np.concatenate(_gauss_nodes(self.starts[k] + 0.5 * h, h))).reshape(3, h.size)
         m = _magnus_steps(*_magnus_coeffs(h, *a), np.array([lam]))
@@ -416,10 +391,9 @@ class SolutionBasis:
 
     y1 solves y(0)=1, y'(0)=0; y2 solves y(0)=0, y'(0)=1. The state vector
     is (y1, y1', y2, y2') and ``trajectory`` evaluates it anywhere on
-    [0, length] from a table of the integration's pieces (``_PieceTable``):
-    the constant segments and the DOP853 steps with their dense output, or
-    the Magnus steps. Its kernel workspaces (``greens._KernelCache``) live in
-    ``_WORKSPACES``.
+    [0, length] from a table of its pieces (``_PieceTable``): the constant
+    segments and the Magnus steps. Its kernel workspaces
+    (``greens._KernelCache``) live in ``_WORKSPACES``.
     """
 
     lam: float
@@ -490,20 +464,19 @@ def _memo(cache: OrderedDict, key, make):
 
 def fundamental_solutions(p: Potential, lam: float, *,
                           tol: float = DEFAULT_TOL) -> SolutionBasis:
-    """Solve for the normalized basis over [0, T], the domain of ``p``.
+    """Solve for the normalized basis over [0, T], the domain of ``p``, on Magnus-6 steps.
 
-    A segment inside a constant piece takes one exact transfer step, and its
-    dense output is the same closed form. Every other segment is integrated
-    by ``solve_ivp`` with DOP853 at rtol = max(tol/10, 1e-13) and
-    atol = max(tol * 1e-3, 1e-15). These are per-step tolerances: the
-    global error grows with the number of oscillations, and at lambda = 1e4
-    on ex3's even extension it is about 4.9e-10 relative to max(1, |Y|)
-    even at tol 1e-13. Each segment and each DOP853 step becomes a row of
-    the basis's piece table. Results are cached per (potential, lambda,
-    tolerance); the cache is threadsafe and bounded.
+    A segment inside a constant piece takes one exact transfer step; every
+    other segment takes the equal steps of ``_kernel_steps``, chosen so that
+    the states at every step end meet ``tol``. Each is a row of the basis's
+    piece table, read inside by one step of length t - its start. Every step
+    matrix has det 1 to rounding, so the basis's Wronskian drift is rounding
+    by construction. Results are cached per (potential, lambda, tolerance);
+    the cache is threadsafe and bounded. Raises ``IntegrationError`` when a
+    segment would need more than 2**16 steps.
     """
     lam, tol = _check_lam_tol(lam, tol)
-    return _memo(_CACHE, (p, lam, tol), lambda: _integrate(p, lam, tol))
+    return _memo(_CACHE, (p, lam, tol), lambda: _magnus_basis(p, lam, tol))
 
 
 def _check_lam_tol(lam: float, tol: float) -> tuple[float, float]:
@@ -514,59 +487,8 @@ def _check_lam_tol(lam: float, tol: float) -> tuple[float, float]:
     return lam, tol
 
 
-def _integrate(p: Potential, lam: float, tol: float) -> SolutionBasis:
-    """The basis of ``fundamental_solutions``, integrated afresh."""
-    L = p.domain_length
-    edges, consts = _segments(p)
-    rtol = max(tol / 10.0, 1e-13)
-    atol = max(tol * 1e-3, 1e-15)
-    y = np.array([1.0, 0.0, 0.0, 1.0])
-    # rows of the piece table: (start, state, q, h, coefficients)
-    rows = []
-    for t0, t1, const in zip(edges, edges[1:], consts):
-        if const is not None:
-            rows.append((t0, y, const + lam, math.nan, np.zeros((7, 4))))
-            y = _exact_step(y, const + lam, t1 - t0)
-            continue
-        # stage times can land exactly on t1; clamp the evaluation onto this
-        # segment's piece so a jump's right-hand value never leaks in
-        back = t1 - 1e-12 * (1.0 + L)
-
-        def rhs(t, y, _b=back):
-            q = p.eval(min(t, _b)) + lam
-            return (y[1], -q * y[0], y[3], -q * y[2])
-
-        res = solve_ivp(rhs, (t0, t1), y, method="DOP853", dense_output=True,
-                        rtol=rtol, atol=atol)
-        if not res.success:
-            raise IntegrationError(
-                f"integration stalled on [{t0}, {t1}] at lambda={lam}: {res.message}",
-                t=float(res.t[-1]) if res.t.size else t0)
-        rows.extend((s.t_old, s.y_old, math.nan, s.h, s.F) for s in res.sol.interpolants)
-        y = res.y[:, -1]
-
-    pieces = _PieceTable(*(np.array(column) for column in zip(*rows)))
-    return SolutionBasis(lam=lam, length=L, tol=tol,
-                         y1_end=float(y[0]), y1p_end=float(y[1]),
-                         y2_end=float(y[2]), y2p_end=float(y[3]),
-                         _edges=edges, _pieces=pieces)
-
-
-def _kernel_basis(p: Potential, lam: float, tol: float) -> SolutionBasis:
-    """The basis that every kernel and ``solve_bvp`` read: the pair of
-    ``fundamental_solutions`` on Magnus-6 steps instead of DOP853, cached beside it.
-
-    A constant segment takes its exact step, as there; a smooth segment takes
-    the steps of ``_kernel_steps``. Each is a row of the piece table, read
-    inside by one step of length t - its start. Every step matrix has det 1 to
-    rounding, so this basis's Wronskian drift is rounding by construction.
-    """
-    lam, tol = _check_lam_tol(lam, tol)
-    return _memo(_CACHE, ("magnus", p, lam, tol), lambda: _magnus_basis(p, lam, tol))
-
-
 def _magnus_basis(p: Potential, lam: float, tol: float) -> SolutionBasis:
-    """The basis of ``_kernel_basis``, built afresh."""
+    """The basis of ``fundamental_solutions``, built afresh."""
     edges, consts = _segments(p)
     Y = np.eye(2)
     starts, states, q = [], [], []
@@ -584,7 +506,7 @@ def _magnus_basis(p: Potential, lam: float, tol: float) -> SolutionBasis:
                                      axis=2).transpose(2, 1, 0).reshape(-1, 4))
         Y = ends[:, :, -1] @ Y
     pieces = _PieceTable(np.concatenate(starts), np.concatenate(states), np.concatenate(q),
-                         None, None, (p, lam))
+                         p, lam)
     (y1, y2), (y1p, y2p) = Y.tolist()
     return SolutionBasis(lam=lam, length=p.domain_length, tol=tol, y1_end=y1, y1p_end=y1p,
                          y2_end=y2, y2p_end=y2p, _edges=edges, _pieces=pieces)
@@ -592,7 +514,7 @@ def _magnus_basis(p: Potential, lam: float, tol: float) -> SolutionBasis:
 
 def _kernel_steps(p: Potential, t0: float, t1: float, lam: float, tol: float) -> np.ndarray:
     """Transfers (2, 2, n) from t0 to the end of each of n equal Magnus-6 steps on
-    [t0, t1] at lambda, for the kernel basis: a ladder over the states inside.
+    [t0, t1] at lambda, for ``fundamental_solutions``: a ladder over the states inside.
 
     Doubles n from 8 until n and 2n steps agree at every end of the n steps
     within tol / w, in the energy scaling (u, u'/w) with w = sqrt(max(1,
@@ -642,6 +564,48 @@ def _kernel_steps(p: Potential, t0: float, t1: float, lam: float, tol: float) ->
 def discriminant(p: Potential, lam: float, *, tol: float = DEFAULT_TOL) -> float:
     """Trace of the monodromy matrix, y1(T) + y2'(T)."""
     return fundamental_solutions(p, lam, tol=tol).discriminant
+
+
+def _audit_states(p: Potential, lam: float, tol: float, t: np.ndarray) -> np.ndarray:
+    """States (4, t.size) at the points t of [0, T] by DOP853, for the Dirichlet
+    oscillation audit: a route of its own, independent of the Magnus steps.
+
+    A constant segment is read by its exact step. Every other segment is
+    integrated by ``solve_ivp`` with DOP853 at rtol = max(tol/10, 1e-13)
+    and atol = max(tol * 1e-3, 1e-15), and read through its dense output.
+    A point is read on the last segment starting at or before it.
+    """
+    lam, tol = _check_lam_tol(lam, tol)
+    edges, consts = _segments(p)
+    L = p.domain_length
+    rtol, atol = max(tol / 10.0, 1e-13), max(tol * 1e-3, 1e-15)
+    seg = np.minimum(np.searchsorted(edges, t, side="right") - 1, len(consts) - 1)
+    out = np.empty((4, t.size))
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    for k, (t0, t1, const) in enumerate(zip(edges, edges[1:], consts)):
+        here = seg == k
+        if const is not None:
+            out[:, here] = _exact_step(y, const + lam, t[here] - t0)
+            y = _exact_step(y, const + lam, t1 - t0)
+            continue
+        # stage times can land exactly on t1; clamp the evaluation onto this
+        # segment's piece so a jump's right-hand value never leaks in
+        back = t1 - 1e-12 * (1.0 + L)
+
+        def rhs(s, z, _b=back):
+            q = p.eval(min(s, _b)) + lam
+            return (z[1], -q * z[0], z[3], -q * z[2])
+
+        res = solve_ivp(rhs, (t0, t1), y, method="DOP853", dense_output=True,
+                        rtol=rtol, atol=atol)
+        if not res.success:
+            raise IntegrationError(
+                f"integration stalled on [{t0}, {t1}] at lambda={lam}: {res.message}",
+                t=float(res.t[-1]) if res.t.size else t0)
+        if here.any():
+            out[:, here] = res.sol(t[here])
+        y = res.y[:, -1]
+    return out
 
 
 def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np.ndarray:

@@ -30,9 +30,12 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, _check_n, kernel_value
-from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _check_accuracy,
+from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _audit_states, _check_accuracy,
                          _check_positive, _check_tol, _propagate, _scan_plan, discriminant,
-                         endpoint_scan, fundamental_solutions)
+                         endpoint_scan)
+# kept bound though no function here calls it: bench/test_bench.py checks
+# that the tracer wraps it in this module too
+from .integrator import fundamental_solutions  # noqa: F401
 from .potential import Potential
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
     "discriminant_samples",
     "find_eigenvalues",
     "first_eigenvalue_relations",
-    "neumann_extension_residual",
     "stability_intervals",
     "verify_interlacing",
     "verify_spectral_decomposition",
@@ -400,8 +402,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     For the Dirichlet condition the audit's ``oscillation`` entry counts the
     interior sign changes of y2 at a probe midway between the last eigenvalue
     found and ``scanned_to``, which equals the number of eigenvalues below it
-    (a Sturm count). Only the signs are read, so its one DOP853 solve runs at
-    ``TOL_MAX``.
+    (a Sturm count). Only the signs are read, so its DOP853 solve
+    (``dirichlet_zero_count``) runs at ``TOL_MAX``.
     """
     bc = BoundaryCondition.parse(bc)
     n_scan = _check_n(n_scan, "n_scan")
@@ -457,26 +459,17 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
 
 def dirichlet_zero_count(p: Potential, lam: float, *, tol: float = DEFAULT_TOL,
                          npts: int = 2001) -> int:
-    """Interior sign changes of y2(., lam); equals #{Dirichlet eigenvalues < lam}."""
-    basis = fundamental_solutions(p, lam, tol=tol)
+    """Interior sign changes of y2(., lam); equals #{Dirichlet eigenvalues < lam}.
+
+    y2 is sampled at ``npts`` equally spaced points of [0, T], ends left
+    out, on the DOP853 route of ``integrator._audit_states``, so the count
+    checks the Magnus scan on an integration of its own.
+    """
     ts = np.linspace(0.0, p.domain_length, npts)[1:-1]
-    vals = basis.trajectory(ts)[2]
+    vals = _audit_states(p, lam, tol, ts)[2]
     sign = np.sign(vals)
     sign = sign[sign != 0]
     return int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
-
-
-def neumann_extension_residual(p: Potential, lam: float,
-                               tol: float = DEFAULT_TOL) -> float:
-    """|y1'(2T, lam)| for the even extension, read as |2 y1(T) y1'(T)|.
-
-    This is the extension's Neumann characteristic function; the doubling
-    identity factors it over the base interval, so it vanishes exactly on
-    the union of the base Neumann spectrum and the base u'(0)=u(T)=0
-    spectrum.
-    """
-    basis = fundamental_solutions(p, lam, tol=tol)
-    return abs(2.0 * basis.y1_end * basis.y1p_end)
 
 
 def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *,

@@ -1,13 +1,18 @@
-"""Independent reference computations used as oracles.
+"""Independent reference computations used as oracles, and residual checks.
 
-Nothing here touches the library's integrator or kernel assembly; the
-point is to have a second route to the same numbers.
+The oracles touch neither the library's integrator nor its kernel assembly;
+the point is to have a second route to the same numbers. The residual
+checks at the end measure, on the library's own results, a property that
+holds exactly: a kernel's endpoint conditions, its unit jump, and the
+doubling identity of an even extension.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from hillgreen import DEFAULT_TOL, fundamental_solutions
 
 
 def step_transfer(q, h):
@@ -146,3 +151,58 @@ def step_bvp_reference(breaks, values, lam, bc, sigma, ts):
     alpha, beta = np.linalg.solve(A, -b)
     return (out[4] + alpha * out[0] + beta * out[2],
             out[5] + alpha * out[1] + beta * out[3])
+
+
+# -- residual checks on library results ----------------------------------------
+
+def estimate_diagonal_jump(G, npts=20, h=3e-4):
+    """Finite-difference estimates of the dG/dt jump across s = t (exact value 1).
+
+    Uses centered differences of each branch separately; both branches are
+    analytic across the diagonal so the stencils may straddle it.
+    """
+    L = G.length
+    pts = np.linspace(0.05 * L, 0.95 * L, npts)
+    low_p, up_p = G.branches.tables(pts + h, pts)
+    low_m, up_m = G.branches.tables(pts - h, pts)
+    dlow = np.diagonal(low_p - low_m) / (2 * h)
+    dup = np.diagonal(up_p - up_m) / (2 * h)
+    return dlow - dup
+
+
+def boundary_residual(G):
+    """Worst violation of the defining endpoint conditions over the s grid.
+
+    Several separated conditions come out exactly zero in floating point
+    because the corresponding kernel coefficients cancel algebraically.
+    """
+    s = G.grid
+    br = G.branches
+    zero = np.zeros(1)
+    val_at_0 = br.tables(zero, s)[1][0]      # t = 0 lies in the upper branch
+    val_at_L = br.tables(np.array([G.length]), s)[0][0]
+    dt_at_0 = br.tables(zero, s, deriv=True)[1][0]
+    dt_at_L = br.tables(np.array([G.length]), s, deriv=True)[0][0]
+
+    bc = G.bc
+    if not bc.is_coupled:
+        d0, dT = bc.ends
+        r0, r1 = (val_at_0, dt_at_0)[d0], (val_at_L, dt_at_L)[dT]
+    else:
+        # interior s only: at s = 0 and s = L the branch assignment is ambiguous
+        keep = slice(1, -1) if len(s) > 2 else slice(None)
+        r0 = (val_at_L - bc.sign * val_at_0)[keep]
+        r1 = (dt_at_L - bc.sign * dt_at_0)[keep]
+    return float(max(np.max(np.abs(r0)), np.max(np.abs(r1))))
+
+
+def neumann_extension_residual(p, lam, tol=DEFAULT_TOL):
+    """|y1'(2T, lam)| for the even extension, read as |2 y1(T) y1'(T)|.
+
+    This is the extension's Neumann characteristic function; the doubling
+    identity factors it over the base interval, so it vanishes exactly on
+    the union of the base Neumann spectrum and the base u'(0)=u(T)=0
+    spectrum.
+    """
+    basis = fundamental_solutions(p, lam, tol=tol)
+    return abs(2.0 * basis.y1_end * basis.y1p_end)

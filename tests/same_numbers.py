@@ -22,7 +22,10 @@ verdicts and values of ``verify_spectral_decomposition``,
 that a record's layout can change under the hash, at two counts); the
 command line (stdout, stderr, exit code and any ``--output`` file of a fixed
 command set).  The catalog section is also printed with ``lhs_scale`` left
-out, and the spectra section with each spectrum's ``audit`` included.
+out, and the spectra section with each spectrum's ``audit`` and
+``dirichlet_zero_count`` at every lambda included.  The ``reads`` section
+moved when ``fundamental_solutions`` became the Magnus basis that kernels
+read; the audit's own DOP853 samples did not, and the audit section pins them.
 """
 
 import hashlib
@@ -35,10 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from hillgreen import (BC_ALL, DOMINANCE_RELATIONS, DomainError, Potential, build_green,
-                       classify_sign, closed_form_constant, discriminant_samples,
-                       find_eigenvalues, first_eigenvalue_relations, fundamental_solutions,
-                       kernel_value, load_builtin, solve_bvp, table_slice, verify_all,
-                       verify_dominance, verify_interlacing, verify_spectral_decomposition)
+                       classify_sign, closed_form_constant, dirichlet_zero_count,
+                       discriminant_samples, find_eigenvalues, first_eigenvalue_relations,
+                       fundamental_solutions, kernel_value, load_builtin, solve_bvp, table_slice,
+                       verify_all, verify_dominance, verify_interlacing,
+                       verify_spectral_decomposition)
 
 POTENTIALS = {**{name: load_builtin(name) for name in ("ex1", "ex2", "ex3", "ex4")},
               "cosine": Potential.cosine(1.3, c0=0.4, c1=0.9, omega=2.1),
@@ -169,6 +173,8 @@ def spectra(h, with_audit: bool = False) -> None:
                 _feed(h, spec.audit)
         for accuracy in (1e-6, 1e-9):
             _feed(h, list(discriminant_samples(p, -2.0, 12.0, count=150, accuracy=accuracy)))
+        if with_audit:
+            _feed(h, [dirichlet_zero_count(p, lam) for lam in LAMS])
 
 
 def reads(h) -> None:

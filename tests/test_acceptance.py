@@ -16,7 +16,6 @@ from hillgreen import (
     build_green,
     classify_sign,
     closed_form_constant,
-    estimate_diagonal_jump,
     find_eigenvalues,
     first_eigenvalue_relations,
     fundamental_solutions,
@@ -28,6 +27,8 @@ from hillgreen import (
 )
 from hillgreen.comparison import zero_set_check
 from hillgreen.errors import ResonanceError
+
+from helpers import estimate_diagonal_jump
 
 ALL_BC = ("P", "A", "N", "D", "M1", "M2")
 PI = math.pi

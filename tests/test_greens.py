@@ -8,11 +8,9 @@ from hillgreen import (
     DEFAULT_TOL,
     BoundaryCondition,
     Potential,
-    boundary_residual,
     build_green,
     clear_cache,
     closed_form_constant,
-    estimate_diagonal_jump,
     fundamental_solutions,
     kernel_value,
     load_builtin,
@@ -22,7 +20,8 @@ from hillgreen import (
 from hillgreen import greens
 from hillgreen.errors import DomainError, PoleError, ResonanceError
 
-from helpers import shooting_dirichlet, step_bvp_reference
+from helpers import (boundary_residual, estimate_diagonal_jump, shooting_dirichlet,
+                     step_bvp_reference)
 
 ALL_BC = ("P", "A", "N", "D", "M1", "M2")
 

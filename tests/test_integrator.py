@@ -16,10 +16,12 @@ from hillgreen import (
     closed_form_constant,
     discriminant,
     endpoint_scan,
+    find_eigenvalues,
     fundamental_solutions,
     kernel_value,
     load_builtin,
     solve_bvp,
+    stability_intervals,
 )
 from hillgreen import greens
 from hillgreen.errors import DomainError, IntegrationError, ResonanceError
@@ -86,7 +88,7 @@ def test_endpoint_scan_exact_on_steps():
 
 def test_mixed_pieces_against_fixed_step_reference(monkeypatch):
     # a constant piece, a cosine piece and a mirrored constant piece: only
-    # the cosine goes through the adaptive integrator
+    # the cosine takes Magnus steps
     p = Potential.from_descriptor({"T": 2.0, "pieces": [
         {"from": 0.0, "to": 0.7, "kind": "const", "value": -0.8},
         {"from": 0.7, "to": 1.6, "kind": "cos", "c0": 0.2, "c1": 1.3, "omega": 2.0, "phi": 0.4},
@@ -95,12 +97,13 @@ def test_mixed_pieces_against_fixed_step_reference(monkeypatch):
     ]})
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
+    def counting(p, t0, t1, *args):
+        calls.append((t0, t1))
+        return kernel_steps(p, t0, t1, *args)
 
-    solve_ivp = integrator.solve_ivp
-    monkeypatch.setattr(integrator, "solve_ivp", counting)
+    kernel_steps = integrator._kernel_steps
+    monkeypatch.setattr(integrator, "_kernel_steps", counting)
+    integrator.clear_cache()
     for lam in (-1.5, 0.9, 6.0):
         basis = fundamental_solutions(p, lam, tol=1e-12)
         got = np.array([basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end])
@@ -145,9 +148,15 @@ def table_potential(order):
          "y": [0.0, 3.0, -2.0, 4.0, 0.5, 1.0], "order": order}]})
 
 
+@functools.lru_cache(maxsize=None)
+def dense_end(p, lam, tol):
+    """The state at the end of the domain by ``dense_reference``: DOP853, so that
+    the scan, of Magnus steps, is not checked against Magnus steps."""
+    return dense_reference(p, lam, np.array([p.domain_length]), tol)[0][:, 0]
+
+
 def endpoint_states(p, lams, tol):
-    cols = [fundamental_solutions(p, float(lam), tol=tol) for lam in lams]
-    return np.array([[b.y1_end, b.y1p_end, b.y2_end, b.y2p_end] for b in cols]).T
+    return np.array([dense_end(p, float(lam), tol) for lam in lams]).T
 
 
 def scan_error(p, lams, accuracy, tol):
@@ -428,7 +437,7 @@ def test_node_states_memo(cos_pi, trajectory_calls, monkeypatch):
     def node_states(pieces):
         return greens._kernel_cache(cos_pi, pieces, 0.31, DEFAULT_TOL).base[1]
 
-    basis = integrator._kernel_basis(cos_pi, 0.31, DEFAULT_TOL)
+    basis = fundamental_solutions(cos_pi, 0.31)
     states = node_states(40)
     assert np.array_equal(states, basis.trajectory(np.linspace(0.0, math.pi, 41)))
     assert not states.flags.writeable
@@ -467,10 +476,11 @@ def test_wronskian_property(lam, amp):
 # -- the Magnus basis of kernels and solve_bvp -----------------------------------
 
 @functools.lru_cache(maxsize=None)
-def ivp_node_states(name, lam, nodes=61):
-    """(y1, y1', y2, y2') of ex3 or ex4 at ``nodes`` equal nodes, by DOP853 at
-    rtol 1e-13 with steps of at most a twentieth over sqrt(|lambda| + 2)."""
-    p = load_builtin(name)
+def ivp_node_states(name, lam, nodes=61, even=False):
+    """(y1, y1', y2, y2') of ex3 or ex4, or of its even extension, at ``nodes``
+    equal nodes, by DOP853 at rtol 1e-13 with steps of at most a twentieth over
+    sqrt(|lambda| + 2). Both potentials are smooth across the extension's middle."""
+    p = load_builtin(name).even_extension() if even else load_builtin(name)
     L = p.domain_length
 
     def rhs(t, y):
@@ -487,20 +497,19 @@ def ivp_node_states(name, lam, nodes=61):
 @pytest.mark.parametrize("lam", [-3.0, 0.5, 10.0, 300.0, 1e4])
 @pytest.mark.parametrize("name", ["ex3", "ex4"])
 def test_kernel_basis_as_accurate_as_dop853(name, lam, tol):
-    # wherever fundamental_solutions returns, the kernel basis does, and its
-    # node states are within max(tol, the DOP853 basis's own error), each
-    # relative to max(1, |y|); its steps are det 1 to rounding, so its
-    # Wronskian is 1 to rounding of y1 y2' - y1' y2
+    # the basis's node states are within max(tol, the error of an adaptive
+    # DOP853 solve at the same tol), each relative to max(1, |y|); its steps
+    # are det 1 to rounding, so its Wronskian is 1 to rounding of y1 y2' - y1' y2
     p = load_builtin(name)
     ts = np.linspace(0.0, p.domain_length, 61)
     want = ivp_node_states(name, lam)
 
-    def error(basis):
-        return float(np.max(np.abs(basis.trajectory(ts) - want) / np.maximum(1.0, np.abs(want))))
+    def error(y):
+        return float(np.max(np.abs(y - want) / np.maximum(1.0, np.abs(want))))
 
-    dop853 = error(fundamental_solutions(p, lam, tol=tol))
-    basis = integrator._kernel_basis(p, lam, tol)
-    assert error(basis) <= max(tol, dop853)
+    dop853 = error(dense_reference(p, lam, ts, tol)[0])
+    basis = fundamental_solutions(p, lam, tol=tol)
+    assert error(basis.trajectory(ts)) <= max(tol, dop853)
     y = basis.trajectory(ts)
     assert np.all(np.abs(basis.wronskian(ts) - 1.0)
                   <= 1e-13 * (np.abs(y[0] * y[3]) + np.abs(y[1] * y[2])))
@@ -511,38 +520,55 @@ def test_kernel_basis_refuses_past_the_step_cap(monkeypatch):
     monkeypatch.setattr(integrator, "_MAX_STEPS", 64)
     integrator.clear_cache()
     with pytest.raises(IntegrationError, match="64 Magnus steps do not meet tolerance 1e-14"):
-        integrator._kernel_basis(load_builtin("ex3"), 0.5, integrator.TOL_MIN)
+        fundamental_solutions(load_builtin("ex3"), 0.5, tol=integrator.TOL_MIN)
+
+
+@pytest.mark.parametrize("name", ["ex3", "ex4"])
+def test_basis_end_state_meets_tol_at_large_lambda(name):
+    # about a hundred oscillations over the even extension at lambda = 1e4: the
+    # end state is within tol of a small-step DOP853 solve, each entry relative
+    # to max(1, |y|); an adaptive DOP853 basis at the same tol misses by 5e-8
+    lam, tol = 1e4, 1e-10
+    basis = fundamental_solutions(load_builtin(name).even_extension(), lam, tol=tol)
+    want = ivp_node_states(name, lam, even=True)[:, -1]
+    got = np.array([basis.y1_end, basis.y1p_end, basis.y2_end, basis.y2p_end])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= tol
 
 
 def test_kernel_path_calls_no_solve_ivp(monkeypatch):
-    # kernels, their values, BVP solutions and the checks built on them read
-    # the Magnus basis; fundamental_solutions still integrates by DOP853
+    # the basis, the discriminant, kernels, their values, BVP solutions and
+    # band intervals take Magnus steps; only the Dirichlet oscillation audit
+    # integrates by DOP853
     calls = []
     original = integrator.solve_ivp
     monkeypatch.setattr(integrator, "solve_ivp",
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     integrator.clear_cache()
     p = load_builtin("ex3")
+    fundamental_solutions(p, 0.37)
+    discriminant(p, 0.52)
     build_green(p, 0.37, "P", n=30)
     kernel_value(p, 0.37, "D", 0.4, 1.1)
     u = solve_bvp(p, 0.37, "N", lambda t: 1.0 + np.sin(t), n=30)
     u(0.3)
     u.derivative(np.linspace(0.0, 1.0, 5))
+    stability_intervals(p, search_range=(-1.0, 5.0))
     assert calls == []
-    fundamental_solutions(p, 0.37)
+    find_eigenvalues(p, "D", max_count=1)
     assert calls
 
 
-# -- the piece table behind trajectory ------------------------------------------
+# -- the piece table behind trajectory, and the audit's DOP853 reference ---------
 
 def dense_reference(p, lam, t, tol=TOL):
-    """States at t from a fresh integration, built without the piece table.
+    """States at t from a fresh DOP853 integration, independent of the library's steps.
 
-    Each segment is integrated again by scipy's DOP853 with dense output at
-    the basis tolerances, and read through its ``OdeSolution``; a constant
-    segment is read by the exact step from its start. A point is read on
-    the last segment starting at or before it. Also returns the interior
-    DOP853 step ends and the start state of the step after each.
+    Each segment is integrated by scipy's DOP853 with dense output at
+    rtol = max(tol/10, 1e-13) and atol = max(tol * 1e-3, 1e-15), and read
+    through its ``OdeSolution``; a constant segment is read by the exact
+    step from its start. A point is read on the last segment starting at or
+    before it. Also returns the interior DOP853 step ends and the start state
+    of the step after each.
     """
     edges, consts = integrator._segments(p)
     L = p.domain_length
@@ -581,23 +607,23 @@ TABLE_CASES = {"ex1": load_builtin("ex1"), "ex2": load_builtin("ex2"),
 @pytest.mark.parametrize("lam", [-3.0, 0.4, 300.0])
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 def test_piece_table_matches_dense_output_bit_for_bit(name, lam):
+    # the Dirichlet audit's DOP853 states, against OdeSolution's dense output
     p = TABLE_CASES[name]
     L = p.domain_length
-    basis = fundamental_solutions(p, lam, tol=TOL)
     edges = integrator._segments(p)[0]
     _, ends, after = dense_reference(p, lam, np.empty(0))
     ts = np.concatenate([np.linspace(0.0, L, 1001),
                          np.random.default_rng(19).uniform(0.0, L, 500), edges, ends])
     want = dense_reference(p, lam, ts)[0]
-    assert np.array_equal(basis.trajectory(ts), want)
-    # at a step end OdeSolution reads the earlier step at x = 1 and the table
-    # the later step at its start; y_old + (y - y_old) rounds back to y, so
-    # both give the state the integration carried there
-    assert np.array_equal(basis.trajectory(ends), after)
-    # within the slack the ends are read; beyond it the point is refused
+    assert np.array_equal(integrator._audit_states(p, lam, TOL, ts), want)
+    # at a step end OdeSolution reads the earlier step at x = 1;
+    # y_old + (y - y_old) rounds back to y, the state the integration carried there
+    assert np.array_equal(integrator._audit_states(p, lam, TOL, ends), after)
+    # within the slack the basis reads the ends; beyond it the point is refused
+    basis = fundamental_solutions(p, lam, tol=TOL)
     slack = 1e-12 * (1.0 + L)
     assert np.array_equal(basis.trajectory([-0.5 * slack, L + 0.5 * slack]),
-                          want[:, [1501, 1501 + edges.size - 1]])
+                          basis.trajectory([0.0, L]))
     for bad in (-2.0 * slack, L + 2.0 * slack):
         with pytest.raises(DomainError):
             basis.trajectory(bad)
@@ -624,9 +650,8 @@ def test_scalar_calls_equal_one_array_call(name):
     L = p.domain_length
     ts = np.concatenate([np.linspace(0.0, L, 7), integrator._segments(p)[0],
                          np.random.default_rng(3).uniform(0.0, L, 6)])
-    for basis in (fundamental_solutions(p, 0.4), integrator._kernel_basis(p, 0.4, DEFAULT_TOL)):
-        assert np.array_equal(np.array([basis.trajectory(t) for t in ts]).T,
-                              basis.trajectory(ts))
+    basis = fundamental_solutions(p, 0.4)
+    assert np.array_equal(np.array([basis.trajectory(t) for t in ts]).T, basis.trajectory(ts))
     for bc in ("P", "A", "N", "D", "M1", "M2"):
         u = solve_bvp(p, 0.4, bc, lambda t: 1.0 + np.sin(2.0 * t), n=40)
         assert np.array_equal([u(t) for t in ts], u(ts))
@@ -659,16 +684,16 @@ _SCALAR_POTENTIALS = st.one_of(
 @example(load_builtin("ex3"), -7.5, "A", 5)
 @example(load_builtin("ex4"), 41.0, "N", 6)
 def test_scalar_reads_equal_array_reads_bit_for_bit(p, lam, bc, seed):
-    # the DOP853 basis, and the Magnus basis that kernels and solve_bvp read
+    # the basis that kernels and solve_bvp read
     L = p.domain_length
     slack = 1e-12 * (1.0 + L)
     rng = np.random.default_rng(seed)
-    for basis in (fundamental_solutions(p, lam), integrator._kernel_basis(p, lam, DEFAULT_TOL)):
-        ts = np.concatenate([rng.uniform(0.0, L, 8), basis._pieces.starts, basis._edges,
-                             [0.0, -0.0, L], -slack * rng.uniform(0.0, 1.0, 2),
-                             L + slack * rng.uniform(0.0, 1.0, 2)])
-        points = [basis._pieces.point(integrator._on_domain(float(t), L)) for t in ts]
-        assert np.array_equal(_bits(points), _bits(basis.trajectory(ts).T))
+    basis = fundamental_solutions(p, lam)
+    ts = np.concatenate([rng.uniform(0.0, L, 8), basis._pieces.starts, basis._edges,
+                         [0.0, -0.0, L], -slack * rng.uniform(0.0, 1.0, 2),
+                         L + slack * rng.uniform(0.0, 1.0, 2)])
+    points = [basis._pieces.point(integrator._on_domain(float(t), L)) for t in ts]
+    assert np.array_equal(_bits(points), _bits(basis.trajectory(ts).T))
     try:
         u = solve_bvp(p, lam, bc, lambda t: 1.0 + np.sin(2.0 * t), n=30)
     except ResonanceError:

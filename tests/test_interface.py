@@ -21,12 +21,10 @@ PUBLIC_NAMES = [
     "Eigenvalue", "GreensFunction", "HillgreenError", "HypothesisNotMet",
     "IDENTITY_NAMES", "Identity", "IdentityReport", "IntegrationError", "PoleError",
     "Potential", "ResonanceError", "SignReport", "SolutionBasis", "Spectrum", "Term",
-    "boundary_residual", "build_green", "classify_sign", "clear_cache",
-    "closed_form_constant", "dirichlet_zero_count", "discriminant",
-    "discriminant_samples", "endpoint_scan", "estimate_diagonal_jump",
+    "build_green", "classify_sign", "clear_cache", "closed_form_constant",
+    "dirichlet_zero_count", "discriminant", "discriminant_samples", "endpoint_scan",
     "find_eigenvalues", "first_eigenvalue_relations", "fundamental_solutions",
-    "kernel_value", "load_builtin", "neumann_extension_residual",
-    "predicted_sign_interval", "sign_threshold_consistency", "solve_bvp",
+    "kernel_value", "load_builtin", "predicted_sign_interval", "sign_threshold_consistency", "solve_bvp",
     "stability_intervals", "table_slice", "verify_all", "verify_dominance",
     "verify_identity", "verify_interlacing", "verify_monotonicity",
     "verify_solution_comparison", "verify_spectral_decomposition", "zero_set_check",

@@ -19,7 +19,6 @@ from hillgreen import (
     fundamental_solutions,
     kernel_value,
     load_builtin,
-    neumann_extension_residual,
     stability_intervals,
     verify_interlacing,
     verify_spectral_decomposition,
@@ -30,7 +29,7 @@ from hillgreen.greens import BoundaryCondition
 from hillgreen.integrator import DEFAULT_TOL, endpoint_scan
 from hillgreen.spectrum import DEFAULT_SCAN, _batch_roots, _link, _refine_roots
 
-from helpers import step_state
+from helpers import neumann_extension_residual, step_state
 
 PI = math.pi
 
