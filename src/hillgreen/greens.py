@@ -386,13 +386,13 @@ def _max_abs(vals: np.ndarray) -> float:
     return float(max(abs(np.min(vals)), abs(np.max(vals))))
 
 
-def _check_n(n, name: str = "n") -> int:
+def _check_n(n, name: str = "n", least: int = 1) -> int:
     """A grid size as an int, from an integral int, NumPy number or float."""
     if isinstance(n, bool) or not isinstance(n, (int, float, np.integer, np.floating)) \
             or not float(n).is_integer():
         raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
     return int(n)
 
 

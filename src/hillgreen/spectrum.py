@@ -4,8 +4,9 @@ The characteristic function of each separated condition is a single entry
 of the endpoint state (y1, y1', y2, y2')(L), so eigenvalues come from a
 bracketing scan plus a batched refinement: every bracket of one
 ``find_eigenvalues`` call advances together, by safeguarded regula falsi,
-with one Magnus propagation per iteration at step counts estimated once
-per call for ``integrator_tol``.  A call for the first ``max_count``
+with one batched Magnus propagation per iteration at step counts
+estimated once per call for ``integrator_tol``; each bracket's own step
+runs in Python floats.  A call for the first ``max_count``
 eigenvalues scans only up to a few cells above its ``max_count``-th
 bracket, and the Dirichlet oscillation audit probes between the last
 eigenvalue found and that top.  Periodic and anti-periodic
@@ -20,6 +21,7 @@ the two routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import cycle
@@ -196,44 +198,65 @@ def _batch_roots(F, a, b, fa, fb, xtol: float) -> np.ndarray:
     tolerance beyond it toward the farther end. A falsi point next to the
     root then closes the bracket at once, where falsi alone would leave
     the far end in place.
+
+    The brackets are few (one or two per call on most spectra), so each
+    one's step runs on Python floats, and only ``F`` sees an array, of the
+    (x, guard) points of every open bracket.
     """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    roots = np.empty(a.size)
-    live = np.arange(a.size)
-    kept = np.zeros(a.size)  # the end the last iteration kept: 1 for a, -1 for b
-    halved = np.ones(a.size, dtype=bool)
-    while live.size:
-        tol = xtol + _RTOL * np.maximum(np.abs(a), np.abs(b))
-        done = (b - a <= tol) | (fa == 0.0) | (fb == 0.0)
-        if done.any():
-            roots[live[done]] = np.where(fa[done] == 0.0, a[done], np.where(
-                fb[done] == 0.0, b[done], 0.5 * (a[done] + b[done])))
-            live, a, b, fa, fb, kept, halved, tol = (
-                x[~done] for x in (live, a, b, fa, fb, kept, halved, tol))
-            if not live.size:
-                break
-        half = 0.5 * tol
-        x = a - fa * (b - a) / (fb - fa)
-        # a non-finite falsi point (an overflowed value at an end) bisects:
-        # the ends stay finite, so every bracket closes
-        x = np.where(halved & np.isfinite(x), x, 0.5 * (a + b))
-        x = np.clip(x, a + half, b - half)
-        guard = np.where(b - x > x - a, x + half, x - half)
-        x, guard = np.minimum(x, guard), np.maximum(x, guard)
-        fx, fg = np.split(F(np.concatenate([x, guard])), 2)
-        # the new bracket is the first of [a, x], [x, guard], [guard, b] whose
-        # ends differ in sign
-        left = np.sign(fx) != np.sign(fa)
-        right = ~left & (np.sign(fg) == np.sign(fx))
-        na = np.where(left, a, np.where(right, guard, x))
-        nb = np.where(left, x, np.where(right, b, guard))
-        # Illinois: an end kept twice in a row enters the next falsi point halved
-        fa = np.where(left, np.where(kept == 1.0, 0.5 * fa, fa), np.where(right, fg, fx))
-        fb = np.where(left, fx, np.where(right, np.where(kept == -1.0, 0.5 * fb, fb), fg))
-        kept = np.where(left, 1.0, np.where(right, -1.0, 0.0))
-        halved = nb - na <= 0.5 * (b - a)
-        a, b = na, nb
-    return roots
+    rtol = float(_RTOL)
+    roots = [0.0] * len(a)
+    # per open bracket: its index, ends, end values, the end the last
+    # iteration kept (1 for a, -1 for b, 0 for neither) and whether it halved
+    live = [[i, *ends, 0, True] for i, ends in enumerate(zip(
+        *(np.asarray(v, dtype=float).tolist() for v in (a, b, fa, fb))))]
+    while live:
+        points, guards, still = [], [], []
+        for rec in live:
+            i, a, b, fa, fb, kept, halved = rec
+            tol = xtol + rtol * max(abs(a), abs(b))
+            if b - a <= tol or fa == 0.0 or fb == 0.0:
+                roots[i] = a if fa == 0.0 else b if fb == 0.0 else 0.5 * (a + b)
+                continue
+            half = 0.5 * tol
+            # a zero denominator or a non-finite falsi point (an overflowed
+            # value at an end) bisects: the ends stay finite, so every bracket closes
+            x = a - fa * (b - a) / (fb - fa) if halved and fb != fa else math.nan
+            if not math.isfinite(x):
+                x = 0.5 * (a + b)
+            # clamped half a tolerance inside the bracket; a tie takes the bound, as in np.clip
+            if not x > a + half:
+                x = a + half
+            if not x < b - half:
+                x = b - half
+            guard = x + half if b - x > x - a else x - half
+            if guard < x:
+                x, guard = guard, x
+            points.append(x)
+            guards.append(guard)
+            still.append(rec)
+        if not still:
+            break
+        values = F(np.array(points + guards)).tolist()
+        n = len(still)
+        for rec, x, guard, fx, fg in zip(still, points, guards, values[:n], values[n:]):
+            _, a, b, fa, fb, kept, _ = rec
+            # the new bracket is the first of [a, x], [x, guard], [guard, b]
+            # whose ends differ in sign; Illinois: an end kept twice in a row
+            # enters the next falsi point halved
+            if _sign(fx) != _sign(fa):
+                na, nb, fa, fb, kept = a, x, 0.5 * fa if kept == 1 else fa, fx, 1
+            elif _sign(fg) == _sign(fx):
+                na, nb, fa, fb, kept = guard, b, fg, 0.5 * fb if kept == -1 else fb, -1
+            else:
+                na, nb, fa, fb, kept = x, guard, fx, fg, 0
+            rec[1:] = na, nb, fa, fb, kept, nb - na <= 0.5 * (b - a)
+        live = still
+    return np.array(roots, dtype=float)
+
+
+def _sign(v: float):
+    """np.sign of a float: -1, 0 or 1, and NaN for NaN."""
+    return (v > 0.0) - (v < 0.0) if v == v else v
 
 
 def _refine_roots(state, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
@@ -389,7 +412,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     A scan of ``n_scan`` cells at the scan accuracy of ``endpoint_scan``
     finds the sign changes; they are refined together on Magnus endpoint
     states within ``integrator_tol``, to a bracket width of
-    max(``tol``, 1e-12).  With a ``max_count`` the scan stops a few cells
+    max(``tol``, 1e-12) + 4 eps |lambda| (brentq's relative term, which
+    dominates above |lambda| ~ 1e3).  With a ``max_count`` the scan stops a few cells
     above the ``max_count``-th sign change (method "direct" excepted), which
     leaves every eigenvalue returned as a full scan finds it; the audit's
     ``scanned_to`` is the last lambda scanned (``hi`` for a full scan).
@@ -463,8 +487,11 @@ def dirichlet_zero_count(p: Potential, lam: float, *, tol: float = DEFAULT_TOL,
 
     y2 is sampled at ``npts`` equally spaced points of [0, T], ends left
     out, on the DOP853 route of ``integrator._audit_states``, so the count
-    checks the Magnus scan on an integration of its own.
+    checks the Magnus scan on an integration of its own.  ``npts`` is an
+    integer of at least 4, which leaves the two interior samples a sign
+    change needs; anything else raises ``ValueError``.
     """
+    npts = _check_n(npts, "npts", least=4)
     ts = np.linspace(0.0, p.domain_length, npts)[1:-1]
     vals = _audit_states(p, lam, tol, ts)[2]
     sign = np.sign(vals)
@@ -482,10 +509,12 @@ def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *
     ``accuracy`` / 2: ``endpoint_scan`` splits its accuracy over the
     segments, and the extension has twice as many, so each half segment
     takes the steps it takes inside the full scan, with half the work.
-    Raises ``ValueError`` when ``accuracy`` is not in (0, ``TOL_MAX``].
+    Raises ``ValueError`` when ``count`` is not an integer of at least 1 or
+    ``accuracy`` is not in (0, ``TOL_MAX``].
     """
+    count = _check_n(count, "count")
     _check_accuracy(accuracy)
-    lams = np.linspace(float(lo), float(hi), int(count))
+    lams = np.linspace(float(lo), float(hi), count)
     try:
         Y = endpoint_scan(p, lams, accuracy=accuracy / 2.0)
     except IntegrationError as exc:

@@ -153,6 +153,57 @@ def step_bvp_reference(breaks, values, lam, bc, sigma, ts):
             out[5] + alpha * out[1] + beta * out[3])
 
 
+# -- the vectorized root refinement, kept as a bit-for-bit oracle --------------
+
+_RTOL = 4.0 * np.finfo(float).eps
+
+
+def batch_roots_reference(F, a, b, fa, fb, xtol):
+    """``spectrum._batch_roots`` on NumPy arrays, all brackets stepped at once.
+
+    The library steps each bracket on Python floats; this version steps
+    them as arrays. Both make the same IEEE operations in the same order,
+    so their roots and their ``F`` calls agree bit for bit.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    roots = np.empty(a.size)
+    live = np.arange(a.size)
+    kept = np.zeros(a.size)  # the end the last iteration kept: 1 for a, -1 for b
+    halved = np.ones(a.size, dtype=bool)
+    while live.size:
+        tol = xtol + _RTOL * np.maximum(np.abs(a), np.abs(b))
+        done = (b - a <= tol) | (fa == 0.0) | (fb == 0.0)
+        if done.any():
+            roots[live[done]] = np.where(fa[done] == 0.0, a[done], np.where(
+                fb[done] == 0.0, b[done], 0.5 * (a[done] + b[done])))
+            live, a, b, fa, fb, kept, halved, tol = (
+                x[~done] for x in (live, a, b, fa, fb, kept, halved, tol))
+            if not live.size:
+                break
+        half = 0.5 * tol
+        x = a - fa * (b - a) / (fb - fa)
+        # a non-finite falsi point (an overflowed value at an end) bisects:
+        # the ends stay finite, so every bracket closes
+        x = np.where(halved & np.isfinite(x), x, 0.5 * (a + b))
+        x = np.clip(x, a + half, b - half)
+        guard = np.where(b - x > x - a, x + half, x - half)
+        x, guard = np.minimum(x, guard), np.maximum(x, guard)
+        fx, fg = np.split(F(np.concatenate([x, guard])), 2)
+        # the new bracket is the first of [a, x], [x, guard], [guard, b] whose
+        # ends differ in sign
+        left = np.sign(fx) != np.sign(fa)
+        right = ~left & (np.sign(fg) == np.sign(fx))
+        na = np.where(left, a, np.where(right, guard, x))
+        nb = np.where(left, x, np.where(right, b, guard))
+        # Illinois: an end kept twice in a row enters the next falsi point halved
+        fa = np.where(left, np.where(kept == 1.0, 0.5 * fa, fa), np.where(right, fg, fx))
+        fb = np.where(left, fx, np.where(right, np.where(kept == -1.0, 0.5 * fb, fb), fg))
+        kept = np.where(left, 1.0, np.where(right, -1.0, 0.0))
+        halved = nb - na <= 0.5 * (b - a)
+        a, b = na, nb
+    return roots
+
+
 # -- residual checks on library results ----------------------------------------
 
 def estimate_diagonal_jump(G, npts=20, h=3e-4):

@@ -23,7 +23,10 @@ that a record's layout can change under the hash, at two counts); the
 command line (stdout, stderr, exit code and any ``--output`` file of a fixed
 command set).  The catalog section is also printed with ``lhs_scale`` left
 out, and the spectra section with each spectrum's ``audit`` and
-``dirichlet_zero_count`` at every lambda included.  The ``reads`` section
+``dirichlet_zero_count`` at every lambda included.  One more spectra section
+takes every condition, and ``method="direct"`` for P and A, over ranges
+holding 30-60 eigenvalues a call, and ``stability_intervals`` over a
+quarter of each range.  The ``reads`` section
 moved when ``fundamental_solutions`` became the Magnus basis that kernels
 read; the audit's own DOP853 samples did not, and the audit section pins them.
 """
@@ -40,9 +43,9 @@ import numpy as np
 from hillgreen import (BC_ALL, DOMINANCE_RELATIONS, DomainError, Potential, build_green,
                        classify_sign, closed_form_constant, dirichlet_zero_count,
                        discriminant_samples, find_eigenvalues, first_eigenvalue_relations,
-                       fundamental_solutions, kernel_value, load_builtin, solve_bvp, table_slice,
-                       verify_all, verify_dominance, verify_interlacing,
-                       verify_spectral_decomposition)
+                       fundamental_solutions, kernel_value, load_builtin, solve_bvp,
+                       stability_intervals, table_slice, verify_all, verify_dominance,
+                       verify_interlacing, verify_spectral_decomposition)
 
 POTENTIALS = {**{name: load_builtin(name) for name in ("ex1", "ex2", "ex3", "ex4")},
               "cosine": Potential.cosine(1.3, c0=0.4, c1=0.9, omega=2.1),
@@ -177,6 +180,21 @@ def spectra(h, with_audit: bool = False) -> None:
             _feed(h, [dirichlet_zero_count(p, lam) for lam in LAMS])
 
 
+def wide_spectra(h) -> None:
+    """Ranges up to the 41st Neumann eigenvalue: 30-60 eigenvalues a call, each
+    refinement closing dozens of brackets together."""
+    for name, p in POTENTIALS.items():
+        top = (41.5 * math.pi / p.domain_length) ** 2
+        for bc in BC_ALL:
+            methods = ("auto", "direct") if bc in ("P", "A") else ("auto",)
+            for method in methods:
+                spec = _call(find_eigenvalues, p, bc, search_range=(-30.0, top), method=method)
+                _feed(h, [name, bc, method, spec if isinstance(spec, tuple) else
+                          [[tuple(e) for e in spec.eigenvalues], spec.audit]])
+        # the even extension is twice as long, so a quarter of the range holds as many
+        _feed(h, _call(stability_intervals, p, search_range=(-30.0, top / 4.0)))
+
+
 def reads(h) -> None:
     for name, p in POTENTIALS.items():
         L = p.domain_length
@@ -241,6 +259,7 @@ def main() -> None:
                 ("catalog, lhs_scale left out", lambda h: catalog(h, with_scale=False)),
                 ("bvp", bvp), ("spectra and sweep", spectra),
                 ("spectra and sweep, audit included", lambda h: spectra(h, with_audit=True)),
+                ("spectra over wide ranges", wide_spectra),
                 ("reads", reads), ("spectral relations", relations), ("cli", cli))
     for label, fill in sections:
         h = hashlib.sha256()

@@ -29,7 +29,7 @@ from hillgreen.greens import BoundaryCondition
 from hillgreen.integrator import DEFAULT_TOL, endpoint_scan
 from hillgreen.spectrum import DEFAULT_SCAN, _batch_roots, _link, _refine_roots
 
-from helpers import neumann_extension_residual, step_state
+from helpers import batch_roots_reference, neumann_extension_residual, step_state
 
 PI = math.pi
 
@@ -478,6 +478,71 @@ def test_batch_roots_bisects_past_non_finite_values():
     assert abs(roots[0] - math.acos(0.3)) <= 1e-12
 
 
+# Characteristic functions for the bit-identity check: smooth, linear with
+# integer coefficients (its falsi point from integer ends is the root,
+# exactly), a staircase that is exactly zero on a whole step (falsi and
+# guard points land on zeros), and smooth ones that turn NaN or infinite.
+_TEST_FUNCTIONS = {
+    "cos": lambda x, r: np.cos(1e-3 * x + r) - 0.3,
+    "linear": lambda x, r: 3.0 * (x - np.round(r)),
+    "stairs": lambda x, r: np.floor((x - r) / 0.37),
+    "nan": lambda x, r: np.where(x > r, np.nan, np.sin(x - r + 0.5)),
+    "inf": lambda x, r: np.where(x > r, -np.inf, np.cos(x - r) - 0.3),
+}
+_SPECIAL_END = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, "equal"])
+
+
+@st.composite
+def _bracket_cases(draw):
+    """(F name, its offset, a, b, fa, fb, xtol) over 1-64 brackets, |lambda| up to 1e6."""
+    kind = draw(st.sampled_from(sorted(_TEST_FUNCTIONS)))
+    r = draw(st.floats(-1e6, 1e6))
+    F = _TEST_FUNCTIONS[kind]
+    a, b, fa, fb = [], [], [], []
+    for _ in range(draw(st.integers(1, 64))):
+        if kind == "linear":
+            lo = float(draw(st.integers(-10**6, 10**6)))
+            hi = lo + draw(st.integers(0, 10**4))
+        else:
+            lo = draw(st.one_of(st.floats(-1e6, 1e6), st.floats(r - 50.0, r + 50.0)))
+            # widths from below the tolerance to a thousand
+            hi = lo + 10.0 ** draw(st.floats(-15.0, 3.0))
+        ends = F(np.array([lo, hi]), r).tolist()
+        for k in range(2):
+            special = draw(st.one_of(st.none(), _SPECIAL_END))
+            if special == "equal":
+                ends[k] = ends[1 - k]
+            elif special is not None:
+                ends[k] = special
+        a.append(lo)
+        b.append(hi)
+        fa.append(ends[0])
+        fb.append(ends[1])
+    xtol = draw(st.sampled_from([1e-12, 1e-10, 1e-6, 1e-3]))
+    return kind, r, a, b, fa, fb, xtol
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bracket_cases())
+def test_batch_roots_matches_the_vectorized_refinement_bit_for_bit(case):
+    # the per-bracket float steps against the array steps of the reference:
+    # the same roots and the same F calls, point for point
+    kind, r, a, b, fa, fb, xtol = case
+    calls = {"new": [], "ref": []}
+
+    def recorder(name):
+        def F(x):
+            calls[name].append([v.hex() for v in x.tolist()])
+            return _TEST_FUNCTIONS[kind](x, r)
+        return F
+
+    with np.errstate(all="ignore"):
+        got = _batch_roots(recorder("new"), a, b, fa, fb, xtol)
+        want = batch_roots_reference(recorder("ref"), a, b, fa, fb, xtol)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert calls["new"] == calls["ref"]
+
+
 def _rows(f):
     """Endpoint states whose Neumann row y1'(L) is f(lambda)."""
     def state(x):
@@ -783,6 +848,24 @@ def test_dirichlet_zero_count(zero1):
     assert dirichlet_zero_count(zero1, (2.5 * PI) ** 2) == 2
 
 
+@pytest.mark.parametrize("npts", [0, 1, 2, 3, -5])
+def test_dirichlet_zero_count_needs_two_interior_samples(npts):
+    # fewer than two interior samples can show no sign change
+    with pytest.raises(ValueError, match="npts must be at least 4"):
+        dirichlet_zero_count(load_builtin("ex3"), 20.0, npts=npts)
+
+
+@pytest.mark.parametrize("npts", [2001.5, True, "2001", None])
+def test_dirichlet_zero_count_rejects_a_non_integer_npts(npts):
+    with pytest.raises(ValueError, match="npts must be an integer"):
+        dirichlet_zero_count(load_builtin("ex3"), 20.0, npts=npts)
+
+
+def test_dirichlet_zero_count_takes_an_integral_float_npts():
+    p = load_builtin("ex3")
+    assert dirichlet_zero_count(p, 20.0, npts=2001.0) == dirichlet_zero_count(p, 20.0) == 4
+
+
 def test_neumann_extension_residual(pw2):
     # |y1'(2T)| = |2 y1(T) y1'(T)| for the even extension vanishes exactly
     # on the base Neumann spectrum and the base u'(0)=u(T)=0 spectrum
@@ -853,6 +936,19 @@ def test_discriminant_samples_length_restricts_the_base():
     # the extension of the restricted base, not the extension cut at 2.0
     Y = endpoint_scan(p.restrict(2.0).even_extension(), lams)
     assert np.allclose(deltas, Y[0] + Y[3], rtol=0, atol=1e-6 * np.max(np.abs(deltas)))
+
+
+@pytest.mark.parametrize("count, message", [(2.5, "an integer"), (True, "an integer"),
+                                            (0, "at least 1"), (-3, "at least 1")])
+def test_discriminant_samples_rejects_a_bad_count(cos_pi, count, message):
+    with pytest.raises(ValueError, match=f"^count must be {message}"):
+        discriminant_samples(cos_pi, -1.0, 4.0, count=count)
+
+
+def test_discriminant_samples_takes_an_integral_float_count(cos_pi):
+    lams, deltas = discriminant_samples(cos_pi, -1.0, 4.0, count=7.0)
+    want = discriminant_samples(cos_pi, -1.0, 4.0, count=7)
+    assert lams.shape == (7,) and np.array_equal(lams, want[0]) and np.array_equal(deltas, want[1])
 
 
 @pytest.mark.parametrize("accuracy", [math.nan, math.inf, 0.0, -1e-9, 10.0])
