@@ -602,8 +602,15 @@ def _audit_states(p: Potential, lam: float, tol: float, t: np.ndarray) -> np.nda
             raise IntegrationError(
                 f"integration stalled on [{t0}, {t1}] at lambda={lam}: {res.message}",
                 t=float(res.t[-1]) if res.t.size else t0)
-        if here.any():
-            out[:, here] = res.sol(t[here])
+        # each step's points in one call of its interpolant, on OdeSolution's side
+        # rule; OdeSolution's own call regroups the points in a Python loop
+        sol, at = res.sol, np.flatnonzero(here)
+        step = np.clip(np.searchsorted(sol.ts, t[at], side=sol.side) - 1, 0, sol.n_segments - 1)
+        order = np.argsort(step, kind="stable")
+        cuts = np.searchsorted(step[order], np.arange(sol.n_segments + 1)).tolist()
+        for j, (i0, i1) in enumerate(zip(cuts, cuts[1:])):
+            cols = at[order[i0:i1]]
+            out[:, cols] = sol.interpolants[j](t[cols])
         y = res.y[:, -1]
     return out
 

@@ -3,10 +3,12 @@
 The characteristic function of each separated condition is a single entry
 of the endpoint state (y1, y1', y2, y2')(L), so eigenvalues come from a
 bracketing scan plus a batched refinement: every bracket of one
-``find_eigenvalues`` call advances together, by safeguarded regula falsi,
-with one batched Magnus propagation per iteration at step counts
-estimated once per call for ``integrator_tol``; each bracket's own step
-runs in Python floats.  A call for the first ``max_count``
+``find_eigenvalues`` call, of all the conditions one scan serves, advances
+together, one batched Magnus propagation per step, at step counts estimated
+once per call for ``integrator_tol``.  The first step samples each bracket
+at its ends and Chebyshev nodes, the next around the root that inverse
+interpolation through those samples predicts, which in practice closes
+it, and at the nodes again.  A call for the first ``max_count``
 eigenvalues scans only up to a few cells above its ``max_count``-th
 bracket, and the Dirichlet oscillation audit probes between the last
 eigenvalue found and that top.  Periodic and anti-periodic
@@ -66,6 +68,10 @@ _CHUNK = 256
 _SPARE = 4
 # brentq's default relative tolerance: a root is closed within xtol + _RTOL |lambda|
 _RTOL = 4.0 * np.finfo(float).eps
+# a refinement call samples each bracket at this many interior Chebyshev nodes:
+# with its ends, the extrema of the Chebyshev polynomial T_7 mapped onto it
+_NODE_COUNT = 6
+_NODES = (0.5 - 0.5 * np.cos(np.pi * np.arange(1, _NODE_COUNT + 1) / (_NODE_COUNT + 1))).tolist()
 
 
 class Eigenvalue(NamedTuple):
@@ -176,111 +182,119 @@ def _scan_roots(p: Potential, conds, lo: float, hi: float, n_scan: int, xtol: fl
             if ends.size >= count and ends[count - 1] + _SPARE < Y.shape[1]:
                 break
     found: dict = {}
-    roots = [_refine_roots(state, bc, lams, Y, xtol, found) for bc in conds]
+    roots = _refine_roots(state, conds, lams, Y, xtol, found)
     if found and Y.shape[1] < lams.size:
         Y, found = scan(lams), {}
-        roots = [_refine_roots(state, bc, lams, Y, xtol, found) for bc in conds]
+        roots = _refine_roots(state, conds, lams, Y, xtol, found)
     audit.update(found, scanned_to=float(lams[Y.shape[1] - 1]))
     return roots
 
 
-def _batch_roots(F, a, b, fa, fb, xtol: float) -> np.ndarray:
+def _batch_roots(F, a, b, fa, fb, xtol: float, rows=None, inner=None) -> np.ndarray:
     """Roots of ``F`` in the brackets [a, b], all refined together.
 
-    ``F`` maps an array of lambdas to its values there, and fa, fb are its
-    values at the bracket ends, of opposite signs or zero. Every iteration
-    makes one ``F`` call for all open brackets. A bracket closes when an
-    end is an exact zero, which is its root, or when its width is within
-    xtol + 4 eps |lambda| (brentq's rule), and its root is then the
-    midpoint. Each iteration takes the Illinois regula falsi point of each
-    bracket, or its midpoint when the last iteration did not halve the
-    bracket, clamped half a tolerance inside it, and a guard point half a
-    tolerance beyond it toward the farther end. A falsi point next to the
-    root then closes the bracket at once, where falsi alone would leave
-    the far end in place.
-
-    The brackets are few (one or two per call on most spectra), so each
-    one's step runs on Python floats, and only ``F`` sees an array, of the
-    (x, guard) points of every open bracket.
+    ``F`` maps an array of lambdas to its values there, or to rows of
+    values, of which bracket i reads row ``rows[i]`` (default 0). fa, fb are
+    the values at the bracket ends, of opposite signs or zero, and ``inner``
+    holds lists of points inside each bracket and F's values there, if any.
+    A bracket keeps its ends and the samples of the last ``F`` call. It
+    closes at an exact zero among them, or at the midpoint of its narrowest
+    adjacent pair with a sign change, between finite values where one does
+    (NaN differs from every number), once that pair is within
+    xtol + 4 eps |lambda| wide (brentq's rule). Else the next ``F`` call, one
+    for all open brackets, reads the pair's ``_NODE_COUNT`` interior
+    Chebyshev nodes and the points 0.45 tol either side of an estimate of
+    the root (``_estimate``), which close the bracket when it is right. The
+    nodes cut the bracket to at most 0.23 of its width whatever the
+    estimate, so every bracket closes.
     """
     rtol = float(_RTOL)
-    roots = [0.0] * len(a)
-    # per open bracket: its index, ends, end values, the end the last
-    # iteration kept (1 for a, -1 for b, 0 for neither) and whether it halved
-    live = [[i, *ends, 0, True] for i, ends in enumerate(zip(
-        *(np.asarray(v, dtype=float).tolist() for v in (a, b, fa, fb))))]
+    rows = [0] * len(a) if rows is None else list(rows)
+    inner_x, inner_f = inner if inner is not None else ([()] * len(rows),) * 2
+    ends = zip(*(np.asarray(v, dtype=float).tolist() for v in (a, b, fa, fb)), inner_x, inner_f)
+    live = [(i, sorted([(lo, flo), *zip(xs, fs), (hi, fhi)]))
+            for i, (lo, hi, flo, fhi, xs, fs) in enumerate(ends)]
+    roots = [0.0] * len(rows)
     while live:
-        points, guards, still = [], [], []
-        for rec in live:
-            i, a, b, fa, fb, kept, halved = rec
-            tol = xtol + rtol * max(abs(a), abs(b))
-            if b - a <= tol or fa == 0.0 or fb == 0.0:
-                roots[i] = a if fa == 0.0 else b if fb == 0.0 else 0.5 * (a + b)
+        points, still = [], []
+        for i, samples in live:
+            zero = next((x for x, f in samples if f == 0.0), None)
+            if zero is not None:
+                roots[i] = zero
                 continue
-            half = 0.5 * tol
-            # a zero denominator or a non-finite falsi point (an overflowed
-            # value at an end) bisects: the ends stay finite, so every bracket closes
-            x = a - fa * (b - a) / (fb - fa) if halved and fb != fa else math.nan
-            if not math.isfinite(x):
-                x = 0.5 * (a + b)
-            # clamped half a tolerance inside the bracket; a tie takes the bound, as in np.clip
-            if not x > a + half:
-                x = a + half
-            if not x < b - half:
-                x = b - half
-            guard = x + half if b - x > x - a else x - half
-            if guard < x:
-                x, guard = guard, x
-            points.append(x)
-            guards.append(guard)
-            still.append(rec)
+            # adjacent pairs ranked by (no sign change, a non-finite end, width)
+            lo, hi, flo, fhi = min(((f > 0.0) - (f < 0.0) == (g > 0.0) - (g < 0.0),
+                                    not (math.isfinite(f) and math.isfinite(g)), y - x, x, y, f, g)
+                                   for (x, f), (y, g) in zip(samples, samples[1:]))[3:]
+            tol = xtol + rtol * max(abs(lo), abs(hi))
+            if hi - lo <= tol:
+                roots[i] = 0.5 * (lo + hi)
+                continue
+            # the pair r -+ half closes at once when it holds the root
+            r = min(max(_estimate(samples, lo, hi, flo, fhi), lo), hi)
+            half = 0.45 * (xtol + rtol * abs(r))
+            r = min(max(r, lo + half), hi - half)
+            points.append([max(r - half, lo), min(r + half, hi),
+                           *(lo + (hi - lo) * t for t in _NODES)])
+            still.append((i, (lo, flo), (hi, fhi)))
         if not still:
             break
-        values = F(np.array(points + guards)).tolist()
-        n = len(still)
-        for rec, x, guard, fx, fg in zip(still, points, guards, values[:n], values[n:]):
-            _, a, b, fa, fb, kept, _ = rec
-            # the new bracket is the first of [a, x], [x, guard], [guard, b]
-            # whose ends differ in sign; Illinois: an end kept twice in a row
-            # enters the next falsi point halved
-            if _sign(fx) != _sign(fa):
-                na, nb, fa, fb, kept = a, x, 0.5 * fa if kept == 1 else fa, fx, 1
-            elif _sign(fg) == _sign(fx):
-                na, nb, fa, fb, kept = guard, b, fg, 0.5 * fb if kept == -1 else fb, -1
-            else:
-                na, nb, fa, fb, kept = x, guard, fx, fg, 0
-            rec[1:] = na, nb, fa, fb, kept, nb - na <= 0.5 * (b - a)
-        live = still
+        values = _evaluate(F, np.array(points), [rows[i] for i, _, _ in still]).tolist()
+        live = [(i, sorted([lo, hi, *zip(xs, fs)]))
+                for (i, lo, hi), xs, fs in zip(still, points, values)]
     return np.array(roots, dtype=float)
 
 
-def _sign(v: float):
-    """np.sign of a float: -1, 0 or 1, and NaN for NaN."""
-    return (v > 0.0) - (v < 0.0) if v == v else v
+def _evaluate(F, x: np.ndarray, rows) -> np.ndarray:
+    """``F`` at the points ``x``, row k of them read from row ``rows[k]`` of F's values."""
+    values = np.atleast_2d(F(x.ravel()))
+    return values[np.repeat(rows, x.shape[1]), np.arange(x.size)].reshape(x.shape)
 
 
-def _refine_roots(state, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
-                  xtol: float, audit: dict, cells: np.ndarray | None = None) -> list[float]:
-    """Roots of ``bc``'s characteristic function from its row of the scan ``Y``.
+def _estimate(samples: list, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Where the polynomial x(F) through the finite samples vanishes (Neville's
+    scheme on offsets from lo) when F is strictly monotone over them, else the
+    regula falsi point of [lo, hi]; its midpoint if the estimate is not finite."""
+    finite = [(x - lo, f) for x, f in samples if math.isfinite(f)]
+    steps = [g - f for (_, f), (_, g) in zip(finite, finite[1:])]
+    if steps and (all(d > 0.0 for d in steps) or all(d < 0.0 for d in steps)):
+        p, fs = (list(v) for v in zip(*finite))
+        for k in range(1, len(fs)):
+            for i in range(len(fs) - k):
+                p[i] = (fs[i + k] * p[i] - fs[i] * p[i + 1]) / (fs[i + k] - fs[i])
+        r = lo + p[0]
+    else:
+        r = lo - flo * (hi - lo) / (fhi - flo) if fhi != flo else math.nan
+    return r if math.isfinite(r) else 0.5 * (lo + hi)
+
+
+def _refine_roots(state, conds, lams: np.ndarray, Y: np.ndarray, xtol: float, audit: dict,
+                  cells: np.ndarray | None = None) -> list[list[float]]:
+    """Roots of the characteristic function of each of ``conds``, from its row of the scan ``Y``.
 
     ``Y`` holds the states of all the scan lambdas ``lams`` or of a prefix
     of them. Each sign change in a scan cell (of ``cells``, default all) is
     checked on the accurate endpoint states ``state`` and widened by half a
     cell of ``lams`` on each side, up to 3 times, until the sign change
-    holds there; cells where it never does go into ``audit``.
-    ``_batch_roots`` refines the brackets together, and exact zeros of the
-    scan are roots as they stand.
+    holds there; cells where it never does go into ``audit``. One call reads
+    the ends and the interior Chebyshev nodes of every cell, and
+    ``_batch_roots`` refines the brackets of all the conditions together,
+    each on its own row of the shared states. Exact zeros of the scan are
+    roots as they stand.
     """
     def F(x):
-        return bc.characteristic(state(x))
+        states = state(x)
+        return np.array([bc.characteristic(states) for bc in conds])
 
     step = (lams[-1] - lams[0]) / (len(lams) - 1)
-    change, zero = _brackets(bc.characteristic(Y))
-    if cells is not None:
-        change &= cells
-    cell = np.flatnonzero(change)
+    signs = [_brackets(bc.characteristic(Y)) for bc in conds]
+    cell = [np.flatnonzero(change if cells is None else change & cells) for change, _ in signs]
+    which = np.repeat(np.arange(len(conds)), [c.size for c in cell])
+    cell = np.concatenate(cell)
     a, b = lams[cell], lams[cell + 1]
-    fa, fb = np.split(F(np.concatenate([a, b])), 2)
+    nodes = a[:, None] + (b - a)[:, None] * np.array(_NODES)
+    values = _evaluate(F, np.column_stack([a, nodes, b]), which)
+    fa, fb = values[:, 0], values[:, -1]
     for _ in range(3):
         # no sign change, or a non-finite end
         lost = ~(np.sign(fa) * np.sign(fb) <= 0.0)
@@ -288,13 +302,15 @@ def _refine_roots(state, bc: BoundaryCondition, lams: np.ndarray, Y: np.ndarray,
             break
         a[lost] -= 0.5 * step
         b[lost] += 0.5 * step
-        fa[lost], fb[lost] = np.split(F(np.concatenate([a[lost], b[lost]])), 2)
+        fa[lost], fb[lost] = _evaluate(F, np.column_stack([a[lost], b[lost]]), which[lost]).T
     lost = ~(np.sign(fa) * np.sign(fb) <= 0.0)
     if lost.any():
         audit.setdefault("unresolved_brackets", []).extend(lams[cell[lost]].tolist())
     ok = ~lost
-    roots = _batch_roots(F, a[ok], b[ok], fa[ok], fb[ok], xtol)
-    return [*roots.tolist(), *lams[np.flatnonzero(zero)].tolist()]
+    roots = _batch_roots(F, a[ok], b[ok], fa[ok], fb[ok], xtol, which[ok],
+                         (nodes[ok].tolist(), values[ok, 1:-1].tolist()))
+    return [[*roots[which[ok] == k].tolist(), *lams[np.flatnonzero(zero)].tolist()]
+            for k, (_, zero) in enumerate(signs)]
 
 
 def _coupled_result(method: str, step: float, tagged: list[tuple[float, str]],
@@ -350,9 +366,9 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
     open_cells = ~(settled[:-1] & settled[1:] & (t[:-1] * t[1:] > 0.0))
 
     audit: dict = {"scanned_to": hi}
-    found = [(r, src) for src, sub in (("D", BoundaryCondition.DIRICHLET),
-                                       ("N", BoundaryCondition.NEUMANN))
-             for r in _refine_roots(state, sub, lams, Y, xtol, audit, open_cells)]
+    subs = (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN)
+    found = [(r, sub.value) for sub, roots in zip(subs, _refine_roots(
+        state, subs, lams, Y, xtol, audit, open_cells)) for r in roots]
     roots = {r for r, _ in found}
     ends = [end for end in (lo, hi) if end not in cuts and end not in roots]
     at = state(np.array([r for r, _ in found] + ends))
@@ -411,7 +427,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
 
     A scan of ``n_scan`` cells at the scan accuracy of ``endpoint_scan``
     finds the sign changes; they are refined together on Magnus endpoint
-    states within ``integrator_tol``, to a bracket width of
+    states within ``integrator_tol``, by inverse interpolation through
+    Chebyshev samples of each bracket, to a sign-change bracket of width
     max(``tol``, 1e-12) + 4 eps |lambda| (brentq's relative term, which
     dominates above |lambda| ~ 1e3).  With a ``max_count`` the scan stops a few cells
     above the ``max_count``-th sign change (method "direct" excepted), which

@@ -601,7 +601,8 @@ def dense_reference(p, lam, t, tol=TOL):
 
 TABLE_CASES = {"ex1": load_builtin("ex1"), "ex2": load_builtin("ex2"),
                "ex3": load_builtin("ex3"), "ex4": load_builtin("ex4"),
-               "mixed": MIXED, "table3": table_potential(3)}
+               "mixed": MIXED, "table3": table_potential(3),
+               "step": Potential.piecewise_constant([0.0, 0.8, 1.5, 2.0], [1.0, -3.0, 2.0])}
 
 
 @pytest.mark.parametrize("lam", [-3.0, 0.4, 300.0])

@@ -522,25 +522,53 @@ def _bracket_cases(draw):
     return kind, r, a, b, fa, fb, xtol
 
 
+def _closing_width(lo, hi, xtol):
+    return xtol + 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+
+
+def _certified(root, samples, xtol):
+    """Whether ``root`` is an exact zero among ``samples`` (x, F(x)), or lies
+    between two finite samples of opposite signs within the closing width."""
+    near = [(x, f) for x, f in samples if abs(x - root) <= 2.0 * _closing_width(root, root, xtol)]
+    if any(x == root and f == 0.0 for x, f in near):
+        return True
+    return any(x <= root <= y and y - x <= _closing_width(x, y, xtol)
+               and min(f, g) < 0.0 < max(f, g) and math.isfinite(f) and math.isfinite(g)
+               for x, f in near for y, g in near)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_bracket_cases())
-def test_batch_roots_matches_the_vectorized_refinement_bit_for_bit(case):
-    # the per-bracket float steps against the array steps of the reference:
-    # the same roots and the same F calls, point for point
+def test_batch_roots_certifies_each_root(case):
+    # a bracket with finite ends of opposite signs (or a zero end) closes at an
+    # exact zero the refinement saw or between two finite values of opposite
+    # signs within the closing width; on the smooth and linear families its
+    # root is the Illinois reference's within that width, in no more F calls.
+    # Any other bracket still closes, inside its ends.
     kind, r, a, b, fa, fb, xtol = case
-    calls = {"new": [], "ref": []}
+    samples = [*zip(a, fa), *zip(b, fb)]
+    calls = {"new": 0, "ref": 0}
 
     def recorder(name):
         def F(x):
-            calls[name].append([v.hex() for v in x.tolist()])
-            return _TEST_FUNCTIONS[kind](x, r)
+            calls[name] += 1
+            values = _TEST_FUNCTIONS[kind](x, r)
+            if name == "new":
+                samples.extend(zip(x.tolist(), values.tolist()))
+            return values
         return F
 
     with np.errstate(all="ignore"):
-        got = _batch_roots(recorder("new"), a, b, fa, fb, xtol)
-        want = batch_roots_reference(recorder("ref"), a, b, fa, fb, xtol)
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-    assert calls["new"] == calls["ref"]
+        got = _batch_roots(recorder("new"), a, b, fa, fb, xtol).tolist()
+        want = batch_roots_reference(recorder("ref"), a, b, fa, fb, xtol).tolist()
+    for lo, hi, flo, fhi, root, ref in zip(a, b, fa, fb, got, want):
+        assert lo <= root <= hi
+        if math.isfinite(flo) and math.isfinite(fhi) and min(flo, fhi) <= 0.0 <= max(flo, fhi):
+            assert _certified(root, samples, xtol)
+            if kind in ("cos", "linear"):
+                assert abs(root - ref) <= _closing_width(root, root, xtol)
+    if kind in ("cos", "linear"):
+        assert calls["new"] <= calls["ref"]
 
 
 def _rows(f):
@@ -560,10 +588,11 @@ def test_refine_roots_widens_brackets_and_records_failures():
     # scan's exact zero at 3 is a root as it stands
     audit = {}
     neumann = BoundaryCondition.NEUMANN
-    roots = _refine_roots(_rows(lambda x: x - 2.3), neumann, lams, scan, 1e-12, audit)
+    (roots,) = _refine_roots(_rows(lambda x: x - 2.3), (neumann,), lams, scan, 1e-12, audit)
     assert roots == pytest.approx([2.3, 3.0], abs=1e-12) and audit == {}
     # no sign change within 1.5 cells of the scan's: recorded, not refined
-    roots = _refine_roots(_rows(lambda x: 1.0 + 0.0 * x), neumann, lams, scan, 1e-12, audit)
+    (roots,) = _refine_roots(_rows(lambda x: 1.0 + 0.0 * x), (neumann,), lams, scan, 1e-12,
+                             audit)
     assert roots == [3.0] and audit == {"unresolved_brackets": [1.0]}
 
 
@@ -809,6 +838,32 @@ def test_scan_for_a_count_propagates_a_fraction_of_the_range(propagated):
     assert DEFAULT_SCAN + 1 in propagated and spec.audit["scanned_to"] == spec.search_range[1]
 
 
+@pytest.fixture
+def refinement_batches(monkeypatch):
+    """Sizes of the lambda batches propagated on the refinement's plan: every
+    plan but the first, which is the scan's."""
+    batches = []
+    original = spectrum._propagate
+
+    def counting(plan, lams):
+        batches.append((plan, lams.size))
+        return original(plan, lams)
+
+    monkeypatch.setattr(spectrum, "_propagate", counting)
+    return lambda: [size for plan, size in batches if plan is not batches[0][0]]
+
+
+@pytest.mark.parametrize("name, bc, count", [("ex3", "N", 2), ("ex4", "A", 1)])
+def test_refinement_closes_in_two_propagations(refinement_batches, name, bc, count):
+    # one call reads the ends and Chebyshev nodes of every bracket, of both
+    # half-interval conditions for the union method (A: M1 with M2), and one
+    # call around the interpolated roots closes every bracket
+    p = load_builtin(name)
+    spec = find_eigenvalues(p.even_extension() if bc == "A" else p, bc, max_count=count)
+    assert len(spec.values()) == count
+    assert 1 <= len(refinement_batches()) <= 2
+
+
 @pytest.mark.parametrize("method", ["union", "direct"])
 def test_coupled_audit_records_the_scanned_top(cos_pi, method):
     spec = find_eigenvalues(cos_pi.even_extension(), "P", max_count=2, method=method)
@@ -848,9 +903,10 @@ def test_dirichlet_zero_count(zero1):
     assert dirichlet_zero_count(zero1, (2.5 * PI) ** 2) == 2
 
 
-@pytest.mark.parametrize("npts, message", [(3, "at least 4"), (2, "at least 4"), (0, "at least 4"),
-                                           (-5, "at least 4"), (2001.5, "an integer"),
-                                           (True, "an integer"), ("2001", "an integer")])
+@pytest.mark.parametrize("npts, message", [(3, "at least 4"), (2, "at least 4"), (1, "at least 4"),
+                                           (0, "at least 4"), (-5, "at least 4"),
+                                           (2001.5, "an integer"), (True, "an integer"),
+                                           ("2001", "an integer"), (None, "an integer")])
 def test_dirichlet_zero_count_rejects_a_bad_npts(npts, message):
     # fewer than two interior samples (npts < 4) can show no sign change
     with pytest.raises(ValueError, match=f"^npts must be {message}"):
