@@ -111,6 +111,13 @@ class Spectrum:
             fh.write(self.CSV_HEADER + self.csv_rows())
 
 
+def _check_ends(lo: float, hi: float) -> None:
+    """Refuse a lambda range with an end that is not finite, with ``endpoint_scan``'s
+    words, before any grid is formed: ``np.linspace`` would warn first."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("lambda values must be finite")
+
+
 def _auto_range(p: Potential, count: int) -> tuple[float, float]:
     amin, amax = p.sample_bound()
     lo = -amax - 1.0
@@ -438,7 +445,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     ``integrator_tol`` over the range (at large lambda the float64 rounding
     of the phase alone exceeds it; a larger ``integrator_tol`` lifts it),
     and ``ValueError`` for a bad ``n_scan`` or ``max_count``, a ``tol`` that
-    is negative or not finite, or an unknown ``method``.
+    is negative or not finite, a ``search_range`` that is not finite or not
+    increasing, or an unknown ``method``.
 
     For the Dirichlet condition the audit's ``oscillation`` entry counts the
     interior sign changes of y2 at a probe midway between the last eigenvalue
@@ -460,6 +468,7 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
         lo, hi = (float(search_range[0]), float(search_range[1]))
         if not lo < hi:
             raise ValueError("search range must satisfy lo < hi")
+        _check_ends(lo, hi)
 
     audit: dict = {"scan_step": (hi - lo) / n_scan}
     xtol = max(tol, ROOT_XTOL)
@@ -526,12 +535,19 @@ def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *
     ``accuracy`` / 2: ``endpoint_scan`` splits its accuracy over the
     segments, and the extension has twice as many, so each half segment
     takes the steps it takes inside the full scan, with half the work.
-    Raises ``ValueError`` when ``count`` is not an integer of at least 1 or
-    ``accuracy`` is not in (0, ``TOL_MAX``].
+    From 136 samples on, ``endpoint_scan`` reads the states off its
+    Chebyshev interpolant in lambda when its coefficients settle within
+    ``accuracy`` / 128 (``accuracy`` / 64 of the half scan), a few dozen
+    propagated lambdas in all; otherwise every lambda is propagated.
+    Raises ``ValueError`` when ``count`` is not an integer of at least 1,
+    ``accuracy`` is not in (0, ``TOL_MAX``] or ``lo`` or ``hi`` is not
+    finite.
     """
     count = _check_n(count, "count")
     _check_accuracy(accuracy)
-    lams = np.linspace(float(lo), float(hi), count)
+    lo, hi = float(lo), float(hi)
+    _check_ends(lo, hi)
+    lams = np.linspace(lo, hi, count)
     try:
         Y = endpoint_scan(p, lams, accuracy=accuracy / 2.0)
     except IntegrationError as exc:

@@ -15,7 +15,8 @@ does not collect this file.
 Cases: ex1-ex4, a cosine and a step; lambda from -20 to 7.3; n in
 {7, 60, 300}.  Sections: kernels (tables, ``table_slice``, ``G.value``,
 ``kernel_value``, ``classify_sign``, closed forms); catalog and dominance;
-BVP values and scalar/array u, u'; spectra and sweep samples;
+BVP values and scalar/array u, u'; spectra; sweep samples (``discriminant_samples``,
+one batch of them as large as the benchmark's sweep tasks);
 ``Potential.eval`` and ``trajectory`` reads; spectral relations (the
 verdicts and values of ``verify_spectral_decomposition``,
 ``first_eigenvalue_relations`` and ``verify_interlacing``, read by field so
@@ -174,10 +175,16 @@ def spectra(h, with_audit: bool = False) -> None:
             _feed(h, [name, bc, [tuple(e) for e in spec.eigenvalues], spec.search_range])
             if with_audit:
                 _feed(h, spec.audit)
-        for accuracy in (1e-6, 1e-9):
-            _feed(h, list(discriminant_samples(p, -2.0, 12.0, count=150, accuracy=accuracy)))
         if with_audit:
             _feed(h, [dirichlet_zero_count(p, lam) for lam in LAMS])
+
+
+def sweep(h) -> None:
+    for p in POTENTIALS.values():
+        for accuracy in (1e-6, 1e-9):
+            _feed(h, list(discriminant_samples(p, -2.0, 12.0, count=150, accuracy=accuracy)))
+    # a batch the size of the benchmark's sweep tasks
+    _feed(h, list(discriminant_samples(POTENTIALS["ex4"], -2.0, 20.0, count=3000)))
 
 
 def wide_spectra(h) -> None:
@@ -257,8 +264,9 @@ def cli(h) -> None:
 def main() -> None:
     sections = (("kernels", kernels), ("catalog and dominance", catalog),
                 ("catalog, lhs_scale left out", lambda h: catalog(h, with_scale=False)),
-                ("bvp", bvp), ("spectra and sweep", spectra),
-                ("spectra and sweep, audit included", lambda h: spectra(h, with_audit=True)),
+                ("bvp", bvp), ("spectra", spectra),
+                ("spectra, audit included", lambda h: spectra(h, with_audit=True)),
+                ("sweep", sweep),
                 ("spectra over wide ranges", wide_spectra),
                 ("reads", reads), ("spectral relations", relations), ("cli", cli))
     for label, fill in sections:

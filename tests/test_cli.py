@@ -240,6 +240,18 @@ def test_sweep_beyond_scan_cap_exit_code(capsys):
     assert "Magnus steps" in captured.err
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["spectrum"], ["sweep", "--intervals"]],
+                         ids=" ".join)
+def test_infinite_range_is_one_error_line(capsys, command):
+    # refused before any grid: no RuntimeWarning, even as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--potential", "ex3", "--range", "0", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lambda values must be finite\n"
+
+
 def test_sweep_refusal_names_the_requested_accuracy(capsys):
     # the half interval is scanned at half the accuracy; the message leads with
     # the accuracy the caller asked for (the default 1e-9 of discriminant_samples)

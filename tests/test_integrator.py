@@ -159,10 +159,11 @@ def endpoint_states(p, lams, tol):
     return np.array([dense_end(p, float(lam), tol) for lam in lams]).T
 
 
-def scan_error(p, lams, accuracy, tol):
-    """Worst error of the scan over lambdas, in units of accuracy * max(1, |Y|)."""
-    want = endpoint_states(p, lams, tol)
-    got = endpoint_scan(p, lams, accuracy=accuracy)
+def scan_error(p, lams, accuracy, tol, at=slice(None)):
+    """Worst error of the scan over lambdas, in units of accuracy * max(1, |Y|):
+    the whole batch is scanned, and read at the lambdas ``lams[at]``."""
+    want = endpoint_states(p, lams[at], tol)
+    got = endpoint_scan(p, lams, accuracy=accuracy)[:, at]
     scale = accuracy * np.maximum(1.0, np.max(np.abs(want), axis=0))
     return float(np.max(np.max(np.abs(got - want), axis=0) / scale))
 
@@ -392,6 +393,102 @@ def test_endpoint_scan_rejects_bad_accuracy(cos_pi, accuracy):
     # cap, and an accuracy above TOL_MAX certifies nothing
     with pytest.raises(ValueError, match=re.escape(f"accuracy {accuracy} outside")):
         endpoint_scan(cos_pi, [0.0, 1.0], accuracy=accuracy)
+
+
+def _direct(p, lams, accuracy):
+    """``endpoint_scan``'s plan for the batch, propagated at every lambda."""
+    (plan,) = integrator._scan_plan(p, lams, accuracy)
+    return integrator._propagate(plan, lams)
+
+
+def _node_batches(monkeypatch):
+    """The sizes of the batches ``_propagate`` is called with, as a list."""
+    sizes = []
+    propagate = integrator._propagate
+
+    def counting(plan, lams):
+        sizes.append(lams.size)
+        return propagate(plan, lams)
+
+    monkeypatch.setattr(integrator, "_propagate", counting)
+    return sizes
+
+
+def _tables(order):
+    return st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=7).map(
+        lambda ys: Potential.from_descriptor({"T": 2.0, "pieces": [
+            {"from": 0.0, "to": 2.0, "kind": "table", "order": order,
+             "x": np.linspace(0.0, 2.0, len(ys)).tolist(), "y": ys}]}))
+
+
+_SMOOTH_POTENTIALS = st.tuples(
+    st.one_of(
+        st.tuples(st.floats(0.5, 3.0), st.floats(-1.0, 1.0), st.floats(0.2, 2.0),
+                  st.floats(0.5, 3.0)).map(
+            lambda c: Potential.cosine(c[0], c0=c[1], c1=c[2], omega=c[3])),
+        _tables(1), _tables(3)),
+    st.booleans()).map(lambda pe: pe[0].even_extension() if pe[1] else pe[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SMOOTH_POTENTIALS, st.floats(-6.0, 30.0), st.floats(0.1, 150.0),
+       st.integers(136, 2500), st.sampled_from([1e-6, 1e-9]))
+def test_endpoint_scan_interpolant_stays_near_the_direct_route(p, lo, width, K, accuracy):
+    # the interpolant in lambda adds at most accuracy / 64 absolute to the
+    # Magnus numbers the direct route gives, checked here at accuracy / 16
+    lams = np.random.default_rng(K).uniform(lo, lo + width, K)
+    want = _direct(p, lams, accuracy)
+    got = endpoint_scan(p, lams, accuracy=accuracy)
+    scale = accuracy / 16.0 * np.maximum(1.0, np.max(np.abs(want), axis=0))
+    assert np.all(np.abs(got - want) <= scale)
+
+
+def test_endpoint_scan_interpolant_meets_accuracy(monkeypatch):
+    # a sweep-sized batch on the ex3 extension, read against DOP853 at every
+    # 60th lambda and at both ends: the interpolant engages, 65 nodes at most
+    sizes = _node_batches(monkeypatch)
+    lams = np.linspace(-2.0, 20.0, 3000)
+    at = np.r_[0:3000:60, 2999]
+    assert scan_error(load_builtin("ex3").even_extension(), lams, 1e-9, 1e-13, at) <= 1.0
+    assert 3000 not in sizes and sum(sizes) <= 65
+
+
+@pytest.mark.parametrize("p, lams", [
+    (STEP3, np.linspace(-3.0, 40.0, 3000)),  # no Magnus segment
+    (MIXED.even_extension(), np.linspace(-3.0, 40.0, 135)),  # 17 nodes pass K / 8
+    (load_builtin("ex3"), np.full(500, 2.5)),  # no range
+    (load_builtin("ex3"), np.linspace(-3.0, 2000.0, 500)),  # 65 nodes pass K / 8
+], ids=["steps", "under-the-node-cap", "one-lambda", "ladder-past-the-cap"])
+def test_endpoint_scan_falls_back_bit_for_bit(p, lams):
+    assert np.array_equal(endpoint_scan(p, lams, accuracy=1e-9), _direct(p, lams, 1e-9))
+
+
+def test_endpoint_scan_falls_back_on_non_finite_nodes(monkeypatch):
+    # a NaN in any node state sends the whole batch through the direct route
+    # at once, with no further level of nodes
+    p, lams = load_builtin("ex4"), np.linspace(-2.0, 20.0, 3000)
+    want = _direct(p, lams, 1e-9)
+    sizes = _node_batches(monkeypatch)
+    propagate = integrator._propagate
+
+    def poisoned(plan, batch):
+        Y = propagate(plan, batch)
+        if batch.size < lams.size:
+            Y[2, -1] = math.nan
+        return Y
+
+    monkeypatch.setattr(integrator, "_propagate", poisoned)
+    assert np.array_equal(endpoint_scan(p, lams, accuracy=1e-9), want)
+    assert sizes == [17, 3000]
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3"])
+def test_endpoint_scan_refuses_a_batch_of_more_dimensions(monkeypatch, name):
+    # refused in words, before the plan is formed
+    monkeypatch.setattr(integrator, "_scan_plan", None)
+    with pytest.raises(ValueError, match=re.escape(
+            "lambda values must be one-dimensional, got shape (2, 2)")):
+        endpoint_scan(load_builtin(name), [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_tolerance_validation(zero1):

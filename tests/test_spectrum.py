@@ -982,6 +982,45 @@ def test_discriminant_samples_scans_half_the_cells(monkeypatch, name):
     assert 0 < sum(cells) <= 0.5 * full
 
 
+@pytest.mark.parametrize("name, lo, hi, count, bound", [
+    ("ex4", -2.0, 20.0, 3000, 0.1),  # the interpolant: 65 nodes at most
+    ("ex3", -3.0, 2000.0, 500, 1.125),  # falls back after at most K / 8 nodes
+])
+def test_discriminant_samples_cells_against_the_direct_route(monkeypatch, name, lo, hi,
+                                                             count, bound):
+    # Magnus cells, probes included, against the plan propagated at every lambda
+    cells = []
+    original = integrator._magnus_transfer
+
+    def counting(*grid):
+        cells.append(grid[0].size * grid[-1].size)
+        return original(*grid)
+
+    monkeypatch.setattr(integrator, "_magnus_transfer", counting)
+    p = load_builtin(name)
+    lams = np.linspace(lo, hi, count)
+    (plan,) = integrator._scan_plan(p, lams, 0.5e-9)
+    integrator._propagate(plan, lams)
+    direct = sum(cells)
+    cells.clear()
+    discriminant_samples(p, lo, hi, count=count, accuracy=1e-9)
+    assert 0 < sum(cells) <= bound * direct
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 3.0)])
+@pytest.mark.parametrize("entry", [
+    lambda p, lo, hi: discriminant_samples(p, lo, hi, count=50),
+    lambda p, lo, hi: find_eigenvalues(p, "D", search_range=(lo, hi)),
+    lambda p, lo, hi: stability_intervals(p, search_range=(lo, hi)),
+], ids=["discriminant_samples", "find_eigenvalues", "stability_intervals"])
+def test_infinite_range_ends_are_refused_before_any_grid(entry, lo, hi):
+    # refused in endpoint_scan's words, before np.linspace warns on the end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^lambda values must be finite$"):
+            entry(load_builtin("ex3"), lo, hi)
+
+
 def test_discriminant_samples_length_restricts_the_base():
     p = load_builtin("ex3")
     lams, deltas = discriminant_samples(p.restrict(2.0), -1.0, 40.0, count=101)
