@@ -30,8 +30,10 @@ one ladder for every accuracy asked, whose levels up to 256 steps are formed
 in one pass, and the steps of a block of lambdas, one (2, 2, steps, lambdas)
 array, are multiplied out pairwise as a tree. ``endpoint_scan`` reads a
 large batch off a Chebyshev interpolant in lambda of the same steps,
-propagated at a few dozen nodes; ``find_eigenvalues`` propagates its scans
-and refinements at every lambda.
+propagated at a few dozen nodes and summed up to the term where its
+coefficients settle, a level early when a sample at 4 of the next level's
+nodes agrees; ``find_eigenvalues`` propagates its scans and refinements at
+every lambda.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ _BLOCK = 16384
 _LAMBDA_BLOCK = 4096
 # probe lambdas spread over the batch for the step-count estimate
 _PROBES = 7
-# the ladder's levels up to this many steps are formed in one pass; a wider
-# pass would evaluate the potential at more points than the ladder visits
+# the sweep ladder's levels up to this many steps are formed in one pass, the
+# basis ladder's up to half as many; a wider pass would evaluate the potential
+# at more points than the ladder visits
 _LADDER_PASS = 256
 # endpoint_scan's default accuracy, at which find_eigenvalues scans for brackets
 _SCAN_ACCURACY = 1e-7
@@ -529,8 +532,13 @@ def _kernel_steps(p: Potential, t0: float, t1: float, lam: float, tol: float) ->
     lambda = 1e4 the end agrees to 3e-13 at 256 steps while the states inside
     differ by 2e-9. A share below eps (256 + w (t1 - t0)), where rounding
     alone levels the estimate off, is raised to it. Each level's transfers
-    are one prefix product of its step matrices (Hillis & Steele), and the
-    levels up to ``_LADDER_PASS`` steps are formed in one pass.
+    are one prefix product of its step matrices (Hillis & Steele), so no
+    level depends on which others share its pass. The levels up to half
+    ``_LADDER_PASS`` steps are formed in one pass, each level above them
+    on its own once the ladder needs it. At the default tolerance and
+    lambda near the bottom of the spectrum the builtin smooth potentials
+    settle at 64 steps against 128, so a wider first pass would form 256
+    steps they never read; a basis that keeps 256 steps pays one more pass.
     """
     lams = np.array([lam])
     w = math.sqrt(max(1.0, abs(float(np.mean(p.eval(np.linspace(t0, t1, 9)))) + lam)))
@@ -548,7 +556,7 @@ def _kernel_steps(p: Potential, t0: float, t1: float, lam: float, tol: float) ->
             span *= 2
         return dict(zip(counts, np.split(ends, np.cumsum(counts)[:-1], axis=2)))
 
-    levels = transfers([1 << k for k in range(3, _LADDER_PASS.bit_length())])
+    levels = transfers([1 << k for k in range(3, _LADDER_PASS.bit_length() - 1)])
     n = 8
     while True:
         if 2 * n > _MAX_STEPS:
@@ -638,12 +646,17 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np
     A batch of K >= 136 lambdas spanning a range, on a potential with a
     smooth piece, is read off a Chebyshev interpolant in lambda of those
     same steps (``_interpolated``): it is propagated at 17, 33, 65, ...
-    Chebyshev-Lobatto nodes of [min, max] until every coefficient of the
-    upper half is within ``accuracy`` / 64 in absolute value. The
-    coefficients fall geometrically, so the interpolant adds less than that
-    to the certified Magnus error. When the next level would pass K/8
-    nodes, or a node state is not finite, every lambda is propagated
-    directly, as for any other batch, at most 1/8 more steps in all.
+    Chebyshev-Lobatto nodes of [min, max], and each level's series is cut
+    after the last term whose tail of coefficients exceeds ``accuracy`` /
+    128. A level is accepted when every coefficient of its upper half is
+    within ``accuracy`` / 64 in absolute value, or a level early when its
+    cut keeps at most 3/4 of its terms and meets the propagated states
+    within ``accuracy`` / 64 at 4 of the next level's nodes, spread over
+    them: the sample catches a series that aliases. The coefficients fall
+    geometrically, so the interpolant adds less than ``accuracy`` / 32 to
+    the certified Magnus error. When the next level would pass K/8 nodes,
+    or a node state is not finite, every lambda is propagated directly, as
+    for any other batch, at most 1/8 more steps in all.
 
     Raises ``ValueError`` for an ``accuracy`` outside (0, ``TOL_MAX``] or a
     batch of more than one dimension, and
@@ -696,32 +709,54 @@ def _interpolated(plan, lams: np.ndarray, accuracy: float) -> np.ndarray:
     series on [min, max] of ``lams`` converges geometrically (Trefethen,
     Approximation Theory and Approximation Practice, 2013, ch. 8). Each
     level of Chebyshev-Lobatto nodes keeps the last level's, and its
-    coefficients are one rfft of the mirrored node values (DCT-I). When it
-    engages, accepts and falls back is ``endpoint_scan``'s rule.
+    coefficients are one rfft of the mirrored node values (DCT-I). The
+    series is cut before the first term k whose tail, the sum over j >= k
+    of the largest |c_j| of the four rows, is within ``accuracy`` / 128: as
+    |T_j| <= 1, the tail bounds what the cut leaves out (Aurentz &
+    Trefethen, Chopping a Chebyshev series, ACM TOMS 43, 2017). A level
+    whose cut keeps at most 3/4 of its terms is tested at 4 of the next
+    level's new nodes; when the test fails, those 4 states are nodes of the
+    next level, so no lambda is propagated twice. When it engages, accepts
+    and falls back is ``endpoint_scan``'s rule.
     """
     if _NODES > lams.size / 8 or all(grid is None for _, _, grid in plan) or np.ptp(lams) == 0:
         return _propagate(plan, lams)
     lo, hi = float(lams.min()), float(lams.max())
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    n, values = _NODES - 1, None
+
+    def states(x):
+        return _propagate(plan, np.clip(mid + half * x, lo, hi))
+
+    n = _NODES - 1
+    # nodes cos(pi j / n): every j on the first level, the odd j after it
+    values = states(np.cos(np.pi / n * np.arange(n + 1)))
     while True:
-        # nodes cos(pi j / n): every j on the first level, the odd j after it
-        j = np.arange(n + 1) if values is None else np.arange(1, n, 2)
-        fresh = _propagate(plan, np.clip(mid + half * np.cos(np.pi / n * j), lo, hi))
-        if not np.all(np.isfinite(fresh)):
+        if not np.all(np.isfinite(values)):
             return _propagate(plan, lams)
-        if values is None:
-            values = fresh
-        else:
-            values, last = np.empty((4, n + 1)), values
-            values[:, 0::2], values[:, 1::2] = last, fresh
         c = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=1), axis=1).real / n
         c[:, [0, n]] *= 0.5
-        if np.max(np.abs(c[:, n // 2:])) <= accuracy / 64.0:
+        peak = np.max(np.abs(c), axis=0)
+        tail = np.cumsum(peak[::-1])[::-1]
+        # at least T_0 and T_1, which _chebyshev_sum's recurrence starts from
+        c = c[:, :max(2, int(np.count_nonzero(tail > accuracy / 128.0)))]
+        if np.max(peak[n // 2:]) <= accuracy / 64.0:
             return _chebyshev_sum(c, (lams - mid) / half)
-        n *= 2
-        if n + 1 > lams.size / 8:
+        if 2 * n + 1 > lams.size / 8:
             return _propagate(plan, lams)
+        # the next level's new nodes cos(pi j / 2n), j odd; the sample test
+        # takes 4 of them, one in each quarter
+        x = np.cos(np.pi / (2 * n) * np.arange(1, 2 * n, 2))
+        fresh = np.empty((4, n))
+        known = np.zeros(n, dtype=bool)
+        if c.shape[1] <= 3 * n // 4:
+            known[n // 8::n // 4] = True
+            fresh[:, known] = states(x[known])
+            if np.all(np.abs(_chebyshev_sum(c, x[known]) - fresh[:, known]) <= accuracy / 64.0):
+                return _chebyshev_sum(c, (lams - mid) / half)
+        fresh[:, ~known] = states(x[~known])
+        values, last = np.empty((4, 2 * n + 1)), values
+        values[:, 0::2], values[:, 1::2] = last, fresh
+        n *= 2
 
 
 def _chebyshev_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:

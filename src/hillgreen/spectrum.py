@@ -536,9 +536,10 @@ def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *
     segments, and the extension has twice as many, so each half segment
     takes the steps it takes inside the full scan, with half the work.
     From 136 samples on, ``endpoint_scan`` reads the states off its
-    Chebyshev interpolant in lambda when its coefficients settle within
-    ``accuracy`` / 128 (``accuracy`` / 64 of the half scan), a few dozen
-    propagated lambdas in all; otherwise every lambda is propagated.
+    Chebyshev interpolant in lambda when its rule accepts one at the half
+    scan's accuracy, a few dozen propagated lambdas in all; the interpolant
+    adds less than ``accuracy`` / 64 to the half scan's states. Otherwise
+    every lambda is propagated.
     Raises ``ValueError`` when ``count`` is not an integer of at least 1,
     ``accuracy`` is not in (0, ``TOL_MAX``] or ``lo`` or ``hi`` is not
     finite.

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from hillgreen import DEFAULT_TOL, fundamental_solutions
 
@@ -37,6 +38,37 @@ def step_state(p, lam, t):
             break
         M = step_transfer(piece.value + lam, min(b, t) - a) @ M
     return np.array([M[0, 0], M[1, 0], M[0, 1], M[1, 1]])
+
+
+def step_dirichlet_roots(p, lams):
+    """Dirichlet eigenvalues of a piecewise-constant p inside the sorted grid lams.
+
+    Each sign change of y2(T) between neighbouring lambdas, y2 carried by
+    the closed-form transfers of ``step_transfer`` over the whole grid at
+    once, is refined by brentq at xtol 1e-13 on ``step_state``. Two roots
+    closer than the grid spacing leave no sign change.
+    """
+    y = np.array([np.zeros(lams.size), np.ones(lams.size)])  # (y2, y2')
+    for a, b, piece in p.pieces:
+        q, h = piece.value + lams, b - a
+        m = np.sqrt(q.astype(complex))
+        c = np.cos(m * h).real
+        with np.errstate(invalid="ignore"):
+            s = np.where(q == 0.0, h, (np.sin(m * h) / m).real)
+        y = np.array([c * y[0] + s * y[1], -q * s * y[0] + c * y[1]])
+    T = p.domain_length
+    flips = np.flatnonzero(np.sign(y[0, :-1]) * np.sign(y[0, 1:]) < 0)
+    return [brentq(lambda lam: step_state(p, lam, T)[2], lams[i], lams[i + 1], xtol=1e-13)
+            for i in flips]
+
+
+def sinh_dirichlet_kernel(mu, L, grid):
+    """The Dirichlet kernel of u'' - mu^2 u = sigma on [0, L] (a = 0, lambda = -mu^2)
+    at every pair of grid points, sinh(mu min(t, s)) sinh(mu (max(t, s) - L)) /
+    (mu sinh(mu L)): ``closed_form_constant``'s sine form at m = i mu."""
+    t, s = grid[:, None], grid[None, :]
+    return np.sinh(mu * np.minimum(t, s)) * np.sinh(mu * (np.maximum(t, s) - L)) / (
+        mu * math.sinh(mu * L))
 
 
 def rk4_reference(p, lam, length, n_per_segment=6000):

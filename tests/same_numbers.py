@@ -16,7 +16,8 @@ Cases: ex1-ex4, a cosine and a step; lambda from -20 to 7.3; n in
 {7, 60, 300}.  Sections: kernels (tables, ``table_slice``, ``G.value``,
 ``kernel_value``, ``classify_sign``, closed forms); catalog and dominance;
 BVP values and scalar/array u, u'; spectra; sweep samples (``discriminant_samples``,
-one batch of them as large as the benchmark's sweep tasks);
+two batches of them as large as the benchmark's sweep tasks, one for each way
+its interpolant in lambda is accepted);
 ``Potential.eval`` and ``trajectory`` reads; spectral relations (the
 verdicts and values of ``verify_spectral_decomposition``,
 ``first_eigenvalue_relations`` and ``verify_interlacing``, read by field so
@@ -183,8 +184,12 @@ def sweep(h) -> None:
     for p in POTENTIALS.values():
         for accuracy in (1e-6, 1e-9):
             _feed(h, list(discriminant_samples(p, -2.0, 12.0, count=150, accuracy=accuracy)))
-    # a batch the size of the benchmark's sweep tasks
+    # batches the size of the benchmark's sweep tasks: ex4's interpolant is
+    # accepted by the sample test at 4 nodes of its next level, the cosine's by
+    # its upper-half coefficients alone
     _feed(h, list(discriminant_samples(POTENTIALS["ex4"], -2.0, 20.0, count=3000)))
+    _feed(h, list(discriminant_samples(POTENTIALS["cosine"], -2.0, 40.0, count=3000,
+                                       accuracy=1e-6)))
 
 
 def wide_spectra(h) -> None:

@@ -21,7 +21,7 @@ from hillgreen import greens
 from hillgreen.errors import DomainError, PoleError, ResonanceError
 
 from helpers import (boundary_residual, estimate_diagonal_jump, shooting_dirichlet,
-                     step_bvp_reference)
+                     sinh_dirichlet_kernel, step_bvp_reference)
 
 ALL_BC = ("P", "A", "N", "D", "M1", "M2")
 
@@ -583,3 +583,13 @@ def test_condition_strings():
         "M1": "u'(0)=0, u(T)=0",
         "M2": "u(0)=0, u'(T)=0",
     }
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 13: every kernel is row(t) K col(s) from one basis integrated "
+    "forward from 0, and below the spectrum rounding grows like exp(2 mu L): at "
+    "lambda = -50 the a = 0 Dirichlet kernel on [0, pi] is 3.4e2 off its sinh form"))
+def test_dirichlet_kernel_far_below_the_spectrum():
+    G = build_green(Potential.piecewise_constant([0.0, math.pi], [0.0]), -50.0, "D", n=60)
+    want = sinh_dirichlet_kernel(math.sqrt(50.0), math.pi, G.grid)
+    assert np.max(np.abs(G.table - want)) <= 1e-10 * np.max(np.abs(want))

@@ -453,6 +453,42 @@ def test_endpoint_scan_interpolant_meets_accuracy(monkeypatch):
     assert 3000 not in sizes and sum(sizes) <= 65
 
 
+def test_endpoint_scan_interpolant_settles_its_degree(monkeypatch):
+    # the ex3 sweep batch: 33 nodes and a sample at 4 nodes of the next level,
+    # its series cut where the tail of the coefficients is within accuracy / 128
+    sizes = _node_batches(monkeypatch)
+    terms = []
+    chebyshev_sum = integrator._chebyshev_sum
+
+    def counting(c, x):
+        terms.append(c.shape[1])
+        return chebyshev_sum(c, x)
+
+    monkeypatch.setattr(integrator, "_chebyshev_sum", counting)
+    endpoint_scan(load_builtin("ex3"), np.linspace(-2.0, 20.0, 3000), accuracy=1e-9)
+    assert sum(sizes) <= 37 and max(terms) <= 21
+
+
+def test_endpoint_scan_interpolant_sample_catches_aliasing(monkeypatch):
+    # a smooth map plus 1e-3 T_48 of the mapped lambda reads as 1e-3 T_16 at
+    # the 33 nodes, so their cut keeps 17 terms. At the next level's new nodes
+    # T_48 - T_16 is sqrt(2) 1e-3, and the sample refuses the level; its 4
+    # states are nodes of the next level, and the series settles at 129 nodes
+    lams = np.linspace(-2.0, 20.0, 3000)
+
+    def aliased(plan, batch):
+        x = (batch - 9.0) / 11.0
+        smooth = np.stack([np.exp(x), np.cos(2.0 * x), np.sin(2.0 * x), 0.5 * np.exp(-x)])
+        return smooth + 1e-3 * np.cos(48.0 * np.arccos(np.clip(x, -1.0, 1.0)))
+
+    monkeypatch.setattr(integrator, "_propagate", aliased)
+    want = aliased(None, lams)
+    sizes = _node_batches(monkeypatch)
+    got = endpoint_scan(load_builtin("ex3"), lams, accuracy=1e-9)
+    assert sizes == [17, 16, 4, 28, 64]
+    assert np.all(np.abs(got - want) <= 1e-9 / 16.0 * np.maximum(1.0, np.max(np.abs(want), axis=0)))
+
+
 @pytest.mark.parametrize("p, lams", [
     (STEP3, np.linspace(-3.0, 40.0, 3000)),  # no Magnus segment
     (MIXED.even_extension(), np.linspace(-3.0, 40.0, 135)),  # 17 nodes pass K / 8

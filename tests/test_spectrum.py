@@ -29,7 +29,8 @@ from hillgreen.greens import BoundaryCondition
 from hillgreen.integrator import DEFAULT_TOL, endpoint_scan
 from hillgreen.spectrum import DEFAULT_SCAN, _batch_roots, _link, _refine_roots
 
-from helpers import batch_roots_reference, neumann_extension_residual, step_state
+from helpers import (batch_roots_reference, neumann_extension_residual, step_dirichlet_roots,
+                     step_state)
 
 PI = math.pi
 
@@ -418,6 +419,27 @@ def test_double_well_lowest_neumann_pair():
     p = Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0])
     spec = find_eigenvalues(p, "N", max_count=2)
     assert spec.values() == pytest.approx([104.9377, 104.9386], abs=1e-3)
+
+
+def _barrier_dirichlet_pair():
+    # the two lowest D eigenvalues of the double well, 3.8e-4 apart, from
+    # closed-form transfers on a grid of spacing 1.9e-4
+    p = Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0])
+    return p, step_dirichlet_roots(p, np.linspace(-1.0, 50.0, 1 << 18))
+
+
+def test_barrier_dirichlet_reference_pair():
+    _, want = _barrier_dirichlet_pair()
+    assert want == pytest.approx([46.64098, 46.64135], abs=5e-6)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: max_count=k takes the first k sign changes of the scan; the "
+    "double well's two lowest Dirichlet eigenvalues share a scan cell, and "
+    "max_count=2 returns 7802.85 and 7808.58"))
+def test_double_well_lowest_dirichlet_pair():
+    p, want = _barrier_dirichlet_pair()
+    assert find_eigenvalues(p, "D", max_count=2).values() == pytest.approx(want, abs=1e-8)
 
 
 def test_high_neumann_eigenvalue_matches_mathieu(cos_pi):
