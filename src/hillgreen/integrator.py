@@ -7,7 +7,8 @@ Magnus-6 steps, cached by ``_memo`` like the kernel workspaces of
 scans for eigenvalue brackets and, with its steps planned once at the
 integrator tolerance, refines them. The Dirichlet oscillation audit alone
 integrates by adaptive Dormand-Prince 8(5,3) (``solve_ivp``, method DOP853,
-in ``_audit_states``), as its cross-check of the Magnus scan.
+in ``_y2_zeros``), as its cross-check of the Magnus scan: it counts the sign
+changes of y2 at step ends too close together to hold two zeros.
 
 All work piecewise: segments end at the potential's breakpoints and at the
 nodes of its table pieces, so no step straddles a jump of a or of a'. A
@@ -175,7 +176,7 @@ def _exact_step(y, q, h):
     """State (y1, y1', y2, y2') carried by h across a constant piece u'' + q u = 0.
 
     q and h broadcast against the entries of y: a batch of lambdas takes one
-    step of a common h, and dense output takes many h from one state. It is
+    step of a common h, and the audit's substeps take many h from one state. It is
     the Magnus step of a constant potential: d = 0 and one step of length h.
     """
     q, h = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(h, dtype=float))
@@ -579,53 +580,49 @@ def discriminant(p: Potential, lam: float, *, tol: float = DEFAULT_TOL) -> float
     return fundamental_solutions(p, lam, tol=tol).discriminant
 
 
-def _audit_states(p: Potential, lam: float, tol: float, t: np.ndarray) -> np.ndarray:
-    """States (4, t.size) at the points t of [0, T] by DOP853, for the Dirichlet
-    oscillation audit: a route of its own, independent of the Magnus steps.
+def _y2_zeros(p: Potential, lam: float, tol: float) -> int:
+    """Zeros of y2 in (0, T) by DOP853, for the Dirichlet oscillation audit: a
+    route of its own, independent of the Magnus steps.
 
-    A constant segment is read by its exact step. Every other segment is
-    integrated by ``solve_ivp`` with DOP853 at rtol = max(tol/10, 1e-13)
-    and atol = max(tol * 1e-3, 1e-15), and read through its dense output.
-    A point is read on the last segment starting at or before it.
+    Zeros of y2 lie at least pi / sqrt(max(a + lambda)) apart (Sturm
+    separation), so steps of at most h = pi / (2 sqrt(q)), q the largest
+    a + lambda at a segment's ends and 65 points (the whole segment if
+    q <= 0), hold one zero at most, and the count is y2's sign changes over
+    the step ends, from its + just after 0 to T. A constant segment takes
+    ceil(length / h) exact substeps, any other ``solve_ivp``'s DOP853 steps
+    at rtol = max(tol/10, 1e-13), atol = max(tol * 1e-3, 1e-15) and
+    ``max_step`` h.
     """
     lam, tol = _check_lam_tol(lam, tol)
     edges, consts = _segments(p)
-    L = p.domain_length
     rtol, atol = max(tol / 10.0, 1e-13), max(tol * 1e-3, 1e-15)
-    seg = np.minimum(np.searchsorted(edges, t, side="right") - 1, len(consts) - 1)
-    out = np.empty((4, t.size))
     y = np.array([1.0, 0.0, 0.0, 1.0])
-    for k, (t0, t1, const) in enumerate(zip(edges, edges[1:], consts)):
-        here = seg == k
+    values = [np.ones(1)]
+    for t0, t1, const in zip(edges, edges[1:], consts):
+        q = lam + (const if const is not None else float(np.max(p.eval(np.linspace(t0, t1, 65)))))
+        h = math.pi / (2.0 * math.sqrt(q)) if q > 0 else t1 - t0
         if const is not None:
-            out[:, here] = _exact_step(y, const + lam, t[here] - t0)
-            y = _exact_step(y, const + lam, t1 - t0)
-            continue
-        # stage times can land exactly on t1; clamp the evaluation onto this
-        # segment's piece so a jump's right-hand value never leaks in
-        back = t1 - 1e-12 * (1.0 + L)
+            states = _exact_step(y, q, np.linspace(0.0, t1 - t0, math.ceil((t1 - t0) / h) + 1)[1:])
+        else:
+            # stage times can land exactly on t1; clamp the evaluation onto this
+            # segment's piece so a jump's right-hand value never leaks in
+            back = t1 - 1e-12 * (1.0 + p.domain_length)
 
-        def rhs(s, z, _b=back):
-            q = p.eval(min(s, _b)) + lam
-            return (z[1], -q * z[0], z[3], -q * z[2])
+            def rhs(s, z, _b=back):
+                a = p.eval(min(s, _b)) + lam
+                return (z[1], -a * z[0], z[3], -a * z[2])
 
-        res = solve_ivp(rhs, (t0, t1), y, method="DOP853", dense_output=True,
-                        rtol=rtol, atol=atol)
-        if not res.success:
-            raise IntegrationError(
-                f"integration stalled on [{t0}, {t1}] at lambda={lam}: {res.message}",
-                t=float(res.t[-1]) if res.t.size else t0)
-        # each step's points in one call of its interpolant, on OdeSolution's side
-        # rule; OdeSolution's own call regroups the points in a Python loop
-        sol, at = res.sol, np.flatnonzero(here)
-        step = np.clip(np.searchsorted(sol.ts, t[at], side=sol.side) - 1, 0, sol.n_segments - 1)
-        order = np.argsort(step, kind="stable")
-        cuts = np.searchsorted(step[order], np.arange(sol.n_segments + 1)).tolist()
-        for j, (i0, i1) in enumerate(zip(cuts, cuts[1:])):
-            cols = at[order[i0:i1]]
-            out[:, cols] = sol.interpolants[j](t[cols])
-        y = res.y[:, -1]
-    return out
+            res = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol, atol=atol, max_step=h)
+            if not res.success:
+                raise IntegrationError(
+                    f"integration stalled on [{t0}, {t1}] at lambda={lam}: {res.message}",
+                    t=float(res.t[-1]) if res.t.size else t0)
+            states = res.y[:, 1:]
+        values.append(states[2])
+        y = states[:, -1]
+    sign = np.sign(np.concatenate(values))
+    sign = sign[sign != 0]
+    return int(np.count_nonzero(sign[:-1] != sign[1:]))
 
 
 def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np.ndarray:

@@ -10,15 +10,15 @@ at its ends and Chebyshev nodes, the next around the root that inverse
 interpolation through those samples predicts, which in practice closes
 it, and at the nodes again.  A call for the first ``max_count``
 eigenvalues scans only up to a few cells above its ``max_count``-th
-bracket, and the Dirichlet oscillation audit probes between the last
-eigenvalue found and that top.  Periodic and anti-periodic
-eigenvalues are the band edges of the discriminant Delta = y1 + y2'.  Over
-an even extension they are assembled from the separated spectra of the
-half interval; for any potential they are found between the Dirichlet and
-Neumann eigenvalues, where the sign of Delta -+ 2 is known exactly.
-Either way a double eigenvalue is two coinciding edges, never a tangency
-judged from samples of Delta.  ``verify_spectral_decomposition`` compares
-the two routes.
+bracket, and the Dirichlet oscillation audit counts y2's zeros at DOP853
+step ends between the last eigenvalue found and that top.  Periodic and
+anti-periodic eigenvalues are the band edges of the discriminant Delta =
+y1 + y2'.  Over an even extension they are assembled from the separated
+spectra of the half interval; for any potential they are found between the
+Dirichlet and Neumann eigenvalues, where the sign of Delta -+ 2 is known
+exactly.  Either way a double eigenvalue is two coinciding edges, never a
+tangency judged from samples of Delta.  ``verify_spectral_decomposition``
+compares the two routes.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, _check_n, kernel_value
-from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _audit_states, _check_accuracy,
-                         _check_positive, _check_tol, _propagate, _scan_plan, discriminant,
+from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _check_accuracy, _check_positive,
+                         _check_tol, _propagate, _scan_plan, _y2_zeros, discriminant,
                          endpoint_scan)
 # kept bound though no function here calls it: bench/test_bench.py checks
 # that the tracer wraps it in this module too
@@ -449,10 +449,10 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     increasing, or an unknown ``method``.
 
     For the Dirichlet condition the audit's ``oscillation`` entry counts the
-    interior sign changes of y2 at a probe midway between the last eigenvalue
+    interior zeros of y2 at a probe midway between the last eigenvalue
     found and ``scanned_to``, which equals the number of eigenvalues below it
-    (a Sturm count). Only the signs are read, so its DOP853 solve
-    (``dirichlet_zero_count``) runs at ``TOL_MAX``.
+    (a Sturm count).  It reads only y2's signs at DOP853 step ends
+    (``dirichlet_zero_count``), so it runs at ``TOL_MAX``.
     """
     bc = BoundaryCondition.parse(bc)
     n_scan = _check_n(n_scan, "n_scan")
@@ -509,20 +509,16 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
 
 def dirichlet_zero_count(p: Potential, lam: float, *, tol: float = DEFAULT_TOL,
                          npts: int = 2001) -> int:
-    """Interior sign changes of y2(., lam); equals #{Dirichlet eigenvalues < lam}.
+    """Zeros of y2(., lam) in (0, T); equals #{Dirichlet eigenvalues < lam}.
 
-    y2 is sampled at ``npts`` equally spaced points of [0, T], ends left
-    out, on the DOP853 route of ``integrator._audit_states``, so the count
-    checks the Magnus scan on an integration of its own.  ``npts`` is an
-    integer of at least 4, which leaves the two interior samples a sign
-    change needs; anything else raises ``ValueError``.
+    They are the sign changes of y2 at DOP853 step ends that Sturm separation
+    spaces to hold one zero at most (``integrator._y2_zeros``): a check of
+    the Magnus scan on an integration of its own, exact wherever the solve's
+    error at T is below |y2(T)|, just above an eigenvalue too.  ``npts`` is
+    unused; it stays an integer of at least 4, else ``ValueError``.
     """
-    npts = _check_n(npts, "npts", least=4)
-    ts = np.linspace(0.0, p.domain_length, npts)[1:-1]
-    vals = _audit_states(p, lam, tol, ts)[2]
-    sign = np.sign(vals)
-    sign = sign[sign != 0]
-    return int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
+    _check_n(npts, "npts", least=4)
+    return _y2_zeros(p, lam, tol)
 
 
 def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *,
@@ -755,8 +751,9 @@ def verify_interlacing(p: Potential, count: int = 3, n_scan: int = DEFAULT_SCAN,
     "<" by more than ``margin``, or "<=" within 1e-9; a group link compares
     the largest of one group with the smallest of the next.  Mixed-vs-mixed
     and Neumann-vs-Dirichlet alternation is only observed and reported,
-    never asserted.  The chains pair eigenvalues by index from the lowest,
-    so every spectrum is taken from its first eigenvalue on.
+    never asserted; values within their closing widths tie, N before D and M1
+    before M2.  The chains pair eigenvalues by index from the lowest, so
+    every spectrum is taken from its first eigenvalue on.
     """
     count = _check_n(count, "count")
     _check_positive(margin, "margin")
@@ -806,7 +803,11 @@ def verify_interlacing(p: Potential, count: int = 3, n_scan: int = DEFAULT_SCAN,
     parity_pass = all(e["pass"] for e in parity)
 
     def pattern(first: str, second: str) -> str:
-        return "".join(bc for _, bc in sorted((v, bc) for bc in (first, second) for v in sep[bc]))
+        # each value moves by its closing width, first's down and second's up:
+        # two values within their combined widths read first, then second
+        return "".join(bc for *_, bc in sorted((v + s * (ROOT_XTOL + _RTOL * abs(v)), s, bc)
+                                               for s, bc in ((-1, first), (1, second))
+                                               for v in sep[bc]))
 
     observations = {"mixed_order_pattern": pattern("M1", "M2"),
                     "neumann_dirichlet_pattern": pattern("N", "D"),

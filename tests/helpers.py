@@ -62,6 +62,53 @@ def step_dirichlet_roots(p, lams):
             for i in flips]
 
 
+def step_zero_count(p, lam):
+    """Zeros of y2(., lam) in (0, T] for a piecewise-constant p, in closed form:
+    #{Dirichlet eigenvalues < lam} when y2(T) != 0.
+
+    On a piece with q = a + lam > 0 and w = sqrt(q), y2 = r sin(phi) / w and
+    y2' = r cos(phi), where the phase phi advances by exactly w h; the zeros
+    there are the multiples of pi it passes. On a piece with q <= 0, y2 has
+    at most one zero, where its sign changes. The state between pieces is
+    carried by ``step_transfer``.
+    """
+    y = np.array([0.0, 1.0])
+    count = 0
+    for a, b, piece in p.pieces:
+        q, h = piece.value + lam, b - a
+        end = step_transfer(q, h) @ y
+        if q > 0:
+            w = math.sqrt(q)
+            phi = math.atan2(w * y[0], y[1])
+            count += math.floor((phi + w * h) / math.pi) - math.floor(phi / math.pi)
+        elif y[0] != 0 and (end[0] == 0 or (end[0] > 0) != (y[0] > 0)):
+            count += 1
+        y = end
+    return count
+
+
+def step_count_roots(p, count):
+    """The first ``count`` Dirichlet eigenvalues of a piecewise-constant p, each
+    located by bisection on ``step_zero_count`` down to adjacent floats."""
+    lo = -max(piece.value for _, _, piece in p.pieces)
+    hi = lo + 1.0
+    while step_zero_count(p, hi) < count:
+        hi = lo + 2.0 * (hi - lo)
+    roots = []
+    for k in range(count):
+        a, b = lo, hi
+        while True:
+            mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break
+            if step_zero_count(p, mid) > k:
+                b = mid
+            else:
+                a = mid
+        roots.append(b)
+    return roots
+
+
 def sinh_dirichlet_kernel(mu, L, grid):
     """The Dirichlet kernel of u'' - mu^2 u = sigma on [0, L] (a = 0, lambda = -mu^2)
     at every pair of grid points, sinh(mu min(t, s)) sinh(mu (max(t, s) - L)) /

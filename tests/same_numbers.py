@@ -24,13 +24,13 @@ verdicts and values of ``verify_spectral_decomposition``,
 that a record's layout can change under the hash, at two counts); the
 command line (stdout, stderr, exit code and any ``--output`` file of a fixed
 command set).  The catalog section is also printed with ``lhs_scale`` left
-out, and the spectra section with each spectrum's ``audit`` and
-``dirichlet_zero_count`` at every lambda included.  One more spectra section
-takes every condition, and ``method="direct"`` for P and A, over ranges
-holding 30-60 eigenvalues a call, and ``stability_intervals`` over a
-quarter of each range.  The ``reads`` section
-moved when ``fundamental_solutions`` became the Magnus basis that kernels
-read; the audit's own DOP853 samples did not, and the audit section pins them.
+out, and the spectra section with each spectrum's ``audit``,
+``dirichlet_zero_count`` at every lambda and 1e-6 (relative) above each
+Dirichlet eigenvalue included.  One more spectra section takes every
+condition, and ``method="direct"`` for P and A, over ranges holding 30-60
+eigenvalues a call, and ``stability_intervals`` over a quarter of each
+range.  The ``reads`` section moved when ``fundamental_solutions`` became
+the Magnus basis that kernels read.
 """
 
 import hashlib
@@ -176,6 +176,10 @@ def spectra(h, with_audit: bool = False) -> None:
             _feed(h, [name, bc, [tuple(e) for e in spec.eigenvalues], spec.search_range])
             if with_audit:
                 _feed(h, spec.audit)
+            if with_audit and bc == "D":
+                # just above an eigenvalue, where the newest zero of y2 lies next to T
+                _feed(h, [dirichlet_zero_count(p, v + 1e-6 * max(1.0, abs(v)))
+                          for v in spec.values()])
         if with_audit:
             _feed(h, [dirichlet_zero_count(p, lam) for lam in LAMS])
 

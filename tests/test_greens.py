@@ -531,7 +531,7 @@ def test_solve_bvp_reads_the_basis_once(cos_pi, trajectory_calls, n):
     assert np.array_equal(u(u.grid), u.values)
 
 
-def test_solve_bvp_length_from_basis(cos_pi):
+def test_solve_bvp_restricted_reads_length_from_basis(cos_pi):
     # a restriction past the domain by rounding is clamped onto it, and both
     # read their length from the basis
     short = cos_pi.restrict(math.pi * (1 + 1e-13))

@@ -225,7 +225,7 @@ def test_factored_catalog_matches_full_tables(name, lam, n):
     assert all(r.passed for r in reports)
 
 
-def test_factored_catalog_matches_full_tables_with_length(cos_pi):
+def test_factored_catalog_matches_full_tables_restricted(cos_pi):
     _assert_matches_reference(cos_pi.restrict(0.6 * math.pi), 0.2, n=24)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -11,6 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import mathieu_a
 
 from hillgreen import (
+    Eigenvalue,
     Potential,
     dirichlet_zero_count,
     discriminant_samples,
@@ -27,10 +29,10 @@ from hillgreen import integrator, spectrum
 from hillgreen.errors import DomainError, IntegrationError
 from hillgreen.greens import BoundaryCondition
 from hillgreen.integrator import DEFAULT_TOL, endpoint_scan
-from hillgreen.spectrum import DEFAULT_SCAN, _batch_roots, _link, _refine_roots
+from hillgreen.spectrum import DEFAULT_SCAN, ROOT_XTOL, _batch_roots, _link, _refine_roots
 
-from helpers import (batch_roots_reference, neumann_extension_residual, step_dirichlet_roots,
-                     step_state)
+from helpers import (batch_roots_reference, neumann_extension_residual, step_count_roots,
+                     step_dirichlet_roots, step_state, step_zero_count)
 
 PI = math.pi
 
@@ -242,7 +244,7 @@ def test_first_eigenvalue_relations(request, name):
 
 
 @pytest.mark.parametrize("bc", ["P", "A", "N", "D", "M1", "M2"])
-def test_length_restricts_before_choosing_method(bc):
+def test_restricted_extension_chooses_its_own_method(bc):
     # the even extension of an uneven step is even as a whole, but its first
     # half is not: restricted to [0, 1] the problem is the step's own, so P
     # and A must take the direct route and the step's range, not the union
@@ -351,6 +353,56 @@ def test_interlacing_observations(zero1, cos_pi):
     assert rep2["observations"]["mixed_spectra_coincide"] is False
 
 
+def _value_width(v):
+    """A value's closing width at find_eigenvalues' default tol."""
+    return _closing_width(v, v, ROOT_XTOL)
+
+
+def _patterns(monkeypatch, spectra):
+    """verify_interlacing's order patterns on a = 0 over [0, 1], its separated
+    spectra replaced by ``spectra``."""
+    real = spectrum.find_eigenvalues
+
+    def fake(p, bc, **kwargs):
+        spec = real(p, bc, **kwargs)
+        if bc not in spectra:
+            return spec
+        return dataclasses.replace(spec, eigenvalues=tuple(
+            Eigenvalue(k, v, 1) for k, v in enumerate(spectra[bc])))
+
+    monkeypatch.setattr(spectrum, "find_eigenvalues", fake)
+    got = verify_interlacing(Potential.piecewise_constant([0.0, 1.0], [0.0]), count=3)
+    return tuple(got["observations"][key]
+                 for key in ("neumann_dirichlet_pattern", "mixed_order_pattern"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_patterns_read_ties_first(monkeypatch, seed):
+    # N_{k+1} = D_k exactly for a = 0: computed values differ in their last
+    # bits, and any difference within the two closing widths is a tie
+    rng = np.random.default_rng(seed)
+    exact = [(k * PI) ** 2 for k in range(1, 6)]
+
+    def jitter(values):
+        return [v + rng.uniform(-0.5, 0.5) * _value_width(v) for v in values]
+
+    spectra = {"N": jitter([0.0] + exact), "D": jitter(exact),
+               "M1": jitter(exact), "M2": jitter(exact)}
+    assert _patterns(monkeypatch, spectra) == ("N" + "ND" * 5, "M1M2" * 5)
+    # a gap beyond the combined widths orders by value, either way round
+    late = [v + 3.0 * _value_width(v) for v in exact]
+    spectra = {"N": [0.0] + late, "D": exact, "M1": late, "M2": exact}
+    assert _patterns(monkeypatch, spectra) == ("N" + "DN" * 5, "M2M1" * 5)
+
+
+def test_order_patterns_of_coinciding_spectra():
+    # ex1 has a = 0 on [0, 1], so N_{k+1} = D_k; ex4 is even, so M1 = M2
+    ex1 = verify_interlacing(load_builtin("ex1"), count=5)["observations"]
+    assert ex1["neumann_dirichlet_pattern"] == "N" + "ND" * 6 + "D"
+    ex4 = verify_interlacing(load_builtin("ex4"), count=5)["observations"]
+    assert ex4["mixed_order_pattern"] == "M1M2" * 7
+
+
 def test_stability_intervals_zero_potential(zero1):
     # a == 0 has no open instability gaps: bands touch at ((k pi)/2)^2 * ...
     # on [0,1] the discriminant is 2 cos(sqrt(lam)), giving band edges at
@@ -440,6 +492,17 @@ def test_barrier_dirichlet_reference_pair():
 def test_double_well_lowest_dirichlet_pair():
     p, want = _barrier_dirichlet_pair()
     assert find_eigenvalues(p, "D", max_count=2).values() == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: max_count=k takes the first k sign changes of the scan; the "
+    "wider barrier's eigenvalues come in close pairs (the lowest 2.4e-3 apart) that "
+    "share scan cells, and max_count=1 returns 164.73 where the first is 4.6048"))
+@pytest.mark.parametrize("count", [1, 4, 10])
+def test_wide_barrier_first_dirichlet_eigenvalues(count):
+    p = BARRIERS["wide"]
+    want = step_count_roots(p, count)
+    assert find_eigenvalues(p, "D", max_count=count).values() == pytest.approx(want, rel=1e-9)
 
 
 def test_high_neumann_eigenvalue_matches_mathieu(cos_pi):
@@ -930,9 +993,70 @@ def test_dirichlet_zero_count(zero1):
                                            (2001.5, "an integer"), (True, "an integer"),
                                            ("2001", "an integer"), (None, "an integer")])
 def test_dirichlet_zero_count_rejects_a_bad_npts(npts, message):
-    # fewer than two interior samples (npts < 4) can show no sign change
+    # npts is unused, and its rule stands: an integer of at least 4
     with pytest.raises(ValueError, match=f"^npts must be {message}"):
         dirichlet_zero_count(load_builtin("ex3"), 20.0, npts=npts)
+
+
+# the two barriers of the ROADMAP Baseline: the test suite's double well and a wider one
+BARRIERS = {"well": Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0]),
+            "wide": Potential.piecewise_constant([0.0, 0.45 * PI, 0.55 * PI, PI], [0.0, -400.0, 0.0])}
+
+
+def _probes(roots, below):
+    """Lambdas around ascending eigenvalues: one below the first, the midpoints
+    between neighbours, and 1e-6 (relative) on either side of each."""
+    mids = [0.5 * (below + roots[0])] + [0.5 * (a + b) for a, b in zip(roots, roots[1:])]
+    sides = [r + side * 1e-6 * max(1.0, abs(r)) for r in roots for side in (-1.0, 1.0)]
+    return mids + sides
+
+
+def _count_cases():
+    """The two barriers and seeded 2- to 5-piece steps."""
+    rng = np.random.default_rng(39)
+    cases = dict(BARRIERS)
+    for k, pieces in enumerate((2, 3, 4, 5, 2, 3, 4, 5)):
+        length = float(rng.uniform(0.8, 3.0))
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, pieces - 1)), [1.0]])
+        cases[f"step{k}"] = Potential.piecewise_constant(length * breaks,
+                                                         rng.uniform(-30.0, 30.0, pieces))
+    return cases
+
+
+COUNT_CASES = _count_cases()
+
+
+@pytest.mark.parametrize("name", list(COUNT_CASES))
+def test_dirichlet_zero_count_is_the_closed_form_count(name):
+    # each sign change of y2 is read at step ends Sturm separation spaces to
+    # hold one zero, so the count is exact just above an eigenvalue too, where
+    # the newest zero lies next to T; a count off a fixed grid of samples of
+    # y2 misses that zero
+    p = COUNT_CASES[name]
+    roots = step_count_roots(p, 12)
+    for lam in _probes(roots, roots[0] - 1.0):
+        want = sum(r < lam for r in roots)
+        assert step_zero_count(p, lam) == want
+        assert dirichlet_zero_count(p, lam) == want, lam
+
+
+def _cosines(seed):
+    rng = np.random.default_rng(seed)
+    return [Potential.cosine(float(rng.uniform(0.8, 3.0)), c0=float(rng.uniform(-2.0, 2.0)),
+                             c1=float(rng.uniform(0.2, 6.0)), omega=float(rng.uniform(0.5, 6.0)),
+                             phi=float(rng.uniform(0.0, PI))) for _ in range(3)]
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "cos0", "cos1", "cos2"])
+def test_dirichlet_zero_count_is_the_index(name):
+    # on smooth pieces the count is read at DOP853 step ends: it equals the
+    # index of find_eigenvalues' Dirichlet spectrum around every eigenvalue
+    p = load_builtin(name) if name.startswith("ex") else _cosines(39)[int(name[-1])]
+    spec = find_eigenvalues(p, "D", max_count=12)
+    roots = spec.values()
+    assert len(roots) == 12
+    for lam in _probes(roots, spec.search_range[0]):
+        assert dirichlet_zero_count(p, lam) == sum(r < lam for r in roots), lam
 
 
 def test_dirichlet_zero_count_takes_an_integral_float_npts():
@@ -1043,7 +1167,7 @@ def test_infinite_range_ends_are_refused_before_any_grid(entry, lo, hi):
             entry(load_builtin("ex3"), lo, hi)
 
 
-def test_discriminant_samples_length_restricts_the_base():
+def test_discriminant_samples_of_a_restricted_base():
     p = load_builtin("ex3")
     lams, deltas = discriminant_samples(p.restrict(2.0), -1.0, 40.0, count=101)
     # the extension of the restricted base, not the extension cut at 2.0
