@@ -27,14 +27,16 @@ is read from it by one search and one vectorized pass per kind of piece.
 The basis's step count per segment comes from a ladder over the states at
 every step end (``_kernel_steps``). The sweep's comes from a Richardson
 estimate at the segment's end (n against 2n steps at a few probe lambdas),
-one ladder for every accuracy asked, whose levels up to 256 steps are formed
-in one pass, and the steps of a block of lambdas, one (2, 2, steps, lambdas)
-array, are multiplied out pairwise as a tree. ``endpoint_scan`` reads a
-large batch off a Chebyshev interpolant in lambda of the same steps,
-propagated at a few dozen nodes and summed up to the term where its
-coefficients settle, a level early when a sample at 4 of the next level's
-nodes agrees; ``find_eigenvalues`` propagates its scans and refinements at
-every lambda.
+one ladder for every accuracy asked, whose levels up to 256 steps are formed,
+and compared, in one pass, and the steps of a block of lambdas, one (2, 2,
+steps, lambdas) array, are multiplied out pairwise as a tree.
+``endpoint_scan`` reads a large batch off a Chebyshev interpolant in lambda
+of the same steps, propagated at a few dozen nodes and summed up to the term
+where its coefficients settle, a level early when a sample at 4 of the next
+level's nodes agrees; from 520 lambdas on its first propagation holds the
+33-node level and the sample of the 65 level, so a batch that settles at 33
+nodes is propagated in one call. ``find_eigenvalues`` propagates its scans
+and refinements at every lambda.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ _MAX_STEPS = 1 << 16
 # smaller blocks pay more numpy calls, larger ones fall out of cache
 _BLOCK = 16384
 _LAMBDA_BLOCK = 4096
-# probe lambdas spread over the batch for the step-count estimate
-_PROBES = 7
+# quantiles of the batch at which the step-count estimate probes it
+_QUANTILES = np.linspace(0.0, 1.0, 7).tolist()
 # the sweep ladder's levels up to this many steps are formed in one pass, the
 # basis ladder's up to half as many; a wider pass would evaluate the potential
 # at more points than the ladder visits
@@ -642,18 +644,21 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np
 
     A batch of K >= 136 lambdas spanning a range, on a potential with a
     smooth piece, is read off a Chebyshev interpolant in lambda of those
-    same steps (``_interpolated``): it is propagated at 17, 33, 65, ...
-    Chebyshev-Lobatto nodes of [min, max], and each level's series is cut
-    after the last term whose tail of coefficients exceeds ``accuracy`` /
-    128. A level is accepted when every coefficient of its upper half is
-    within ``accuracy`` / 64 in absolute value, or a level early when its
-    cut keeps at most 3/4 of its terms and meets the propagated states
-    within ``accuracy`` / 64 at 4 of the next level's nodes, spread over
-    them: the sample catches a series that aliases. The coefficients fall
-    geometrically, so the interpolant adds less than ``accuracy`` / 32 to
-    the certified Magnus error. When the next level would pass K/8 nodes,
-    or a node state is not finite, every lambda is propagated directly, as
-    for any other batch, at most 1/8 more steps in all.
+    same steps (``_interpolated``): it is read at nested levels of 17, 33,
+    65, ... Chebyshev-Lobatto nodes of [min, max], and each level's series
+    is cut after the last term whose tail of coefficients exceeds
+    ``accuracy`` / 128. A level is accepted when every coefficient of its
+    upper half is within ``accuracy`` / 64 in absolute value, or a level
+    early when its cut keeps at most 3/4 of its terms and meets the
+    propagated states within ``accuracy`` / 64 at 4 of the next level's
+    nodes, spread over them: the sample catches a series that aliases. The
+    first propagation holds the 33 nodes when K >= 264, and also the 4
+    sample nodes of the 65 level when K >= 520; later levels propagate only
+    the nodes not yet propagated. The coefficients fall geometrically, so
+    the interpolant adds less than ``accuracy`` / 32 to the certified
+    Magnus error. When the next level would pass K/8 nodes, or a node state
+    is not finite, every lambda is propagated directly, as for any other
+    batch, at most 1/8 more steps in all.
 
     Raises ``ValueError`` for an ``accuracy`` outside (0, ``TOL_MAX``] or a
     batch of more than one dimension, and
@@ -679,17 +684,17 @@ def _scan_plan(p: Potential, lams: np.ndarray, *accuracies: float) -> list:
     from one ladder at probes spread over ``lams``, and ``_propagate`` applies
     a plan to any batch inside that range.
     """
-    if not np.all(np.isfinite(lams)):
+    if not np.isfinite(lams).all():
         raise ValueError("lambda values must be finite")
     edges, consts = _segments(p)
     smooth = [(t0, t1) for t0, t1, const in zip(edges, edges[1:], consts) if const is None]
     grids = {}
     if smooth and lams.size:
         amin, amax = p.sample_bound()
-        omega = math.sqrt(max(1.0, max(-amin, amax) + float(np.max(np.abs(lams)))))
-        probes = np.unique(np.concatenate([
-            np.quantile(lams, np.linspace(0.0, 1.0, _PROBES)),
-            np.clip([-amax, -0.5 * (amin + amax), -amin], lams.min(), lams.max())]))
+        lo, hi = float(lams.min()), float(lams.max())
+        omega = math.sqrt(max(1.0, max(-amin, amax) + max(-lo, hi)))
+        turning = (-amax, -0.5 * (amin + amax), -amin)
+        probes = np.array(sorted({*_quantiles(lams), *(min(max(v, lo), hi) for v in turning)}))
         # half of each accuracy, split over the segments: the n-against-2n
         # difference can miss the true error by about 2 where constant pieces follow
         targets = [(accuracy / (2.0 * omega * len(smooth)), accuracy) for accuracy in accuracies]
@@ -697,6 +702,23 @@ def _scan_plan(p: Potential, lams: np.ndarray, *accuracies: float) -> list:
             grids[t0] = _magnus_grid(p, t0, t1, probes, omega, targets)
     return [[(const, t1 - t0, grids[t0][k] if t0 in grids else None)
              for t0, t1, const in zip(edges, edges[1:], consts)] for k in range(len(accuracies))]
+
+
+def _quantiles(lams: np.ndarray) -> list:
+    """``np.quantile(lams, _QUANTILES)`` as Python floats, bit for bit, by numpy's own
+    arithmetic for its linear method: the virtual index v = (K - 1) q between the
+    order statistics i = floor(v) and i + 1 (both the last where v reaches K - 1,
+    and i = -1 there), both found by one ``np.partition`` at numpy's own indices,
+    and its lerp, which counts down from the upper one when v - i is 0.5 or more."""
+    top = lams.size - 1
+    spots = [(v, -1 if v >= top else math.floor(v)) for v in (top * q for q in _QUANTILES)]
+    ends = [(i, i + 1 if i >= 0 else -1) for _, i in spots]
+    x = np.partition(lams, sorted({0, -1, *(k for pair in ends for k in pair)}))
+    out = []
+    for (v, i), (a, b) in zip(spots, ends):
+        a, b, t = float(x[a]), float(x[b]), v - i
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def _interpolated(plan, lams: np.ndarray, accuracy: float) -> np.ndarray:
@@ -713,46 +735,70 @@ def _interpolated(plan, lams: np.ndarray, accuracy: float) -> np.ndarray:
     Trefethen, Chopping a Chebyshev series, ACM TOMS 43, 2017). A level
     whose cut keeps at most 3/4 of its terms is tested at 4 of the next
     level's new nodes; when the test fails, those 4 states are nodes of the
-    next level, so no lambda is propagated twice. When it engages, accepts
-    and falls back is ``endpoint_scan``'s rule.
+    next level, so no lambda is propagated twice. The first batch holds the
+    first level, the next level's new nodes and the sample nodes of the level
+    after it, each while its level fits the K/8 cap: 17 + 16 + 4 = 37 lambdas
+    in one ``_propagate`` call from 520 lambdas on, so a batch that settles at
+    33 nodes, by either rule, is propagated once. A state that is not finite,
+    at any node propagated so far, sends the batch to the direct route before
+    the next level. When it engages and accepts is ``endpoint_scan``'s rule.
     """
-    if _NODES > lams.size / 8 or all(grid is None for _, _, grid in plan) or np.ptp(lams) == 0:
+    cap = lams.size / 8
+    if _NODES > cap or all(grid is None for _, _, grid in plan) or lams.max() - lams.min() == 0:
         return _propagate(plan, lams)
     lo, hi = float(lams.min()), float(lams.max())
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    n = size = _NODES - 1
+    while size < 4 * n and 2 * size + 1 <= cap:
+        size *= 2
+    # every node is one of the finest level's cos(pi j / size), j = 0..size, its
+    # state zero until propagated: level n's are every (size / n)-th, bit for
+    # bit, as pi / size is pi / n times a power of two
+    x = np.cos(np.pi / size * np.arange(size + 1))
+    Y = np.zeros((4, size + 1))
+    done = set()
 
-    def states(x):
-        return _propagate(plan, np.clip(mid + half * x, lo, hi))
+    def fill(at):
+        # propagate the nodes at positions ``at`` not propagated yet
+        todo = [j for j in at if j not in done]
+        if todo:
+            done.update(todo)
+            Y[:, todo] = _propagate(plan, np.clip(mid + half * x[todo], lo, hi))
 
-    n = _NODES - 1
-    # nodes cos(pi j / n): every j on the first level, the odd j after it
-    values = states(np.cos(np.pi / n * np.arange(n + 1)))
+    def new(n):
+        # positions of the nodes that level 2n adds to level n, cos(pi j / 2n) for odd j
+        return range(size // n // 2, size, size // n)
+
+    fill([*range(0, size + 1, size // min(size, 2 * n)),
+          *(new(2 * n)[n // 4::n // 2] if size > 2 * n else ())])
     while True:
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(Y).all():
             return _propagate(plan, lams)
+        values = Y[:, ::size // n]
         c = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=1), axis=1).real / n
         c[:, [0, n]] *= 0.5
-        peak = np.max(np.abs(c), axis=0)
+        peak = np.abs(c).max(axis=0)
         tail = np.cumsum(peak[::-1])[::-1]
         # at least T_0 and T_1, which _chebyshev_sum's recurrence starts from
         c = c[:, :max(2, int(np.count_nonzero(tail > accuracy / 128.0)))]
-        if np.max(peak[n // 2:]) <= accuracy / 64.0:
+        if peak[n // 2:].max() <= accuracy / 64.0:
             return _chebyshev_sum(c, (lams - mid) / half)
-        if 2 * n + 1 > lams.size / 8:
+        if 2 * n + 1 > cap:
             return _propagate(plan, lams)
-        # the next level's new nodes cos(pi j / 2n), j odd; the sample test
-        # takes 4 of them, one in each quarter
-        x = np.cos(np.pi / (2 * n) * np.arange(1, 2 * n, 2))
-        fresh = np.empty((4, n))
-        known = np.zeros(n, dtype=bool)
+        if 2 * n > size:
+            size *= 2
+            x = np.cos(np.pi / size * np.arange(size + 1))
+            Y, last = np.zeros((4, size + 1)), Y
+            Y[:, ::2] = last
+            done = {2 * j for j in done}
+        fresh = new(n)
+        # the sample test takes 4 of the new nodes, one in each quarter
         if c.shape[1] <= 3 * n // 4:
-            known[n // 8::n // 4] = True
-            fresh[:, known] = states(x[known])
-            if np.all(np.abs(_chebyshev_sum(c, x[known]) - fresh[:, known]) <= accuracy / 64.0):
+            test = fresh[n // 8::n // 4]
+            fill(test)
+            if (np.abs(_chebyshev_sum(c, x[test]) - Y[:, test]) <= accuracy / 64.0).all():
                 return _chebyshev_sum(c, (lams - mid) / half)
-        fresh[:, ~known] = states(x[~known])
-        values, last = np.empty((4, 2 * n + 1)), values
-        values[:, 0::2], values[:, 1::2] = last, fresh
+        fill(fresh)
         n *= 2
 
 
@@ -806,21 +852,30 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, omega: 
     that the refusal checks let the ladder reach is formed in one pass
     (``_magnus_levels``) when the first is needed, each level above it on
     its own, and the grids of all targets in one node pass at the end; no
-    step count is formed twice.
+    step count is formed twice. The errors of all the levels of a pass, each
+    against the next, are one expression over their stacked energy-scaled
+    states, the same floats as one comparison per level.
     """
-    a_mid = float(np.mean(p.eval(np.linspace(t0, t1, 9))))
+    a_mid = float(p.eval(np.linspace(t0, t1, 9)).sum() / 9)
     w = np.sqrt(np.maximum(1.0, np.abs(probes + a_mid)))
     nodes = {}  # step count -> coefficients
-    states = {}  # step count -> endpoint states at the probes, energy scaled
+    errors = {}  # step count n -> error of n against 2n steps over the probes
+    top = []  # the endpoint states at the probes of the finest level, energy scaled
 
     def floor(n):
         return 10.0 * np.finfo(float).eps * (n + omega * (t1 - t0))
 
     def keep(counts, level_nodes, transfers):
+        # the levels of one pass, energy scaled and stacked on the finest level
+        # before them, and the error of each level against the next, at once
         nodes.update(zip(counts, level_nodes))
-        for n, m in zip(counts, transfers):
-            m = m.reshape(4, -1)
-            states[n] = np.stack([m[0], m[1] * w, m[2] / w, m[3]])
+        m = np.stack([*top, *(t.reshape(4, -1) for t in transfers)])
+        m[len(top):, 1] *= w
+        m[len(top):, 2] /= w
+        err = np.abs(m[:-1] - m[1:]).max(axis=1) / np.maximum(1.0, np.abs(m[1:]).max(axis=1))
+        coarse = counts[0] // 2 if top else counts[0]
+        errors.update((coarse << k, e) for k, e in enumerate(err.max(axis=1).tolist()))
+        top[:] = [m[-1]]
 
     chosen = [None] * len(targets)
     n = 8
@@ -838,19 +893,17 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, omega: 
                 f"within {_MAX_STEPS} Magnus steps (estimated error {before:.1e} at "
                 f"{n // 2} steps)", t=float(t0))
         with np.errstate(over="ignore", invalid="ignore"):
-            if not states:
+            if not top:
                 # level 2k is reached from level k when k passes both checks
                 counts = [n]
                 while 2 * counts[-1] <= min(_LADDER_PASS, _MAX_STEPS) and \
                         floor(counts[-1]) <= accuracy:
                     counts.append(2 * counts[-1])
                 keep(counts, *_magnus_levels(p, t0, t1, counts, probes))
-            if 2 * n not in states:
+            if n not in errors:
                 level = _magnus_nodes(p, t0, t1, 2 * n)
                 keep([2 * n], [level], [_magnus_transfer(*level, probes)])
-            at_coarse, at_fine = states[n], states[2 * n]
-            err = float(np.max(np.max(np.abs(at_coarse - at_fine), axis=0)
-                               / np.maximum(1.0, np.max(np.abs(at_fine), axis=0))))
+        err = errors[n]
         for k, (share, _) in enumerate(targets):
             if chosen[k] is None and err <= share and (before <= share or before >= 32.0 * err):
                 # the error falls as n^-6: trim n to what the estimate asks for

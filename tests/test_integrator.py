@@ -504,11 +504,20 @@ def test_endpoint_scan_interpolant_settles_its_degree(monkeypatch):
     assert sum(sizes) <= 37 and max(terms) <= 21
 
 
+def test_endpoint_scan_interpolant_propagates_once(monkeypatch):
+    # the ex3 sweep batch settles at 33 nodes on the sample at 4 nodes of the
+    # next level, and all 37 lambdas go through _propagate in one call
+    sizes = _node_batches(monkeypatch)
+    endpoint_scan(load_builtin("ex3"), np.linspace(-2.0, 20.0, 3000), accuracy=1e-9)
+    assert sizes == [37]
+
+
 def test_endpoint_scan_interpolant_sample_catches_aliasing(monkeypatch):
     # a smooth map plus 1e-3 T_48 of the mapped lambda reads as 1e-3 T_16 at
     # the 33 nodes, so their cut keeps 17 terms. At the next level's new nodes
     # T_48 - T_16 is sqrt(2) 1e-3, and the sample refuses the level; its 4
-    # states are nodes of the next level, and the series settles at 129 nodes
+    # states, propagated in the first batch with the 33 nodes, are nodes of the
+    # next level, and the series settles at 129 nodes, within K / 8
     lams = np.linspace(-2.0, 20.0, 3000)
 
     def aliased(plan, batch):
@@ -520,7 +529,7 @@ def test_endpoint_scan_interpolant_sample_catches_aliasing(monkeypatch):
     want = aliased(None, lams)
     sizes = _node_batches(monkeypatch)
     got = endpoint_scan(load_builtin("ex3"), lams, accuracy=1e-9)
-    assert sizes == [17, 16, 4, 28, 64]
+    assert sizes == [37, 28, 64] and sum(sizes) <= lams.size / 8
     assert np.all(np.abs(got - want) <= 1e-9 / 16.0 * np.maximum(1.0, np.max(np.abs(want), axis=0)))
 
 
@@ -534,9 +543,26 @@ def test_endpoint_scan_falls_back_bit_for_bit(p, lams):
     assert np.array_equal(endpoint_scan(p, lams, accuracy=1e-9), _direct(p, lams, 1e-9))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4000), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["sorted", "unsorted", "repeated"]))
+@example(1, 0, "repeated")
+def test_scan_probe_quantiles_are_numpys(K, seed, order):
+    # the plan's probes at quantiles 0, 1/6, ..., 1 of the batch: numpy's
+    # linear method to the bit, signed zeros included
+    rng = np.random.default_rng(seed)
+    lams = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), K)
+    if order == "sorted":
+        lams.sort()
+    elif order == "repeated":
+        lams = rng.choice(np.r_[lams[:max(1, K // 7)], -0.0, 0.0], K)
+    want = np.quantile(lams, np.linspace(0.0, 1.0, 7))
+    assert np.array(integrator._quantiles(lams)).tobytes() == want.tobytes()
+
+
 def test_endpoint_scan_falls_back_on_non_finite_nodes(monkeypatch):
-    # a NaN in any node state sends the whole batch through the direct route
-    # at once, with no further level of nodes
+    # a NaN in any node state, here the last of the first batch's 37, sends the
+    # whole batch through the direct route at once, with no further level of nodes
     p, lams = load_builtin("ex4"), np.linspace(-2.0, 20.0, 3000)
     want = _direct(p, lams, 1e-9)
     sizes = _node_batches(monkeypatch)
@@ -550,7 +576,7 @@ def test_endpoint_scan_falls_back_on_non_finite_nodes(monkeypatch):
 
     monkeypatch.setattr(integrator, "_propagate", poisoned)
     assert np.array_equal(endpoint_scan(p, lams, accuracy=1e-9), want)
-    assert sizes == [17, 3000]
+    assert sizes == [37, 3000] and sum(sizes[:-1]) <= lams.size / 8
 
 
 @pytest.mark.parametrize("name", ["ex2", "ex3"])
