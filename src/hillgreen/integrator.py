@@ -26,7 +26,8 @@ Magnus step is read by one Magnus step from the start. Any batch of points
 is read from it by one search and one vectorized pass per kind of piece.
 The basis's step count per segment comes from a ladder over the states at
 every step end (``_kernel_steps``). The sweep's comes from a Richardson
-estimate at the segment's end (n against 2n steps at a few probe lambdas),
+estimate at the segment's end (n against 2n steps at 7 evenly spaced
+lambdas of the range it is planned for and the turning values inside it),
 one ladder for every accuracy asked, whose levels up to 256 steps are formed,
 and compared, in one pass, and the steps of a block of lambdas, one (2, 2,
 steps, lambdas) array, are multiplied out pairwise as a tree.
@@ -73,7 +74,7 @@ _MAX_STEPS = 1 << 16
 # smaller blocks pay more numpy calls, larger ones fall out of cache
 _BLOCK = 16384
 _LAMBDA_BLOCK = 4096
-# quantiles of the batch at which the step-count estimate probes it
+# fractions of the lambda range at which the step-count estimate probes it
 _QUANTILES = np.linspace(0.0, 1.0, 7).tolist()
 # the sweep ladder's levels up to this many steps are formed in one pass, the
 # basis ladder's up to half as many; a wider pass would evaluate the potential
@@ -98,9 +99,20 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_ends(lo: float, hi: float) -> None:
+    """Every lambda range's rule: a non-finite end is refused before ``np.linspace`` warns."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("lambda values must be finite")
+
+
 def _check_accuracy(accuracy: float) -> None:
     if not 0.0 < float(accuracy) <= TOL_MAX:
         raise ValueError(f"accuracy {accuracy} outside (0, {TOL_MAX}]")
+
+
+def _mean_a(p: Potential, t0: float, t1: float) -> float:
+    """The mean of a at 9 equally spaced points of [t0, t1], both ladders' energy scale."""
+    return float(p.eval(np.linspace(t0, t1, 9)).sum() / 9)
 
 
 def _unwrap(piece):
@@ -544,7 +556,7 @@ def _kernel_steps(p: Potential, t0: float, t1: float, lam: float, tol: float) ->
     steps they never read; a basis that keeps 256 steps pays one more pass.
     """
     lams = np.array([lam])
-    w = math.sqrt(max(1.0, abs(float(np.mean(p.eval(np.linspace(t0, t1, 9)))) + lam)))
+    w = math.sqrt(max(1.0, abs(_mean_a(p, t0, t1) + lam)))
     scale = np.array([[1.0, w], [1.0 / w, 1.0]])[..., None]
     share = max(tol / w, np.finfo(float).eps * (256.0 + w * (t1 - t0)))
 
@@ -635,9 +647,10 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np
     constant piece takes one exact step for the whole batch, whatever
     ``accuracy``. Every other segment takes n equal Magnus-6 steps, the
     same n for every lambda, chosen from an error estimate: n and 2n steps
-    are compared at a few probe lambdas (the batch's extremes and
-    quantiles, and the turning values -a) until they agree within the
-    segment's share of ``accuracy``, and n is then trimmed by the n^-6 law.
+    are compared at a few probe lambdas (7 evenly spaced points of the
+    batch's range [min, max], and the turning values -a inside it) until
+    they agree within the segment's share of ``accuracy``, and n is then
+    trimmed by the n^-6 law.
     The shares split ``accuracy`` over the segments and divide it by
     omega = sqrt(max(1, max|a| + max|lambda|)): an error in the phase of
     an oscillation reaches y1'(T) multiplied by omega.
@@ -660,8 +673,9 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np
     is not finite, every lambda is propagated directly, as for any other
     batch, at most 1/8 more steps in all.
 
-    Raises ``ValueError`` for an ``accuracy`` outside (0, ``TOL_MAX``] or a
-    batch of more than one dimension, and
+    An empty batch gives shape (4, 0). Raises ``ValueError`` for an
+    ``accuracy`` outside (0, ``TOL_MAX``], a batch of more than one
+    dimension or a lambda that is not finite, and
     ``IntegrationError``, before any stepping of the batch, when it cannot
     certify ``accuracy``: when a segment would need more than 2**16
     steps, or when float64 rounding of the phase alone,
@@ -671,61 +685,48 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if lams.ndim > 1:
         raise ValueError(f"lambda values must be one-dimensional, got shape {lams.shape}")
-    (plan,) = _scan_plan(p, lams, accuracy)
-    return _interpolated(plan, lams, accuracy)
+    if not lams.size:
+        return np.empty((4, 0))
+    lo, hi = float(lams.min()), float(lams.max())
+    (plan,) = _scan_plan(p, lo, hi, accuracy)
+    return _interpolated(plan, lams, lo, hi, accuracy)
 
 
-def _scan_plan(p: Potential, lams: np.ndarray, *accuracies: float) -> list:
-    """The steps of ``endpoint_scan`` for any lambda within the range of ``lams``,
-    one plan per accuracy.
+def _scan_plan(p: Potential, lo: float, hi: float, *accuracies: float) -> list:
+    """The steps of ``endpoint_scan`` for any lambda in [lo, hi], one plan per accuracy.
 
     A plan has one entry per segment: (constant, length, None) for a constant
     piece, (None, length, Magnus grid) for any other. A segment's grids come
-    from one ladder at probes spread over ``lams``, and ``_propagate`` applies
-    a plan to any batch inside that range.
+    from one ladder probed at 7 evenly spaced points of [lo, hi] (numpy's
+    linear-method lerp, counting down from hi from the middle on) and at the
+    turning values -a inside it, and ``_propagate`` applies a plan to any
+    batch inside that range. Raises ``ValueError`` when an end is not finite.
     """
-    if not np.isfinite(lams).all():
-        raise ValueError("lambda values must be finite")
+    _check_ends(lo, hi)
     edges, consts = _segments(p)
     smooth = [(t0, t1) for t0, t1, const in zip(edges, edges[1:], consts) if const is None]
     grids = {}
-    if smooth and lams.size:
+    if smooth:
         amin, amax = p.sample_bound()
-        lo, hi = float(lams.min()), float(lams.max())
         omega = math.sqrt(max(1.0, max(-amin, amax) + max(-lo, hi)))
         turning = (-amax, -0.5 * (amin + amax), -amin)
-        probes = np.array(sorted({*_quantiles(lams), *(min(max(v, lo), hi) for v in turning)}))
+        spread = (lo + (hi - lo) * q if q < 0.5 else hi - (hi - lo) * (1.0 - q) if q < 1.0 else hi
+                  for q in _QUANTILES)
+        probes = np.array(sorted({*spread, *(min(max(v, lo), hi) for v in turning)}))
         # half of each accuracy, split over the segments: the n-against-2n
         # difference can miss the true error by about 2 where constant pieces follow
         targets = [(accuracy / (2.0 * omega * len(smooth)), accuracy) for accuracy in accuracies]
         for t0, t1 in smooth:
             grids[t0] = _magnus_grid(p, t0, t1, probes, omega, targets)
-    return [[(const, t1 - t0, grids[t0][k] if t0 in grids else None)
+    return [[(const, t1 - t0, grids[t0][k] if const is None else None)
              for t0, t1, const in zip(edges, edges[1:], consts)] for k in range(len(accuracies))]
 
 
-def _quantiles(lams: np.ndarray) -> list:
-    """``np.quantile(lams, _QUANTILES)`` as Python floats, bit for bit, by numpy's own
-    arithmetic for its linear method: the virtual index v = (K - 1) q between the
-    order statistics i = floor(v) and i + 1 (both the last where v reaches K - 1,
-    and i = -1 there), both found by one ``np.partition`` at numpy's own indices,
-    and its lerp, which counts down from the upper one when v - i is 0.5 or more."""
-    top = lams.size - 1
-    spots = [(v, -1 if v >= top else math.floor(v)) for v in (top * q for q in _QUANTILES)]
-    ends = [(i, i + 1 if i >= 0 else -1) for _, i in spots]
-    x = np.partition(lams, sorted({0, -1, *(k for pair in ends for k in pair)}))
-    out = []
-    for (v, i), (a, b) in zip(spots, ends):
-        a, b, t = float(x[a]), float(x[b]), v - i
-        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
-    return out
-
-
-def _interpolated(plan, lams: np.ndarray, accuracy: float) -> np.ndarray:
+def _interpolated(plan, lams: np.ndarray, lo: float, hi: float, accuracy: float) -> np.ndarray:
     """``_propagate(plan, lams)``, read off a Chebyshev interpolant in lambda where that pays.
 
     For a fixed plan the endpoint map is entire in lambda, so its Chebyshev
-    series on [min, max] of ``lams`` converges geometrically (Trefethen,
+    series on [lo, hi], the range of ``lams``, converges geometrically (Trefethen,
     Approximation Theory and Approximation Practice, 2013, ch. 8). Each
     level of Chebyshev-Lobatto nodes keeps the last level's, and its
     coefficients are one rfft of the mirrored node values (DCT-I). The
@@ -744,9 +745,8 @@ def _interpolated(plan, lams: np.ndarray, accuracy: float) -> np.ndarray:
     the next level. When it engages and accepts is ``endpoint_scan``'s rule.
     """
     cap = lams.size / 8
-    if _NODES > cap or all(grid is None for _, _, grid in plan) or lams.max() - lams.min() == 0:
+    if _NODES > cap or all(grid is None for _, _, grid in plan) or hi == lo:
         return _propagate(plan, lams)
-    lo, hi = float(lams.min()), float(lams.max())
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n = size = _NODES - 1
     while size < 4 * n and 2 * size + 1 <= cap:
@@ -831,7 +831,7 @@ def _propagate(plan, lams: np.ndarray) -> np.ndarray:
     for const, h, grid in plan:
         if const is not None:
             Y = _exact_step(Y, const + lams, h)
-        elif lams.size:
+        else:
             Y = _apply(_magnus_transfer(*grid, lams).reshape(4, -1), Y)
     return Y
 
@@ -856,8 +856,7 @@ def _magnus_grid(p: Potential, t0: float, t1: float, probes: np.ndarray, omega: 
     against the next, are one expression over their stacked energy-scaled
     states, the same floats as one comparison per level.
     """
-    a_mid = float(p.eval(np.linspace(t0, t1, 9)).sum() / 9)
-    w = np.sqrt(np.maximum(1.0, np.abs(probes + a_mid)))
+    w = np.sqrt(np.maximum(1.0, np.abs(probes + _mean_a(p, t0, t1))))
     nodes = {}  # step count -> coefficients
     errors = {}  # step count n -> error of n against 2n steps over the probes
     top = []  # the endpoint states at the probes of the finest level, energy scaled

@@ -34,9 +34,9 @@ from scipy.optimize import brentq
 
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, _check_n, kernel_value
-from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _check_accuracy, _check_positive,
-                         _check_tol, _propagate, _scan_plan, _y2_zeros, discriminant,
-                         endpoint_scan)
+from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _check_accuracy, _check_ends,
+                         _check_positive, _check_tol, _propagate, _scan_plan, _y2_zeros,
+                         discriminant, endpoint_scan)
 # kept bound though no function here calls it: bench/test_bench.py checks
 # that the tracer wraps it in this module too
 from .integrator import fundamental_solutions  # noqa: F401
@@ -111,13 +111,6 @@ class Spectrum:
             fh.write(self.CSV_HEADER + self.csv_rows())
 
 
-def _check_ends(lo: float, hi: float) -> None:
-    """Refuse a lambda range with an end that is not finite, with ``endpoint_scan``'s
-    words, before any grid is formed: ``np.linspace`` would warn first."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("lambda values must be finite")
-
-
 def _auto_range(p: Potential, count: int) -> tuple[float, float]:
     amin, amax = p.sample_bound()
     lo = -amax - 1.0
@@ -131,18 +124,19 @@ def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float
     Returns the scan lambdas, a function giving their endpoint states at
     ``endpoint_scan``'s accuracy and a function giving states within
     ``integrator_tol`` for any lambdas a refinement can visit. Both come
-    from one step-count ladder per segment over [lo, hi] widened by the 1.5
-    cells that bracket widening can add on each side. Raises
-    ``IntegrationError`` when either cannot certify its accuracy there.
+    from one step-count ladder per segment (``_scan_plan``) for the range
+    [lo, hi] widened by the 1.5 cells that bracket widening can add on each
+    side, probed at 7 evenly spaced points of it and its turning values.
+    Raises ``IntegrationError`` when either cannot certify its accuracy there.
     """
     _check_tol(integrator_tol)
     lams = np.linspace(lo, hi, n_scan + 1)
     margin = 1.5 * (hi - lo) / n_scan
-    widened = np.array([lo - margin, hi + margin])
     try:
-        scan, plan = _scan_plan(p, widened, _SCAN_ACCURACY, integrator_tol)
+        scan, plan = _scan_plan(p, lo - margin, hi + margin, _SCAN_ACCURACY, integrator_tol)
     except IntegrationError as exc:
-        _scan_plan(p, widened, _SCAN_ACCURACY)  # a refusal of the scan itself stands bare
+        # a refusal of the scan itself stands bare
+        _scan_plan(p, lo - margin, hi + margin, _SCAN_ACCURACY)
         raise IntegrationError(
             f"eigenvalue refinement over lambda in [{lo:g}, {hi:g}] cannot certify "
             f"integrator_tol {integrator_tol:g} ({exc}); a larger integrator_tol "
@@ -507,17 +501,14 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
                     search_range=(lo, hi), tol=tol, scan_points=n_scan, audit=audit)
 
 
-def dirichlet_zero_count(p: Potential, lam: float, *, tol: float = DEFAULT_TOL,
-                         npts: int = 2001) -> int:
+def dirichlet_zero_count(p: Potential, lam: float, *, tol: float = DEFAULT_TOL) -> int:
     """Zeros of y2(., lam) in (0, T); equals #{Dirichlet eigenvalues < lam}.
 
     They are the sign changes of y2 at DOP853 step ends that Sturm separation
     spaces to hold one zero at most (``integrator._y2_zeros``): a check of
     the Magnus scan on an integration of its own, exact wherever the solve's
-    error at T is below |y2(T)|, just above an eigenvalue too.  ``npts`` is
-    unused; it stays an integer of at least 4, else ``ValueError``.
+    error at T is below |y2(T)|, just above an eigenvalue too.
     """
-    _check_n(npts, "npts", least=4)
     return _y2_zeros(p, lam, tol)
 
 

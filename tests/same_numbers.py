@@ -17,7 +17,9 @@ Cases: ex1-ex4, a cosine and a step; lambda from -20 to 7.3; n in
 ``kernel_value``, ``classify_sign``, closed forms); catalog and dominance;
 BVP values and scalar/array u, u'; spectra; sweep samples (``discriminant_samples``,
 two batches of them as large as the benchmark's sweep tasks, one for each way
-its interpolant in lambda is accepted);
+its interpolant in lambda is accepted); ``endpoint_scan`` batches that are
+not uniform grids (shuffled, clustered and random-uniform), whose step plan
+follows the batch's range;
 ``Potential.eval`` and ``trajectory`` reads; spectral relations (the
 verdicts and values of ``verify_spectral_decomposition``,
 ``first_eigenvalue_relations`` and ``verify_interlacing``, read by field so
@@ -44,7 +46,8 @@ import numpy as np
 
 from hillgreen import (BC_ALL, DOMINANCE_RELATIONS, DomainError, Potential, build_green,
                        classify_sign, closed_form_constant, dirichlet_zero_count,
-                       discriminant_samples, find_eigenvalues, first_eigenvalue_relations,
+                       discriminant_samples, endpoint_scan, find_eigenvalues,
+                       first_eigenvalue_relations,
                        fundamental_solutions, kernel_value, load_builtin, solve_bvp,
                        stability_intervals, table_slice, verify_all, verify_dominance,
                        verify_interlacing, verify_spectral_decomposition)
@@ -196,6 +199,19 @@ def sweep(h) -> None:
                                        accuracy=1e-6)))
 
 
+def batches(h) -> None:
+    """3000 lambdas over (-2, 20): a shuffled grid, a cluster 0.01 wide with 10
+    lambdas spread over the range, and uniform draws, at two accuracies."""
+    rng = np.random.default_rng(42)
+    spread = np.linspace(-2.0, 20.0, 3000)
+    cluster = np.r_[rng.uniform(5.0, 5.01, 2990), np.linspace(-2.0, 20.0, 10)]
+    for lams in (rng.permutation(spread), rng.permutation(cluster),
+                 rng.uniform(-2.0, 20.0, 3000)):
+        for p in POTENTIALS.values():
+            for accuracy in (1e-6, 1e-9):
+                _feed(h, _call(endpoint_scan, p, lams, accuracy=accuracy))
+
+
 def wide_spectra(h) -> None:
     """Ranges up to the 41st Neumann eigenvalue: 30-60 eigenvalues a call, each
     refinement closing dozens of brackets together."""
@@ -275,7 +291,7 @@ def main() -> None:
                 ("catalog, lhs_scale left out", lambda h: catalog(h, with_scale=False)),
                 ("bvp", bvp), ("spectra", spectra),
                 ("spectra, audit included", lambda h: spectra(h, with_audit=True)),
-                ("sweep", sweep),
+                ("sweep", sweep), ("endpoint_scan batches", batches),
                 ("spectra over wide ranges", wide_spectra),
                 ("reads", reads), ("spectral relations", relations), ("cli", cli))
     for label, fill in sections:

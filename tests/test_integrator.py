@@ -432,7 +432,7 @@ def test_endpoint_scan_rejects_bad_accuracy(cos_pi, accuracy):
 
 def _direct(p, lams, accuracy):
     """``endpoint_scan``'s plan for the batch, propagated at every lambda."""
-    (plan,) = integrator._scan_plan(p, lams, accuracy)
+    (plan,) = integrator._scan_plan(p, lams.min(), lams.max(), accuracy)
     return integrator._propagate(plan, lams)
 
 
@@ -543,23 +543,6 @@ def test_endpoint_scan_falls_back_bit_for_bit(p, lams):
     assert np.array_equal(endpoint_scan(p, lams, accuracy=1e-9), _direct(p, lams, 1e-9))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4000), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["sorted", "unsorted", "repeated"]))
-@example(1, 0, "repeated")
-def test_scan_probe_quantiles_are_numpys(K, seed, order):
-    # the plan's probes at quantiles 0, 1/6, ..., 1 of the batch: numpy's
-    # linear method to the bit, signed zeros included
-    rng = np.random.default_rng(seed)
-    lams = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), K)
-    if order == "sorted":
-        lams.sort()
-    elif order == "repeated":
-        lams = rng.choice(np.r_[lams[:max(1, K // 7)], -0.0, 0.0], K)
-    want = np.quantile(lams, np.linspace(0.0, 1.0, 7))
-    assert np.array(integrator._quantiles(lams)).tobytes() == want.tobytes()
-
-
 def test_endpoint_scan_falls_back_on_non_finite_nodes(monkeypatch):
     # a NaN in any node state, here the last of the first batch's 37, sends the
     # whole batch through the direct route at once, with no further level of nodes
@@ -586,6 +569,43 @@ def test_endpoint_scan_refuses_a_batch_of_more_dimensions(monkeypatch, name):
     with pytest.raises(ValueError, match=re.escape(
             "lambda values must be one-dimensional, got shape (2, 2)")):
         endpoint_scan(load_builtin(name), [[0.0, 1.0], [2.0, 3.0]])
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3"])
+def test_endpoint_scan_of_an_empty_batch(name):
+    assert endpoint_scan(load_builtin(name), []).shape == (4, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["ex2", "ex3"])
+def test_endpoint_scan_refuses_a_non_finite_lambda(name, bad):
+    with pytest.raises(ValueError, match="^lambda values must be finite$"):
+        endpoint_scan(load_builtin(name), [0.0, bad, 3.0])
+
+
+def test_endpoint_scan_plans_once_for_its_range(monkeypatch):
+    # one plan, for the batch's (min, max), whatever its order
+    ranges = []
+    scan_plan = integrator._scan_plan
+
+    def recording(p, lo, hi, *accuracies):
+        ranges.append((lo, hi))
+        return scan_plan(p, lo, hi, *accuracies)
+
+    monkeypatch.setattr(integrator, "_scan_plan", recording)
+    lams = np.random.default_rng(42).permutation(np.linspace(-2.0, 20.0, 3000))
+    endpoint_scan(load_builtin("ex3"), lams, accuracy=1e-9)
+    assert ranges == [(-2.0, 20.0)]
+
+
+def test_endpoint_scan_of_a_clustered_batch_meets_accuracy_across_its_range():
+    # 2990 lambdas within 0.01 and 10 spread over the batch's range: the plan
+    # holds for the whole range, so the spread lambdas meet accuracy too
+    rng = np.random.default_rng(7)
+    lams = rng.permutation(np.r_[rng.uniform(5.0, 5.01, 2990), np.linspace(-2.0, 20.0, 10)])
+    at = np.flatnonzero((lams < 5.0) | (lams > 5.01))
+    assert at.size == 10
+    assert scan_error(load_builtin("ex3"), lams, 1e-9, 1e-13, at) <= 1.0
 
 
 def test_tolerance_validation(zero1):

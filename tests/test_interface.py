@@ -78,7 +78,7 @@ AFTER_LENGTH = {
     "verify_dominance": ["integrator_tol"], "verify_solution_comparison": ["integrator_tol"],
     "verify_monotonicity": ["integrator_tol"],
     "find_eigenvalues": ["integrator_tol", "method"],
-    "dirichlet_zero_count": ["tol", "npts"], "discriminant_samples": ["accuracy"],
+    "dirichlet_zero_count": ["tol"], "discriminant_samples": ["accuracy"],
     "verify_spectral_decomposition": ["integrator_tol"],
     "first_eigenvalue_relations": ["n_scan", "integrator_tol"],
     "verify_interlacing": ["margin", "integrator_tol"],
