@@ -749,7 +749,8 @@ def _interpolated(plan, lams: np.ndarray, lo: float, hi: float, accuracy: float)
         return _propagate(plan, lams)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n = size = _NODES - 1
-    while size < 4 * n and 2 * size + 1 <= cap:
+    # the finest level the cap lets the loop reach
+    while 2 * size + 1 <= cap:
         size *= 2
     # every node is one of the finest level's cos(pi j / size), j = 0..size, its
     # state zero until propagated: level n's are every (size / n)-th, bit for
@@ -785,12 +786,6 @@ def _interpolated(plan, lams: np.ndarray, lo: float, hi: float, accuracy: float)
             return _chebyshev_sum(c, (lams - mid) / half)
         if 2 * n + 1 > cap:
             return _propagate(plan, lams)
-        if 2 * n > size:
-            size *= 2
-            x = np.cos(np.pi / size * np.arange(size + 1))
-            Y, last = np.zeros((4, size + 1)), Y
-            Y[:, ::2] = last
-            done = {2 * j for j in done}
         fresh = new(n)
         # the sample test takes 4 of the new nodes, one in each quarter
         if c.shape[1] <= 3 * n // 4:

@@ -2,16 +2,18 @@
 
 The characteristic function of each separated condition is a single entry
 of the endpoint state (y1, y1', y2, y2')(L), so eigenvalues come from a
-bracketing scan plus a batched refinement: every bracket of one
-``find_eigenvalues`` call, of all the conditions one scan serves, advances
-together, one batched Magnus propagation per step, at step counts estimated
-once per call for ``integrator_tol``.  The first step samples each bracket
-at its ends and Chebyshev nodes, the next around the root that inverse
-interpolation through those samples predicts, which in practice closes
-it, and at the nodes again.  A call for the first ``max_count``
-eigenvalues scans only up to a few cells above its ``max_count``-th
-bracket, and the Dirichlet oscillation audit counts y2's zeros at DOP853
-step ends between the last eigenvalue found and that top.  Periodic and
+bracketing scan plus a batched refinement.  The scan reads the endpoint
+states of the whole search range as ``endpoint_scan`` reads a sweep's:
+off a Chebyshev interpolant in lambda where it settles, propagated
+otherwise.  Every bracket of one ``find_eigenvalues`` call, of all the
+conditions one scan serves, then advances together, one batched Magnus
+propagation per step, at step counts estimated once per call for
+``integrator_tol``.  The first step samples each bracket at its ends and
+Chebyshev nodes, the next around the root that inverse interpolation
+through those samples predicts, which in practice closes it, and at the
+nodes again.  A ``max_count`` only truncates the sorted result.  The
+Dirichlet oscillation audit counts y2's zeros at DOP853 step ends between
+the last eigenvalue found and the top of the range.  Periodic and
 anti-periodic eigenvalues are the band edges of the discriminant Delta =
 y1 + y2'.  Over an even extension they are assembled from the separated
 spectra of the half interval; for any potential they are found between the
@@ -35,8 +37,8 @@ from scipy.optimize import brentq
 from .errors import IntegrationError, ResonanceError
 from .greens import BoundaryCondition, _check_n, kernel_value
 from .integrator import (_SCAN_ACCURACY, DEFAULT_TOL, TOL_MAX, _check_accuracy, _check_ends,
-                         _check_positive, _check_tol, _propagate, _scan_plan, _y2_zeros,
-                         discriminant, endpoint_scan)
+                         _check_positive, _check_tol, _interpolated, _propagate, _scan_plan,
+                         _y2_zeros, discriminant, endpoint_scan)
 # kept bound though no function here calls it: bench/test_bench.py checks
 # that the tracer wraps it in this module too
 from .integrator import fundamental_solutions  # noqa: F401
@@ -62,10 +64,6 @@ MERGE_RTOL = 1e-7
 # A scan sample's sign of Delta -+ 2 is trusted when its size exceeds this
 # fraction of the largest endpoint entry: 1e4 times the scan's accuracy.
 SCAN_MARGIN = 1e-3
-# a scan for the first eigenvalues propagates this many samples at a time,
-# and stops this many cells above the last bracket it needs (``_scan_roots``)
-_CHUNK = 256
-_SPARE = 4
 # brentq's default relative tolerance: a root is closed within xtol + _RTOL |lambda|
 _RTOL = 4.0 * np.finfo(float).eps
 # a refinement call samples each bracket at this many interior Chebyshev nodes:
@@ -119,15 +117,17 @@ def _auto_range(p: Potential, count: int) -> tuple[float, float]:
 
 
 def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float):
-    """Scan of [lo, hi] in ``n_scan`` cells, and the states that scan and refine it.
+    """Scan of [lo, hi] in ``n_scan`` cells, its states, and the states that refine it.
 
-    Returns the scan lambdas, a function giving their endpoint states at
-    ``endpoint_scan``'s accuracy and a function giving states within
-    ``integrator_tol`` for any lambdas a refinement can visit. Both come
-    from one step-count ladder per segment (``_scan_plan``) for the range
-    [lo, hi] widened by the 1.5 cells that bracket widening can add on each
-    side, probed at 7 evenly spaced points of it and its turning values.
-    Raises ``IntegrationError`` when either cannot certify its accuracy there.
+    Returns the scan lambdas, their endpoint states at ``endpoint_scan``'s
+    accuracy, read by its rule (``_interpolated``: off the Chebyshev
+    interpolant in lambda where it settles, propagated otherwise), and a
+    function giving states within ``integrator_tol`` for any lambdas a
+    refinement can visit. Both come from one step-count ladder per segment
+    (``_scan_plan``) for the range [lo, hi] widened by the 1.5 cells that
+    bracket widening can add on each side, probed at 7 evenly spaced points
+    of it and its turning values. Raises ``IntegrationError`` when either
+    cannot certify its accuracy there.
     """
     _check_tol(integrator_tol)
     lams = np.linspace(lo, hi, n_scan + 1)
@@ -141,54 +141,13 @@ def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float
             f"eigenvalue refinement over lambda in [{lo:g}, {hi:g}] cannot certify "
             f"integrator_tol {integrator_tol:g} ({exc}); a larger integrator_tol "
             f"(--tol on the command line) lifts the limit", t=exc.t) from exc
-    return lams, partial(_propagate, scan), partial(_propagate, plan)
+    return lams, _interpolated(scan, lams, lo, hi, _SCAN_ACCURACY), partial(_propagate, plan)
 
 
 def _brackets(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the scan cells where ``values`` changes sign and of its exact zeros."""
     sign = np.sign(values)
     return sign[:-1] * sign[1:] < 0, sign == 0
-
-
-def _bracket_ends(values: np.ndarray) -> np.ndarray:
-    """The sample that closes each bracket of ``values``: an exact zero, or the
-    upper end of a cell where it changes sign."""
-    change, zero = _brackets(values)
-    return np.flatnonzero(np.append(False, change) | zero)
-
-
-def _scan_roots(p: Potential, conds, lo: float, hi: float, n_scan: int, xtol: float,
-                integrator_tol: float, count: int | None, audit: dict) -> list[list[float]]:
-    """Roots of the characteristic function of each of ``conds``, from one scan.
-
-    Without a ``count`` every sample of the scan is propagated at once. With
-    one, the samples go in ascending chunks of ``_CHUNK``, and the scan stops
-    after the first chunk whose top sample lies ``_SPARE`` cells or more
-    above the ``count``-th bracket of ``conds`` taken together:
-    ``_refine_roots`` widens a bracket by at most 1.5 cells, so no bracket
-    beyond the top holds a root below the ``count``-th, and the partner of
-    a double eigenvalue lies within the next cell. Only the scanned brackets
-    are refined. A bracket the refinement loses ends the shortcut: the whole
-    range is scanned and refined, as without a count. ``audit`` gains the
-    lost brackets and the last lambda scanned, ``scanned_to``.
-    """
-    lams, scan, state = _scan(p, lo, hi, n_scan, integrator_tol)
-    if count is None:
-        Y = scan(lams)
-    else:
-        Y = np.empty((4, 0))
-        for start in range(0, lams.size, _CHUNK):
-            Y = np.concatenate([Y, scan(lams[start:start + _CHUNK])], axis=1)
-            ends = np.sort(np.concatenate([_bracket_ends(bc.characteristic(Y)) for bc in conds]))
-            if ends.size >= count and ends[count - 1] + _SPARE < Y.shape[1]:
-                break
-    found: dict = {}
-    roots = _refine_roots(state, conds, lams, Y, xtol, found)
-    if found and Y.shape[1] < lams.size:
-        Y, found = scan(lams), {}
-        roots = _refine_roots(state, conds, lams, Y, xtol, found)
-    audit.update(found, scanned_to=float(lams[Y.shape[1] - 1]))
-    return roots
 
 
 def _batch_roots(F, a, b, fa, fb, xtol: float, rows=None, inner=None) -> np.ndarray:
@@ -273,15 +232,14 @@ def _refine_roots(state, conds, lams: np.ndarray, Y: np.ndarray, xtol: float, au
                   cells: np.ndarray | None = None) -> list[list[float]]:
     """Roots of the characteristic function of each of ``conds``, from its row of the scan ``Y``.
 
-    ``Y`` holds the states of all the scan lambdas ``lams`` or of a prefix
-    of them. Each sign change in a scan cell (of ``cells``, default all) is
-    checked on the accurate endpoint states ``state`` and widened by half a
-    cell of ``lams`` on each side, up to 3 times, until the sign change
-    holds there; cells where it never does go into ``audit``. One call reads
-    the ends and the interior Chebyshev nodes of every cell, and
-    ``_batch_roots`` refines the brackets of all the conditions together,
-    each on its own row of the shared states. Exact zeros of the scan are
-    roots as they stand.
+    ``Y`` holds the states of the scan lambdas ``lams``. Each sign change
+    in a scan cell (of ``cells``, default all) is checked on the accurate
+    endpoint states ``state`` and widened by half a cell of ``lams`` on each
+    side, up to 3 times, until the sign change holds there; cells where it
+    never does go into ``audit``. One call reads the ends and the interior
+    Chebyshev nodes of every cell, and ``_batch_roots`` refines the brackets
+    of all the conditions together, each on its own row of the shared
+    states. Exact zeros of the scan are roots as they stand.
     """
     def F(x):
         states = state(x)
@@ -353,8 +311,7 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
     in cells they settle need no refinement.
     """
     s = bc.sign
-    lams, scan, state = _scan(p, lo, hi, n_scan, integrator_tol)
-    Y = scan(lams)
+    lams, Y, state = _scan(p, lo, hi, n_scan, integrator_tol)
     scanned = bc.characteristic(Y)
     sure = np.abs(scanned) > SCAN_MARGIN * np.maximum(1.0, np.abs(Y).max(axis=0))
     cuts = dict(zip(lams[sure].tolist(), scanned[sure].tolist()))
@@ -366,7 +323,7 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
     settled = sure & ((t > 0.0) | (t < -2.0))
     open_cells = ~(settled[:-1] & settled[1:] & (t[:-1] * t[1:] > 0.0))
 
-    audit: dict = {"scanned_to": hi}
+    audit: dict = {}
     subs = (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN)
     found = [(r, sub.value) for sub, roots in zip(subs, _refine_roots(
         state, subs, lams, Y, xtol, audit, open_cells)) for r in roots]
@@ -395,20 +352,20 @@ def _coupled_direct(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n
 
 
 def _coupled_union(p: Potential, bc: BoundaryCondition, lo: float, hi: float, n_scan: int,
-                   xtol: float, integrator_tol: float,
-                   count: int | None) -> tuple[list[tuple[float, int]], dict]:
+                   xtol: float, integrator_tol: float) -> tuple[list[tuple[float, int]], dict]:
     """Coupled spectrum as the union of two separated half-interval spectra.
 
     Valid when the potential is even about its midpoint; the pairing of
-    sources also fixes the multiplicity of each discriminant root. The scan
-    stops once it brackets ``count`` roots of the two (``_scan_roots``).
+    sources also fixes the multiplicity of each discriminant root. One scan
+    of the half interval serves both conditions.
     """
     half = p.restrict(p.domain_length / 2.0)
     pair = ((BoundaryCondition.NEUMANN, BoundaryCondition.DIRICHLET)
             if bc is BoundaryCondition.PERIODIC else
             (BoundaryCondition.MIXED1, BoundaryCondition.MIXED2))
     audit: dict = {}
-    roots = _scan_roots(half, pair, lo, hi, n_scan, xtol, integrator_tol, count, audit)
+    lams, Y, state = _scan(half, lo, hi, n_scan, integrator_tol)
+    roots = _refine_roots(state, pair, lams, Y, xtol, audit)
     tagged = [(v, sub.value) for sub, found in zip(pair, roots) for v in found]
     return _coupled_result("union", (hi - lo) / n_scan, tagged, audit)
 
@@ -426,15 +383,14 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
     "auto" picks union when the symmetry holds.  Both give multiplicity 2
     exactly where two edges coincide.
 
-    A scan of ``n_scan`` cells at the scan accuracy of ``endpoint_scan``
-    finds the sign changes; they are refined together on Magnus endpoint
+    A scan of ``n_scan`` cells at the scan accuracy of ``endpoint_scan``,
+    read as it reads a sweep, finds the sign changes; they are refined together on Magnus endpoint
     states within ``integrator_tol``, by inverse interpolation through
     Chebyshev samples of each bracket, to a sign-change bracket of width
     max(``tol``, 1e-12) + 4 eps |lambda| (brentq's relative term, which
-    dominates above |lambda| ~ 1e3).  With a ``max_count`` the scan stops a few cells
-    above the ``max_count``-th sign change (method "direct" excepted), which
-    leaves every eigenvalue returned as a full scan finds it; the audit's
-    ``scanned_to`` is the last lambda scanned (``hi`` for a full scan).
+    dominates above |lambda| ~ 1e3).  The whole range is scanned and
+    refined whatever ``max_count`` is, so a ``max_count`` keeps the first
+    eigenvalues of the full result, bit for bit, and costs a full scan.
     Raises ``IntegrationError`` when those states cannot certify
     ``integrator_tol`` over the range (at large lambda the float64 rounding
     of the phase alone exceeds it; a larger ``integrator_tol`` lifts it),
@@ -444,8 +400,8 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
 
     For the Dirichlet condition the audit's ``oscillation`` entry counts the
     interior zeros of y2 at a probe midway between the last eigenvalue
-    found and ``scanned_to``, which equals the number of eigenvalues below it
-    (a Sturm count).  It reads only y2's signs at DOP853 step ends
+    found and the top of the range, which equals the number of eigenvalues
+    below it (a Sturm count).  It reads only y2's signs at DOP853 step ends
     (``dirichlet_zero_count``), so it runs at ``TOL_MAX``.
     """
     bc = BoundaryCondition.parse(bc)
@@ -460,9 +416,9 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
         lo, hi = _auto_range(p, max_count or 8)
     else:
         lo, hi = (float(search_range[0]), float(search_range[1]))
+        _check_ends(lo, hi)
         if not lo < hi:
             raise ValueError("search range must satisfy lo < hi")
-        _check_ends(lo, hi)
 
     audit: dict = {"scan_step": (hi - lo) / n_scan}
     xtol = max(tol, ROOT_XTOL)
@@ -472,15 +428,15 @@ def find_eigenvalues(p: Potential, bc, search_range=None, max_count: int | None 
         elif method == "union" and not p.is_even_about_midpoint():
             raise ValueError("union method needs a potential even about its midpoint")
         if method == "union":
-            merged, audit = _coupled_union(p, bc, lo, hi, n_scan, xtol, integrator_tol, max_count)
+            merged, audit = _coupled_union(p, bc, lo, hi, n_scan, xtol, integrator_tol)
         else:
             merged, audit = _coupled_direct(p, bc, lo, hi, n_scan, xtol, integrator_tol)
     else:
-        (roots,) = _scan_roots(p, (bc,), lo, hi, n_scan, xtol, integrator_tol, max_count, audit)
+        lams, Y, state = _scan(p, lo, hi, n_scan, integrator_tol)
+        (roots,) = _refine_roots(state, (bc,), lams, Y, xtol, audit)
         merged = [(v, 1) for v in sorted(roots)]
-        top = audit["scanned_to"]
-        if bc is BoundaryCondition.DIRICHLET and merged and top > merged[-1][0]:
-            probe = 0.5 * (merged[-1][0] + top)
+        if bc is BoundaryCondition.DIRICHLET and merged and hi > merged[-1][0]:
+            probe = 0.5 * (merged[-1][0] + hi)
             audit["oscillation"] = {
                 "probe_lambda": probe,
                 "interior_zeros": dirichlet_zero_count(p, probe, tol=TOL_MAX),

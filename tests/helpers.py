@@ -40,25 +40,36 @@ def step_state(p, lam, t):
     return np.array([M[0, 0], M[1, 0], M[0, 1], M[1, 1]])
 
 
-def step_dirichlet_roots(p, lams):
-    """Dirichlet eigenvalues of a piecewise-constant p inside the sorted grid lams.
+# each condition's characteristic function of the endpoint state (y1, y1', y2, y2')
+_STEP_CHARACTERISTIC = {"D": lambda y: y[2], "N": lambda y: y[1],
+                        "P": lambda y: y[0] + y[3] - 2.0}
 
-    Each sign change of y2(T) between neighbouring lambdas, y2 carried by
+
+def step_roots(p, lams, bc="D"):
+    """Eigenvalues of ``bc`` (D, N or P) for a piecewise-constant p inside the sorted grid lams.
+
+    Each sign change of the condition's characteristic function at T, y2,
+    y1' or y1 + y2' - 2, between neighbouring lambdas, the state carried by
     the closed-form transfers of ``step_transfer`` over the whole grid at
     once, is refined by brentq at xtol 1e-13 on ``step_state``. Two roots
-    closer than the grid spacing leave no sign change.
+    closer than the grid spacing, or a double periodic eigenvalue, leave no
+    sign change.
     """
-    y = np.array([np.zeros(lams.size), np.ones(lams.size)])  # (y2, y2')
+    one, zero = np.ones(lams.size), np.zeros(lams.size)
+    # (u, u') of y1 and of y2
+    y1, y2 = np.array([one, zero]), np.array([zero, one])
     for a, b, piece in p.pieces:
         q, h = piece.value + lams, b - a
         m = np.sqrt(q.astype(complex))
         c = np.cos(m * h).real
         with np.errstate(invalid="ignore"):
             s = np.where(q == 0.0, h, (np.sin(m * h) / m).real)
-        y = np.array([c * y[0] + s * y[1], -q * s * y[0] + c * y[1]])
+        y1, y2 = (np.array([c * y[0] + s * y[1], -q * s * y[0] + c * y[1]]) for y in (y1, y2))
     T = p.domain_length
-    flips = np.flatnonzero(np.sign(y[0, :-1]) * np.sign(y[0, 1:]) < 0)
-    return [brentq(lambda lam: step_state(p, lam, T)[2], lams[i], lams[i + 1], xtol=1e-13)
+    F = _STEP_CHARACTERISTIC[bc]
+    values = F([y1[0], y1[1], y2[0], y2[1]])
+    flips = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    return [brentq(lambda lam: F(step_state(p, lam, T)), lams[i], lams[i + 1], xtol=1e-13)
             for i in flips]
 
 

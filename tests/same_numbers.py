@@ -31,7 +31,9 @@ out, and the spectra section with each spectrum's ``audit``,
 Dirichlet eigenvalue included.  One more spectra section takes every
 condition, and ``method="direct"`` for P and A, over ranges holding 30-60
 eigenvalues a call, and ``stability_intervals`` over a quarter of each
-range.  The ``reads`` section moved when ``fundamental_solutions`` became
+range; another takes the first 1 and 3 eigenvalues (``max_count``) of the
+same calls over those ranges and over a sixteenth of them, values and
+multiplicities only.  The ``reads`` section moved when ``fundamental_solutions`` became
 the Magnus basis that kernels read.
 """
 
@@ -227,6 +229,20 @@ def wide_spectra(h) -> None:
         _feed(h, _call(stability_intervals, p, search_range=(-30.0, top / 4.0)))
 
 
+def capped_spectra(h) -> None:
+    """``max_count`` 1 and 3 over the wide ranges and over a sixteenth of them."""
+    for name, p in POTENTIALS.items():
+        top = (41.5 * math.pi / p.domain_length) ** 2
+        for hi in (top, top / 16.0):
+            for bc in BC_ALL:
+                for method in ("auto", "direct") if bc in ("P", "A") else ("auto",):
+                    for count in (1, 3):
+                        spec = _call(find_eigenvalues, p, bc, search_range=(-30.0, hi),
+                                     max_count=count, method=method)
+                        _feed(h, [name, bc, method, hi, count, spec if isinstance(spec, tuple)
+                                  else [tuple(e) for e in spec.eigenvalues]])
+
+
 def reads(h) -> None:
     for name, p in POTENTIALS.items():
         L = p.domain_length
@@ -293,6 +309,7 @@ def main() -> None:
                 ("spectra, audit included", lambda h: spectra(h, with_audit=True)),
                 ("sweep", sweep), ("endpoint_scan batches", batches),
                 ("spectra over wide ranges", wide_spectra),
+                ("capped spectra over wide ranges", capped_spectra),
                 ("reads", reads), ("spectral relations", relations), ("cli", cli))
     for label, fill in sections:
         h = hashlib.sha256()

@@ -262,13 +262,15 @@ def test_sweep_beyond_scan_cap_exit_code(capsys):
 @pytest.mark.parametrize("command", [["sweep"], ["spectrum"], ["sweep", "--intervals"]],
                          ids=" ".join)
 def test_infinite_range_is_one_error_line(capsys, command):
-    # refused before any grid: no RuntimeWarning, even as an error
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*command, "--potential", "ex3", "--range", "0", "inf"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: lambda values must be finite\n"
+    # refused before any grid: no RuntimeWarning, even as an error; a NaN end
+    # is named as such, not as a range out of order
+    for end in ("inf", "nan"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--potential", "ex3", "--range", "0", end]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lambda values must be finite\n", end
 
 
 def test_sweep_refusal_names_the_requested_accuracy(capsys):

@@ -28,11 +28,11 @@ from hillgreen import (
 from hillgreen import integrator, spectrum
 from hillgreen.errors import DomainError, IntegrationError
 from hillgreen.greens import BoundaryCondition
-from hillgreen.integrator import DEFAULT_TOL, endpoint_scan
+from hillgreen.integrator import endpoint_scan
 from hillgreen.spectrum import DEFAULT_SCAN, ROOT_XTOL, _batch_roots, _link, _refine_roots
 
 from helpers import (batch_roots_reference, neumann_extension_residual, step_count_roots,
-                     step_dirichlet_roots, step_state, step_zero_count)
+                     step_roots, step_state, step_zero_count)
 
 PI = math.pi
 
@@ -477,7 +477,7 @@ def _barrier_dirichlet_pair():
     # the two lowest D eigenvalues of the double well, 3.8e-4 apart, from
     # closed-form transfers on a grid of spacing 1.9e-4
     p = Potential.piecewise_constant([0.0, 0.45, 0.55, 1.0], [0.0, -1e4, 0.0])
-    return p, step_dirichlet_roots(p, np.linspace(-1.0, 50.0, 1 << 18))
+    return p, step_roots(p, np.linspace(-1.0, 50.0, 1 << 18))
 
 
 def test_barrier_dirichlet_reference_pair():
@@ -503,6 +503,19 @@ def test_wide_barrier_first_dirichlet_eigenvalues(count):
     p = BARRIERS["wide"]
     want = step_count_roots(p, count)
     assert find_eigenvalues(p, "D", max_count=count).values() == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 22: _auto_range takes max a from Potential.sample_bound's 513 "
+    "samples, which miss a spike narrower than T/512, so the range starts at -1 and "
+    "the ground state (N -3.378, P -3.117) is lost"))
+@pytest.mark.parametrize("bc", ["N", "P"])
+def test_narrow_spike_first_eigenvalues(bc):
+    # a spike of height 5000 and width 5e-4; P takes the direct method, as the
+    # potential is not even
+    p = Potential.piecewise_constant([0.0, 0.3001, 0.3006, 1.0], [0.0, 5000.0, 0.0])
+    want = step_roots(p, np.linspace(-5001.0, 200.0, 52011), bc)[:3]
+    assert find_eigenvalues(p, bc, max_count=3).values() == pytest.approx(want, rel=1e-9)
 
 
 def test_high_neumann_eigenvalue_matches_mathieu(cos_pi):
@@ -824,123 +837,58 @@ def _first(spec, count):
 
 @pytest.mark.parametrize("name", sorted(FIRST_COUNT_CASES))
 def test_first_eigenvalues_match_the_full_scan(name):
-    # a scan that stops above the max_count-th bracket returns what the
-    # scan of the whole range returns first, multiplicities included
+    # a max_count only truncates: the first values of the full result,
+    # multiplicities included, bit for bit
     base = FIRST_COUNT_CASES[name]
     for bc in ("N", "D", "M1", "M2", "P", "A"):
         p = base.even_extension() if bc in ("P", "A") else base
         rng = spectrum._auto_range(p, 5)
         full = find_eigenvalues(p, bc, search_range=rng)
-        assert full.audit["scanned_to"] == rng[1]
         for count in (1, 2, 3, 5):
             spec = find_eigenvalues(p, bc, search_range=rng, max_count=count)
-            got, want = _first(spec, count), _first(full, count)
-            assert [m for _, m in got] == [m for _, m in want], (bc, count)
-            for (g, _), (w, _) in zip(got, want):
-                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (bc, count)
-            assert spec.audit["scanned_to"] <= rng[1]
-            if "oscillation" in spec.audit:
-                assert spec.audit["oscillation"]["probe_lambda"] < spec.audit["scanned_to"]
-
-
-def _sine(shift):
-    """A function of lambda that changes sign at shift + 10 j."""
-    return lambda lam: np.sin(np.pi * (lam - shift) / 10.0)
-
-
-def _fake_scan(monkeypatch, scanned, accurate):
-    """A 1000-cell scan of [0, 1000] whose Neumann row is ``scanned``; the
-    refinement reads ``accurate``. Returns the size of every batch scanned."""
-    batches = []
-
-    def scan(x):
-        batches.append(x.size)
-        return _rows(scanned)(x)
-
-    lams = np.linspace(0.0, 1000.0, 1001)
-    monkeypatch.setattr(spectrum, "_scan", lambda *args: (lams, scan, _rows(accurate)))
-    return batches
-
-
-def _neumann_roots(count):
-    audit = {}
-    (roots,) = spectrum._scan_roots(None, (BoundaryCondition.NEUMANN,), 0.0, 1000.0, 1000,
-                                    1e-12, DEFAULT_TOL, count, audit)
-    return sorted(roots), audit
-
-
-def test_scan_for_a_count_stops_after_the_chunk_that_brackets_it(monkeypatch):
-    batches = _fake_scan(monkeypatch, _sine(9.5), _sine(9.5))
-    roots, audit = _neumann_roots(2)
-    # the first chunk of 256 samples holds both brackets and 4 cells more,
-    # and every bracket in it is refined
-    assert batches == [256] and audit == {"scanned_to": 255.0}
-    assert roots == pytest.approx([10.0 * j + 9.5 for j in range(25)], abs=1e-9)
-    batches.clear()
-    roots, audit = _neumann_roots(26)
-    # the 26th bracket closes at 260, beyond the first chunk
-    assert batches == [256, 256] and audit == {"scanned_to": 511.0}
-    assert len(roots) == 51
-
-
-def test_scan_for_a_count_keeps_four_cells_above_the_last_bracket(monkeypatch):
-    # the 26th bracket closes at 252, 3 cells below the first chunk's top
-    batches = _fake_scan(monkeypatch, _sine(1.5), _sine(1.5))
-    roots, audit = _neumann_roots(26)
-    assert batches == [256, 256] and audit == {"scanned_to": 511.0}
-    assert roots[25] == pytest.approx(251.5, abs=1e-9)
-
-
-def test_scan_for_a_count_finishes_the_scan_after_a_lost_bracket(monkeypatch):
-    # the accurate function has no root near 9.5: that bracket is lost, so the
-    # whole range is scanned and refined as without a count
-    batches = _fake_scan(monkeypatch, _sine(9.5),
-                         lambda lam: np.where(lam < 14.0, 1.0, _sine(9.5)(lam)))
-    roots, audit = _neumann_roots(2)
-    assert batches == [256, 1001]
-    assert audit == {"unresolved_brackets": [9.0], "scanned_to": 1000.0}
-    assert roots == pytest.approx([10.0 * j + 9.5 for j in range(1, 100)], abs=1e-9)
+            assert _first(spec, count) == _first(full, count), (bc, count)
 
 
 @pytest.fixture
-def propagated(monkeypatch):
-    """Sizes of the lambda batches spectrum._propagate steps through."""
-    sizes = []
-    original = spectrum._propagate
-
-    def counting(plan, lams):
-        sizes.append(lams.size)
-        return original(plan, lams)
-
-    monkeypatch.setattr(spectrum, "_propagate", counting)
-    return sizes
-
-
-def test_scan_for_a_count_propagates_a_fraction_of_the_range(propagated):
-    # a full scan of ex3's N range for two eigenvalues and their refinement
-    # propagate 2045 lambdas
-    p = load_builtin("ex3")
-    spec = find_eigenvalues(p, "N", max_count=2)
-    assert len(spec.values()) == 2 and sum(propagated) <= 2045 // 2
-    assert spec.audit["scanned_to"] < spec.search_range[1]
-    propagated.clear()
-    spec = find_eigenvalues(p, "N")
-    assert DEFAULT_SCAN + 1 in propagated and spec.audit["scanned_to"] == spec.search_range[1]
-
-
-@pytest.fixture
-def refinement_batches(monkeypatch):
-    """Sizes of the lambda batches propagated on the refinement's plan: every
-    plan but the first, which is the scan's."""
+def scanned(monkeypatch):
+    """(plan, size) of each lambda batch the scan propagates: the refinement
+    reads its states through spectrum's own binding of ``_propagate``."""
     batches = []
-    original = spectrum._propagate
+    original = integrator._propagate
 
     def counting(plan, lams):
         batches.append((plan, lams.size))
         return original(plan, lams)
 
+    monkeypatch.setattr(integrator, "_propagate", counting)
+    return batches
+
+
+@pytest.mark.parametrize("bc, options", [("N", {"max_count": 2}), ("P", {"method": "direct"})],
+                         ids=["N-max_count", "P-direct"])
+def test_smooth_scan_propagates_at_most_an_eighth_of_its_lambdas(scanned, bc, options):
+    # the whole range is scanned once, off the lambda-interpolant: at most
+    # K/8 of the K = n_scan + 1 scan lambdas are propagated, all on one plan
+    # (P on ex3's even extension)
+    p = load_builtin("ex3")
+    spec = find_eigenvalues(p.even_extension() if bc == "P" else p, bc, **options)
+    assert spec.values() and len({id(plan) for plan, _ in scanned}) == 1
+    assert sum(size for _, size in scanned) <= (DEFAULT_SCAN + 1) / 8
+
+
+@pytest.fixture
+def refinement_batches(monkeypatch):
+    """Sizes of the lambda batches that spectrum._propagate steps through:
+    the refinement's, as the scan goes through the interpolant's own."""
+    batches = []
+    original = spectrum._propagate
+
+    def counting(plan, lams):
+        batches.append(lams.size)
+        return original(plan, lams)
+
     monkeypatch.setattr(spectrum, "_propagate", counting)
-    return lambda: [size for plan, size in batches if plan is not batches[0][0]]
+    return lambda: batches
 
 
 @pytest.mark.parametrize("name, bc, count", [("ex3", "N", 2), ("ex4", "A", 1)])
@@ -952,14 +900,6 @@ def test_refinement_closes_in_two_propagations(refinement_batches, name, bc, cou
     spec = find_eigenvalues(p.even_extension() if bc == "A" else p, bc, max_count=count)
     assert len(spec.values()) == count
     assert 1 <= len(refinement_batches()) <= 2
-
-
-@pytest.mark.parametrize("method", ["union", "direct"])
-def test_coupled_audit_records_the_scanned_top(cos_pi, method):
-    spec = find_eigenvalues(cos_pi.even_extension(), "P", max_count=2, method=method)
-    top = spec.audit["scanned_to"]
-    hi = spec.search_range[1]
-    assert top < hi if method == "union" else top == hi
 
 
 @pytest.mark.parametrize("max_count", [0, -1, 2.5, True, math.nan, "2"])
