@@ -47,6 +47,8 @@ def _load_potential(spec: str) -> Potential:
         stem = path.name[:-5] if path.name.endswith(".json") else path.name
         if stem in BUILTIN_NAMES:
             return load_builtin(stem)
+    except OSError as exc:
+        raise UsageError(f"cannot read potential {spec}: {exc.strerror}") from exc
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad potential descriptor {spec}: {exc}") from exc
     raise UsageError(f"potential file not found: {spec}")
@@ -65,17 +67,42 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)!r}")
 
 
-def _emit(text: str, output: Path | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if output is None:
-        sys.stdout.write(text)
+def _cell(value) -> str:
+    """The CSV cell rule: floats as exact reprs, booleans lower-case, None
+    empty, and a comma in text as ';'."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    return "" if value is None else str(value).replace(",", ";")
+
+
+def _write(args: argparse.Namespace, payload: dict, header: str = "", rows=(),
+           text=None) -> None:
+    """Every subcommand's one writer, to ``--output`` or stdout: ``--format json``
+    writes ``payload``, any other format ``text()`` (the library's CSV or the
+    examples' report) when given, else ``header`` and one line per row, cells by ``_cell``."""
+    if args.format == "json":
+        out = json.dumps(payload, indent=2, default=_json_default)
+    elif text is not None:
+        out = text()
     else:
-        Path(output).write_text(text)
+        out = "\n".join([header, *(",".join(map(_cell, row)) for row in rows)])
+    if not out.endswith("\n"):
+        out += "\n"
+    if args.output is None:
+        sys.stdout.write(out)
+        return
+    try:
+        Path(args.output).write_text(out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
-def _emit_json(obj, output: Path | None) -> None:
-    _emit(json.dumps(obj, indent=2, default=_json_default), output)
+def _strict(args: argparse.Namespace, checks) -> int:
+    """The one ``--strict`` rule: exit 1 when a check has failed; a skipped
+    check (``pass`` None) is no failure."""
+    return int(args.strict and any(c["pass"] is False for c in checks))
 
 
 # -- spectrum ---------------------------------------------------------------
@@ -90,20 +117,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         spectra[bc] = find_eigenvalues(
             p, bc, search_range=rng, max_count=count, n_scan=args.n_scan,
             integrator_tol=args.tol, method=args.method)
-    if args.format == "json":
-        payload = {
-            "potential": p.descriptor_hash(),
-            "T": p.domain_length,
-            "search_range": list(rng) if rng else None,
-            "spectra": {bc: [{"k": e.index, "lambda": e.value,
-                              "multiplicity": e.multiplicity}
-                             for e in s.eigenvalues]
-                        for bc, s in spectra.items()},
-        }
-        _emit_json(payload, args.output)
-    else:
-        _emit(Spectrum.CSV_HEADER + "".join(s.csv_rows() for s in spectra.values()),
-              args.output)
+    payload = {
+        "potential": p.descriptor_hash(),
+        "T": p.domain_length,
+        "search_range": list(rng) if rng else None,
+        "spectra": {bc: [{"k": e.index, "lambda": e.value,
+                          "multiplicity": e.multiplicity}
+                         for e in s.eigenvalues]
+                    for bc, s in spectra.items()},
+    }
+    _write(args, payload, text=lambda: Spectrum.CSV_HEADER + "".join(
+        s.csv_rows() for s in spectra.values()))
     return 0
 
 
@@ -112,20 +136,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_green(args: argparse.Namespace) -> int:
     p = _base(args)
     G = build_green(p, args.lam, args.bc, n=args.n, tol=args.tol)
-    if args.format == "json":
-        payload = {
-            "bc": G.bc.value,
-            "lambda": G.lam,
-            "T": G.length,
-            "n": G.n,
-            "grid": G.grid.tolist(),
-            "values": G.combined().tolist(),
-            "symmetry_error": G.symmetry_error(),
-            "resonance_margin": G.meta["resonance_margin"],
-        }
-        _emit_json(payload, args.output)
-    else:
-        _emit(G.csv_text(), args.output)
+    payload = {
+        "bc": G.bc.value,
+        "lambda": G.lam,
+        "T": G.length,
+        "n": G.n,
+        "grid": G.grid.tolist(),
+        "values": G.combined().tolist(),
+        "symmetry_error": G.symmetry_error(),
+        "resonance_margin": G.meta["resonance_margin"],
+    }
+    _write(args, payload, text=G.csv_text)
     return 0
 
 
@@ -141,23 +162,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports = verify_all(p, args.lam, n=args.n, tol=args.identity_tol,
                              integrator_tol=args.tol)
     rows = [r.as_dict() for r in reports]
-    if args.format == "csv":
-        lines = ["id,n,residual,lhs_scale,pass,skipped,reason"]
-        for r in rows:
-            res = "" if r["residual"] is None else repr(float(r["residual"]))
-            scale = "" if r["lhs_scale"] is None else repr(float(r["lhs_scale"]))
-            ok = "" if r["pass"] is None else str(r["pass"]).lower()
-            reason = (r["reason"] or "").replace(",", ";")
-            lines.append(f"{r['id']},{r['n']},{res},{scale},{ok},"
-                         f"{str(r['skipped']).lower()},{reason}")
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit_json({"lambda": args.lam, "n": args.n, "tol": args.identity_tol,
-                    "reports": rows}, args.output)
-    failed = [r for r in rows if r["pass"] is False]
-    if args.strict and failed:
-        return 1
-    return 0
+    header = "id,n,residual,lhs_scale,pass,skipped,reason"
+    _write(args, {"lambda": args.lam, "n": args.n, "tol": args.identity_tol, "reports": rows},
+           header, [[r[key] for key in header.split(",")] for r in rows])
+    return _strict(args, rows)
 
 
 # -- compare ----------------------------------------------------------------
@@ -171,22 +179,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             classifications[bc] = classify_sign(G).as_dict()
         except ResonanceError as exc:
             classifications[bc] = {"resonant": True, "reason": str(exc)}
-    relations = args.relation or sorted(DOMINANCE_RELATIONS)
     results = []
-    for name in relations:
+    for name in args.relation or sorted(DOMINANCE_RELATIONS):
         try:
             results.append(verify_dominance(p, args.lam, name, n=args.n,
                                             integrator_tol=args.tol))
         except HypothesisNotMet as exc:
             results.append({"relation": name, "skipped": True,
                             "reason": str(exc), "pass": None})
-    payload = {"lambda": args.lam, "n": args.n,
-               "classifications": classifications, "relations": results}
-    _emit_json(payload, args.output)
-    failed = [r for r in results if r.get("pass") is False]
-    if args.strict and failed:
-        return 1
-    return 0
+    _write(args, {"lambda": args.lam, "n": args.n,
+                  "classifications": classifications, "relations": results})
+    return _strict(args, results)
 
 
 # -- sweep ------------------------------------------------------------------
@@ -198,95 +201,69 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.intervals:
         rows = stability_intervals(p, search_range=(lo, hi),
                                    integrator_tol=DEFAULT_TOL if args.tol is None else args.tol)
-        if args.format == "json":
-            _emit_json({**head, "intervals": [{"lo": a, "hi": b, "kind": kind}
-                                              for (a, b), kind in rows]}, args.output)
-        else:
-            lines = ["lo,hi,kind"]
-            lines += [f"{float(a)!r},{float(b)!r},{kind}" for (a, b), kind in rows]
-            _emit("\n".join(lines), args.output)
+        _write(args, {**head, "intervals": [{"lo": a, "hi": b, "kind": kind}
+                                            for (a, b), kind in rows]},
+               "lo,hi,kind", [(a, b, kind) for (a, b), kind in rows])
         return 0
     # the samples keep discriminant_samples' own accuracy unless --tol is given
     accuracy = {} if args.tol is None else {"accuracy": _check_tol(args.tol)}
     lams, deltas = discriminant_samples(p, lo, hi, count=args.points, **accuracy)
-    if args.format == "json":
-        _emit_json({**head, "lambda": lams.tolist(), "delta": deltas.tolist()},
-                   args.output)
-    else:
-        lines = ["lambda,delta"]
-        for lam, d in zip(lams, deltas):
-            lines.append(f"{float(lam)!r},{float(d)!r}")
-        _emit("\n".join(lines), args.output)
+    _write(args, {**head, "lambda": lams.tolist(), "delta": deltas.tolist()},
+           "lambda,delta", zip(lams, deltas))
     return 0
 
 
 # -- examples ---------------------------------------------------------------
 
 _PI_HALF_SQ = (math.pi / 2.0) ** 2
+_EX4_P4 = (-0.1218, 0.0923, 0.0923, 0.47065, 1.4668, 2.34076, 2.34076, 3.9792, 4.1009)
 
-# first eigenvalues quoted to the digits shown in the source tables; the
-# P and A rows are those of the even extension on [0, 2T]
-_EXPECTED = {
-    1: [("lambda_N", "N", 0, 0.0), ("lambda_D", "D", 0, math.pi ** 2),
-        ("lambda_M1", "M1", 0, _PI_HALF_SQ), ("lambda_M2", "M2", 0, _PI_HALF_SQ),
-        ("lambda_P(2T)", "P", 0, 0.0), ("lambda_A(2T)", "A", 0, _PI_HALF_SQ)],
-    2: [("lambda_N", "N", 0, -0.0508), ("lambda_M2", "M2", 0, 0.5346),
-        ("lambda_M1", "M1", 0, 0.5984), ("lambda_D", "D", 0, 2.4170)],
-    3: [("lambda_N", "N", 0, -0.378), ("lambda_M1", "M1", 0, -0.348),
-        ("lambda_M2", "M2", 0, 0.5948), ("lambda_D", "D", 0, 0.918)],
+# The paper's example tables, one row per check: (name, potential, condition,
+# count, k, quoted).  A check reads the k-th of the first ``count`` eigenvalues,
+# counted with multiplicity, of the example's potential on [0, T] ("T"), of its
+# even extension on [0, 2T] ("2T") or of that one's even extension ("4T").  A
+# quoted (value, multiplicity) pair is a double root, the k-th distinct
+# eigenvalue, and makes two checks.  Values carry the source tables' digits.
+_EXAMPLES = {
+    1: (("lambda_N", "T", "N", 1, 0, 0.0), ("lambda_D", "T", "D", 1, 0, math.pi ** 2),
+        ("lambda_M1", "T", "M1", 1, 0, _PI_HALF_SQ), ("lambda_M2", "T", "M2", 1, 0, _PI_HALF_SQ),
+        ("lambda_P(2T)", "2T", "P", 1, 0, 0.0), ("lambda_A(2T)", "2T", "A", 1, 0, _PI_HALF_SQ)),
+    2: (("lambda_N", "T", "N", 1, 0, -0.0508), ("lambda_M2", "T", "M2", 1, 0, 0.5346),
+        ("lambda_M1", "T", "M1", 1, 0, 0.5984), ("lambda_D", "T", "D", 1, 0, 2.4170)),
+    3: (("lambda_N", "T", "N", 1, 0, -0.378), ("lambda_M1", "T", "M1", 1, 0, -0.348),
+        ("lambda_M2", "T", "M2", 1, 0, 0.5948), ("lambda_D", "T", "D", 1, 0, 0.918)),
+    4: (*((f"lambda_{bc}[{k}]", "T", bc, len(values), k, value)
+          for bc, values in (("N", (-0.1218, 0.47065, 4.1009)), ("D", (1.4668, 3.9792)),
+                             ("M1", (0.0923, 2.34076)), ("M2", (0.0923, 2.34076)))
+          for k, value in enumerate(values)),
+        ("A(2T) root 0", "2T", "A", 4, 0, (0.0923, 2)),
+        ("A(2T) root 1", "2T", "A", 4, 1, (2.34076, 2)),
+        *((f"lambda_P(4T)[{k}]", "4T", "P", len(_EX4_P4), k, value)
+          for k, value in enumerate(_EX4_P4))),
 }
-
-_EX4_SETS = {
-    "N": [-0.1218, 0.47065, 4.1009],
-    "D": [1.4668, 3.9792],
-    "M1": [0.0923, 2.34076],
-    "M2": [0.0923, 2.34076],
-}
-_EX4_P4 = [-0.1218, 0.0923, 0.0923, 0.47065, 1.4668, 2.34076, 2.34076,
-           3.9792, 4.1009]
-
-
-def _check(name: str, expected: float, computed: float, tol: float) -> dict:
-    err = abs(computed - expected)
-    return {"name": name, "expected": expected, "computed": computed,
-            "error": err, "pass": bool(err <= tol)}
-
-
-def _firsts(p: Potential, bc: str, k: int, n_scan: int, tol: float) -> list:
-    spec = find_eigenvalues(p, bc, max_count=k, n_scan=n_scan,
-                            integrator_tol=tol)
-    return spec.expanded()
 
 
 def _run_example(which: int, n_scan: int, tol: float, match: float) -> dict:
     p = load_builtin(f"ex{which}")
+    double = p.even_extension()
+    potentials = {"T": p, "2T": double, "4T": double.even_extension()}
+    spectra = {}  # one find_eigenvalues call per (potential, condition, count)
     checks = []
-    if which in _EXPECTED:
-        for name, bc, k, expected in _EXPECTED[which]:
-            target = p.even_extension() if bc in ("P", "A") else p
-            vals = _firsts(target, bc, k + 1, n_scan, tol)
-            checks.append(_check(name, expected, vals[k], match))
-    else:
-        for bc, values in _EX4_SETS.items():
-            vals = _firsts(p, bc, len(values), n_scan, tol)
-            for k, expected in enumerate(values):
-                checks.append(_check(f"lambda_{bc}[{k}]", expected, vals[k], match))
-        even = p.even_extension()
-        spec_a = find_eigenvalues(even, "A", max_count=4, n_scan=n_scan,
-                                  integrator_tol=tol)
-        for e in spec_a.eigenvalues[:2]:
-            checks.append(_check(f"A(2T) root {e.index} value",
-                                 _EX4_SETS["M1"][e.index], e.value, match))
-            checks.append({"name": f"A(2T) root {e.index} double",
-                           "expected": 2, "computed": e.multiplicity,
-                           "error": abs(e.multiplicity - 2),
-                           "pass": e.multiplicity == 2})
-        p4 = even.even_extension()
-        vals = _firsts(p4, "P", len(_EX4_P4), n_scan, tol)
-        for k, expected in enumerate(_EX4_P4):
-            checks.append(_check(f"lambda_P(4T)[{k}]", expected, vals[k], match))
-    return {"example": which, "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    for name, where, bc, count, k, quoted in _EXAMPLES[which]:
+        if (where, bc, count) not in spectra:
+            spectra[where, bc, count] = find_eigenvalues(
+                potentials[where], bc, max_count=count, n_scan=n_scan, integrator_tol=tol)
+        spec = spectra[where, bc, count]
+        if isinstance(quoted, tuple):
+            e = spec.eigenvalues[k]
+            found = [(f"{name} value", quoted[0], e.value, match),
+                     (f"{name} double", quoted[1], e.multiplicity, 0)]
+        else:
+            found = [(name, quoted, spec.expanded()[k], match)]
+        checks += [{"name": label, "expected": want, "computed": got,
+                    "error": abs(got - want), "pass": bool(abs(got - want) <= within)}
+                   for label, want, got, within in found]
+    return {"example": which, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
@@ -297,26 +274,17 @@ def _cmd_examples(args: argparse.Namespace) -> int:
         which = [args.which]
     else:
         raise UsageError("examples needs --which K or --all")
-    reports = [_run_example(k, args.n_scan, args.tol, args.match_tol)
-               for k in which]
-    overall = all(r["pass"] for r in reports)
-    if args.format == "json":
-        _emit_json({"examples": reports, "pass": overall}, args.output)
-    else:
-        lines = []
-        for r in reports:
-            for c in r["checks"]:
-                status = "ok" if c["pass"] else "FAIL"
-                lines.append(
-                    f"ex{r['example']}  {c['name']:<22} expected "
-                    f"{c['expected']!r:<22} computed {c['computed']!r:<24} "
-                    f"error {float(c['error']):.3e}  {status}")
-            lines.append(f"ex{r['example']}  overall "
-                         f"{'ok' if r['pass'] else 'FAIL'}")
-        _emit("\n".join(lines), args.output)
-    if args.strict and not overall:
-        return 1
-    return 0
+    reports = [_run_example(k, args.n_scan, args.tol, args.match_tol) for k in which]
+    lines = []
+    for r in reports:
+        for c in r["checks"]:
+            lines.append(f"ex{r['example']}  {c['name']:<22} expected {c['expected']!r:<22} "
+                         f"computed {c['computed']!r:<24} error {float(c['error']):.3e}  "
+                         f"{'ok' if c['pass'] else 'FAIL'}")
+        lines.append(f"ex{r['example']}  overall {'ok' if r['pass'] else 'FAIL'}")
+    _write(args, {"examples": reports, "pass": all(r["pass"] for r in reports)},
+           text=lambda: "\n".join(lines))
+    return _strict(args, [c for r in reports for c in r["checks"]])
 
 
 # -- parser -----------------------------------------------------------------

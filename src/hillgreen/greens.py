@@ -547,8 +547,9 @@ def closed_form_constant(m: float, length: float, bc, n: int = 100) -> GreensFun
     bc = BoundaryCondition.parse(bc)
     m = float(m)
     L = float(length)
-    if m <= 0 or L <= 0:
-        raise ValueError("closed form needs m > 0 and a positive length")
+    if not (0 < m < math.inf and 0 < L < math.inf):
+        raise ValueError(f"closed form needs a finite m > 0 and a finite positive length, "
+                         f"got m={m}, length={L}")
     n = _check_n(n)
     branches = _TrigBranches(m, L, bc)
     if abs(branches.denominator) < 1e-12 * max(1.0, m):

@@ -36,8 +36,8 @@ of the same steps, propagated at a few dozen nodes and summed up to the term
 where its coefficients settle, a level early when a sample at 4 of the next
 level's nodes agrees; from 520 lambdas on its first propagation holds the
 33-node level and the sample of the 65 level, so a batch that settles at 33
-nodes is propagated in one call. ``find_eigenvalues`` propagates its scans
-and refinements at every lambda.
+nodes is propagated in one call. ``find_eigenvalues`` reads its scan by the
+same rule and propagates its refinements at every lambda they visit.
 """
 
 from __future__ import annotations

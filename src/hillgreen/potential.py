@@ -38,7 +38,17 @@ __all__ = [
 
 
 class _Piece:
-    """A piece's mirror image about ``center`` evaluates it at 2*center - t."""
+    """A piece's mirror image about ``center`` evaluates it at 2*center - t.
+
+    Every number a piece holds must be finite; a non-finite one is refused
+    when the piece is made, named by its descriptor field.
+    """
+
+    def __post_init__(self):
+        d = self.descriptor()
+        for key, value in d.items():
+            if key not in ("kind", "of") and not np.isfinite(value).all():
+                raise ValueError(f"{d['kind']} piece {key} must be finite, got {value}")
 
     def mirrored(self, center: float):
         return MirrorPiece(self, center)
@@ -216,8 +226,10 @@ class Potential:
         object.__setattr__(self, "pieces", norm)
         object.__setattr__(self, "domain_length", float(self.domain_length))
         object.__setattr__(self, "shift", float(self.shift))
-        if not self.domain_length > 0:
-            raise ValueError("domain length must be positive")
+        if not 0 < self.domain_length < math.inf:
+            raise ValueError(f"domain length must be positive and finite, got {self.domain_length}")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
         if norm[0][0] != 0.0:
             raise ValueError("first piece must start at 0")
         if norm[-1][1] != self.domain_length:

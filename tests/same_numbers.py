@@ -25,8 +25,10 @@ verdicts and values of ``verify_spectral_decomposition``,
 ``first_eigenvalue_relations`` and ``verify_interlacing``, read by field so
 that a record's layout can change under the hash, at two counts); the
 command line (stdout, stderr, exit code and any ``--output`` file of a fixed
-command set).  The catalog section is also printed with ``lhs_scale`` left
-out, and the spectra section with each spectrum's ``audit``,
+command set: every subcommand in every format, ``--strict`` runs that pass
+and that fail, and ``--output`` runs of each subcommand).  The catalog
+section is also printed with ``lhs_scale`` left out, and the spectra
+section with each spectrum's ``audit``,
 ``dirichlet_zero_count`` at every lambda and 1e-6 (relative) above each
 Dirichlet eigenvalue included.  One more spectra section takes every
 condition, and ``method="direct"`` for P and A, over ranges holding 30-60
@@ -288,6 +290,26 @@ COMMANDS = (
     "spectrum --potential ex4 --bc all --count 4 --output FILE",
     "sweep --potential ex3 --range 0 10 --points 50",
     "sweep --potential ex3 --range 0 10 --points 50 --intervals",
+    "verify --potential ex3 --lambda 0.3 --identity SUM --identity M1A --format csv",
+    "verify --potential ex3 --lambda 0.3 --identity SUM --identity M1A",
+    "verify --potential ex3 --lambda -50 --strict --format csv",
+    "verify --potential ex3 --lambda -50 --strict",
+    "verify --potential ex1 --lambda 0.0 --n 30 --format csv --output FILE",
+    "verify --potential ex2 --lambda 0.7 --n 40 --output FILE",
+    "compare --potential ex3 --lambda 0.3 --strict",
+    "compare --potential ex1 --lambda 5.0 --n 30 --strict --output FILE",
+    "examples --which 4 --format json",
+    "examples --which 2 --match-tol 1e-9 --strict",
+    "examples --which 1 --output FILE",
+    "examples --which 3 --format json --output FILE",
+    "sweep --potential ex3 --range 0 10 --points 50 --format json",
+    "sweep --potential ex3 --range 0 10 --points 50 --intervals --format json",
+    "sweep --potential ex4 --range -1 5 --points 7 --output FILE",
+    "sweep --potential ex4 --range -1 5 --intervals --output FILE",
+    "sweep --potential ex4 --range -1 5 --points 7 --format json --output FILE",
+    "spectrum --potential ex3 --range -2 40 --format json",
+    "spectrum --potential ex2 --bc D --count 3 --format json --output FILE",
+    "green --potential ex3 --lambda 0.3 --bc M1 --n 12 --output FILE",
 )
 
 

@@ -369,6 +369,60 @@ def test_usage_errors(capsys):
         assert "error" in captured.err, argv
 
 
+
+@pytest.mark.parametrize("where", ["potential is a directory", "output is a directory",
+                                   "output's directory does not exist"])
+def test_file_errors_are_one_error_line(capsys, tmp_path, where):
+    argv = ["spectrum", "--potential", "ex1", "--bc", "D", "--count", "1"]
+    path = {"potential is a directory": tmp_path, "output is a directory": tmp_path,
+            "output's directory does not exist": tmp_path / "no" / "such.csv"}[where]
+    if where.startswith("potential"):
+        argv[2] = str(path)
+    else:
+        argv += ["--output", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--bc", "D"], ["green", "--lambda", "0.3", "--bc", "N"],
+    ["verify", "--lambda", "0.3"], ["compare", "--lambda", "0.3"],
+    ["sweep", "--range", "0", "5"], ["sweep", "--range", "0", "5", "--intervals"]],
+    ids=" ".join)
+def test_non_finite_descriptor_number_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "nan.json"
+    path.write_text('{"T": 1.0, "pieces": [{"from": 0, "to": 1, "kind": "const", '
+                    '"value": NaN}]}')
+    assert main([*command, "--potential", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad potential descriptor {path}: const piece value must be finite, "
+            "got nan\n")
+
+
+_EVERY_FORMAT = [
+    ("spectrum --potential ex4 --bc M1 --count 3", ("csv", "json")),
+    ("green --potential ex3 --lambda 0.2 --bc M1 --n 5", ("csv", "json")),
+    ("verify --potential ex1 --lambda 0.0 --n 20", ("csv", "json")),
+    ("compare --potential ex1 --lambda 1.0 --n 20", ("json",)),
+    ("sweep --potential ex1 --range -1 4 --points 7", ("csv", "json")),
+    ("sweep --potential ex4 --range -1 5 --intervals", ("csv", "json")),
+    ("examples --which 1", ("text", "json")),
+]
+
+
+@pytest.mark.parametrize("command, fmt", [(c, f) for c, fs in _EVERY_FORMAT for f in fs],
+                         ids=lambda x: x)
+def test_output_file_holds_the_bytes_of_stdout(capsys, tmp_path, command, fmt):
+    path = tmp_path / "out"
+    argv = [*command.split(), "--format", fmt]
+    rc, out = run(capsys, *argv)
+    assert (rc, out[-1:]) == (0, "\n")
+    assert main([*argv, "--output", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert path.read_bytes() == out.encode()
+
 def test_potential_from_file(capsys, tmp_path):
     desc = {"T": 1.0, "pieces": [{"from": 0.0, "to": 1.0, "kind": "const",
                                   "value": 0.0}]}

@@ -104,6 +104,14 @@ def test_closed_form_pole():
         closed_form_constant(1.0, 1.0, "D", n=0)
 
 
+@pytest.mark.parametrize("m, length", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                       (1.0, math.inf), (-math.inf, 1.0)])
+def test_closed_form_refuses_non_finite_m_and_length(m, length):
+    with pytest.raises(ValueError, match="closed form needs a finite m > 0 and a finite "
+                                         f"positive length, got m={m}, length={length}"):
+        closed_form_constant(m, length, "D")
+
+
 @pytest.mark.parametrize("name,lam", [
     ("pw2", 0.3), ("cos_pi", 0.2), ("cos2_pi", 1.1), ("cos2_pi", -0.6),
 ])

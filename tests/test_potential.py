@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hillgreen import Potential, load_builtin
-from hillgreen.potential import BUILTIN_NAMES, ConstPiece, CosPiece, PolyPiece, TablePiece
+from hillgreen.potential import (BUILTIN_NAMES, ConstPiece, CosPiece, MirrorPiece, PolyPiece,
+                                 TablePiece)
 
 
 def test_constant_eval():
@@ -148,6 +150,45 @@ def test_invalid_descriptors():
     with pytest.raises(ValueError):
         Potential(((0.0, 0.4, ConstPiece(0.0)), (0.5, 1.0, ConstPiece(1.0))), 1.0)  # gap
 
+
+_BAD = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=repr)
+@pytest.mark.parametrize("make, field", [
+    pytest.param(lambda x: ConstPiece(x), "const piece value", id="ConstPiece"),
+    pytest.param(lambda x: CosPiece(x, 1.0, 1.0, 0.0), "cos piece c0", id="CosPiece c0"),
+    pytest.param(lambda x: CosPiece(0.0, x, 1.0, 0.0), "cos piece c1", id="CosPiece c1"),
+    pytest.param(lambda x: CosPiece(0.0, 1.0, x, 0.0), "cos piece omega", id="CosPiece omega"),
+    pytest.param(lambda x: CosPiece(0.0, 1.0, 1.0, x), "cos piece phi", id="CosPiece phi"),
+    pytest.param(lambda x: PolyPiece((1.0, x)), "poly piece coeffs", id="PolyPiece"),
+    pytest.param(lambda x: TablePiece((0.0, x), (0.0, 1.0)), "table piece x", id="TablePiece x"),
+    pytest.param(lambda x: TablePiece((0.0, 1.0), (x, 1.0)), "table piece y", id="TablePiece y"),
+    pytest.param(lambda x: MirrorPiece(ConstPiece(1.0), x), "mirror piece center",
+                 id="MirrorPiece"),
+    pytest.param(lambda x: Potential.constant(x, 1.0), "const piece value", id="constant"),
+    pytest.param(lambda x: Potential.cosine(1.0, omega=x), "cos piece omega", id="cosine"),
+    pytest.param(lambda x: Potential.piecewise_constant([0.0, 0.5, 1.0], [0.0, x]),
+                 "const piece value", id="piecewise_constant"),
+    pytest.param(lambda x: Potential.constant(0.0, 1.0).shifted(x), "shift", id="shifted"),
+    pytest.param(lambda x: Potential(((0.0, 1.0, ConstPiece(0.0)),), 1.0, x), "shift",
+                 id="Potential shift"),
+])
+def test_non_finite_numbers_are_refused_naming_the_field(make, field, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=repr)
+def test_non_finite_descriptor_numbers_are_refused(bad):
+    pieces = [{"from": 0.0, "to": 1.0, "kind": "cos", "c0": 0.2, "c1": bad}]
+    with pytest.raises(ValueError, match="^cos piece c1 must be finite"):
+        Potential.from_descriptor({"T": 1.0, "pieces": pieces})
+    with pytest.raises(ValueError, match="^domain length must be positive and finite"):
+        Potential.from_descriptor({"T": bad, "pieces": [{**pieces[0], "c1": 1.0, "to": bad}]})
+    # the finite descriptor still loads, unchanged
+    p = Potential.from_descriptor({"T": 1.0, "pieces": [{**pieces[0], "c1": 1.0}]})
+    assert p.eval(0.0) == 1.2 and p.shifted(0.5).shift == 0.5
 
 def test_builtin_names_load():
     for name in BUILTIN_NAMES:
