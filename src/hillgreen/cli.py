@@ -254,15 +254,18 @@ def _run_example(which: int, n_scan: int, tol: float, match: float) -> dict:
             spectra[where, bc, count] = find_eigenvalues(
                 potentials[where], bc, max_count=count, n_scan=n_scan, integrator_tol=tol)
         spec = spectra[where, bc, count]
+        # a k-th eigenvalue the scan did not find is computed None: a failed check
         if isinstance(quoted, tuple):
-            e = spec.eigenvalues[k]
-            found = [(f"{name} value", quoted[0], e.value, match),
-                     (f"{name} double", quoted[1], e.multiplicity, 0)]
+            e = spec.eigenvalues[k] if k < len(spec.eigenvalues) else None
+            found = [(f"{name} value", quoted[0], None if e is None else e.value, match),
+                     (f"{name} double", quoted[1], None if e is None else e.multiplicity, 0)]
         else:
-            found = [(name, quoted, spec.expanded()[k], match)]
-        checks += [{"name": label, "expected": want, "computed": got,
-                    "error": abs(got - want), "pass": bool(abs(got - want) <= within)}
-                   for label, want, got, within in found]
+            values = spec.expanded()
+            found = [(name, quoted, values[k] if k < len(values) else None, match)]
+        for label, want, got, within in found:
+            error = None if got is None else abs(got - want)
+            checks.append({"name": label, "expected": want, "computed": got, "error": error,
+                           "pass": error is not None and bool(error <= within)})
     return {"example": which, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
@@ -278,8 +281,9 @@ def _cmd_examples(args: argparse.Namespace) -> int:
     lines = []
     for r in reports:
         for c in r["checks"]:
+            error = math.nan if c["error"] is None else c["error"]
             lines.append(f"ex{r['example']}  {c['name']:<22} expected {c['expected']!r:<22} "
-                         f"computed {c['computed']!r:<24} error {float(c['error']):.3e}  "
+                         f"computed {c['computed']!r:<24} error {error:.3e}  "
                          f"{'ok' if c['pass'] else 'FAIL'}")
         lines.append(f"ex{r['example']}  overall {'ok' if r['pass'] else 'FAIL'}")
     _write(args, {"examples": reports, "pass": all(r["pass"] for r in reports)},

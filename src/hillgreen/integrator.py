@@ -32,12 +32,9 @@ one ladder for every accuracy asked, whose levels up to 256 steps are formed,
 and compared, in one pass, and the steps of a block of lambdas, one (2, 2,
 steps, lambdas) array, are multiplied out pairwise as a tree.
 ``endpoint_scan`` reads a large batch off a Chebyshev interpolant in lambda
-of the same steps, propagated at a few dozen nodes and summed up to the term
-where its coefficients settle, a level early when a sample at 4 of the next
-level's nodes agrees; from 520 lambdas on its first propagation holds the
-33-node level and the sample of the 65 level, so a batch that settles at 33
-nodes is propagated in one call. ``find_eigenvalues`` reads its scan by the
-same rule and propagates its refinements at every lambda they visit.
+of the same steps, under the rule its docstring states; ``find_eigenvalues``
+reads its scan by that rule and propagates its refinements at every lambda
+they visit.
 """
 
 from __future__ import annotations
@@ -147,8 +144,7 @@ def _segments(p: Potential):
     edges = np.array([0.0, *inner, length])
     consts = []
     for t0, t1 in zip(edges, edges[1:]):
-        mid = 0.5 * (t0 + t1)
-        base, _ = _unwrap(next(pc for a, b, pc in p.pieces if a <= mid < b))
+        base, _ = _unwrap(p._piece_at(0.5 * (t0 + t1)))
         consts.append(base.value + p.shift if isinstance(base, ConstPiece) else None)
     return edges, consts
 
@@ -657,21 +653,12 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np
 
     A batch of K >= 136 lambdas spanning a range, on a potential with a
     smooth piece, is read off a Chebyshev interpolant in lambda of those
-    same steps (``_interpolated``): it is read at nested levels of 17, 33,
-    65, ... Chebyshev-Lobatto nodes of [min, max], and each level's series
-    is cut after the last term whose tail of coefficients exceeds
-    ``accuracy`` / 128. A level is accepted when every coefficient of its
-    upper half is within ``accuracy`` / 64 in absolute value, or a level
-    early when its cut keeps at most 3/4 of its terms and meets the
-    propagated states within ``accuracy`` / 64 at 4 of the next level's
-    nodes, spread over them: the sample catches a series that aliases. The
-    first propagation holds the 33 nodes when K >= 264, and also the 4
-    sample nodes of the 65 level when K >= 520; later levels propagate only
-    the nodes not yet propagated. The coefficients fall geometrically, so
-    the interpolant adds less than ``accuracy`` / 32 to the certified
-    Magnus error. When the next level would pass K/8 nodes, or a node state
-    is not finite, every lambda is propagated directly, as for any other
-    batch, at most 1/8 more steps in all.
+    same steps, propagated at nested levels of Chebyshev-Lobatto nodes of
+    [min, max] (``_interpolated`` holds the mechanism). The interpolant adds
+    less than ``accuracy`` / 32 to the certified Magnus error. When no level
+    of at most K/8 nodes is accepted, or a node state is not finite, every
+    lambda is propagated directly, as for any other batch, at most 1/8 more
+    steps in all.
 
     An empty batch gives shape (4, 0). Raises ``ValueError`` for an
     ``accuracy`` outside (0, ``TOL_MAX``], a batch of more than one
@@ -727,22 +714,28 @@ def _interpolated(plan, lams: np.ndarray, lo: float, hi: float, accuracy: float)
 
     For a fixed plan the endpoint map is entire in lambda, so its Chebyshev
     series on [lo, hi], the range of ``lams``, converges geometrically (Trefethen,
-    Approximation Theory and Approximation Practice, 2013, ch. 8). Each
-    level of Chebyshev-Lobatto nodes keeps the last level's, and its
-    coefficients are one rfft of the mirrored node values (DCT-I). The
-    series is cut before the first term k whose tail, the sum over j >= k
-    of the largest |c_j| of the four rows, is within ``accuracy`` / 128: as
-    |T_j| <= 1, the tail bounds what the cut leaves out (Aurentz &
-    Trefethen, Chopping a Chebyshev series, ACM TOMS 43, 2017). A level
-    whose cut keeps at most 3/4 of its terms is tested at 4 of the next
-    level's new nodes; when the test fails, those 4 states are nodes of the
-    next level, so no lambda is propagated twice. The first batch holds the
-    first level, the next level's new nodes and the sample nodes of the level
+    Approximation Theory and Approximation Practice, 2013, ch. 8). The levels
+    have 17, 33, 65, ... Chebyshev-Lobatto nodes, each keeping the last
+    level's, and a level's coefficients are one rfft of the mirrored node
+    values (DCT-I). The series is cut before the first term k whose tail,
+    the sum over j >= k of the largest |c_j| of the four rows, is within
+    ``accuracy`` / 128: as |T_j| <= 1, the tail bounds what the cut leaves
+    out (Aurentz & Trefethen, Chopping a Chebyshev series, ACM TOMS 43,
+    2017). A level is accepted when every coefficient of its upper half is
+    within ``accuracy`` / 64, or a level early when its cut keeps at most 3/4
+    of its terms and meets the propagated states within ``accuracy`` / 64 at
+    4 of the next level's new nodes, one in each quarter of them: the sample
+    catches a series that aliases. When the test fails, those 4 states are
+    nodes of the next level, so no lambda is propagated twice. As the
+    coefficients fall geometrically, the interpolant adds less than
+    ``accuracy`` / 32 to the Magnus error. The first batch holds the first
+    level, the next level's new nodes and the sample nodes of the level
     after it, each while its level fits the K/8 cap: 17 + 16 + 4 = 37 lambdas
-    in one ``_propagate`` call from 520 lambdas on, so a batch that settles at
-    33 nodes, by either rule, is propagated once. A state that is not finite,
-    at any node propagated so far, sends the batch to the direct route before
-    the next level. When it engages and accepts is ``endpoint_scan``'s rule.
+    in one ``_propagate`` call from 520 lambdas on (the 33 nodes alone from
+    264), so a batch that settles at 33 nodes, by either rule, is propagated
+    once. A state that is not finite, at any node propagated so far, sends
+    the batch to the direct route before the next level, and so does a next
+    level past the cap. When it engages is ``endpoint_scan``'s rule.
     """
     cap = lams.size / 8
     if _NODES > cap or all(grid is None for _, _, grid in plan) or hi == lo:

@@ -61,9 +61,6 @@ class ConstPiece(_Piece):
     def values(self, t: np.ndarray) -> np.ndarray:
         return np.full(np.shape(t), float(self.value))
 
-    def value_at(self, x: float) -> float:
-        return self.value
-
     def mirrored(self, center: float):
         return self  # a constant is its own mirror image
 
@@ -83,9 +80,6 @@ class CosPiece(_Piece):
     def values(self, t: np.ndarray) -> np.ndarray:
         return self.c0 + self.c1 * np.cos(self.omega * np.asarray(t, dtype=float) + self.phi)
 
-    def value_at(self, x: float) -> float:
-        return self.c0 + self.c1 * math.cos(self.omega * x + self.phi)
-
     def descriptor(self) -> dict:
         return {"kind": "cos", "c0": self.c0, "c1": self.c1, "omega": self.omega, "phi": self.phi}
 
@@ -98,12 +92,6 @@ class PolyPiece(_Piece):
 
     def values(self, t: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coeffs)
-
-    def value_at(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def descriptor(self) -> dict:
         return {"kind": "poly", "coeffs": list(self.coeffs)}
@@ -130,9 +118,6 @@ class TablePiece(_Piece):
             return np.interp(tt, self.xs, self.ys)
         return self._interp(tt)
 
-    def value_at(self, x: float) -> float:
-        return float(self.values(np.asarray(x)))
-
     def descriptor(self) -> dict:
         return {"kind": "table", "x": list(self.xs), "y": list(self.ys), "order": self.order}
 
@@ -151,9 +136,6 @@ class MirrorPiece(_Piece):
 
     def values(self, t: np.ndarray) -> np.ndarray:
         return self.base.values(2.0 * self.center - np.asarray(t, dtype=float))
-
-    def value_at(self, x: float) -> float:
-        return self.base.value_at(2.0 * self.center - x)
 
     def descriptor(self) -> dict:
         return {"kind": "mirror", "center": self.center, "of": self.base.descriptor()}
@@ -318,13 +300,15 @@ class Potential:
     def eval(self, t):
         """a(t) + shift; right limit at breakpoints. Scalar in, scalar out.
 
-        Points off [0, L] follow ``_on_domain``, the domain rule of every point reader.
+        A scalar read is the piece's array formula (``values``) at one point,
+        so it equals the array read at that point bit for bit. Points off
+        [0, L] follow ``_on_domain``, the domain rule of every point reader.
         """
         L = self.domain_length
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
             x = _on_domain(float(arr), L)
-            return self._piece_at(x).value_at(x) + self.shift
+            return float(self._piece_at(x).values(x)) + self.shift
         tt = _on_domain(arr.ravel(), L)
         if len(self.pieces) == 1:
             out = self.pieces[0][2].values(tt)

@@ -478,14 +478,9 @@ def discriminant_samples(p: Potential, lo: float, hi: float, count: int = 400, *
     ``accuracy`` / 2: ``endpoint_scan`` splits its accuracy over the
     segments, and the extension has twice as many, so each half segment
     takes the steps it takes inside the full scan, with half the work.
-    From 136 samples on, ``endpoint_scan`` reads the states off its
-    Chebyshev interpolant in lambda when its rule accepts one at the half
-    scan's accuracy, a few dozen propagated lambdas in all: from 520
-    samples on, its first propagation holds the 33-node level and the 4
-    sample nodes of the next, 37 lambdas in one call, and a batch that
-    settles at 33 nodes propagates no more. The interpolant adds less than
-    ``accuracy`` / 64 to the half scan's states. Otherwise every lambda is
-    propagated.
+    ``endpoint_scan`` reads the samples off its Chebyshev interpolant in
+    lambda where its rule lets it, at the half scan's accuracy, and
+    propagates every lambda otherwise.
     Raises ``ValueError`` when ``count`` is not an integer of at least 1,
     ``accuracy`` is not in (0, ``TOL_MAX``] or ``lo`` or ``hi`` is not
     finite.

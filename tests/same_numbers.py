@@ -36,7 +36,10 @@ eigenvalues a call, and ``stability_intervals`` over a quarter of each
 range; another takes the first 1 and 3 eigenvalues (``max_count``) of the
 same calls over those ranges and over a sixteenth of them, values and
 multiplicities only.  The ``reads`` section moved when ``fundamental_solutions`` became
-the Magnus basis that kernels read.
+the Magnus basis that kernels read.  The last section takes the same reads of
+potentials built from every piece kind: poly pieces of degree 0-3, table pieces
+of order 1 and 3, a cosine and descriptor mirrors of a const and of a poly, each
+potential also even-extended, reflected and shifted.
 """
 
 import hashlib
@@ -258,6 +261,41 @@ def reads(h) -> None:
                       _call(basis.trajectory, np.array(pts))])
 
 
+PIECE_POTENTIALS = {
+    "poly": {"T": 2.0, "pieces": [
+        {"from": 0.0, "to": 0.5, "kind": "poly", "coeffs": [0.7]},
+        {"from": 0.5, "to": 1.0, "kind": "poly", "coeffs": [0.3, -1.1]},
+        {"from": 1.0, "to": 1.4, "kind": "poly", "coeffs": [1.2, 0.4, -2.3]},
+        {"from": 1.4, "to": 2.0, "kind": "poly", "coeffs": [-0.6, 2.2, 0.9, -1.7]}]},
+    "table": {"T": 1.7, "pieces": [
+        {"from": 0.0, "to": 0.9, "kind": "table", "order": 1,
+         "x": [0.0, 0.3, 0.55, 0.9], "y": [0.4, -0.2, 1.1, 0.6]},
+        {"from": 0.9, "to": 1.7, "kind": "table", "order": 3,
+         "x": [0.9, 1.1, 1.4, 1.7], "y": [0.6, 1.3, -0.7, 0.2]}]},
+    "mirror": {"T": 1.2, "shift": -0.45, "pieces": [
+        {"from": 0.0, "to": 0.5, "kind": "mirror", "center": 0.25,
+         "of": {"kind": "const", "value": -0.8}},
+        {"from": 0.5, "to": 0.8, "kind": "cos", "c0": 0.1, "c1": 0.9, "omega": 2.3, "phi": 0.4},
+        {"from": 0.8, "to": 1.2, "kind": "mirror", "center": 1.0,
+         "of": {"kind": "poly", "coeffs": [0.2, 0.5, -0.3]}}]},
+}
+
+
+def piece_reads(h) -> None:
+    for name, desc in PIECE_POTENTIALS.items():
+        base = Potential.from_descriptor(desc)
+        for p in (base, base.even_extension(), base.reflect(), base.shifted(0.37)):
+            L = p.domain_length
+            pts = _points(L) + list(p.breakpoints) + list(np.linspace(0.0, L, 29))
+            _feed(h, [name, [_call(p.eval, t) for t in pts],
+                      [_call(p.eval, np.array([t])) for t in pts],
+                      p.eval(np.array(pts[:8])), _call(p.eval, np.array(pts))])
+            for lam in (0.3, 7.3):
+                basis = fundamental_solutions(p, lam)
+                _feed(h, [[_call(basis.trajectory, t) for t in pts],
+                          _call(basis.trajectory, np.array(pts))])
+
+
 def relations(h) -> None:
     for name, p in POTENTIALS.items():
         first = first_eigenvalue_relations(p)
@@ -332,7 +370,8 @@ def main() -> None:
                 ("sweep", sweep), ("endpoint_scan batches", batches),
                 ("spectra over wide ranges", wide_spectra),
                 ("capped spectra over wide ranges", capped_spectra),
-                ("reads", reads), ("spectral relations", relations), ("cli", cli))
+                ("reads", reads), ("spectral relations", relations), ("cli", cli),
+                ("potential reads by piece kind", piece_reads))
     for label, fill in sections:
         h = hashlib.sha256()
         fill(h)

@@ -330,6 +330,33 @@ def test_examples_json(capsys):
     assert "lambda_N" in names
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_examples_missing_eigenvalue_is_a_failed_check(capsys, fmt, strict):
+    # one scan sample finds fewer eigenvalues of ex4 than its table quotes
+    rc, out = run(capsys, "examples", "--which", "4", "--n-scan", "1", "--format", fmt,
+                  *(["--strict"] if strict else []))
+    assert rc == (1 if strict else 0)
+    if fmt == "json":
+        doc = json.loads(out)
+        checks = {c["name"]: c for c in doc["examples"][0]["checks"]}
+        missing = [c for c in checks.values() if c["computed"] is None]
+        assert missing and doc["pass"] is False
+        assert all(c["error"] is None and c["pass"] is False for c in missing)
+        # a double root that was not found fails both its value and its multiplicity
+        assert checks["A(2T) root 1 value"]["computed"] is None
+        assert checks["A(2T) root 1 double"]["computed"] is None
+    else:
+        missing = [ln.split() for ln in out.splitlines() if " computed None " in ln]
+        assert missing and out.endswith("ex4  overall FAIL\n")
+        assert all(words[-3:] == ["error", "nan", "FAIL"] for words in missing)
+
+
+def test_examples_needs_which_or_all(capsys):
+    assert main(["examples"]) == 2
+    assert capsys.readouterr() == ("", "error: examples needs --which K or --all\n")
+
+
 @pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
 def test_examples_match_tol_must_be_finite_and_positive(capsys, bad):
     assert main(["examples", "--all", "--match-tol", bad]) == 2

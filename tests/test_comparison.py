@@ -182,6 +182,19 @@ def test_threshold_consistency(cos_pi, bc):
         assert s["pass"], s
 
 
+def test_threshold_consistency_skips_a_resonant_lambda(zero1):
+    # pi^2 is the first Dirichlet eigenvalue of a = 0 on [0, 1]: no kernel
+    # there, so the sample is marked resonant and left ungraded; 5.0 is graded
+    rep = sign_threshold_consistency(zero1, "D", lams=[math.pi ** 2, 5.0])
+    resonant, graded = rep["samples"]
+    assert resonant["lambda"] == math.pi ** 2
+    assert resonant["resonant"] is True and resonant["pass"] is None
+    assert "classification" not in resonant
+    assert graded["lambda"] == 5.0 and "resonant" not in graded
+    assert graded["pass"] is True and graded["expected"] == "negative"
+    assert rep["graded"] == 1 and rep["pass"] is True
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 4: classify_sign reads the node table, and just above the first "
     "Dirichlet eigenvalue the kernel changes sign only in thin triangles at the ends "
@@ -919,6 +932,22 @@ def test_solution_comparison_forcing_hypothesis(zero1):
     with pytest.raises(HypothesisNotMet) as err:
         verify_solution_comparison(zero1, 1.0, "nd_nonneg", 0.2, 1.0, n=40)
     assert err.value.point is not None
+
+
+def test_solution_comparison_unordered_forcings(zero1):
+    # sigma2 = 2 - 4t crosses zero, so neither ordering holds; the first
+    # node that breaks 0 <= sigma2 <= sigma1 is t = 0, where sigma2 > sigma1
+    assert _outcome(verify_solution_comparison, zero1, -1.0, "nd_neg", 1.0,
+                    lambda t: 2.0 - 4.0 * t) == (
+        "HypothesisNotMet",
+        "forcings are not ordered as 0 <= sigma2 <= sigma1 nor 0 >= sigma2 >= sigma1", 0.0)
+
+
+def test_solution_comparison_unknown_theorem(zero1):
+    with pytest.raises(KeyError) as err:
+        verify_solution_comparison(zero1, -1.0, "nd", 1.0, 1.0)
+    assert err.value.args[0] == ("unknown theorem 'nd'; choices: "
+                                 "m2d, nd_neg, nd_nonneg, nm1_neg, nm1_nonneg")
 
 
 def test_solution_comparison_kernel_hypothesis(zero1):

@@ -9,6 +9,8 @@ from hillgreen import Potential, load_builtin
 from hillgreen.potential import (BUILTIN_NAMES, ConstPiece, CosPiece, MirrorPiece, PolyPiece,
                                  TablePiece)
 
+from same_numbers import PIECE_POTENTIALS
+
 
 def test_constant_eval():
     p = Potential.constant(2.5, 3.0)
@@ -151,6 +153,54 @@ def test_invalid_descriptors():
         Potential(((0.0, 0.4, ConstPiece(0.0)), (0.5, 1.0, ConstPiece(1.0))), 1.0)  # gap
 
 
+def _table(x, y, order=3):
+    return {"T": 1.0, "pieces": [{"from": 0.0, "to": 1.0, "kind": "table", "x": x, "y": y,
+                                  "order": order}]}
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: Potential.from_descriptor(_table([0.0, 0.5, 1.0], [1.0, 2.0])),
+                 "table pieces need matching x/y arrays with at least 2 samples",
+                 id="table x/y mismatched"),
+    pytest.param(lambda: Potential.from_descriptor(_table([0.0], [1.0])),
+                 "table pieces need matching x/y arrays with at least 2 samples",
+                 id="table single sample"),
+    pytest.param(lambda: Potential.from_descriptor(_table([0.0, 0.5, 0.5, 1.0], [1.0] * 4)),
+                 "table x values must be strictly increasing", id="table x not increasing"),
+    pytest.param(lambda: Potential.from_descriptor(_table([0.0, 1.0], [1.0, 2.0], order=2)),
+                 "table interpolation order must be 1 or 3", id="table order 2"),
+    pytest.param(lambda: Potential((), 1.0), "potential needs at least one piece",
+                 id="no pieces"),
+    pytest.param(lambda: Potential(((0.0, 0.8, ConstPiece(0.0)),), 1.0),
+                 "last piece must end at the domain length", id="last piece short"),
+    pytest.param(lambda: Potential(((0.0, 0.0, ConstPiece(0.0)), (0.0, 1.0, ConstPiece(1.0))),
+                                   1.0),
+                 "piece intervals must have positive length", id="zero-length inner piece"),
+    pytest.param(lambda: Potential(((0.0, 1.0, ConstPiece(0.0)), (1.0, 1.0, ConstPiece(1.0))),
+                                   1.0),
+                 "piece intervals must have positive length", id="zero-length last piece"),
+    pytest.param(lambda: Potential.piecewise_constant([0.0, 0.5, 1.0], [1.0]),
+                 "need exactly one value per interval", id="piecewise_constant values"),
+    pytest.param(lambda: Potential.from_descriptor({"pieces": []}),
+                 "potential descriptor needs 'T' and 'pieces'", id="descriptor without T"),
+    pytest.param(lambda: Potential.from_descriptor({"T": 1.0}),
+                 "potential descriptor needs 'T' and 'pieces'", id="descriptor without pieces"),
+])
+def test_invalid_potentials_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_poly_descriptor_round_trip():
+    desc = {"T": 1.0, "pieces": [{"from": 0.0, "to": 1.0, "kind": "poly",
+                                  "coeffs": [1.0, -2.0, 3.0, 0.5]}]}
+    p = Potential.from_descriptor(desc)
+    assert p.pieces[0][2] == PolyPiece((1.0, -2.0, 3.0, 0.5))
+    assert p.descriptor() == desc
+    ts = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(p.eval(ts), 1.0 - 2.0 * ts + 3.0 * ts**2 + 0.5 * ts**3, atol=1e-14)
+
+
 _BAD = (float("nan"), float("inf"), -float("inf"))
 
 
@@ -258,3 +308,29 @@ def test_restrict_of_extension_recovers(p):
     back = p.even_extension().restrict(p.domain_length)
     ts = np.linspace(0.0, p.domain_length, 23, endpoint=False) + 1e-4
     assert np.allclose(back.eval(ts), p.eval(ts), atol=1e-14)
+
+
+# every piece kind (poly of degree 0-3, tables of order 1 and 3, a cosine and
+# descriptor mirrors), mirrored through even_extension and reflect, and shifted
+_PIECE_VARIANTS = {f"{name} {kind}": make(Potential.from_descriptor(desc))
+                   for name, desc in PIECE_POTENTIALS.items()
+                   for kind, make in (("base", lambda p: p),
+                                      ("even extension", Potential.even_extension),
+                                      ("reflected", Potential.reflect),
+                                      ("shifted", lambda p: p.shifted(0.37)))}
+
+
+@st.composite
+def piece_reads(draw):
+    p = _PIECE_VARIANTS[draw(st.sampled_from(sorted(_PIECE_VARIANTS)))]
+    L = p.domain_length
+    t = draw(st.one_of(st.sampled_from(p.breakpoints.tolist()),
+                       st.floats(min_value=0.0, max_value=L)))
+    return p, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(piece_reads())
+def test_scalar_read_is_the_array_read(read):
+    p, t = read
+    assert float(p.eval(t)).hex() == float(p.eval(np.array([t]))[0]).hex()

@@ -243,6 +243,20 @@ def test_first_eigenvalue_relations(request, name):
     assert rep["pass"], [(i["item"], i["pass"]) for i in rep["items"]]
 
 
+def test_relation_checkers_report_a_short_scan():
+    # one scan sample on ex1 (a = 0) misses most first eigenvalues: the
+    # checkers fail with a reason instead of grading what is missing
+    ex1 = load_builtin("ex1")
+    first = first_eigenvalue_relations(ex1, n_scan=1)
+    assert first["pass"] is False
+    assert first["error"] == "not enough eigenvalues found in the scan range"
+    assert None in first["values"].values()
+    lace = verify_interlacing(ex1, n_scan=1)
+    assert lace["pass"] is False
+    assert lace["error"] == "not enough eigenvalues per problem"
+    assert min(lace["found"].values()) < 4
+
+
 @pytest.mark.parametrize("bc", ["P", "A", "N", "D", "M1", "M2"])
 def test_restricted_extension_chooses_its_own_method(bc):
     # the even extension of an uneven step is even as a whole, but its first
