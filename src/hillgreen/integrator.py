@@ -596,12 +596,12 @@ def _y2_zeros(p: Potential, lam: float, tol: float) -> int:
 
     Zeros of y2 lie at least pi / sqrt(max(a + lambda)) apart (Sturm
     separation), so steps of at most h = pi / (2 sqrt(q)), q the largest
-    a + lambda at a segment's ends and 65 points (the whole segment if
+    a + lambda on a segment (``Potential.bounds``; the whole segment if
     q <= 0), hold one zero at most, and the count is y2's sign changes over
     the step ends, from its + just after 0 to T. A constant segment takes
     ceil(length / h) exact substeps, any other ``solve_ivp``'s DOP853 steps
-    at rtol = max(tol/10, 1e-13), atol = max(tol * 1e-3, 1e-15) and
-    ``max_step`` h.
+    of its piece's formula at rtol = max(tol/10, 1e-13), atol =
+    max(tol * 1e-3, 1e-15) and ``max_step`` h.
     """
     lam, tol = _check_lam_tol(lam, tol)
     edges, consts = _segments(p)
@@ -609,17 +609,15 @@ def _y2_zeros(p: Potential, lam: float, tol: float) -> int:
     y = np.array([1.0, 0.0, 0.0, 1.0])
     values = [np.ones(1)]
     for t0, t1, const in zip(edges, edges[1:], consts):
-        q = lam + (const if const is not None else float(np.max(p.eval(np.linspace(t0, t1, 65)))))
+        q = lam + (const if const is not None else p.bounds(t0, t1)[1])
         h = math.pi / (2.0 * math.sqrt(q)) if q > 0 else t1 - t0
         if const is not None:
             states = _exact_step(y, q, np.linspace(0.0, t1 - t0, math.ceil((t1 - t0) / h) + 1)[1:])
         else:
-            # stage times can land exactly on t1; clamp the evaluation onto this
-            # segment's piece so a jump's right-hand value never leaks in
-            back = t1 - 1e-12 * (1.0 + p.domain_length)
-
-            def rhs(s, z, _b=back):
-                a = p.eval(min(s, _b)) + lam
+            # stage times can land exactly on t1: the segment's piece is read just inside it
+            def rhs(s, z, _a=p._piece_at(0.5 * (t0 + t1)).values,
+                    _b=t1 - 1e-12 * (1.0 + p.domain_length)):
+                a = float(_a(min(s, _b))) + p.shift + lam
                 return (z[1], -a * z[0], z[3], -a * z[2])
 
             res = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol, atol=atol, max_step=h)
@@ -648,8 +646,8 @@ def endpoint_scan(p: Potential, lams, *, accuracy: float = _SCAN_ACCURACY) -> np
     they agree within the segment's share of ``accuracy``, and n is then
     trimmed by the n^-6 law.
     The shares split ``accuracy`` over the segments and divide it by
-    omega = sqrt(max(1, max|a| + max|lambda|)): an error in the phase of
-    an oscillation reaches y1'(T) multiplied by omega.
+    omega = sqrt(max(1, max|a| + max|lambda|)) (``Potential.bounds``): an
+    error in the phase of an oscillation reaches y1'(T) multiplied by omega.
 
     A batch of K >= 136 lambdas spanning a range, on a potential with a
     smooth piece, is read off a Chebyshev interpolant in lambda of those
@@ -686,15 +684,16 @@ def _scan_plan(p: Potential, lo: float, hi: float, *accuracies: float) -> list:
     piece, (None, length, Magnus grid) for any other. A segment's grids come
     from one ladder probed at 7 evenly spaced points of [lo, hi] (numpy's
     linear-method lerp, counting down from hi from the middle on) and at the
-    turning values -a inside it, and ``_propagate`` applies a plan to any
-    batch inside that range. Raises ``ValueError`` when an end is not finite.
+    turning values -a inside it, at a's ``Potential.bounds`` and their mean;
+    ``_propagate`` applies a plan to any batch inside that range. Raises
+    ``ValueError`` when an end is not finite.
     """
     _check_ends(lo, hi)
     edges, consts = _segments(p)
     smooth = [(t0, t1) for t0, t1, const in zip(edges, edges[1:], consts) if const is None]
     grids = {}
     if smooth:
-        amin, amax = p.sample_bound()
+        amin, amax = p.bounds()
         omega = math.sqrt(max(1.0, max(-amin, amax) + max(-lo, hi)))
         turning = (-amax, -0.5 * (amin + amax), -amin)
         spread = (lo + (hi - lo) * q if q < 0.5 else hi - (hi - lo) * (1.0 - q) if q < 1.0 else hi

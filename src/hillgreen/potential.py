@@ -61,6 +61,9 @@ class ConstPiece(_Piece):
     def values(self, t: np.ndarray) -> np.ndarray:
         return np.full(np.shape(t), float(self.value))
 
+    def bounds(self, t0: float, t1: float) -> tuple:
+        return float(self.value), float(self.value)
+
     def mirrored(self, center: float):
         return self  # a constant is its own mirror image
 
@@ -80,6 +83,13 @@ class CosPiece(_Piece):
     def values(self, t: np.ndarray) -> np.ndarray:
         return self.c0 + self.c1 * np.cos(self.omega * np.asarray(t, dtype=float) + self.phi)
 
+    def bounds(self, t0: float, t1: float) -> tuple:
+        # the ends, and c0 + c1 or c0 - c1 where the phases reach a crest (0) or a trough (pi)
+        lo, hi = sorted((self.omega * t0 + self.phi, self.omega * t1 + self.phi))
+        cos = [c for c, at in ((1.0, 0.0), (-1.0, math.pi)) if (at - lo) % math.tau <= hi - lo]
+        v = [*self.values(np.array([t0, t1])), *(self.c0 + c * self.c1 for c in cos)]
+        return min(v), max(v)
+
     def descriptor(self) -> dict:
         return {"kind": "cos", "c0": self.c0, "c1": self.c1, "omega": self.omega, "phi": self.phi}
 
@@ -92,6 +102,11 @@ class PolyPiece(_Piece):
 
     def values(self, t: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coeffs)
+
+    def bounds(self, t0: float, t1: float) -> tuple:
+        r = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(self.coeffs))
+        v = self.values(np.r_[t0, t1, r.real[(r.imag == 0) & (t0 < r.real) & (r.real < t1)]])
+        return v.min(), v.max()
 
     def descriptor(self) -> dict:
         return {"kind": "poly", "coeffs": list(self.coeffs)}
@@ -118,6 +133,12 @@ class TablePiece(_Piece):
             return np.interp(tt, self.xs, self.ys)
         return self._interp(tt)
 
+    def bounds(self, t0: float, t1: float) -> tuple:
+        # the ends and the nodes inside: PCHIP is monotone between nodes (Fritsch & Carlson 1980)
+        i, j = bisect_right(self.xs, t0), bisect_right(self.xs, t1)
+        v = [*self.values(np.array([t0, t1])), *self.ys[i:j]]
+        return min(v), max(v)
+
     def descriptor(self) -> dict:
         return {"kind": "table", "x": list(self.xs), "y": list(self.ys), "order": self.order}
 
@@ -136,6 +157,9 @@ class MirrorPiece(_Piece):
 
     def values(self, t: np.ndarray) -> np.ndarray:
         return self.base.values(2.0 * self.center - np.asarray(t, dtype=float))
+
+    def bounds(self, t0: float, t1: float) -> tuple:
+        return self.base.bounds(2.0 * self.center - t1, 2.0 * self.center - t0)
 
     def descriptor(self) -> dict:
         return {"kind": "mirror", "center": self.center, "of": self.base.descriptor()}
@@ -321,6 +345,14 @@ class Potential:
         out += self.shift
         return out.reshape(arr.shape)
 
+    def bounds(self, t0: float = 0.0, t1: float | None = None) -> tuple:
+        """Exact (min, max) of a + shift between t0 and t1 (L if None; ends by ``_on_domain``)."""
+        L = self.domain_length
+        t0, t1 = sorted((_on_domain(float(t0), L), _on_domain(float(L if t1 is None else t1), L)))
+        k0, k1 = bisect_right(self._starts_list, t0) - 1, bisect_right(self._starts_list, t1)
+        lo, hi = zip(*(piece.bounds(max(a, t0), min(b, t1)) for a, b, piece in self.pieces[k0:k1]))
+        return float(min(lo)) + self.shift, float(max(hi)) + self.shift
+
     # -- algebra -----------------------------------------------------------
 
     def shifted(self, dlam: float) -> "Potential":
@@ -380,11 +412,6 @@ class Potential:
         w = self.eval(L - ts)
         scale = 1.0 + float(np.max(np.abs(v)))
         return float(np.max(np.abs(v - w))) <= rtol * scale
-
-    def sample_bound(self, npts: int = 513) -> tuple:
-        """(min, max) of a + shift over a sample grid, for search-range defaults."""
-        vals = self.eval(np.linspace(0.0, self.domain_length, npts))
-        return float(vals.min()), float(vals.max())
 
 
 BUILTIN_NAMES = ("ex1", "ex2", "ex3", "ex4")

@@ -110,10 +110,9 @@ class Spectrum:
 
 
 def _auto_range(p: Potential, count: int) -> tuple[float, float]:
-    amin, amax = p.sample_bound()
-    lo = -amax - 1.0
-    hi = ((count + 1.5) * np.pi / p.domain_length) ** 2 - min(amin, 0.0) + 2.0
-    return lo, hi
+    """Default range: -max a - 1, under every eigenvalue, to past ``count`` + 1 of any condition."""
+    amin, amax = p.bounds()
+    return -amax - 1.0, ((count + 1.5) * np.pi / p.domain_length) ** 2 - min(amin, 0.0) + 2.0
 
 
 def _scan(p: Potential, lo: float, hi: float, n_scan: int, integrator_tol: float):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hillgreen import Potential, load_builtin
+from hillgreen.errors import DomainError
 from hillgreen.potential import (BUILTIN_NAMES, ConstPiece, CosPiece, MirrorPiece, PolyPiece,
                                  TablePiece)
 
@@ -253,13 +254,15 @@ def test_asymmetric_potential_detected():
     assert load_builtin("ex3").even_extension().is_even_about_midpoint()
 
 
-def test_sample_bound_brackets_values():
-    p = load_builtin("ex4")
-    lo, hi = p.sample_bound()
-    ts = np.linspace(0.0, p.domain_length, 257)
-    vals = p.eval(ts)
-    assert lo <= vals.min() + 1e-12
-    assert hi >= vals.max() - 1e-12
+def test_bounds_read_a_narrow_spike_and_follow_the_domain_rule():
+    p = Potential.piecewise_constant([0.0, 0.3001, 0.3006, 1.0], [0.0, 5000.0, 0.0]).shifted(2.0)
+    assert p.bounds() == (2.0, 5002.0)
+    assert p.bounds(0.31, 1.0) == p.bounds(1.0, 0.31) == (2.0, 2.0)
+    assert p.bounds(0.3006, 0.3006) == (2.0, 2.0)  # a breakpoint reads the right-hand piece
+    assert p.bounds(-1e-13, 1.0 + 1e-13) == p.bounds()
+    for t0, t1 in ((-0.1, 0.5), (0.5, 1.1), (math.nan, 0.5)):
+        with pytest.raises(DomainError):
+            p.bounds(t0, t1)
 
 
 # -- property tests ----------------------------------------------------
@@ -334,3 +337,77 @@ def piece_reads(draw):
 def test_scalar_read_is_the_array_read(read):
     p, t = read
     assert float(p.eval(t)).hex() == float(p.eval(np.array([t]))[0]).hex()
+
+
+def _random_piece(rng, a, b):
+    """A piece on [a, b]: a constant, a cosine with a phase and either sign of omega, a
+    polynomial of degree 0 to 3, or a table of 2 to 512 nodes of order 1 or 3."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return ConstPiece(rng.uniform(-5.0, 5.0))
+    if kind == 1:
+        return CosPiece(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-20.0, 20.0),
+                        rng.uniform(-math.pi, math.pi))
+    if kind == 2:
+        return PolyPiece(tuple(rng.uniform(-5.0, 5.0, rng.integers(1, 5))))
+    n = int(rng.choice([2, 3, rng.integers(4, 513), 512]))
+    xs = np.concatenate([[a], np.sort(rng.uniform(a, b, n - 2)), [b]])
+    return TablePiece(tuple(xs), tuple(rng.uniform(-5.0, 5.0, n)), int(rng.choice([1, 3])))
+
+
+def _extreme_reads(piece, t0, t1):
+    """The piece's values where its extremes over [t0, t1] can lie, found apart from
+    ``bounds``: the ends, a cosine's crests and troughs, a polynomial's critical points
+    and a table's nodes. A mirror's are its base's, at the base's points, so no rounding
+    of the mirror map moves a point off a steep table's node."""
+    if isinstance(piece, MirrorPiece):
+        return _extreme_reads(piece.base, 2.0 * piece.center - t1, 2.0 * piece.center - t0)
+    inner = []
+    if isinstance(piece, CosPiece):
+        phases = sorted((piece.omega * t0 + piece.phi, piece.omega * t1 + piece.phi))
+        ks = np.arange(math.ceil(phases[0] / math.pi), math.floor(phases[1] / math.pi) + 1)
+        inner = (ks * math.pi - piece.phi) / piece.omega
+    elif isinstance(piece, PolyPiece):
+        # a' = c1 + 2 c2 t + 3 c3 t^2, solved in closed form
+        c1, c2, c3 = (list(piece.coeffs) + [0.0] * 3)[1:4]
+        disc = 4.0 * c2 * c2 - 12.0 * c1 * c3
+        if c3 != 0.0 and disc >= 0.0:
+            inner = [(-2.0 * c2 + s * math.sqrt(disc)) / (6.0 * c3) for s in (-1.0, 1.0)]
+        elif c3 == 0.0 and c2 != 0.0:
+            inner = [-c1 / (2.0 * c2)]
+    elif isinstance(piece, TablePiece):
+        inner = piece.xs
+    pts = np.concatenate([[t0, t1], inner])
+    return piece.values(pts[(pts >= t0) & (pts <= t1)])
+
+
+_BOUND_VARIANTS = {"base": lambda p, rng: p,
+                   "even extension": lambda p, rng: p.even_extension(),
+                   "reflected": lambda p, rng: p.reflect(),
+                   "shifted": lambda p, rng: p.shifted(rng.uniform(-10.0, 10.0))}
+
+
+@pytest.mark.parametrize("variant", sorted(_BOUND_VARIANTS))
+def test_bounds_are_exact(variant):
+    # bounds enclose 10^4 random reads of [t0, t1], to the rounding of a read (a PCHIP
+    # read near a node's extreme can pass it by an ulp or two), and the reads where an
+    # extreme can lie attain them: each piece's, a right end read as its left limit
+    rng = np.random.default_rng(sorted(_BOUND_VARIANTS).index(variant))
+    for case in range(60):
+        L = rng.uniform(0.5, 4.0)
+        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, L, rng.integers(0, 4))), [L]])
+        p = _BOUND_VARIANTS[variant](Potential(tuple(
+            (a, b, _random_piece(rng, a, b)) for a, b in zip(cuts, cuts[1:])), L), rng)
+        L, bp = p.domain_length, p.breakpoints
+        t0, t1 = np.sort(rng.choice([rng.uniform(0.0, L), rng.choice(bp)], 2))
+        if case % 4 == 0:
+            t0, t1 = 0.0, L
+        lo, hi = p.bounds(t0, t1) if case % 4 else p.bounds()
+        vals = p.eval(np.concatenate([[t0, t1], rng.uniform(t0, t1, 10_000)]))
+        ulps = 4.0 * np.finfo(float).eps * (1.0 + max(abs(lo), abs(hi)))
+        assert lo - ulps <= vals.min() and vals.max() <= hi + ulps, (case, lo, hi)
+        at = p.shift + np.concatenate([_extreme_reads(piece, max(a, t0), min(b, t1))
+                                       for a, b, piece in p.pieces
+                                       if a <= t1 and (b > t0 or b == L)])
+        tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
+        assert abs(at.min() - lo) <= tol and abs(at.max() - hi) <= tol, (case, lo, hi)

@@ -66,6 +66,24 @@ def test_zero_potential_separated_spectra(zero1, bc):
     assert all(e.multiplicity == 1 for e in spec.eigenvalues)
 
 
+@pytest.mark.parametrize("bc", ["D", "M1", "M2"])
+def test_zero_potential_first_fifty(bc):
+    got = find_eigenvalues(load_builtin("ex1"), bc, max_count=50).values()
+    assert got == pytest.approx(analytic_zero_spectrum(bc, 50), rel=1e-10)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 25: the scan's equal cells in lambda are wider than the lowest "
+    "gaps once max_count is large, so two eigenvalues share a cell and are lost: "
+    "N at 50 starts at 4 pi^2, D at 100 returns 99 values from 9 pi^2, and M1 and "
+    "M2 at 100 start at 61.685"))
+@pytest.mark.parametrize("bc, count", [("N", 50), ("N", 100), ("D", 100), ("M1", 100),
+                                       ("M2", 100)])
+def test_zero_potential_long_spectra(bc, count):
+    got = find_eigenvalues(load_builtin("ex1"), bc, max_count=count).values()
+    assert got == pytest.approx(analytic_zero_spectrum(bc, count), rel=1e-10)
+
+
 def test_zero_potential_coupled_spectra(zero1):
     # on [0,1]: periodic eigenvalues 0, (2 pi k)^2 doubled;
     # antiperiodic ((2k+1) pi)^2 doubled
@@ -519,17 +537,36 @@ def test_wide_barrier_first_dirichlet_eigenvalues(count):
     assert find_eigenvalues(p, "D", max_count=count).values() == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 22: _auto_range takes max a from Potential.sample_bound's 513 "
-    "samples, which miss a spike narrower than T/512, so the range starts at -1 and "
-    "the ground state (N -3.378, P -3.117) is lost"))
+# a spike of height 5000 and width 5e-4, narrower than T/512: the default range
+# starts below -max a, read exactly by Potential.bounds, not from samples of a
+SPIKE = Potential.piecewise_constant([0.0, 0.3001, 0.3006, 1.0], [0.0, 5000.0, 0.0])
+
+
 @pytest.mark.parametrize("bc", ["N", "P"])
 def test_narrow_spike_first_eigenvalues(bc):
-    # a spike of height 5000 and width 5e-4; P takes the direct method, as the
-    # potential is not even
-    p = Potential.piecewise_constant([0.0, 0.3001, 0.3006, 1.0], [0.0, 5000.0, 0.0])
-    want = step_roots(p, np.linspace(-5001.0, 200.0, 52011), bc)[:3]
-    assert find_eigenvalues(p, bc, max_count=3).values() == pytest.approx(want, rel=1e-9)
+    # P takes the direct method, as the potential is not even
+    want = step_roots(SPIKE, np.linspace(-5001.0, 200.0, 52011), bc)[:3]
+    assert find_eigenvalues(SPIKE, bc, max_count=3).values() == pytest.approx(want, rel=1e-9)
+
+
+def test_narrow_spike_relations_hold():
+    assert verify_interlacing(SPIKE)["pass"]
+    assert first_eigenvalue_relations(SPIKE)["pass"]
+
+
+@pytest.mark.xfail(strict=True, raises=IntegrationError, reason=(
+    "ROADMAP item 26: the scan plan splits its accuracy equally over the segments, so "
+    "each of the table's 383 or 511 segments gets a share below what its n-against-2n "
+    "estimate resolves, and the ladder refuses at the default integrator_tol"))
+@pytest.mark.parametrize("nodes, order", [(512, 3), (384, 1)])
+def test_many_node_table_spectrum(nodes, order):
+    xs = np.linspace(0.0, 1.0, nodes)
+    p = Potential.from_descriptor({"T": 1.0, "pieces": [
+        {"from": 0.0, "to": 1.0, "kind": "table", "x": list(xs),
+         "y": list(10.0 * np.sin(6.0 * xs)), "order": order}]})
+    got = find_eigenvalues(p, "N", max_count=4).values()
+    want = find_eigenvalues(p, "N", max_count=4, integrator_tol=1e-9).values()
+    assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_high_neumann_eigenvalue_matches_mathieu(cos_pi):
